@@ -1,9 +1,8 @@
 """Built-in hypersurfaces and congruences with analytic jets.
 
-Every entry is constructed from module-level functions (so evaluators stay
-picklable for parallel surveys) and carries a sensible default domain away
-from parametrization degeneracies.  Catalog names are the stable identifiers
-used by scene files and the command line.
+Every entry is constructed from module-level functions and carries a
+sensible default domain away from parametrization degeneracies.  Catalog
+names are the stable identifiers used by scene files and the command line.
 """
 
 from __future__ import annotations

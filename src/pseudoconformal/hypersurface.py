@@ -14,14 +14,13 @@ anything else is reported as degenerate beyond the lightlike case.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .conformal import AmbientModel
-from .errors import DegenerateBasisError
+from .errors import DegenerateBasisError, GeometryError
 from .linalg import jacobi_eigh
 
 SPACELIKE = "spacelike"
@@ -38,8 +37,6 @@ LIGHTLIKE_TOL_FD = 1e-4
 #: central-difference steps for first- and second-order jets
 FD_STEP_FIRST = 1e-5
 FD_STEP_SECOND = 1e-3
-
-WORKERS_ENV = "PSEUDOCONFORMAL_WORKERS"
 
 
 @dataclass(frozen=True)
@@ -148,20 +145,36 @@ class CausalType:
         return (self.plus, self.minus, self.zero)
 
 
+def _ambient_gram(imm: Immersion, model: Optional[AmbientModel]) -> np.ndarray:
+    """Gram matrix pulled back by the jets: the quadric's polar form for
+    homogeneous immersions, else the Lorentzian metric."""
+    if model is None:
+        model = AmbientModel.standard(imm.n)
+    return model.form.gram if imm.homogeneous else model.metric.gram
+
+
+def _pullback(j, g) -> np.ndarray:
+    """Symmetrized J^T G J of one Jacobian or of a stack of them."""
+    m = np.swapaxes(j, -1, -2) @ g @ j
+    return 0.5 * (m + np.swapaxes(m, -1, -2))
+
+
 def induced_metric(imm: Immersion, u, model: Optional[AmbientModel] = None) -> np.ndarray:
     """Pullback J^T G J of the ambient form; for homogeneous immersions G is
     the quadric's polar form, which induces the same conformal class."""
-    j = imm.jet1(u)
-    if imm.homogeneous:
-        if model is None:
-            model = AmbientModel.standard(imm.n)
-        g = model.form.gram
-    else:
-        if model is None:
-            model = AmbientModel.standard(imm.n)
-        g = model.metric.gram
-    m = j.T @ g @ j
-    return 0.5 * (m + m.T)
+    return _pullback(imm.jet1(u), _ambient_gram(imm, model))
+
+
+def _causal_kind(plus: int, minus: int, zero: int) -> str:
+    """Causal character named by an induced-metric inertia."""
+    d = plus + minus + zero
+    if (plus, minus, zero) == (d, 0, 0):
+        return SPACELIKE
+    if (plus, minus, zero) == (d - 1, 1, 0):
+        return TIMELIKE
+    if (plus, minus, zero) == (d - 1, 0, 1):
+        return LIGHTLIKE
+    return DEGENERATE
 
 
 def causal_type_of_metric(m, tol: float) -> CausalType:
@@ -171,30 +184,31 @@ def causal_type_of_metric(m, tol: float) -> CausalType:
     plus = int((w > tol * radius).sum())
     minus = int((w < -tol * radius).sum())
     zero = m.shape[0] - plus - minus
-    d = m.shape[0]
     ratio = float(np.abs(w).min() / radius)
-    if (plus, minus, zero) == (d, 0, 0):
-        kind = SPACELIKE
-    elif (plus, minus, zero) == (d - 1, 1, 0):
-        kind = TIMELIKE
-    elif (plus, minus, zero) == (d - 1, 0, 1):
-        kind = LIGHTLIKE
-    else:
-        kind = DEGENERATE
-    return CausalType(kind=kind, plus=plus, minus=minus, zero=zero, min_eig_ratio=ratio)
+    return CausalType(kind=_causal_kind(plus, minus, zero), plus=plus, minus=minus,
+                      zero=zero, min_eig_ratio=ratio)
+
+
+def _rank_deficient(w: np.ndarray) -> np.ndarray:
+    """Whether J^T J, given its eigenvalues w (last axis), is singular
+    relative to its largest eigenvalue: J is then not an immersion there."""
+    return w.min(axis=-1) <= 1e-12 * np.maximum(w.max(axis=-1), 1e-300)
 
 
 def classify_point(imm: Immersion, u, tol: Optional[float] = None,
                    model: Optional[AmbientModel] = None) -> CausalType:
     """Causal character at a parameter point.
 
-    Raises if the Jacobian is rank deficient there (not an immersion).
+    Raises DegenerateBasisError if the Jacobian is non-finite or rank
+    deficient there (not an immersion).
     """
-    m = induced_metric(imm, u, model=model)
     j = imm.jet1(u)
+    m = _pullback(j, _ambient_gram(imm, model))
     jtj = j.T @ j
+    if not (np.isfinite(m).all() and np.isfinite(jtj).all()):
+        raise DegenerateBasisError(f"non-finite jacobian at u={np.asarray(u).tolist()}")
     w, _ = jacobi_eigh(jtj)
-    if w.min() <= 1e-12 * max(w.max(), 1e-300):
+    if _rank_deficient(w):
         raise DegenerateBasisError(f"jacobian is rank deficient at u={np.asarray(u).tolist()}")
     if tol is None:
         tol = imm.lightlike_tol()
@@ -258,81 +272,101 @@ class ClassificationReport:
         return rows
 
 
-def _classify_chunk(args):
-    imm, model, tol, chunk = args
-    out = []
-    for index, u in chunk:
-        try:
-            causal = classify_point(imm, u, tol=tol, model=model)
-            out.append((index, tuple(float(x) for x in u), causal, None))
-        except Exception as exc:  # recorded, not fatal
-            out.append((index, tuple(float(x) for x in u), None, str(exc)))
-    return out
+#: causal kinds by the integer codes of the transition scan
+_KINDS = (SPACELIKE, TIMELIKE, LIGHTLIKE, DEGENERATE)
 
 
 def survey(imm: Immersion, grid_counts: Sequence[int], tol: Optional[float] = None,
-           model: Optional[AmbientModel] = None, workers: Optional[int] = None) -> ClassificationReport:
+           model: Optional[AmbientModel] = None) -> ClassificationReport:
     """Classify every grid point and summarize pure vs mixed character.
 
-    Results are assembled in grid order regardless of worker count, so the
-    report is deterministic.  Worker count defaults to the
-    PSEUDOCONFORMAL_WORKERS environment variable, else 1.
+    Each point's Jacobian is evaluated once; the induced metrics and J^T J of
+    the whole grid are then eigendecomposed in one stacked Jacobi pass.  Every
+    point gets the kind and inertia ``classify_point`` gives it, and a point
+    where that would raise is recorded in ``errors`` instead.  Results are in
+    grid order.
     """
-    if model is None:
-        model = AmbientModel.standard(imm.n)
     if tol is None:
         tol = imm.lightlike_tol()
+    gram = _ambient_gram(imm, model)
     axes = imm.grid_axes(grid_counts)
     shape = tuple(len(ax) for ax in axes)
     indices = list(np.ndindex(*shape))
-    points = [(idx, np.array([axes[a][i] for a, i in enumerate(idx)])) for idx in indices]
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(len(indices), len(axes))
+    us = [tuple(u) for u in grid.tolist()]
 
-    if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV, "1"))
-    if workers > 1:
-        from multiprocessing import Pool
+    messages = {}
+    jets = np.zeros((len(indices), imm.target_dim, imm.params))
+    for i, u in enumerate(grid):
+        try:
+            jet = imm.jet1(u)
+        except (GeometryError, ValueError, ArithmeticError) as exc:
+            messages[i] = str(exc)
+            continue
+        jets[i] = jet
+    live = np.array([i for i in range(len(indices)) if i not in messages], dtype=int)
+    j = jets[live]
+    metrics = _pullback(j, gram)
+    jtj = np.swapaxes(j, 1, 2) @ j
+    finite = np.isfinite(metrics).all(axis=(1, 2)) & np.isfinite(jtj).all(axis=(1, 2))
+    for i in live[~finite].tolist():
+        messages[i] = f"non-finite jacobian at u={list(us[i])}"
+    live, metrics, jtj = live[finite], metrics[finite], jtj[finite]
 
-        chunks = [points[i::workers] for i in range(workers)]
-        with Pool(workers) as pool:
-            results = pool.map(_classify_chunk, [(imm, model, tol, ch) for ch in chunks])
-        flat = [item for sub in results for item in sub]
-        flat.sort(key=lambda item: item[0])
-    else:
-        flat = _classify_chunk((imm, model, tol, points))
+    w, _ = jacobi_eigh(np.concatenate([metrics, jtj]))
+    w, w_jtj = w[: len(live)], w[len(live):]
+    for i in live[_rank_deficient(w_jtj)].tolist():
+        messages[i] = f"jacobian is rank deficient at u={list(us[i])}"
+    abs_w = np.abs(w)
+    radius = np.maximum(abs_w.max(axis=1), 1e-300)
+    plus = (w > (tol * radius)[:, None]).sum(axis=1)
+    minus = (w < (-tol * radius)[:, None]).sum(axis=1)
+    zero = imm.params - plus - minus
+    ratio = abs_w.min(axis=1) / radius
 
+    codes = np.full(len(indices), -1)
     grid_points = []
-    kinds_by_index = {}
-    counts = {SPACELIKE: 0, TIMELIKE: 0, LIGHTLIKE: 0, DEGENERATE: 0}
-    errors = []
-    for index, u, causal, err in flat:
-        if err is not None:
-            errors.append((index, err))
+    counts = dict.fromkeys(_KINDS, 0)
+    for i, p, m, z, r in zip(live.tolist(), plus.tolist(), minus.tolist(),
+                             zero.tolist(), ratio.tolist()):
+        if i in messages:
             continue
-        counts[causal.kind] += 1
-        kinds_by_index[index] = causal.kind
-        grid_points.append(GridPoint(u=u, index=index, causal=causal))
-
-    transitions = []
-    for idx in indices:
-        k0 = kinds_by_index.get(idx)
-        if k0 is None:
-            continue
-        for axis in range(len(shape)):
-            nxt = list(idx)
-            nxt[axis] += 1
-            nxt = tuple(nxt)
-            if nxt[axis] >= shape[axis]:
-                continue
-            k1 = kinds_by_index.get(nxt)
-            if k1 is None or k1 == k0:
-                continue
-            crossing = {k0, k1} == {SPACELIKE, TIMELIKE} or LIGHTLIKE in (k0, k1)
-            if crossing:
-                u_low = tuple(float(axes[a][i]) for a, i in enumerate(idx))
-                u_high = tuple(float(axes[a][i]) for a, i in enumerate(nxt))
-                transitions.append(
-                    TransitionCell(axis=axis, index_low=idx, u_low=u_low,
-                                   u_high=u_high, kinds=(k0, k1))
-                )
+        kind = _causal_kind(p, m, z)
+        counts[kind] += 1
+        codes[i] = _KINDS.index(kind)
+        causal = CausalType(kind=kind, plus=p, minus=m, zero=z, min_eig_ratio=r)
+        grid_points.append(GridPoint(u=us[i], index=indices[i], causal=causal))
+    errors = [(indices[i], messages[i]) for i in sorted(messages)]
+    transitions = _transitions(codes.reshape(shape), axes)
     return ClassificationReport(points=grid_points, counts=counts,
                                 transitions=transitions, errors=errors)
+
+
+def _transitions(codes: np.ndarray, axes) -> list:
+    """Grid edges, in grid order of the lower end and then by axis, whose
+    classified ends differ and cross between spacelike and timelike or touch
+    lightlike.  ``codes`` holds indices into _KINDS, -1 for failed points."""
+    spacelike, timelike, lightlike = (_KINDS.index(k) for k in (SPACELIKE, TIMELIKE, LIGHTLIKE))
+    found = []
+    for axis in range(codes.ndim):
+        head = (slice(None),) * axis
+        low, high = codes[head + (slice(None, -1),)], codes[head + (slice(1, None),)]
+        spacelike_timelike = (np.minimum(low, high) == spacelike) & (np.maximum(low, high) == timelike)
+        crossing = (
+            (low >= 0) & (high >= 0) & (low != high)
+            & (spacelike_timelike | (low == lightlike) | (high == lightlike))
+        )
+        flat = np.ravel_multi_index(np.nonzero(crossing), codes.shape)
+        found.extend((f, axis) for f in flat.tolist())
+    transitions = []
+    for flat, axis in sorted(found):
+        index_low = tuple(int(i) for i in np.unravel_index(flat, codes.shape))
+        index_high = tuple(i + (a == axis) for a, i in enumerate(index_low))
+        transitions.append(TransitionCell(
+            axis=axis,
+            index_low=index_low,
+            u_low=tuple(float(axes[a][i]) for a, i in enumerate(index_low)),
+            u_high=tuple(float(axes[a][i]) for a, i in enumerate(index_high)),
+            kinds=(_KINDS[codes[index_low]], _KINDS[codes[index_high]]),
+        ))
+    return transitions

@@ -102,19 +102,34 @@ def jacobi_eigh(m, tol: float = JACOBI_TOL, max_sweeps: int = 60):
     Returns (eigenvalues, eigenvectors) with eigenvalues sorted descending and
     eigenvectors as columns.  Column signs are fixed so that the entry of
     largest magnitude in each eigenvector is positive.
+
+    A stack of shape (N, k, k) is decomposed member by member in one
+    vectorized pass and gives shapes (N, k) and (N, k, k).  Raises ValueError
+    on non-finite or asymmetric input and ConvergenceError when the
+    off-diagonal norm is still above ``tol`` after ``max_sweeps`` sweeps.
     """
+    if np.ndim(m) == 3:
+        return _jacobi_eigh_stacked(np.asarray(m, dtype=float), tol, max_sweeps)
     a = _as_matrix(m).copy()
     k = a.shape[0]
     scale = max(np.abs(a).max(), 1e-300)
+    if not math.isfinite(scale):  # the maximum propagates NaN
+        raise ValueError("jacobi_eigh requires finite entries")
     if np.abs(a - a.T).max() > 1e-10 * scale:
         raise ValueError("jacobi_eigh requires a symmetric matrix")
     a = 0.5 * (a + a.T)
     v = np.eye(k)
-    for _ in range(max_sweeps):
+    for sweep in range(max_sweeps + 1):
         strict = a - np.diag(np.diag(a))
         off = math.sqrt(float((strict * strict).sum()))
         if off <= tol * scale:
             break
+        if sweep == max_sweeps:
+            raise ConvergenceError(
+                f"Jacobi sweeps did not converge in {max_sweeps} sweeps "
+                f"(off-diagonal norm {off:.3e})",
+                residual=off,
+            )
         for p in range(k - 1):
             for q in range(p + 1, k):
                 apq = a[p, q]
@@ -139,6 +154,67 @@ def jacobi_eigh(m, tol: float = JACOBI_TOL, max_sweeps: int = 60):
         if v[i, j] < 0:
             v[:, j] = -v[:, j]
     return w, v
+
+
+def _jacobi_eigh_stacked(a, tol: float, max_sweeps: int):
+    """Cyclic Jacobi over a stack of symmetric matrices.
+
+    Every member visits the (p, q) pairs in the order of the single-matrix
+    loop, with its own convergence test at the start of each sweep.  A member
+    that has converged, or whose a_pq is negligible, is rotated by c = 1,
+    s = 0 and so left exactly unchanged.
+    """
+    if a.shape[1] != a.shape[2]:
+        raise ValueError(f"expected a stack of square matrices, got shape {a.shape}")
+    count, k, _ = a.shape
+    scale = np.maximum(np.abs(a).max(axis=(1, 2)), 1e-300)
+    if not np.isfinite(scale).all():
+        raise ValueError("jacobi_eigh requires finite entries")
+    if (np.abs(a - a.transpose(0, 2, 1)).max(axis=(1, 2)) > 1e-10 * scale).any():
+        raise ValueError("jacobi_eigh requires symmetric matrices")
+    a = 0.5 * (a + a.transpose(0, 2, 1))
+    v = np.tile(np.eye(k), (count, 1, 1))
+    off_diagonal = ~np.eye(k, dtype=bool)
+    for sweep in range(max_sweeps + 1):
+        strict = a * off_diagonal
+        off = np.sqrt((strict * strict).sum(axis=(1, 2)))
+        active = off > tol * scale
+        if not active.any():
+            break
+        if sweep == max_sweeps:
+            raise ConvergenceError(
+                f"Jacobi sweeps did not converge in {max_sweeps} sweeps for "
+                f"{int(active.sum())} of {count} matrices "
+                f"(largest off-diagonal norm {off.max():.3e})",
+                residual=float(off.max()),
+            )
+        for p in range(k - 1):
+            for q in range(p + 1, k):
+                apq = a[:, p, q]
+                rotate = active & (np.abs(apq) > 1e-300)
+                tau = (a[:, q, q] - a[:, p, p]) / (2.0 * np.where(rotate, apq, 1.0))
+                t = np.copysign(1.0, tau) / (np.abs(tau) + np.hypot(1.0, tau))
+                c = np.where(rotate, 1.0 / np.hypot(1.0, t), 1.0)[:, None]
+                s = np.where(rotate, t, 0.0)[:, None] * c
+                _rotate_pair(a[:, :, p], a[:, :, q], c, s)
+                _rotate_pair(a[:, p, :], a[:, q, :], c, s)
+                _rotate_pair(v[:, :, p], v[:, :, q], c, s)
+                a[rotate, p, q] = 0.0
+                a[rotate, q, p] = 0.0
+    diagonal = np.diagonal(a, axis1=1, axis2=2)
+    order = np.argsort(-diagonal, axis=1, kind="stable")
+    w = np.take_along_axis(diagonal, order, axis=1)
+    v = np.take_along_axis(v, order[:, None, :], axis=2)
+    lead = np.take_along_axis(v, np.abs(v).argmax(axis=1)[:, None, :], axis=1)
+    return w, np.where(lead < 0, -v, v)
+
+
+def _rotate_pair(xp, xq, c, s):
+    """Givens rotation in place of two equally shaped views: columns (or
+    rows) p and q of every member become c xp - s xq and s xp + c xq."""
+    old = xp.copy()
+    xp[...] = c * xp - s * xq
+    xq[...] = s * old + c * xq
 
 
 def signature(m, tol: float = 1e-10) -> Signature:

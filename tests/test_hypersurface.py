@@ -1,9 +1,11 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pseudoconformal import catalog
+from pseudoconformal.cli import _build_object, _resolve_grid, load_scene
 from pseudoconformal.conformal import lift_point
 from pseudoconformal.errors import DegenerateBasisError
 from pseudoconformal.hypersurface import (
@@ -15,6 +17,8 @@ from pseudoconformal.hypersurface import (
     survey,
 )
 from pseudoconformal.linalg import scalar_product
+
+SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
 
 def polar_cone_immersion():
@@ -194,16 +198,137 @@ class TestSurvey:
         assert report.errors
         assert report.counts["spacelike"] > 0
 
-    def test_parallel_survey_matches_serial(self, model3):
-        imm = catalog.build("euclidean_sphere")
-        serial = survey(imm, (8, 8), model=model3, workers=1)
-        parallel = survey(imm, (8, 8), model=model3, workers=2)
-        assert [p.causal.kind for p in serial.points] == [
-            p.causal.kind for p in parallel.points
-        ]
+    def test_programming_errors_propagate(self, model3):
+        def value(u):
+            raise RuntimeError("bug in the evaluator")
+
+        imm = Immersion(n=3, domain=((-1, 1), (-1, 1)), value=value)
+        with pytest.raises(RuntimeError, match="bug in the evaluator"):
+            survey(imm, (3, 3), model=model3)
+
+    def test_non_finite_jacobian_is_an_error(self, model3):
+        imm = nan_immersion()
+        report = survey(imm, (5, 3), model=model3)
+        # finite differences at u0 = 0.5 already reach into the NaN region
+        assert [idx for idx, _ in report.errors] == [(i, j) for i in (2, 3, 4) for j in range(3)]
+        assert all(msg.startswith("non-finite jacobian at u=") for _, msg in report.errors)
+        assert report.counts["spacelike"] == 6
+        assert report.counts["degenerate_beyond_lightlike"] == 0
+        with pytest.raises(DegenerateBasisError, match="non-finite jacobian"):
+            classify_point(imm, np.array([0.75, 0.5]), model=model3)
+
+    def test_one_jacobian_evaluation_per_point(self, model3):
+        base = catalog.build("euclidean_sphere")
+        calls = []
+
+        def jacobian(u):
+            calls.append(1)
+            return base.jacobian(u)
+
+        imm = Immersion(n=3, domain=base.domain, value=base.value, jacobian=jacobian)
+        classify_point(imm, np.array([0.3, 0.2]), model=model3)
+        assert len(calls) == 1
+        survey(imm, (4, 5), model=model3)
+        assert len(calls) == 1 + 20
 
     def test_csv_rows_shape(self, model3):
         report = survey(catalog.build("spacelike_slice"), (3, 3), model=model3)
         rows = report.to_csv_rows()
         assert len(rows) == 9
         assert len(rows[0]) == 2 + 5
+
+
+def nan_immersion():
+    def value(u):
+        return np.array([u[0], u[1], math.nan if u[0] > 0.5 else 0.0])
+
+    return Immersion(n=3, domain=((0, 1), (0, 1)), value=value)
+
+
+def rank_deficient_immersion():
+    def value(u):
+        return np.array([u[0], u[0], 0.0]) if u[1] > 0 else np.array([u[0], u[1], 0.0])
+
+    return Immersion(n=3, domain=((-1, 1), (-1, 1)), value=value)
+
+
+def mixed_graph_immersion():
+    """Graph of u0^2 / 2: spacelike for |u0| < 1, lightlike at |u0| = 1 and
+    timelike beyond; rank deficient for 0.25 < u1 <= 0.75, NaN above."""
+
+    def jacobian(u):
+        if u[1] > 0.75:
+            return np.array([[1.0, 0.0], [0.0, 1.0], [u[0], math.nan]])
+        if u[1] > 0.25:
+            return np.array([[1.0, 0.0], [0.0, 0.0], [u[0], 0.0]])
+        return np.array([[1.0, 0.0], [0.0, 1.0], [u[0], 0.0]])
+
+    return Immersion(n=3, domain=((-2, 2), (-1, 1)), jacobian=jacobian,
+                     value=lambda u: np.array([u[0], u[1], 0.5 * u[0] ** 2]))
+
+
+def assert_survey_matches_classify_point(imm, counts, tol=None):
+    """The batched survey against classify_point at every grid point."""
+    report = survey(imm, counts, tol=tol)
+    axes = imm.grid_axes(counts)
+    expected, failed = [], []
+    for idx in np.ndindex(*(len(ax) for ax in axes)):
+        u = np.array([axes[a][i] for a, i in enumerate(idx)])
+        try:
+            expected.append((idx, tuple(u), classify_point(imm, u, tol=tol)))
+        except DegenerateBasisError:
+            failed.append(idx)
+    assert [idx for idx, _ in report.errors] == failed
+    assert len(report.points) == len(expected)
+    for point, (idx, u, causal) in zip(report.points, expected):
+        assert (point.index, point.u) == (idx, u)
+        assert point.causal.kind == causal.kind
+        assert point.causal.as_tuple() == causal.as_tuple()
+        assert abs(point.causal.min_eig_ratio - causal.min_eig_ratio) <= 1e-14
+    kinds = {idx: causal.kind for idx, _, causal in expected}
+    assert [
+        (t.axis, t.index_low, t.u_low, t.u_high, t.kinds) for t in report.transitions
+    ] == scanned_transitions(kinds, axes)
+
+
+def scanned_transitions(kinds, axes):
+    """Reference transition scan: one pass over grid points and axes."""
+    found = []
+    for idx in np.ndindex(*(len(ax) for ax in axes)):
+        for axis in range(len(axes)):
+            nxt = tuple(i + (a == axis) for a, i in enumerate(idx))
+            k0, k1 = kinds.get(idx), kinds.get(nxt)
+            if k0 is None or k1 is None or k0 == k1:
+                continue
+            if {k0, k1} == {"spacelike", "timelike"} or "lightlike" in (k0, k1):
+                u_low = tuple(float(axes[a][i]) for a, i in enumerate(idx))
+                u_high = tuple(float(axes[a][i]) for a, i in enumerate(nxt))
+                found.append((axis, idx, u_low, u_high, (k0, k1)))
+    return found
+
+
+HYPERSURFACES = sorted(
+    name for name, entry in catalog.CATALOG.items() if entry.kind == "hypersurface"
+)
+CLASSIFY_SCENES = sorted(
+    path.name for path in SCENES.glob("*.json") if load_scene(str(path)).kind == "hypersurface"
+)
+
+
+class TestSurveyEquivalence:
+    @pytest.mark.parametrize("name", HYPERSURFACES)
+    def test_catalog_entry_small_grid(self, name):
+        imm = catalog.build(name)
+        assert_survey_matches_classify_point(imm, [5] * imm.params)
+
+    @pytest.mark.parametrize("scene_name", CLASSIFY_SCENES)
+    def test_shipped_scene(self, scene_name):
+        scene = load_scene(str(SCENES / scene_name))
+        imm, counts = _resolve_grid(scene, _build_object(scene))
+        assert_survey_matches_classify_point(imm, counts, tol=scene.tolerances.get("lightlike"))
+
+    @pytest.mark.parametrize(
+        "build", [nan_immersion, rank_deficient_immersion, mixed_graph_immersion]
+    )
+    def test_failing_points(self, build):
+        assert_survey_matches_classify_point(build(), (9, 5))

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pseudoconformal.errors import DegenerateBasisError
+from pseudoconformal.errors import ConvergenceError, DegenerateBasisError
 from pseudoconformal.frames import lightlike_gram
 from pseudoconformal.linalg import (
+    JACOBI_TOL,
     BilinearForm,
     char_poly,
     char_roots,
@@ -96,6 +97,75 @@ class TestJacobi:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             jacobi_eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(ValueError):
+            jacobi_eigh(np.array([np.eye(2), [[0.0, 1.0], [0.0, 0.0]]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        a = np.array([[1.0, bad], [bad, 2.0]])
+        with pytest.raises(ValueError, match="finite"):
+            jacobi_eigh(a)
+        with pytest.raises(ValueError, match="finite"):
+            jacobi_eigh(np.array([np.eye(2), a]))
+
+    def test_running_out_of_sweeps_raises(self, rng):
+        a = rng.normal(size=(6, 6))
+        with pytest.raises(ConvergenceError):
+            jacobi_eigh(a + a.T, max_sweeps=1)
+
+    def test_stack_reports_the_one_member_that_fails(self, rng):
+        full = rng.normal(size=(6, 6))
+        one_pair = np.diag(rng.normal(size=6))
+        one_pair[1, 4] = one_pair[4, 1] = 0.7  # one rotation diagonalizes it
+        stack = np.array([np.diag(rng.normal(size=6)), one_pair, full + full.T])
+        with pytest.raises(ConvergenceError, match="1 of 3"):
+            jacobi_eigh(stack, max_sweeps=1)
+        w, _ = jacobi_eigh(stack[:2], max_sweeps=1)
+        for member, wm in zip(stack[:2], w):
+            assert np.abs(wm - jacobi_eigh(member, max_sweeps=1)[0]).max() <= 1e-15
+
+
+def mixed_stack(rng, k):
+    """Zero, diagonal, already converged and repeated-eigenvalue members mixed
+    with full ones."""
+    q, _ = np.linalg.qr(rng.normal(size=(k, k)))
+    noise = rng.normal(size=(k, k))
+    members = [
+        np.zeros((k, k)),
+        np.diag(rng.normal(size=k)),
+        np.diag(rng.normal(size=k)) + 1e-14 * (noise + noise.T),
+        2.0 * np.eye(k),
+        q @ np.diag([3.0] * (k - 1) + [-1.0]) @ q.T,
+    ]
+    for _ in range(4):
+        a = rng.normal(size=(k, k))
+        members.append(a + a.T)
+    return np.array(members)
+
+
+class TestStackedJacobi:
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_matches_numpy_and_single_matrix_calls(self, rng, k):
+        stack = mixed_stack(rng, k)
+        w, v = jacobi_eigh(stack)
+        assert w.shape == (len(stack), k) and v.shape == (len(stack), k, k)
+        for a, wm, vm in zip(stack, w, v):
+            scale = max(np.abs(a).max(), 1.0)
+            ws, vs = jacobi_eigh(a)
+            if np.linalg.norm(a - np.diag(np.diag(a))) <= JACOBI_TOL * np.abs(a).max():
+                # converged before the first sweep: the stacked pass must leave
+                # the member exactly as the single-matrix loop does
+                assert np.array_equal(wm, ws) and np.array_equal(vm, vs)
+            assert np.abs(wm - ws).max() <= 1e-13 * scale
+            assert np.abs(wm - np.linalg.eigvalsh(a)[::-1]).max() <= 1e-12 * scale
+            assert np.abs(a @ vm - vm * wm).max() <= 1e-12 * scale
+            assert np.abs(vm.T @ vm - np.eye(k)).max() <= 1e-13
+            if k == 1 or np.diff(ws).max() < -1e-3 * scale:
+                assert np.abs(vm - vs).max() <= 1e-9
+
+    def test_empty_stack(self):
+        w, v = jacobi_eigh(np.zeros((0, 3, 3)))
+        assert w.shape == (0, 3) and v.shape == (0, 3, 3)
 
 
 class TestCharRoots:
