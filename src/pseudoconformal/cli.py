@@ -5,15 +5,17 @@ in tolerance overrides cannot pass silently.  All output is deterministic:
 floats are written in shortest round-trip form and grids are traversed in
 index order.
 
-Exit codes: 0 success, 2 scene/usage error, 3 numerical failure.
+Exit codes: 0 success, 2 scene/usage error, 3 numerical failure.  The data
+go to the output file or to stdout, the one-line run summary to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -28,7 +30,7 @@ from .conformal import (
 )
 from .congruence import congruence_affinor, congruence_singular_points, stratify
 from .errors import ConvergenceError, GeometryError, NonIntegrableError
-from .hypersurface import survey
+from .hypersurface import parameter_grid, survey
 from .lightlike import (
     degeneracy_check,
     focal_map,
@@ -65,6 +67,12 @@ class Scene:
 def _fmt(x) -> str:
     """Shortest round-trip decimal form of a float."""
     return repr(float(x))
+
+
+def _finite(x) -> bool:
+    """Whether a parsed JSON value is a finite number (booleans are not)."""
+    return (type(x) is float and math.isfinite(x)
+            or type(x) is int and abs(x) <= sys.float_info.max)
 
 
 def _check_keys(obj, allowed, where):
@@ -107,6 +115,9 @@ def load_scene(path: str) -> Scene:
             raise SceneError("a points scene needs a nonempty 'points' array")
         if n is None:
             raise SceneError("a points scene must set n explicitly")
+        for p in points:
+            if not (isinstance(p, list) and len(p) == n and all(_finite(v) for v in p)):
+                raise SceneError(f"point {p!r} is not {n} finite numbers")
     params = raw.get("params", {})
     if not isinstance(params, dict):
         raise SceneError("params must be an object")
@@ -118,8 +129,15 @@ def load_scene(path: str) -> Scene:
         _check_keys(strat, STRATIFY_KEYS, "stratify")
         if kind != "congruence":
             raise SceneError("stratify applies only to congruence scenes")
-        if "seed" not in strat:
-            raise SceneError("stratify needs a seed parameter point")
+        seed = strat.get("seed")
+        if not (isinstance(seed, list) and all(_finite(x) for x in seed)):
+            raise SceneError("stratify needs a seed parameter point of finite numbers")
+        step = strat.get("step", 1e-2)
+        if not (_finite(step) and step > 0):
+            raise SceneError("stratify step must be a finite number > 0")
+        count = strat.get("count", 40)
+        if not (type(count) is int and count >= 1):
+            raise SceneError("stratify count must be an integer >= 1")
     grid = raw.get("grid")
     if isinstance(grid, dict):
         _check_keys(grid, {"axes"}, "grid")
@@ -167,6 +185,8 @@ def _resolve_grid(scene: Scene, obj):
         if len(axes) != obj.params:
             raise SceneError(f"grid needs {obj.params} axes")
         counts = [ax.get("count", 8) for ax in axes]
+        if not all(_finite(ax[k]) for ax in axes for k in ("start", "stop") if k in ax):
+            raise SceneError("grid axis start and stop must be finite numbers")
         domain = tuple(
             (float(ax.get("start", obj.domain[i][0])),
              float(ax.get("stop", obj.domain[i][1])))
@@ -174,14 +194,23 @@ def _resolve_grid(scene: Scene, obj):
         )
     if len(counts) != obj.params:
         raise SceneError(f"grid needs {obj.params} axis counts")
-    counts = [int(c) for c in counts]
-    if any(c < 2 for c in counts):
-        raise SceneError("grid counts must be at least 2 per axis")
+    if not all(type(c) is int and c >= 2 for c in counts):
+        raise SceneError("grid counts must be integers of at least 2 per axis")
     if domain is not None:
-        from dataclasses import replace
-
         obj = replace(obj, domain=domain)
     return obj, counts
+
+
+def _write(path, text):
+    """Write output text to path, or to stdout when path is None."""
+    if path is None:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise SceneError(f"cannot write output file: {exc}") from exc
 
 
 def _write_csv(path, header, rows):
@@ -196,28 +225,30 @@ def _write_csv(path, header, rows):
             else:
                 cells.append(str(cell))
         lines.append(",".join(cells))
-    text = "\n".join(lines) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
-def _write_json(path, payload):
-    text = json.dumps(payload, sort_keys=True, indent=1) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _write(path, "\n".join(lines) + "\n")
 
 
 def _emit(path, fmt, csv_header, csv_rows, payload):
     if fmt == "csv":
         _write_csv(path, csv_header, csv_rows)
     else:
-        _write_json(path, payload)
+        _write(path, json.dumps(payload, sort_keys=True, indent=1) + "\n")
+
+
+def _roots_json(roots):
+    """JSON records of characteristic roots."""
+    return [{"x": [r.value.real, r.value.imag], "multiplicity": r.multiplicity,
+             "real": r.is_real} for r in roots]
+
+
+def _focal_cells(target, n):
+    """CSV marker and coordinate cells of a focal point, given what
+    darboux_unembed made of it, or None for a complex root."""
+    if target is None:
+        return ["complex"] + [""] * n
+    if isinstance(target, AtInfinity):
+        return ["INF"] + [""] * n
+    return ["point"] + [float(v) for v in target]
 
 
 def run_embed(scene: Scene, out_path, fmt) -> int:
@@ -226,8 +257,6 @@ def run_embed(scene: Scene, out_path, fmt) -> int:
     entries = []
     for p in scene.points:
         p = np.asarray(p, dtype=float)
-        if p.shape != (scene.n,):
-            raise SceneError(f"point {p.tolist()} does not have dimension {scene.n}")
         x = darboux_embed(p, model)
         res = quadric_residual(x, model)
         back = darboux_unembed(x, model)
@@ -247,7 +276,7 @@ def run_embed(scene: Scene, out_path, fmt) -> int:
         + ["residual", "roundtrip"]
     )
     _emit(out_path, fmt, header, rows, {"n": scene.n, "points": entries})
-    print(f"embedded {len(rows)} points (n={scene.n})")
+    print(f"embedded {len(rows)} points (n={scene.n})", file=sys.stderr)
     return 0
 
 
@@ -291,7 +320,8 @@ def run_classify(scene: Scene, out_path, fmt) -> int:
     summary = report.pure if report.pure else "mixed"
     print(
         f"classified {sum(report.counts.values())} points: {summary} "
-        f"({report.counts}, transitions={len(report.transitions)})"
+        f"({report.counts}, transitions={len(report.transitions)})",
+        file=sys.stderr,
     )
     return 0
 
@@ -315,9 +345,9 @@ def run_lightlike(scene: Scene, out_path, fmt) -> int:
     )
     rows = []
     for s in focal.samples:
-        marker = "INF" if s.at_infinity else "point"
-        coords = [""] * imm.n if s.at_infinity else [float(v) for v in s.point]
-        rows.append(list(s.u) + [s.root_index, s.x, s.multiplicity, marker] + coords)
+        target = AtInfinity(s.projective) if s.at_infinity else s.point
+        rows.append(list(s.u) + [s.root_index, s.x, s.multiplicity]
+                    + _focal_cells(target, imm.n))
     payload = {
         "builtin": imm.name,
         "n": imm.n,
@@ -326,11 +356,7 @@ def run_lightlike(scene: Scene, out_path, fmt) -> int:
             "shape_operator": an.shape_operator.tolist(),
             "symmetry_defect": an.symmetry_defect,
             "determinant": an.determinant,
-            "roots": [
-                {"x": [r.value.real, r.value.imag], "multiplicity": r.multiplicity,
-                 "real": r.is_real}
-                for r in an.roots
-            ],
+            "roots": _roots_json(an.roots),
             "torses": [
                 {"root": t.root, "multiplicity": t.multiplicity,
                  "directions": t.directions.tolist()}
@@ -369,7 +395,8 @@ def run_lightlike(scene: Scene, out_path, fmt) -> int:
     print(
         f"lightlike pipeline on {imm.name}: {len(focal.samples)} focal samples, "
         f"{len(focal.clusters)} clusters, defect={an.symmetry_defect:.2e}, "
-        f"degeneracy={degeneracy.max_angle:.2e}"
+        f"degeneracy={degeneracy.max_angle:.2e}",
+        file=sys.stderr,
     )
     return 0
 
@@ -378,7 +405,8 @@ def run_congruence(scene: Scene, out_path, fmt) -> int:
     cong = _build_object(scene)
     cong, counts = _resolve_grid(scene, cong)
     model = AmbientModel.standard(cong.n)
-    axes = cong.grid_axes(counts)
+    if scene.stratify and len(scene.stratify["seed"]) != cong.params:
+        raise SceneError(f"stratify seed needs {cong.params} entries")
 
     header = (
         [f"u{i}" for i in range(1, cong.params + 1)]
@@ -389,35 +417,22 @@ def run_congruence(scene: Scene, out_path, fmt) -> int:
     rows = []
     samples = []
     worst = 0.0
-    for idx in np.ndindex(*[len(ax) for ax in axes]):
-        u = np.array([axes[a][i] for a, i in enumerate(idx)])
+    for u in parameter_grid(cong, counts)[1]:
         an = congruence_affinor(cong, u, model=model)
         worst = max(worst, an.symmetry_defect)
-        points = congruence_singular_points(an)
         sample = {
             "u": [float(v) for v in u],
             "defect": an.symmetry_defect,
-            "roots": [
-                {"x": [r.value.real, r.value.imag], "multiplicity": r.multiplicity,
-                 "real": r.is_real}
-                for r in an.roots
-            ],
+            "roots": _roots_json(an.roots),
         }
         samples.append(sample)
-        for k, sp in enumerate(points):
-            if sp.is_real:
-                target = darboux_unembed(sp.point, model)
-                if isinstance(target, AtInfinity):
-                    marker, coords = "INF", [""] * cong.n
-                else:
-                    marker, coords = "point", [float(v) for v in target]
-            else:
-                marker, coords = "complex", [""] * cong.n
+        for k, sp in enumerate(congruence_singular_points(an)):
+            target = darboux_unembed(sp.point, model) if sp.is_real else None
             rows.append(
                 list(float(v) for v in u)
                 + [an.symmetry_defect, k, sp.x.real, sp.x.imag, sp.multiplicity,
-                   int(sp.is_real), marker]
-                + coords
+                   int(sp.is_real)]
+                + _focal_cells(target, cong.n)
             )
 
     payload = {
@@ -459,7 +474,7 @@ def run_congruence(scene: Scene, out_path, fmt) -> int:
             f", leaf size={leaf_info['size']}"
             f", lightlike fraction={leaf_info['lightlike_fraction']:.3f}"
         )
-    print(msg)
+    print(msg, file=sys.stderr)
     return 0
 
 
@@ -504,20 +519,17 @@ def main(argv=None) -> int:
         scene = load_scene(args.scene)
         fmt = args.format or scene.out_format
         out_path = args.out or scene.out_path
-        expected = {"embed": "points", "classify": "hypersurface",
-                    "lightlike": "hypersurface", "congruence": "congruence"}
-        if scene.kind != expected[args.command]:
+        expected, run = {
+            "embed": ("points", run_embed),
+            "classify": ("hypersurface", run_classify),
+            "lightlike": ("hypersurface", run_lightlike),
+            "congruence": ("congruence", run_congruence),
+        }[args.command]
+        if scene.kind != expected:
             raise SceneError(
-                f"{args.command} needs a {expected[args.command]} scene, "
-                f"got kind={scene.kind!r}"
+                f"{args.command} needs a {expected} scene, got kind={scene.kind!r}"
             )
-        if args.command == "embed":
-            return run_embed(scene, out_path, fmt)
-        if args.command == "classify":
-            return run_classify(scene, out_path, fmt)
-        if args.command == "lightlike":
-            return run_lightlike(scene, out_path, fmt)
-        return run_congruence(scene, out_path, fmt)
+        return run(scene, out_path, fmt)
     except SceneError as exc:
         print(f"scene error ({args.command}): {exc}", file=sys.stderr)
         return 2

@@ -23,7 +23,7 @@ import numpy as np
 from .conformal import AmbientModel, ProjectivePoint, lift_point, lift_tangent
 from .errors import DegenerateBasisError, GeometryError, NonIntegrableError
 from .frames import ConformalFrame, complete_isotropic_frame
-from .hypersurface import LIGHTLIKE, causal_type_of_metric
+from .hypersurface import LIGHTLIKE, causal_type_of_metric, parameter_grid
 from .linalg import char_roots, orthonormal_rows, solve
 
 DEFAULT_STEP = 1e-4
@@ -52,12 +52,6 @@ class IsotropicCongruence:
     def line_at(self, u):
         a0, a1 = self.line(np.asarray(u, dtype=float))
         return np.asarray(a0, dtype=float), np.asarray(a1, dtype=float)
-
-    def grid_axes(self, counts):
-        counts = list(counts)
-        if len(counts) != self.params:
-            raise ValueError(f"need {self.params} grid counts")
-        return [np.linspace(lo, hi, int(c)) for (lo, hi), c in zip(self.domain, counts)]
 
     @classmethod
     def from_null_lines(cls, n, domain, base_point, direction, name="",
@@ -109,6 +103,56 @@ class CongruenceAnalysis:
         return self.shape_operator.shape[0]
 
 
+def _line_differentials(cong: IsotropicCongruence, u: np.ndarray, directions, step: float):
+    """Central differences of A_0 and A_1 along each parameter direction,
+    one pair of line evaluations per direction."""
+    da0 = np.empty((len(directions), cong.n + 2))
+    da1 = np.empty((len(directions), cong.n + 2))
+    for a, w in enumerate(directions):
+        p0, p1 = cong.line_at(u + step * w)
+        m0, m1 = cong.line_at(u - step * w)
+        da0[a] = (p0 - m0) / (2.0 * step)
+        da1[a] = (p1 - m1) / (2.0 * step)
+    return da0, da1
+
+
+def _line_jet(cong: IsotropicCongruence, u: np.ndarray, model: AmbientModel, step: float):
+    """Validated frame of the line at u, the frame components of dA_0 across
+    the parameter directions, and dA_1 from the same difference stencil."""
+    cong.validate(u, model=model)
+    a0, a1 = cong.line_at(u)
+    frame = complete_isotropic_frame(a0, a1, model)
+    da0, da1 = _line_differentials(cong, u, np.eye(cong.params), step)
+    comp0 = np.array([frame.components(da0[a]) for a in range(cong.params)])
+    return frame, comp0, da1
+
+
+def _solve_basis_forms(comp0: np.ndarray, rhs, u: np.ndarray, n: int) -> np.ndarray:
+    """Solve the basis-form matrix, the screen and transversal components of
+    dA_0, against rhs; it is singular where the family is not a congruence."""
+    basis = np.hstack([comp0[:, 2:n], comp0[:, n][:, None]])
+    try:
+        return solve(basis, rhs)
+    except DegenerateBasisError as exc:
+        raise DegenerateBasisError(
+            f"basis forms are dependent at u={u.tolist()}; "
+            "the family is not a congruence there"
+        ) from exc
+
+
+def transversal_form(cong: IsotropicCongruence, u, model: Optional[AmbientModel] = None,
+                     step: float = DEFAULT_STEP) -> np.ndarray:
+    """Coefficients of the transversal form omega_0^n per parameter direction
+    at u, with every check ``congruence_affinor`` makes on the way to it, but
+    without the shape operator and its roots."""
+    if model is None:
+        model = AmbientModel.standard(cong.n)
+    u = np.asarray(u, dtype=float)
+    _, comp0, _ = _line_jet(cong, u, model, step)
+    _solve_basis_forms(comp0, np.zeros(cong.params), u, cong.n)
+    return comp0[:, cong.n]
+
+
 def congruence_affinor(
     cong: IsotropicCongruence,
     u,
@@ -125,25 +169,10 @@ def congruence_affinor(
     if model is None:
         model = AmbientModel.standard(cong.n)
     u = np.asarray(u, dtype=float)
-    cong.validate(u, model=model)
-    a0, a1 = cong.line_at(u)
-    frame = complete_isotropic_frame(a0, a1, model)
+    frame, comp0, da1 = _line_jet(cong, u, model, step)
 
     n = cong.n
-    d = cong.params
-    da0 = np.empty((d, n + 2))
-    da1 = np.empty((d, n + 2))
-    for a in range(d):
-        e = np.zeros(d)
-        e[a] = step
-        p0, p1 = cong.line_at(u + e)
-        m0, m1 = cong.line_at(u - e)
-        da0[a] = (p0 - m0) / (2.0 * step)
-        da1[a] = (p1 - m1) / (2.0 * step)
-
-    comp0 = np.array([frame.components(da0[a]) for a in range(d)])
-    comp1 = np.array([frame.components(da1[a]) for a in range(d)])
-    c = comp0[:, 2:n]
+    comp1 = np.array([frame.components(da1[a]) for a in range(cong.params)])
     e_form = comp0[:, n]
     dd = comp1[:, 2:n]
     diagnostics = {
@@ -152,14 +181,7 @@ def congruence_affinor(
         "transversal_consistency": float(np.abs(comp1[:, n + 1] + e_form).max()),
     }
 
-    basis = np.hstack([c, e_form[:, None]])
-    try:
-        unknowns = solve(basis, dd)
-    except DegenerateBasisError as exc:
-        raise DegenerateBasisError(
-            f"basis forms are dependent at u={u.tolist()}; "
-            "the family is not a congruence there"
-        ) from exc
+    unknowns = _solve_basis_forms(comp0, dd, u, n)
     lam = unknowns[: n - 2].T
     shift = unknowns[n - 2]
     defect = float(np.abs(lam - lam.T).max()) if lam.size else 0.0
@@ -213,10 +235,9 @@ def integrability_defect(
     near zero the congruence is normal and stratifies."""
     if model is None:
         model = AmbientModel.standard(cong.n)
-    axes = cong.grid_axes(grid_counts)
+    _, grid = parameter_grid(cong, grid_counts)
     worst = 0.0
-    for idx in np.ndindex(*[len(ax) for ax in axes]):
-        u = np.array([axes[a][i] for a, i in enumerate(idx)])
+    for u in grid:
         an = congruence_affinor(cong, u, model=model)
         worst = max(worst, an.symmetry_defect)
     return worst
@@ -234,10 +255,9 @@ class LeafTrace:
     truncated: bool = False  # a run stopped early at the domain boundary
 
 
-def _transversal_kernel_basis(an: CongruenceAnalysis) -> np.ndarray:
+def _transversal_kernel_basis(e: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the parameter directions annihilated by the
-    transversal form at the analyzed line."""
-    e = an.transversal_form
+    transversal form e."""
     norm = math.sqrt(float(e @ e))
     if norm < 1e-12:
         raise DegenerateBasisError("transversal form vanishes; distribution undefined")
@@ -265,7 +285,9 @@ def stratify(
     on a lattice of kernel directions: a spine along the first direction and,
     for higher screen dimension, transversal runs from every spine point.
     The swept point set is classified against the lightlike criterion and
-    the surviving fraction reported.
+    the surviving fraction reported.  Only the seed gets the full shape
+    operator, whose symmetry defect decides integrability; every other point
+    evaluates just the transversal form.
     """
     if model is None:
         model = AmbientModel.standard(cong.n)
@@ -278,8 +300,7 @@ def stratify(
         )
 
     def kernel_dir(u, ref):
-        an = congruence_affinor(cong, u, model=model)
-        basis = _transversal_kernel_basis(an)
+        basis = _transversal_kernel_basis(transversal_form(cong, u, model=model))
         d = basis.T @ (basis @ ref)
         norm = math.sqrt(float(d @ d))
         if norm < 1e-10:
@@ -309,15 +330,14 @@ def stratify(
             out.append(u.copy())
         return out
 
-    basis0 = _transversal_kernel_basis(an0)
+    basis0 = _transversal_kernel_basis(an0.transversal_form)
     spine = [seed.copy()]
     spine = rk4_run(seed, -basis0[0], count)[::-1] + spine + rk4_run(seed, basis0[0], count)
     lattice = list(spine)
     if basis0.shape[0] > 1:
         cross = []
         for point in spine:
-            an_p = congruence_affinor(cong, point, model=model)
-            basis_p = _transversal_kernel_basis(an_p)
+            basis_p = _transversal_kernel_basis(transversal_form(cong, point, model=model))
             for k in range(1, basis0.shape[0]):
                 ref = basis_p.T @ (basis_p @ basis0[k])
                 nrm = math.sqrt(float(ref @ ref))
@@ -335,21 +355,12 @@ def stratify(
     # derivatives of X(s) = A_0 + s A_1 together with the line direction A_1
     good = 0
     total = 0
-    fd = step
     for p in lattice:
         try:
-            an_p = congruence_affinor(cong, p, model=model)
-            basis_p = _transversal_kernel_basis(an_p)
+            basis_p = _transversal_kernel_basis(transversal_form(cong, p, model=model))
         except GeometryError:
             continue
-        deriv0 = []
-        deriv1 = []
-        for w in basis_p:
-            up, um = p + fd * w, p - fd * w
-            a0p, a1p = cong.line_at(up)
-            a0m, a1m = cong.line_at(um)
-            deriv0.append((a0p - a0m) / (2 * fd))
-            deriv1.append((a1p - a1m) / (2 * fd))
+        deriv0, deriv1 = _line_differentials(cong, p, basis_p, step)
         a0_p, a1_p = cong.line_at(p)
         for s in line_samples:
             tangent = [d0 + s * d1 for d0, d1 in zip(deriv0, deriv1)]

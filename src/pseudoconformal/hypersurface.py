@@ -120,15 +120,18 @@ class Immersion:
     def lightlike_tol(self) -> float:
         return LIGHTLIKE_TOL_ANALYTIC if self.analytic else LIGHTLIKE_TOL_FD
 
-    def grid_axes(self, counts) -> list[np.ndarray]:
-        """Per-axis sample values covering the domain box."""
-        counts = list(counts)
-        if len(counts) != self.params:
-            raise ValueError(f"need {self.params} grid counts")
-        return [
-            np.linspace(lo, hi, int(c))
-            for (lo, hi), c in zip(self.domain, counts)
-        ]
+
+def parameter_grid(obj, counts):
+    """Sample grid over the domain box of an immersion or a congruence.
+
+    Returns the per-axis ``linspace`` values and a (N, params) array of the
+    grid points in ``np.ndindex`` order.
+    """
+    counts = list(counts)
+    if len(counts) != obj.params:
+        raise ValueError(f"need {obj.params} grid counts")
+    axes = [np.linspace(lo, hi, int(c)) for (lo, hi), c in zip(obj.domain, counts)]
+    return axes, np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
 
 
 @dataclass(frozen=True)
@@ -202,7 +205,12 @@ def classify_point(imm: Immersion, u, tol: Optional[float] = None,
     Raises DegenerateBasisError if the Jacobian is non-finite or rank
     deficient there (not an immersion).
     """
-    j = imm.jet1(u)
+    return classify_jacobian(imm, imm.jet1(u), u, tol=tol, model=model)
+
+
+def classify_jacobian(imm: Immersion, j, u, tol: Optional[float] = None,
+                      model: Optional[AmbientModel] = None) -> CausalType:
+    """``classify_point`` from the Jacobian ``imm.jet1(u)`` already at hand."""
     m = _pullback(j, _ambient_gram(imm, model))
     jtj = j.T @ j
     if not (np.isfinite(m).all() and np.isfinite(jtj).all()):
@@ -289,10 +297,9 @@ def survey(imm: Immersion, grid_counts: Sequence[int], tol: Optional[float] = No
     if tol is None:
         tol = imm.lightlike_tol()
     gram = _ambient_gram(imm, model)
-    axes = imm.grid_axes(grid_counts)
+    axes, grid = parameter_grid(imm, grid_counts)
     shape = tuple(len(ax) for ax in axes)
     indices = list(np.ndindex(*shape))
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(len(indices), len(axes))
     us = [tuple(u) for u in grid.tolist()]
 
     messages = {}

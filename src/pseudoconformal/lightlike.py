@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Optional, Sequence
 
 import numpy as np
@@ -26,9 +27,11 @@ from .conformal import (
 )
 from .errors import DegenerateBasisError, GeometryError, NotLightlikeError
 from .frames import ConformalFrame, adapt_lightlike_frame, _generator_sign_fix
-from .hypersurface import LIGHTLIKE, Immersion, classify_point
+from .hypersurface import (LIGHTLIKE, Immersion, classify_jacobian, lightlike_kernel,
+                           parameter_grid)
 from .linalg import (
     cluster_roots,
+    det,
     jacobi_eigh,
     max_principal_angle,
     orthonormal_rows,
@@ -45,33 +48,41 @@ FOCAL_MERGE_TOL = 1e-6
 DEFAULT_STEP = 1e-4
 
 
-def _ambient_jet(imm: Immersion, u, model: AmbientModel):
-    """Homogeneous base point and its exact differential rows at u."""
-    u = np.asarray(u, dtype=float)
-    if imm.homogeneous:
-        a0 = imm.point(u)
-        rows = imm.jet1(u).T
-    else:
-        p = imm.point(u)
-        j = imm.jet1(u)
-        a0 = lift_point(p, model)
-        rows = np.array([lift_tangent(p, j[:, a], model) for a in range(imm.params)])
-    return a0, rows
+class PointJet:
+    """First-order jet of an immersion at one parameter point, lifted to the
+    quadric: the Jacobian, the homogeneous base point A_0 and its exact
+    differential rows, from one evaluation each of the point and the jet."""
 
+    def __init__(self, imm: Immersion, u, model: AmbientModel):
+        self.u = np.asarray(u, dtype=float)
+        self.model = model
+        self.point = imm.point(self.u)
+        self.jacobian = j = imm.jet1(self.u)
+        if imm.homogeneous:
+            self.a0, self.rows = self.point, j.T
+        else:
+            self.a0 = lift_point(self.point, model)
+            self.rows = np.array([lift_tangent(self.point, j[:, a], model)
+                                  for a in range(imm.params)])
 
-def _generator_at(imm: Immersion, u, model: AmbientModel, scale: float) -> np.ndarray:
-    """Unit null generator of the induced metric's kernel in homogeneous
-    coordinates, oriented by its time-slot sign.  Smooth wherever the kernel
-    eigenvalue stays simple."""
-    _, rows = _ambient_jet(imm, u, model)
-    m = np.array(
-        [[model.product(rows[a], rows[b]) for b in range(rows.shape[0])]
-         for a in range(rows.shape[0])]
-    )
-    w, v = jacobi_eigh(m)
-    kernel = v[:, int(np.argmin(np.abs(w)))]
-    a1 = rows.T @ kernel
-    return _generator_sign_fix(a1 / math.sqrt(float(a1 @ a1)), model.n) * scale
+    @property
+    def span(self) -> np.ndarray:
+        """Homogeneous tangent span: the base point and its differentials."""
+        return np.vstack([self.a0, self.rows])
+
+    def generator(self, scale: float = 1.0) -> np.ndarray:
+        """Unit null generator of the kernel of the rows' induced metric, in
+        homogeneous coordinates and oriented by its time-slot sign.  Smooth
+        wherever the kernel eigenvalue stays simple."""
+        rows, model = self.rows, self.model
+        m = np.array(
+            [[model.product(rows[a], rows[b]) for b in range(rows.shape[0])]
+             for a in range(rows.shape[0])]
+        )
+        w, v = jacobi_eigh(m)
+        kernel = v[:, int(np.argmin(np.abs(w)))]
+        a1 = rows.T @ kernel
+        return _generator_sign_fix(a1 / math.sqrt(float(a1 @ a1)), model.n) * scale
 
 
 def lightlike_frame_field(imm: Immersion, model: Optional[AmbientModel] = None,
@@ -87,9 +98,9 @@ def lightlike_frame_field(imm: Immersion, model: Optional[AmbientModel] = None,
         model = AmbientModel.standard(imm.n)
 
     def field(u):
-        a0, rows = _ambient_jet(imm, u, model)
-        a1 = _generator_at(imm, u, model, generator_scale)
-        return adapt_lightlike_frame(a0, rows, model, generator=a1,
+        jet = PointJet(imm, u, model)
+        return adapt_lightlike_frame(jet.a0, jet.rows, model,
+                                     generator=jet.generator(generator_scale),
                                      generator_scale=generator_scale,
                                      degenerate_tol=imm.lightlike_tol())
 
@@ -124,10 +135,6 @@ class LightlikeAnalysis:
 def _select_rows(c: np.ndarray, k: int):
     """Indices of the k rows of c forming the best-conditioned square block
     (largest |det| over all k-subsets; row counts here are tiny)."""
-    from itertools import combinations
-
-    from .linalg import det
-
     best, best_idx = -1.0, None
     for idx in combinations(range(c.shape[0]), k):
         d = abs(det(c[list(idx)])) if k else 1.0
@@ -159,7 +166,8 @@ def lightlike_affinor(
     if model is None:
         model = AmbientModel.standard(imm.n)
     u = np.asarray(u, dtype=float)
-    causal = classify_point(imm, u, model=model)
+    jet = PointJet(imm, u, model)
+    causal = classify_jacobian(imm, jet.jacobian, u, model=model)
     if causal.kind != LIGHTLIKE:
         raise NotLightlikeError(
             f"hypersurface is {causal.kind} at u={u.tolist()}, not lightlike"
@@ -167,22 +175,21 @@ def lightlike_affinor(
     if sym_tol is None:
         sym_tol = SYMMETRY_TOL_ANALYTIC if imm.analytic else SYMMETRY_TOL_FD
 
-    a0, rows = _ambient_jet(imm, u, model)
-    a1 = _generator_at(imm, u, model, generator_scale)
-    frame = adapt_lightlike_frame(a0, rows, model, generator=a1,
+    frame = adapt_lightlike_frame(jet.a0, jet.rows, model,
+                                  generator=jet.generator(generator_scale),
                                   generator_scale=generator_scale,
                                   degenerate_tol=imm.lightlike_tol())
 
     n = imm.n
     d = imm.params
     # differentials of the two distinguished frame points across parameters
-    da0 = rows
-    da1 = np.empty_like(rows)
+    da0 = jet.rows
+    da1 = np.empty_like(da0)
     for a in range(d):
         e = np.zeros(d)
         e[a] = step
-        gp = _generator_at(imm, u + e, model, generator_scale)
-        gm = _generator_at(imm, u - e, model, generator_scale)
+        gp = PointJet(imm, u + e, model).generator(generator_scale)
+        gm = PointJet(imm, u - e, model).generator(generator_scale)
         da1[a] = (gp - gm) / (2.0 * step)
 
     comp0 = np.array([frame.components(da0[a]) for a in range(d)])
@@ -210,13 +217,11 @@ def lightlike_affinor(
     # multiple roots at the cube root of machine precision)
     eigenvalues, _ = jacobi_eigh(lam_sym)
     roots = tuple(cluster_roots([complex(-w) for w in eigenvalues]))
-    from .linalg import det as _det
-
     return LightlikeAnalysis(
         u=u.copy(),
         shape_operator=lam_sym,
         symmetry_defect=defect,
-        determinant=float(_det(lam_sym)) if lam_sym.size else 1.0,
+        determinant=float(det(lam_sym)) if lam_sym.size else 1.0,
         roots=roots,
         frame=frame,
         diagnostics=diagnostics,
@@ -294,8 +299,6 @@ def _kernel_flow(imm: Immersion, u0, model: AmbientModel, arc: float, steps: int
     """Sample parameter points along the generator curve through u0 by
     integrating the unit kernel field of the induced metric (RK4, with the
     direction sign carried along for continuity)."""
-    from .hypersurface import lightlike_kernel
-
     h = arc / steps
 
     def aligned_kernel(u, ref):
@@ -343,36 +346,31 @@ def degeneracy_check(
         if not isinstance(target, AtInfinity):
             focal.append(target)
 
-    a0, rows = _ambient_jet(imm, u, model)
-    span0 = np.vstack([a0, rows])
+    span0 = PointJet(imm, u, model).span
 
     sampled = _kernel_flow(imm, u, model, arc=arc, steps=samples)
     angles, used, skipped = [], [], []
     for us in sampled:
         try:
-            p = imm.point(us)
+            jet = PointJet(imm, us, model)
             if not imm.homogeneous:
+                p = jet.point
                 if any(math.sqrt(float((p - f) @ (p - f))) < singular_tol for f in focal):
                     skipped.append(tuple(float(x) for x in us))
                     continue
-            b0, brows = _ambient_jet(imm, us, model)
-            span = np.vstack([b0, brows])
-            angles.append(max_principal_angle(span0, span))
+            angles.append(max_principal_angle(span0, jet.span))
             used.append(tuple(float(x) for x in us))
         except GeometryError:
             skipped.append(tuple(float(x) for x in us))
 
     # variation of the tangent span across an orthonormal parameter basis
-    from .hypersurface import lightlike_kernel
-
     k = lightlike_kernel(imm, u, model=model)
     comp = orthonormal_rows(np.eye(imm.params) - np.outer(k, k))
     basis = np.vstack([k, comp])
     eps = 1e-4
     rates = []
     for drc in basis:
-        b0, brows = _ambient_jet(imm, u + eps * drc, model)
-        rates.append(max_principal_angle(span0, np.vstack([b0, brows])) / eps)
+        rates.append(max_principal_angle(span0, PointJet(imm, u + eps * drc, model).span) / eps)
     max_rate = max(rates) if rates else 0.0
     rank = sum(1 for r in rates if r > max(1e-6, 1e-3 * max_rate))
 
@@ -423,11 +421,10 @@ def focal_map(
     focal clusters; ideal points keep an at-infinity marker."""
     if model is None:
         model = AmbientModel.standard(imm.n)
-    axes = imm.grid_axes(grid_counts)
+    _, grid = parameter_grid(imm, grid_counts)
     samples = []
     errors = []
-    for idx in np.ndindex(*[len(ax) for ax in axes]):
-        u = np.array([axes[a][i] for a, i in enumerate(idx)])
+    for u in grid:
         try:
             an = lightlike_affinor(imm, u, model=model)
             for k, sp in enumerate(singular_points(an)):
@@ -447,38 +444,28 @@ def focal_map(
         except GeometryError as exc:
             errors.append((tuple(float(x) for x in u), str(exc)))
 
+    # each cluster is the list of its samples; the first one represents it
     clusters = []
     for s in samples:
-        placed = False
         for c in clusters:
-            if c["at_infinity"] != s.at_infinity:
+            if c[0].at_infinity != s.at_infinity:
                 continue
             if s.at_infinity:
-                close = s.projective.isclose(c["projective"], tol=merge_tol)
+                close = s.projective.isclose(c[0].projective, tol=merge_tol)
             else:
-                close = float(np.abs(s.point - c["representative"]).max()) <= merge_tol
+                close = float(np.abs(s.point - c[0].point).max()) <= merge_tol
             if close:
-                c["count"] += 1
-                c["multiplicities"].append(s.multiplicity)
-                placed = True
+                c.append(s)
                 break
-        if not placed:
-            clusters.append(
-                {
-                    "at_infinity": s.at_infinity,
-                    "representative": None if s.at_infinity else s.point.copy(),
-                    "projective": s.projective,
-                    "count": 1,
-                    "multiplicities": [s.multiplicity],
-                }
-            )
+        else:
+            clusters.append([s])
     merged = tuple(
         FocalCluster(
-            at_infinity=c["at_infinity"],
-            representative=c["representative"],
-            projective=c["projective"],
-            count=c["count"],
-            multiplicities=tuple(c["multiplicities"]),
+            at_infinity=c[0].at_infinity,
+            representative=None if c[0].at_infinity else c[0].point.copy(),
+            projective=c[0].projective,
+            count=len(c),
+            multiplicities=tuple(s.multiplicity for s in c),
         )
         for c in clusters
     )

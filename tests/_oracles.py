@@ -8,7 +8,7 @@ characteristic-root route is a genuine two-sided check.
 
 import numpy as np
 
-from pseudoconformal.lightlike import _ambient_jet, _generator_at
+from pseudoconformal.lightlike import PointJet
 
 
 def expm(a, terms=30):
@@ -37,18 +37,17 @@ def quadric_algebra_generator(gram, rng):
 
 
 def _line_fields_hypersurface(imm, u, model, step=1e-4):
-    a0, rows = _ambient_jet(imm, u, model)
-    a1 = _generator_at(imm, u, model, 1.0)
+    jet = PointJet(imm, u, model)
     d = imm.params
     da1 = np.empty((d, model.n + 2))
     for a in range(d):
         e = np.zeros(d)
         e[a] = step
         da1[a] = (
-            _generator_at(imm, u + e, model, 1.0)
-            - _generator_at(imm, u - e, model, 1.0)
+            PointJet(imm, u + e, model).generator()
+            - PointJet(imm, u - e, model).generator()
         ) / (2 * step)
-    return a0, a1, rows, da1
+    return jet.a0, jet.generator(), jet.rows, da1
 
 
 def _line_fields_congruence(cong, u, model, step=1e-4):

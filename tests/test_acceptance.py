@@ -64,7 +64,7 @@ def test_criterion_01_embedding_correctness():
 
 
 def test_criterion_02_frame_adaptation_gram_residual():
-    from pseudoconformal.lightlike import _ambient_jet, _generator_at
+    from pseudoconformal.lightlike import PointJet
     from pseudoconformal.frames import adapt_lightlike_frame
 
     cases = [
@@ -78,9 +78,8 @@ def test_criterion_02_frame_adaptation_gram_residual():
         imm = catalog.build(name, n=n)
         model = AmbientModel.standard(n)
         for u in grid_points(imm, counts):
-            a0, rows = _ambient_jet(imm, u, model)
-            a1 = _generator_at(imm, u, model, 1.0)
-            frame = adapt_lightlike_frame(a0, rows, model, generator=a1)
+            jet = PointJet(imm, u, model)
+            frame = adapt_lightlike_frame(jet.a0, jet.rows, model, generator=jet.generator())
             worst = max(worst, frame.gram_residual())
             total += 1
     assert total >= 1000

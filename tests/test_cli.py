@@ -1,10 +1,14 @@
+import csv
+import io
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from pseudoconformal import catalog
 from pseudoconformal.cli import load_scene, main
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
@@ -66,6 +70,49 @@ class TestSceneValidation:
         doc = dict(BASE_SCENE, stratify={"seed": [0.0, 0.0]})
         with pytest.raises(Exception, match="stratify"):
             load_scene(write_scene(tmp_path, doc))
+
+
+CONGRUENCE_SCENE = {
+    "kind": "congruence",
+    "builtin": "cone_normal_congruence",
+    "n": 3,
+    "grid": [3, 3],
+}
+
+
+class TestInvalidScenes:
+    @pytest.mark.parametrize("command,doc", [
+        ("classify", dict(BASE_SCENE, grid=[2.7, 3])),
+        ("classify", dict(BASE_SCENE, grid=[True, 3])),
+        ("classify", dict(BASE_SCENE, grid={"axes": [{"start": "a", "count": 3}, {}]})),
+        ("classify", dict(BASE_SCENE, grid={"axes": [{"stop": math.inf}, {}]})),
+        ("congruence", dict(CONGRUENCE_SCENE, stratify={"seed": [0.1]})),
+        ("congruence", dict(CONGRUENCE_SCENE, stratify={"seed": [0.1, math.nan]})),
+        ("congruence", dict(CONGRUENCE_SCENE, stratify={"seed": [0.1, 0.4], "step": -0.01})),
+        ("congruence", dict(CONGRUENCE_SCENE, stratify={"seed": [0.1, 0.4], "count": 0})),
+        ("embed", {"kind": "points", "n": 3, "points": [[math.nan, 0.0, 0.0]]}),
+    ], ids=["fractional-count", "boolean-count", "text-start", "infinite-stop",
+            "short-seed", "nan-seed", "negative-step", "zero-count", "nan-point"])
+    def test_exits_2_without_output(self, tmp_path, capsys, command, doc):
+        path = write_scene(tmp_path, doc)
+        out = tmp_path / "o.csv"
+        assert main([command, "--scene", path, "--out", str(out)]) == 2
+        assert "scene error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_output_in_missing_directory(self, tmp_path, capsys):
+        path = write_scene(tmp_path, BASE_SCENE)
+        out = tmp_path / "missing" / "o.csv"
+        assert main(["classify", "--scene", path, "--out", str(out)]) == 2
+        assert "cannot write output file" in capsys.readouterr().err
+
+    def test_unwritable_leaf_side_file(self, tmp_path, capsys):
+        doc = dict(CONGRUENCE_SCENE, stratify={"seed": [0.1, 0.4], "count": 3})
+        path = write_scene(tmp_path, doc)
+        out = tmp_path / "o.csv"
+        (tmp_path / "o.csv.leaf.csv").mkdir()
+        assert main(["congruence", "--scene", path, "--out", str(out)]) == 2
+        assert "cannot write output file" in capsys.readouterr().err
 
 
 class TestExitCodes:
@@ -176,3 +223,90 @@ class TestSubprocessEntry:
         proc = run_cli(["embed", "--scene", path])
         assert proc.returncode == 0
         assert "1.0,0.0,0.0,0.0,0.0" in proc.stdout
+
+
+def readme_header(command, n):
+    """CSV column header of each command, as the README lists it."""
+    u = [f"u{i}" for i in range(1, n)]
+    f = [f"f{i}" for i in range(1, n + 1)]
+    return {
+        "embed": [f"p{i}" for i in range(1, n + 1)] + [f"x{i}" for i in range(n + 2)]
+        + ["residual", "roundtrip"],
+        "classify": u + ["type", "plus", "minus", "zero", "min_eig_ratio"],
+        "lightlike": u + ["root_index", "x", "multiplicity", "focal"] + f,
+        "congruence": u + ["defect", "root_index", "root_re", "root_im", "multiplicity",
+                           "real", "focal"] + f,
+    }[command]
+
+
+JSON_KEYS = {
+    "embed": {"n", "points"},
+    "classify": {"builtin", "n", "counts", "pure", "transitions", "points", "errors"},
+    "lightlike": {"builtin", "n", "center", "focal_samples", "focal_clusters", "errors"},
+    "congruence": {"builtin", "n", "max_defect", "samples"},
+}
+
+
+def assert_data(text, command, fmt, n):
+    """The whole text is one CSV table with the README header, or one JSON
+    document with the command's keys."""
+    if fmt == "csv":
+        rows = list(csv.reader(io.StringIO(text)))
+        assert rows[0] == readme_header(command, n)
+        assert len(rows) > 1
+        assert all(len(row) == len(rows[0]) for row in rows)
+    else:
+        data = json.loads(text)
+        assert JSON_KEYS[command] <= set(data)
+        assert data["n"] == n
+
+
+STDOUT_SCENES = {
+    "embed": {"kind": "points", "n": 3, "points": [[0.0, 0.0, 0.0], [1.0, 0.5, 0.25]]},
+    "classify": {"kind": "hypersurface", "builtin": "euclidean_sphere", "n": 3,
+                 "grid": [6, 4]},
+    "lightlike": BASE_SCENE,
+    "congruence": dict(CONGRUENCE_SCENE, stratify={"seed": [0.1, 0.4], "count": 3}),
+}
+
+
+class TestStreams:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("command", sorted(STDOUT_SCENES))
+    def test_stdout_carries_only_data(self, tmp_path, capsys, command, fmt):
+        path = write_scene(tmp_path, STDOUT_SCENES[command])
+        assert main([command, "--scene", path, "--format", fmt]) == 0
+        captured = capsys.readouterr()
+        assert_data(captured.out, command, fmt, 3)
+        assert len(captured.err.splitlines()) == 1
+
+
+#: catalog entries the lightlike pipeline applies to (README catalog table)
+LIGHTLIKE_BUILTINS = {"light_cone", "null_hyperplane", "tilted_null_family", "circle_wavefront"}
+
+
+def shipped_runs():
+    runs = []
+    for path in sorted(SCENES.glob("*.json")):
+        scene = load_scene(str(path))
+        commands = {"points": ["embed"], "congruence": ["congruence"],
+                    "hypersurface": ["classify"]}[scene.kind]
+        if scene.builtin in LIGHTLIKE_BUILTINS:
+            commands.append("lightlike")
+        n = scene.n or catalog.CATALOG[scene.builtin].default_n
+        runs += [(path.name, command, n) for command in commands]
+    return runs
+
+
+class TestShippedScenes:
+    def test_every_scene_has_a_run(self):
+        assert {name for name, _, _ in shipped_runs()} == {p.name for p in SCENES.glob("*.json")}
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("name,command,n", shipped_runs())
+    def test_runs_and_output_loads(self, tmp_path, capsys, name, command, n, fmt):
+        out = tmp_path / f"out.{fmt}"
+        code = main([command, "--scene", str(SCENES / name), "--out", str(out),
+                     "--format", fmt])
+        assert code == 0
+        assert_data(out.read_text(), command, fmt, n)

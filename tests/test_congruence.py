@@ -8,9 +8,11 @@ from pseudoconformal.congruence import (
     congruence_singular_points,
     integrability_defect,
     stratify,
+    transversal_form,
 )
 from pseudoconformal.conformal import AtInfinity, darboux_unembed
 from pseudoconformal.errors import GeometryError, NonIntegrableError
+from pseudoconformal.hypersurface import parameter_grid
 
 from _oracles import generator_rank_scan
 
@@ -158,9 +160,7 @@ class TestSymmetryImpliesRealRoots:
             ("cone_normal_congruence", 4, model4),
         ]:
             cong = catalog.build(name, n=n)
-            axes = cong.grid_axes([3] * cong.params)
-            for idx in np.ndindex(*[len(ax) for ax in axes]):
-                u = np.array([axes[a][i] for a, i in enumerate(idx)])
+            for u in parameter_grid(cong, [3] * cong.params)[1]:
                 an = congruence_affinor(cong, u, model=model)
                 if an.symmetry_defect < 1e-8:
                     assert all(abs(r.value.imag) < 1e-6 for r in an.roots)
@@ -289,3 +289,82 @@ class TestDegenerateFamily:
         )
         with pytest.raises(GeometryError):
             congruence_affinor(cong, np.array([0.1, 0.2]), model=model3)
+
+
+def fold_congruence():
+    """Parallel null lines over the fold (u0, u1^2, 0): the base field stops
+    being an immersion at u1 = 0, where the basis forms are dependent."""
+    return IsotropicCongruence.from_null_lines(
+        3, ((-1.0, 1.0), (-1.0, 1.0)),
+        base_point=lambda u: np.array([u[0], u[1] ** 2, 0.0]),
+        direction=lambda u: np.array([1.0, 0.0, 1.0]),
+        name="fold",
+    )
+
+
+def tilting_congruence():
+    """Direction (1, 0, u1): null, and so an isotropic line, only at u1 = 1."""
+    return IsotropicCongruence.from_null_lines(
+        3, ((-1.0, 1.0), (-1.0, 1.0)),
+        base_point=lambda u: np.array([u[0], u[1], 0.0]),
+        direction=lambda u: np.array([1.0, 0.0, u[1]]),
+        name="tilting",
+    )
+
+
+def outcome(fn, *args, **kwargs):
+    """Result of a call, or the type and message of what it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+#: every catalog congruence at its default n, two at n = 4, and two
+#: families that fail at some grid points
+CONGRUENCES = {
+    **{name: (lambda name=name: catalog.build(name))
+       for name, entry in catalog.CATALOG.items() if entry.kind == "congruence"},
+    "parallel_null_congruence4": lambda: catalog.build("parallel_null_congruence", n=4),
+    "cone_normal_congruence4": lambda: catalog.build("cone_normal_congruence", n=4),
+    "fold": fold_congruence,
+    "tilting": tilting_congruence,
+}
+
+
+class TestTransversalFormEquivalence:
+    @pytest.mark.parametrize("name", sorted(CONGRUENCES))
+    def test_matches_full_analysis_bit_for_bit(self, name):
+        cong = CONGRUENCES[name]()
+        raised = 0
+        for u in parameter_grid(cong, [3] * cong.params)[1]:
+            lean = outcome(transversal_form, cong, u)
+            full = outcome(congruence_affinor, cong, u)
+            if isinstance(full, tuple):
+                assert lean == full
+                raised += 1
+            else:
+                assert isinstance(lean, np.ndarray)
+                assert lean.tobytes() == full.transversal_form.tobytes()
+        if name in ("fold", "tilting"):
+            assert 0 < raised < 3 ** cong.params
+
+    def test_dependent_basis_forms_message(self):
+        with pytest.raises(GeometryError, match="basis forms are dependent at u=\\[0.5, 0.0\\]"):
+            transversal_form(fold_congruence(), np.array([0.5, 0.0]))
+
+    def test_stratify_runs_one_full_analysis(self, model3, monkeypatch):
+        import pseudoconformal.congruence as module
+
+        seen = []
+        full = module.congruence_affinor
+
+        def counted(*args, **kwargs):
+            seen.append(args[1])
+            return full(*args, **kwargs)
+
+        monkeypatch.setattr(module, "congruence_affinor", counted)
+        seed = np.array([0.1, 0.4])
+        leaf = stratify(catalog.build("cone_normal_congruence"), seed, model=model3, count=5)
+        assert len(leaf.parameters) > 5
+        assert len(seen) == 1 and np.array_equal(seen[0], seed)

@@ -14,6 +14,7 @@ from pseudoconformal.hypersurface import (
     classify_point,
     induced_metric,
     lightlike_kernel,
+    parameter_grid,
     survey,
 )
 from pseudoconformal.linalg import scalar_product
@@ -270,10 +271,9 @@ def mixed_graph_immersion():
 def assert_survey_matches_classify_point(imm, counts, tol=None):
     """The batched survey against classify_point at every grid point."""
     report = survey(imm, counts, tol=tol)
-    axes = imm.grid_axes(counts)
+    axes, grid = parameter_grid(imm, counts)
     expected, failed = [], []
-    for idx in np.ndindex(*(len(ax) for ax in axes)):
-        u = np.array([axes[a][i] for a, i in enumerate(idx)])
+    for idx, u in zip(np.ndindex(*(len(ax) for ax in axes)), grid):
         try:
             expected.append((idx, tuple(u), classify_point(imm, u, tol=tol)))
         except DegenerateBasisError:
@@ -332,3 +332,24 @@ class TestSurveyEquivalence:
     )
     def test_failing_points(self, build):
         assert_survey_matches_classify_point(build(), (9, 5))
+
+
+class TestParameterGrid:
+    @pytest.mark.parametrize("name,counts", [
+        ("light_cone", (3, 4)),
+        ("circle_wavefront", (2, 3, 4)),
+        ("twisted_congruence", (3, 2, 2)),
+    ])
+    def test_ndindex_order_over_linspace_axes(self, name, counts):
+        obj = catalog.build(name)
+        axes, grid = parameter_grid(obj, counts)
+        for ax, (lo, hi), c in zip(axes, obj.domain, counts):
+            assert ax.tobytes() == np.linspace(lo, hi, c).tobytes()
+        expected = [np.array([axes[a][i] for a, i in enumerate(idx)])
+                    for idx in np.ndindex(*counts)]
+        assert grid.shape == (len(expected), len(counts))
+        assert [u.tobytes() for u in grid] == [u.tobytes() for u in expected]
+
+    def test_wrong_number_of_counts(self):
+        with pytest.raises(ValueError, match="need 2 grid counts"):
+            parameter_grid(catalog.build("light_cone"), [3, 3, 3])
