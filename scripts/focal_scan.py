@@ -42,7 +42,7 @@ def main():
         print(f"  torse family at root {fam.root:+.6f}: "
               f"directions {fam.directions.round(6).tolist()}")
 
-    rep = degeneracy_check(imm, center, model=model)
+    rep = degeneracy_check(imm, an, model=model)
     print(f"  tangent span deviation along generator: {rep.max_angle:.2e} "
           f"(rank {rep.tangent_rank})")
 

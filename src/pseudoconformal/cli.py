@@ -332,11 +332,11 @@ def run_lightlike(scene: Scene, out_path, fmt) -> int:
     model = AmbientModel.standard(imm.n)
     sym_tol = scene.tolerances.get("symmetry")
 
-    focal = focal_map(imm, counts, model=model)
+    focal = focal_map(imm, counts, model=model, sym_tol=sym_tol)
     center = np.array([0.5 * (lo + hi) for lo, hi in imm.domain])
     an = lightlike_affinor(imm, center, model=model, sym_tol=sym_tol)
     torses = torse_directions(an)
-    degeneracy = degeneracy_check(imm, center, model=model)
+    degeneracy = degeneracy_check(imm, an, model=model)
 
     header = (
         [f"u{i}" for i in range(1, imm.params + 1)]

@@ -23,7 +23,7 @@ import numpy as np
 from .conformal import AmbientModel, ProjectivePoint, lift_point, lift_tangent
 from .errors import DegenerateBasisError, GeometryError, NonIntegrableError
 from .frames import ConformalFrame, complete_isotropic_frame
-from .hypersurface import LIGHTLIKE, causal_type_of_metric, parameter_grid
+from .hypersurface import LIGHTLIKE, _pullback, causal_type_of_metric, parameter_grid
 from .linalg import char_roots, orthonormal_rows, solve
 
 DEFAULT_STEP = 1e-4
@@ -123,7 +123,7 @@ def _line_jet(cong: IsotropicCongruence, u: np.ndarray, model: AmbientModel, ste
     a0, a1 = cong.line_at(u)
     frame = complete_isotropic_frame(a0, a1, model)
     da0, da1 = _line_differentials(cong, u, np.eye(cong.params), step)
-    comp0 = np.array([frame.components(da0[a]) for a in range(cong.params)])
+    comp0 = frame.components(da0)
     return frame, comp0, da1
 
 
@@ -172,7 +172,7 @@ def congruence_affinor(
     frame, comp0, da1 = _line_jet(cong, u, model, step)
 
     n = cong.n
-    comp1 = np.array([frame.components(da1[a]) for a in range(cong.params)])
+    comp1 = frame.components(da1)
     e_form = comp0[:, n]
     dd = comp1[:, 2:n]
     diagnostics = {
@@ -355,19 +355,17 @@ def stratify(
     # derivatives of X(s) = A_0 + s A_1 together with the line direction A_1
     good = 0
     total = 0
-    for p in lattice:
+    for p, (_, a1_p) in zip(lattice, lines):
         try:
             basis_p = _transversal_kernel_basis(transversal_form(cong, p, model=model))
         except GeometryError:
             continue
         deriv0, deriv1 = _line_differentials(cong, p, basis_p, step)
-        a0_p, a1_p = cong.line_at(p)
         for s in line_samples:
             tangent = [d0 + s * d1 for d0, d1 in zip(deriv0, deriv1)]
             tangent.append(a1_p)
-            jac = np.vstack(tangent)
-            m = jac @ model.form.gram @ jac.T
-            causal = causal_type_of_metric(0.5 * (m + m.T), tol=1e-4)
+            m = _pullback(np.vstack(tangent).T, model.form.gram)
+            causal = causal_type_of_metric(m, tol=1e-4)
             total += 1
             if causal.kind == LIGHTLIKE:
                 good += 1

@@ -25,7 +25,8 @@ import numpy as np
 
 from .conformal import AmbientModel
 from .errors import DegenerateBasisError, NotLightlikeError, NotOnQuadricError
-from .linalg import inverse, jacobi_eigh, solve, solve_particular
+from .hypersurface import LIGHTLIKE, _pullback, causal_type_of_spectrum
+from .linalg import inverse, jacobi_eigh, nullspace, solve, solve_particular
 
 #: Gram residual every adapted frame must meet
 ADAPT_TOL = 1e-10
@@ -99,9 +100,11 @@ class ConformalFrame:
     def gram_residual(self) -> float:
         return float(np.abs(self.gram() - self.target_gram).max())
 
-    def components(self, vector) -> np.ndarray:
-        """Coefficients of a vector in this frame basis."""
-        return solve(self.vectors.T, np.asarray(vector, dtype=float))
+    def components(self, vectors) -> np.ndarray:
+        """Coefficients of a vector, or of each row of a (k, n+2) stack, in
+        this frame basis; a stack takes one elimination for all its rows."""
+        v = np.asarray(vectors, dtype=float)
+        return np.ascontiguousarray(solve(self.vectors.T, v.T).T)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -176,6 +179,24 @@ def _null_partner(constraints_vectors, pairing_vector, model: AmbientModel):
     return w
 
 
+def _null_frame(a0, a1, candidates, model: AmbientModel, scale2: float,
+                action: str) -> ConformalFrame:
+    """Frame on the null pair (A_0, A_1) with a screen from the candidates
+    and the partners A_n, A_{n+1}; its Gram residual must meet ADAPT_TOL."""
+    n = model.n
+    screen = build_screen(candidates, model, count=n - 2)
+    a_n = _null_partner([a0, *screen], a1, model)
+    a_np1 = _null_partner([a1, *screen, a_n], a0, model)
+    vectors = np.vstack([a0, a1, screen, a_n, a_np1])
+    frame = ConformalFrame(vectors=vectors, target_gram=lightlike_gram(n), model=model)
+    residual = frame.gram_residual()
+    if residual > ADAPT_TOL * max(1.0, scale2):
+        raise DegenerateBasisError(
+            f"frame {action} failed (gram residual {residual:.3e})"
+        )
+    return frame
+
+
 def adapt_lightlike_frame(
     point,
     tangent_basis,
@@ -188,11 +209,13 @@ def adapt_lightlike_frame(
 
     ``point`` is a homogeneous vector on the quadric, ``tangent_basis`` the
     n-1 derivative vectors spanning the embedded tangent space.  A_1 is taken
-    along the null direction of the induced form (or along ``generator`` when
-    supplied), the screen comes from orthonormalizing the remaining tangent
-    directions, and A_n, A_{n+1} complete the two hyperbolic pairs.
-    ``degenerate_tol`` is the relative eigenvalue threshold below which the
-    induced form counts as degenerate; widen it for finite-difference jets.
+    along the null direction of the induced form, whose inertia must be
+    (n-2, 0, 1), or along a supplied null ``generator``, whose caller has read
+    that inertia off the same metric (``lightlike.PointJet``).  The screen
+    comes from orthonormalizing the tangent directions, and A_n, A_{n+1}
+    complete the two hyperbolic pairs.  ``degenerate_tol`` is the relative
+    eigenvalue threshold below which the induced form counts as degenerate;
+    widen it for finite-difference jets.
     """
     a0 = np.asarray(point, dtype=float)
     basis = np.asarray(tangent_basis, dtype=float)
@@ -203,42 +226,23 @@ def adapt_lightlike_frame(
     if abs(model.quadratic(a0)) > 1e-8 * scale2:
         raise NotOnQuadricError("frame origin is not on the quadric")
 
-    induced = np.array(
-        [[model.product(basis[a], basis[b]) for b in range(n - 1)] for a in range(n - 1)]
-    )
-    w, v = jacobi_eigh(induced)
-    radius = max(float(np.abs(w).max()), 1e-300)
-    if radius <= 1e-14 * scale2:
-        raise DegenerateBasisError("tangent basis is rank deficient")
-    positive = int((w > degenerate_tol * radius).sum())
-    null_count = int((np.abs(w) <= degenerate_tol * radius).sum())
-    if positive != n - 2 or null_count != 1:
-        raise NotLightlikeError(
-            "tangent plane is not tangent to the isotropic cone here "
-            f"(induced inertia {positive}+/{(n - 1) - positive - null_count}-/"
-            f"{null_count}0)"
-        )
     if generator is None:
-        kernel = v[:, int(np.argmin(np.abs(w)))]
-        a1 = basis.T @ kernel
+        w, v = jacobi_eigh(_pullback(basis.T, model.form.gram))
+        if max(float(np.abs(w).max()), 1e-300) <= 1e-14 * scale2:
+            raise DegenerateBasisError("tangent basis is rank deficient")
+        causal = causal_type_of_spectrum(w, degenerate_tol)
+        if causal.kind != LIGHTLIKE:
+            raise NotLightlikeError(
+                "tangent plane is not tangent to the isotropic cone here "
+                f"(induced inertia {causal.plus}+/{causal.minus}-/{causal.zero}0)"
+            )
+        a1 = basis.T @ v[:, int(np.argmin(np.abs(w)))]
     else:
         a1 = np.asarray(generator, dtype=float).copy()
         if abs(model.quadratic(a1)) > 1e-8 * float(a1 @ a1):
             raise NotLightlikeError("supplied generator direction is not null")
     a1 = _generator_sign_fix(a1 / math.sqrt(float(a1 @ a1)), n) * generator_scale
-
-    screen = build_screen(basis, model, count=n - 2)
-    a_n = _null_partner([a0, *screen], a1, model)
-    a_np1 = _null_partner([a1, *screen, a_n], a0, model)
-
-    vectors = np.vstack([a0, a1, screen, a_n, a_np1])
-    frame = ConformalFrame(vectors=vectors, target_gram=lightlike_gram(n), model=model)
-    residual = frame.gram_residual()
-    if residual > ADAPT_TOL * max(1.0, scale2):
-        raise DegenerateBasisError(
-            f"frame adaptation failed (gram residual {residual:.3e})"
-        )
-    return frame
+    return _null_frame(a0, a1, basis, model, scale2, "adaptation")
 
 
 def complete_isotropic_frame(a0, a1, model: AmbientModel) -> ConformalFrame:
@@ -253,7 +257,6 @@ def complete_isotropic_frame(a0, a1, model: AmbientModel) -> ConformalFrame:
     """
     a0 = np.asarray(a0, dtype=float)
     a1 = np.asarray(a1, dtype=float)
-    n = model.n
     scale2 = max(float(a0 @ a0), float(a1 @ a1))
     for label, vec in (("first", a0), ("second", a1)):
         if abs(model.quadratic(vec)) > 1e-8 * scale2:
@@ -265,24 +268,8 @@ def complete_isotropic_frame(a0, a1, model: AmbientModel) -> ConformalFrame:
     if candidates is None:
         g = model.form.gram
         conditions = np.vstack([g @ a0, g @ a1])
-        candidates = _nullspace_basis(conditions)
-    screen = build_screen(candidates, model, count=n - 2)
-    a_n = _null_partner([a0, *screen], a1, model)
-    a_np1 = _null_partner([a1, *screen, a_n], a0, model)
-    vectors = np.vstack([a0, a1, screen, a_n, a_np1])
-    frame = ConformalFrame(vectors=vectors, target_gram=lightlike_gram(n), model=model)
-    if frame.gram_residual() > ADAPT_TOL * max(1.0, scale2):
-        raise DegenerateBasisError(
-            f"frame completion failed (gram residual {frame.gram_residual():.3e})"
-        )
-    return frame
-
-
-def _nullspace_basis(a, tol: float = 1e-10):
-    from .linalg import nullspace
-
-    basis = nullspace(a, tol=tol)
-    return [basis[:, j] for j in range(basis.shape[1])]
+        candidates = list(nullspace(conditions, tol=1e-10).T)
+    return _null_frame(a0, a1, candidates, model, scale2, "completion")
 
 
 def _chart_screen_candidates(a0, a1, model: AmbientModel):

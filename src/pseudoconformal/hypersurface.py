@@ -180,22 +180,38 @@ def _causal_kind(plus: int, minus: int, zero: int) -> str:
     return DEGENERATE
 
 
-def causal_type_of_metric(m, tol: float) -> CausalType:
-    """Classify an induced-metric matrix by its eigenvalue inertia."""
-    w, _ = jacobi_eigh(m)
+def causal_type_of_spectrum(w, tol: float) -> CausalType:
+    """Classify an induced metric by the inertia of its eigenvalues w."""
     radius = max(float(np.abs(w).max()), 1e-300)
     plus = int((w > tol * radius).sum())
     minus = int((w < -tol * radius).sum())
-    zero = m.shape[0] - plus - minus
+    zero = len(w) - plus - minus
     ratio = float(np.abs(w).min() / radius)
     return CausalType(kind=_causal_kind(plus, minus, zero), plus=plus, minus=minus,
                       zero=zero, min_eig_ratio=ratio)
+
+
+def causal_type_of_metric(m, tol: float) -> CausalType:
+    """Classify an induced-metric matrix by its eigenvalue inertia."""
+    w, _ = jacobi_eigh(m)
+    return causal_type_of_spectrum(w, tol)
 
 
 def _rank_deficient(w: np.ndarray) -> np.ndarray:
     """Whether J^T J, given its eigenvalues w (last axis), is singular
     relative to its largest eigenvalue: J is then not an immersion there."""
     return w.min(axis=-1) <= 1e-12 * np.maximum(w.max(axis=-1), 1e-300)
+
+
+def _check_immersion(j, m, u) -> None:
+    """Raise DegenerateBasisError unless the Jacobian j at u, whose induced
+    metric is m, is finite and of full rank (an immersion there)."""
+    jtj = j.T @ j
+    if not (np.isfinite(m).all() and np.isfinite(jtj).all()):
+        raise DegenerateBasisError(f"non-finite jacobian at u={np.asarray(u).tolist()}")
+    w, _ = jacobi_eigh(jtj)
+    if _rank_deficient(w):
+        raise DegenerateBasisError(f"jacobian is rank deficient at u={np.asarray(u).tolist()}")
 
 
 def classify_point(imm: Immersion, u, tol: Optional[float] = None,
@@ -205,22 +221,10 @@ def classify_point(imm: Immersion, u, tol: Optional[float] = None,
     Raises DegenerateBasisError if the Jacobian is non-finite or rank
     deficient there (not an immersion).
     """
-    return classify_jacobian(imm, imm.jet1(u), u, tol=tol, model=model)
-
-
-def classify_jacobian(imm: Immersion, j, u, tol: Optional[float] = None,
-                      model: Optional[AmbientModel] = None) -> CausalType:
-    """``classify_point`` from the Jacobian ``imm.jet1(u)`` already at hand."""
+    j = imm.jet1(u)
     m = _pullback(j, _ambient_gram(imm, model))
-    jtj = j.T @ j
-    if not (np.isfinite(m).all() and np.isfinite(jtj).all()):
-        raise DegenerateBasisError(f"non-finite jacobian at u={np.asarray(u).tolist()}")
-    w, _ = jacobi_eigh(jtj)
-    if _rank_deficient(w):
-        raise DegenerateBasisError(f"jacobian is rank deficient at u={np.asarray(u).tolist()}")
-    if tol is None:
-        tol = imm.lightlike_tol()
-    return causal_type_of_metric(m, tol)
+    _check_immersion(j, m, u)
+    return causal_type_of_metric(m, imm.lightlike_tol() if tol is None else tol)
 
 
 def lightlike_kernel(imm: Immersion, u, model: Optional[AmbientModel] = None) -> np.ndarray:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -27,8 +28,8 @@ from .conformal import (
 )
 from .errors import DegenerateBasisError, GeometryError, NotLightlikeError
 from .frames import ConformalFrame, adapt_lightlike_frame, _generator_sign_fix
-from .hypersurface import (LIGHTLIKE, Immersion, classify_jacobian, lightlike_kernel,
-                           parameter_grid)
+from .hypersurface import (LIGHTLIKE, Immersion, _ambient_gram, _check_immersion, _pullback,
+                           causal_type_of_spectrum, lightlike_kernel, parameter_grid)
 from .linalg import (
     cluster_roots,
     det,
@@ -50,14 +51,16 @@ DEFAULT_STEP = 1e-4
 
 class PointJet:
     """First-order jet of an immersion at one parameter point, lifted to the
-    quadric: the Jacobian, the homogeneous base point A_0 and its exact
-    differential rows, from one evaluation each of the point and the jet."""
+    quadric: the Jacobian and its induced metric, the homogeneous base point
+    A_0 and its exact differential rows, from one evaluation each of the point
+    and the jet.  The metric's spectrum is computed once, when first read."""
 
     def __init__(self, imm: Immersion, u, model: AmbientModel):
         self.u = np.asarray(u, dtype=float)
         self.model = model
         self.point = imm.point(self.u)
         self.jacobian = j = imm.jet1(self.u)
+        self.metric = _pullback(j, _ambient_gram(imm, model))
         if imm.homogeneous:
             self.a0, self.rows = self.point, j.T
         else:
@@ -70,19 +73,31 @@ class PointJet:
         """Homogeneous tangent span: the base point and its differentials."""
         return np.vstack([self.a0, self.rows])
 
+    @cached_property
+    def spectrum(self):
+        """Eigenvalues and eigenvectors of the induced metric."""
+        return jacobi_eigh(self.metric)
+
     def generator(self, scale: float = 1.0) -> np.ndarray:
-        """Unit null generator of the kernel of the rows' induced metric, in
-        homogeneous coordinates and oriented by its time-slot sign.  Smooth
-        wherever the kernel eigenvalue stays simple."""
-        rows, model = self.rows, self.model
-        m = np.array(
-            [[model.product(rows[a], rows[b]) for b in range(rows.shape[0])]
-             for a in range(rows.shape[0])]
-        )
-        w, v = jacobi_eigh(m)
-        kernel = v[:, int(np.argmin(np.abs(w)))]
-        a1 = rows.T @ kernel
-        return _generator_sign_fix(a1 / math.sqrt(float(a1 @ a1)), model.n) * scale
+        """Unit null generator, the image of the induced metric's kernel
+        column, in homogeneous coordinates and oriented by its time-slot sign.
+        Smooth wherever the kernel eigenvalue stays simple."""
+        w, v = self.spectrum
+        a1 = self.rows.T @ v[:, int(np.argmin(np.abs(w)))]
+        return _generator_sign_fix(a1 / math.sqrt(float(a1 @ a1)), self.model.n) * scale
+
+
+def _lightlike_frame(imm: Immersion, u, model: AmbientModel, generator_scale: float):
+    """Jet and null-adapted frame at u, after checking that the Jacobian is
+    finite and of full rank and that the induced metric is lightlike."""
+    jet = PointJet(imm, u, model)
+    _check_immersion(jet.jacobian, jet.metric, jet.u)
+    kind = causal_type_of_spectrum(jet.spectrum[0], imm.lightlike_tol()).kind
+    if kind != LIGHTLIKE:
+        raise NotLightlikeError(f"hypersurface is {kind} at u={jet.u.tolist()}, not lightlike")
+    return jet, adapt_lightlike_frame(jet.a0, jet.rows, model,
+                                      generator=jet.generator(generator_scale),
+                                      generator_scale=generator_scale)
 
 
 def lightlike_frame_field(imm: Immersion, model: Optional[AmbientModel] = None,
@@ -98,11 +113,7 @@ def lightlike_frame_field(imm: Immersion, model: Optional[AmbientModel] = None,
         model = AmbientModel.standard(imm.n)
 
     def field(u):
-        jet = PointJet(imm, u, model)
-        return adapt_lightlike_frame(jet.a0, jet.rows, model,
-                                     generator=jet.generator(generator_scale),
-                                     generator_scale=generator_scale,
-                                     degenerate_tol=imm.lightlike_tol())
+        return _lightlike_frame(imm, u, model, generator_scale)[1]
 
     return field
 
@@ -166,19 +177,9 @@ def lightlike_affinor(
     if model is None:
         model = AmbientModel.standard(imm.n)
     u = np.asarray(u, dtype=float)
-    jet = PointJet(imm, u, model)
-    causal = classify_jacobian(imm, jet.jacobian, u, model=model)
-    if causal.kind != LIGHTLIKE:
-        raise NotLightlikeError(
-            f"hypersurface is {causal.kind} at u={u.tolist()}, not lightlike"
-        )
+    jet, frame = _lightlike_frame(imm, u, model, generator_scale)
     if sym_tol is None:
         sym_tol = SYMMETRY_TOL_ANALYTIC if imm.analytic else SYMMETRY_TOL_FD
-
-    frame = adapt_lightlike_frame(jet.a0, jet.rows, model,
-                                  generator=jet.generator(generator_scale),
-                                  generator_scale=generator_scale,
-                                  degenerate_tol=imm.lightlike_tol())
 
     n = imm.n
     d = imm.params
@@ -192,8 +193,8 @@ def lightlike_affinor(
         gm = PointJet(imm, u - e, model).generator(generator_scale)
         da1[a] = (gp - gm) / (2.0 * step)
 
-    comp0 = np.array([frame.components(da0[a]) for a in range(d)])
-    comp1 = np.array([frame.components(da1[a]) for a in range(d)])
+    comp0 = frame.components(da0)
+    comp1 = frame.components(da1)
     c = comp0[:, 2:n]
     dd = comp1[:, 2:n]
     diagnostics = {
@@ -295,10 +296,10 @@ class DegeneracyReport:
     tangent_rank: int
 
 
-def _kernel_flow(imm: Immersion, u0, model: AmbientModel, arc: float, steps: int):
-    """Sample parameter points along the generator curve through u0 by
-    integrating the unit kernel field of the induced metric (RK4, with the
-    direction sign carried along for continuity)."""
+def _kernel_flow(imm: Immersion, u0, k0, model: AmbientModel, arc: float, steps: int):
+    """Sample parameter points along the generator curve through u0, whose
+    kernel direction is k0, by integrating the unit kernel field of the
+    induced metric (RK4, carrying the direction sign along for continuity)."""
     h = arc / steps
 
     def aligned_kernel(u, ref):
@@ -308,7 +309,7 @@ def _kernel_flow(imm: Immersion, u0, model: AmbientModel, arc: float, steps: int
     samples = []
     for direction in (+1.0, -1.0):
         u = np.asarray(u0, dtype=float).copy()
-        ref = direction * lightlike_kernel(imm, u0, model=model)
+        ref = direction * k0
         for _ in range(steps):
             k1 = aligned_kernel(u, ref)
             k2 = aligned_kernel(u + 0.5 * h * k1, k1)
@@ -322,13 +323,14 @@ def _kernel_flow(imm: Immersion, u0, model: AmbientModel, arc: float, steps: int
 
 def degeneracy_check(
     imm: Immersion,
-    u,
+    an: LightlikeAnalysis,
     model: Optional[AmbientModel] = None,
     samples: int = 5,
     arc: float = 0.25,
     singular_tol: float = 0.05,
 ) -> DegeneracyReport:
-    """Verify tangential degeneracy along the generator through u.
+    """Verify tangential degeneracy along the generator through ``an.u``,
+    given ``an``, the ``lightlike_affinor`` analysis of ``imm`` there.
 
     The homogeneous tangent span is compared, by largest principal angle,
     between the base point and samples along the generator curve; it also
@@ -338,8 +340,7 @@ def degeneracy_check(
     """
     if model is None:
         model = AmbientModel.standard(imm.n)
-    u = np.asarray(u, dtype=float)
-    an = lightlike_affinor(imm, u, model=model)
+    u = an.u
     focal = []
     for sp in singular_points(an):
         target = darboux_unembed(sp.point, model)
@@ -347,8 +348,9 @@ def degeneracy_check(
             focal.append(target)
 
     span0 = PointJet(imm, u, model).span
+    k = lightlike_kernel(imm, u, model=model)
 
-    sampled = _kernel_flow(imm, u, model, arc=arc, steps=samples)
+    sampled = _kernel_flow(imm, u, k, model, arc=arc, steps=samples)
     angles, used, skipped = [], [], []
     for us in sampled:
         try:
@@ -364,7 +366,6 @@ def degeneracy_check(
             skipped.append(tuple(float(x) for x in us))
 
     # variation of the tangent span across an orthonormal parameter basis
-    k = lightlike_kernel(imm, u, model=model)
     comp = orthonormal_rows(np.eye(imm.params) - np.outer(k, k))
     basis = np.vstack([k, comp])
     eps = 1e-4
@@ -416,9 +417,11 @@ def focal_map(
     grid_counts: Sequence[int],
     model: Optional[AmbientModel] = None,
     merge_tol: float = FOCAL_MERGE_TOL,
+    sym_tol: Optional[float] = None,
 ) -> FocalSet:
     """Singular points of every generator over a parameter grid, merged into
-    focal clusters; ideal points keep an at-infinity marker."""
+    focal clusters; ideal points keep an at-infinity marker.  ``sym_tol`` is
+    passed to ``lightlike_affinor`` at every grid point."""
     if model is None:
         model = AmbientModel.standard(imm.n)
     _, grid = parameter_grid(imm, grid_counts)
@@ -426,7 +429,7 @@ def focal_map(
     errors = []
     for u in grid:
         try:
-            an = lightlike_affinor(imm, u, model=model)
+            an = lightlike_affinor(imm, u, model=model, sym_tol=sym_tol)
             for k, sp in enumerate(singular_points(an)):
                 target = darboux_unembed(sp.point, model)
                 inf = isinstance(target, AtInfinity)

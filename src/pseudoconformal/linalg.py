@@ -390,10 +390,12 @@ def solve(a, b, tol: float = SINGULAR_TOL):
             if f != 0.0:
                 m[row, col:] -= f * m[col, col:]
                 rhs[row] -= f * rhs[col]
-    x = np.zeros_like(rhs)
-    for row in range(k - 1, -1, -1):
-        x[row] = (rhs[row] - m[row, row + 1 :] @ x[row + 1 :]) / m[row, row]
-    return x[:, 0] if vector else x
+    # one contiguous row per right-hand side: a column's bits never depend on the others
+    x = np.zeros((rhs.shape[1], k))
+    for b, xb in zip(rhs.T, x):
+        for row in range(k - 1, -1, -1):
+            xb[row] = (b[row] - m[row, row + 1 :] @ xb[row + 1 :]) / m[row, row]
+    return x[0] if vector else np.ascontiguousarray(x.T)
 
 
 def inverse(a, tol: float = SINGULAR_TOL):

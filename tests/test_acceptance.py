@@ -160,7 +160,7 @@ def test_criterion_06_tangential_degeneracy_and_real_roots():
         imm = catalog.build(name)
         model = AmbientModel.standard(imm.n)
         u = np.array([lo + 0.55 * (hi - lo) for lo, hi in imm.domain])
-        rep = degeneracy_check(imm, u, model=model)
+        rep = degeneracy_check(imm, lightlike_affinor(imm, u, model=model), model=model)
         worst_angle = max(worst_angle, rep.max_angle)
         assert rep.tangent_rank == imm.n - 2
     assert worst_angle < 1e-6

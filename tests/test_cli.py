@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -10,8 +11,12 @@ import pytest
 
 from pseudoconformal import catalog
 from pseudoconformal.cli import load_scene, main
+from pseudoconformal.errors import GeometryError
+from pseudoconformal.hypersurface import parameter_grid
+from pseudoconformal.lightlike import lightlike_affinor
 
-SCENES = Path(__file__).resolve().parent.parent / "scenes"
+ROOT = Path(__file__).resolve().parent.parent
+SCENES = ROOT / "scenes"
 
 
 def write_scene(tmp_path, doc, name="scene.json"):
@@ -189,6 +194,24 @@ class TestOutputs:
         assert leaf.read_text().splitlines()[0] == "index,u1,u2"
 
 
+class TestSymmetryTolerance:
+    def test_scene_tolerance_reaches_every_grid_point(self, tmp_path, capsys):
+        doc = {"kind": "hypersurface", "builtin": "circle_wavefront", "n": 4,
+               "grid": [5, 5, 5], "tolerances": {"symmetry": 1e-9}}
+        out = tmp_path / "wavefront.json"
+        assert main(["lightlike", "--scene", write_scene(tmp_path, doc), "--out", str(out),
+                     "--format", "json"]) == 0
+        imm = catalog.build("circle_wavefront")
+        failing = []
+        for u in parameter_grid(imm, [5, 5, 5])[1]:
+            try:
+                lightlike_affinor(imm, u, sym_tol=1e-9)
+            except GeometryError as exc:
+                failing.append({"u": u.tolist(), "message": str(exc)})
+        assert failing
+        assert json.loads(out.read_text())["errors"] == failing
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("scene,command", [
         ("lightcone3.json", "lightlike"),
@@ -310,3 +333,20 @@ class TestShippedScenes:
                      "--format", fmt])
         assert code == 0
         assert_data(out.read_text(), command, fmt, n)
+        # the scene sets no output path: run as is, in its own format, its
+        # data go to stdout
+        scene = load_scene(str(SCENES / name))
+        if fmt == scene.out_format:
+            assert scene.out_path is None
+            capsys.readouterr()
+            assert main([command, "--scene", str(SCENES / name)]) == 0
+            assert capsys.readouterr().out == out.read_text()
+
+
+class TestScripts:
+    @pytest.mark.parametrize("script", sorted(p.name for p in (ROOT / "scripts").glob("*.py")))
+    def test_runs(self, script):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr

@@ -146,6 +146,41 @@ class TestCompleteIsotropicFrame:
         assert np.abs(comp - np.array([0.3, 0.0, 0.0, -1.2, 0.0])).max() < 1e-12
 
 
+def component_frame(kind, n):
+    """A null-adapted frame from the lightlike adaptation or from the
+    isotropic line completion, in dimension n."""
+    model = AmbientModel.standard(n)
+    if kind == "lightlike":
+        return adapt_lightlike_frame(*cone_jet(np.linspace(0.5, 0.9, n - 1), model), model)
+    p = np.linspace(0.1, 0.4, n)
+    l = np.zeros(n)
+    l[0], l[1], l[-1] = 0.6, 0.8, 1.0
+    return complete_isotropic_frame(lift_point(p, model), lift_tangent(p, l, model), model)
+
+
+class TestStackedComponents:
+    """A (k, n+2) stack is resolved in one elimination, row for row the
+    same bits as one call per vector."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("kind", ["lightlike", "isotropic"])
+    def test_stack_matches_rows_bit_for_bit(self, kind, n, rng):
+        frame = component_frame(kind, n)
+        for k in range(1, n):
+            stack = rng.normal(size=(k, n + 2))
+            got = frame.components(stack)
+            assert got.shape == (k, n + 2)
+            assert np.array_equal(got, np.array([frame.components(v) for v in stack]))
+
+    @pytest.mark.parametrize("kind", ["lightlike", "isotropic"])
+    def test_vector_gives_vector(self, kind, model3):
+        frame = component_frame(kind, 3)
+        v = 0.3 * frame.vector(0) - 1.2 * frame.vector(3)
+        comp = frame.components(v)
+        assert comp.shape == (5,)
+        assert np.abs(comp - np.array([0.3, 0.0, 0.0, -1.2, 0.0])).max() < 1e-12
+
+
 class TestConnectionForms:
     def test_constant_field_gives_zero(self, model3):
         a0, rows = cone_jet(np.array([1.0, 0.3]), model3)

@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 
 from pseudoconformal import catalog
-from pseudoconformal.conformal import AmbientModel, AtInfinity, darboux_unembed
-from pseudoconformal.errors import NotLightlikeError
+from pseudoconformal.conformal import (AmbientModel, AtInfinity, darboux_unembed, lift_point,
+                                      lift_tangent)
+from pseudoconformal.errors import (DegenerateBasisError, NotLightlikeError,
+                                    NotOnQuadricError)
+from pseudoconformal.hypersurface import Immersion, parameter_grid
 from pseudoconformal.lightlike import (
+    PointJet,
     degeneracy_check,
     focal_map,
     lightlike_affinor,
@@ -264,13 +268,15 @@ class TestSingularPointsSmallCases:
 class TestDegeneracy:
     def test_null_hyperplane_tangent_plane_constant(self, model3):
         imm = catalog.build("null_hyperplane")
-        report = degeneracy_check(imm, np.array([0.2, -0.3]), model=model3)
+        an = lightlike_affinor(imm, np.array([0.2, -0.3]), model=model3)
+        report = degeneracy_check(imm, an, model=model3)
         assert report.max_angle < 1e-6
         assert report.tangent_rank == 1
 
     def test_light_cone_tangentially_degenerate(self, model3):
         imm = catalog.build("light_cone")
-        report = degeneracy_check(imm, np.array([1.0, 0.7]), model=model3)
+        an = lightlike_affinor(imm, np.array([1.0, 0.7]), model=model3)
+        report = degeneracy_check(imm, an, model=model3)
         assert report.max_angle < 1e-6
         assert report.tangent_rank == 1
         # the span varies at second order along the generator flow, at first
@@ -279,15 +285,82 @@ class TestDegeneracy:
 
     def test_higher_dimensional_rank(self, model4):
         imm = catalog.build("circle_wavefront")
-        report = degeneracy_check(imm, np.array([0.6, 0.7, 0.5]), model=model4,
-                                  arc=0.1)
+        an = lightlike_affinor(imm, np.array([0.6, 0.7, 0.5]), model=model4)
+        report = degeneracy_check(imm, an, model=model4, arc=0.1)
         assert report.max_angle < 1e-6
         assert report.tangent_rank == 2
 
     def test_spacelike_input_rejected(self, model3):
         imm = catalog.build("spacelike_hypersphere")
         with pytest.raises(NotLightlikeError):
-            degeneracy_check(imm, np.array([0.1, 0.1]), model=model3)
+            degeneracy_check(imm, lightlike_affinor(imm, np.array([0.1, 0.1]), model=model3),
+                             model=model3)
+
+
+class TestPointJet:
+    @pytest.mark.parametrize("name", catalog.lightlike_entries())
+    def test_generator_is_the_null_kernel_image(self, name):
+        imm = catalog.build(name)
+        model = AmbientModel.standard(imm.n)
+        _, grid = parameter_grid(imm, [3] * imm.params)
+        for u in grid:
+            jet = PointJet(imm, u, model)
+            g = jet.generator()
+            assert abs(model.quadratic(g)) < 1e-12
+            assert np.abs(jet.rows @ model.form.gram @ g).max() < 1e-12
+            # the same line as the image of the numpy.linalg.eigh kernel
+            w, v = np.linalg.eigh(jet.rows @ model.form.gram @ jet.rows.T)
+            ref = jet.rows.T @ v[:, np.argmin(np.abs(w))]
+            ref /= np.linalg.norm(ref)
+            assert min(np.abs(g - ref).max(), np.abs(g + ref).max()) < 1e-12
+
+
+def _cone_variant(**overrides):
+    """The light cone with its value or jacobian replaced."""
+    cone = catalog.build("light_cone")
+    fields = dict(n=3, domain=cone.domain, value=cone.value, jacobian=cone.jacobian)
+    fields.update(overrides)
+    return Immersion(**fields)
+
+
+class TestAffinorRejections:
+    """Each precondition of lightlike_affinor fails with its own exception
+    type and message."""
+
+    def test_spacelike_point(self, model3):
+        imm = catalog.build("spacelike_slice")
+        with pytest.raises(NotLightlikeError) as exc:
+            lightlike_affinor(imm, np.array([0.1, 0.2]), model=model3)
+        assert str(exc.value) == "hypersurface is spacelike at u=[0.1, 0.2], not lightlike"
+
+    def test_non_finite_jacobian(self, model3):
+        imm = _cone_variant(jacobian=lambda u: np.full((3, 2), np.nan))
+        with pytest.raises(DegenerateBasisError) as exc:
+            lightlike_affinor(imm, np.array([1.0, 0.5]), model=model3)
+        assert str(exc.value) == "non-finite jacobian at u=[1.0, 0.5]"
+
+    def test_rank_deficient_jacobian(self, model3):
+        cone = catalog.build("light_cone")
+        imm = _cone_variant(jacobian=lambda u: np.outer(cone.jet1(u)[:, 0], [1.0, 2.0]))
+        with pytest.raises(DegenerateBasisError) as exc:
+            lightlike_affinor(imm, np.array([1.0, 0.5]), model=model3)
+        assert str(exc.value) == "jacobian is rank deficient at u=[1.0, 0.5]"
+
+    def test_homogeneous_immersion_off_the_quadric(self, model3):
+        # a constant shift keeps the lightlike tangent rows but moves the
+        # point off the quadric
+        cone = catalog.build("light_cone")
+        shift = np.array([0.0, 0.0, 0.0, 0.0, 0.5])
+
+        def jacobian(u):
+            p, j = cone.point(u), cone.jet1(u)
+            return np.array([lift_tangent(p, j[:, a], model3) for a in range(2)]).T
+
+        imm = _cone_variant(homogeneous=True, jacobian=jacobian,
+                            value=lambda u: lift_point(cone.point(u), model3) + shift)
+        with pytest.raises(NotOnQuadricError) as exc:
+            lightlike_affinor(imm, np.array([1.0, 0.5]), model=model3)
+        assert str(exc.value) == "frame origin is not on the quadric"
 
 
 class TestFiniteDifferenceJets:

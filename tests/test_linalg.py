@@ -269,6 +269,15 @@ class TestSolve:
         b = rng.normal(size=(4, 3))
         assert np.abs(solve(a, b) - np.linalg.solve(a, b)).max() < 1e-10
 
+    def test_columns_match_vector_solves_bit_for_bit(self, rng):
+        for k in (2, 5, 7):
+            a = rng.normal(size=(k, k)) + k * np.eye(k)
+            for r in (1, 2, 4):
+                b = rng.normal(size=(k, r))
+                x = solve(a, b)
+                assert x.shape == (k, r) and x.flags.c_contiguous
+                assert np.array_equal(x, np.stack([solve(a, c) for c in b.T], axis=1))
+
     def test_singular_raises(self):
         with pytest.raises(DegenerateBasisError):
             solve(np.ones((3, 3)), np.ones(3))
