@@ -269,6 +269,20 @@ def _transversal_kernel_basis(e: np.ndarray) -> np.ndarray:
     return basis
 
 
+def _memoized(fn):
+    """A function of one parameter point that evaluates fn once per distinct
+    point (by its exact bytes) and returns the first result thereafter."""
+    cache = {}
+
+    def once(u):
+        key = u.tobytes()
+        if key not in cache:
+            cache[key] = fn(u)
+        return cache[key]
+
+    return once
+
+
 def stratify(
     cong: IsotropicCongruence,
     seed,
@@ -287,7 +301,7 @@ def stratify(
     The swept point set is classified against the lightlike criterion and
     the surviving fraction reported.  Only the seed gets the full shape
     operator, whose symmetry defect decides integrability; every other point
-    evaluates just the transversal form.
+    evaluates just the transversal form, once per distinct point.
     """
     if model is None:
         model = AmbientModel.standard(cong.n)
@@ -299,8 +313,10 @@ def stratify(
             f"(symmetry defect {an0.symmetry_defect:.3e})"
         )
 
+    form_at = _memoized(lambda u: transversal_form(cong, u, model=model))
+
     def kernel_dir(u, ref):
-        basis = _transversal_kernel_basis(transversal_form(cong, u, model=model))
+        basis = _transversal_kernel_basis(form_at(u))
         d = basis.T @ (basis @ ref)
         norm = math.sqrt(float(d @ d))
         if norm < 1e-10:
@@ -337,7 +353,7 @@ def stratify(
     if basis0.shape[0] > 1:
         cross = []
         for point in spine:
-            basis_p = _transversal_kernel_basis(transversal_form(cong, point, model=model))
+            basis_p = _transversal_kernel_basis(form_at(point))
             for k in range(1, basis0.shape[0]):
                 ref = basis_p.T @ (basis_p @ basis0[k])
                 nrm = math.sqrt(float(ref @ ref))
@@ -357,7 +373,7 @@ def stratify(
     total = 0
     for p, (_, a1_p) in zip(lattice, lines):
         try:
-            basis_p = _transversal_kernel_basis(transversal_form(cong, p, model=model))
+            basis_p = _transversal_kernel_basis(form_at(p))
         except GeometryError:
             continue
         deriv0, deriv1 = _line_differentials(cong, p, basis_p, step)

@@ -122,14 +122,18 @@ def _sign_fix(v: np.ndarray) -> np.ndarray:
 
 
 def _generator_sign_fix(v: np.ndarray, n: int) -> np.ndarray:
-    """Sign rule for null generator lifts: make the time-slot coordinate
-    positive.  A nonzero null direction always has a nonzero time component,
-    so this rule never switches along a smooth generator field (a
-    coordinate-based rule can flip inside a difference stencil wherever its
-    chosen coordinate crosses zero)."""
-    if abs(v[n]) > 1e-10 * float(np.abs(v).max()):
-        return v if v[n] > 0 else -v
-    return _sign_fix(v)
+    """Sign rule for null generator lifts, applied to a vector or to each row
+    of a stack: make the time-slot coordinate positive.  A nonzero null
+    direction always has a nonzero time component, so this rule never
+    switches along a smooth generator field (a coordinate-based rule can flip
+    inside a difference stencil wherever its chosen coordinate crosses zero).
+    A time slot below 1e-10 of the largest coordinate falls back to the sign
+    of that coordinate."""
+    mag = np.abs(v)
+    lead = np.take_along_axis(v, mag.argmax(axis=-1)[..., None], axis=-1)
+    time = v[..., n : n + 1]
+    key = np.where(mag[..., n : n + 1] > 1e-10 * mag.max(axis=-1, keepdims=True), time, lead)
+    return np.where(key < 0, -v, v)
 
 
 def build_screen(candidates, model: AmbientModel, count: int, tol: float = 1e-8):
@@ -211,7 +215,7 @@ def adapt_lightlike_frame(
     n-1 derivative vectors spanning the embedded tangent space.  A_1 is taken
     along the null direction of the induced form, whose inertia must be
     (n-2, 0, 1), or along a supplied null ``generator``, whose caller has read
-    that inertia off the same metric (``lightlike.PointJet``).  The screen
+    that inertia off the same metric (``lightlike._JetStack``).  The screen
     comes from orthonormalizing the tangent directions, and A_n, A_{n+1}
     complete the two hyperbolic pairs.  ``degenerate_tol`` is the relative
     eigenvalue threshold below which the induced form counts as degenerate;

@@ -21,7 +21,7 @@ import numpy as np
 
 from .conformal import AmbientModel
 from .errors import DegenerateBasisError, GeometryError
-from .linalg import jacobi_eigh
+from .linalg import JACOBI_TOL, jacobi_eigh
 
 SPACELIKE = "spacelike"
 TIMELIKE = "timelike"
@@ -203,28 +203,48 @@ def _rank_deficient(w: np.ndarray) -> np.ndarray:
     return w.min(axis=-1) <= 1e-12 * np.maximum(w.max(axis=-1), 1e-300)
 
 
-def _check_immersion(j, m, u) -> None:
-    """Raise DegenerateBasisError unless the Jacobian j at u, whose induced
-    metric is m, is finite and of full rank (an immersion there)."""
-    jtj = j.T @ j
-    if not (np.isfinite(m).all() and np.isfinite(jtj).all()):
-        raise DegenerateBasisError(f"non-finite jacobian at u={np.asarray(u).tolist()}")
-    w, _ = jacobi_eigh(jtj)
-    if _rank_deficient(w):
-        raise DegenerateBasisError(f"jacobian is rank deficient at u={np.asarray(u).tolist()}")
+def _stacked_spectra(jets, gram, us, failures, tol: float = JACOBI_TOL) -> tuple:
+    """Check a stack of Jacobians jets (N, target, params) at the parameter
+    points us (N, params) and eigendecompose their induced metrics, in one
+    stacked Jacobi pass together with their J^T J.
+
+    ``failures`` maps the stack index of each point whose jet could not be
+    evaluated to its exception; every other Jacobian that is non-finite or
+    rank deficient (not an immersion there) gets a DegenerateBasisError in it.
+    Returns the eigenvalues (N, params) and eigenvectors (N, params, params)
+    of every metric in stack order, zero for failed members.
+    """
+    count, _, d = jets.shape
+    live = np.array([i for i in range(count) if i not in failures], dtype=int)
+    j = jets[live]
+    metrics = _pullback(j, gram)
+    jtj = np.swapaxes(j, 1, 2) @ j
+    finite = np.isfinite(metrics).all(axis=(1, 2)) & np.isfinite(jtj).all(axis=(1, 2))
+    for i in live[~finite].tolist():
+        failures[i] = DegenerateBasisError(f"non-finite jacobian at u={us[i].tolist()}")
+    live, metrics, jtj = live[finite], metrics[finite], jtj[finite]
+
+    w, v = jacobi_eigh(np.concatenate([metrics, jtj]), tol=tol)
+    for i in live[_rank_deficient(w[len(live):])].tolist():
+        failures[i] = DegenerateBasisError(f"jacobian is rank deficient at u={us[i].tolist()}")
+    w_all, v_all = np.zeros((count, d)), np.zeros((count, d, d))
+    w_all[live], v_all[live] = w[: len(live)], v[: len(live)]
+    return w_all, v_all
 
 
 def classify_point(imm: Immersion, u, tol: Optional[float] = None,
                    model: Optional[AmbientModel] = None) -> CausalType:
-    """Causal character at a parameter point.
+    """Causal character at a parameter point: the one-point case of ``survey``.
 
     Raises DegenerateBasisError if the Jacobian is non-finite or rank
     deficient there (not an immersion).
     """
-    j = imm.jet1(u)
-    m = _pullback(j, _ambient_gram(imm, model))
-    _check_immersion(j, m, u)
-    return causal_type_of_metric(m, imm.lightlike_tol() if tol is None else tol)
+    failures = {}
+    w, _ = _stacked_spectra(imm.jet1(u)[None], _ambient_gram(imm, model),
+                            np.asarray(u, dtype=float)[None], failures)
+    if failures:
+        raise failures[0]
+    return causal_type_of_spectrum(w[0], imm.lightlike_tol() if tol is None else tol)
 
 
 def lightlike_kernel(imm: Immersion, u, model: Optional[AmbientModel] = None) -> np.ndarray:
@@ -306,28 +326,16 @@ def survey(imm: Immersion, grid_counts: Sequence[int], tol: Optional[float] = No
     indices = list(np.ndindex(*shape))
     us = [tuple(u) for u in grid.tolist()]
 
-    messages = {}
+    failures = {}
     jets = np.zeros((len(indices), imm.target_dim, imm.params))
     for i, u in enumerate(grid):
         try:
-            jet = imm.jet1(u)
+            jets[i] = imm.jet1(u)
         except (GeometryError, ValueError, ArithmeticError) as exc:
-            messages[i] = str(exc)
-            continue
-        jets[i] = jet
-    live = np.array([i for i in range(len(indices)) if i not in messages], dtype=int)
-    j = jets[live]
-    metrics = _pullback(j, gram)
-    jtj = np.swapaxes(j, 1, 2) @ j
-    finite = np.isfinite(metrics).all(axis=(1, 2)) & np.isfinite(jtj).all(axis=(1, 2))
-    for i in live[~finite].tolist():
-        messages[i] = f"non-finite jacobian at u={list(us[i])}"
-    live, metrics, jtj = live[finite], metrics[finite], jtj[finite]
-
-    w, _ = jacobi_eigh(np.concatenate([metrics, jtj]))
-    w, w_jtj = w[: len(live)], w[len(live):]
-    for i in live[_rank_deficient(w_jtj)].tolist():
-        messages[i] = f"jacobian is rank deficient at u={list(us[i])}"
+            failures[i] = exc
+    w, _ = _stacked_spectra(jets, gram, grid, failures)
+    live = np.array([i for i in range(len(indices)) if i not in failures], dtype=int)
+    w = w[live]
     abs_w = np.abs(w)
     radius = np.maximum(abs_w.max(axis=1), 1e-300)
     plus = (w > (tol * radius)[:, None]).sum(axis=1)
@@ -340,14 +348,12 @@ def survey(imm: Immersion, grid_counts: Sequence[int], tol: Optional[float] = No
     counts = dict.fromkeys(_KINDS, 0)
     for i, p, m, z, r in zip(live.tolist(), plus.tolist(), minus.tolist(),
                              zero.tolist(), ratio.tolist()):
-        if i in messages:
-            continue
         kind = _causal_kind(p, m, z)
         counts[kind] += 1
         codes[i] = _KINDS.index(kind)
         causal = CausalType(kind=kind, plus=p, minus=m, zero=z, min_eig_ratio=r)
         grid_points.append(GridPoint(u=us[i], index=indices[i], causal=causal))
-    errors = [(indices[i], messages[i]) for i in sorted(messages)]
+    errors = [(indices[i], str(failures[i])) for i in sorted(failures)]
     transitions = _transitions(codes.reshape(shape), axes)
     return ClassificationReport(points=grid_points, counts=counts,
                                 transitions=transitions, errors=errors)

@@ -28,7 +28,7 @@ from .conformal import (
 )
 from .errors import DegenerateBasisError, GeometryError, NotLightlikeError
 from .frames import ConformalFrame, adapt_lightlike_frame, _generator_sign_fix
-from .hypersurface import (LIGHTLIKE, Immersion, _ambient_gram, _check_immersion, _pullback,
+from .hypersurface import (LIGHTLIKE, Immersion, _ambient_gram, _pullback, _stacked_spectra,
                            causal_type_of_spectrum, lightlike_kernel, parameter_grid)
 from .linalg import (
     cluster_roots,
@@ -47,6 +47,22 @@ SYMMETRY_TOL_FD = 1e-3
 FOCAL_MERGE_TOL = 1e-6
 
 DEFAULT_STEP = 1e-4
+
+#: Jacobi stopping tolerance for the induced metrics whose kernel columns give
+#: the generators: dA_1 divides generator differences by 2*step, so the
+#: default 1e-12 would leave eigenvector errors of up to ~5e-9 in it
+GENERATOR_JACOBI_TOL = 1e-14
+
+
+def _generator(rows, w, v, n: int, scale: float) -> np.ndarray:
+    """Unit null generator of a jet, or of each jet of a stack: the image
+    under the tangent rows of the induced metric's kernel column (eigenvalue
+    of least magnitude), in homogeneous coordinates and oriented by its
+    time-slot sign.  Smooth wherever the kernel eigenvalue stays simple."""
+    kernel = np.take_along_axis(v, np.abs(w).argmin(axis=-1)[..., None, None], axis=-1)
+    a1 = (np.swapaxes(rows, -1, -2) @ kernel)[..., 0]
+    a1 = a1 / np.sqrt((a1 * a1).sum(axis=-1, keepdims=True))
+    return _generator_sign_fix(a1, n) * scale
 
 
 class PointJet:
@@ -79,25 +95,63 @@ class PointJet:
         return jacobi_eigh(self.metric)
 
     def generator(self, scale: float = 1.0) -> np.ndarray:
-        """Unit null generator, the image of the induced metric's kernel
-        column, in homogeneous coordinates and oriented by its time-slot sign.
-        Smooth wherever the kernel eigenvalue stays simple."""
+        """Unit null generator in homogeneous coordinates (``_generator``)."""
         w, v = self.spectrum
-        a1 = self.rows.T @ v[:, int(np.argmin(np.abs(w)))]
-        return _generator_sign_fix(a1 / math.sqrt(float(a1 @ a1)), self.model.n) * scale
+        return _generator(self.rows, w, v, self.model.n, scale)
 
 
-def _lightlike_frame(imm: Immersion, u, model: AmbientModel, generator_scale: float):
-    """Jet and null-adapted frame at u, after checking that the Jacobian is
-    finite and of full rank and that the induced metric is lightlike."""
-    jet = PointJet(imm, u, model)
-    _check_immersion(jet.jacobian, jet.metric, jet.u)
-    kind = causal_type_of_spectrum(jet.spectrum[0], imm.lightlike_tol()).kind
-    if kind != LIGHTLIKE:
-        raise NotLightlikeError(f"hypersurface is {kind} at u={jet.u.tolist()}, not lightlike")
-    return jet, adapt_lightlike_frame(jet.a0, jet.rows, model,
-                                      generator=jet.generator(generator_scale),
-                                      generator_scale=generator_scale)
+class _JetStack:
+    """Jets of an immersion at a stack of parameter points us (N, params),
+    each point and Jacobian evaluated once, lifted to the quadric, with every
+    induced metric and J^T J eigendecomposed in one stacked Jacobi pass.
+
+    ``failures`` maps the index of each member that is not a regular point to
+    the exception it raises: the one its jet evaluation raised (a
+    GeometryError, ValueError or ArithmeticError, as in ``survey``), else a
+    DegenerateBasisError for a non-finite or rank-deficient Jacobian.
+    """
+
+    def __init__(self, imm: Immersion, us: np.ndarray, model: AmbientModel,
+                 generator_scale: float):
+        self.imm, self.us, self.model = imm, us, model
+        self.generator_scale = generator_scale
+        n, d = imm.n, imm.params
+        points = np.zeros((len(us), imm.target_dim))
+        jets = np.zeros((len(us), imm.target_dim, d))
+        self.failures = {}
+        for i, u in enumerate(us):
+            try:
+                points[i], jets[i] = imm.point(u), imm.jet1(u)
+            except (GeometryError, ValueError, ArithmeticError) as exc:
+                self.failures[i] = exc
+        self.w, v = _stacked_spectra(jets, _ambient_gram(imm, model), us, self.failures,
+                                      tol=GENERATOR_JACOBI_TOL)
+        if imm.homogeneous:
+            self.a0, self.rows = points, np.swapaxes(jets, 1, 2)
+        else:
+            # the chart lift x -> (1, x, g(x, x)/2) and its differential
+            pg = points @ model.metric.gram
+            self.a0 = np.hstack([np.ones((len(us), 1)), points,
+                                 0.5 * (pg * points).sum(axis=1, keepdims=True)])
+            self.rows = np.concatenate([np.zeros((len(us), d, 1)), np.swapaxes(jets, 1, 2),
+                                        (pg[:, None, :] @ jets).transpose(0, 2, 1)], axis=2)
+        with np.errstate(invalid="ignore", divide="ignore"):  # failed members only
+            self.generators = _generator(self.rows, self.w, v, n, generator_scale)
+
+    def failure(self, lo: int, hi: int):
+        """The exception of the first failed member in lo..hi-1, or None."""
+        return next((self.failures[k] for k in range(lo, hi) if k in self.failures), None)
+
+    def frame(self, i: int) -> ConformalFrame:
+        """Null-adapted frame at the regular member i, after checking that its
+        induced metric is lightlike."""
+        kind = causal_type_of_spectrum(self.w[i], self.imm.lightlike_tol()).kind
+        if kind != LIGHTLIKE:
+            raise NotLightlikeError(
+                f"hypersurface is {kind} at u={self.us[i].tolist()}, not lightlike")
+        return adapt_lightlike_frame(self.a0[i], self.rows[i], self.model,
+                                     generator=self.generators[i],
+                                     generator_scale=self.generator_scale)
 
 
 def lightlike_frame_field(imm: Immersion, model: Optional[AmbientModel] = None,
@@ -107,13 +161,18 @@ def lightlike_frame_field(imm: Immersion, model: Optional[AmbientModel] = None,
     The gauge is the deterministic one used throughout: raw chart lift for
     A_0, unit sign-fixed kernel direction for A_1, pivoted screen.  Away from
     pivot or sign-rule switches the field is differentiable, which is what
-    the connection-form extraction needs.
+    the connection-form extraction needs.  Each frame is the one
+    ``lightlike_affinor`` builds at that point.
     """
     if model is None:
         model = AmbientModel.standard(imm.n)
 
     def field(u):
-        return _lightlike_frame(imm, u, model, generator_scale)[1]
+        jets = _JetStack(imm, np.asarray(u, dtype=float)[None], model, generator_scale)
+        exc = jets.failure(0, 1)
+        if exc is not None:
+            raise exc
+        return jets.frame(0)
 
     return field
 
@@ -144,18 +203,105 @@ class LightlikeAnalysis:
 
 
 def _select_rows(c: np.ndarray, k: int):
-    """Indices of the k rows of c forming the best-conditioned square block
-    (largest |det| over all k-subsets; row counts here are tiny)."""
-    best, best_idx = -1.0, None
-    for idx in combinations(range(c.shape[0]), k):
-        d = abs(det(c[list(idx)])) if k else 1.0
-        if d > best:
-            best, best_idx = d, idx
-    if best_idx is None or best <= 1e-14 * max(1.0, float(np.abs(c).max())) ** k:
+    """Indices of the k rows of c forming the best-conditioned square block:
+    the first k-subset whose |det| is within a relative 1e-12 of the largest
+    (row counts here are tiny).  Subsets tied by a symmetry of the point then
+    give the same choice whatever the last bits of the frame."""
+    subsets = list(combinations(range(c.shape[0]), k))
+    dets = [abs(det(c[list(idx)])) if k else 1.0 for idx in subsets]
+    best = max((d for d in dets if not math.isnan(d)), default=-1.0)
+    if best <= 1e-14 * max(1.0, float(np.abs(c).max())) ** k:
         raise DegenerateBasisError(
             "screen components of the base differentials are linearly dependent"
         )
-    return list(best_idx)
+    return list(next(idx for idx, d in zip(subsets, dets) if d >= (1.0 - 1e-12) * best))
+
+
+def _shape_operator(frame: ConformalFrame, da0, da1, n: int, sym_tol: float):
+    """Symmetrized shape operator relating the screen components of dA_1 to
+    those of dA_0, from one elimination for both, with its asymmetry and the
+    transversal components of both differentials."""
+    d = len(da0)
+    comp = frame.components(np.vstack([da0, da1]))
+    comp0, comp1 = comp[:d], comp[d:]
+    c = comp0[:, 2:n]
+    dd = comp1[:, 2:n]
+    diagnostics = {
+        "w0n": float(np.abs(comp0[:, n]).max()),
+        "w0np1": float(np.abs(comp0[:, n + 1]).max()),
+        "w1n": float(np.abs(comp1[:, n]).max()),
+        "w1np1": float(np.abs(comp1[:, n + 1]).max()),
+    }
+    idx = _select_rows(c, n - 2)
+    lam = solve(c[idx], dd[idx]).T
+    defect = float(np.abs(lam - lam.T).max()) if lam.size else 0.0
+    tol = sym_tol * (1.0 + float(np.abs(lam).max(initial=0.0)))
+    if not (defect <= tol and math.isfinite(tol)):
+        raise GeometryError(
+            f"shape operator asymmetry {defect:.3e} exceeds tolerance {tol:.3e}"
+        )
+    return 0.5 * (lam + lam.T), defect, diagnostics
+
+
+def _affinors(imm: Immersion, us: np.ndarray, model: AmbientModel, step: float,
+              generator_scale: float, sym_tol: Optional[float]) -> list:
+    """Lightlike analysis at every parameter point of us (N, params): the
+    LightlikeAnalysis of each point, or the exception it raises.
+
+    The jets of all points and of their 2d central-difference neighbours are
+    evaluated once and eigendecomposed in one stacked Jacobi pass (the
+    generators of the neighbours give dA_1), and the symmetrized shape
+    operators in a second one.  A stacked member does not depend on the rest
+    of its stack, so a point gets the same bits in any grid.  A point fails
+    with its own jet's failure, then with its lightlike and frame checks,
+    then with the first failure among its neighbours (in the order +e_0,
+    -e_0, +e_1, ...), then with its operator checks.
+    """
+    if sym_tol is None:
+        sym_tol = SYMMETRY_TOL_ANALYTIC if imm.analytic else SYMMETRY_TOL_FD
+    n, d = imm.n, imm.params
+    width = 2 * d + 1
+    offsets = np.zeros((width, d))
+    for a in range(d):
+        offsets[2 * a + 1, a] = step
+        offsets[2 * a + 2, a] = -step
+    stencil = us[:, None, :] + offsets
+    stencil[:, 0] = us  # as given: u + 0.0 would turn -0.0 into 0.0
+    jets = _JetStack(imm, stencil.reshape(-1, d), model, generator_scale)
+
+    results, pending = [], []
+    for i in range(len(us)):
+        c = i * width
+        exc = jets.failure(c, c + 1)
+        if exc is None:
+            try:
+                frame = jets.frame(c)
+                exc = jets.failure(c + 1, c + width)
+                if exc is None:
+                    g = jets.generators[c + 1 : c + width]
+                    da1 = (g[0::2] - g[1::2]) / (2.0 * step)
+                    operator = _shape_operator(frame, jets.rows[c], da1, n, sym_tol)
+                    pending.append((i, frame, *operator))
+            except GeometryError as err:
+                exc = err
+        results.append(exc)
+
+    if pending:
+        # a symmetric operator gets its roots from the Jacobi spectrum, which
+        # keeps exact multiplicities real (the general root iteration
+        # splinters multiple roots at the cube root of machine precision)
+        eigenvalues, _ = jacobi_eigh(np.array([p[2] for p in pending]))
+        for (i, frame, lam_sym, defect, diagnostics), w in zip(pending, eigenvalues):
+            results[i] = LightlikeAnalysis(
+                u=us[i].copy(),
+                shape_operator=lam_sym,
+                symmetry_defect=defect,
+                determinant=float(det(lam_sym)) if lam_sym.size else 1.0,
+                roots=tuple(cluster_roots([complex(-x) for x in w])),
+                frame=frame,
+                diagnostics=diagnostics,
+            )
+    return results
 
 
 def lightlike_affinor(
@@ -172,61 +318,16 @@ def lightlike_affinor(
     the differentials of the generator point and of the base point across the
     screen parameter directions.  It is symmetric up to jet noise; within
     tolerance it is replaced by its symmetric part before root finding,
-    beyond tolerance an error is raised.
+    beyond tolerance an error is raised.  This is the one-point case of the
+    grid engine behind ``focal_map``, with the same bits.
     """
     if model is None:
         model = AmbientModel.standard(imm.n)
-    u = np.asarray(u, dtype=float)
-    jet, frame = _lightlike_frame(imm, u, model, generator_scale)
-    if sym_tol is None:
-        sym_tol = SYMMETRY_TOL_ANALYTIC if imm.analytic else SYMMETRY_TOL_FD
-
-    n = imm.n
-    d = imm.params
-    # differentials of the two distinguished frame points across parameters
-    da0 = jet.rows
-    da1 = np.empty_like(da0)
-    for a in range(d):
-        e = np.zeros(d)
-        e[a] = step
-        gp = PointJet(imm, u + e, model).generator(generator_scale)
-        gm = PointJet(imm, u - e, model).generator(generator_scale)
-        da1[a] = (gp - gm) / (2.0 * step)
-
-    comp0 = frame.components(da0)
-    comp1 = frame.components(da1)
-    c = comp0[:, 2:n]
-    dd = comp1[:, 2:n]
-    diagnostics = {
-        "w0n": float(np.abs(comp0[:, n]).max()),
-        "w0np1": float(np.abs(comp0[:, n + 1]).max()),
-        "w1n": float(np.abs(comp1[:, n]).max()),
-        "w1np1": float(np.abs(comp1[:, n + 1]).max()),
-    }
-
-    idx = _select_rows(c, n - 2)
-    lam = solve(c[idx], dd[idx]).T
-    defect = float(np.abs(lam - lam.T).max()) if lam.size else 0.0
-    tol = sym_tol * (1.0 + float(np.abs(lam).max(initial=0.0)))
-    if defect > tol:
-        raise GeometryError(
-            f"shape operator asymmetry {defect:.3e} exceeds tolerance {tol:.3e}"
-        )
-    lam_sym = 0.5 * (lam + lam.T)
-    # a symmetric operator gets its roots from the Jacobi spectrum, which
-    # keeps exact multiplicities real (the general root iteration splinters
-    # multiple roots at the cube root of machine precision)
-    eigenvalues, _ = jacobi_eigh(lam_sym)
-    roots = tuple(cluster_roots([complex(-w) for w in eigenvalues]))
-    return LightlikeAnalysis(
-        u=u.copy(),
-        shape_operator=lam_sym,
-        symmetry_defect=defect,
-        determinant=float(det(lam_sym)) if lam_sym.size else 1.0,
-        roots=roots,
-        frame=frame,
-        diagnostics=diagnostics,
-    )
+    result = _affinors(imm, np.asarray(u, dtype=float)[None], model, step,
+                       generator_scale, sym_tol)[0]
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 @dataclass(frozen=True)
@@ -427,15 +528,18 @@ def focal_map(
     _, grid = parameter_grid(imm, grid_counts)
     samples = []
     errors = []
-    for u in grid:
+    for u, an in zip(grid, _affinors(imm, grid, model, DEFAULT_STEP, 1.0, sym_tol)):
+        key = tuple(float(x) for x in u)
+        if not isinstance(an, LightlikeAnalysis):
+            errors.append((key, str(an)))
+            continue
         try:
-            an = lightlike_affinor(imm, u, model=model, sym_tol=sym_tol)
             for k, sp in enumerate(singular_points(an)):
                 target = darboux_unembed(sp.point, model)
                 inf = isinstance(target, AtInfinity)
                 samples.append(
                     FocalSample(
-                        u=tuple(float(x) for x in u),
+                        u=key,
                         root_index=k,
                         x=sp.x,
                         multiplicity=sp.multiplicity,
@@ -445,23 +549,8 @@ def focal_map(
                     )
                 )
         except GeometryError as exc:
-            errors.append((tuple(float(x) for x in u), str(exc)))
+            errors.append((key, str(exc)))
 
-    # each cluster is the list of its samples; the first one represents it
-    clusters = []
-    for s in samples:
-        for c in clusters:
-            if c[0].at_infinity != s.at_infinity:
-                continue
-            if s.at_infinity:
-                close = s.projective.isclose(c[0].projective, tol=merge_tol)
-            else:
-                close = float(np.abs(s.point - c[0].point).max()) <= merge_tol
-            if close:
-                c.append(s)
-                break
-        else:
-            clusters.append([s])
     merged = tuple(
         FocalCluster(
             at_infinity=c[0].at_infinity,
@@ -470,6 +559,32 @@ def focal_map(
             count=len(c),
             multiplicities=tuple(s.multiplicity for s in c),
         )
-        for c in clusters
+        for c in _merge(samples, merge_tol)
     )
     return FocalSet(samples=tuple(samples), clusters=merged, errors=tuple(errors))
+
+
+def _merge(samples, tol: float) -> list:
+    """Focal clusters as lists of samples, the first one representing each.
+
+    A sample joins the first earlier cluster of its kind (finite or ideal)
+    whose representative lies within tol in the max norm (of the point, or of
+    the normalized projective coordinates at infinity), else it starts a new
+    cluster.  Each sample is compared with all representatives of its kind
+    in one array operation.
+    """
+    clusters = []
+    kinds = {}  # at_infinity -> (representative coordinates, cluster indices)
+    for s in samples:
+        x = s.projective.coords if s.at_infinity else s.point
+        if s.at_infinity not in kinds:
+            kinds[s.at_infinity] = (np.empty((len(samples), len(x))), [])
+        reps, ids = kinds[s.at_infinity]
+        hits = np.flatnonzero(np.abs(reps[: len(ids)] - x).max(axis=1) <= tol)
+        if hits.size:
+            clusters[ids[hits[0]]].append(s)
+        else:
+            reps[len(ids)] = x
+            ids.append(len(clusters))
+            clusters.append([s])
+    return clusters

@@ -8,7 +8,9 @@ characteristic-root route is a genuine two-sided check.
 
 import numpy as np
 
-from pseudoconformal.lightlike import PointJet
+from pseudoconformal.conformal import AtInfinity, ProjectivePoint, darboux_unembed
+from pseudoconformal.frames import adapt_lightlike_frame
+from pseudoconformal.lightlike import PointJet, _select_rows
 
 
 def expm(a, terms=30):
@@ -48,6 +50,57 @@ def _line_fields_hypersurface(imm, u, model, step=1e-4):
             - PointJet(imm, u - e, model).generator()
         ) / (2 * step)
     return jet.a0, jet.generator(), jet.rows, da1
+
+
+def _eigh_generator(imm, u, model):
+    """Jet at u and its unit null generator from the numpy.linalg.eigh kernel
+    of the induced metric, with a positive time slot."""
+    jet = PointJet(imm, u, model)
+    w, v = np.linalg.eigh(jet.metric)
+    g = jet.rows.T @ v[:, np.argmin(np.abs(w))]
+    g = g / np.linalg.norm(g)
+    return jet, g * np.sign(g[model.n])
+
+
+def focal_reference(imm, u, model, step=1e-4, cluster_radius=1e-6):
+    """Per-point reference for the focal set at u: (x, multiplicity, target)
+    per root, sorted by x.  Eigenvalues within cluster_radius (1 + |x|) of a
+    root's smallest one make up the root, whose x is their mean; target is
+    its finite focal point or, at infinity, the normalized projective
+    coordinates.
+
+    The generators of u and of its central-difference neighbours are
+    numpy.linalg.eigh kernels, the operator is solved by numpy.linalg.solve
+    and its roots are the negated numpy.linalg.eigvalsh eigenvalues; the
+    frame adaptation, the frame components and the choice of rows are the
+    library's.  Raises whatever the library's frame adaptation raises.
+    """
+    n, d = imm.n, imm.params
+    jet, g = _eigh_generator(imm, u, model)
+    frame = adapt_lightlike_frame(jet.a0, jet.rows, model, generator=g)
+    da1 = np.empty((d, n + 2))
+    for a in range(d):
+        e = np.zeros(d)
+        e[a] = step
+        da1[a] = (_eigh_generator(imm, u + e, model)[1]
+                  - _eigh_generator(imm, u - e, model)[1]) / (2 * step)
+    c = frame.components(jet.rows)[:, 2:n]
+    dd = frame.components(da1)[:, 2:n]
+    idx = _select_rows(c, n - 2)
+    lam = np.linalg.solve(c[idx], dd[idx]).T
+    roots = []
+    for x in np.sort(-np.linalg.eigvalsh(0.5 * (lam + lam.T))):
+        if roots and x - roots[-1][0] <= cluster_radius * (1.0 + abs(roots[-1][0])):
+            roots[-1].append(x)
+        else:
+            roots.append([x])
+    out = []
+    for group in roots:
+        x = float(np.mean(group))
+        target = darboux_unembed(ProjectivePoint(frame.vector(1) + x * frame.vector(0)), model)
+        out.append((x, len(group),
+                    target.point.coords if isinstance(target, AtInfinity) else target))
+    return out
 
 
 def _line_fields_congruence(cong, u, model, step=1e-4):

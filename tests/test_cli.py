@@ -212,6 +212,24 @@ class TestSymmetryTolerance:
         assert json.loads(out.read_text())["errors"] == failing
 
 
+class TestStencilNeighbour:
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_non_finite_neighbour_is_a_point_error(self, tmp_path, capsys):
+        # the lower stencil neighbour (0, 0) of the grid point (0, 1e-4) is the
+        # cone vertex, where the jacobian is not finite
+        doc = {"kind": "hypersurface", "builtin": "light_cone", "n": 3,
+               "grid": {"axes": [{"start": 0, "stop": 1, "count": 2},
+                                 {"start": 1e-4, "stop": 1, "count": 2}]}}
+        out = tmp_path / "vertex.json"
+        assert main(["lightlike", "--scene", write_scene(tmp_path, doc), "--out", str(out),
+                     "--format", "json"]) == 0
+        data = json.loads(out.read_text())
+        assert data["errors"] == [{"u": [0.0, 1e-4],
+                                   "message": "non-finite jacobian at u=[0.0, 0.0]"}]
+        assert {tuple(s["u"]) for s in data["focal_samples"]} == {
+            (0.0, 1.0), (1.0, 1e-4), (1.0, 1.0)}
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("scene,command", [
         ("lightcone3.json", "lightlike"),

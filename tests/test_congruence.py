@@ -368,3 +368,32 @@ class TestTransversalFormEquivalence:
         leaf = stratify(catalog.build("cone_normal_congruence"), seed, model=model3, count=5)
         assert len(leaf.parameters) > 5
         assert len(seen) == 1 and np.array_equal(seen[0], seed)
+
+    def test_stratify_evaluates_each_point_once(self, model4, monkeypatch):
+        import pseudoconformal.congruence as module
+
+        form = module.transversal_form
+
+        def run():
+            seen = []
+
+            def counted(cong, u, **kwargs):
+                seen.append(u.tobytes())
+                return form(cong, u, **kwargs)
+
+            monkeypatch.setattr(module, "transversal_form", counted)
+            leaf = stratify(catalog.build("cone_normal_congruence", n=4),
+                            np.array([0.1, 0.1, 0.3]), model=model4, count=4)
+            return leaf, seen
+
+        leaf, seen = run()
+        assert len(seen) == len(set(seen)) == 320
+        monkeypatch.setattr(module, "_memoized", lambda fn: fn)
+        uncached, seen_uncached = run()
+        assert len(seen_uncached) == 410 and set(seen_uncached) == set(seen)
+        assert leaf.parameters == uncached.parameters
+        assert leaf.lightlike_fraction == uncached.lightlike_fraction
+        assert leaf.truncated == uncached.truncated
+        assert all(a.tobytes() == b.tobytes() for la, lb in zip(leaf.lines, uncached.lines)
+                   for a, b in zip(la, lb))
+        assert len(leaf.lines) == len(uncached.lines) == 81

@@ -1,24 +1,29 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pseudoconformal import catalog
-from pseudoconformal.conformal import (AmbientModel, AtInfinity, darboux_unembed, lift_point,
-                                      lift_tangent)
-from pseudoconformal.errors import (DegenerateBasisError, NotLightlikeError,
+from pseudoconformal.cli import _build_object, _resolve_grid, load_scene
+from pseudoconformal.conformal import (AmbientModel, AtInfinity, ProjectivePoint, darboux_embed,
+                                      darboux_unembed, lift_point, lift_tangent)
+from pseudoconformal.errors import (DegenerateBasisError, GeometryError, NotLightlikeError,
                                     NotOnQuadricError)
 from pseudoconformal.hypersurface import Immersion, parameter_grid
 from pseudoconformal.lightlike import (
+    FocalSample,
     PointJet,
+    _merge,
     degeneracy_check,
     focal_map,
     lightlike_affinor,
+    lightlike_frame_field,
     singular_points,
     torse_directions,
 )
 
-from _oracles import generator_rank_scan
+from _oracles import focal_reference, generator_rank_scan
 
 
 class TestNullHyperplane:
@@ -391,3 +396,207 @@ class TestSymmetryAcrossCatalog:
             u = lo + frac * (hi - lo)
             an = lightlike_affinor(imm, u, model=model)
             assert an.symmetry_defect < 1e-6
+
+
+def _fd_variant(imm):
+    """The same immersion with finite-difference jets."""
+    return Immersion(n=imm.n, domain=imm.domain, value=imm.value, name=imm.name + "_fd")
+
+
+def _engine_cases():
+    cases = []
+    for name in catalog.lightlike_entries():
+        imm = catalog.build(name)
+        cases.append((name, imm, [4] * imm.params, None))
+    cases.append(("light_cone5", catalog.build("light_cone", n=5), [3] * 4, None))
+    scenes = sorted(p for p in (Path(__file__).resolve().parent.parent / "scenes").glob("*.json"))
+    for path in scenes:
+        scene = load_scene(str(path))
+        if scene.kind == "hypersurface" and scene.builtin in catalog.lightlike_entries():
+            imm, counts = _resolve_grid(scene, _build_object(scene))
+            cases.append((path.name, imm, counts, scene.tolerances.get("symmetry")))
+    return cases
+
+
+#: (label, immersion, grid counts, symmetry tolerance): every lightlike catalog
+#: entry, the light cone at n = 5, and every shipped lightlike scene
+ENGINE_CASES = _engine_cases()
+
+
+def _point_focal(imm, u, model, sym_tol):
+    """What focal_map records at u, from lightlike_affinor: the samples as
+    (root index, x, multiplicity, at infinity, point bytes, projective bytes),
+    or the error message."""
+    try:
+        an = lightlike_affinor(imm, u, model=model, sym_tol=sym_tol)
+    except (GeometryError, ValueError, ArithmeticError) as exc:
+        return str(exc)
+    out = []
+    for k, sp in enumerate(singular_points(an)):
+        target = darboux_unembed(sp.point, model)
+        inf = isinstance(target, AtInfinity)
+        out.append((k, sp.x, sp.multiplicity, inf, None if inf else target.tobytes(),
+                    sp.point.coords.tobytes()))
+    return out
+
+
+def _nested_loop_merge(samples, tol):
+    """The merge focal_map used before it compared arrays: every cluster in
+    creation order, against its first sample."""
+    clusters = []
+    for s in samples:
+        for c in clusters:
+            if c[0].at_infinity != s.at_infinity:
+                continue
+            if s.at_infinity:
+                close = s.projective.isclose(c[0].projective, tol=tol)
+            else:
+                close = float(np.abs(s.point - c[0].point).max()) <= tol
+            if close:
+                c.append(s)
+                break
+        else:
+            clusters.append([s])
+    return clusters
+
+
+def _finite_sample(p, model):
+    p = np.asarray(p, dtype=float)
+    return FocalSample(u=(0.0,), root_index=0, x=0.0, multiplicity=1, at_infinity=False,
+                       point=p, projective=darboux_embed(p, model))
+
+
+def _ideal_sample(coords):
+    return FocalSample(u=(0.0,), root_index=0, x=0.0, multiplicity=1, at_infinity=True,
+                       point=None, projective=ProjectivePoint(coords))
+
+
+class TestLightlikeEngine:
+    """focal_map analyses the whole grid in stacked passes; each point keeps
+    the bits lightlike_affinor gives it alone."""
+
+    @pytest.mark.parametrize("label,imm,counts,sym_tol", ENGINE_CASES,
+                             ids=[c[0] for c in ENGINE_CASES])
+    @pytest.mark.parametrize("jets", ["analytic", "fd"])
+    def test_samples_and_errors_match_lightlike_affinor(self, label, imm, counts, sym_tol, jets):
+        if jets == "fd":
+            imm = _fd_variant(imm)
+        model = AmbientModel.standard(imm.n)
+        focal = focal_map(imm, counts, model=model, sym_tol=sym_tol)
+        samples, errors = [], []
+        for u in parameter_grid(imm, counts)[1]:
+            got = _point_focal(imm, u, model, sym_tol)
+            if isinstance(got, str):
+                errors.append((tuple(u.tolist()), got))
+            else:
+                samples += [(tuple(u.tolist()), *s) for s in got]
+        assert [(s.u, s.root_index, s.x, s.multiplicity, s.at_infinity,
+                 None if s.at_infinity else s.point.tobytes(), s.projective.coords.tobytes())
+                for s in focal.samples] == samples
+        assert list(focal.errors) == errors
+
+    def test_frame_field_gives_the_affinor_frames(self, model4):
+        imm = catalog.build("circle_wavefront")
+        field = lightlike_frame_field(imm, model4)
+        for u in parameter_grid(imm, [3, 3, 3])[1]:
+            frame = lightlike_affinor(imm, u, model=model4).frame
+            assert field(u).vectors.tobytes() == frame.vectors.tobytes()
+
+    def test_jacobi_calls_do_not_grow_with_the_grid(self, model3, monkeypatch):
+        import pseudoconformal.frames
+        import pseudoconformal.hypersurface
+        import pseudoconformal.lightlike
+        import pseudoconformal.linalg
+
+        calls = []
+        original = pseudoconformal.linalg.jacobi_eigh
+
+        def counted(*args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return original(*args, **kwargs)
+
+        for module in (pseudoconformal.frames, pseudoconformal.hypersurface,
+                       pseudoconformal.lightlike, pseudoconformal.linalg):
+            monkeypatch.setattr(module, "jacobi_eigh", counted)
+        imm = catalog.build("light_cone")
+        per_grid = []
+        for count in (3, 6):
+            calls.clear()
+            focal = focal_map(imm, (count, count), model=model3)
+            assert len(focal.samples) == count * count
+            per_grid.append(len(calls))
+        assert per_grid[0] == per_grid[1] == 2
+
+    def test_array_merge_matches_nested_loop(self, model3, rng):
+        tol = 2.0 ** -20
+        line = lambda t: np.array([t * tol, 0.5, -0.25])
+        adversarial = [
+            _finite_sample(line(1.5), model3),    # first cluster
+            _finite_sample(line(0.0), model3),    # 1.5 tol away: second cluster
+            _finite_sample(line(0.75), model3),   # within tol of both: the first
+            _finite_sample(line(2.5), model3),    # exactly tol from the first
+            _finite_sample(line(-1.0), model3),   # exactly tol from the second
+            _finite_sample(line(-1.5), model3),   # beyond tol of both: a third
+            _ideal_sample([0.0, 1.0, 0.0, 1.0, 0.5 + 1.5 * tol]),   # first ideal cluster
+            _ideal_sample([0.0, 1.0, 0.0, 1.0, 0.5]),               # second ideal cluster
+            _ideal_sample([0.0, 1.0, 0.0, 1.0, 0.5 + 0.75 * tol]),  # both: the first
+            _finite_sample([0.0, 1.0, 0.0], model3),                # finite, same leading coords
+            _ideal_sample([0.0, 1.0, 0.0, 1.0, 0.5 - tol]),         # exactly tol from the second
+        ]
+        centers = rng.uniform(-1.0, 1.0, size=(6, 3))
+        mixed = []
+        for k in rng.integers(0, 6, size=300):
+            offset = rng.uniform(-1.5 * tol, 1.5 * tol, size=3)
+            if k < 3:
+                mixed.append(_finite_sample(centers[k] + offset, model3))
+            else:
+                mixed.append(_ideal_sample(np.concatenate([[0.0], centers[k] + offset, [1.0]])))
+        for samples in (adversarial, mixed, adversarial[::-1] + mixed):
+            expected = _nested_loop_merge(samples, tol)
+            got = _merge(samples, tol)
+            assert [[id(s) for s in c] for c in got] == [[id(s) for s in c] for c in expected]
+        assert [len(c) for c in _merge(adversarial, tol)] == [3, 2, 1, 2, 2, 1]
+
+
+def _oracle_cases():
+    cases = []
+    for name in catalog.lightlike_entries():
+        imm = catalog.build(name)
+        cases += [(name, imm, [4] * imm.params), (name + "_fd", _fd_variant(imm), [4] * imm.params)]
+    cone5 = catalog.build("light_cone", n=5)
+    cases += [("light_cone5", cone5, [3] * 4), ("light_cone5_fd", _fd_variant(cone5), [3] * 4)]
+    return cases
+
+
+ORACLE_CASES = _oracle_cases()
+
+
+class TestFocalOracle:
+    """Focal x and focal points of the engine against the numpy.linalg
+    reference of tests/_oracles.py, within 1e-9 (1 + |v|)."""
+
+    @pytest.mark.parametrize("label,imm,counts", ORACLE_CASES,
+                             ids=[c[0] for c in ORACLE_CASES])
+    def test_engine_matches_reference(self, label, imm, counts):
+        model = AmbientModel.standard(imm.n)
+        focal = focal_map(imm, counts, model=model)
+        failed = {u for u, _ in focal.errors}
+        checked = 0
+        for u in parameter_grid(imm, counts)[1]:
+            key = tuple(u.tolist())
+            try:
+                reference = focal_reference(imm, u, model)
+            except GeometryError:
+                assert key in failed
+                continue
+            assert key not in failed
+            samples = [s for s in focal.samples if s.u == key]
+            assert len(samples) == len(reference)
+            for s, (x, multiplicity, target) in zip(samples, reference):
+                assert s.multiplicity == multiplicity
+                assert abs(s.x - x) <= 1e-9 * (1.0 + abs(x))
+                got = s.projective.coords if s.at_infinity else s.point
+                assert s.at_infinity == (len(target) == imm.n + 2)
+                assert np.all(np.abs(got - target) <= 1e-9 * (1.0 + np.abs(target)))
+            checked += 1
+        assert checked >= len(failed)
