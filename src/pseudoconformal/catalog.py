@@ -63,18 +63,23 @@ def _light_cone_value(u, n):
 
 
 def _light_cone_jac(u, n):
+    # the cone has no tangent plane at its vertex r = 0: the last row is
+    # non-finite there, set directly rather than by dividing 0 by 0
     r = math.sqrt(float(u @ u))
     j = np.zeros((n, n - 1))
     j[: n - 1] = np.eye(n - 1)
-    j[n - 1] = u / r
+    j[n - 1] = u / r if r > 0.0 else math.nan
     return j
 
 
 def _light_cone_hess(u, n):
     r = math.sqrt(float(u @ u))
     h = np.zeros((n, n - 1, n - 1))
-    w = u / r
-    h[n - 1] = (np.eye(n - 1) - np.outer(w, w)) / r
+    if r > 0.0:
+        w = u / r
+        h[n - 1] = (np.eye(n - 1) - np.outer(w, w)) / r
+    else:
+        h[n - 1] = math.nan
     return h
 
 

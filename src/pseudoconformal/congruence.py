@@ -10,6 +10,15 @@ characteristic roots may come in complex conjugate pairs.  The congruence is
 normal (stratifies into lightlike hypersurfaces along the kernel of the
 transversal form) exactly when the operator is symmetric, and then every
 singular point is real.
+
+No frame is built.  The Gram matrix of a null-adapted frame is fixed, so each
+coordinate the operator needs is a pairing: in the frame
+(A_0, A_1, e_2..e_{n-1}, A_n, A_{n+1}) a vector v has the coefficient
+-<v, A_1> on A_n, -<v, A_0> on A_{n+1} and <v, e_i> on the screen vector e_i
+(Akivis & Goldberg, *Conformal Differential Geometry and Its
+Generalizations*, 1996).  The transversal form is therefore
+omega_0^n = -<dA_0, A_1>, which needs no screen, and only the shape operator
+builds the screen e_i.
 """
 
 from __future__ import annotations
@@ -22,9 +31,9 @@ import numpy as np
 
 from .conformal import AmbientModel, ProjectivePoint, lift_point, lift_tangent
 from .errors import DegenerateBasisError, GeometryError, NonIntegrableError
-from .frames import ConformalFrame, complete_isotropic_frame
-from .hypersurface import LIGHTLIKE, _pullback, causal_type_of_metric, parameter_grid
-from .linalg import char_roots, orthonormal_rows, solve
+from .frames import _line_screen_candidates, build_screen
+from .hypersurface import _inertia, _pullback, parameter_grid
+from .linalg import char_roots, jacobi_eigh, orthonormal_rows, solve
 
 DEFAULT_STEP = 1e-4
 
@@ -72,30 +81,50 @@ class IsotropicCongruence:
     def validate(self, u, model: Optional[AmbientModel] = None, tol: float = 1e-10):
         if model is None:
             model = AmbientModel.standard(self.n)
-        a0, a1 = self.line_at(u)
-        scale2 = max(float(a0 @ a0), float(a1 @ a1))
-        checks = {
-            "base_on_quadric": abs(model.quadratic(a0)) / scale2,
-            "direction_on_quadric": abs(model.quadratic(a1)) / scale2,
-            "conjugate": abs(model.product(a0, a1)) / scale2,
-        }
-        bad = {k: v for k, v in checks.items() if v > tol}
-        if bad:
-            raise GeometryError(f"not an isotropic line at u={np.asarray(u).tolist()}: {bad}")
-        return checks
+        return _line_checks(u, *self.line_at(u), model, tol)
+
+
+def _line_checks(u, a0: np.ndarray, a1: np.ndarray, model: AmbientModel,
+                 tol: float = 1e-10) -> dict:
+    """Relative quadric and conjugacy residuals of the line (A_0, A_1) at u;
+    raises GeometryError where one exceeds tol or the line is not finite."""
+    if not (np.isfinite(a0).all() and np.isfinite(a1).all()):
+        raise GeometryError(f"not an isotropic line at u={np.asarray(u).tolist()}: "
+                            "non-finite coordinates")
+    g = model.form.gram
+    scale2 = max(float(a0 @ a0), float(a1 @ a1))
+    checks = {
+        "base_on_quadric": abs(float(a0 @ g @ a0)) / scale2,
+        "direction_on_quadric": abs(float(a1 @ g @ a1)) / scale2,
+        "conjugate": abs(float(a0 @ g @ a1)) / scale2,
+    }
+    bad = {k: v for k, v in checks.items() if v > tol}
+    if bad:
+        raise GeometryError(f"not an isotropic line at u={np.asarray(u).tolist()}: {bad}")
+    return checks
 
 
 @dataclass(frozen=True)
 class CongruenceAnalysis:
-    """Shape operator of a congruence at one line, not necessarily symmetric."""
+    """Shape operator of a congruence at one line, not necessarily symmetric.
+
+    ``line`` is the pair (A_0, A_1) at u and ``screen`` the (n-2, n+2) rows
+    e_i, orthonormal under the ambient form and orthogonal to the line, on
+    which the operator's coordinates are read.  ``transversal_form`` holds
+    omega_0^n = -<d_a A_0, A_1> per parameter direction a.  ``diagnostics``
+    holds the largest |<dA_0, A_0>| ("w0np1") and |<dA_1, A_1>| ("w1n"),
+    both zero for null A_0 and A_1, and the largest |<dA_0, A_1> +
+    <dA_1, A_0>| ("transversal_consistency"), zero since <A_0, A_1> = 0.
+    """
 
     u: np.ndarray
     shape_operator: np.ndarray
     transversal_shift: np.ndarray
     symmetry_defect: float
     roots: tuple
-    frame: ConformalFrame
-    transversal_form: np.ndarray  # coefficients of omega_0^n per direction
+    line: tuple
+    screen: np.ndarray
+    transversal_form: np.ndarray
     diagnostics: dict = field(default_factory=dict)
 
     @property
@@ -116,41 +145,44 @@ def _line_differentials(cong: IsotropicCongruence, u: np.ndarray, directions, st
     return da0, da1
 
 
+def _dependent(u: np.ndarray) -> DegenerateBasisError:
+    return DegenerateBasisError(
+        f"basis forms are dependent at u={u.tolist()}; "
+        "the family is not a congruence there"
+    )
+
+
 def _line_jet(cong: IsotropicCongruence, u: np.ndarray, model: AmbientModel, step: float):
-    """Validated frame of the line at u, the frame components of dA_0 across
-    the parameter directions, and dA_1 from the same difference stencil."""
-    cong.validate(u, model=model)
+    """Validated line (A_0, A_1) at u with dA_0 and dA_1 across the parameter
+    directions.  The basis forms are the components of dA_0 off the line, so
+    the rows of dA_0 must be independent modulo span(A_0, A_1): otherwise the
+    family is not a congruence at u."""
     a0, a1 = cong.line_at(u)
-    frame = complete_isotropic_frame(a0, a1, model)
+    _line_checks(u, a0, a1, model)
     da0, da1 = _line_differentials(cong, u, np.eye(cong.params), step)
-    comp0 = frame.components(da0)
-    return frame, comp0, da1
+    if not (np.isfinite(da0).all() and np.isfinite(da1).all()):
+        raise GeometryError(f"non-finite line differentials at u={u.tolist()}")
+    if orthonormal_rows(np.vstack([a0, a1, da0])).shape[0] < cong.params + 2:
+        raise _dependent(u)
+    return a0, a1, da0, da1
 
 
-def _solve_basis_forms(comp0: np.ndarray, rhs, u: np.ndarray, n: int) -> np.ndarray:
-    """Solve the basis-form matrix, the screen and transversal components of
-    dA_0, against rhs; it is singular where the family is not a congruence."""
-    basis = np.hstack([comp0[:, 2:n], comp0[:, n][:, None]])
-    try:
-        return solve(basis, rhs)
-    except DegenerateBasisError as exc:
-        raise DegenerateBasisError(
-            f"basis forms are dependent at u={u.tolist()}; "
-            "the family is not a congruence there"
-        ) from exc
+def _transversal(da0: np.ndarray, a1: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """omega_0^n = -<dA_0, A_1> per parameter direction."""
+    return -(da0 @ (gram @ a1))
 
 
 def transversal_form(cong: IsotropicCongruence, u, model: Optional[AmbientModel] = None,
                      step: float = DEFAULT_STEP) -> np.ndarray:
-    """Coefficients of the transversal form omega_0^n per parameter direction
-    at u, with every check ``congruence_affinor`` makes on the way to it, but
-    without the shape operator and its roots."""
+    """Coefficients of the transversal form omega_0^n = -<d_a A_0, A_1> per
+    parameter direction a at u, with the checks ``congruence_affinor`` makes
+    before its shape operator (a valid isotropic line, independent basis
+    forms), so both raise the same error at the same points."""
     if model is None:
         model = AmbientModel.standard(cong.n)
     u = np.asarray(u, dtype=float)
-    _, comp0, _ = _line_jet(cong, u, model, step)
-    _solve_basis_forms(comp0, np.zeros(cong.params), u, cong.n)
-    return comp0[:, cong.n]
+    _, a1, da0, _ = _line_jet(cong, u, model, step)
+    return _transversal(da0, a1, model.form.gram)
 
 
 def congruence_affinor(
@@ -161,27 +193,35 @@ def congruence_affinor(
 ) -> CongruenceAnalysis:
     """Shape operator and transversal shift of the congruence at u.
 
-    The screen and transversal components of the differentials of A_0 across
-    the n-1 parameter directions form the basis-form matrix; expressing the
-    screen components of dA_1 in that basis yields the operator.  A singular
-    basis-form matrix means the family is not a congruence at u.
+    The screen components <d_a A_0, e_i> and the transversal form
+    -<d_a A_0, A_1> across the n-1 parameter directions form the basis-form
+    matrix; solving it against the screen components <d_a A_1, e_i> yields
+    the operator and the transversal shift.  Dependent basis forms mean the
+    family is not a congruence at u.
     """
     if model is None:
         model = AmbientModel.standard(cong.n)
     u = np.asarray(u, dtype=float)
-    frame, comp0, da1 = _line_jet(cong, u, model, step)
+    a0, a1, da0, da1 = _line_jet(cong, u, model, step)
 
     n = cong.n
-    comp1 = frame.components(da1)
-    e_form = comp0[:, n]
-    dd = comp1[:, 2:n]
+    gram = model.form.gram
+    screen = build_screen(_line_screen_candidates(a0, a1, model), model, count=n - 2)
+    paired = np.vstack([screen, a0, a1]) @ gram
+    c0 = da0 @ paired.T
+    c1 = da1 @ paired.T
+    # the same expression as transversal_form, so both give the same bits
+    e_form = _transversal(da0, a1, gram)
     diagnostics = {
-        "w0np1": float(np.abs(comp0[:, n + 1]).max()),
-        "w1n": float(np.abs(comp1[:, n]).max()),
-        "transversal_consistency": float(np.abs(comp1[:, n + 1] + e_form).max()),
+        "w0np1": float(np.abs(c0[:, n - 2]).max()),
+        "w1n": float(np.abs(c1[:, n - 1]).max()),
+        "transversal_consistency": float(np.abs(c1[:, n - 2] - e_form).max()),
     }
 
-    unknowns = _solve_basis_forms(comp0, dd, u, n)
+    try:
+        unknowns = solve(np.hstack([c0[:, : n - 2], e_form[:, None]]), c1[:, : n - 2])
+    except DegenerateBasisError as exc:
+        raise _dependent(u) from exc
     lam = unknowns[: n - 2].T
     shift = unknowns[n - 2]
     defect = float(np.abs(lam - lam.T).max()) if lam.size else 0.0
@@ -192,7 +232,8 @@ def congruence_affinor(
         transversal_shift=shift,
         symmetry_defect=defect,
         roots=roots,
-        frame=frame,
+        line=(a0, a1),
+        screen=screen,
         transversal_form=e_form,
         diagnostics=diagnostics,
     )
@@ -213,8 +254,8 @@ def congruence_singular_points(an: CongruenceAnalysis) -> list:
     for root in an.roots:
         point = None
         if root.is_real:
-            coords = an.frame.vector(1) + root.real_value * an.frame.vector(0)
-            point = ProjectivePoint(coords)
+            a0, a1 = an.line
+            point = ProjectivePoint(a1 + root.real_value * a0)
         out.append(
             CongruenceSingularPoint(
                 x=root.value,
@@ -298,8 +339,9 @@ def stratify(
     integrator stage (classical fourth-order stepping).  The leaf is sampled
     on a lattice of kernel directions: a spine along the first direction and,
     for higher screen dimension, transversal runs from every spine point.
-    The swept point set is classified against the lightlike criterion and
-    the surviving fraction reported.  Only the seed gets the full shape
+    The swept point set is classified against the lightlike criterion, all
+    its induced metrics in one stacked Jacobi pass, and the surviving
+    fraction reported.  Only the seed gets the full shape
     operator, whose symmetry defect decides integrability; every other point
     evaluates just the transversal form, once per distinct point.
     """
@@ -368,23 +410,26 @@ def stratify(
     # classify the swept point set: at each lattice point, the leaf's tangent
     # directions are the kernel of the transversal form, so the swept
     # hypersurface tangent space is spanned by the corresponding directional
-    # derivatives of X(s) = A_0 + s A_1 together with the line direction A_1
-    good = 0
-    total = 0
+    # derivatives of X(s) = A_0 + s A_1 together with the line direction A_1;
+    # all induced metrics go through one stacked Jacobi pass
+    samples = np.asarray(line_samples, dtype=float)[:, None, None]
+    tangents = []
     for p, (_, a1_p) in zip(lattice, lines):
         try:
             basis_p = _transversal_kernel_basis(form_at(p))
         except GeometryError:
             continue
         deriv0, deriv1 = _line_differentials(cong, p, basis_p, step)
-        for s in line_samples:
-            tangent = [d0 + s * d1 for d0, d1 in zip(deriv0, deriv1)]
-            tangent.append(a1_p)
-            m = _pullback(np.vstack(tangent).T, model.form.gram)
-            causal = causal_type_of_metric(m, tol=1e-4)
-            total += 1
-            if causal.kind == LIGHTLIKE:
-                good += 1
+        swept = deriv0 + samples * deriv1
+        line_dir = np.broadcast_to(a1_p, (len(samples), 1, len(a1_p)))
+        tangents.append(np.concatenate([swept, line_dir], axis=1))
+    good = total = 0
+    if tangents:
+        tangents = np.concatenate(tangents)
+        w, _ = jacobi_eigh(_pullback(np.swapaxes(tangents, 1, 2), model.form.gram))
+        _, minus, zero = _inertia(w, 1e-4)
+        total = len(w)
+        good = int(((minus == 0) & (zero == 1)).sum())
     fraction = good / total if total else 0.0
     return LeafTrace(
         seed=tuple(float(x) for x in seed),

@@ -268,12 +268,19 @@ def complete_isotropic_frame(a0, a1, model: AmbientModel) -> ConformalFrame:
     if abs(model.product(a0, a1)) > 1e-8 * scale2:
         raise DegenerateBasisError("line vectors are not conjugate (line is not on the quadric)")
 
+    return _null_frame(a0, a1, _line_screen_candidates(a0, a1, model), model, scale2,
+                       "completion")
+
+
+def _line_screen_candidates(a0, a1, model: AmbientModel):
+    """Screen candidates along the line (A_0, A_1): the lifted spatial
+    directions of ``_chart_screen_candidates`` where the line meets the finite
+    chart, else the orthogonal complement of the line."""
     candidates = _chart_screen_candidates(a0, a1, model)
     if candidates is None:
         g = model.form.gram
-        conditions = np.vstack([g @ a0, g @ a1])
-        candidates = list(nullspace(conditions, tol=1e-10).T)
-    return _null_frame(a0, a1, candidates, model, scale2, "completion")
+        candidates = list(nullspace(np.vstack([g @ a0, g @ a1]), tol=1e-10).T)
+    return candidates
 
 
 def _chart_screen_candidates(a0, a1, model: AmbientModel):

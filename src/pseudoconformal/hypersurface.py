@@ -180,6 +180,15 @@ def _causal_kind(plus: int, minus: int, zero: int) -> str:
     return DEGENERATE
 
 
+def _inertia(w: np.ndarray, tol: float) -> tuple:
+    """(plus, minus, zero) counts of eigenvalues w (last axis) beyond
+    tol times their spectral radius; one count per row of a stack."""
+    radius = np.maximum(np.abs(w).max(axis=-1, keepdims=True), 1e-300)
+    plus = (w > tol * radius).sum(axis=-1)
+    minus = (w < -tol * radius).sum(axis=-1)
+    return plus, minus, w.shape[-1] - plus - minus
+
+
 def causal_type_of_spectrum(w, tol: float) -> CausalType:
     """Classify an induced metric by the inertia of its eigenvalues w."""
     radius = max(float(np.abs(w).max()), 1e-300)
@@ -336,12 +345,9 @@ def survey(imm: Immersion, grid_counts: Sequence[int], tol: Optional[float] = No
     w, _ = _stacked_spectra(jets, gram, grid, failures)
     live = np.array([i for i in range(len(indices)) if i not in failures], dtype=int)
     w = w[live]
+    plus, minus, zero = _inertia(w, tol)
     abs_w = np.abs(w)
-    radius = np.maximum(abs_w.max(axis=1), 1e-300)
-    plus = (w > (tol * radius)[:, None]).sum(axis=1)
-    minus = (w < (-tol * radius)[:, None]).sum(axis=1)
-    zero = imm.params - plus - minus
-    ratio = abs_w.min(axis=1) / radius
+    ratio = abs_w.min(axis=1) / np.maximum(abs_w.max(axis=1), 1e-300)
 
     codes = np.full(len(indices), -1)
     grid_points = []

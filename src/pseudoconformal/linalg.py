@@ -508,12 +508,22 @@ def orthonormal_rows(vectors, tol: float = 1e-12):
 
 
 def max_principal_angle(span_a, span_b) -> float:
-    """Largest principal angle between two equal-dimensional row spans."""
+    """Largest principal angle between two equal-dimensional row spans.
+
+    The residual r of span_a off span_b has the sines of the principal
+    angles as singular values.  Along the top eigenvector v of r r^T the unit
+    combination v^T q_a splits into its part v^T p q_b in span_b and v^T r
+    off it, and the angle is atan2(|v^T r|, |v^T p|).  Taking the sine keeps
+    small angles to rounding; the arccosine of a cosine near 1 cannot
+    resolve angles below about 1.5e-8.
+    """
     qa = orthonormal_rows(span_a)
     qb = orthonormal_rows(span_b)
     if qa.shape[0] != qb.shape[0]:
         return math.pi / 2.0
     p = qa @ qb.T
-    w, _ = jacobi_eigh(p @ p.T)
-    smallest = min(max(float(w.min()), 0.0), 1.0)
-    return math.acos(math.sqrt(smallest))
+    r = qa - p @ qb
+    w, v = jacobi_eigh(r @ r.T)
+    top = v[:, int(np.argmax(w))]
+    off, on = top @ r, top @ p
+    return math.atan2(math.sqrt(float(off @ off)), math.sqrt(float(on @ on)))

@@ -9,7 +9,7 @@ characteristic-root route is a genuine two-sided check.
 import numpy as np
 
 from pseudoconformal.conformal import AtInfinity, ProjectivePoint, darboux_unembed
-from pseudoconformal.frames import adapt_lightlike_frame
+from pseudoconformal.frames import adapt_lightlike_frame, complete_isotropic_frame
 from pseudoconformal.lightlike import PointJet, _select_rows
 
 
@@ -116,6 +116,45 @@ def _line_fields_congruence(cong, u, model, step=1e-4):
         da0[a] = (p0 - m0) / (2 * step)
         da1[a] = (p1 - m1) / (2 * step)
     return a0, a1, da0, da1
+
+
+class SingularBasis(Exception):
+    """The oracle's basis-form matrix is numerically singular."""
+
+
+def congruence_reference(cong, u, model, step=1e-4):
+    """Per-point reference for ``congruence_affinor``: a dict with the shape
+    operator, transversal shift, transversal form, the characteristic roots
+    x (det(lam + x I) = 0), unclustered, and the diagnostics, read off the
+    frame coordinates.
+
+    The frame is the library's ``complete_isotropic_frame`` (which raises
+    off the quadric); the frame coordinates of dA_0 and dA_1 come from
+    numpy.linalg.solve against the frame matrix, the basis forms from
+    numpy.linalg.solve (SingularBasis where its condition number exceeds
+    1e12) and the roots from numpy.linalg.eigvals.
+    """
+    n = model.n
+    a0, a1, da0, da1 = _line_fields_congruence(cong, u, model, step)
+    frame = complete_isotropic_frame(a0, a1, model)
+    comp0 = np.linalg.solve(frame.vectors.T, da0.T).T
+    comp1 = np.linalg.solve(frame.vectors.T, da1.T).T
+    basis = np.hstack([comp0[:, 2:n], comp0[:, n][:, None]])
+    if not np.isfinite(basis).all() or np.linalg.cond(basis) > 1e12:
+        raise SingularBasis(f"singular basis forms at u={list(u)}")
+    unknowns = np.linalg.solve(basis, comp1[:, 2:n])
+    lam = unknowns[: n - 2].T
+    return {
+        "shape_operator": lam,
+        "transversal_shift": unknowns[n - 2],
+        "transversal_form": comp0[:, n],
+        "roots": -np.linalg.eigvals(lam),
+        "diagnostics": {
+            "w0np1": np.abs(comp0[:, n + 1]).max(),
+            "w1n": np.abs(comp1[:, n]).max(),
+            "transversal_consistency": np.abs(comp1[:, n + 1] + comp0[:, n]).max(),
+        },
+    }
 
 
 def generator_rank_scan(obj, u, model, kind="hypersurface", t_range=(-10.0, 10.0),

@@ -213,7 +213,6 @@ class TestSymmetryTolerance:
 
 
 class TestStencilNeighbour:
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_non_finite_neighbour_is_a_point_error(self, tmp_path, capsys):
         # the lower stencil neighbour (0, 0) of the grid point (0, 1e-4) is the
         # cone vertex, where the jacobian is not finite
@@ -228,6 +227,9 @@ class TestStencilNeighbour:
                                    "message": "non-finite jacobian at u=[0.0, 0.0]"}]
         assert {tuple(s["u"]) for s in data["focal_samples"]} == {
             (0.0, 1.0), (1.0, 1e-4), (1.0, 1.0)}
+        # the vertex jacobian is flagged without numpy printing a warning
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("lightlike pipeline on light_cone:")
 
 
 class TestDeterminism:

@@ -4,17 +4,20 @@ import pytest
 from pseudoconformal import catalog
 from pseudoconformal.congruence import (
     IsotropicCongruence,
+    _line_differentials,
+    _transversal_kernel_basis,
     congruence_affinor,
     congruence_singular_points,
     integrability_defect,
     stratify,
     transversal_form,
 )
-from pseudoconformal.conformal import AtInfinity, darboux_unembed
+from pseudoconformal.conformal import AmbientModel, AtInfinity, darboux_unembed
 from pseudoconformal.errors import GeometryError, NonIntegrableError
-from pseudoconformal.hypersurface import parameter_grid
+from pseudoconformal.hypersurface import LIGHTLIKE, causal_type_of_metric, parameter_grid
+from pseudoconformal.linalg import REAL_ROOT_TOL
 
-from _oracles import generator_rank_scan
+from _oracles import SingularBasis, congruence_reference, generator_rank_scan
 
 
 class TestValidation:
@@ -37,6 +40,23 @@ class TestValidation:
         )
         with pytest.raises(GeometryError):
             cong.validate(np.zeros(2), model=model3)
+
+
+    @pytest.mark.parametrize("nan_from,message", [
+        (0.5, "not an isotropic line at u=\\[0.6, 0.1\\]: non-finite coordinates"),
+        (0.60005, "non-finite line differentials at u=\\[0.6, 0.1\\]"),
+    ])
+    def test_non_finite_line_rejected(self, model3, nan_from, message):
+        # the base point goes non-finite from u0 = nan_from on: at the point
+        # itself, or only at its upper stencil neighbour u0 + 1e-4
+        cong = IsotropicCongruence.from_null_lines(
+            3, ((-1.0, 1.0), (-1.0, 1.0)),
+            base_point=lambda u: np.array([u[0], u[1], 0.0 if u[0] < nan_from else np.nan]),
+            direction=lambda u: np.array([1.0, 0.0, 1.0]),
+        )
+        for fn in (transversal_form, congruence_affinor):
+            with pytest.raises(GeometryError, match=message):
+                fn(cong, np.array([0.6, 0.1]), model=model3)
 
 
 class TestParallelCongruence:
@@ -212,6 +232,26 @@ class TestStratify:
         interior = stratify(cong, np.array([0.0, 0.0]), model=model3,
                             step=1e-2, count=20)
         assert not interior.truncated
+
+    def test_leaf_classification_matches_per_metric_loop(self, model3):
+        # s = -1 puts X(s) = A_0 + s A_1 on the cone vertex, where the swept
+        # metric degenerates beyond lightlike: a third of the samples fail
+        cong = catalog.build("cone_normal_congruence")
+        samples = (-1.0, 0.0, 0.5)
+        leaf = stratify(cong, np.array([0.0, -0.2]), model=model3, count=10,
+                        line_samples=samples)
+        kinds = []
+        for p, (_, a1) in zip(leaf.parameters, leaf.lines):
+            p = np.array(p)
+            basis = _transversal_kernel_basis(transversal_form(cong, p, model=model3))
+            d0, d1 = _line_differentials(cong, p, basis, leaf.step)
+            for s in samples:
+                tangent = np.vstack([d0 + s * d1, a1])
+                kinds.append(causal_type_of_metric(tangent @ model3.form.gram @ tangent.T,
+                                                   tol=1e-4).kind)
+        assert len(kinds) == 3 * len(leaf.parameters)
+        assert leaf.lightlike_fraction == kinds.count(LIGHTLIKE) / len(kinds)
+        assert 0.6 < leaf.lightlike_fraction < 0.7
 
     def test_higher_dimensional_leaf(self, model4):
         cong = catalog.build("cone_normal_congruence", n=4)
@@ -397,3 +437,52 @@ class TestTransversalFormEquivalence:
         assert all(a.tobytes() == b.tobytes() for la, lb in zip(leaf.lines, uncached.lines)
                    for a, b in zip(la, lb))
         assert len(leaf.lines) == len(uncached.lines) == 81
+
+
+def _close(value, reference, rel=1e-12):
+    value, reference = np.asarray(value), np.asarray(reference)
+    return value.shape == reference.shape and bool(
+        (np.abs(value - reference) <= rel * (1.0 + np.abs(reference))).all())
+
+
+class TestCongruenceOracle:
+    """The pairing formulas of ``congruence_affinor`` against full frame
+    coordinates from numpy.linalg (``_oracles.congruence_reference``)."""
+
+    @pytest.mark.parametrize("name", sorted(set(CONGRUENCES) - {"fold", "tilting"}))
+    def test_operator_and_roots_match_reference(self, name):
+        cong = CONGRUENCES[name]()
+        model = AmbientModel.standard(cong.n)
+        for u in parameter_grid(cong, [3] * cong.params)[1]:
+            an = congruence_affinor(cong, u, model=model)
+            ref = congruence_reference(cong, u, model)
+            assert _close(an.shape_operator, ref["shape_operator"])
+            assert _close(an.transversal_shift, ref["transversal_shift"])
+            assert _close(an.transversal_form, ref["transversal_form"])
+            assert an.diagnostics.keys() == ref["diagnostics"].keys()
+            for key, value in ref["diagnostics"].items():
+                assert _close(an.diagnostics[key], value)
+
+            expected = ref["roots"]
+            is_real = np.abs(expected.imag) < REAL_ROOT_TOL * (1.0 + np.abs(expected.real))
+            assert sum(r.multiplicity for r in an.roots) == len(expected)
+            assert sum(r.multiplicity for r in an.roots if r.is_real) == int(is_real.sum())
+            for r in an.roots:
+                if r.multiplicity == 1:
+                    assert np.abs(expected - r.value).min() < 1e-9
+
+    @pytest.mark.parametrize("name", ["fold", "tilting"])
+    def test_raises_where_reference_basis_is_singular(self, name):
+        cong = CONGRUENCES[name]()
+        model = AmbientModel.standard(cong.n)
+        raised = []
+        for u in parameter_grid(cong, [3] * cong.params)[1]:
+            lib = outcome(congruence_affinor, cong, u, model=model)
+            ref = outcome(congruence_reference, cong, u, model)
+            assert isinstance(lib, tuple) == isinstance(ref, tuple)
+            if isinstance(lib, tuple):
+                assert issubclass(lib[0], GeometryError)
+                raised.append(ref[0])
+        assert 0 < len(raised) < 3 ** cong.params
+        if name == "fold":
+            assert set(raised) == {SingularBasis}

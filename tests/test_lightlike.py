@@ -270,6 +270,19 @@ class TestSingularPointsSmallCases:
         assert pts[0].point == ProjectivePoint(frame.vector(1))
 
 
+def _rescaled(imm, s):
+    """The immersion u -> imm(s u) on the domain divided by s."""
+    return Immersion(
+        n=imm.n,
+        domain=tuple((lo / s, hi / s) for lo, hi in imm.domain),
+        value=lambda u: imm.value(s * u),
+        jacobian=None if imm.jacobian is None else (lambda u: s * imm.jacobian(s * u)),
+        hessian=None if imm.hessian is None else (lambda u: s * s * imm.hessian(s * u)),
+        homogeneous=imm.homogeneous,
+        name=imm.name,
+    )
+
+
 class TestDegeneracy:
     def test_null_hyperplane_tangent_plane_constant(self, model3):
         imm = catalog.build("null_hyperplane")
@@ -294,6 +307,18 @@ class TestDegeneracy:
         report = degeneracy_check(imm, an, model=model4, arc=0.1)
         assert report.max_angle < 1e-6
         assert report.tangent_rank == 2
+
+    @pytest.mark.parametrize("scale", [0.1, 1.0, 10.0])
+    @pytest.mark.parametrize("name", catalog.lightlike_entries())
+    def test_rank_survives_rescaled_parameters(self, name, scale):
+        # u -> scale * u slows or speeds every parameter direction alike; the
+        # kernel direction's rate must still read as zero next to the others
+        imm = _rescaled(catalog.build(name), scale)
+        model = AmbientModel.standard(imm.n)
+        u = np.array([lo + 0.55 * (hi - lo) for lo, hi in imm.domain])
+        report = degeneracy_check(imm, lightlike_affinor(imm, u, model=model), model=model,
+                                  arc=0.1 / scale)
+        assert report.tangent_rank == imm.n - 2
 
     def test_spacelike_input_rejected(self, model3):
         imm = catalog.build("spacelike_hypersphere")
