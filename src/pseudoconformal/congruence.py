@@ -16,9 +16,9 @@ coordinate the operator needs is a pairing: in the frame
 (A_0, A_1, e_2..e_{n-1}, A_n, A_{n+1}) a vector v has the coefficient
 -<v, A_1> on A_n, -<v, A_0> on A_{n+1} and <v, e_i> on the screen vector e_i
 (Akivis & Goldberg, *Conformal Differential Geometry and Its
-Generalizations*, 1996).  The transversal form is therefore
-omega_0^n = -<dA_0, A_1>, which needs no screen, and only the shape operator
-builds the screen e_i.
+Generalizations*, 1996; ``frames.null_frame_coordinates``).  The transversal
+form is therefore omega_0^n = -<dA_0, A_1>, which needs no screen, and only
+the shape operator builds the screen e_i.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 
 from .conformal import AmbientModel, ProjectivePoint, lift_point, lift_tangent
 from .errors import DegenerateBasisError, GeometryError, NonIntegrableError
-from .frames import _line_screen_candidates, build_screen
+from .frames import _line_screen_candidates, build_screen, null_frame_coordinates
 from .hypersurface import _inertia, _pullback, parameter_grid
 from .linalg import char_roots, jacobi_eigh, orthonormal_rows, solve
 
@@ -207,15 +207,14 @@ def congruence_affinor(
     n = cong.n
     gram = model.form.gram
     screen = build_screen(_line_screen_candidates(a0, a1, model), model, count=n - 2)
-    paired = np.vstack([screen, a0, a1]) @ gram
-    c0 = da0 @ paired.T
-    c1 = da1 @ paired.T
+    c0 = null_frame_coordinates(da0, (a0, a1), screen, gram)
+    c1 = null_frame_coordinates(da1, (a0, a1), screen, gram)
     # the same expression as transversal_form, so both give the same bits
     e_form = _transversal(da0, a1, gram)
     diagnostics = {
-        "w0np1": float(np.abs(c0[:, n - 2]).max()),
-        "w1n": float(np.abs(c1[:, n - 1]).max()),
-        "transversal_consistency": float(np.abs(c1[:, n - 2] - e_form).max()),
+        "w0np1": float(np.abs(c0[:, n - 1]).max()),
+        "w1n": float(np.abs(c1[:, n - 2]).max()),
+        "transversal_consistency": float(np.abs(c1[:, n - 1] + e_form).max()),
     }
 
     try:

@@ -26,7 +26,7 @@ import numpy as np
 from .conformal import AmbientModel
 from .errors import DegenerateBasisError, NotLightlikeError, NotOnQuadricError
 from .hypersurface import LIGHTLIKE, _pullback, causal_type_of_spectrum
-from .linalg import inverse, jacobi_eigh, nullspace, solve, solve_particular
+from .linalg import inverse, jacobi_eigh, nullspace
 
 #: Gram residual every adapted frame must meet
 ADAPT_TOL = 1e-10
@@ -100,12 +100,6 @@ class ConformalFrame:
     def gram_residual(self) -> float:
         return float(np.abs(self.gram() - self.target_gram).max())
 
-    def components(self, vectors) -> np.ndarray:
-        """Coefficients of a vector, or of each row of a (k, n+2) stack, in
-        this frame basis; a stack takes one elimination for all its rows."""
-        v = np.asarray(vectors, dtype=float)
-        return np.ascontiguousarray(solve(self.vectors.T, v.T).T)
-
     def to_json(self) -> str:
         return json.dumps(
             {
@@ -136,18 +130,15 @@ def _generator_sign_fix(v: np.ndarray, n: int) -> np.ndarray:
     return np.where(key < 0, -v, v)
 
 
-def build_screen(candidates, model: AmbientModel, count: int, tol: float = 1e-8):
-    """Orthonormalize candidate vectors under the ambient form into ``count``
-    unit spacelike screen vectors, pivoting toward large remaining norms.
-
-    Candidates whose residual norm collapses (null directions left over from
-    the radical of the candidate span) are discarded.
-    """
+def _banded_orthonormal(candidates, product, count: int, tol: float) -> list:
+    """Up to ``count`` vectors orthonormal under ``product``, by pivoted
+    Gram-Schmidt on the candidates; stops once every remaining norm is below
+    tol times the candidates' scale."""
     remaining = [np.asarray(c, dtype=float).copy() for c in candidates]
     scale = max(float(np.abs(np.asarray(remaining)).max()), 1e-300)
-    screen = []
-    while remaining and len(screen) < count:
-        norms = [model.product(r, r) for r in remaining]
+    basis = []
+    while remaining and len(basis) < count:
+        norms = [product(r, r) for r in remaining]
         best = max(norms)
         if best <= (tol * scale) ** 2:
             break
@@ -156,8 +147,19 @@ def build_screen(candidates, model: AmbientModel, count: int, tol: float = 1e-8)
         # pivot flip between neighboring evaluation points
         i = next(k for k, nm in enumerate(norms) if nm >= 0.9 * best)
         s = remaining.pop(i) / math.sqrt(norms[i])
-        screen.append(_sign_fix(s))
-        remaining = [r - model.product(r, s) * s for r in remaining]
+        basis.append(_sign_fix(s))
+        remaining = [r - product(r, s) * s for r in remaining]
+    return basis
+
+
+def build_screen(candidates, model: AmbientModel, count: int, tol: float = 1e-8):
+    """Orthonormalize candidate vectors under the ambient form into ``count``
+    unit spacelike screen vectors, pivoting toward large remaining norms.
+
+    Candidates whose residual norm collapses (null directions left over from
+    the radical of the candidate span) are discarded.
+    """
+    screen = _banded_orthonormal(candidates, model.product, count, tol)
     if len(screen) < count:
         raise DegenerateBasisError(
             f"could not extract {count} spacelike screen vectors "
@@ -166,61 +168,63 @@ def build_screen(candidates, model: AmbientModel, count: int, tol: float = 1e-8)
     return np.array(screen)
 
 
-def _null_partner(constraints_vectors, pairing_vector, model: AmbientModel):
-    """Solve for a null vector orthogonal to each of ``constraints_vectors``
-    and pairing to -1 with ``pairing_vector``.
+def null_frame_coordinates(vectors, line, screen, gram) -> np.ndarray:
+    """Coordinates of each row of ``vectors`` on e_2..e_{n-1}, A_n, A_{n+1}
+    of the null-adapted frame on the line ``(A_0, A_1)`` and the screen rows
+    e_i, with no frame built.  The frame's Gram is ``lightlike_gram``, so
+    they are the pairings <v, e_i>, -<v, A_1> and -<v, A_0> (columns 0..n-3,
+    n-2 and n-1), whatever partners A_n, A_{n+1} complete the frame.
+    """
+    a0, a1 = line
+    k = len(screen)
+    paired = vectors @ (np.vstack([screen, a0, a1]) @ gram).T
+    return np.hstack([paired[:, :k], -paired[:, k + 1 :], -paired[:, k : k + 1]])
 
-    The linear conditions leave an affine line directed along the (null)
-    pairing vector; the quadratic condition fixes the offset on that line.
+
+def _null_frame(a0, a1, screen, model: AmbientModel, scale2: float,
+                action: str) -> ConformalFrame:
+    """Frame (A_0, A_1, screen, A_n, A_{n+1}) with the partners in closed
+    form, an explicit gauge that is smooth wherever the line and screen are:
+    P y = y - sum_i <y, e_i> e_i projects off the screen, and x_n and x_{n+1}
+    are the combinations of P G A_0 and P G A_1 pairing with (A_0, A_1) to
+    (0, -1) and (-1, 0): a 2 x 2 inverse of (up to the screen residuals) the
+    positive definite Euclidean Gram of G A_0 and G A_1.  Then
+    A_n = x_n + <x_n, x_n>/2 A_1 and A_{n+1} = x_{n+1} + <x_{n+1}, x_{n+1}>/2 A_0
+    are null, and adding <A_{n+1}, A_n> A_1 to A_{n+1} makes them orthogonal.
     """
     g = model.form.gram
-    rows = [g @ np.asarray(c, dtype=float) for c in constraints_vectors]
-    rows.append(g @ np.asarray(pairing_vector, dtype=float))
-    rhs = np.zeros(len(rows))
-    rhs[-1] = -1.0
-    w = solve_particular(np.array(rows), rhs)
-    w = w + 0.5 * model.product(w, w) * np.asarray(pairing_vector, dtype=float)
-    return w
-
-
-def _null_frame(a0, a1, candidates, model: AmbientModel, scale2: float,
-                action: str) -> ConformalFrame:
-    """Frame on the null pair (A_0, A_1) with a screen from the candidates
-    and the partners A_n, A_{n+1}; its Gram residual must meet ADAPT_TOL."""
-    n = model.n
-    screen = build_screen(candidates, model, count=n - 2)
-    a_n = _null_partner([a0, *screen], a1, model)
-    a_np1 = _null_partner([a1, *screen, a_n], a0, model)
+    line = np.vstack([a0, a1])
+    y = line @ g
+    y = y - (y @ g @ screen.T) @ screen
+    m = line @ g @ y.T
+    # columns m^{-1} (0, -1) and m^{-1} (-1, 0): the combinations giving x_n, x_{n+1}
+    c = np.array([[m[0, 1], -m[1, 1]], [-m[0, 0], m[1, 0]]]) / (
+        m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
+    x_n, x_np1 = c.T @ y
+    a_n = x_n + 0.5 * float(x_n @ g @ x_n) * a1
+    a_np1 = x_np1 + 0.5 * float(x_np1 @ g @ x_np1) * a0
+    a_np1 = a_np1 + float(a_np1 @ g @ a_n) * a1
     vectors = np.vstack([a0, a1, screen, a_n, a_np1])
-    frame = ConformalFrame(vectors=vectors, target_gram=lightlike_gram(n), model=model)
-    residual = frame.gram_residual()
+    _check_gram(vectors, model, scale2, action)
+    return ConformalFrame(vectors=vectors, target_gram=lightlike_gram(model.n), model=model)
+
+
+def _check_gram(rows, model: AmbientModel, scale2: float, action: str):
+    """Raise unless the Gram of the leading rows of a null-adapted frame is
+    within ADAPT_TOL max(1, scale2) of its target."""
+    k = len(rows)
+    target = lightlike_gram(model.n)[:k, :k]
+    residual = float(np.abs(rows @ model.form.gram @ rows.T - target).max())
     if residual > ADAPT_TOL * max(1.0, scale2):
-        raise DegenerateBasisError(
-            f"frame {action} failed (gram residual {residual:.3e})"
-        )
-    return frame
+        raise DegenerateBasisError(f"frame {action} failed (gram residual {residual:.3e})")
 
 
-def adapt_lightlike_frame(
-    point,
-    tangent_basis,
-    model: AmbientModel,
-    generator=None,
-    generator_scale: float = 1.0,
-    degenerate_tol: float = 1e-7,
-) -> ConformalFrame:
-    """Null-adapted frame at a point of a lightlike surface on the quadric.
-
-    ``point`` is a homogeneous vector on the quadric, ``tangent_basis`` the
-    n-1 derivative vectors spanning the embedded tangent space.  A_1 is taken
-    along the null direction of the induced form, whose inertia must be
-    (n-2, 0, 1), or along a supplied null ``generator``, whose caller has read
-    that inertia off the same metric (``lightlike._JetStack``).  The screen
-    comes from orthonormalizing the tangent directions, and A_n, A_{n+1}
-    complete the two hyperbolic pairs.  ``degenerate_tol`` is the relative
-    eigenvalue threshold below which the induced form counts as degenerate;
-    widen it for finite-difference jets.
-    """
+def _lightlike_line(point, tangent_basis, model: AmbientModel, generator=None,
+                    generator_scale: float = 1.0, degenerate_tol: float = 1e-7):
+    """The line (A_0, A_1) and screen of ``adapt_lightlike_frame``, with its
+    checks; the Gram block of the rows [A_0; A_1; screen] must meet
+    ADAPT_TOL.  Their pairings give every coordinate the shape operator
+    reads (``null_frame_coordinates``)."""
     a0 = np.asarray(point, dtype=float)
     basis = np.asarray(tangent_basis, dtype=float)
     n = model.n
@@ -246,7 +250,31 @@ def adapt_lightlike_frame(
         if abs(model.quadratic(a1)) > 1e-8 * float(a1 @ a1):
             raise NotLightlikeError("supplied generator direction is not null")
     a1 = _generator_sign_fix(a1 / math.sqrt(float(a1 @ a1)), n) * generator_scale
-    return _null_frame(a0, a1, basis, model, scale2, "adaptation")
+    screen = build_screen(basis, model, count=n - 2)
+    _check_gram(np.vstack([a0, a1, screen]), model, scale2, "adaptation")
+    return a0, a1, screen
+
+
+def adapt_lightlike_frame(point, tangent_basis, model: AmbientModel, generator=None,
+                          generator_scale: float = 1.0,
+                          degenerate_tol: float = 1e-7) -> ConformalFrame:
+    """Null-adapted frame at a point of a lightlike surface on the quadric.
+
+    ``point`` is a homogeneous vector on the quadric, ``tangent_basis`` the
+    n-1 derivative vectors spanning the embedded tangent space.  A_1 is taken
+    along the null direction of the induced form, whose inertia must be
+    (n-2, 0, 1), or along a supplied null ``generator``, whose caller has read
+    that inertia off the same metric.  The screen comes from orthonormalizing
+    the tangent directions (``_lightlike_line``), and A_n, A_{n+1} complete
+    the two hyperbolic pairs in closed form (``_null_frame``).
+    ``degenerate_tol`` is the relative eigenvalue threshold below which the
+    induced form counts as degenerate; widen it for finite-difference jets.
+    The lightlike engine builds no frame; this is for callers that need one,
+    such as connection forms.
+    """
+    a0, a1, screen = _lightlike_line(point, tangent_basis, model, generator,
+                                     generator_scale, degenerate_tol)
+    return _null_frame(a0, a1, screen, model, float(a0 @ a0), "adaptation")
 
 
 def complete_isotropic_frame(a0, a1, model: AmbientModel) -> ConformalFrame:
@@ -268,8 +296,8 @@ def complete_isotropic_frame(a0, a1, model: AmbientModel) -> ConformalFrame:
     if abs(model.product(a0, a1)) > 1e-8 * scale2:
         raise DegenerateBasisError("line vectors are not conjugate (line is not on the quadric)")
 
-    return _null_frame(a0, a1, _line_screen_candidates(a0, a1, model), model, scale2,
-                       "completion")
+    screen = build_screen(_line_screen_candidates(a0, a1, model), model, count=model.n - 2)
+    return _null_frame(a0, a1, screen, model, scale2, "completion")
 
 
 def _line_screen_candidates(a0, a1, model: AmbientModel):

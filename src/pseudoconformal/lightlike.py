@@ -6,6 +6,10 @@ of the differentials of the base point A_0 and the generator point A_1 are
 related by a symmetric shape operator; its characteristic roots locate the
 singular (focal) points X = A_1 + x A_0 of the generator, and the kernel
 directions of simple roots cut out families of developable surfaces.
+
+No frame is built: the Gram of a null-adapted frame is fixed, so every
+coordinate of dA_0 and dA_1 the operator needs is a pairing with the line
+(A_0, A_1) or the screen (``frames.null_frame_coordinates``).
 """
 
 from __future__ import annotations
@@ -27,7 +31,8 @@ from .conformal import (
     lift_tangent,
 )
 from .errors import DegenerateBasisError, GeometryError, NotLightlikeError
-from .frames import ConformalFrame, adapt_lightlike_frame, _generator_sign_fix
+from .frames import (_banded_orthonormal, _generator_sign_fix, _lightlike_line, _null_frame,
+                     null_frame_coordinates)
 from .hypersurface import (LIGHTLIKE, Immersion, _ambient_gram, _pullback, _stacked_spectra,
                            causal_type_of_spectrum, lightlike_kernel, parameter_grid)
 from .linalg import (
@@ -104,6 +109,7 @@ class _JetStack:
     """Jets of an immersion at a stack of parameter points us (N, params),
     each point and Jacobian evaluated once, lifted to the quadric, with every
     induced metric and J^T J eigendecomposed in one stacked Jacobi pass.
+    ``line`` gives a member's line (A_0, A_1) and screen.
 
     ``failures`` maps the index of each member that is not a regular point to
     the exception it raises: the one its jet evaluation raised (a
@@ -142,16 +148,16 @@ class _JetStack:
         """The exception of the first failed member in lo..hi-1, or None."""
         return next((self.failures[k] for k in range(lo, hi) if k in self.failures), None)
 
-    def frame(self, i: int) -> ConformalFrame:
-        """Null-adapted frame at the regular member i, after checking that its
+    def line(self, i: int) -> tuple:
+        """(A_0, A_1, screen) at the regular member i, after checking that its
         induced metric is lightlike."""
         kind = causal_type_of_spectrum(self.w[i], self.imm.lightlike_tol()).kind
         if kind != LIGHTLIKE:
             raise NotLightlikeError(
                 f"hypersurface is {kind} at u={self.us[i].tolist()}, not lightlike")
-        return adapt_lightlike_frame(self.a0[i], self.rows[i], self.model,
-                                     generator=self.generators[i],
-                                     generator_scale=self.generator_scale)
+        return _lightlike_line(self.a0[i], self.rows[i], self.model,
+                               generator=self.generators[i],
+                               generator_scale=self.generator_scale)
 
 
 def lightlike_frame_field(imm: Immersion, model: Optional[AmbientModel] = None,
@@ -159,10 +165,11 @@ def lightlike_frame_field(imm: Immersion, model: Optional[AmbientModel] = None,
     """Smooth field of null-adapted frames over the immersion's parameters.
 
     The gauge is the deterministic one used throughout: raw chart lift for
-    A_0, unit sign-fixed kernel direction for A_1, pivoted screen.  Away from
+    A_0, unit sign-fixed kernel direction for A_1, pivoted screen, and the
+    closed-form partners A_n, A_{n+1} of ``frames._null_frame``.  Away from
     pivot or sign-rule switches the field is differentiable, which is what
-    the connection-form extraction needs.  Each frame is the one
-    ``lightlike_affinor`` builds at that point.
+    the connection-form extraction needs.  The first n rows of each frame
+    are the ``line`` and ``screen`` of ``lightlike_affinor`` there, bit for bit.
     """
     if model is None:
         model = AmbientModel.standard(imm.n)
@@ -172,30 +179,38 @@ def lightlike_frame_field(imm: Immersion, model: Optional[AmbientModel] = None,
         exc = jets.failure(0, 1)
         if exc is not None:
             raise exc
-        return jets.frame(0)
+        a0, a1, screen = jets.line(0)
+        return _null_frame(a0, a1, screen, model, float(a0 @ a0), "adaptation")
 
     return field
 
 
 @dataclass(frozen=True)
 class LightlikeAnalysis:
-    """Shape operator of a lightlike hypersurface point and derived data."""
+    """Shape operator of a lightlike hypersurface point and derived data.
+
+    ``line`` is (A_0, A_1), base point and unit generator, and ``screen`` the
+    (n-2, n+2) rows e_i on which the operator's coordinates are read.  The
+    ``diagnostics`` "w0n", "w0np1", "w1n", "w1np1" are the largest
+    |<dA_0, A_1>|, |<dA_0, A_0>|, |<dA_1, A_1>| and |<dA_1, A_0>|.
+    """
 
     u: np.ndarray
     shape_operator: np.ndarray
     symmetry_defect: float
     determinant: float
     roots: tuple
-    frame: ConformalFrame
+    line: tuple
+    screen: np.ndarray
     diagnostics: dict = field(default_factory=dict)
 
     @property
     def base_point(self) -> np.ndarray:
-        return self.frame.vector(0)
+        return self.line[0]
 
     @property
     def generator_point(self) -> np.ndarray:
-        return self.frame.vector(1)
+        return self.line[1]
 
     @property
     def screen_dim(self) -> int:
@@ -217,20 +232,20 @@ def _select_rows(c: np.ndarray, k: int):
     return list(next(idx for idx, d in zip(subsets, dets) if d >= (1.0 - 1e-12) * best))
 
 
-def _shape_operator(frame: ConformalFrame, da0, da1, n: int, sym_tol: float):
+def _shape_operator(line, screen, gram, da0, da1, n: int, sym_tol: float):
     """Symmetrized shape operator relating the screen components of dA_1 to
-    those of dA_0, from one elimination for both, with its asymmetry and the
-    transversal components of both differentials."""
+    those of dA_0, read as pairings with the line and the screen, with its
+    asymmetry and the transversal components of both differentials."""
     d = len(da0)
-    comp = frame.components(np.vstack([da0, da1]))
+    comp = null_frame_coordinates(np.vstack([da0, da1]), line, screen, gram)
     comp0, comp1 = comp[:d], comp[d:]
-    c = comp0[:, 2:n]
-    dd = comp1[:, 2:n]
+    c = comp0[:, : n - 2]
+    dd = comp1[:, : n - 2]
     diagnostics = {
-        "w0n": float(np.abs(comp0[:, n]).max()),
-        "w0np1": float(np.abs(comp0[:, n + 1]).max()),
-        "w1n": float(np.abs(comp1[:, n]).max()),
-        "w1np1": float(np.abs(comp1[:, n + 1]).max()),
+        "w0n": float(np.abs(comp0[:, n - 2]).max()),
+        "w0np1": float(np.abs(comp0[:, n - 1]).max()),
+        "w1n": float(np.abs(comp1[:, n - 2]).max()),
+        "w1np1": float(np.abs(comp1[:, n - 1]).max()),
     }
     idx = _select_rows(c, n - 2)
     lam = solve(c[idx], dd[idx]).T
@@ -251,11 +266,12 @@ def _affinors(imm: Immersion, us: np.ndarray, model: AmbientModel, step: float,
     The jets of all points and of their 2d central-difference neighbours are
     evaluated once and eigendecomposed in one stacked Jacobi pass (the
     generators of the neighbours give dA_1), and the symmetrized shape
-    operators in a second one.  A stacked member does not depend on the rest
-    of its stack, so a point gets the same bits in any grid.  A point fails
-    with its own jet's failure, then with its lightlike and frame checks,
-    then with the first failure among its neighbours (in the order +e_0,
-    -e_0, +e_1, ...), then with its operator checks.
+    operators in a second one; no frame is built.  A stacked member does not
+    depend on the rest of its stack, so a point gets the same bits in any
+    grid.  A point fails with its own jet's failure, then with its
+    lightlike, line and screen checks, then with the first failure among its
+    neighbours (in the order +e_0, -e_0, +e_1, ...), then with its operator
+    checks.
     """
     if sym_tol is None:
         sym_tol = SYMMETRY_TOL_ANALYTIC if imm.analytic else SYMMETRY_TOL_FD
@@ -275,13 +291,14 @@ def _affinors(imm: Immersion, us: np.ndarray, model: AmbientModel, step: float,
         exc = jets.failure(c, c + 1)
         if exc is None:
             try:
-                frame = jets.frame(c)
+                a0, a1, screen = jets.line(c)
                 exc = jets.failure(c + 1, c + width)
                 if exc is None:
                     g = jets.generators[c + 1 : c + width]
                     da1 = (g[0::2] - g[1::2]) / (2.0 * step)
-                    operator = _shape_operator(frame, jets.rows[c], da1, n, sym_tol)
-                    pending.append((i, frame, *operator))
+                    operator = _shape_operator((a0, a1), screen, model.form.gram, jets.rows[c],
+                                               da1, n, sym_tol)
+                    pending.append((i, (a0, a1), screen, *operator))
             except GeometryError as err:
                 exc = err
         results.append(exc)
@@ -290,15 +307,16 @@ def _affinors(imm: Immersion, us: np.ndarray, model: AmbientModel, step: float,
         # a symmetric operator gets its roots from the Jacobi spectrum, which
         # keeps exact multiplicities real (the general root iteration
         # splinters multiple roots at the cube root of machine precision)
-        eigenvalues, _ = jacobi_eigh(np.array([p[2] for p in pending]))
-        for (i, frame, lam_sym, defect, diagnostics), w in zip(pending, eigenvalues):
+        eigenvalues, _ = jacobi_eigh(np.array([p[3] for p in pending]))
+        for (i, line, screen, lam_sym, defect, diagnostics), w in zip(pending, eigenvalues):
             results[i] = LightlikeAnalysis(
                 u=us[i].copy(),
                 shape_operator=lam_sym,
                 symmetry_defect=defect,
                 determinant=float(det(lam_sym)) if lam_sym.size else 1.0,
                 roots=tuple(cluster_roots([complex(-x) for x in w])),
-                frame=frame,
+                line=line,
+                screen=screen,
                 diagnostics=diagnostics,
             )
     return results
@@ -368,7 +386,9 @@ def torse_directions(an: LightlikeAnalysis) -> list:
     """Per root, the unit screen directions annihilated by (lambda + x I).
 
     Simple roots get a single direction; multiple roots return their whole
-    eigenspace basis with the multiplicity recorded.
+    eigenspace basis, which depends on the eigenspace alone: the rows of its
+    projector V V^T, orthonormalized with the banded pivot of
+    ``build_screen`` (the identity basis for a root of full multiplicity).
     """
     if an.screen_dim == 0:
         return []
@@ -382,6 +402,8 @@ def torse_directions(an: LightlikeAnalysis) -> list:
             order = np.argsort(np.abs(-w - x))
             cols = sorted(int(j) for j in order[: root.multiplicity])
         dirs = v[:, cols].T
+        if root.multiplicity > 1:
+            dirs = np.array(_banded_orthonormal(dirs.T @ dirs, np.dot, root.multiplicity, 1e-8))
         out.append(TorseFamily(root=x, multiplicity=root.multiplicity,
                                directions=dirs))
     return out

@@ -9,7 +9,7 @@ characteristic-root route is a genuine two-sided check.
 import numpy as np
 
 from pseudoconformal.conformal import AtInfinity, ProjectivePoint, darboux_unembed
-from pseudoconformal.frames import adapt_lightlike_frame, complete_isotropic_frame
+from pseudoconformal.frames import _lightlike_line, complete_isotropic_frame, null_frame_coordinates
 from pseudoconformal.lightlike import PointJet, _select_rows
 
 
@@ -70,23 +70,34 @@ def focal_reference(imm, u, model, step=1e-4, cluster_radius=1e-6):
     coordinates.
 
     The generators of u and of its central-difference neighbours are
-    numpy.linalg.eigh kernels, the operator is solved by numpy.linalg.solve
-    and its roots are the negated numpy.linalg.eigvalsh eigenvalues; the
-    frame adaptation, the frame components and the choice of rows are the
-    library's.  Raises whatever the library's frame adaptation raises.
+    numpy.linalg.eigh kernels.  The line (A_0, A_1) and the screen, with
+    their checks, are the library's.  The frame is completed by two
+    numpy.linalg.svd null vectors of [screen G; A_0; A_1] (any completion off
+    the screen gives the same screen coordinates), the coordinates and the
+    operator come from numpy.linalg.solve, and its roots are the negated
+    numpy.linalg.eigvalsh eigenvalues.  The choice of rows is the library's,
+    ``_select_rows`` on the library's pairing coordinates: at symmetric
+    points finite-difference jets tie several row subsets to within the
+    coordinates' own noise (about 1e-11), and the operators of tied subsets
+    differ by the stencil's truncation error, so the row choice is a gauge
+    that both sides must share.  Raises whatever the library's line and
+    screen checks raise.
     """
     n, d = imm.n, imm.params
     jet, g = _eigh_generator(imm, u, model)
-    frame = adapt_lightlike_frame(jet.a0, jet.rows, model, generator=g)
+    a0, a1, screen = _lightlike_line(jet.a0, jet.rows, model, generator=g)
+    lines = np.vstack([screen @ model.form.gram, a0, a1])
+    frame = np.vstack([a0, a1, screen, np.linalg.svd(lines)[2][n:]])
     da1 = np.empty((d, n + 2))
     for a in range(d):
         e = np.zeros(d)
         e[a] = step
         da1[a] = (_eigh_generator(imm, u + e, model)[1]
                   - _eigh_generator(imm, u - e, model)[1]) / (2 * step)
-    c = frame.components(jet.rows)[:, 2:n]
-    dd = frame.components(da1)[:, 2:n]
-    idx = _select_rows(c, n - 2)
+    c = np.linalg.solve(frame.T, jet.rows.T).T[:, 2:n]
+    dd = np.linalg.solve(frame.T, da1.T).T[:, 2:n]
+    paired = null_frame_coordinates(jet.rows, (a0, a1), screen, model.form.gram)
+    idx = _select_rows(paired[:, : n - 2], n - 2)
     lam = np.linalg.solve(c[idx], dd[idx]).T
     roots = []
     for x in np.sort(-np.linalg.eigvalsh(0.5 * (lam + lam.T))):
@@ -97,7 +108,7 @@ def focal_reference(imm, u, model, step=1e-4, cluster_radius=1e-6):
     out = []
     for group in roots:
         x = float(np.mean(group))
-        target = darboux_unembed(ProjectivePoint(frame.vector(1) + x * frame.vector(0)), model)
+        target = darboux_unembed(ProjectivePoint(a1 + x * a0), model)
         out.append((x, len(group),
                     target.point.coords if isinstance(target, AtInfinity) else target))
     return out

@@ -303,8 +303,8 @@ class TestDimensions:
             e[a] = h
             p0, p1 = line(v0 + e)
             m0, m1 = line(v0 - e)
-            c0 = frame.components((p0 - m0) / (2 * h))
-            c1 = frame.components((p1 - m1) / (2 * h))
+            c0 = np.linalg.solve(frame.vectors.T, (p0 - m0) / (2 * h))
+            c1 = np.linalg.solve(frame.vectors.T, (p1 - m1) / (2 * h))
             n = model3.n
             # basis forms at the line: screen and transversal parts of dA_0,
             # screen part of dA_1

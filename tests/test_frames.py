@@ -9,6 +9,7 @@ from pseudoconformal.frames import (
     complete_isotropic_frame,
     connection_forms,
     lightlike_gram,
+    null_frame_coordinates,
     spacelike_gram,
     timelike_gram,
     structure_residual,
@@ -135,18 +136,8 @@ class TestCompleteIsotropicFrame:
         with pytest.raises(DegenerateBasisError):
             complete_isotropic_frame(a, b, model3)
 
-    def test_components_resolves_frame_basis(self, model3):
-        p = np.array([0.0, 0.0, 0.5])
-        l = np.array([0.6, 0.8, 1.0])
-        frame = complete_isotropic_frame(
-            lift_point(p, model3), lift_tangent(p, l, model3), model3
-        )
-        v = 0.3 * frame.vector(0) - 1.2 * frame.vector(3)
-        comp = frame.components(v)
-        assert np.abs(comp - np.array([0.3, 0.0, 0.0, -1.2, 0.0])).max() < 1e-12
 
-
-def component_frame(kind, n):
+def adapted_frame(kind, n):
     """A null-adapted frame from the lightlike adaptation or from the
     isotropic line completion, in dimension n."""
     model = AmbientModel.standard(n)
@@ -158,27 +149,28 @@ def component_frame(kind, n):
     return complete_isotropic_frame(lift_point(p, model), lift_tangent(p, l, model), model)
 
 
-class TestStackedComponents:
-    """A (k, n+2) stack is resolved in one elimination, row for row the
-    same bits as one call per vector."""
+class TestNullFrameCoordinates:
+    """Coordinates read as pairings with the line and the screen are the
+    frame coordinates on e_2..e_{n-1}, A_n, A_{n+1}, with no frame needed."""
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     @pytest.mark.parametrize("kind", ["lightlike", "isotropic"])
-    def test_stack_matches_rows_bit_for_bit(self, kind, n, rng):
-        frame = component_frame(kind, n)
-        for k in range(1, n):
-            stack = rng.normal(size=(k, n + 2))
-            got = frame.components(stack)
-            assert got.shape == (k, n + 2)
-            assert np.array_equal(got, np.array([frame.components(v) for v in stack]))
+    def test_pairings_match_frame_solve(self, kind, n, rng):
+        frame = adapted_frame(kind, n)
+        stack = rng.normal(size=(n, n + 2))
+        got = null_frame_coordinates(stack, (frame.vector(0), frame.vector(1)),
+                                     frame.vectors[2:n], frame.model.form.gram)
+        expected = np.linalg.solve(frame.vectors.T, stack.T).T[:, 2:]
+        assert got.shape == (n, n)
+        assert np.abs(got - expected).max() < 1e-12
 
     @pytest.mark.parametrize("kind", ["lightlike", "isotropic"])
-    def test_vector_gives_vector(self, kind, model3):
-        frame = component_frame(kind, 3)
-        v = 0.3 * frame.vector(0) - 1.2 * frame.vector(3)
-        comp = frame.components(v)
-        assert comp.shape == (5,)
-        assert np.abs(comp - np.array([0.3, 0.0, 0.0, -1.2, 0.0])).max() < 1e-12
+    def test_frame_vectors_resolve(self, kind):
+        frame = adapted_frame(kind, 4)
+        v = 0.3 * frame.vector(0) - 1.2 * frame.vector(4) + 0.7 * frame.vector(3)
+        got = null_frame_coordinates(v[None], (frame.vector(0), frame.vector(1)),
+                                     frame.vectors[2:4], frame.model.form.gram)
+        assert np.abs(got[0] - np.array([0.0, 0.7, -1.2, 0.0])).max() < 1e-12
 
 
 class TestConnectionForms:

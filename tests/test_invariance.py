@@ -1,18 +1,21 @@
-"""Congruences under the conformal group O(n,2).
+"""Lightlike hypersurfaces and congruences under the conformal group O(n,2).
 
 Moving every line of a congruence by one M in O(n,2) is a conformal motion
 of the whole family, so nothing the paper attaches to it may change: a
 normal congruence stays normal, a twisted one stays twisted, the
 characteristic roots keep their real/complex pattern, each real singular
-point X moves to M X, and a normal congruence still stratifies.  M is
-exp(0.3 B) for a seeded B in the Lie algebra of the quadric's form.
+point X moves to M X, and a normal congruence still stratifies.  Moving the
+quadric image of a lightlike hypersurface by M keeps its causal type, its
+failing points and its root multiplicities, and moves each focal point X to
+M X; the characteristic roots themselves are gauge-covariant and may change.
+M is exp(0.3 B) for a seeded B in the Lie algebra of the quadric's form.
 """
 
 import numpy as np
 import pytest
 
 from pseudoconformal import catalog
-from pseudoconformal.conformal import AmbientModel
+from pseudoconformal.conformal import AmbientModel, lift_point, lift_tangent
 from pseudoconformal.congruence import (
     INTEGRABILITY_TOL,
     IsotropicCongruence,
@@ -21,7 +24,8 @@ from pseudoconformal.congruence import (
     integrability_defect,
     stratify,
 )
-from pseudoconformal.hypersurface import parameter_grid
+from pseudoconformal.hypersurface import Immersion, classify_point, parameter_grid
+from pseudoconformal.lightlike import focal_map
 
 from _oracles import expm, quadric_algebra_generator
 
@@ -109,3 +113,43 @@ def test_moved_cone_still_stratifies(n, seed, count):
     # the transversal form -<dA_0, A_1> is itself invariant, so the leaf
     # keeps its parameters
     assert np.abs(np.array(moved_leaf.parameters) - np.array(leaf.parameters)).max() < 1e-7
+
+
+def moved_immersion(imm, m, model):
+    """The homogeneous immersion u -> M A_0(u), with the analytic jet
+    M dA_0(u), of a Lorentzian immersion's quadric image."""
+
+    def value(u):
+        return m @ lift_point(imm.point(u), model)
+
+    def jacobian(u):
+        p, j = imm.point(u), imm.jet1(u)
+        return m @ np.array([lift_tangent(p, j[:, a], model) for a in range(imm.params)]).T
+
+    return Immersion(n=imm.n, domain=imm.domain, value=value, jacobian=jacobian,
+                     homogeneous=True, name=imm.name)
+
+
+@pytest.mark.parametrize("name", catalog.lightlike_entries())
+def test_lightlike_focal_set_is_invariant(name):
+    imm = catalog.build(name)
+    model = AmbientModel.standard(imm.n)
+    m = conformal_motion(model)
+    image = moved_immersion(imm, m, model)
+    counts = [4] * imm.params
+    grid = parameter_grid(imm, counts)[1]
+    assert [classify_point(imm, u).kind for u in grid] == \
+        [classify_point(image, u).kind for u in grid]
+    before = focal_map(imm, counts, model=model)
+    after = focal_map(image, counts, model=model)
+    assert [u for u, _ in before.errors] == [u for u, _ in after.errors]
+    for u in grid:
+        key = tuple(u.tolist())
+        xs = [s for s in before.samples if s.u == key]
+        ys = [s for s in after.samples if s.u == key]
+        # the roots are gauge-covariant, so their order may flip with the
+        # generator's normalization: match each focal point to its image
+        assert sorted(s.multiplicity for s in xs) == sorted(s.multiplicity for s in ys)
+        for s in xs:
+            assert min(projective_distance(t.projective.coords, m @ s.projective.coords)
+                       for t in ys if t.multiplicity == s.multiplicity) < 1e-7

@@ -212,7 +212,7 @@ class TestTorseDirectionsSmallCases:
         roots = tuple(char_roots(lam))
         an = LightlikeAnalysis(
             u=np.zeros(3), shape_operator=lam, symmetry_defect=0.0,
-            determinant=6.0, roots=roots, frame=_any_frame(model4),
+            determinant=6.0, roots=roots, **_any_line(model4),
         )
         fams = torse_directions(an)
         by_root = {round(f.root, 6): f.directions[0] for f in fams}
@@ -227,7 +227,7 @@ class TestTorseDirectionsSmallCases:
         roots = tuple(char_roots(lam))
         an = LightlikeAnalysis(
             u=np.zeros(3), shape_operator=lam, symmetry_defect=0.0,
-            determinant=3.0, roots=roots, frame=_any_frame(model4),
+            determinant=3.0, roots=roots, **_any_line(model4),
         )
         fams = torse_directions(an)
         assert sorted(round(f.root, 6) for f in fams) == [-3.0, -1.0]
@@ -238,17 +238,67 @@ class TestTorseDirectionsSmallCases:
         assert abs(float(d[-1.0] @ d[-3.0])) < 1e-10
 
 
-def _any_frame(model):
-    from pseudoconformal.conformal import lift_point, lift_tangent
+def _analysis(lam):
+    """A LightlikeAnalysis of the shape operator lam, with its roots from the
+    Jacobi spectrum as the engine clusters them."""
+    from pseudoconformal.lightlike import LightlikeAnalysis
+    from pseudoconformal.linalg import cluster_roots, jacobi_eigh
+
+    w, _ = jacobi_eigh(lam)
+    return LightlikeAnalysis(
+        u=np.zeros(lam.shape[0] + 1), shape_operator=lam, symmetry_defect=0.0,
+        determinant=float(np.linalg.det(lam)),
+        roots=tuple(cluster_roots([complex(-x) for x in w])),
+        **_any_line(AmbientModel.standard(lam.shape[0] + 2)),
+    )
+
+
+class TestTorseMultipleRoots:
+    """A multiple root's directions depend on its eigenspace only, not on how
+    rounding noise splits it."""
+
+    def test_full_multiplicity_gives_the_identity_basis(self):
+        # the light cone's umbilic operator with the off-diagonal noise seen
+        # on a shipped scene
+        lam = 0.408 * np.eye(2) + 7.8e-10 * np.array([[0.0, 1.0], [1.0, 0.0]])
+        (fam,) = torse_directions(_analysis(lam))
+        assert fam.multiplicity == 2
+        assert np.abs(np.abs(fam.directions) - np.eye(2)).max() < 1e-12
+
+    @pytest.mark.parametrize("spectrum", [(0.408, 0.408), (1.0, 1.0, 2.0), (-0.5, 0.7, 0.7, 0.7)])
+    def test_rounding_noise_does_not_move_the_basis(self, spectrum, rng):
+        k = len(spectrum)
+        q, _ = np.linalg.qr(rng.normal(size=(k, k)))
+        lam = q @ np.diag(spectrum) @ q.T
+        lam = 0.5 * (lam + lam.T)
+        base = {f.root: f for f in torse_directions(_analysis(lam))}
+        for _ in range(5):
+            e = rng.normal(size=(k, k))
+            moved = torse_directions(_analysis(lam + 1e-10 * (e + e.T) / np.abs(e + e.T).max()))
+            assert len(moved) == len(base)
+            for f in moved:
+                ref = min(base.values(), key=lambda g: abs(g.root - f.root))
+                assert f.multiplicity == ref.multiplicity
+                if f.multiplicity > 1:
+                    assert np.abs(f.directions - ref.directions).max() < 1e-8
+                    assert np.abs(f.directions @ f.directions.T - np.eye(f.multiplicity)).max() < 1e-12
+                    # the rows span the root's eigenspace
+                    assert np.abs(f.directions @ (lam + f.root * np.eye(k))).max() < 1e-8
+
+
+def _any_line(model):
+    """The line and screen fields of a LightlikeAnalysis, from a completed
+    isotropic frame."""
     from pseudoconformal.frames import complete_isotropic_frame
 
     p = np.zeros(model.n)
     l = np.zeros(model.n)
     l[0] = 1.0
     l[-1] = 1.0
-    return complete_isotropic_frame(
+    vectors = complete_isotropic_frame(
         lift_point(p, model), lift_tangent(p, l, model), model
-    )
+    ).vectors
+    return {"line": (vectors[0], vectors[1]), "screen": vectors[2 : model.n]}
 
 
 class TestSingularPointsSmallCases:
@@ -256,18 +306,18 @@ class TestSingularPointsSmallCases:
         from pseudoconformal.lightlike import LightlikeAnalysis
         from pseudoconformal.linalg import char_roots
 
-        frame = _any_frame(model4)
+        fields = _any_line(model4)
         lam = np.zeros((2, 2))
         an = LightlikeAnalysis(
             u=np.zeros(3), shape_operator=lam, symmetry_defect=0.0,
-            determinant=0.0, roots=tuple(char_roots(lam)), frame=frame,
+            determinant=0.0, roots=tuple(char_roots(lam)), **fields,
         )
         pts = singular_points(an)
         assert len(pts) == 1
         assert pts[0].multiplicity == 2
         from pseudoconformal.conformal import ProjectivePoint
 
-        assert pts[0].point == ProjectivePoint(frame.vector(1))
+        assert pts[0].point == ProjectivePoint(fields["line"][1])
 
 
 def _rescaled(imm, s):
@@ -319,6 +369,18 @@ class TestDegeneracy:
         report = degeneracy_check(imm, lightlike_affinor(imm, u, model=model), model=model,
                                   arc=0.1 / scale)
         assert report.tangent_rank == imm.n - 2
+
+    @pytest.mark.parametrize("name", catalog.lightlike_entries())
+    def test_tangent_span_constant_along_the_generator(self, name):
+        # the Darboux image is tangentially degenerate: the tangent span does
+        # not turn along the generator, at every grid point
+        imm = catalog.build(name)
+        model = AmbientModel.standard(imm.n)
+        for u in parameter_grid(imm, [3] * imm.params)[1]:
+            report = degeneracy_check(imm, lightlike_affinor(imm, u, model=model), model=model)
+            assert report.samples
+            assert report.max_angle <= 1e-13
+            assert report.tangent_rank == imm.n - 2
 
     def test_spacelike_input_rejected(self, model3):
         imm = catalog.build("spacelike_hypersphere")
@@ -392,8 +454,43 @@ class TestAffinorRejections:
             lightlike_affinor(imm, np.array([1.0, 0.5]), model=model3)
         assert str(exc.value) == "frame origin is not on the quadric"
 
+    def test_base_point_off_its_tangent_rows(self, model3):
+        # A_0 moved along the quadric, the tangent rows kept: the induced
+        # metric stays lightlike, but A_0 no longer pairs to zero with the
+        # generator and the screen
+        cone = catalog.build("light_cone")
+        shift = np.array([0.0, 0.0, 0.5])
+
+        def jacobian(u):
+            p, j = cone.point(u), cone.jet1(u)
+            return np.array([lift_tangent(p, j[:, a], model3) for a in range(2)]).T
+
+        imm = _cone_variant(homogeneous=True, jacobian=jacobian,
+                            value=lambda u: lift_point(cone.point(u) + shift, model3))
+        with pytest.raises(DegenerateBasisError) as exc:
+            lightlike_affinor(imm, np.array([1.0, 0.5]), model=model3)
+        assert str(exc.value).startswith("frame adaptation failed (gram residual ")
+
 
 class TestFiniteDifferenceJets:
+    @pytest.mark.parametrize("name,n,count", [("light_cone", 3, 4), ("light_cone", 5, 3),
+                                              ("tilted_null_family", 3, 4),
+                                              ("circle_wavefront", 4, 4)])
+    def test_no_point_fails_for_want_of_a_frame(self, name, n, count):
+        # completing the frame at every point used to fail some FD points
+        # ("frame adaptation failed") whose line and screen met ADAPT_TOL
+        imm = _fd_variant(catalog.build(name, n=n))
+        focal = focal_map(imm, [count] * imm.params, model=AmbientModel.standard(n))
+        assert focal.errors == ()
+
+    def test_newly_analysed_point_finds_the_vertex(self, model5):
+        imm = _fd_variant(catalog.build("light_cone", n=5))
+        an = lightlike_affinor(imm, np.full(4, 0.4), model=model5)
+        points = singular_points(an)
+        assert sum(sp.multiplicity for sp in points) == 3
+        for sp in points:
+            assert np.abs(darboux_unembed(sp.point, model5)).max() < 1.5e-6
+
     def test_full_pipeline_without_analytic_jets(self, model3):
         # same cone, jets from finite differences: wider tolerances apply but
         # the focal point still lands on the vertex
@@ -524,8 +621,42 @@ class TestLightlikeEngine:
         imm = catalog.build("circle_wavefront")
         field = lightlike_frame_field(imm, model4)
         for u in parameter_grid(imm, [3, 3, 3])[1]:
-            frame = lightlike_affinor(imm, u, model=model4).frame
-            assert field(u).vectors.tobytes() == frame.vectors.tobytes()
+            an = lightlike_affinor(imm, u, model=model4)
+            frame = field(u)
+            assert frame.vectors[:4].tobytes() == np.vstack([*an.line, an.screen]).tobytes()
+            assert frame.gram_residual() < 1e-10
+
+    @pytest.mark.parametrize("name", catalog.lightlike_entries())
+    def test_engine_builds_no_frame(self, name, monkeypatch):
+        import pseudoconformal.frames
+        import pseudoconformal.lightlike
+        import pseudoconformal.linalg
+
+        imm = catalog.build(name)
+        model = AmbientModel.standard(imm.n)
+        counts = [3] * imm.params
+        expected = focal_map(imm, counts, model=model)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a frame was completed")
+
+        solves = []
+        original = pseudoconformal.linalg.solve
+
+        def counted(*args, **kwargs):
+            solves.append(np.shape(args[0]))
+            return original(*args, **kwargs)
+
+        for module in (pseudoconformal.frames, pseudoconformal.lightlike):
+            monkeypatch.setattr(module, "_null_frame", refuse)
+        for module in (pseudoconformal.lightlike, pseudoconformal.linalg):
+            monkeypatch.setattr(module, "solve", counted)
+        focal = focal_map(imm, counts, model=model)
+        key = lambda s: (s.u, s.root_index, s.x, s.multiplicity, s.at_infinity,
+                         s.projective.coords.tobytes())
+        assert [key(s) for s in focal.samples] == [key(s) for s in expected.samples]
+        assert focal.errors == expected.errors == ()
+        assert len(solves) == len(parameter_grid(imm, counts)[1])
 
     def test_jacobi_calls_do_not_grow_with_the_grid(self, model3, monkeypatch):
         import pseudoconformal.frames
