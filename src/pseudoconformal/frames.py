@@ -26,7 +26,7 @@ import numpy as np
 from .conformal import AmbientModel
 from .errors import DegenerateBasisError, NotLightlikeError, NotOnQuadricError
 from .hypersurface import LIGHTLIKE, _pullback, causal_type_of_spectrum
-from .linalg import inverse, jacobi_eigh, nullspace
+from .linalg import inverse, jacobi_eigh, nullspace, solve
 
 #: Gram residual every adapted frame must meet
 ADAPT_TOL = 1e-10
@@ -99,6 +99,12 @@ class ConformalFrame:
 
     def gram_residual(self) -> float:
         return float(np.abs(self.gram() - self.target_gram).max())
+
+    def components(self, vectors) -> np.ndarray:
+        """Coefficients of a vector, or of each row of a (k, n+2) stack, in
+        this frame basis; a stack takes one elimination for all its rows."""
+        v = np.asarray(vectors, dtype=float)
+        return np.ascontiguousarray(solve(self.vectors.T, v.T).T)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -209,13 +215,21 @@ def _null_frame(a0, a1, screen, model: AmbientModel, scale2: float,
     return ConformalFrame(vectors=vectors, target_gram=lightlike_gram(model.n), model=model)
 
 
+def _check_line(a0, a1):
+    """Raise unless A_0 and A_1 span a line: their Euclidean angle must
+    exceed 1e-6, which also keeps the 2 x 2 system of ``_null_frame``
+    regular."""
+    if float(a0 @ a1) ** 2 >= (1.0 - 1e-12) * float(a0 @ a0) * float(a1 @ a1):
+        raise DegenerateBasisError("line vectors are dependent")
+
+
 def _check_gram(rows, model: AmbientModel, scale2: float, action: str):
     """Raise unless the Gram of the leading rows of a null-adapted frame is
     within ADAPT_TOL max(1, scale2) of its target."""
     k = len(rows)
     target = lightlike_gram(model.n)[:k, :k]
     residual = float(np.abs(rows @ model.form.gram @ rows.T - target).max())
-    if residual > ADAPT_TOL * max(1.0, scale2):
+    if not residual <= ADAPT_TOL * max(1.0, scale2):
         raise DegenerateBasisError(f"frame {action} failed (gram residual {residual:.3e})")
 
 
@@ -250,6 +264,7 @@ def _lightlike_line(point, tangent_basis, model: AmbientModel, generator=None,
         if abs(model.quadratic(a1)) > 1e-8 * float(a1 @ a1):
             raise NotLightlikeError("supplied generator direction is not null")
     a1 = _generator_sign_fix(a1 / math.sqrt(float(a1 @ a1)), n) * generator_scale
+    _check_line(a0, a1)
     screen = build_screen(basis, model, count=n - 2)
     _check_gram(np.vstack([a0, a1, screen]), model, scale2, "adaptation")
     return a0, a1, screen
@@ -295,6 +310,7 @@ def complete_isotropic_frame(a0, a1, model: AmbientModel) -> ConformalFrame:
             raise NotOnQuadricError(f"{label} line vector is not on the quadric")
     if abs(model.product(a0, a1)) > 1e-8 * scale2:
         raise DegenerateBasisError("line vectors are not conjugate (line is not on the quadric)")
+    _check_line(a0, a1)
 
     screen = build_screen(_line_screen_candidates(a0, a1, model), model, count=model.n - 2)
     return _null_frame(a0, a1, screen, model, scale2, "completion")

@@ -424,6 +424,57 @@ def det(a) -> float:
     return sign * value
 
 
+def solve_particular(a, b, tol: float = SINGULAR_TOL):
+    """One particular solution of a (possibly underdetermined) consistent
+    system a x = b, with free variables set to zero.
+
+    Column pivoting makes the choice deterministic.  Raises if the system is
+    inconsistent or a has deficient row rank.
+    """
+    m = np.asarray(a, dtype=float).copy()
+    if m.ndim != 2:
+        raise ValueError("expected a 2-d coefficient matrix")
+    rows, cols = m.shape
+    rhs = np.asarray(b, dtype=float).copy()
+    if rhs.shape != (rows,):
+        raise ValueError("right-hand side has incompatible shape")
+    scale = max(np.abs(m).max(), 1e-300)
+    pivot_cols = []
+    r = 0
+    for _ in range(cols):
+        if r >= rows:
+            break
+        sub = np.abs(m[r:, :])
+        mask = np.ones(cols, dtype=bool)
+        mask[pivot_cols] = False
+        sub = sub[:, mask]
+        if sub.size == 0 or sub.max() <= tol * scale:
+            break
+        flat = int(np.argmax(sub))
+        prow = r + flat // sub.shape[1]
+        pcol = np.flatnonzero(mask)[flat % sub.shape[1]]
+        if prow != r:
+            m[[r, prow]] = m[[prow, r]]
+            rhs[[r, prow]] = rhs[[prow, r]]
+        pivot_cols.append(int(pcol))
+        for row in range(rows):
+            if row == r:
+                continue
+            f = m[row, pcol] / m[r, pcol]
+            if f != 0.0:
+                m[row] -= f * m[r]
+                rhs[row] -= f * rhs[r]
+        r += 1
+    if r < rows:
+        # remaining rows must be trivially satisfied
+        if np.abs(rhs[r:]).max(initial=0.0) > 1e-9 * max(1.0, np.abs(b).max()):
+            raise DegenerateBasisError("linear conditions are inconsistent")
+    x = np.zeros(cols)
+    for i, pcol in enumerate(pivot_cols):
+        x[pcol] = rhs[i] / m[i, pcol]
+    return x
+
+
 def nullspace(a, tol: float = 1e-10):
     """Orthonormal (Euclidean) basis of the kernel of a, via the symmetric
     eigendecomposition of a^T a."""

@@ -74,6 +74,17 @@ class TestAdaptLightlike:
         with pytest.raises(NotOnQuadricError):
             adapt_lightlike_frame(bad, rows, model3)
 
+    def test_generator_along_the_point_rejected(self, model3):
+        a0, rows = cone_jet(np.array([1.0, 0.5]), model3)
+        with pytest.raises(DegenerateBasisError, match="line vectors are dependent"):
+            adapt_lightlike_frame(a0, rows, model3, generator=a0)
+
+    def test_non_finite_gram_rejected(self, model3):
+        from pseudoconformal.frames import _check_gram
+
+        with pytest.raises(DegenerateBasisError, match="gram residual nan"):
+            _check_gram(np.full((3, 5), np.nan), model3, 1.0, "adaptation")
+
     def test_rank_deficient_basis_rejected(self, model3):
         a0, rows = cone_jet(np.array([1.0, 0.0]), model3)
         rows[1] = rows[0]
@@ -136,6 +147,22 @@ class TestCompleteIsotropicFrame:
         with pytest.raises(DegenerateBasisError):
             complete_isotropic_frame(a, b, model3)
 
+    def test_dependent_line_vectors_rejected(self, model3):
+        # both vectors pass the quadric and conjugacy checks, but span no line
+        a0 = darboux_embed(np.array([0.2, -0.1, 0.3]), model3).coords
+        with pytest.raises(DegenerateBasisError, match="line vectors are dependent"):
+            complete_isotropic_frame(a0, 2.0 * a0, model3)
+
+    def test_components_resolves_frame_basis(self, model3):
+        p = np.array([0.0, 0.0, 0.5])
+        l = np.array([0.6, 0.8, 1.0])
+        frame = complete_isotropic_frame(
+            lift_point(p, model3), lift_tangent(p, l, model3), model3
+        )
+        v = 0.3 * frame.vector(0) - 1.2 * frame.vector(3)
+        comp = frame.components(v)
+        assert np.abs(comp - np.array([0.3, 0.0, 0.0, -1.2, 0.0])).max() < 1e-12
+
 
 def adapted_frame(kind, n):
     """A null-adapted frame from the lightlike adaptation or from the
@@ -147,6 +174,29 @@ def adapted_frame(kind, n):
     l = np.zeros(n)
     l[0], l[1], l[-1] = 0.6, 0.8, 1.0
     return complete_isotropic_frame(lift_point(p, model), lift_tangent(p, l, model), model)
+
+
+class TestStackedComponents:
+    """A (k, n+2) stack is resolved in one elimination, row for row the
+    same bits as one call per vector."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("kind", ["lightlike", "isotropic"])
+    def test_stack_matches_rows_bit_for_bit(self, kind, n, rng):
+        frame = adapted_frame(kind, n)
+        for k in range(1, n):
+            stack = rng.normal(size=(k, n + 2))
+            got = frame.components(stack)
+            assert got.shape == (k, n + 2)
+            assert np.array_equal(got, np.array([frame.components(v) for v in stack]))
+
+    @pytest.mark.parametrize("kind", ["lightlike", "isotropic"])
+    def test_vector_gives_vector(self, kind, model3):
+        frame = adapted_frame(kind, 3)
+        v = 0.3 * frame.vector(0) - 1.2 * frame.vector(3)
+        comp = frame.components(v)
+        assert comp.shape == (5,)
+        assert np.abs(comp - np.array([0.3, 0.0, 0.0, -1.2, 0.0])).max() < 1e-12
 
 
 class TestNullFrameCoordinates:

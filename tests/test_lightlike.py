@@ -301,6 +301,33 @@ def _any_line(model):
     return {"line": (vectors[0], vectors[1]), "screen": vectors[2 : model.n]}
 
 
+class TestShapeOperatorPairings:
+    def test_each_diagnostic_reads_its_pairing(self, model4):
+        # differentials with known, distinct coefficients on A_n (-<v, A_1>)
+        # and A_{n+1} (-<v, A_0>) in a completed frame
+        from pseudoconformal.frames import complete_isotropic_frame
+        from pseudoconformal.lightlike import _shape_operator
+
+        fields = _any_line(model4)
+        a0, a1 = fields["line"]
+        a_n, a_np1 = complete_isotropic_frame(a0, a1, model4).vectors[4:]
+        c = np.array([[1.0, 0.2], [-0.3, 0.8], [0.5, 0.5]])
+        s = np.array([[0.4, -0.1], [-0.1, 0.9]])
+        da0 = (c @ fields["screen"] + np.outer([0.1, -0.3, 0.2], a_n)
+               + np.outer([0.05, 0.4, -0.1], a_np1) + np.outer([0.7, 0.0, -0.2], a0))
+        da1 = (c @ s @ fields["screen"] + np.outer([0.6, 0.0, 0.0], a_n)
+               + np.outer([0.0, -0.7, 0.0], a_np1) + np.outer([0.0, 0.3, 0.1], a1))
+        lam, defect, diagnostics = _shape_operator(
+            fields["line"], fields["screen"], model4.form.gram, da0, da1, 4, 1e-9)
+        pairs = {"w0n": (da0, a1), "w0np1": (da0, a0), "w1n": (da1, a1), "w1np1": (da1, a0)}
+        for key, (rows, vec) in pairs.items():
+            assert diagnostics[key] == pytest.approx(
+                np.abs(rows @ model4.form.gram @ vec).max(), abs=1e-12)
+        assert diagnostics == pytest.approx(
+            {"w0n": 0.3, "w0np1": 0.4, "w1n": 0.6, "w1np1": 0.7}, abs=1e-12)
+        assert np.abs(lam - s).max() < 1e-12
+
+
 class TestSingularPointsSmallCases:
     def test_zero_operator_gives_generator_point(self, model4):
         from pseudoconformal.lightlike import LightlikeAnalysis

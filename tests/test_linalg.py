@@ -18,6 +18,7 @@ from pseudoconformal.linalg import (
     scalar_product,
     signature,
     solve,
+    solve_particular,
 )
 
 finite_floats = st.floats(min_value=-10, max_value=10, allow_nan=False)
@@ -289,6 +290,13 @@ class TestSolve:
         for k in (2, 3, 6):
             a = rng.normal(size=(k, k))
             assert det(a) == pytest.approx(np.linalg.det(a), rel=1e-9, abs=1e-12)
+
+    def test_particular_solution(self, rng):
+        a = rng.normal(size=(3, 6))
+        x_true = rng.normal(size=6)
+        b = a @ x_true
+        x = solve_particular(a, b)
+        assert np.abs(a @ x - b).max() < 1e-9
 
     def test_nullspace(self, rng):
         a = rng.normal(size=(2, 5))
