@@ -295,15 +295,21 @@ class LeafTrace:
     truncated: bool = False  # a run stopped early at the domain boundary
 
 
-def _transversal_kernel_basis(e: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the parameter directions annihilated by the
-    transversal form e."""
+def _kernel_projection(e: np.ndarray, ref: np.ndarray) -> tuple:
+    """ref projected on the kernel of the transversal form e in closed form,
+    ref - <e_hat, ref> e_hat, and the projection's norm."""
     norm = math.sqrt(float(e @ e))
     if norm < 1e-12:
         raise DegenerateBasisError("transversal form vanishes; distribution undefined")
     e_hat = e / norm
-    proj = np.eye(len(e)) - np.outer(e_hat, e_hat)
-    basis = orthonormal_rows(proj)
+    d = ref - float(e_hat @ ref) * e_hat
+    return d, math.sqrt(float(d @ d))
+
+
+def _transversal_kernel_basis(e: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the parameter directions annihilated by the
+    transversal form e: the projections of the unit directions."""
+    basis = orthonormal_rows([_kernel_projection(e, row)[0] for row in np.eye(len(e))])
     if basis.shape[0] != len(e) - 1:
         raise DegenerateBasisError("kernel of the transversal form has wrong dimension")
     return basis
@@ -357,9 +363,7 @@ def stratify(
     form_at = _memoized(lambda u: transversal_form(cong, u, model=model))
 
     def kernel_dir(u, ref):
-        basis = _transversal_kernel_basis(form_at(u))
-        d = basis.T @ (basis @ ref)
-        norm = math.sqrt(float(d @ d))
+        d, norm = _kernel_projection(form_at(u), ref)
         if norm < 1e-10:
             raise DegenerateBasisError("transport direction left the distribution kernel")
         return d / norm
@@ -394,10 +398,8 @@ def stratify(
     if basis0.shape[0] > 1:
         cross = []
         for point in spine:
-            basis_p = _transversal_kernel_basis(form_at(point))
             for k in range(1, basis0.shape[0]):
-                ref = basis_p.T @ (basis_p @ basis0[k])
-                nrm = math.sqrt(float(ref @ ref))
+                ref, nrm = _kernel_projection(form_at(point), basis0[k])
                 if nrm < 1e-10:
                     continue
                 ref = ref / nrm
@@ -426,7 +428,7 @@ def stratify(
     if tangents:
         tangents = np.concatenate(tangents)
         w, _ = jacobi_eigh(_pullback(np.swapaxes(tangents, 1, 2), model.form.gram))
-        _, minus, zero = _inertia(w, 1e-4)
+        _, minus, zero, _ = _inertia(w, 1e-4)
         total = len(w)
         good = int(((minus == 0) & (zero == 1)).sum())
     fraction = good / total if total else 0.0

@@ -179,12 +179,14 @@ def null_frame_coordinates(vectors, line, screen, gram) -> np.ndarray:
     of the null-adapted frame on the line ``(A_0, A_1)`` and the screen rows
     e_i, with no frame built.  The frame's Gram is ``lightlike_gram``, so
     they are the pairings <v, e_i>, -<v, A_1> and -<v, A_0> (columns 0..n-3,
-    n-2 and n-1), whatever partners A_n, A_{n+1} complete the frame.
+    n-2 and n-1), whatever partners A_n, A_{n+1} complete the frame.  Leading
+    axes of all arguments but ``gram`` stack independent points.
     """
     a0, a1 = line
-    k = len(screen)
-    paired = vectors @ (np.vstack([screen, a0, a1]) @ gram).T
-    return np.hstack([paired[:, :k], -paired[:, k + 1 :], -paired[:, k : k + 1]])
+    basis = np.concatenate([screen, a1[..., None, :], a0[..., None, :]], axis=-2)
+    paired = vectors @ np.swapaxes(basis @ gram, -1, -2)
+    paired[..., screen.shape[-2] :] *= -1.0
+    return paired
 
 
 def _null_frame(a0, a1, screen, model: AmbientModel, scale2: float,

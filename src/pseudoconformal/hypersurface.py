@@ -181,23 +181,22 @@ def _causal_kind(plus: int, minus: int, zero: int) -> str:
 
 
 def _inertia(w: np.ndarray, tol: float) -> tuple:
-    """(plus, minus, zero) counts of eigenvalues w (last axis) beyond
-    tol times their spectral radius; one count per row of a stack."""
-    radius = np.maximum(np.abs(w).max(axis=-1, keepdims=True), 1e-300)
+    """(plus, minus, zero) counts of eigenvalues w (last axis) beyond tol
+    times their spectral radius, and the ratio of the least |w| to that
+    radius; one of each per row of a stack."""
+    abs_w = np.abs(w)
+    radius = np.maximum(abs_w.max(axis=-1, keepdims=True), 1e-300)
     plus = (w > tol * radius).sum(axis=-1)
     minus = (w < -tol * radius).sum(axis=-1)
-    return plus, minus, w.shape[-1] - plus - minus
+    return plus, minus, w.shape[-1] - plus - minus, abs_w.min(axis=-1) / radius[..., 0]
 
 
 def causal_type_of_spectrum(w, tol: float) -> CausalType:
     """Classify an induced metric by the inertia of its eigenvalues w."""
-    radius = max(float(np.abs(w).max()), 1e-300)
-    plus = int((w > tol * radius).sum())
-    minus = int((w < -tol * radius).sum())
-    zero = len(w) - plus - minus
-    ratio = float(np.abs(w).min() / radius)
+    *counts, ratio = _inertia(w, tol)
+    plus, minus, zero = (int(count) for count in counts)
     return CausalType(kind=_causal_kind(plus, minus, zero), plus=plus, minus=minus,
-                      zero=zero, min_eig_ratio=ratio)
+                      zero=zero, min_eig_ratio=float(ratio))
 
 
 def causal_type_of_metric(m, tol: float) -> CausalType:
@@ -345,9 +344,7 @@ def survey(imm: Immersion, grid_counts: Sequence[int], tol: Optional[float] = No
     w, _ = _stacked_spectra(jets, gram, grid, failures)
     live = np.array([i for i in range(len(indices)) if i not in failures], dtype=int)
     w = w[live]
-    plus, minus, zero = _inertia(w, tol)
-    abs_w = np.abs(w)
-    ratio = abs_w.min(axis=1) / np.maximum(abs_w.max(axis=1), 1e-300)
+    plus, minus, zero, ratio = _inertia(w, tol)
 
     codes = np.full(len(indices), -1)
     grid_points = []

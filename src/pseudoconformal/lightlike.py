@@ -9,7 +9,12 @@ directions of simple roots cut out families of developable surfaces.
 
 No frame is built: the Gram of a null-adapted frame is fixed, so every
 coordinate of dA_0 and dA_1 the operator needs is a pairing with the line
-(A_0, A_1) or the screen (``frames.null_frame_coordinates``).
+(A_0, A_1) or the screen (``frames.null_frame_coordinates``).  Nothing is
+eliminated either: the generator is the one null direction of the induced
+metric M, so the screen coordinates c of dA_0 satisfy c c^T = M, and those
+dd of dA_1 give the operator lam = dd^T M^+ c, with M^+ read off the
+metric's spectrum (Akivis & Goldberg, *Conformal Differential Geometry and
+Its Generalizations*, 1996).
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
 from typing import Optional, Sequence
 
 import numpy as np
@@ -30,7 +34,7 @@ from .conformal import (
     lift_point,
     lift_tangent,
 )
-from .errors import DegenerateBasisError, GeometryError, NotLightlikeError
+from .errors import GeometryError, NotLightlikeError
 from .frames import (_banded_orthonormal, _generator_sign_fix, _lightlike_line, _null_frame,
                      null_frame_coordinates)
 from .hypersurface import (LIGHTLIKE, Immersion, _ambient_gram, _pullback, _stacked_spectra,
@@ -41,7 +45,6 @@ from .linalg import (
     jacobi_eigh,
     max_principal_angle,
     orthonormal_rows,
-    solve,
 )
 
 #: defect threshold (relative) above which the extracted operator is rejected
@@ -108,8 +111,8 @@ class PointJet:
 class _JetStack:
     """Jets of an immersion at a stack of parameter points us (N, params),
     each point and Jacobian evaluated once, lifted to the quadric, with every
-    induced metric and J^T J eigendecomposed in one stacked Jacobi pass.
-    ``line`` gives a member's line (A_0, A_1) and screen.
+    induced metric (eigenpairs ``w``, ``v``) and J^T J eigendecomposed in one
+    stacked Jacobi pass.  ``line`` gives a member's line (A_0, A_1) and screen.
 
     ``failures`` maps the index of each member that is not a regular point to
     the exception it raises: the one its jet evaluation raised (a
@@ -130,8 +133,8 @@ class _JetStack:
                 points[i], jets[i] = imm.point(u), imm.jet1(u)
             except (GeometryError, ValueError, ArithmeticError) as exc:
                 self.failures[i] = exc
-        self.w, v = _stacked_spectra(jets, _ambient_gram(imm, model), us, self.failures,
-                                      tol=GENERATOR_JACOBI_TOL)
+        self.w, self.v = _stacked_spectra(jets, _ambient_gram(imm, model), us, self.failures,
+                                          tol=GENERATOR_JACOBI_TOL)
         if imm.homogeneous:
             self.a0, self.rows = points, np.swapaxes(jets, 1, 2)
         else:
@@ -142,7 +145,7 @@ class _JetStack:
             self.rows = np.concatenate([np.zeros((len(us), d, 1)), np.swapaxes(jets, 1, 2),
                                         (pg[:, None, :] @ jets).transpose(0, 2, 1)], axis=2)
         with np.errstate(invalid="ignore", divide="ignore"):  # failed members only
-            self.generators = _generator(self.rows, self.w, v, n, generator_scale)
+            self.generators = _generator(self.rows, self.w, self.v, n, generator_scale)
 
     def failure(self, lo: int, hi: int):
         """The exception of the first failed member in lo..hi-1, or None."""
@@ -217,45 +220,26 @@ class LightlikeAnalysis:
         return self.shape_operator.shape[0]
 
 
-def _select_rows(c: np.ndarray, k: int):
-    """Indices of the k rows of c forming the best-conditioned square block:
-    the first k-subset whose |det| is within a relative 1e-12 of the largest
-    (row counts here are tiny).  Subsets tied by a symmetry of the point then
-    give the same choice whatever the last bits of the frame."""
-    subsets = list(combinations(range(c.shape[0]), k))
-    dets = [abs(det(c[list(idx)])) if k else 1.0 for idx in subsets]
-    best = max((d for d in dets if not math.isnan(d)), default=-1.0)
-    if best <= 1e-14 * max(1.0, float(np.abs(c).max())) ** k:
-        raise DegenerateBasisError(
-            "screen components of the base differentials are linearly dependent"
-        )
-    return list(next(idx for idx, d in zip(subsets, dets) if d >= (1.0 - 1e-12) * best))
-
-
-def _shape_operator(line, screen, gram, da0, da1, n: int, sym_tol: float):
-    """Symmetrized shape operator relating the screen components of dA_1 to
-    those of dA_0, read as pairings with the line and the screen, with its
-    asymmetry and the transversal components of both differentials."""
-    d = len(da0)
-    comp = null_frame_coordinates(np.vstack([da0, da1]), line, screen, gram)
-    comp0, comp1 = comp[:d], comp[d:]
-    c = comp0[:, : n - 2]
-    dd = comp1[:, : n - 2]
-    diagnostics = {
-        "w0n": float(np.abs(comp0[:, n - 2]).max()),
-        "w0np1": float(np.abs(comp0[:, n - 1]).max()),
-        "w1n": float(np.abs(comp1[:, n - 2]).max()),
-        "w1np1": float(np.abs(comp1[:, n - 1]).max()),
-    }
-    idx = _select_rows(c, n - 2)
-    lam = solve(c[idx], dd[idx]).T
-    defect = float(np.abs(lam - lam.T).max()) if lam.size else 0.0
-    tol = sym_tol * (1.0 + float(np.abs(lam).max(initial=0.0)))
-    if not (defect <= tol and math.isfinite(tol)):
-        raise GeometryError(
-            f"shape operator asymmetry {defect:.3e} exceeds tolerance {tol:.3e}"
-        )
-    return 0.5 * (lam + lam.T), defect, diagnostics
+def _shape_operators(a0, a1, screens, gram, da0, da1, w, v):
+    """Shape operators (N, n-2, n-2), not symmetrized, and diagnostics "w0n",
+    "w0np1", "w1n", "w1np1" (N,) of points with lines (A_0, A_1), screens,
+    differentials dA_0, dA_1 (N, d, n+2) and induced-metric eigenpairs w, v.
+    The screen coordinates c = <d_a A_0, e_i> and dd = <d_a A_1, e_i> are
+    pairings, c c^T = M and dd = c lam^T, so lam = dd^T M^+ c, where
+    M^+ = sum_j v_j v_j^T / w_j skips the kernel column ``_generator`` picks.
+    """
+    d, k = da0.shape[-2], screens.shape[-2]
+    comp = null_frame_coordinates(np.concatenate([da0, da1], axis=-2), (a0, a1), screens, gram)
+    c, dd = comp[:, :d, :k], comp[:, d:, :k]
+    kernel = np.arange(d) == np.abs(w).argmin(axis=-1)[:, None]
+    inv = np.where(kernel, 0.0, 1.0 / np.where(kernel, 1.0, w))
+    pinv = (v * inv[:, None, :]) @ np.swapaxes(v, -1, -2)
+    lam = np.swapaxes(dd, -1, -2) @ pinv @ c
+    # columns k and k+1 are -<v, A_1> and -<v, A_0>
+    pairs = np.abs(comp[..., k:])
+    diagnostics = {"w0n": pairs[:, :d, 0].max(axis=1), "w0np1": pairs[:, :d, 1].max(axis=1),
+                   "w1n": pairs[:, d:, 0].max(axis=1), "w1np1": pairs[:, d:, 1].max(axis=1)}
+    return lam, diagnostics
 
 
 def _affinors(imm: Immersion, us: np.ndarray, model: AmbientModel, step: float,
@@ -265,17 +249,18 @@ def _affinors(imm: Immersion, us: np.ndarray, model: AmbientModel, step: float,
 
     The jets of all points and of their 2d central-difference neighbours are
     evaluated once and eigendecomposed in one stacked Jacobi pass (the
-    generators of the neighbours give dA_1), and the symmetrized shape
-    operators in a second one; no frame is built.  A stacked member does not
+    generators of the neighbours give dA_1), the shape operators read in one
+    stacked pass (``_shape_operators``) and the symmetrized ones
+    eigendecomposed in a second Jacobi pass.  A stacked member does not
     depend on the rest of its stack, so a point gets the same bits in any
     grid.  A point fails with its own jet's failure, then with its
     lightlike, line and screen checks, then with the first failure among its
-    neighbours (in the order +e_0, -e_0, +e_1, ...), then with its operator
-    checks.
+    neighbours (in the order +e_0, -e_0, +e_1, ...), then with its operator's
+    asymmetry.
     """
     if sym_tol is None:
         sym_tol = SYMMETRY_TOL_ANALYTIC if imm.analytic else SYMMETRY_TOL_FD
-    n, d = imm.n, imm.params
+    d = imm.params
     width = 2 * d + 1
     offsets = np.zeros((width, d))
     for a in range(d):
@@ -285,40 +270,53 @@ def _affinors(imm: Immersion, us: np.ndarray, model: AmbientModel, step: float,
     stencil[:, 0] = us  # as given: u + 0.0 would turn -0.0 into 0.0
     jets = _JetStack(imm, stencil.reshape(-1, d), model, generator_scale)
 
-    results, pending = [], []
+    results, pending, lines = [], [], []
     for i in range(len(us)):
         c = i * width
         exc = jets.failure(c, c + 1)
         if exc is None:
             try:
-                a0, a1, screen = jets.line(c)
+                line = jets.line(c)
                 exc = jets.failure(c + 1, c + width)
                 if exc is None:
-                    g = jets.generators[c + 1 : c + width]
-                    da1 = (g[0::2] - g[1::2]) / (2.0 * step)
-                    operator = _shape_operator((a0, a1), screen, model.form.gram, jets.rows[c],
-                                               da1, n, sym_tol)
-                    pending.append((i, (a0, a1), screen, *operator))
+                    pending.append(i)
+                    lines.append(line)
             except GeometryError as err:
                 exc = err
         results.append(exc)
+    if not pending:
+        return results
 
-    if pending:
-        # a symmetric operator gets its roots from the Jacobi spectrum, which
-        # keeps exact multiplicities real (the general root iteration
-        # splinters multiple roots at the cube root of machine precision)
-        eigenvalues, _ = jacobi_eigh(np.array([p[3] for p in pending]))
-        for (i, line, screen, lam_sym, defect, diagnostics), w in zip(pending, eigenvalues):
-            results[i] = LightlikeAnalysis(
-                u=us[i].copy(),
-                shape_operator=lam_sym,
-                symmetry_defect=defect,
-                determinant=float(det(lam_sym)) if lam_sym.size else 1.0,
-                roots=tuple(cluster_roots([complex(-x) for x in w])),
-                line=line,
-                screen=screen,
-                diagnostics=diagnostics,
-            )
+    centers = np.array(pending) * width
+    a0, a1, screens = (np.array(x) for x in zip(*lines))
+    g = jets.generators[centers[:, None] + np.arange(1, width)]
+    da1 = (g[:, 0::2] - g[:, 1::2]) / (2.0 * step)
+    lam, diagnostics = _shape_operators(a0, a1, screens, model.form.gram, jets.rows[centers],
+                                        da1, jets.w[centers], jets.v[centers])
+    lam_t = np.swapaxes(lam, 1, 2)
+    defects = np.abs(lam - lam_t).max(axis=(1, 2))
+    tols = sym_tol * (1.0 + np.abs(lam).max(axis=(1, 2)))
+    symmetric = (defects <= tols) & np.isfinite(tols)
+    lam_sym = 0.5 * (lam + lam_t)
+    # a symmetric operator gets its roots from the Jacobi spectrum, which
+    # keeps exact multiplicities real (the general root iteration splinters
+    # multiple roots at the cube root of machine precision)
+    spectra = iter(jacobi_eigh(lam_sym[symmetric])[0])
+    for j, i in enumerate(pending):
+        if not symmetric[j]:
+            results[i] = GeometryError(
+                f"shape operator asymmetry {defects[j]:.3e} exceeds tolerance {tols[j]:.3e}")
+            continue
+        results[i] = LightlikeAnalysis(
+            u=us[i].copy(),
+            shape_operator=lam_sym[j],
+            symmetry_defect=float(defects[j]),
+            determinant=float(det(lam_sym[j])),
+            roots=tuple(cluster_roots([complex(-x) for x in next(spectra)])),
+            line=(a0[j], a1[j]),
+            screen=screens[j],
+            diagnostics={key: float(value[j]) for key, value in diagnostics.items()},
+        )
     return results
 
 
@@ -332,9 +330,9 @@ def lightlike_affinor(
 ) -> LightlikeAnalysis:
     """Extract the generator shape operator at a lightlike point.
 
-    The operator solves the linear relation between the screen components of
-    the differentials of the generator point and of the base point across the
-    screen parameter directions.  It is symmetric up to jet noise; within
+    The operator maps the screen components of the differential of the base
+    point to those of the generator point, read in closed form through the
+    induced metric's pseudo-inverse.  It is symmetric up to jet noise; within
     tolerance it is replaced by its symmetric part before root finding,
     beyond tolerance an error is raised.  This is the one-point case of the
     grid engine behind ``focal_map``, with the same bits.
@@ -422,26 +420,32 @@ class DegeneracyReport:
 def _kernel_flow(imm: Immersion, u0, k0, model: AmbientModel, arc: float, steps: int):
     """Sample parameter points along the generator curve through u0, whose
     kernel direction is k0, by integrating the unit kernel field of the
-    induced metric (RK4, carrying the direction sign along for continuity)."""
+    induced metric (RK4, carrying the direction sign along for continuity).
+    Returns the two runs from u0; each ends at the first stage whose jet is
+    not regular (its evaluation fails or is non-finite), such as a vertex."""
     h = arc / steps
 
     def aligned_kernel(u, ref):
         k = lightlike_kernel(imm, u, model=model)
         return k if float(k @ ref) >= 0.0 else -k
 
-    samples = []
+    runs = []
     for direction in (+1.0, -1.0):
         u = np.asarray(u0, dtype=float).copy()
         ref = direction * k0
+        runs.append([])
         for _ in range(steps):
-            k1 = aligned_kernel(u, ref)
-            k2 = aligned_kernel(u + 0.5 * h * k1, k1)
-            k3 = aligned_kernel(u + 0.5 * h * k2, k2)
-            k4 = aligned_kernel(u + h * k3, k3)
+            try:
+                k1 = aligned_kernel(u, ref)
+                k2 = aligned_kernel(u + 0.5 * h * k1, k1)
+                k3 = aligned_kernel(u + 0.5 * h * k2, k2)
+                k4 = aligned_kernel(u + h * k3, k3)
+            except (ValueError, ArithmeticError):  # GeometryError included
+                break
             u = u + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
             ref = k1
-            samples.append(u.copy())
-    return samples
+            runs[-1].append(u.copy())
+    return runs
 
 
 def degeneracy_check(
@@ -458,8 +462,10 @@ def degeneracy_check(
     The homogeneous tangent span is compared, by largest principal angle,
     between the base point and samples along the generator curve; it also
     measures how many parameter directions actually move the tangent span
-    (the rank of the tangential degeneracy).
-    Samples falling near a singular point of the generator are skipped.
+    (the rank of the tangential degeneracy).  Samples whose jet raises a
+    GeometryError are skipped; each run of the curve ends at its first sample
+    within ``singular_tol`` of a singular point, also skipped, because past
+    it the curve leaves the generator (on a cone, for the opposite ray).
     """
     if model is None:
         model = AmbientModel.standard(imm.n)
@@ -473,20 +479,20 @@ def degeneracy_check(
     span0 = PointJet(imm, u, model).span
     k = lightlike_kernel(imm, u, model=model)
 
-    sampled = _kernel_flow(imm, u, k, model, arc=arc, steps=samples)
     angles, used, skipped = [], [], []
-    for us in sampled:
-        try:
-            jet = PointJet(imm, us, model)
-            if not imm.homogeneous:
-                p = jet.point
-                if any(math.sqrt(float((p - f) @ (p - f))) < singular_tol for f in focal):
-                    skipped.append(tuple(float(x) for x in us))
-                    continue
-            angles.append(max_principal_angle(span0, jet.span))
-            used.append(tuple(float(x) for x in us))
-        except GeometryError:
-            skipped.append(tuple(float(x) for x in us))
+    for run in _kernel_flow(imm, u, k, model, arc=arc, steps=samples):
+        for us in run:
+            try:
+                jet = PointJet(imm, us, model)
+                if not imm.homogeneous:
+                    p = jet.point
+                    if any(math.sqrt(float((p - f) @ (p - f))) < singular_tol for f in focal):
+                        skipped.append(tuple(float(x) for x in us))
+                        break
+                angles.append(max_principal_angle(span0, jet.span))
+                used.append(tuple(float(x) for x in us))
+            except GeometryError:
+                skipped.append(tuple(float(x) for x in us))
 
     # variation of the tangent span across an orthonormal parameter basis
     comp = orthonormal_rows(np.eye(imm.params) - np.outer(k, k))

@@ -9,8 +9,8 @@ characteristic-root route is a genuine two-sided check.
 import numpy as np
 
 from pseudoconformal.conformal import AtInfinity, ProjectivePoint, darboux_unembed
-from pseudoconformal.frames import _lightlike_line, complete_isotropic_frame, null_frame_coordinates
-from pseudoconformal.lightlike import PointJet, _select_rows
+from pseudoconformal.frames import _lightlike_line, complete_isotropic_frame
+from pseudoconformal.lightlike import PointJet
 
 
 def expm(a, terms=30):
@@ -73,15 +73,14 @@ def focal_reference(imm, u, model, step=1e-4, cluster_radius=1e-6):
     numpy.linalg.eigh kernels.  The line (A_0, A_1) and the screen, with
     their checks, are the library's.  The frame is completed by two
     numpy.linalg.svd null vectors of [screen G; A_0; A_1] (any completion off
-    the screen gives the same screen coordinates), the coordinates and the
-    operator come from numpy.linalg.solve, and its roots are the negated
-    numpy.linalg.eigvalsh eigenvalues.  The choice of rows is the library's,
-    ``_select_rows`` on the library's pairing coordinates: at symmetric
-    points finite-difference jets tie several row subsets to within the
-    coordinates' own noise (about 1e-11), and the operators of tied subsets
-    differ by the stencil's truncation error, so the row choice is a gauge
-    that both sides must share.  Raises whatever the library's line and
-    screen checks raise.
+    the screen gives the same screen coordinates), and the screen
+    coordinates c of dA_0 and dd of dA_1 come from numpy.linalg.solve.  The
+    relation dd = c lam^T is read on the complement of the numpy.linalg.eigh
+    kernel of the induced metric (c annihilates the kernel, so V^T c is a
+    square, invertible block for the other eigenvectors V) with
+    numpy.linalg.solve, and the roots are the negated numpy.linalg.eigvalsh
+    eigenvalues of the symmetrized operator.  Raises whatever the library's
+    line and screen checks raise.
     """
     n, d = imm.n, imm.params
     jet, g = _eigh_generator(imm, u, model)
@@ -96,9 +95,9 @@ def focal_reference(imm, u, model, step=1e-4, cluster_radius=1e-6):
                   - _eigh_generator(imm, u - e, model)[1]) / (2 * step)
     c = np.linalg.solve(frame.T, jet.rows.T).T[:, 2:n]
     dd = np.linalg.solve(frame.T, da1.T).T[:, 2:n]
-    paired = null_frame_coordinates(jet.rows, (a0, a1), screen, model.form.gram)
-    idx = _select_rows(paired[:, : n - 2], n - 2)
-    lam = np.linalg.solve(c[idx], dd[idx]).T
+    w, v = np.linalg.eigh(jet.metric)
+    complement = v[:, np.argsort(np.abs(w))[1:]]
+    lam = np.linalg.solve(complement.T @ c, complement.T @ dd).T
     roots = []
     for x in np.sort(-np.linalg.eigvalsh(0.5 * (lam + lam.T))):
         if roots and x - roots[-1][0] <= cluster_radius * (1.0 + abs(roots[-1][0])):

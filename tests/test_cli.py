@@ -196,8 +196,10 @@ class TestOutputs:
 
 class TestSymmetryTolerance:
     def test_scene_tolerance_reaches_every_grid_point(self, tmp_path, capsys):
+        # relative defects measured on this grid: 1.11e-9 at the centre, which
+        # must pass, and 1.96e-9 .. 3.22e-9 at the five points that fail
         doc = {"kind": "hypersurface", "builtin": "circle_wavefront", "n": 4,
-               "grid": [5, 5, 5], "tolerances": {"symmetry": 1e-9}}
+               "grid": [5, 5, 5], "tolerances": {"symmetry": 1.8e-9}}
         out = tmp_path / "wavefront.json"
         assert main(["lightlike", "--scene", write_scene(tmp_path, doc), "--out", str(out),
                      "--format", "json"]) == 0
@@ -205,7 +207,7 @@ class TestSymmetryTolerance:
         failing = []
         for u in parameter_grid(imm, [5, 5, 5])[1]:
             try:
-                lightlike_affinor(imm, u, sym_tol=1e-9)
+                lightlike_affinor(imm, u, sym_tol=1.8e-9)
             except GeometryError as exc:
                 failing.append({"u": u.tolist(), "message": str(exc)})
         assert failing
@@ -230,6 +232,24 @@ class TestStencilNeighbour:
         # the vertex jacobian is flagged without numpy printing a warning
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("lightlike pipeline on light_cone:")
+
+
+class TestDegeneracyFlow:
+    @pytest.mark.parametrize("u1", [[0.05, 0.15], [0.1, 0.3]],
+                             ids=["stage_on_the_vertex", "flow_past_the_vertex"])
+    def test_kernel_flow_stops_at_the_vertex(self, tmp_path, capsys, u1):
+        # the generator curve from the centre runs into the cone's vertex:
+        # an RK4 stage lands on it, or the samples past it lie on the
+        # opposite ray, unless the run ends there
+        doc = {"kind": "hypersurface", "builtin": "light_cone", "n": 3,
+               "grid": {"axes": [{"start": u1[0], "stop": u1[1], "count": 3},
+                                 {"start": -0.1, "stop": 0.1, "count": 3}]}}
+        out = tmp_path / "cone.json"
+        assert main(["lightlike", "--scene", write_scene(tmp_path, doc), "--out", str(out),
+                     "--format", "json"]) == 0
+        degeneracy = json.loads(out.read_text())["center"]["degeneracy"]
+        assert degeneracy["max_angle"] <= 1e-13
+        assert degeneracy["tangent_rank"] == 1
 
 
 class TestDeterminism:

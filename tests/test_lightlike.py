@@ -1,3 +1,4 @@
+import ast
 import math
 from pathlib import Path
 
@@ -306,7 +307,7 @@ class TestShapeOperatorPairings:
         # differentials with known, distinct coefficients on A_n (-<v, A_1>)
         # and A_{n+1} (-<v, A_0>) in a completed frame
         from pseudoconformal.frames import complete_isotropic_frame
-        from pseudoconformal.lightlike import _shape_operator
+        from pseudoconformal.lightlike import _shape_operators
 
         fields = _any_line(model4)
         a0, a1 = fields["line"]
@@ -317,15 +318,18 @@ class TestShapeOperatorPairings:
                + np.outer([0.05, 0.4, -0.1], a_np1) + np.outer([0.7, 0.0, -0.2], a0))
         da1 = (c @ s @ fields["screen"] + np.outer([0.6, 0.0, 0.0], a_n)
                + np.outer([0.0, -0.7, 0.0], a_np1) + np.outer([0.0, 0.3, 0.1], a1))
-        lam, defect, diagnostics = _shape_operator(
-            fields["line"], fields["screen"], model4.form.gram, da0, da1, 4, 1e-9)
+        # the induced metric of the screen part, c c^T, with its kernel
+        w, v = np.linalg.eigh(c @ c.T)
+        lam, stacked = _shape_operators(a0[None], a1[None], fields["screen"][None],
+                                        model4.form.gram, da0[None], da1[None], w[None], v[None])
+        diagnostics = {key: float(value[0]) for key, value in stacked.items()}
         pairs = {"w0n": (da0, a1), "w0np1": (da0, a0), "w1n": (da1, a1), "w1np1": (da1, a0)}
         for key, (rows, vec) in pairs.items():
             assert diagnostics[key] == pytest.approx(
                 np.abs(rows @ model4.form.gram @ vec).max(), abs=1e-12)
         assert diagnostics == pytest.approx(
             {"w0n": 0.3, "w0np1": 0.4, "w1n": 0.6, "w1np1": 0.7}, abs=1e-12)
-        assert np.abs(lam - s).max() < 1e-12
+        assert np.abs(lam[0] - s).max() < 1e-12
 
 
 class TestSingularPointsSmallCases:
@@ -676,14 +680,16 @@ class TestLightlikeEngine:
 
         for module in (pseudoconformal.frames, pseudoconformal.lightlike):
             monkeypatch.setattr(module, "_null_frame", refuse)
-        for module in (pseudoconformal.lightlike, pseudoconformal.linalg):
+        for module in (pseudoconformal.frames, pseudoconformal.linalg):
             monkeypatch.setattr(module, "solve", counted)
         focal = focal_map(imm, counts, model=model)
         key = lambda s: (s.u, s.root_index, s.x, s.multiplicity, s.at_infinity,
                          s.projective.coords.tobytes())
         assert [key(s) for s in focal.samples] == [key(s) for s in expected.samples]
         assert focal.errors == expected.errors == ()
-        assert len(solves) == len(parameter_grid(imm, counts)[1])
+        # the operator is read in closed form: nothing is eliminated
+        assert not hasattr(pseudoconformal.lightlike, "solve")
+        assert solves == []
 
     def test_jacobi_calls_do_not_grow_with_the_grid(self, model3, monkeypatch):
         import pseudoconformal.frames
@@ -757,6 +763,21 @@ ORACLE_CASES = _oracle_cases()
 class TestFocalOracle:
     """Focal x and focal points of the engine against the numpy.linalg
     reference of tests/_oracles.py, within 1e-9 (1 + |v|)."""
+
+    def test_oracle_shares_no_solver_with_the_engine(self):
+        # the reference may use the library's line and screen, but none of
+        # its linear algebra and none of the engine's private helpers
+        tree = ast.parse((Path(__file__).resolve().parent / "_oracles.py").read_text())
+        imported = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported += [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                imported += [f"{node.module}.{alias.name}" for alias in node.names]
+        assert any(name.startswith("pseudoconformal.") for name in imported)
+        for name in imported:
+            assert not (name + ".").startswith("pseudoconformal.linalg."), name
+            assert not name.startswith("pseudoconformal.lightlike._"), name
 
     @pytest.mark.parametrize("label,imm,counts", ORACLE_CASES,
                              ids=[c[0] for c in ORACLE_CASES])
