@@ -136,6 +136,17 @@ def _generator_sign_fix(v: np.ndarray, n: int) -> np.ndarray:
     return np.where(key < 0, -v, v)
 
 
+def _generator(rows, w, v, n: int, scale: float) -> np.ndarray:
+    """Unit null generator of a jet, or of each jet of a stack: the image
+    under the tangent rows of the induced metric's kernel column (eigenvalue
+    of least magnitude), in homogeneous coordinates and oriented by its
+    time-slot sign.  Smooth wherever the kernel eigenvalue stays simple."""
+    kernel = np.take_along_axis(v, np.abs(w).argmin(axis=-1)[..., None, None], axis=-1)
+    a1 = (np.swapaxes(rows, -1, -2) @ kernel)[..., 0]
+    a1 = a1 / np.sqrt((a1 * a1).sum(axis=-1, keepdims=True))
+    return _generator_sign_fix(a1, n) * scale
+
+
 def _banded_orthonormal(candidates, product, count: int, tol: float) -> list:
     """Up to ``count`` vectors orthonormal under ``product``, by pivoted
     Gram-Schmidt on the candidates; stops once every remaining norm is below
@@ -260,12 +271,12 @@ def _lightlike_line(point, tangent_basis, model: AmbientModel, generator=None,
                 "tangent plane is not tangent to the isotropic cone here "
                 f"(induced inertia {causal.plus}+/{causal.minus}-/{causal.zero}0)"
             )
-        a1 = basis.T @ v[:, int(np.argmin(np.abs(w)))]
+        a1 = _generator(basis, w, v, n, generator_scale)
     else:
-        a1 = np.asarray(generator, dtype=float).copy()
+        a1 = np.asarray(generator, dtype=float)
         if abs(model.quadratic(a1)) > 1e-8 * float(a1 @ a1):
             raise NotLightlikeError("supplied generator direction is not null")
-    a1 = _generator_sign_fix(a1 / math.sqrt(float(a1 @ a1)), n) * generator_scale
+        a1 = _generator_sign_fix(a1 / math.sqrt(float(a1 @ a1)), n) * generator_scale
     _check_line(a0, a1)
     screen = build_screen(basis, model, count=n - 2)
     _check_gram(np.vstack([a0, a1, screen]), model, scale2, "adaptation")

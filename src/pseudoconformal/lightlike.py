@@ -19,25 +19,16 @@ Its Generalizations*, 1996).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .conformal import (
-    AmbientModel,
-    AtInfinity,
-    ProjectivePoint,
-    darboux_unembed,
-    lift_point,
-    lift_tangent,
-)
+from .conformal import AmbientModel, AtInfinity, ProjectivePoint, darboux_unembed
 from .errors import GeometryError, NotLightlikeError
-from .frames import (_banded_orthonormal, _generator_sign_fix, _lightlike_line, _null_frame,
+from .frames import (_banded_orthonormal, _generator, _lightlike_line, _null_frame,
                      null_frame_coordinates)
-from .hypersurface import (LIGHTLIKE, Immersion, _ambient_gram, _pullback, _stacked_spectra,
+from .hypersurface import (LIGHTLIKE, Immersion, _ambient_gram, _stacked_spectra,
                            causal_type_of_spectrum, lightlike_kernel, parameter_grid)
 from .linalg import (
     cluster_roots,
@@ -60,52 +51,6 @@ DEFAULT_STEP = 1e-4
 #: the generators: dA_1 divides generator differences by 2*step, so the
 #: default 1e-12 would leave eigenvector errors of up to ~5e-9 in it
 GENERATOR_JACOBI_TOL = 1e-14
-
-
-def _generator(rows, w, v, n: int, scale: float) -> np.ndarray:
-    """Unit null generator of a jet, or of each jet of a stack: the image
-    under the tangent rows of the induced metric's kernel column (eigenvalue
-    of least magnitude), in homogeneous coordinates and oriented by its
-    time-slot sign.  Smooth wherever the kernel eigenvalue stays simple."""
-    kernel = np.take_along_axis(v, np.abs(w).argmin(axis=-1)[..., None, None], axis=-1)
-    a1 = (np.swapaxes(rows, -1, -2) @ kernel)[..., 0]
-    a1 = a1 / np.sqrt((a1 * a1).sum(axis=-1, keepdims=True))
-    return _generator_sign_fix(a1, n) * scale
-
-
-class PointJet:
-    """First-order jet of an immersion at one parameter point, lifted to the
-    quadric: the Jacobian and its induced metric, the homogeneous base point
-    A_0 and its exact differential rows, from one evaluation each of the point
-    and the jet.  The metric's spectrum is computed once, when first read."""
-
-    def __init__(self, imm: Immersion, u, model: AmbientModel):
-        self.u = np.asarray(u, dtype=float)
-        self.model = model
-        self.point = imm.point(self.u)
-        self.jacobian = j = imm.jet1(self.u)
-        self.metric = _pullback(j, _ambient_gram(imm, model))
-        if imm.homogeneous:
-            self.a0, self.rows = self.point, j.T
-        else:
-            self.a0 = lift_point(self.point, model)
-            self.rows = np.array([lift_tangent(self.point, j[:, a], model)
-                                  for a in range(imm.params)])
-
-    @property
-    def span(self) -> np.ndarray:
-        """Homogeneous tangent span: the base point and its differentials."""
-        return np.vstack([self.a0, self.rows])
-
-    @cached_property
-    def spectrum(self):
-        """Eigenvalues and eigenvectors of the induced metric."""
-        return jacobi_eigh(self.metric)
-
-    def generator(self, scale: float = 1.0) -> np.ndarray:
-        """Unit null generator in homogeneous coordinates (``_generator``)."""
-        w, v = self.spectrum
-        return _generator(self.rows, w, v, self.model.n, scale)
 
 
 class _JetStack:
@@ -417,11 +362,11 @@ class DegeneracyReport:
     tangent_rank: int
 
 
-def _kernel_flow(imm: Immersion, u0, k0, model: AmbientModel, arc: float, steps: int):
-    """Sample parameter points along the generator curve through u0, whose
-    kernel direction is k0, by integrating the unit kernel field of the
-    induced metric (RK4, carrying the direction sign along for continuity).
-    Returns the two runs from u0; each ends at the first stage whose jet is
+def _kernel_flow(imm: Immersion, u0, model: AmbientModel, arc: float, steps: int):
+    """Sample parameter points along the generator curve through u0 by
+    integrating the unit kernel field of the induced metric (RK4, carrying
+    the direction sign along for continuity).  Returns the kernel direction
+    at u0 and the two runs from u0; each ends at the first stage whose jet is
     not regular (its evaluation fails or is non-finite), such as a vertex."""
     h = arc / steps
 
@@ -429,6 +374,7 @@ def _kernel_flow(imm: Immersion, u0, k0, model: AmbientModel, arc: float, steps:
         k = lightlike_kernel(imm, u, model=model)
         return k if float(k @ ref) >= 0.0 else -k
 
+    k0 = lightlike_kernel(imm, u0, model=model)
     runs = []
     for direction in (+1.0, -1.0):
         u = np.asarray(u0, dtype=float).copy()
@@ -445,7 +391,7 @@ def _kernel_flow(imm: Immersion, u0, k0, model: AmbientModel, arc: float, steps:
             u = u + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
             ref = k1
             runs[-1].append(u.copy())
-    return runs
+    return k0, runs
 
 
 def degeneracy_check(
@@ -462,52 +408,57 @@ def degeneracy_check(
     The homogeneous tangent span is compared, by largest principal angle,
     between the base point and samples along the generator curve; it also
     measures how many parameter directions actually move the tangent span
-    (the rank of the tangential degeneracy).  Samples whose jet raises a
-    GeometryError are skipped; each run of the curve ends at its first sample
-    within ``singular_tol`` of a singular point, also skipped, because past
-    it the curve leaves the generator (on a cone, for the opposite ray).
+    (the rank of the tangential degeneracy).  The centre, the samples and the
+    rate neighbours u + 1e-4 d are one jet stack (``_JetStack``) and all
+    their angles one ``max_principal_angle`` call.  Each run of the curve
+    ends at its first sample whose jet fails, or that lies within
+    ``singular_tol`` of a finite singular point in the chart coordinates
+    x^r / x^0 of its base point; that sample is skipped.  Past a singular
+    point the curve leaves the generator (on a cone, for the opposite ray).
+    A failed centre or rate neighbour raises its jet's failure.
     """
     if model is None:
         model = AmbientModel.standard(imm.n)
-    u = an.u
+    u, n, d = an.u, imm.n, imm.params
     focal = []
     for sp in singular_points(an):
         target = darboux_unembed(sp.point, model)
         if not isinstance(target, AtInfinity):
             focal.append(target)
 
-    span0 = PointJet(imm, u, model).span
-    k = lightlike_kernel(imm, u, model=model)
-
-    angles, used, skipped = [], [], []
-    for run in _kernel_flow(imm, u, k, model, arc=arc, steps=samples):
-        for us in run:
-            try:
-                jet = PointJet(imm, us, model)
-                if not imm.homogeneous:
-                    p = jet.point
-                    if any(math.sqrt(float((p - f) @ (p - f))) < singular_tol for f in focal):
-                        skipped.append(tuple(float(x) for x in us))
-                        break
-                angles.append(max_principal_angle(span0, jet.span))
-                used.append(tuple(float(x) for x in us))
-            except GeometryError:
-                skipped.append(tuple(float(x) for x in us))
-
+    k, runs = _kernel_flow(imm, u, model, arc=arc, steps=samples)
     # variation of the tangent span across an orthonormal parameter basis
-    comp = orthonormal_rows(np.eye(imm.params) - np.outer(k, k))
-    basis = np.vstack([k, comp])
+    basis = np.vstack([k, orthonormal_rows(np.eye(d) - np.outer(k, k))])
     eps = 1e-4
-    rates = []
-    for drc in basis:
-        rates.append(max_principal_angle(span0, PointJet(imm, u + eps * drc, model).span) / eps)
-    max_rate = max(rates) if rates else 0.0
-    rank = sum(1 for r in rates if r > max(1e-6, 1e-3 * max_rate))
+    flow = np.array([s for run in runs for s in run]).reshape(-1, d)
+    first_rate = 1 + len(flow)
+    jets = _JetStack(imm, np.vstack([u, flow, u + eps * basis]), model, 1.0)
+    exc = jets.failure(0, 1) or jets.failure(first_rate, len(jets.us))
+    if exc is not None:
+        raise exc
+    spans = np.concatenate([jets.a0[:, None, :], jets.rows], axis=1)
+    with np.errstate(invalid="ignore", divide="ignore"):  # ideal or failed members
+        chart = jets.a0[:, 1 : n + 1] / jets.a0[:, :1]
+    near = np.zeros(len(chart), dtype=bool)
+    for f in focal:
+        near |= np.sqrt(((chart - f) ** 2).sum(axis=1)) < singular_tol
+
+    used, skipped, at = [], [], 1
+    for run in runs:
+        for i, s in enumerate(run, start=at):
+            if i in jets.failures or near[i]:
+                skipped.append(tuple(float(x) for x in s))
+                break
+            used.append(i)
+        at += len(run)
+    angles = max_principal_angle(spans[0], spans[used + list(range(first_rate, len(spans)))])
+    angles, rates = angles[: len(used)], angles[len(used):] / eps
+    rank = (rates > max(1e-6, 1e-3 * rates.max())).sum()
 
     return DegeneracyReport(
-        max_angle=float(max(angles)) if angles else 0.0,
-        angles=tuple(angles),
-        samples=tuple(used),
+        max_angle=float(angles.max(initial=0.0)),
+        angles=tuple(float(a) for a in angles),
+        samples=tuple(tuple(float(x) for x in jets.us[i]) for i in used),
         skipped=tuple(skipped),
         variation_rates=tuple(float(r) for r in rates),
         tangent_rank=int(rank),

@@ -507,23 +507,27 @@ def orthonormal_rows(vectors, tol: float = 1e-12):
     return np.array(basis) if basis else np.empty((0, v.shape[1]))
 
 
-def max_principal_angle(span_a, span_b) -> float:
-    """Largest principal angle between two equal-dimensional row spans.
+def max_principal_angle(span_a, spans_b) -> np.ndarray:
+    """Largest principal angle between the row span span_a (k, m) and each
+    member of a stack of row spans spans_b (N, k, m), as an (N,) array.
 
-    The residual r of span_a off span_b has the sines of the principal
+    The residual r of span_a off a span has the sines of the principal
     angles as singular values.  Along the top eigenvector v of r r^T the unit
-    combination v^T q_a splits into its part v^T p q_b in span_b and v^T r
+    combination v^T q_a splits into its part v^T p q_b in the span and v^T r
     off it, and the angle is atan2(|v^T r|, |v^T p|).  Taking the sine keeps
     small angles to rounding; the arccosine of a cosine near 1 cannot
-    resolve angles below about 1.5e-8.
+    resolve angles below about 1.5e-8.  Every span is orthonormalized with
+    ``orthonormal_rows``, and all r r^T are eigendecomposed in one stacked
+    Jacobi pass; a member of another rank than span_a is at pi/2.
     """
     qa = orthonormal_rows(span_a)
-    qb = orthonormal_rows(span_b)
-    if qa.shape[0] != qb.shape[0]:
-        return math.pi / 2.0
-    p = qa @ qb.T
+    qbs = [orthonormal_rows(span) for span in spans_b]
+    angles = np.full(len(qbs), math.pi / 2.0)
+    same = [i for i, qb in enumerate(qbs) if qb.shape == qa.shape]
+    qb = np.array([qbs[i] for i in same]).reshape(len(same), *qa.shape)
+    p = qa @ np.swapaxes(qb, 1, 2)
     r = qa - p @ qb
-    w, v = jacobi_eigh(r @ r.T)
-    top = v[:, int(np.argmax(w))]
-    off, on = top @ r, top @ p
-    return math.atan2(math.sqrt(float(off @ off)), math.sqrt(float(on @ on)))
+    top = jacobi_eigh(r @ np.swapaxes(r, 1, 2))[1][:, None, :, 0]  # eigenvalues descend
+    off, on = (top @ r)[:, 0], (top @ p)[:, 0]
+    angles[same] = np.arctan2(np.sqrt((off * off).sum(axis=1)), np.sqrt((on * on).sum(axis=1)))
+    return angles

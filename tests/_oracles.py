@@ -1,16 +1,18 @@
 """Independent oracles used by the tests.
 
 Nothing here calls the library's own solvers: matrix functions come from
-explicit series or from numpy.linalg, and singular generator positions come
-from a brute-force rank scan along the line, so agreement with the library's
-characteristic-root route is a genuine two-sided check.
+explicit series or from numpy.linalg, jets from the immersion's own point
+and Jacobian lifted with ``lift_point``/``lift_tangent``, and singular
+generator positions from a brute-force rank scan along the line, so
+agreement with the library's characteristic-root route is a genuine
+two-sided check.
 """
 
 import numpy as np
 
-from pseudoconformal.conformal import AtInfinity, ProjectivePoint, darboux_unembed
+from pseudoconformal.conformal import (AtInfinity, ProjectivePoint, darboux_unembed, lift_point,
+                                      lift_tangent)
 from pseudoconformal.frames import _lightlike_line, complete_isotropic_frame
-from pseudoconformal.lightlike import PointJet
 
 
 def expm(a, terms=30):
@@ -38,28 +40,43 @@ def quadric_algebra_generator(gram, rng):
     return k @ np.linalg.inv(gram)
 
 
-def _line_fields_hypersurface(imm, u, model, step=1e-4):
-    jet = PointJet(imm, u, model)
+def eigh_jet(imm, u, model):
+    """Jet of the immersion at u lifted to the quadric, with its unit null
+    generator: (A_0, rows dA_0 (params, n+2), induced metric, A_1).  The
+    point and Jacobian are evaluated once each; a chart immersion is lifted
+    with lift_point/lift_tangent and its metric is J^T g J, a homogeneous
+    one keeps its coordinates and pulls back the quadric's polar form.  A_1
+    is the image of the numpy.linalg.eigh kernel of the metric, with a
+    positive time slot."""
+    p, j = imm.point(u), imm.jet1(u)
+    if imm.homogeneous:
+        a0, rows, gram = p, j.T, model.form.gram
+    else:
+        a0 = lift_point(p, model)
+        rows = np.array([lift_tangent(p, j[:, a], model) for a in range(imm.params)])
+        gram = model.metric.gram
+    metric = j.T @ gram @ j
+    metric = 0.5 * (metric + metric.T)
+    w, v = np.linalg.eigh(metric)
+    g = rows.T @ v[:, np.argmin(np.abs(w))]
+    g = g / np.linalg.norm(g)
+    return a0, rows, metric, g * np.sign(g[model.n])
+
+
+def _generator_differences(imm, u, model, step):
+    """Central differences dA_1 (params, n+2) of the eigh_jet generators."""
     d = imm.params
     da1 = np.empty((d, model.n + 2))
     for a in range(d):
         e = np.zeros(d)
         e[a] = step
-        da1[a] = (
-            PointJet(imm, u + e, model).generator()
-            - PointJet(imm, u - e, model).generator()
-        ) / (2 * step)
-    return jet.a0, jet.generator(), jet.rows, da1
+        da1[a] = (eigh_jet(imm, u + e, model)[3] - eigh_jet(imm, u - e, model)[3]) / (2 * step)
+    return da1
 
 
-def _eigh_generator(imm, u, model):
-    """Jet at u and its unit null generator from the numpy.linalg.eigh kernel
-    of the induced metric, with a positive time slot."""
-    jet = PointJet(imm, u, model)
-    w, v = np.linalg.eigh(jet.metric)
-    g = jet.rows.T @ v[:, np.argmin(np.abs(w))]
-    g = g / np.linalg.norm(g)
-    return jet, g * np.sign(g[model.n])
+def _line_fields_hypersurface(imm, u, model, step=1e-4):
+    a0, rows, _, a1 = eigh_jet(imm, u, model)
+    return a0, a1, rows, _generator_differences(imm, u, model, step)
 
 
 def focal_reference(imm, u, model, step=1e-4, cluster_radius=1e-6):
@@ -82,20 +99,15 @@ def focal_reference(imm, u, model, step=1e-4, cluster_radius=1e-6):
     eigenvalues of the symmetrized operator.  Raises whatever the library's
     line and screen checks raise.
     """
-    n, d = imm.n, imm.params
-    jet, g = _eigh_generator(imm, u, model)
-    a0, a1, screen = _lightlike_line(jet.a0, jet.rows, model, generator=g)
+    n = imm.n
+    a0, rows, metric, g = eigh_jet(imm, u, model)
+    a0, a1, screen = _lightlike_line(a0, rows, model, generator=g)
     lines = np.vstack([screen @ model.form.gram, a0, a1])
     frame = np.vstack([a0, a1, screen, np.linalg.svd(lines)[2][n:]])
-    da1 = np.empty((d, n + 2))
-    for a in range(d):
-        e = np.zeros(d)
-        e[a] = step
-        da1[a] = (_eigh_generator(imm, u + e, model)[1]
-                  - _eigh_generator(imm, u - e, model)[1]) / (2 * step)
-    c = np.linalg.solve(frame.T, jet.rows.T).T[:, 2:n]
+    da1 = _generator_differences(imm, u, model, step)
+    c = np.linalg.solve(frame.T, rows.T).T[:, 2:n]
     dd = np.linalg.solve(frame.T, da1.T).T[:, 2:n]
-    w, v = np.linalg.eigh(jet.metric)
+    w, v = np.linalg.eigh(metric)
     complement = v[:, np.argsort(np.abs(w))[1:]]
     lam = np.linalg.solve(complement.T @ c, complement.T @ dd).T
     roots = []

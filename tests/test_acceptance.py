@@ -30,7 +30,7 @@ from pseudoconformal.lightlike import (
     torse_directions,
 )
 
-from _oracles import generator_rank_scan
+from _oracles import eigh_jet, generator_rank_scan
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
@@ -64,7 +64,6 @@ def test_criterion_01_embedding_correctness():
 
 
 def test_criterion_02_frame_adaptation_gram_residual():
-    from pseudoconformal.lightlike import PointJet
     from pseudoconformal.frames import adapt_lightlike_frame
 
     cases = [
@@ -78,8 +77,8 @@ def test_criterion_02_frame_adaptation_gram_residual():
         imm = catalog.build(name, n=n)
         model = AmbientModel.standard(n)
         for u in grid_points(imm, counts):
-            jet = PointJet(imm, u, model)
-            frame = adapt_lightlike_frame(jet.a0, jet.rows, model, generator=jet.generator())
+            a0, rows, _, generator = eigh_jet(imm, u, model)
+            frame = adapt_lightlike_frame(a0, rows, model, generator=generator)
             worst = max(worst, frame.gram_residual())
             total += 1
     assert total >= 1000

@@ -25,7 +25,7 @@ from pseudoconformal.congruence import (
     stratify,
 )
 from pseudoconformal.hypersurface import Immersion, classify_point, parameter_grid
-from pseudoconformal.lightlike import focal_map
+from pseudoconformal.lightlike import degeneracy_check, focal_map, lightlike_affinor
 
 from _oracles import expm, quadric_algebra_generator
 
@@ -153,3 +153,23 @@ def test_lightlike_focal_set_is_invariant(name):
         for s in xs:
             assert min(projective_distance(t.projective.coords, m @ s.projective.coords)
                        for t in ys if t.multiplicity == s.multiplicity) < 1e-7
+
+
+@pytest.mark.parametrize("motion", ["lift", "moved"])
+def test_degeneracy_check_stops_a_homogeneous_image_at_the_vertex(motion):
+    # the cone's generator curve through u = (0.2, 0) runs into the vertex
+    # and past it onto the opposite ray; the focal stop reads each sample in
+    # the chart coordinates x^r / x^0, so the quadric image, plain or moved,
+    # stops where the chart immersion does
+    imm = catalog.build("light_cone", n=3)
+    model = AmbientModel.standard(3)
+    m = np.eye(5) if motion == "lift" else conformal_motion(model)
+    image = moved_immersion(imm, m, model)
+    u = np.array([0.2, 0.0])
+    chart = degeneracy_check(imm, lightlike_affinor(imm, u, model=model), model=model)
+    report = degeneracy_check(image, lightlike_affinor(image, u, model=model), model=model)
+    assert len(report.samples) == len(chart.samples) == 8
+    assert len(report.skipped) == len(chart.skipped) == 1
+    assert np.abs(np.array(report.samples) - np.array(chart.samples)).max() < 1e-12
+    assert report.max_angle <= 1e-13
+    assert report.tangent_rank == chart.tangent_rank == 1

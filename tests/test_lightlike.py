@@ -1,4 +1,5 @@
 import ast
+import inspect
 import math
 from pathlib import Path
 
@@ -14,7 +15,7 @@ from pseudoconformal.errors import (DegenerateBasisError, GeometryError, NotLigh
 from pseudoconformal.hypersurface import Immersion, parameter_grid
 from pseudoconformal.lightlike import (
     FocalSample,
-    PointJet,
+    _JetStack,
     _merge,
     degeneracy_check,
     focal_map,
@@ -413,6 +414,40 @@ class TestDegeneracy:
             assert report.max_angle <= 1e-13
             assert report.tangent_rank == imm.n - 2
 
+    @pytest.mark.parametrize("name", catalog.lightlike_entries())
+    def test_one_jet_pass_and_one_angle_pass(self, name, monkeypatch):
+        # the centre, the flow samples and the rate neighbours are one jet
+        # stack, and all their angles one stacked Jacobi pass; every other
+        # Jacobi call is the kernel of one flow stage
+        import pseudoconformal.hypersurface
+        import pseudoconformal.lightlike
+        import pseudoconformal.linalg
+
+        imm = catalog.build(name)
+        model = AmbientModel.standard(imm.n)
+        u = np.array([lo + 0.55 * (hi - lo) for lo, hi in imm.domain])
+        an = lightlike_affinor(imm, u, model=model)
+        calls = []
+        original = pseudoconformal.linalg.jacobi_eigh
+
+        def counted(*args, **kwargs):
+            callers = [f.function for f in inspect.stack(0)[1:4]]
+            calls.append((np.ndim(args[0]), callers))
+            return original(*args, **kwargs)
+
+        for module in (pseudoconformal.hypersurface, pseudoconformal.lightlike,
+                       pseudoconformal.linalg):
+            monkeypatch.setattr(module, "jacobi_eigh", counted)
+        report = degeneracy_check(imm, an, model=model)
+        assert report.samples
+        assert [callers[0] for ndim, callers in calls if ndim == 3] == \
+            ["_stacked_spectra", "max_principal_angle"]
+        single = [callers for ndim, callers in calls if ndim != 3]
+        assert single
+        for callers in single:
+            assert callers[0] == "lightlike_kernel"
+            assert "_kernel_flow" in callers[1:]
+
     def test_spacelike_input_rejected(self, model3):
         imm = catalog.build("spacelike_hypersphere")
         with pytest.raises(NotLightlikeError):
@@ -420,20 +455,20 @@ class TestDegeneracy:
                              model=model3)
 
 
-class TestPointJet:
+class TestJetStack:
     @pytest.mark.parametrize("name", catalog.lightlike_entries())
     def test_generator_is_the_null_kernel_image(self, name):
         imm = catalog.build(name)
         model = AmbientModel.standard(imm.n)
         _, grid = parameter_grid(imm, [3] * imm.params)
-        for u in grid:
-            jet = PointJet(imm, u, model)
-            g = jet.generator()
+        jets = _JetStack(imm, grid, model, 1.0)
+        assert not jets.failures
+        for rows, g in zip(jets.rows, jets.generators):
             assert abs(model.quadratic(g)) < 1e-12
-            assert np.abs(jet.rows @ model.form.gram @ g).max() < 1e-12
+            assert np.abs(rows @ model.form.gram @ g).max() < 1e-12
             # the same line as the image of the numpy.linalg.eigh kernel
-            w, v = np.linalg.eigh(jet.rows @ model.form.gram @ jet.rows.T)
-            ref = jet.rows.T @ v[:, np.argmin(np.abs(w))]
+            w, v = np.linalg.eigh(rows @ model.form.gram @ rows.T)
+            ref = rows.T @ v[:, np.argmin(np.abs(w))]
             ref /= np.linalg.norm(ref)
             assert min(np.abs(g - ref).max(), np.abs(g + ref).max()) < 1e-12
 
@@ -766,7 +801,7 @@ class TestFocalOracle:
 
     def test_oracle_shares_no_solver_with_the_engine(self):
         # the reference may use the library's line and screen, but none of
-        # its linear algebra and none of the engine's private helpers
+        # its linear algebra and nothing of the lightlike engine
         tree = ast.parse((Path(__file__).resolve().parent / "_oracles.py").read_text())
         imported = []
         for node in ast.walk(tree):
@@ -777,7 +812,7 @@ class TestFocalOracle:
         assert any(name.startswith("pseudoconformal.") for name in imported)
         for name in imported:
             assert not (name + ".").startswith("pseudoconformal.linalg."), name
-            assert not name.startswith("pseudoconformal.lightlike._"), name
+            assert not (name + ".").startswith("pseudoconformal.lightlike."), name
 
     @pytest.mark.parametrize("label,imm,counts", ORACLE_CASES,
                              ids=[c[0] for c in ORACLE_CASES])
