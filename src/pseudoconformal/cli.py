@@ -28,7 +28,7 @@ from .conformal import (
     darboux_unembed,
     quadric_residual,
 )
-from .congruence import congruence_affinor, congruence_singular_points, stratify
+from .congruence import _congruence_affinors, congruence_singular_points, stratify
 from .errors import ConvergenceError, GeometryError, NonIntegrableError
 from .hypersurface import parameter_grid, survey
 from .lightlike import (
@@ -417,8 +417,10 @@ def run_congruence(scene: Scene, out_path, fmt) -> int:
     rows = []
     samples = []
     worst = 0.0
-    for u in parameter_grid(cong, counts)[1]:
-        an = congruence_affinor(cong, u, model=model)
+    grid = parameter_grid(cong, counts)[1]
+    for u, an in zip(grid, _congruence_affinors(cong, grid, model)):
+        if isinstance(an, Exception):
+            raise an
         worst = max(worst, an.symmetry_defect)
         sample = {
             "u": [float(v) for v in u],

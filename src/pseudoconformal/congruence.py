@@ -23,17 +23,17 @@ the shape operator builds the screen e_i.
 
 from __future__ import annotations
 
-import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .conformal import AmbientModel, ProjectivePoint, lift_point, lift_tangent
-from .errors import DegenerateBasisError, GeometryError, NonIntegrableError
+from .errors import ConvergenceError, DegenerateBasisError, GeometryError, NonIntegrableError
 from .frames import _line_screen_candidates, build_screen, null_frame_coordinates
-from .hypersurface import _inertia, _pullback, parameter_grid
-from .linalg import char_roots, jacobi_eigh, orthonormal_rows, solve
+from .hypersurface import _evaluation_error, _inertia, _pullback, parameter_grid
+from .linalg import _dots, char_roots, jacobi_eigh, orthonormal_rows, solve
 
 DEFAULT_STEP = 1e-4
 
@@ -132,110 +132,126 @@ class CongruenceAnalysis:
         return self.shape_operator.shape[0]
 
 
-def _line_differentials(cong: IsotropicCongruence, u: np.ndarray, directions, step: float):
-    """Central differences of A_0 and A_1 along each parameter direction,
-    one pair of line evaluations per direction."""
-    da0 = np.empty((len(directions), cong.n + 2))
-    da1 = np.empty((len(directions), cong.n + 2))
-    for a, w in enumerate(directions):
-        p0, p1 = cong.line_at(u + step * w)
-        m0, m1 = cong.line_at(u - step * w)
-        da0[a] = (p0 - m0) / (2.0 * step)
-        da1[a] = (p1 - m1) / (2.0 * step)
-    return da0, da1
+#: ``_line_jets`` of N points: A_0, A_1 (N, n+2), dA_0, dA_1 (N, d, n+2) and forms
+#: (N, d), all zero at a failed point, and the failures (index -> exception)
+_LineJets = namedtuple("_LineJets", "a0 a1 da0 da1 forms failures")
 
 
 def _dependent(u: np.ndarray) -> DegenerateBasisError:
-    return DegenerateBasisError(
-        f"basis forms are dependent at u={u.tolist()}; "
-        "the family is not a congruence there"
-    )
+    return DegenerateBasisError(f"basis forms are dependent at u={u.tolist()}; "
+                                "the family is not a congruence there")
 
 
-def _line_jet(cong: IsotropicCongruence, u: np.ndarray, model: AmbientModel, step: float):
-    """Validated line (A_0, A_1) at u with dA_0 and dA_1 across the parameter
-    directions.  The basis forms are the components of dA_0 off the line, so
-    the rows of dA_0 must be independent modulo span(A_0, A_1): otherwise the
-    family is not a congruence at u."""
-    a0, a1 = cong.line_at(u)
-    _line_checks(u, a0, a1, model)
-    da0, da1 = _line_differentials(cong, u, np.eye(cong.params), step)
-    if not (np.isfinite(da0).all() and np.isfinite(da1).all()):
-        raise GeometryError(f"non-finite line differentials at u={u.tolist()}")
-    if orthonormal_rows(np.vstack([a0, a1, da0])).shape[0] < cong.params + 2:
-        raise _dependent(u)
-    return a0, a1, da0, da1
+def _line_jets(cong: IsotropicCongruence, us: np.ndarray, model: AmbientModel,
+               step: float) -> _LineJets:
+    """Lines at the parameter points us (N, d), their central differences
+    and transversal forms omega_0^n = -<d_a A_0, A_1>, from one loop over
+    ``line_at`` at every point and its neighbours u +- step e_a.  A point
+    fails with the first of: its own evaluation, its line checks, its
+    neighbours' evaluations (+e_0, -e_0, +e_1, ...), non-finite differentials,
+    dependent basis forms (rows of dA_0 dependent modulo the line).  An
+    evaluator's ValueError or ArithmeticError becomes a GeometryError naming
+    the point.  Non-finite members are masked before any arithmetic, and no
+    point depends on the rest of its stack."""
+    count, d = us.shape
+    width = 2 * d + 1
+    stencil = np.repeat(us[:, None], width, axis=1)
+    stencil[:, 1::2] += step * np.eye(d)
+    stencil[:, 2::2] -= step * np.eye(d)
+    lines = np.zeros((count, width, 2, cong.n + 2))
+    raised = {}
+    for (i, k), u in zip(np.ndindex(count, width), stencil.reshape(-1, d)):
+        try:
+            lines[i, k] = cong.line_at(u)
+        except (ValueError, ArithmeticError) as exc:  # GeometryError included
+            raised[i, k] = _evaluation_error(u, exc)
+    failures = {}
+    for i, u in enumerate(us):
+        try:
+            if (i, 0) not in raised:
+                _line_checks(u, *lines[i, 0], model)
+            exc = next((raised[i, k] for k in range(width) if (i, k) in raised), None)
+        except GeometryError as err:
+            exc = err
+        if exc is not None:
+            failures[i] = exc
+
+    live = np.isfinite(lines[:, 1:]).all(axis=(1, 2, 3))
+    live[list(failures)] = False
+    diffs = np.where(live[:, None, None, None], lines[:, 1:], 0.0)
+    diffs = (diffs[:, 0::2] - diffs[:, 1::2]) / (2.0 * step)
+    live &= np.isfinite(diffs).all(axis=(1, 2, 3))
+    for i in np.flatnonzero(~live):
+        failures.setdefault(i, GeometryError(
+            f"non-finite line differentials at u={us[i].tolist()}"))
+    idx = np.flatnonzero(live)
+    _, ranks = orthonormal_rows(np.concatenate([lines[idx, 0], diffs[idx, :, 0]], axis=1))
+    for i in idx[ranks < d + 2]:
+        failures[i], live[i] = _dependent(us[i]), False
+    lines[~live], diffs[~live] = 0.0, 0.0
+    forms = -(diffs[:, :, 0] @ (model.form.gram @ lines[:, 0, 1, :, None]))[..., 0]
+    return _LineJets(lines[:, 0, 0], lines[:, 0, 1], diffs[:, :, 0], diffs[:, :, 1], forms,
+                     failures)
 
 
-def _transversal(da0: np.ndarray, a1: np.ndarray, gram: np.ndarray) -> np.ndarray:
-    """omega_0^n = -<dA_0, A_1> per parameter direction."""
-    return -(da0 @ (gram @ a1))
+def _congruence_affinors(cong: IsotropicCongruence, us: np.ndarray, model: AmbientModel) -> list:
+    """The CongruenceAnalysis of every parameter point of us (N, params), or
+    the exception it raises: one ``_line_jets`` pass and one stacked pairing
+    pass, then each point's screen, basis-form solve and roots, failing at
+    the first step that fails.  A point gets the same bits in any stack."""
+    n, gram = cong.n, model.form.gram
+    jets = _line_jets(cong, us, model, DEFAULT_STEP)
+    results = [jets.failures.get(i) for i in range(len(us))]
+    live, screens = [], []
+    for i in np.flatnonzero([r is None for r in results]):
+        try:
+            screens.append(build_screen(_line_screen_candidates(jets.a0[i], jets.a1[i], model),
+                                        model, count=n - 2))
+            live.append(i)
+        except GeometryError as exc:
+            results[i] = exc
+    line, screens = (jets.a0[live], jets.a1[live]), np.reshape(screens, (len(live), n - 2, n + 2))
+    c0 = null_frame_coordinates(jets.da0[live], line, screens, gram)
+    c1 = null_frame_coordinates(jets.da1[live], line, screens, gram)
+    for j, i in enumerate(live):
+        e_form = jets.forms[i]
+        try:
+            unknowns = solve(np.hstack([c0[j, :, : n - 2], e_form[:, None]]), c1[j, :, : n - 2])
+            lam = unknowns[: n - 2].T
+            roots = tuple(char_roots(lam)) if lam.size else ()
+        except DegenerateBasisError:  # from the solve
+            results[i] = _dependent(us[i])
+            continue
+        except ConvergenceError as exc:
+            results[i] = exc
+            continue
+        results[i] = CongruenceAnalysis(
+            u=us[i].copy(), shape_operator=lam, transversal_shift=unknowns[n - 2],
+            symmetry_defect=float(np.abs(lam - lam.T).max()) if lam.size else 0.0,
+            roots=roots, line=(jets.a0[i], jets.a1[i]), screen=screens[j], transversal_form=e_form,
+            diagnostics={"w0np1": float(np.abs(c0[j, :, n - 1]).max()),
+                         "w1n": float(np.abs(c1[j, :, n - 2]).max()),
+                         "transversal_consistency": float(np.abs(c1[j, :, n - 1] + e_form).max())})
+    return results
 
 
-def transversal_form(cong: IsotropicCongruence, u, model: Optional[AmbientModel] = None,
-                     step: float = DEFAULT_STEP) -> np.ndarray:
-    """Coefficients of the transversal form omega_0^n = -<d_a A_0, A_1> per
-    parameter direction a at u, with the checks ``congruence_affinor`` makes
-    before its shape operator (a valid isotropic line, independent basis
-    forms), so both raise the same error at the same points."""
-    if model is None:
-        model = AmbientModel.standard(cong.n)
-    u = np.asarray(u, dtype=float)
-    _, a1, da0, _ = _line_jet(cong, u, model, step)
-    return _transversal(da0, a1, model.form.gram)
-
-
-def congruence_affinor(
-    cong: IsotropicCongruence,
-    u,
-    model: Optional[AmbientModel] = None,
-    step: float = DEFAULT_STEP,
-) -> CongruenceAnalysis:
+def congruence_affinor(cong: IsotropicCongruence, u,
+                       model: Optional[AmbientModel] = None) -> CongruenceAnalysis:
     """Shape operator and transversal shift of the congruence at u.
 
     The screen components <d_a A_0, e_i> and the transversal form
     -<d_a A_0, A_1> across the n-1 parameter directions form the basis-form
     matrix; solving it against the screen components <d_a A_1, e_i> yields
     the operator and the transversal shift.  Dependent basis forms mean the
-    family is not a congruence at u.
+    family is not a congruence at u.  This is the one-point case of the grid
+    engine of ``integrability_defect`` and the CLI, with the same bits.
     """
     if model is None:
         model = AmbientModel.standard(cong.n)
-    u = np.asarray(u, dtype=float)
-    a0, a1, da0, da1 = _line_jet(cong, u, model, step)
-
-    n = cong.n
-    gram = model.form.gram
-    screen = build_screen(_line_screen_candidates(a0, a1, model), model, count=n - 2)
-    c0 = null_frame_coordinates(da0, (a0, a1), screen, gram)
-    c1 = null_frame_coordinates(da1, (a0, a1), screen, gram)
-    # the same expression as transversal_form, so both give the same bits
-    e_form = _transversal(da0, a1, gram)
-    diagnostics = {
-        "w0np1": float(np.abs(c0[:, n - 1]).max()),
-        "w1n": float(np.abs(c1[:, n - 2]).max()),
-        "transversal_consistency": float(np.abs(c1[:, n - 1] + e_form).max()),
-    }
-
-    try:
-        unknowns = solve(np.hstack([c0[:, : n - 2], e_form[:, None]]), c1[:, : n - 2])
-    except DegenerateBasisError as exc:
-        raise _dependent(u) from exc
-    lam = unknowns[: n - 2].T
-    shift = unknowns[n - 2]
-    defect = float(np.abs(lam - lam.T).max()) if lam.size else 0.0
-    roots = tuple(char_roots(lam)) if lam.size else ()
-    return CongruenceAnalysis(
-        u=u.copy(),
-        shape_operator=lam,
-        transversal_shift=shift,
-        symmetry_defect=defect,
-        roots=roots,
-        line=(a0, a1),
-        screen=screen,
-        transversal_form=e_form,
-        diagnostics=diagnostics,
-    )
+    result = _congruence_affinors(cong, np.asarray(u, dtype=float)[None], model)[0]
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 @dataclass(frozen=True)
@@ -266,21 +282,17 @@ def congruence_singular_points(an: CongruenceAnalysis) -> list:
     return out
 
 
-def integrability_defect(
-    cong: IsotropicCongruence,
-    grid_counts: Sequence[int],
-    model: Optional[AmbientModel] = None,
-) -> float:
+def integrability_defect(cong: IsotropicCongruence, grid_counts: Sequence[int],
+                         model: Optional[AmbientModel] = None) -> float:
     """Largest symmetry defect of the shape operator over a parameter grid;
     near zero the congruence is normal and stratifies."""
     if model is None:
         model = AmbientModel.standard(cong.n)
-    _, grid = parameter_grid(cong, grid_counts)
-    worst = 0.0
-    for u in grid:
-        an = congruence_affinor(cong, u, model=model)
-        worst = max(worst, an.symmetry_defect)
-    return worst
+    results = _congruence_affinors(cong, parameter_grid(cong, grid_counts)[1], model)
+    for an in results:
+        if isinstance(an, Exception):
+            raise an
+    return max([0.0] + [an.symmetry_defect for an in results])
 
 
 @dataclass(frozen=True)
@@ -295,148 +307,136 @@ class LeafTrace:
     truncated: bool = False  # a run stopped early at the domain boundary
 
 
-def _kernel_projection(e: np.ndarray, ref: np.ndarray) -> tuple:
-    """ref projected on the kernel of the transversal form e in closed form,
-    ref - <e_hat, ref> e_hat, and the projection's norm."""
-    norm = math.sqrt(float(e @ e))
-    if norm < 1e-12:
-        raise DegenerateBasisError("transversal form vanishes; distribution undefined")
-    e_hat = e / norm
-    d = ref - float(e_hat @ ref) * e_hat
-    return d, math.sqrt(float(d @ d))
+def _kernel_projections(forms: np.ndarray, refs: np.ndarray) -> tuple:
+    """Each ref (N, d) projected on the kernel of its transversal form (N, d)
+    in closed form, ref - <e_hat, ref> e_hat, the projections' norms, and
+    whether each form vanishes."""
+    norms = np.sqrt(_dots(forms, forms))
+    vanishing = norms < 1e-12
+    e_hat = forms / np.where(vanishing, 1.0, norms)[:, None]
+    d = refs - _dots(e_hat, refs)[:, None] * e_hat
+    return d, np.sqrt(_dots(d, d)), vanishing
 
 
-def _transversal_kernel_basis(e: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the parameter directions annihilated by the
-    transversal form e: the projections of the unit directions."""
-    basis = orthonormal_rows([_kernel_projection(e, row)[0] for row in np.eye(len(e))])
-    if basis.shape[0] != len(e) - 1:
-        raise DegenerateBasisError("kernel of the transversal form has wrong dimension")
-    return basis
+def _kernel_bases(forms: np.ndarray) -> tuple:
+    """Orthonormal bases (N, d-1, d) of the kernels of transversal forms
+    (N, d), from the projections of the unit directions, and whether each is
+    one (the form does not vanish and the projections have rank d-1)."""
+    count, d = forms.shape
+    projections, _, vanishing = _kernel_projections(np.repeat(forms, d, axis=0),
+                                                    np.tile(np.eye(d), (count, 1)))
+    bases, ranks = orthonormal_rows(projections.reshape(count, d, d))
+    return bases[:, : d - 1], ~vanishing[::d] & (ranks == d - 1)
 
 
-def _memoized(fn):
-    """A function of one parameter point that evaluates fn once per distinct
-    point (by its exact bytes) and returns the first result thereafter."""
-    cache = {}
+def _rk4_runs(cong: IsotropicCongruence, starts: np.ndarray, refs: np.ndarray,
+              model: AmbientModel, step: float, count: int) -> tuple:
+    """March runs from starts (R, d) along the kernel of the transversal form
+    by classical fourth-order stepping, carrying each direction, first refs
+    (R, d), by projection, for ``count`` steps or until a run leaves the
+    domain.  The runs go in lockstep: each stage is one ``_line_jets`` pass
+    over the runs still going, and a last pass visits their end points.  A
+    failed line jet, a vanishing form or a direction off the kernel raises.
+    Returns per run the (point, line jets, index) of its start and of each
+    point reached, and whether a run left the domain."""
+    lo, hi = np.array(cong.domain, dtype=float).T
+    u, ref = starts.copy(), refs.copy()
+    going, visits, truncated = np.arange(len(u)), [[] for _ in u], False
+    ks = np.zeros((4,) + u.shape)
+    for n_step in range(count + 1):
+        if not going.size:
+            break
+        for stage, weight in enumerate((0.0, 0.5, 0.5, 1.0)):
+            prev = ref if stage == 0 else ks[stage - 1]
+            stack = _line_jets(cong, u[going] + weight * step * prev[going] if stage else u[going],
+                               model, DEFAULT_STEP)
+            if stack.failures:
+                raise stack.failures[min(stack.failures)]
+            if stage == 0:
+                for j, r in enumerate(going):
+                    visits[r].append((u[r].copy(), stack, j))
+            if n_step == count:
+                return visits, truncated
+            d, norms, vanishing = _kernel_projections(stack.forms, prev[going])
+            if vanishing.any():
+                raise DegenerateBasisError("transversal form vanishes; distribution undefined")
+            if (norms < 1e-10).any():
+                raise DegenerateBasisError("transport direction left the distribution kernel")
+            ks[stage, going] = d / norms[:, None]
+        u[going] = u[going] + (step / 6.0) * (ks[0, going] + 2 * ks[1, going]
+                                              + 2 * ks[2, going] + ks[3, going])
+        outside = np.any(u[going] < lo - 1e-9, axis=1) | np.any(u[going] > hi + 1e-9, axis=1)
+        truncated |= bool(outside.any())
+        going = going[~outside]
+        ref[going] = ks[0, going]
+    return visits, truncated
 
-    def once(u):
-        key = u.tobytes()
-        if key not in cache:
-            cache[key] = fn(u)
-        return cache[key]
 
-    return once
-
-
-def stratify(
-    cong: IsotropicCongruence,
-    seed,
-    model: Optional[AmbientModel] = None,
-    step: float = 1e-2,
-    count: int = 40,
-    tol: float = INTEGRABILITY_TOL,
-    line_samples: Sequence[float] = (-0.5, 0.0, 0.5, 1.0),
-) -> LeafTrace:
+def stratify(cong: IsotropicCongruence, seed, model: Optional[AmbientModel] = None,
+             step: float = 1e-2, count: int = 40, tol: float = INTEGRABILITY_TOL,
+             line_samples: Sequence[float] = (-0.5, 0.0, 0.5, 1.0)) -> LeafTrace:
     """Integrate the leaf of the transversal distribution through ``seed``.
 
     Steps are projected onto the kernel of the transversal form at every
     integrator stage (classical fourth-order stepping).  The leaf is sampled
     on a lattice of kernel directions: a spine along the first direction and,
     for higher screen dimension, transversal runs from every spine point.
-    The swept point set is classified against the lightlike criterion, all
-    its induced metrics in one stacked Jacobi pass, and the surviving
-    fraction reported.  Only the seed gets the full shape
-    operator, whose symmetry defect decides integrability; every other point
-    evaluates just the transversal form, once per distinct point.
+    The two spine runs, then all transversal runs, advance in lockstep
+    (``_rk4_runs``), and each lattice point reads its line jets from the first
+    stage of its step.  The swept point set is classified against the
+    lightlike criterion in one stacked Jacobi pass, and the surviving
+    fraction reported.  Only the seed gets the full shape operator, whose
+    symmetry defect decides integrability.
     """
     if model is None:
         model = AmbientModel.standard(cong.n)
     seed = np.asarray(seed, dtype=float)
     an0 = congruence_affinor(cong, seed, model=model)
     if an0.symmetry_defect > tol * (1.0 + float(np.abs(an0.shape_operator).max(initial=0.0))):
-        raise NonIntegrableError(
-            f"congruence is not integrable near the seed "
-            f"(symmetry defect {an0.symmetry_defect:.3e})"
-        )
+        raise NonIntegrableError("congruence is not integrable near the seed "
+                                 f"(symmetry defect {an0.symmetry_defect:.3e})")
+    bases, valid = _kernel_bases(an0.transversal_form[None])
+    if not valid[0]:
+        raise DegenerateBasisError("transversal form has no kernel of codimension 1 at the seed")
+    basis0 = bases[0]
 
-    form_at = _memoized(lambda u: transversal_form(cong, u, model=model))
+    (back, ahead), truncated = _rk4_runs(cong, np.array([seed, seed]),
+                                         np.array([-basis0[0], basis0[0]]), model, step, count)
+    lattice = back[:0:-1] + back[:1] + ahead[1:]
+    if len(basis0) > 1:
+        # from every spine point a pair of runs (-ref, +ref) along each further
+        # kernel direction projected off the point's form, if anything is left
+        others = len(basis0) - 1
+        d, norms, vanishing = _kernel_projections(
+            np.repeat([stack.forms[i] for _, stack, i in lattice], others, axis=0),
+            np.tile(basis0[1:], (len(lattice), 1)))
+        if vanishing.any():
+            raise DegenerateBasisError("transversal form vanishes; distribution undefined")
+        keep = norms >= 1e-10
+        refs = d[keep] / norms[keep, None]
+        runs, cross_truncated = _rk4_runs(
+            cong, np.repeat(np.repeat([p for p, _, _ in lattice], others, axis=0)[keep], 2, axis=0),
+            np.stack([-refs, refs], axis=1).reshape(-1, len(seed)), model, step, count)
+        truncated |= cross_truncated
+        lattice += [visit for run in runs for visit in run[1:]]
 
-    def kernel_dir(u, ref):
-        d, norm = _kernel_projection(form_at(u), ref)
-        if norm < 1e-10:
-            raise DegenerateBasisError("transport direction left the distribution kernel")
-        return d / norm
-
-    truncated = False
-
-    def rk4_run(u0, ref0, steps):
-        """March along the distribution, carrying the direction by projection."""
-        nonlocal truncated
-        out = []
-        u = u0.copy()
-        ref = ref0.copy()
-        lo = np.array([d[0] for d in cong.domain])
-        hi = np.array([d[1] for d in cong.domain])
-        for _ in range(steps):
-            k1 = kernel_dir(u, ref)
-            k2 = kernel_dir(u + 0.5 * step * k1, k1)
-            k3 = kernel_dir(u + 0.5 * step * k2, k2)
-            k4 = kernel_dir(u + step * k3, k3)
-            u = u + (step / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            if np.any(u < lo - 1e-9) or np.any(u > hi + 1e-9):
-                truncated = True
-                break
-            ref = k1
-            out.append(u.copy())
-        return out
-
-    basis0 = _transversal_kernel_basis(an0.transversal_form)
-    spine = [seed.copy()]
-    spine = rk4_run(seed, -basis0[0], count)[::-1] + spine + rk4_run(seed, basis0[0], count)
-    lattice = list(spine)
-    if basis0.shape[0] > 1:
-        cross = []
-        for point in spine:
-            for k in range(1, basis0.shape[0]):
-                ref, nrm = _kernel_projection(form_at(point), basis0[k])
-                if nrm < 1e-10:
-                    continue
-                ref = ref / nrm
-                cross += rk4_run(point, -ref, count) + rk4_run(point, ref, count)
-        lattice += cross
-
-    lines = tuple((*cong.line_at(p),) for p in lattice)
-
-    # classify the swept point set: at each lattice point, the leaf's tangent
-    # directions are the kernel of the transversal form, so the swept
-    # hypersurface tangent space is spanned by the corresponding directional
-    # derivatives of X(s) = A_0 + s A_1 together with the line direction A_1;
-    # all induced metrics go through one stacked Jacobi pass
+    # classify the swept point set: the leaf's tangent directions at a point
+    # are the kernel of its transversal form, so the swept tangent space is
+    # spanned by the derivatives of X(s) = A_0 + s A_1 along them (combined
+    # from those along the parameter directions) and the line direction A_1
+    forms, da0, da1, a1 = (np.array(x) for x in zip(*[
+        (stack.forms[i], stack.da0[i], stack.da1[i], stack.a1[i]) for _, stack, i in lattice]))
+    bases, valid = _kernel_bases(forms)
+    bases, da0, da1, a1 = bases[valid], da0[valid], da1[valid], a1[valid]
     samples = np.asarray(line_samples, dtype=float)[:, None, None]
-    tangents = []
-    for p, (_, a1_p) in zip(lattice, lines):
-        try:
-            basis_p = _transversal_kernel_basis(form_at(p))
-        except GeometryError:
-            continue
-        deriv0, deriv1 = _line_differentials(cong, p, basis_p, step)
-        swept = deriv0 + samples * deriv1
-        line_dir = np.broadcast_to(a1_p, (len(samples), 1, len(a1_p)))
-        tangents.append(np.concatenate([swept, line_dir], axis=1))
-    good = total = 0
-    if tangents:
-        tangents = np.concatenate(tangents)
-        w, _ = jacobi_eigh(_pullback(np.swapaxes(tangents, 1, 2), model.form.gram))
-        _, minus, zero, _ = _inertia(w, 1e-4)
-        total = len(w)
-        good = int(((minus == 0) & (zero == 1)).sum())
-    fraction = good / total if total else 0.0
+    swept = (bases @ da0)[:, None] + samples * (bases @ da1)[:, None]
+    line_dir = np.broadcast_to(a1[:, None, None], swept.shape[:2] + (1, a1.shape[1]))
+    tangents = np.concatenate([swept, line_dir], axis=2).reshape(-1, len(seed), a1.shape[1])
+    w, _ = jacobi_eigh(_pullback(np.swapaxes(tangents, 1, 2), model.form.gram))
+    _, minus, zero, _ = _inertia(w, 1e-4)
+    good = int(((minus == 0) & (zero == 1)).sum())
     return LeafTrace(
         seed=tuple(float(x) for x in seed),
-        parameters=tuple(tuple(float(x) for x in p) for p in lattice),
-        lines=lines,
-        lightlike_fraction=fraction,
-        step=step,
-        truncated=truncated,
-    )
+        parameters=tuple(tuple(float(x) for x in p) for p, _, _ in lattice),
+        lines=tuple((stack.a0[i], stack.a1[i]) for _, stack, i in lattice),
+        lightlike_fraction=good / len(w) if len(w) else 0.0, step=step, truncated=truncated)

@@ -247,7 +247,7 @@ def _check_gram(rows, model: AmbientModel, scale2: float, action: str):
 
 
 def _lightlike_line(point, tangent_basis, model: AmbientModel, generator=None,
-                    generator_scale: float = 1.0, degenerate_tol: float = 1e-7):
+                    generator_scale: float = 1.0):
     """The line (A_0, A_1) and screen of ``adapt_lightlike_frame``, with its
     checks; the Gram block of the rows [A_0; A_1; screen] must meet
     ADAPT_TOL.  Their pairings give every coordinate the shape operator
@@ -265,7 +265,7 @@ def _lightlike_line(point, tangent_basis, model: AmbientModel, generator=None,
         w, v = jacobi_eigh(_pullback(basis.T, model.form.gram))
         if max(float(np.abs(w).max()), 1e-300) <= 1e-14 * scale2:
             raise DegenerateBasisError("tangent basis is rank deficient")
-        causal = causal_type_of_spectrum(w, degenerate_tol)
+        causal = causal_type_of_spectrum(w, 1e-7)
         if causal.kind != LIGHTLIKE:
             raise NotLightlikeError(
                 "tangent plane is not tangent to the isotropic cone here "
@@ -284,8 +284,7 @@ def _lightlike_line(point, tangent_basis, model: AmbientModel, generator=None,
 
 
 def adapt_lightlike_frame(point, tangent_basis, model: AmbientModel, generator=None,
-                          generator_scale: float = 1.0,
-                          degenerate_tol: float = 1e-7) -> ConformalFrame:
+                          generator_scale: float = 1.0) -> ConformalFrame:
     """Null-adapted frame at a point of a lightlike surface on the quadric.
 
     ``point`` is a homogeneous vector on the quadric, ``tangent_basis`` the
@@ -295,13 +294,13 @@ def adapt_lightlike_frame(point, tangent_basis, model: AmbientModel, generator=N
     that inertia off the same metric.  The screen comes from orthonormalizing
     the tangent directions (``_lightlike_line``), and A_n, A_{n+1} complete
     the two hyperbolic pairs in closed form (``_null_frame``).
-    ``degenerate_tol`` is the relative eigenvalue threshold below which the
-    induced form counts as degenerate; widen it for finite-difference jets.
+    An eigenvalue of the induced form below 1e-7 times its spectral radius
+    counts as zero.
     The lightlike engine builds no frame; this is for callers that need one,
     such as connection forms.
     """
     a0, a1, screen = _lightlike_line(point, tangent_basis, model, generator,
-                                     generator_scale, degenerate_tol)
+                                     generator_scale)
     return _null_frame(a0, a1, screen, model, float(a0 @ a0), "adaptation")
 
 

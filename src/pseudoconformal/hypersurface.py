@@ -211,6 +211,15 @@ def _rank_deficient(w: np.ndarray) -> np.ndarray:
     return w.min(axis=-1) <= 1e-12 * np.maximum(w.max(axis=-1), 1e-300)
 
 
+def _evaluation_error(u, exc: Exception) -> GeometryError:
+    """What an evaluator raised at the parameter point u as a GeometryError:
+    a GeometryError as it is, any other error naming u and keeping its
+    message."""
+    if isinstance(exc, GeometryError):
+        return exc
+    return GeometryError(f"evaluation failed at u={np.asarray(u).tolist()}: {exc}")
+
+
 def _stacked_spectra(jets, gram, us, failures, tol: float = JACOBI_TOL) -> tuple:
     """Check a stack of Jacobians jets (N, target, params) at the parameter
     points us (N, params) and eigendecompose their induced metrics, in one

@@ -28,8 +28,9 @@ from .conformal import AmbientModel, AtInfinity, ProjectivePoint, darboux_unembe
 from .errors import GeometryError, NotLightlikeError
 from .frames import (_banded_orthonormal, _generator, _lightlike_line, _null_frame,
                      null_frame_coordinates)
-from .hypersurface import (LIGHTLIKE, Immersion, _ambient_gram, _stacked_spectra,
-                           causal_type_of_spectrum, lightlike_kernel, parameter_grid)
+from .hypersurface import (LIGHTLIKE, Immersion, _ambient_gram, _evaluation_error,
+                           _stacked_spectra, causal_type_of_spectrum, lightlike_kernel,
+                           parameter_grid)
 from .linalg import (
     cluster_roots,
     det,
@@ -44,6 +45,10 @@ SYMMETRY_TOL_FD = 1e-3
 
 #: matching radius when merging focal points
 FOCAL_MERGE_TOL = 1e-6
+
+#: distance in chart coordinates within which a degeneracy sample counts as
+#: at a focal point
+SINGULAR_TOL = 0.05
 
 DEFAULT_STEP = 1e-4
 
@@ -61,8 +66,8 @@ class _JetStack:
 
     ``failures`` maps the index of each member that is not a regular point to
     the exception it raises: the one its jet evaluation raised (a
-    GeometryError, ValueError or ArithmeticError, as in ``survey``), else a
-    DegenerateBasisError for a non-finite or rank-deficient Jacobian.
+    ValueError or ArithmeticError becomes a GeometryError naming the member),
+    else a DegenerateBasisError for a non-finite or rank-deficient Jacobian.
     """
 
     def __init__(self, imm: Immersion, us: np.ndarray, model: AmbientModel,
@@ -76,8 +81,8 @@ class _JetStack:
         for i, u in enumerate(us):
             try:
                 points[i], jets[i] = imm.point(u), imm.jet1(u)
-            except (GeometryError, ValueError, ArithmeticError) as exc:
-                self.failures[i] = exc
+            except (ValueError, ArithmeticError) as exc:  # GeometryError included
+                self.failures[i] = _evaluation_error(u, exc)
         self.w, self.v = _stacked_spectra(jets, _ambient_gram(imm, model), us, self.failures,
                                           tol=GENERATOR_JACOBI_TOL)
         if imm.homogeneous:
@@ -269,7 +274,6 @@ def lightlike_affinor(
     imm: Immersion,
     u,
     model: Optional[AmbientModel] = None,
-    step: float = DEFAULT_STEP,
     generator_scale: float = 1.0,
     sym_tol: Optional[float] = None,
 ) -> LightlikeAnalysis:
@@ -284,7 +288,7 @@ def lightlike_affinor(
     """
     if model is None:
         model = AmbientModel.standard(imm.n)
-    result = _affinors(imm, np.asarray(u, dtype=float)[None], model, step,
+    result = _affinors(imm, np.asarray(u, dtype=float)[None], model, DEFAULT_STEP,
                        generator_scale, sym_tol)[0]
     if isinstance(result, Exception):
         raise result
@@ -398,9 +402,7 @@ def degeneracy_check(
     imm: Immersion,
     an: LightlikeAnalysis,
     model: Optional[AmbientModel] = None,
-    samples: int = 5,
     arc: float = 0.25,
-    singular_tol: float = 0.05,
 ) -> DegeneracyReport:
     """Verify tangential degeneracy along the generator through ``an.u``,
     given ``an``, the ``lightlike_affinor`` analysis of ``imm`` there.
@@ -410,11 +412,12 @@ def degeneracy_check(
     measures how many parameter directions actually move the tangent span
     (the rank of the tangential degeneracy).  The centre, the samples and the
     rate neighbours u + 1e-4 d are one jet stack (``_JetStack``) and all
-    their angles one ``max_principal_angle`` call.  Each run of the curve
-    ends at its first sample whose jet fails, or that lies within
-    ``singular_tol`` of a finite singular point in the chart coordinates
-    x^r / x^0 of its base point; that sample is skipped.  Past a singular
-    point the curve leaves the generator (on a cone, for the opposite ray).
+    their angles one ``max_principal_angle`` call.  The curve has 5 samples
+    each way, and each run ends at its first sample whose jet fails, or that
+    lies within ``SINGULAR_TOL`` of a finite singular point in the chart
+    coordinates x^r / x^0 of its base point; that sample is skipped.  Past a
+    singular point the curve leaves the generator (on a cone, for the
+    opposite ray).
     A failed centre or rate neighbour raises its jet's failure.
     """
     if model is None:
@@ -426,9 +429,10 @@ def degeneracy_check(
         if not isinstance(target, AtInfinity):
             focal.append(target)
 
-    k, runs = _kernel_flow(imm, u, model, arc=arc, steps=samples)
+    k, runs = _kernel_flow(imm, u, model, arc=arc, steps=5)
     # variation of the tangent span across an orthonormal parameter basis
-    basis = np.vstack([k, orthonormal_rows(np.eye(d) - np.outer(k, k))])
+    complement, rank = orthonormal_rows((np.eye(d) - np.outer(k, k))[None])
+    basis = np.vstack([k, complement[0, : rank[0]]])
     eps = 1e-4
     flow = np.array([s for run in runs for s in run]).reshape(-1, d)
     first_rate = 1 + len(flow)
@@ -441,7 +445,7 @@ def degeneracy_check(
         chart = jets.a0[:, 1 : n + 1] / jets.a0[:, :1]
     near = np.zeros(len(chart), dtype=bool)
     for f in focal:
-        near |= np.sqrt(((chart - f) ** 2).sum(axis=1)) < singular_tol
+        near |= np.sqrt(((chart - f) ** 2).sum(axis=1)) < SINGULAR_TOL
 
     used, skipped, at = [], [], 1
     for run in runs:
@@ -496,12 +500,12 @@ def focal_map(
     imm: Immersion,
     grid_counts: Sequence[int],
     model: Optional[AmbientModel] = None,
-    merge_tol: float = FOCAL_MERGE_TOL,
     sym_tol: Optional[float] = None,
 ) -> FocalSet:
     """Singular points of every generator over a parameter grid, merged into
-    focal clusters; ideal points keep an at-infinity marker.  ``sym_tol`` is
-    passed to ``lightlike_affinor`` at every grid point."""
+    focal clusters within FOCAL_MERGE_TOL; ideal points keep an at-infinity
+    marker.  ``sym_tol`` is passed to ``lightlike_affinor`` at every grid
+    point."""
     if model is None:
         model = AmbientModel.standard(imm.n)
     _, grid = parameter_grid(imm, grid_counts)
@@ -538,7 +542,7 @@ def focal_map(
             count=len(c),
             multiplicities=tuple(s.multiplicity for s in c),
         )
-        for c in _merge(samples, merge_tol)
+        for c in _merge(samples, FOCAL_MERGE_TOL)
     )
     return FocalSet(samples=tuple(samples), clusters=merged, errors=tuple(errors))
 

@@ -42,17 +42,15 @@ class BilinearForm:
     """Symmetric nondegenerate bilinear form on an m-dimensional space."""
 
     gram: np.ndarray
-    sym_tol: float = 1e-12
-    degenerate_tol: float = 1e-12
 
     def __post_init__(self):
         g = _as_matrix(self.gram).copy()
         scale = max(np.abs(g).max(), 1.0)
-        if np.abs(g - g.T).max() > self.sym_tol * scale:
+        if np.abs(g - g.T).max() > 1e-12 * scale:
             raise ValueError("gram matrix is not symmetric")
         row_norms = np.sqrt((g * g).sum(axis=1))
         bound = float(np.prod(np.maximum(row_norms, 1e-300)))
-        if abs(det(g)) <= self.degenerate_tol * bound:
+        if abs(det(g)) <= 1e-12 * bound:
             raise DegenerateBasisError("gram matrix is degenerate")
         g.flags.writeable = False
         object.__setattr__(self, "gram", g)
@@ -245,12 +243,13 @@ def char_poly(m) -> np.ndarray:
     return coeffs
 
 
-def durand_kerner(coeffs, max_iter: int = 500, tol: float = 1e-13):
+def durand_kerner(coeffs):
     """All complex roots of a monic polynomial given in descending powers.
 
     Initial guesses sit on a circle whose radius is one plus the largest
     coefficient magnitude, offset off the real axis so conjugate symmetry
-    cannot trap the iteration.
+    cannot trap the iteration.  It stops once no root moves by 1e-13 (1 plus
+    the largest root magnitude) in a sweep, or after 500 sweeps.
     """
     c = np.asarray(coeffs, dtype=complex)
     if abs(c[0] - 1.0) > 1e-12:
@@ -264,7 +263,7 @@ def durand_kerner(coeffs, max_iter: int = 500, tol: float = 1e-13):
     z = np.array(
         [radius * cmath.exp(2j * math.pi * (j + 0.3) / deg) for j in range(deg)]
     )
-    for _ in range(max_iter):
+    for _ in range(500):
         max_step = 0.0
         for i in range(deg):
             p = c[0]
@@ -280,7 +279,7 @@ def durand_kerner(coeffs, max_iter: int = 500, tol: float = 1e-13):
             step = p / denom
             z[i] -= step
             max_step = max(max_step, abs(step))
-        if max_step < tol * (1.0 + float(np.abs(z).max())):
+        if max_step < 1e-13 * (1.0 + float(np.abs(z).max())):
             break
     residual = 0.0
     for zi in z:
@@ -309,7 +308,7 @@ class Root:
         return float(self.value.real)
 
 
-def cluster_roots(values, radius: float = CLUSTER_RADIUS):
+def cluster_roots(values):
     """Group near-coincident root values into (mean, multiplicity) clusters.
 
     Conjugate asymmetry left over by the iteration is removed afterwards:
@@ -322,7 +321,7 @@ def cluster_roots(values, radius: float = CLUSTER_RADIUS):
         placed = False
         for cl in clusters:
             center = sum(cl) / len(cl)
-            if abs(z - center) <= radius * (1.0 + abs(center)):
+            if abs(z - center) <= CLUSTER_RADIUS * (1.0 + abs(center)):
                 cl.append(z)
                 placed = True
                 break
@@ -337,7 +336,7 @@ def cluster_roots(values, radius: float = CLUSTER_RADIUS):
         for j in range(len(means)):
             if i == j or mults[i] != mults[j]:
                 continue
-            if abs(means[j] - means[i].conjugate()) <= radius * (1.0 + abs(means[i])):
+            if abs(means[j] - means[i].conjugate()) <= CLUSTER_RADIUS * (1.0 + abs(means[i])):
                 avg = 0.5 * (means[i] + means[j].conjugate())
                 means[i] = avg
                 means[j] = avg.conjugate()
@@ -352,14 +351,14 @@ def cluster_roots(values, radius: float = CLUSTER_RADIUS):
     return roots
 
 
-def char_roots(m, cluster_radius: float = CLUSTER_RADIUS):
+def char_roots(m):
     """Roots x of det(m + x I) = 0, i.e. the negated eigenvalues of m,
     clustered into multiplicities and flagged real or complex."""
     a = _as_matrix(m)
     if a.shape[0] > 12:
         raise ValueError("char_roots is limited to matrices of order <= 12")
     eigen = durand_kerner(char_poly(a))
-    return cluster_roots([-z for z in eigen], radius=cluster_radius)
+    return cluster_roots([-z for z in eigen])
 
 
 def solve(a, b, tol: float = SINGULAR_TOL):
@@ -487,24 +486,45 @@ def nullspace(a, tol: float = 1e-10):
     return v[:, keep]
 
 
-def orthonormal_rows(vectors, tol: float = 1e-12):
-    """Euclidean orthonormal basis of the row span, by modified Gram-Schmidt
-    with pivoting on the largest remaining norm."""
-    v = np.asarray(vectors, dtype=float).copy()
-    if v.ndim != 2:
-        raise ValueError("expected a 2-d matrix of row vectors")
-    scale = max(float(np.abs(v).max()), 1e-300)
-    basis = []
-    remaining = [row.copy() for row in v]
-    while remaining:
-        norms = [float(math.sqrt(r @ r)) for r in remaining]
-        i = int(np.argmax(norms))
-        if norms[i] <= tol * scale:
+def _dots(a, b) -> np.ndarray:
+    """Dot products of the vectors on the last axes of a and b, broadcast
+    over the leading axes; each has the bits of the 1-d ``a @ b``."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def orthonormal_rows(stack, tol: float = 1e-12):
+    """Euclidean orthonormal bases of the row spans of a stack of finite
+    matrices (N, r, m), by modified Gram-Schmidt with pivoting on the
+    largest remaining norm, all members in one pass.
+
+    Returns the bases (N, r, m) and the ranks (N,).  A member's basis fills
+    its leading rows in pivot order, and the rows after its rank are zero;
+    it stops at the first pivot whose norm is at most tol times its largest
+    entry.  A member does not depend on the rest of its stack.
+    """
+    v = np.array(stack, dtype=float)
+    if v.ndim != 3:
+        raise ValueError("expected a stack of row matrices (N, r, m)")
+    count, rows, _ = v.shape
+    scale = np.maximum(np.abs(v).max(axis=(1, 2), initial=0.0), 1e-300)
+    bases = np.zeros_like(v)
+    ranks = np.zeros(count, dtype=int)
+    active = np.ones(count, dtype=bool)
+    left = np.ones((count, rows), dtype=bool)  # rows not yet taken as a pivot
+    members = np.arange(count)
+    for k in range(rows):
+        norms = np.sqrt(_dots(v, v))
+        pivot = np.where(left, norms, -1.0).argmax(axis=1)
+        best = norms[members, pivot]
+        active &= best > tol * scale
+        if not active.any():
             break
-        q = remaining.pop(i) / norms[i]
-        basis.append(q)
-        remaining = [r - (r @ q) * q for r in remaining]
-    return np.array(basis) if basis else np.empty((0, v.shape[1]))
+        q = np.where(active[:, None], v[members, pivot] / np.where(active, best, 1.0)[:, None], 0.0)
+        bases[:, k] = q
+        ranks += active
+        left[members, pivot] = False
+        v = v - _dots(v, q[:, None, :])[..., None] * q[:, None, :]
+    return bases, ranks
 
 
 def max_principal_angle(span_a, spans_b) -> np.ndarray:
@@ -516,15 +536,18 @@ def max_principal_angle(span_a, spans_b) -> np.ndarray:
     combination v^T q_a splits into its part v^T p q_b in the span and v^T r
     off it, and the angle is atan2(|v^T r|, |v^T p|).  Taking the sine keeps
     small angles to rounding; the arccosine of a cosine near 1 cannot
-    resolve angles below about 1.5e-8.  Every span is orthonormalized with
-    ``orthonormal_rows``, and all r r^T are eigendecomposed in one stacked
-    Jacobi pass; a member of another rank than span_a is at pi/2.
+    resolve angles below about 1.5e-8.  All spans are orthonormalized in one
+    ``orthonormal_rows`` pass, and all r r^T are eigendecomposed in one
+    stacked Jacobi pass; a member of another rank than span_a is at pi/2.
     """
-    qa = orthonormal_rows(span_a)
-    qbs = [orthonormal_rows(span) for span in spans_b]
-    angles = np.full(len(qbs), math.pi / 2.0)
-    same = [i for i, qb in enumerate(qbs) if qb.shape == qa.shape]
-    qb = np.array([qbs[i] for i in same]).reshape(len(same), *qa.shape)
+    spans_b = np.asarray(spans_b, dtype=float)
+    bases, ranks = orthonormal_rows(np.concatenate([np.asarray(span_a, dtype=float)[None],
+                                                    spans_b]))
+    k = ranks[0]
+    qa = bases[0, :k]
+    same = np.flatnonzero(ranks[1:] == k)
+    qb = bases[1 + same, :k]
+    angles = np.full(len(spans_b), math.pi / 2.0)
     p = qa @ np.swapaxes(qb, 1, 2)
     r = qa - p @ qb
     top = jacobi_eigh(r @ np.swapaxes(r, 1, 2))[1][:, None, :, 0]  # eigenvalues descend

@@ -141,6 +141,25 @@ class TestExitCodes:
                      str(tmp_path / "x.csv")])
         assert code == 3
 
+    @pytest.mark.parametrize("command,doc,u", [
+        ("congruence", {"kind": "congruence", "builtin": "cone_normal_congruence", "n": 4,
+                        "grid": {"axes": [{"start": 0.5, "stop": 0.9, "count": 3},
+                                          {"start": 0.5, "stop": 0.9, "count": 3},
+                                          {"start": 0.0, "stop": 1.0, "count": 3}]}},
+         "[0.5, 0.9, 0.0]"),
+        ("lightlike", {"kind": "hypersurface", "builtin": "timelike_hypersphere", "n": 3,
+                       "grid": {"axes": [{"start": 1.5, "stop": 2.0, "count": 3}, {}]}},
+         "[1.75, 0.0]"),
+    ], ids=["congruence", "lightlike"])
+    def test_evaluator_error_is_3(self, tmp_path, capsys, command, doc, u):
+        # the catalog evaluator raises "math domain error" outside its
+        # domain: on the cone, where |(u1, u2)| > 1, and on the hypersphere
+        # at the centre of the scene's box
+        code = main([command, "--scene", write_scene(tmp_path, doc)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == f"numerical failure ({command}): evaluation failed at u={u}: math domain error\n"
+
     def test_success_is_0(self, tmp_path):
         path = write_scene(tmp_path, BASE_SCENE)
         code = main(["classify", "--scene", path, "--out",

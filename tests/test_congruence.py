@@ -1,16 +1,19 @@
+import math
+
 import numpy as np
 import pytest
 
 from pseudoconformal import catalog
 from pseudoconformal.congruence import (
+    DEFAULT_STEP,
     IsotropicCongruence,
-    _line_differentials,
-    _transversal_kernel_basis,
+    _congruence_affinors,
+    _kernel_bases,
+    _line_jets,
     congruence_affinor,
     congruence_singular_points,
     integrability_defect,
     stratify,
-    transversal_form,
 )
 from pseudoconformal.conformal import AmbientModel, AtInfinity, darboux_unembed
 from pseudoconformal.errors import GeometryError, NonIntegrableError
@@ -54,9 +57,8 @@ class TestValidation:
             base_point=lambda u: np.array([u[0], u[1], 0.0 if u[0] < nan_from else np.nan]),
             direction=lambda u: np.array([1.0, 0.0, 1.0]),
         )
-        for fn in (transversal_form, congruence_affinor):
-            with pytest.raises(GeometryError, match=message):
-                fn(cong, np.array([0.6, 0.1]), model=model3)
+        with pytest.raises(GeometryError, match=message):
+            congruence_affinor(cong, np.array([0.6, 0.1]), model=model3)
 
 
 class TestParallelCongruence:
@@ -243,8 +245,14 @@ class TestStratify:
         kinds = []
         for p, (_, a1) in zip(leaf.parameters, leaf.lines):
             p = np.array(p)
-            basis = _transversal_kernel_basis(transversal_form(cong, p, model=model3))
-            d0, d1 = _line_differentials(cong, p, basis, leaf.step)
+            form = congruence_affinor(cong, p, model=model3).transversal_form
+            basis = _kernel_bases(form[None])[0][0]
+            # central differences along the parameter directions, taken
+            # along the kernel basis
+            plus = [cong.line_at(p + DEFAULT_STEP * e) for e in np.eye(2)]
+            minus = [cong.line_at(p - DEFAULT_STEP * e) for e in np.eye(2)]
+            d0, d1 = (basis @ np.array([(a[j] - b[j]) / (2 * DEFAULT_STEP)
+                                        for a, b in zip(plus, minus)]) for j in (0, 1))
             for s in samples:
                 tangent = np.vstack([d0 + s * d1, a1])
                 kinds.append(causal_type_of_metric(tangent @ model3.form.gram @ tangent.T,
@@ -372,26 +380,103 @@ CONGRUENCES = {
 }
 
 
-class TestTransversalFormEquivalence:
+def _analysis_bits(an):
+    """Every field of a CongruenceAnalysis, arrays as bytes."""
+    return (an.u.tobytes(), an.shape_operator.tobytes(), an.transversal_shift.tobytes(),
+            an.symmetry_defect, an.roots, an.line[0].tobytes(), an.line[1].tobytes(),
+            an.screen.tobytes(), an.transversal_form.tobytes(), an.diagnostics)
+
+
+def _each_alone(line_jets):
+    """``_line_jets`` evaluating each member of a stack as a stack of one."""
+    import pseudoconformal.congruence as module
+
+    def alone(cong, us, model, step):
+        parts = [line_jets(cong, u[None], model, step) for u in us]
+        arrays = (np.concatenate(field) for field in zip(*(part[:-1] for part in parts)))
+        return module._LineJets(*arrays, {i: part.failures[0]
+                                          for i, part in enumerate(parts) if part.failures})
+
+    return alone
+
+
+def _one_run_at_a_time(cong, seed, model, step, count):
+    """Leaf parameters and truncation flag of a per-run RK4 integrator on the
+    transversal forms congruence_affinor reads: the spine runs and then the
+    cross runs from each spine point, one after another."""
+    lo, hi = np.array(cong.domain, dtype=float).T
+
+    def direction(u, ref):
+        e = congruence_affinor(cong, u, model=model).transversal_form
+        e_hat = e / math.sqrt(float(e @ e))
+        d = ref - float(e_hat @ ref) * e_hat
+        return d / math.sqrt(float(d @ d))
+
+    truncated = False
+
+    def run(u, ref):
+        nonlocal truncated
+        out = []
+        for _ in range(count):
+            k1 = direction(u, ref)
+            k2 = direction(u + 0.5 * step * k1, k1)
+            k3 = direction(u + 0.5 * step * k2, k2)
+            k4 = direction(u + step * k3, k3)
+            u = u + (step / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            if np.any(u < lo - 1e-9) or np.any(u > hi + 1e-9):
+                truncated = True
+                break
+            ref = k1
+            out.append(u)
+        return out
+
+    basis = _kernel_bases(congruence_affinor(cong, seed, model=model).transversal_form[None])[0][0]
+    spine = run(seed, -basis[0])[::-1] + [seed] + run(seed, basis[0])
+    cross = []
+    for point in spine:
+        for b in basis[1:]:
+            ref = direction(point, b)
+            cross += run(point, -ref) + run(point, ref)
+    return tuple(tuple(float(x) for x in p) for p in spine + cross), truncated
+
+
+class TestCongruenceEngine:
+    """run_congruence and integrability_defect analyse the whole grid in one
+    engine pass; each point keeps the bits congruence_affinor gives it alone."""
+
     @pytest.mark.parametrize("name", sorted(CONGRUENCES))
-    def test_matches_full_analysis_bit_for_bit(self, name):
+    def test_grid_matches_congruence_affinor_bit_for_bit(self, name):
         cong = CONGRUENCES[name]()
+        model = AmbientModel.standard(cong.n)
+        grid = parameter_grid(cong, [3] * cong.params)[1]
         raised = 0
-        for u in parameter_grid(cong, [3] * cong.params)[1]:
-            lean = outcome(transversal_form, cong, u)
-            full = outcome(congruence_affinor, cong, u)
-            if isinstance(full, tuple):
-                assert lean == full
+        for u, got in zip(grid, _congruence_affinors(cong, grid, model)):
+            alone = outcome(congruence_affinor, cong, u, model=model)
+            if isinstance(alone, tuple):
+                assert isinstance(got, Exception) and (type(got), str(got)) == alone
                 raised += 1
             else:
-                assert isinstance(lean, np.ndarray)
-                assert lean.tobytes() == full.transversal_form.tobytes()
+                assert _analysis_bits(got) == _analysis_bits(alone)
         if name in ("fold", "tilting"):
             assert 0 < raised < 3 ** cong.params
 
+    @pytest.mark.parametrize("name", ["fold", "tilting"])
+    def test_line_jets_fail_where_the_analysis_does(self, name):
+        # the leaf integrator reads only the line jets, so they must reject
+        # every point congruence_affinor rejects on these families
+        cong = CONGRUENCES[name]()
+        model = AmbientModel.standard(cong.n)
+        grid = parameter_grid(cong, [3] * cong.params)[1]
+        failures = _line_jets(cong, grid, model, DEFAULT_STEP).failures
+        for i, u in enumerate(grid):
+            alone = outcome(congruence_affinor, cong, u, model=model)
+            got = failures.get(i)
+            assert (got and (type(got), str(got))) == (alone if isinstance(alone, tuple) else None)
+        assert failures
+
     def test_dependent_basis_forms_message(self):
         with pytest.raises(GeometryError, match="basis forms are dependent at u=\\[0.5, 0.0\\]"):
-            transversal_form(fold_congruence(), np.array([0.5, 0.0]))
+            congruence_affinor(fold_congruence(), np.array([0.5, 0.0]))
 
     def test_stratify_runs_one_full_analysis(self, model3, monkeypatch):
         import pseudoconformal.congruence as module
@@ -409,34 +494,49 @@ class TestTransversalFormEquivalence:
         assert len(leaf.parameters) > 5
         assert len(seen) == 1 and np.array_equal(seen[0], seed)
 
-    def test_stratify_evaluates_each_point_once(self, model4, monkeypatch):
+    @pytest.mark.parametrize("n,seed,count", [(4, (0.1, 0.1, 0.3), 4), (3, (0.5, 0.0), 40)])
+    def test_lockstep_leaf_equals_one_run_at_a_time(self, n, seed, count):
+        # the second leaf leaves the domain
+        cong = catalog.build("cone_normal_congruence", n=n)
+        model = AmbientModel.standard(n)
+        leaf = stratify(cong, np.array(seed), model=model, count=count)
+        parameters, truncated = _one_run_at_a_time(cong, np.array(seed), model, 1e-2, count)
+        assert leaf.parameters == parameters
+        assert leaf.truncated == truncated == (n == 3)
+
+    def test_stratify_evaluation_bound(self, model4, monkeypatch):
+        # the runs advance in lockstep, one line-jet pass per RK4 stage: the
+        # points evaluated are the 320 a per-point integrator with a cache
+        # visits, fewer times than the 410 it visits without one
         import pseudoconformal.congruence as module
 
-        form = module.transversal_form
+        line_jets = module._line_jets
+        count = 4
 
-        def run():
-            seen = []
+        def run(jets):
+            passes = []
 
-            def counted(cong, u, **kwargs):
-                seen.append(u.tobytes())
-                return form(cong, u, **kwargs)
+            def counted(cong, us, model, step):
+                passes.append([u.tobytes() for u in us])
+                return jets(cong, us, model, step)
 
-            monkeypatch.setattr(module, "transversal_form", counted)
+            monkeypatch.setattr(module, "_line_jets", counted)
             leaf = stratify(catalog.build("cone_normal_congruence", n=4),
-                            np.array([0.1, 0.1, 0.3]), model=model4, count=4)
-            return leaf, seen
+                            np.array([0.1, 0.1, 0.3]), model=model4, count=count)
+            return leaf, passes
 
-        leaf, seen = run()
-        assert len(seen) == len(set(seen)) == 320
-        monkeypatch.setattr(module, "_memoized", lambda fn: fn)
-        uncached, seen_uncached = run()
-        assert len(seen_uncached) == 410 and set(seen_uncached) == set(seen)
-        assert leaf.parameters == uncached.parameters
-        assert leaf.lightlike_fraction == uncached.lightlike_fraction
-        assert leaf.truncated == uncached.truncated
-        assert all(a.tobytes() == b.tobytes() for la, lb in zip(leaf.lines, uncached.lines)
+        leaf, passes = run(line_jets)
+        seen = [u for points in passes for u in points]
+        assert len(set(seen)) == 320
+        assert len(seen) < 410
+        assert len(passes) <= 2 * (4 * count + 1) + 1
+        alone, _ = run(_each_alone(line_jets))
+        assert leaf.parameters == alone.parameters
+        assert leaf.lightlike_fraction == alone.lightlike_fraction
+        assert leaf.truncated == alone.truncated
+        assert all(a.tobytes() == b.tobytes() for la, lb in zip(leaf.lines, alone.lines)
                    for a, b in zip(la, lb))
-        assert len(leaf.lines) == len(uncached.lines) == 81
+        assert len(leaf.lines) == len(alone.lines) == 81
 
 
 def _close(value, reference, rel=1e-12):

@@ -14,7 +14,9 @@ from pseudoconformal.linalg import (
     det,
     inverse,
     jacobi_eigh,
+    max_principal_angle,
     nullspace,
+    orthonormal_rows,
     scalar_product,
     signature,
     solve,
@@ -303,3 +305,61 @@ class TestSolve:
         basis = nullspace(a)
         assert basis.shape == (5, 3)
         assert np.abs(a @ basis).max() < 1e-8
+
+
+def _mixed_stack(seed, count=60, rows=5, cols=7):
+    """Seeded stack of row matrices: full rank, rank deficient (products of
+    random factors of lower rank) and all zero, at scales 1e-3 .. 1e3."""
+    rng = np.random.default_rng(seed)
+    stack = np.zeros((count, rows, cols))
+    for i in range(count):
+        kind = i % 3
+        if kind == 0:
+            stack[i] = rng.standard_normal((rows, cols))
+        elif kind == 1:
+            k = int(rng.integers(1, rows))
+            stack[i] = rng.standard_normal((rows, k)) @ rng.standard_normal((k, cols))
+        stack[i] *= 10.0 ** rng.uniform(-3, 3)
+    return stack
+
+
+class TestOrthonormalRows:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_against_numpy(self, seed):
+        stack = _mixed_stack(seed)
+        bases, ranks = orthonormal_rows(stack)
+        assert bases.shape == stack.shape
+        for member, basis, rank in zip(stack, bases, ranks):
+            assert rank == np.linalg.matrix_rank(member)
+            q = basis[:rank]
+            assert np.abs(q @ q.T - np.eye(rank)).max(initial=0.0) <= 1e-14
+            assert not basis[rank:].any()
+            scale = max(np.abs(member).max(), 1e-300)
+            assert np.abs(member - member @ q.T @ q).max() <= 1e-12 * scale
+
+    def test_members_do_not_depend_on_the_stack(self):
+        # the last two members: one at scale 1e6, and one whose third row is
+        # independent by only 1e-8, of full rank against its own scale
+        rng = np.random.default_rng(4)
+        faint = rng.standard_normal((5, 7))
+        faint[2:] = faint[:1] + faint[1:2] + 1e-8 * rng.standard_normal((3, 7))
+        stack = np.concatenate([_mixed_stack(3), [1e6 * rng.standard_normal((5, 7)), faint]])
+        bases, ranks = orthonormal_rows(stack)
+        for member, basis, rank in zip(stack, bases, ranks):
+            alone, rank_alone = orthonormal_rows(member[None])
+            assert rank_alone[0] == rank and alone[0].tobytes() == basis.tobytes()
+
+    def test_rejects_a_single_matrix(self):
+        with pytest.raises(ValueError, match="stack"):
+            orthonormal_rows(np.eye(3))
+
+
+class TestMaxPrincipalAngle:
+    def test_other_rank_is_a_right_angle(self, rng):
+        span = rng.standard_normal((3, 6))
+        deficient = span.copy()
+        deficient[2] = deficient[0] + deficient[1]
+        rotated = np.linalg.qr(rng.standard_normal((3, 3)))[0] @ span
+        angles = max_principal_angle(span, np.array([rotated, deficient, np.zeros((3, 6))]))
+        assert angles[0] < 1e-14
+        assert angles[1] == angles[2] == np.pi / 2
