@@ -18,7 +18,9 @@ coordinate the operator needs is a pairing: in the frame
 (Akivis & Goldberg, *Conformal Differential Geometry and Its
 Generalizations*, 1996; ``frames.null_frame_coordinates``).  The transversal
 form is therefore omega_0^n = -<dA_0, A_1>, which needs no screen, and only
-the shape operator builds the screen e_i.
+the shape operator builds the screen e_i.  Lines are checked, and screens
+built, for a whole grid at once: ``_line_checks`` and ``build_screen`` take
+a leading batch axis.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 
 from .conformal import AmbientModel, ProjectivePoint, lift_point, lift_tangent
 from .errors import ConvergenceError, DegenerateBasisError, GeometryError, NonIntegrableError
-from .frames import _line_screen_candidates, build_screen, null_frame_coordinates
+from .frames import _line_screen_candidates, _screen_error, build_screen, null_frame_coordinates
 from .hypersurface import _evaluation_error, _inertia, _pullback, parameter_grid
 from .linalg import _dots, char_roots, jacobi_eigh, orthonormal_rows, solve
 
@@ -79,29 +81,39 @@ class IsotropicCongruence:
         return cls(n=n, domain=domain, line=line, name=name)
 
     def validate(self, u, model: Optional[AmbientModel] = None, tol: float = 1e-10):
+        """The residuals of the line at u by name, or the GeometryError it
+        fails with: the one-point case of ``_line_checks``."""
         if model is None:
             model = AmbientModel.standard(self.n)
-        return _line_checks(u, *self.line_at(u), model, tol)
+        residuals, failures = _line_checks(np.asarray(u, dtype=float)[None],
+                                           *(x[None] for x in self.line_at(u)), model, tol)
+        if failures:
+            raise failures[0]
+        return {key: float(r) for key, r in zip(_LINE_CHECKS, residuals[0])}
 
 
-def _line_checks(u, a0: np.ndarray, a1: np.ndarray, model: AmbientModel,
-                 tol: float = 1e-10) -> dict:
-    """Relative quadric and conjugacy residuals of the line (A_0, A_1) at u;
-    raises GeometryError where one exceeds tol or the line is not finite."""
-    if not (np.isfinite(a0).all() and np.isfinite(a1).all()):
-        raise GeometryError(f"not an isotropic line at u={np.asarray(u).tolist()}: "
-                            "non-finite coordinates")
+_LINE_CHECKS = ("base_on_quadric", "direction_on_quadric", "conjugate")
+
+
+def _line_checks(us: np.ndarray, a0: np.ndarray, a1: np.ndarray, model: AmbientModel,
+                 tol: float = 1e-10) -> tuple:
+    """Relative quadric and conjugacy residuals (N, 3), named by
+    ``_LINE_CHECKS``, of the lines (A_0, A_1) (N, n+2) at us (N, d), and the
+    failures: index -> GeometryError naming u for each line that is not
+    finite, is zero or has a residual beyond tol."""
+    finite = (np.isfinite(a0) & np.isfinite(a1)).all(axis=1)
+    a0, a1 = np.where(finite[:, None], a0, 0.0), np.where(finite[:, None], a1, 0.0)
     g = model.form.gram
-    scale2 = max(float(a0 @ a0), float(a1 @ a1))
-    checks = {
-        "base_on_quadric": abs(float(a0 @ g @ a0)) / scale2,
-        "direction_on_quadric": abs(float(a1 @ g @ a1)) / scale2,
-        "conjugate": abs(float(a0 @ g @ a1)) / scale2,
-    }
-    bad = {k: v for k, v in checks.items() if v > tol}
-    if bad:
-        raise GeometryError(f"not an isotropic line at u={np.asarray(u).tolist()}: {bad}")
-    return checks
+    scale2 = np.maximum(_dots(a0, a0), _dots(a1, a1))
+    pairs = np.stack([_dots(a0 @ g, a0), _dots(a1 @ g, a1), _dots(a0 @ g, a1)], axis=1)
+    residuals = np.abs(pairs) / np.where(scale2 > 0.0, scale2, 1.0)[:, None]
+    failures = {}
+    for i in np.flatnonzero(~finite | (scale2 == 0.0) | (residuals > tol).any(axis=1)).tolist():
+        why = ("non-finite coordinates" if not finite[i] else
+               "zero coordinates" if scale2[i] == 0.0 else
+               {k: float(r) for k, r in zip(_LINE_CHECKS, residuals[i]) if r > tol})
+        failures[i] = GeometryError(f"not an isotropic line at u={us[i].tolist()}: {why}")
+    return residuals, failures
 
 
 @dataclass(frozen=True)
@@ -164,17 +176,11 @@ def _line_jets(cong: IsotropicCongruence, us: np.ndarray, model: AmbientModel,
         try:
             lines[i, k] = cong.line_at(u)
         except (ValueError, ArithmeticError) as exc:  # GeometryError included
-            raised[i, k] = _evaluation_error(u, exc)
-    failures = {}
-    for i, u in enumerate(us):
-        try:
-            if (i, 0) not in raised:
-                _line_checks(u, *lines[i, 0], model)
-            exc = next((raised[i, k] for k in range(width) if (i, k) in raised), None)
-        except GeometryError as err:
-            exc = err
-        if exc is not None:
-            failures[i] = exc
+            raised.setdefault(i, {})[k] = _evaluation_error(u, exc)
+    failures = _line_checks(us, lines[:, 0, 0], lines[:, 0, 1], model)[1]
+    for i, at in raised.items():
+        if 0 in at or i not in failures:
+            failures[i] = at[min(at)]
 
     live = np.isfinite(lines[:, 1:]).all(axis=(1, 2, 3))
     live[list(failures)] = False
@@ -196,21 +202,20 @@ def _line_jets(cong: IsotropicCongruence, us: np.ndarray, model: AmbientModel,
 
 def _congruence_affinors(cong: IsotropicCongruence, us: np.ndarray, model: AmbientModel) -> list:
     """The CongruenceAnalysis of every parameter point of us (N, params), or
-    the exception it raises: one ``_line_jets`` pass and one stacked pairing
-    pass, then each point's screen, basis-form solve and roots, failing at
-    the first step that fails.  A point gets the same bits in any stack."""
+    the exception it raises: one ``_line_jets`` pass, one stacked screen pass
+    (``build_screen``) and one stacked pairing pass, then each point's
+    basis-form solve and roots, failing at the first step that fails.  A
+    point gets the same bits in any stack."""
     n, gram = cong.n, model.form.gram
     jets = _line_jets(cong, us, model, DEFAULT_STEP)
     results = [jets.failures.get(i) for i in range(len(us))]
-    live, screens = [], []
-    for i in np.flatnonzero([r is None for r in results]):
-        try:
-            screens.append(build_screen(_line_screen_candidates(jets.a0[i], jets.a1[i], model),
-                                        model, count=n - 2))
-            live.append(i)
-        except GeometryError as exc:
-            results[i] = exc
-    line, screens = (jets.a0[live], jets.a1[live]), np.reshape(screens, (len(live), n - 2, n + 2))
+    live = np.array([i for i, r in enumerate(results) if r is None], dtype=int)
+    screens, counts = build_screen(_line_screen_candidates(jets.a0[live], jets.a1[live], model),
+                                   model, count=n - 2)
+    for j in np.flatnonzero(counts < n - 2).tolist():
+        results[live[j]] = _screen_error(n - 2, counts[j])
+    screens, live = screens[counts == n - 2], live[counts == n - 2]
+    line = (jets.a0[live], jets.a1[live])
     c0 = null_frame_coordinates(jets.da0[live], line, screens, gram)
     c1 = null_frame_coordinates(jets.da1[live], line, screens, gram)
     for j, i in enumerate(live):

@@ -10,6 +10,9 @@ normalizations are used here:
 * arbitrary constant-Gram frames, for which the compatibility relations
   between the connection matrix and the Gram matrix are checked numerically.
 
+The engines build no frame, only the line (A_0, A_1) and its screen, for a
+whole grid in array passes (``_lightlike_lines``, ``_line_screen_candidates``
+and ``build_screen``); the frame builders are their one-point cases.
 Connection forms are extracted from a frame field F(u) by central
 differences of dF = omega F; the structure identity
 d omega = omega ^ omega then holds up to O(h^2).
@@ -18,15 +21,14 @@ d omega = omega ^ omega then holds up to O(h^2).
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .conformal import AmbientModel
 from .errors import DegenerateBasisError, NotLightlikeError, NotOnQuadricError
-from .hypersurface import LIGHTLIKE, _pullback, causal_type_of_spectrum
-from .linalg import inverse, jacobi_eigh, nullspace, solve
+from .hypersurface import _inertia, _pullback
+from .linalg import _dots, inverse, jacobi_eigh, nullspace, solve
 
 #: Gram residual every adapted frame must meet
 ADAPT_TOL = 1e-10
@@ -41,8 +43,7 @@ def lightlike_gram(n: int) -> np.ndarray:
     g = np.zeros((n + 2, n + 2))
     g[0, n + 1] = g[n + 1, 0] = -1.0
     g[1, n] = g[n, 1] = -1.0
-    for i in range(2, n):
-        g[i, i] = 1.0
+    g[range(2, n), range(2, n)] = 1.0
     return g
 
 
@@ -52,8 +53,7 @@ def spacelike_gram(n: int) -> np.ndarray:
     hyperbolic pair (A_0, A_{n+1})."""
     g = np.zeros((n + 2, n + 2))
     g[0, n + 1] = g[n + 1, 0] = -1.0
-    for i in range(1, n):
-        g[i, i] = 1.0
+    g[range(1, n), range(1, n)] = 1.0
     g[n, n] = -1.0
     return g
 
@@ -64,8 +64,7 @@ def timelike_gram(n: int) -> np.ndarray:
     direction moves into the screen block."""
     g = np.zeros((n + 2, n + 2))
     g[0, n + 1] = g[n + 1, 0] = -1.0
-    for i in range(1, n):
-        g[i, i] = 1.0
+    g[range(1, n), range(1, n)] = 1.0
     g[n - 1, n - 1] = -1.0
     g[n, n] = 1.0
     return g
@@ -115,12 +114,6 @@ class ConformalFrame:
         )
 
 
-def _sign_fix(v: np.ndarray) -> np.ndarray:
-    """Flip the sign so the coordinate of largest magnitude is positive."""
-    c = v[int(np.argmax(np.abs(v)))]
-    return v if c >= 0 else -v
-
-
 def _generator_sign_fix(v: np.ndarray, n: int) -> np.ndarray:
     """Sign rule for null generator lifts, applied to a vector or to each row
     of a stack: make the time-slot coordinate positive.  A nonzero null
@@ -147,42 +140,60 @@ def _generator(rows, w, v, n: int, scale: float) -> np.ndarray:
     return _generator_sign_fix(a1, n) * scale
 
 
-def _banded_orthonormal(candidates, product, count: int, tol: float) -> list:
-    """Up to ``count`` vectors orthonormal under ``product``, by pivoted
-    Gram-Schmidt on the candidates; stops once every remaining norm is below
-    tol times the candidates' scale."""
-    remaining = [np.asarray(c, dtype=float).copy() for c in candidates]
-    scale = max(float(np.abs(np.asarray(remaining)).max()), 1e-300)
-    basis = []
-    while remaining and len(basis) < count:
-        norms = [product(r, r) for r in remaining]
-        best = max(norms)
-        if best <= (tol * scale) ** 2:
+def _orthonormal_screens(stack, gram, count: int, tol: float) -> tuple:
+    """Up to ``count`` rows orthonormal under ``gram`` from each member of a
+    stack of candidates (N, r, m), by pivoted Gram-Schmidt in one pass: the
+    rows (N, count, m), zero after a member's count, and the counts (N,).
+    A member stops once every remaining norm is at most (tol times its
+    largest entry) squared.  The banded pivot, the first candidate within
+    10% of the largest norm, keeps exact ties (symmetric configurations)
+    from flipping it between neighbouring points.  Each row is signed so its
+    largest coordinate is positive.  No member depends on the rest."""
+    v = np.array(stack, dtype=float)
+    size, rows, _ = v.shape
+    members = np.arange(size)
+    floor = (tol * np.maximum(np.abs(v).max(axis=(1, 2), initial=0.0), 1e-300)) ** 2
+    bases = np.zeros((size, count, v.shape[2]))
+    counts = np.zeros(size, dtype=int)
+    active = np.ones(size, dtype=bool)
+    left = np.ones((size, rows), dtype=bool)  # candidates not yet taken as a pivot
+    for k in range(min(count, rows)):
+        norms = np.where(left, _dots(v @ gram, v), -np.inf)
+        best = norms.max(axis=1)
+        active &= best > floor
+        if not active.any():
             break
-        # banded pivoting: take the first candidate within 10% of the best
-        # norm, so exact ties (symmetric configurations) cannot make the
-        # pivot flip between neighboring evaluation points
-        i = next(k for k, nm in enumerate(norms) if nm >= 0.9 * best)
-        s = remaining.pop(i) / math.sqrt(norms[i])
-        basis.append(_sign_fix(s))
-        remaining = [r - product(r, s) * s for r in remaining]
-    return basis
+        pivot = (left & (norms >= 0.9 * best[:, None])).argmax(axis=1)
+        norm = np.where(active, norms[members, pivot], 1.0)
+        s = np.where(active[:, None], v[members, pivot] / np.sqrt(norm)[:, None], 0.0)
+        lead = np.take_along_axis(s, np.abs(s).argmax(axis=1)[:, None], axis=1)
+        bases[:, k] = np.where(lead >= 0, s, -s)
+        counts += active
+        left[members, pivot] = False
+        v = v - _dots(v @ gram, s[:, None, :])[..., None] * s[:, None, :]
+    return bases, counts
+
+
+def _screen_error(count: int, got: int) -> DegenerateBasisError:
+    return DegenerateBasisError(f"could not extract {count} spacelike screen vectors "
+                                f"(got {got})")
 
 
 def build_screen(candidates, model: AmbientModel, count: int, tol: float = 1e-8):
-    """Orthonormalize candidate vectors under the ambient form into ``count``
-    unit spacelike screen vectors, pivoting toward large remaining norms.
-
-    Candidates whose residual norm collapses (null directions left over from
-    the radical of the candidate span) are discarded.
-    """
-    screen = _banded_orthonormal(candidates, model.product, count, tol)
-    if len(screen) < count:
-        raise DegenerateBasisError(
-            f"could not extract {count} spacelike screen vectors "
-            f"(got {len(screen)})"
-        )
-    return np.array(screen)
+    """``count`` unit spacelike screen vectors orthonormalized from candidate
+    vectors under the ambient form (``_orthonormal_screens``); candidates
+    whose residual collapses (null directions of the span's radical) are
+    dropped.  A stack (N, r, m) gives the screens (N, count, m) and each
+    member's count (N,); one set (r, m) gives its (count, m) screen or
+    raises DegenerateBasisError."""
+    c = np.asarray(candidates, dtype=float)
+    screens, counts = _orthonormal_screens(c.reshape((-1,) + c.shape[-2:]), model.form.gram,
+                                           count, tol)
+    if c.ndim == 3:
+        return screens, counts
+    if counts[0] < count:
+        raise _screen_error(count, counts[0])
+    return screens[0]
 
 
 def null_frame_coordinates(vectors, line, screen, gram) -> np.ndarray:
@@ -224,63 +235,79 @@ def _null_frame(a0, a1, screen, model: AmbientModel, scale2: float,
     a_np1 = x_np1 + 0.5 * float(x_np1 @ g @ x_np1) * a0
     a_np1 = a_np1 + float(a_np1 @ g @ a_n) * a1
     vectors = np.vstack([a0, a1, screen, a_n, a_np1])
-    _check_gram(vectors, model, scale2, action)
+    exc = _gram_gate(vectors[None], model, scale2, action).get(0)
+    if exc is not None:
+        raise exc
     return ConformalFrame(vectors=vectors, target_gram=lightlike_gram(model.n), model=model)
 
 
-def _check_line(a0, a1):
-    """Raise unless A_0 and A_1 span a line: their Euclidean angle must
-    exceed 1e-6, which also keeps the 2 x 2 system of ``_null_frame``
+def _collinear(a0, a1) -> np.ndarray:
+    """Whether the Euclidean angle of A_0 and A_1 is at most 1e-6, per line of
+    a stack; a larger one also keeps the 2 x 2 system of ``_null_frame``
     regular."""
-    if float(a0 @ a1) ** 2 >= (1.0 - 1e-12) * float(a0 @ a0) * float(a1 @ a1):
-        raise DegenerateBasisError("line vectors are dependent")
+    return _dots(a0, a1) ** 2 >= (1.0 - 1e-12) * _dots(a0, a0) * _dots(a1, a1)
 
 
-def _check_gram(rows, model: AmbientModel, scale2: float, action: str):
-    """Raise unless the Gram of the leading rows of a null-adapted frame is
-    within ADAPT_TOL max(1, scale2) of its target."""
-    k = len(rows)
+def _gram_gate(rows, model: AmbientModel, scale2, action: str) -> dict:
+    """Index -> DegenerateBasisError of each member of a stack of leading
+    rows (N, k, n+2) of null-adapted frames whose Gram is not within
+    ADAPT_TOL max(1, scale2) of its target; a NaN residual fails."""
+    k = rows.shape[-2]
     target = lightlike_gram(model.n)[:k, :k]
-    residual = float(np.abs(rows @ model.form.gram @ rows.T - target).max())
-    if not residual <= ADAPT_TOL * max(1.0, scale2):
-        raise DegenerateBasisError(f"frame {action} failed (gram residual {residual:.3e})")
+    residual = np.abs(rows @ model.form.gram @ np.swapaxes(rows, -1, -2) - target).max(axis=(1, 2))
+    passed = residual <= ADAPT_TOL * np.maximum(1.0, scale2)
+    return {i: DegenerateBasisError(f"frame {action} failed (gram residual {residual[i]:.3e})")
+            for i in np.flatnonzero(~passed).tolist()}
 
 
-def _lightlike_line(point, tangent_basis, model: AmbientModel, generator=None,
-                    generator_scale: float = 1.0):
-    """The line (A_0, A_1) and screen of ``adapt_lightlike_frame``, with its
-    checks; the Gram block of the rows [A_0; A_1; screen] must meet
-    ADAPT_TOL.  Their pairings give every coordinate the shape operator
-    reads (``null_frame_coordinates``)."""
-    a0 = np.asarray(point, dtype=float)
-    basis = np.asarray(tangent_basis, dtype=float)
-    n = model.n
-    if basis.shape != (n - 1, n + 2):
+def _lightlike_lines(points, tangent_rows, model: AmbientModel, generators=None,
+                     generator_scale: float = 1.0) -> tuple:
+    """A_0, A_1, screens (N, n-2, n+2) and failures (index -> exception, as
+    in ``lightlike._JetStack``) of ``adapt_lightlike_frame`` at a stack of
+    base points (N, n+2) with tangent rows (N, n-1, n+2) and, if given, null
+    generators (N, n+2), in array passes.  A member fails with the first
+    failed check of: A_0 on the quadric; the generator null, or else the
+    rows of full rank with lightlike inertia; A_0 and A_1 independent; n-2
+    screen vectors; the Gram of [A_0; A_1; screen] within ADAPT_TOL.  Their
+    pairings give every coordinate the shape operator reads."""
+    a0 = np.asarray(points, dtype=float)
+    rows = np.asarray(tangent_rows, dtype=float)
+    n, g = model.n, model.form.gram
+    if rows.shape[1:] != (n - 1, n + 2):
         raise ValueError(f"tangent basis must have shape {(n - 1, n + 2)}")
-    scale2 = float(a0 @ a0)
-    if abs(model.quadratic(a0)) > 1e-8 * scale2:
-        raise NotOnQuadricError("frame origin is not on the quadric")
+    failures = {}
 
-    if generator is None:
-        w, v = jacobi_eigh(_pullback(basis.T, model.form.gram))
-        if max(float(np.abs(w).max()), 1e-300) <= 1e-14 * scale2:
-            raise DegenerateBasisError("tangent basis is rank deficient")
-        causal = causal_type_of_spectrum(w, 1e-7)
-        if causal.kind != LIGHTLIKE:
-            raise NotLightlikeError(
+    def fail(mask, error):
+        for i in np.flatnonzero(mask).tolist():
+            failures.setdefault(i, error(i))
+
+    with np.errstate(invalid="ignore", divide="ignore"):  # failed members only
+        scale2 = _dots(a0, a0)
+        fail(np.abs(_dots(a0 @ g, a0)) > 1e-8 * scale2,
+             lambda i: NotOnQuadricError("frame origin is not on the quadric"))
+        if generators is None:
+            w, v = jacobi_eigh(_pullback(np.swapaxes(rows, 1, 2), g))
+            fail(np.maximum(np.abs(w).max(axis=1), 1e-300) <= 1e-14 * scale2,
+                 lambda i: DegenerateBasisError("tangent basis is rank deficient"))
+            plus, minus, zero, _ = _inertia(w, 1e-7)
+            fail((minus != 0) | (zero != 1), lambda i: NotLightlikeError(
                 "tangent plane is not tangent to the isotropic cone here "
-                f"(induced inertia {causal.plus}+/{causal.minus}-/{causal.zero}0)"
-            )
-        a1 = _generator(basis, w, v, n, generator_scale)
-    else:
-        a1 = np.asarray(generator, dtype=float)
-        if abs(model.quadratic(a1)) > 1e-8 * float(a1 @ a1):
-            raise NotLightlikeError("supplied generator direction is not null")
-        a1 = _generator_sign_fix(a1 / math.sqrt(float(a1 @ a1)), n) * generator_scale
-    _check_line(a0, a1)
-    screen = build_screen(basis, model, count=n - 2)
-    _check_gram(np.vstack([a0, a1, screen]), model, scale2, "adaptation")
-    return a0, a1, screen
+                f"(induced inertia {plus[i]}+/{minus[i]}-/{zero[i]}0)"))
+            a1 = _generator(rows, w, v, n, generator_scale)
+        else:
+            a1 = np.asarray(generators, dtype=float)
+            norm2 = _dots(a1, a1)
+            fail(np.abs(_dots(a1 @ g, a1)) > 1e-8 * norm2,
+                 lambda i: NotLightlikeError("supplied generator direction is not null"))
+            a1 = _generator_sign_fix(a1 / np.sqrt(norm2)[:, None], n) * generator_scale
+        fail(_collinear(a0, a1), lambda i: DegenerateBasisError("line vectors are dependent"))
+        screens, counts = build_screen(rows, model, count=n - 2)
+        fail(counts < n - 2, lambda i: _screen_error(n - 2, counts[i]))
+        gate = _gram_gate(np.concatenate([a0[:, None], a1[:, None], screens], axis=1), model,
+                          scale2, "adaptation")
+    for i, exc in gate.items():
+        failures.setdefault(i, exc)
+    return a0, a1, screens, failures
 
 
 def adapt_lightlike_frame(point, tangent_basis, model: AmbientModel, generator=None,
@@ -292,27 +319,30 @@ def adapt_lightlike_frame(point, tangent_basis, model: AmbientModel, generator=N
     along the null direction of the induced form, whose inertia must be
     (n-2, 0, 1), or along a supplied null ``generator``, whose caller has read
     that inertia off the same metric.  The screen comes from orthonormalizing
-    the tangent directions (``_lightlike_line``), and A_n, A_{n+1} complete
-    the two hyperbolic pairs in closed form (``_null_frame``).
-    An eigenvalue of the induced form below 1e-7 times its spectral radius
-    counts as zero.
-    The lightlike engine builds no frame; this is for callers that need one,
-    such as connection forms.
+    the tangent directions, and A_n, A_{n+1} complete the two hyperbolic
+    pairs in closed form (``_null_frame``): the one-point case of
+    ``_lightlike_lines``.  An eigenvalue of the induced form below 1e-7 times
+    its spectral radius counts as zero.  The lightlike engine builds no
+    frame; this is for callers that need one, such as connection forms.
     """
-    a0, a1, screen = _lightlike_line(point, tangent_basis, model, generator,
-                                     generator_scale)
-    return _null_frame(a0, a1, screen, model, float(a0 @ a0), "adaptation")
+    a0, a1, screens, failures = _lightlike_lines(
+        np.asarray(point, dtype=float)[None], np.asarray(tangent_basis, dtype=float)[None],
+        model, None if generator is None else np.asarray(generator, dtype=float)[None],
+        generator_scale)
+    if failures:
+        raise failures[0]
+    return _null_frame(a0[0], a1[0], screens[0], model, float(a0[0] @ a0[0]), "adaptation")
 
 
 def complete_isotropic_frame(a0, a1, model: AmbientModel) -> ConformalFrame:
     """Null-adapted frame along a line of the quadric spanned by two given
     null, mutually orthogonal homogeneous vectors.
 
-    When the line passes through the finite chart the screen is built from
-    lifted spatial directions orthogonal to the line's null direction, which
-    keeps the screen free of components along the ideal coordinate; for ideal
-    lines it falls back to the orthogonal complement of the line, whose
-    radical is the line itself.
+    A line through the finite chart gets its screen from lifted spatial
+    directions, which keeps it free of components along the ideal
+    coordinate; an ideal line from its orthogonal complement, whose radical
+    is the line itself: the one-point case of the congruence engine's screen
+    (``_line_screen_candidates``).
     """
     a0 = np.asarray(a0, dtype=float)
     a1 = np.asarray(a1, dtype=float)
@@ -322,50 +352,37 @@ def complete_isotropic_frame(a0, a1, model: AmbientModel) -> ConformalFrame:
             raise NotOnQuadricError(f"{label} line vector is not on the quadric")
     if abs(model.product(a0, a1)) > 1e-8 * scale2:
         raise DegenerateBasisError("line vectors are not conjugate (line is not on the quadric)")
-    _check_line(a0, a1)
-
-    screen = build_screen(_line_screen_candidates(a0, a1, model), model, count=model.n - 2)
+    if _collinear(a0, a1):
+        raise DegenerateBasisError("line vectors are dependent")
+    screen = build_screen(_line_screen_candidates(a0[None], a1[None], model)[0], model,
+                          count=model.n - 2)
     return _null_frame(a0, a1, screen, model, scale2, "completion")
 
 
-def _line_screen_candidates(a0, a1, model: AmbientModel):
-    """Screen candidates along the line (A_0, A_1): the lifted spatial
-    directions of ``_chart_screen_candidates`` where the line meets the finite
-    chart, else the orthogonal complement of the line."""
-    candidates = _chart_screen_candidates(a0, a1, model)
-    if candidates is None:
-        g = model.form.gram
-        candidates = list(nullspace(np.vstack([g @ a0, g @ a1]), tol=1e-10).T)
-    return candidates
-
-
-def _chart_screen_candidates(a0, a1, model: AmbientModel):
-    """Lifted spatial screen candidates for a line meeting the finite chart.
-
-    Reduces the second line vector to zero ideal coordinate, reads off the
-    null spatial direction, and lifts a spanning set of directions orthogonal
-    to it.  Returns None when the line is ideal (no usable chart gauge).
-    """
-    from .conformal import lift_tangent
-
-    n = model.n
-    if abs(a0[0]) <= 1e-8 * math.sqrt(float(a0 @ a0)):
-        return None
-    p = a0[1 : n + 1] / a0[0]
-    a1p = a1 - (a1[0] / a0[0]) * a0
-    l = a1p[1 : n + 1]
-    if abs(l[-1]) <= 1e-12 * math.sqrt(float(l @ l)):
-        return None
-    g = model.metric.gram
-    candidates = []
-    for k in range(n - 1):
-        e = np.zeros(n)
-        e[k] = 1.0
-        # make e orthogonal to the null direction by shifting along the time
-        # axis, which never annihilates a nonzero null vector
-        v = e.copy()
-        v[-1] += float(e @ g @ l) / l[-1]
-        candidates.append(lift_tangent(p, v, model))
+def _line_screen_candidates(a0, a1, model: AmbientModel) -> np.ndarray:
+    """Screen candidates (N, r, n+2) along a stack of lines (A_0, A_1).  For
+    a line meeting the finite chart, in closed form: A_1 reduced to zero
+    ideal coordinate gives the null spatial direction l, each unit e_k
+    (k < n-1) is shifted along the time axis to be orthogonal to l (which
+    never annihilates a nonzero null vector) and lifted at the chart point.
+    For an ideal line, the orthogonal complement of the line.  Zero rows,
+    which never pivot, pad members with fewer candidates."""
+    n, g = model.n, model.form.gram
+    with np.errstate(invalid="ignore", divide="ignore"):  # ideal members only
+        p = a0[:, 1 : n + 1] / a0[:, :1]
+        l = (a1 - (a1[:, :1] / a0[:, :1]) * a0)[:, 1 : n + 1]
+        chart = ((np.abs(a0[:, 0]) > 1e-8 * np.sqrt(_dots(a0, a0)))
+                 & (np.abs(l[:, -1]) > 1e-12 * np.sqrt(_dots(l, l))))
+        v = np.zeros((len(a0), n - 1, n))
+        v[:, :, : n - 1] = np.eye(n - 1)
+        v[:, :, -1] += (l @ model.metric.gram)[:, : n - 1] / l[:, -1:]
+    ideal = [nullspace(np.vstack([g @ a0[i], g @ a1[i]]), tol=1e-10).T
+             for i in np.flatnonzero(~chart)]
+    candidates = np.zeros((len(a0), max([n - 1] + [len(c) for c in ideal]), n + 2))
+    candidates[chart, : n - 1, 1 : n + 1] = v[chart]
+    candidates[chart, : n - 1, n + 1] = _dots((p[chart] @ model.metric.gram)[:, None], v[chart])
+    for i, c in zip(np.flatnonzero(~chart), ideal):
+        candidates[i, : len(c)] = c
     return candidates
 
 
@@ -388,10 +405,8 @@ class ConnectionForms:
     def gram_relation_residual(self) -> float:
         """Max violation of omega G + G omega^T = 0 over all directions;
         covers every differentiated Gram normalization at once."""
-        worst = 0.0
-        for om in self.omega:
-            worst = max(worst, float(np.abs(om @ self.gram + self.gram @ om.T).max()))
-        return worst
+        om = self.omega
+        return float(np.abs(om @ self.gram + self.gram @ np.swapaxes(om, 1, 2)).max())
 
     def named_relation_residuals(self) -> dict[str, float]:
         """Residuals of the individually named pairing relations.
@@ -400,46 +415,29 @@ class ConnectionForms:
         for (A_0, A_{n+1}) always apply; the null-pair relations for
         (A_1, A_n) apply to lightlike-adapted frames.
         """
-        n = self.n
-        out: dict[str, float] = {}
-        mx = lambda vals: float(np.abs(np.asarray(vals)).max())
-        out["w[n+1,0]"] = mx([om[n + 1, 0] for om in self.omega])
-        out["w[0,n+1]"] = mx([om[0, n + 1] for om in self.omega])
-        out["w[0,0]+w[n+1,n+1]"] = mx(
-            [om[0, 0] + om[n + 1, n + 1] for om in self.omega]
-        )
+        n, om = self.n, self.omega
         g_rs = self.gram[1 : n + 1, 1 : n + 1]
-        res9 = []
-        for om in self.omega:
-            res9.append(om[1 : n + 1, n + 1] - g_rs @ om[0, 1 : n + 1])
-            res9.append(om[1 : n + 1, 0] - g_rs @ om[n + 1, 1 : n + 1])
-        out["w[r,n+1]-g_rs.w[0,s]"] = mx(np.concatenate([r.ravel() for r in res9[0::2]]))
-        out["w[r,0]-g_rs.w[n+1,s]"] = mx(np.concatenate([r.ravel() for r in res9[1::2]]))
-        gdot = []
-        for om in self.omega:
-            block = om[1 : n + 1, 1 : n + 1]
-            gdot.append(g_rs @ block.T + block @ g_rs)
-        out["dg_rs"] = mx(np.concatenate([g.ravel() for g in gdot]))
-        return out
+        block = om[:, 1 : n + 1, 1 : n + 1]
+        return {key: float(np.abs(value).max()) for key, value in (
+            ("w[n+1,0]", om[:, n + 1, 0]),
+            ("w[0,n+1]", om[:, 0, n + 1]),
+            ("w[0,0]+w[n+1,n+1]", om[:, 0, 0] + om[:, n + 1, n + 1]),
+            ("w[r,n+1]-g_rs.w[0,s]", om[:, 1 : n + 1, n + 1] - om[:, 0, 1 : n + 1] @ g_rs.T),
+            ("w[r,0]-g_rs.w[n+1,s]", om[:, 1 : n + 1, 0] - om[:, n + 1, 1 : n + 1] @ g_rs.T),
+            ("dg_rs", g_rs @ np.swapaxes(block, 1, 2) + block @ g_rs))}
 
     def lightlike_relation_residuals(self) -> dict[str, float]:
         """Residuals of the relations specific to null-adapted frames,
         including the screen compatibility w[1,i] = g^{ij} w[j,n]."""
-        n = self.n
-        mx = lambda vals: float(np.abs(np.asarray(vals)).max())
-        out: dict[str, float] = {}
-        out["w[1,n]"] = mx([om[1, n] for om in self.omega])
-        out["w[n,1]"] = mx([om[n, 1] for om in self.omega])
-        out["w[1,1]+w[n,n]"] = mx([om[1, 1] + om[n, n] for om in self.omega])
-        out["w[0,n]+w[1,n+1]"] = mx([om[0, n] + om[1, n + 1] for om in self.omega])
-        out["w[0,1]+w[n,n+1]"] = mx([om[0, 1] + om[n, n + 1] for om in self.omega])
-        g_ij = self.gram[2:n, 2:n]
-        g_inv = inverse(g_ij) if n > 2 else np.eye(0)
-        res = []
-        for om in self.omega:
-            res.append(om[1, 2:n] - g_inv @ om[2:n, n])
-        out["w[1,i]-g^ij.w[j,n]"] = mx(np.concatenate(res)) if res else 0.0
-        return out
+        n, om = self.n, self.omega
+        g_inv = inverse(self.gram[2:n, 2:n])
+        return {key: float(np.abs(value).max()) for key, value in (
+            ("w[1,n]", om[:, 1, n]),
+            ("w[n,1]", om[:, n, 1]),
+            ("w[1,1]+w[n,n]", om[:, 1, 1] + om[:, n, n]),
+            ("w[0,n]+w[1,n+1]", om[:, 0, n] + om[:, 1, n + 1]),
+            ("w[0,1]+w[n,n+1]", om[:, 0, 1] + om[:, n, n + 1]),
+            ("w[1,i]-g^ij.w[j,n]", om[:, 1, 2:n] - om[:, 2:n, n] @ g_inv.T))}
 
 
 def _frame_matrix(frame_or_matrix) -> np.ndarray:
@@ -461,9 +459,7 @@ def connection_forms(frame_field, u, model_or_gram, step: float = DEFAULT_STEP):
     n = dim - 2
     f_inv = inverse(center)
     omegas = np.empty((u.shape[0], dim, dim))
-    for a in range(u.shape[0]):
-        e = np.zeros_like(u)
-        e[a] = step
+    for a, e in enumerate(step * np.eye(len(u))):
         fp = _frame_matrix(frame_field(u + e))
         fm = _frame_matrix(frame_field(u - e))
         omegas[a] = ((fp - fm) / (2.0 * step)) @ f_inv
@@ -486,13 +482,8 @@ def structure_residual(frame_field, u, model_or_gram, step: float = DEFAULT_STEP
         return connection_forms(frame_field, v, model_or_gram, step=step).omega
 
     center = omega_at(u)
-    plus = []
-    minus = []
-    for c in range(d):
-        e = np.zeros(d)
-        e[c] = step
-        plus.append(omega_at(u + e))
-        minus.append(omega_at(u - e))
+    plus = [omega_at(u + e) for e in step * np.eye(d)]
+    minus = [omega_at(u - e) for e in step * np.eye(d)]
     worst = 0.0
     for a in range(d):
         for b in range(a + 1, d):

@@ -26,11 +26,10 @@ import numpy as np
 
 from .conformal import AmbientModel, AtInfinity, ProjectivePoint, darboux_unembed
 from .errors import GeometryError, NotLightlikeError
-from .frames import (_banded_orthonormal, _generator, _lightlike_line, _null_frame,
+from .frames import (_generator, _lightlike_lines, _null_frame, _orthonormal_screens,
                      null_frame_coordinates)
-from .hypersurface import (LIGHTLIKE, Immersion, _ambient_gram, _evaluation_error,
-                           _stacked_spectra, causal_type_of_spectrum, lightlike_kernel,
-                           parameter_grid)
+from .hypersurface import (Immersion, _ambient_gram, _causal_kind, _evaluation_error, _inertia,
+                           _stacked_spectra, lightlike_kernel, parameter_grid)
 from .linalg import (
     cluster_roots,
     det,
@@ -62,7 +61,8 @@ class _JetStack:
     """Jets of an immersion at a stack of parameter points us (N, params),
     each point and Jacobian evaluated once, lifted to the quadric, with every
     induced metric (eigenpairs ``w``, ``v``) and J^T J eigendecomposed in one
-    stacked Jacobi pass.  ``line`` gives a member's line (A_0, A_1) and screen.
+    stacked Jacobi pass.  ``_lines`` builds the lines (A_0, A_1) and screens
+    of any set of members in one stacked pass.
 
     ``failures`` maps the index of each member that is not a regular point to
     the exception it raises: the one its jet evaluation raised (a
@@ -97,20 +97,25 @@ class _JetStack:
         with np.errstate(invalid="ignore", divide="ignore"):  # failed members only
             self.generators = _generator(self.rows, self.w, self.v, n, generator_scale)
 
-    def failure(self, lo: int, hi: int):
-        """The exception of the first failed member in lo..hi-1, or None."""
-        return next((self.failures[k] for k in range(lo, hi) if k in self.failures), None)
 
-    def line(self, i: int) -> tuple:
-        """(A_0, A_1, screen) at the regular member i, after checking that its
-        induced metric is lightlike."""
-        kind = causal_type_of_spectrum(self.w[i], self.imm.lightlike_tol()).kind
-        if kind != LIGHTLIKE:
-            raise NotLightlikeError(
-                f"hypersurface is {kind} at u={self.us[i].tolist()}, not lightlike")
-        return _lightlike_line(self.a0[i], self.rows[i], self.model,
-                               generator=self.generators[i],
-                               generator_scale=self.generator_scale)
+def _lines(jets: _JetStack, members: np.ndarray) -> tuple:
+    """A_0, A_1, screens and failures (position in members -> exception) of
+    the members of a jet stack, in one pass of ``frames._lightlike_lines``.
+    A member fails with its jet's failure, then with an induced metric that
+    is not lightlike, then with the first failed check of the line builder.
+    """
+    a0, a1, screens, built = _lightlike_lines(jets.a0[members], jets.rows[members], jets.model,
+                                              jets.generators[members], jets.generator_scale)
+    failed = np.flatnonzero(np.isin(members, list(jets.failures))).tolist()
+    failures = {j: jets.failures[members[j]] for j in failed}
+    plus, minus, zero, _ = _inertia(jets.w[members], jets.imm.lightlike_tol())
+    for j in np.flatnonzero((minus != 0) | (zero != 1)).tolist():
+        kind = _causal_kind(plus[j], minus[j], zero[j])
+        failures.setdefault(j, NotLightlikeError(
+            f"hypersurface is {kind} at u={jets.us[members[j]].tolist()}, not lightlike"))
+    for j, exc in built.items():
+        failures.setdefault(j, exc)
+    return a0, a1, screens, failures
 
 
 def lightlike_frame_field(imm: Immersion, model: Optional[AmbientModel] = None,
@@ -129,11 +134,10 @@ def lightlike_frame_field(imm: Immersion, model: Optional[AmbientModel] = None,
 
     def field(u):
         jets = _JetStack(imm, np.asarray(u, dtype=float)[None], model, generator_scale)
-        exc = jets.failure(0, 1)
-        if exc is not None:
-            raise exc
-        a0, a1, screen = jets.line(0)
-        return _null_frame(a0, a1, screen, model, float(a0 @ a0), "adaptation")
+        a0, a1, screens, failures = _lines(jets, np.zeros(1, dtype=int))
+        if failures:
+            raise failures[0]
+        return _null_frame(a0[0], a1[0], screens[0], model, float(a0[0] @ a0[0]), "adaptation")
 
     return field
 
@@ -199,8 +203,9 @@ def _affinors(imm: Immersion, us: np.ndarray, model: AmbientModel, step: float,
 
     The jets of all points and of their 2d central-difference neighbours are
     evaluated once and eigendecomposed in one stacked Jacobi pass (the
-    generators of the neighbours give dA_1), the shape operators read in one
-    stacked pass (``_shape_operators``) and the symmetrized ones
+    generators of the neighbours give dA_1), the lines and screens of all
+    points built in one stacked pass (``_lines``), the shape operators read
+    in one stacked pass (``_shape_operators``) and the symmetrized ones
     eigendecomposed in a second Jacobi pass.  A stacked member does not
     depend on the rest of its stack, so a point gets the same bits in any
     grid.  A point fails with its own jet's failure, then with its
@@ -219,26 +224,18 @@ def _affinors(imm: Immersion, us: np.ndarray, model: AmbientModel, step: float,
     stencil = us[:, None, :] + offsets
     stencil[:, 0] = us  # as given: u + 0.0 would turn -0.0 into 0.0
     jets = _JetStack(imm, stencil.reshape(-1, d), model, generator_scale)
-
-    results, pending, lines = [], [], []
-    for i in range(len(us)):
-        c = i * width
-        exc = jets.failure(c, c + 1)
-        if exc is None:
-            try:
-                line = jets.line(c)
-                exc = jets.failure(c + 1, c + width)
-                if exc is None:
-                    pending.append(i)
-                    lines.append(line)
-            except GeometryError as err:
-                exc = err
-        results.append(exc)
+    a0, a1, screens, failures = _lines(jets, np.arange(len(us)) * width)
+    neighbours = np.isin(np.arange(len(jets.us)), list(jets.failures)).reshape(-1, width)[:, 1:]
+    first = neighbours.argmax(axis=1) + 1
+    for i in np.flatnonzero(neighbours.any(axis=1)).tolist():
+        failures.setdefault(i, jets.failures[i * width + first[i]])
+    results = [failures.get(i) for i in range(len(us))]
+    pending = [i for i in range(len(us)) if i not in failures]
     if not pending:
         return results
 
     centers = np.array(pending) * width
-    a0, a1, screens = (np.array(x) for x in zip(*lines))
+    a0, a1, screens = a0[pending], a1[pending], screens[pending]
     g = jets.generators[centers[:, None] + np.arange(1, width)]
     da1 = (g[:, 0::2] - g[:, 1::2]) / (2.0 * step)
     lam, diagnostics = _shape_operators(a0, a1, screens, model.form.gram, jets.rows[centers],
@@ -334,8 +331,9 @@ def torse_directions(an: LightlikeAnalysis) -> list:
 
     Simple roots get a single direction; multiple roots return their whole
     eigenspace basis, which depends on the eigenspace alone: the rows of its
-    projector V V^T, orthonormalized with the banded pivot of
-    ``build_screen`` (the identity basis for a root of full multiplicity).
+    projector V V^T, orthonormalized under the identity Gram with the banded
+    pivot of ``build_screen`` (the identity basis for a root of full
+    multiplicity).
     """
     if an.screen_dim == 0:
         return []
@@ -350,7 +348,9 @@ def torse_directions(an: LightlikeAnalysis) -> list:
             cols = sorted(int(j) for j in order[: root.multiplicity])
         dirs = v[:, cols].T
         if root.multiplicity > 1:
-            dirs = np.array(_banded_orthonormal(dirs.T @ dirs, np.dot, root.multiplicity, 1e-8))
+            rows, count = _orthonormal_screens((dirs.T @ dirs)[None], np.eye(len(w)),
+                                               root.multiplicity, 1e-8)
+            dirs = rows[0, : count[0]]
         out.append(TorseFamily(root=x, multiplicity=root.multiplicity,
                                directions=dirs))
     return out
@@ -437,7 +437,8 @@ def degeneracy_check(
     flow = np.array([s for run in runs for s in run]).reshape(-1, d)
     first_rate = 1 + len(flow)
     jets = _JetStack(imm, np.vstack([u, flow, u + eps * basis]), model, 1.0)
-    exc = jets.failure(0, 1) or jets.failure(first_rate, len(jets.us))
+    exc = next((jets.failures[k] for k in (0, *range(first_rate, len(jets.us)))
+                if k in jets.failures), None)
     if exc is not None:
         raise exc
     spans = np.concatenate([jets.a0[:, None, :], jets.rows], axis=1)

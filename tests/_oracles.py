@@ -12,7 +12,7 @@ import numpy as np
 
 from pseudoconformal.conformal import (AtInfinity, ProjectivePoint, darboux_unembed, lift_point,
                                       lift_tangent)
-from pseudoconformal.frames import _lightlike_line, complete_isotropic_frame
+from pseudoconformal.frames import _lightlike_lines, complete_isotropic_frame
 
 
 def expm(a, terms=30):
@@ -101,7 +101,10 @@ def focal_reference(imm, u, model, step=1e-4, cluster_radius=1e-6):
     """
     n = imm.n
     a0, rows, metric, g = eigh_jet(imm, u, model)
-    a0, a1, screen = _lightlike_line(a0, rows, model, generator=g)
+    line = _lightlike_lines(a0[None], rows[None], model, generators=g[None])
+    if line[3]:
+        raise line[3][0]
+    a0, a1, screen = (x[0] for x in line[:3])
     lines = np.vstack([screen @ model.form.gram, a0, a1])
     frame = np.vstack([a0, a1, screen, np.linalg.svd(lines)[2][n:]])
     da1 = _generator_differences(imm, u, model, step)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from pseudoconformal.congruence import (
     stratify,
 )
 from pseudoconformal.conformal import AmbientModel, AtInfinity, darboux_unembed
+from pseudoconformal.frames import complete_isotropic_frame
 from pseudoconformal.errors import GeometryError, NonIntegrableError
 from pseudoconformal.hypersurface import LIGHTLIKE, causal_type_of_metric, parameter_grid
 from pseudoconformal.linalg import REAL_ROOT_TOL
@@ -322,6 +324,54 @@ class TestDimensions:
         assert sv[-1] > 1e-6 * sv[0]
 
 
+def zero_line_congruence(below=None):
+    """Lines whose A_0 and A_1 both vanish: everywhere, or where u0 exceeds
+    ``below``, the cone normal congruence elsewhere."""
+    cone = catalog.build("cone_normal_congruence")
+
+    def line(u):
+        if below is None or u[0] > below:
+            return np.zeros(5), np.zeros(5)
+        return cone.line(u)
+
+    return IsotropicCongruence(n=3, domain=cone.domain, line=line, name="zero")
+
+
+class TestZeroLine:
+    """A line whose A_0 and A_1 both vanish is a GeometryError naming u, not a
+    division by zero, and raises no warning."""
+
+    MESSAGE = "not an isotropic line at u=\\[0.1, 0.2\\]: zero coordinates"
+
+    def test_validate(self, model3):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GeometryError, match=self.MESSAGE):
+                zero_line_congruence().validate(np.array([0.1, 0.2]), model=model3)
+
+    def test_congruence_affinor(self, model3):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GeometryError, match=self.MESSAGE):
+                congruence_affinor(zero_line_congruence(), np.array([0.1, 0.2]), model=model3)
+
+    def test_other_members_keep_their_bits(self, model3):
+        cong, cone = zero_line_congruence(below=0.2), catalog.build("cone_normal_congruence")
+        grid = parameter_grid(cong, [3, 3])[1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            results = _congruence_affinors(cong, grid, model3)
+        zero = grid[:, 0] > 0.2
+        assert 0 < zero.sum() < len(grid)
+        for u, got, failed in zip(grid, results, zero):
+            if failed:
+                assert isinstance(got, GeometryError)
+                assert str(got) == f"not an isotropic line at u={u.tolist()}: zero coordinates"
+            else:
+                assert _analysis_bits(got) == _analysis_bits(congruence_affinor(cone, u,
+                                                                                model=model3))
+
+
 class TestDegenerateFamily:
     def test_non_congruence_family_rejected(self, model3):
         # all lines through one fixed base point: basis forms collapse
@@ -459,6 +509,19 @@ class TestCongruenceEngine:
                 assert _analysis_bits(got) == _analysis_bits(alone)
         if name in ("fold", "tilting"):
             assert 0 < raised < 3 ** cong.params
+
+    @pytest.mark.parametrize("name", sorted(n for n, e in catalog.CATALOG.items()
+                                            if e.kind == "congruence"))
+    def test_completed_frame_gives_the_affinor_screen(self, name):
+        # the congruence twin of the lightlike frame-field test: the one-point
+        # screen of complete_isotropic_frame is the engine's, bit for bit
+        cong = catalog.build(name)
+        model = AmbientModel.standard(cong.n)
+        grid = parameter_grid(cong, [3] * cong.params)[1]
+        for u, an in zip(grid, _congruence_affinors(cong, grid, model)):
+            frame = complete_isotropic_frame(*an.line, model)
+            assert frame.vectors[2 : cong.n].tobytes() == an.screen.tobytes()
+            assert frame.gram_residual() < 1e-10
 
     @pytest.mark.parametrize("name", ["fold", "tilting"])
     def test_line_jets_fail_where_the_analysis_does(self, name):

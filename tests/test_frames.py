@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,9 @@ from pseudoconformal import catalog
 from pseudoconformal.conformal import AmbientModel, darboux_embed, lift_point, lift_tangent
 from pseudoconformal.errors import DegenerateBasisError, NotLightlikeError, NotOnQuadricError
 from pseudoconformal.frames import (
+    _lightlike_lines,
     adapt_lightlike_frame,
+    build_screen,
     complete_isotropic_frame,
     connection_forms,
     lightlike_gram,
@@ -80,10 +84,10 @@ class TestAdaptLightlike:
             adapt_lightlike_frame(a0, rows, model3, generator=a0)
 
     def test_non_finite_gram_rejected(self, model3):
-        from pseudoconformal.frames import _check_gram
+        from pseudoconformal.frames import _gram_gate
 
         with pytest.raises(DegenerateBasisError, match="gram residual nan"):
-            _check_gram(np.full((3, 5), np.nan), model3, 1.0, "adaptation")
+            raise _gram_gate(np.full((1, 3, 5), np.nan), model3, 1.0, "adaptation")[0]
 
     def test_rank_deficient_basis_rejected(self, model3):
         a0, rows = cone_jet(np.array([1.0, 0.0]), model3)
@@ -162,6 +166,77 @@ class TestCompleteIsotropicFrame:
         v = 0.3 * frame.vector(0) - 1.2 * frame.vector(3)
         comp = frame.components(v)
         assert np.abs(comp - np.array([0.3, 0.0, 0.0, -1.2, 0.0])).max() < 1e-12
+
+
+def outcome(fn, *args, **kwargs):
+    """Result of a call, or the type and message of what it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestStackedLineStage:
+    """The line builder and the screen are stacked; each member gets what
+    its one-point case gives it, bits or failure."""
+
+    def test_mixed_failure_stack(self, model3):
+        a0, rows = cone_jet(np.array([1.0, 0.5]), model3)
+        g = adapt_lightlike_frame(a0, rows, model3).vector(1)
+        nan_point = a0.copy()
+        nan_point[2] = np.nan
+        members = [
+            (a0, rows, g),                                   # regular
+            (a0 + np.array([0.0, 0.0, 0.0, 0.0, 0.5]), rows, g),  # off the quadric
+            (a0, rows, np.array([0.0, 1.0, 0.0, 0.0, 0.0])),  # generator not null
+            (a0, rows, a0),                                  # dependent line
+            (a0, np.eye(5)[[0, 4]], g),                      # null candidates only
+            (nan_point, rows, g),                            # nan gram residual
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            points, rows_stack, generators = (np.array(x) for x in zip(*members))
+            lines = _lightlike_lines(points, rows_stack, model3, generators)
+        failures = lines[3]
+        assert sorted(failures) == [1, 2, 3, 4, 5]
+        expected = [outcome(adapt_lightlike_frame, p, r, model3, generator=q)
+                    for p, r, q in members]
+        assert expected[1:] == [
+            (NotOnQuadricError, "frame origin is not on the quadric"),
+            (NotLightlikeError, "supplied generator direction is not null"),
+            (DegenerateBasisError, "line vectors are dependent"),
+            (DegenerateBasisError, "could not extract 1 spacelike screen vectors (got 0)"),
+            (DegenerateBasisError, "frame adaptation failed (gram residual nan)"),
+        ]
+        assert [(type(failures[i]), str(failures[i])) for i in range(1, 6)] == expected[1:]
+        alone = _lightlike_lines(a0[None], rows[None], model3, g[None])
+        for stacked, single in zip(lines[:3], alone[:3]):
+            assert stacked[0].tobytes() == single[0].tobytes()
+        regular = np.vstack([lines[0][0], lines[1][0], lines[2][0]])
+        assert regular.tobytes() == expected[0].vectors[:3].tobytes()
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_single_build_screen_is_its_stack_member(self, n, rng):
+        model = AmbientModel.standard(n)
+        stack = rng.normal(size=(30, n + 1, n + 2))
+        stack[::3, 1] = stack[::3, 0]  # a repeated candidate
+        stack[1::10] = 0.0
+        stack[1::10, :, 1] = rng.normal(size=(3, n + 1))  # one spacelike direction
+        stack[2::10] = 0.0
+        stack[2::10, :, 0] = rng.normal(size=(3, n + 1))  # one null direction
+        screens, counts = build_screen(stack, model, count=n - 2)
+        assert screens.shape == (30, n - 2, n + 2)
+        assert set(counts[2::10]) == {0} and set(counts[1::10]) == {1}
+        for member, screen, count in zip(stack, screens, counts):
+            assert not screen[count:].any()
+            if count == n - 2:
+                assert build_screen(member, model, count=n - 2).tobytes() == screen.tobytes()
+                gram = screen @ model.form.gram @ screen.T
+                assert np.abs(gram - np.eye(n - 2)).max() < 1e-12
+            else:
+                assert outcome(build_screen, member, model, n - 2) == (
+                    DegenerateBasisError,
+                    f"could not extract {n - 2} spacelike screen vectors (got {count})")
 
 
 def adapted_frame(kind, n):

@@ -14,7 +14,9 @@ from pseudoconformal.errors import (DegenerateBasisError, GeometryError, NotLigh
                                     NotOnQuadricError)
 from pseudoconformal.hypersurface import Immersion, parameter_grid
 from pseudoconformal.lightlike import (
+    DEFAULT_STEP,
     FocalSample,
+    _affinors,
     _JetStack,
     _merge,
     degeneracy_check,
@@ -682,6 +684,26 @@ class TestLightlikeEngine:
                  None if s.at_infinity else s.point.tobytes(), s.projective.coords.tobytes())
                 for s in focal.samples] == samples
         assert list(focal.errors) == errors
+
+    def test_non_lightlike_centres_in_a_stack(self, model3):
+        # the light cone below u0 = 1, the spacelike slice above: the slice
+        # members fail as they fail alone, the cone members keep their bits
+        cone, slab = _cone_variant(), catalog.build("spacelike_slice")
+        pick = lambda u: cone if u[0] < 1.0 else slab
+        imm = Immersion(n=3, domain=cone.domain, value=lambda u: pick(u).value(u),
+                        jacobian=lambda u: pick(u).jacobian(u))
+        grid = parameter_grid(imm, [4, 4])[1]
+        results = _affinors(imm, grid, model3, DEFAULT_STEP, 1.0, None)
+        bits = lambda an: (an.shape_operator.tobytes(), an.roots, an.line[0].tobytes(),
+                           an.line[1].tobytes(), an.screen.tobytes(), an.diagnostics)
+        for u, got in zip(grid, results):
+            if u[0] < 1.0:
+                assert bits(got) == bits(lightlike_affinor(cone, u, model=model3))
+            else:
+                assert (type(got), str(got)) == (
+                    NotLightlikeError, f"hypersurface is spacelike at u={u.tolist()}, not lightlike")
+                with pytest.raises(NotLightlikeError, match=str(got).replace("[", "\\[")):
+                    lightlike_affinor(imm, u, model=model3)
 
     def test_frame_field_gives_the_affinor_frames(self, model4):
         imm = catalog.build("circle_wavefront")
