@@ -1,0 +1,108 @@
+"""Alternating before/after benchmark of two checkouts.
+
+Runs each checkout's own ``perfbench/run.py --trace 0`` as a subprocess, in
+alternation: pair k runs OLD then NEW for even k and NEW then OLD for odd k,
+so slow drift of the machine falls on both sides alike.  For every pair it
+prints the four end-to-end metrics of both runs, then per metric the median
+and the range of each side and the ratio of the medians.  The exit code is
+1 if any run reports ``correct: false`` or no result, else 0.
+
+Example, from the root of a checkout:
+    python scripts/ab_bench.py ../old . --workload congruence --pairs 3 --seconds 10 --seed 41
+
+``--workload`` may be given more than once.  Without arguments the script
+prints this help and exits 0.
+"""
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+METRICS = ("points_per_s", "scene_s_p50", "setup_s", "peak_rss_mb")
+
+
+def parse_result(stdout: str):
+    """The result object of a ``run.py`` run: the JSON on the last line of
+    its standard output, or None if there is none."""
+    lines = stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1]) if lines else None
+    except json.JSONDecodeError:
+        return None
+    return result if isinstance(result, dict) and "metrics" in result else None
+
+
+def run_once(root: str, workload: str, seconds: float, seed: int):
+    """One untraced benchmark run of the checkout at root."""
+    proc = subprocess.run(
+        [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=root, capture_output=True, text=True)
+    result = parse_result(proc.stdout)
+    if result is None:
+        print(f"{root}: no result (exit {proc.returncode}): {proc.stderr.strip()[-300:]}",
+              file=sys.stderr)
+    return result
+
+
+def _values(result) -> str:
+    if result is None:
+        return "no result"
+    flag = "" if result.get("correct") else " INCORRECT"
+    return " ".join(f"{m} {result['metrics'][m]['value']:.6g}" for m in METRICS) + flag
+
+
+def pair_line(workload: str, k: int, old, new) -> str:
+    return f"{workload} pair {k}: old {_values(old)} | new {_values(new)}"
+
+
+def summarize(workload: str, pairs) -> tuple:
+    """Report lines for the (old, new) result pairs of one workload, each
+    pair's and then the medians and ranges, and whether every run is present
+    and correct."""
+    lines = [pair_line(workload, k, old, new) for k, (old, new) in enumerate(pairs)]
+    ok = all(r is not None and r.get("correct") is True for pair in pairs for r in pair)
+    sides = [[r for r in side if r is not None] for side in zip(*pairs)] if pairs else [[], []]
+    if all(sides):
+        for m in METRICS:
+            old, new = ([r["metrics"][m]["value"] for r in side] for side in sides)
+            mo, mn = statistics.median(old), statistics.median(new)
+            ratio = f"{mn / mo:.3f}" if mo else "n/a"
+            lines.append(f"{workload} {m}: old {mo:.6g} [{min(old):.6g}-{max(old):.6g}] -> "
+                         f"new {mn:.6g} [{min(new):.6g}-{max(new):.6g}], new/old {ratio}")
+    return lines, ok
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("old_root", nargs="?", help="OLD_ROOT, a checkout with perfbench/")
+    parser.add_argument("new_root", nargs="?", help="NEW_ROOT, a checkout with perfbench/")
+    parser.add_argument("--workload", action="append", help="workload name (repeatable)")
+    parser.add_argument("--pairs", type=int, default=3)
+    parser.add_argument("--seconds", type=float, default=10.0)
+    parser.add_argument("--seed", type=int, default=41)
+    args = parser.parse_args(argv)
+    if args.old_root is None or args.new_root is None or not args.workload:
+        parser.print_help()
+        return 0
+
+    roots, ok = (args.old_root, args.new_root), True
+    for workload in args.workload:
+        pairs = []
+        for k in range(args.pairs):
+            results = [None, None]
+            for side in ((0, 1) if k % 2 == 0 else (1, 0)):
+                results[side] = run_once(roots[side], workload, args.seconds, args.seed)
+            pairs.append(tuple(results))
+            print(pair_line(workload, k, *results), flush=True)
+        lines, good = summarize(workload, pairs)
+        ok &= good
+        print("\n".join(lines[len(pairs):]), flush=True)
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -3,6 +3,12 @@
 Every entry is constructed from module-level functions and carries a
 sensible default domain away from parametrization degeneracies.  Catalog
 names are the stable identifiers used by scene files and the command line.
+
+Each entry also has broadcasting twins of its one-point evaluators, values
+and Jacobians of a hypersurface or base points and directions of a
+congruence, so the engines evaluate a whole stack of parameter points in one
+call; every member has the bits of the one-point evaluators.  Hessians are
+one-point only.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ import numpy as np
 
 from .congruence import IsotropicCongruence
 from .hypersurface import Immersion
+from .linalg import _dots
 
 # ---------------------------------------------------------------------------
 # hypersurface evaluators
@@ -266,6 +273,145 @@ def _twisted_direction(u, n, rate):
 
 
 # ---------------------------------------------------------------------------
+# broadcasting twins: the evaluators above on a stack of parameter points
+# u (N, d), each member with the bits of its one-point evaluator.  Where
+# those take u @ u the twins take ``_dots``; np.sqrt, np.sin and np.cos round
+# as math's do, and math.hypot is applied member by member.  A member whose
+# one-point evaluator raises comes out non-finite and is evaluated again
+# one by one (``hypersurface._evaluate_stack``).
+
+_hypot = np.frompyfunc(math.hypot, 2, 1)
+
+
+def _repeat(evaluator, u, **params):
+    """A constant evaluator's value at every member of the stack u."""
+    return np.repeat(evaluator(None, **params)[None], len(u), axis=0)
+
+
+def _graph_jacs(grad):
+    """Jacobians (N, d+1, d) of graphs u -> (u, f(u)) with gradients grad (N, d)."""
+    count, d = grad.shape
+    return np.concatenate([np.broadcast_to(np.eye(d), (count, d, d)), grad[:, None]], axis=1)
+
+
+def _append(u, last):
+    return np.concatenate([u, last[:, None]], axis=1)
+
+
+def _slice_values(u, n):
+    return _append(u, np.zeros(len(u)))
+
+
+def _timelike_plane_values(u, n):
+    return np.concatenate([np.zeros((len(u), 1)), u], axis=1)
+
+
+def _null_plane_values(u, n):
+    return _append(u, u[:, 0])
+
+
+def _light_cone_values(u, n):
+    return _append(u, np.sqrt(_dots(u, u)))
+
+
+def _light_cone_jacs(u, n):
+    return _graph_jacs(u / np.sqrt(_dots(u, u))[:, None])  # 0/0 at the vertex
+
+
+def _spacelike_sphere_values(u, n, a):
+    return _append(u, np.sqrt(-a + _dots(u, u)))
+
+
+def _spacelike_sphere_jacs(u, n, a):
+    return _graph_jacs(u / np.sqrt(-a + _dots(u, u))[:, None])
+
+
+def _timelike_sphere_values(u, n, a):
+    w, t = u[:, : n - 2], u[:, n - 2]
+    f = np.sqrt(a + t * t - _dots(w, w))
+    return np.concatenate([f[:, None], u], axis=1)
+
+
+def _timelike_sphere_jacs(u, n, a):
+    w, t = u[:, : n - 2], u[:, n - 2]
+    f = np.sqrt(a + t * t - _dots(w, w))[:, None]
+    j = np.zeros((len(u), n, n - 1))
+    j[:, 0, : n - 2] = -w / f
+    j[:, 0, n - 2] = t / f[:, 0]
+    j[:, 1 : n - 1, : n - 2] = np.eye(n - 2)
+    j[:, n - 1, n - 2] = 1.0
+    return j
+
+
+def _matrices(rows, count):
+    """Stack (count, r, c) of the matrices whose entries, given row by row,
+    are arrays (count,) or constants."""
+    out = np.empty((count, len(rows), len(rows[0])))
+    for i, row in enumerate(rows):
+        for k, entry in enumerate(row):
+            out[:, i, k] = entry
+    return out
+
+
+def _euclidean_sphere_values(u, n):
+    phi, theta = u.T
+    return np.stack([np.sin(phi) * np.cos(theta), np.sin(phi) * np.sin(theta), np.cos(phi)],
+                    axis=1)
+
+
+def _euclidean_sphere_jacs(u, n):
+    phi, theta = u.T
+    return _matrices([[np.cos(phi) * np.cos(theta), -np.sin(phi) * np.sin(theta)],
+                      [np.cos(phi) * np.sin(theta), np.sin(phi) * np.cos(theta)],
+                      [-np.sin(phi), 0.0]], len(u))
+
+
+def _tilted_family_values(u, n, pitch):
+    tau, s = u.T
+    psi = math.asin(pitch)
+    return np.stack([np.cos(tau) + s * np.cos(tau + psi), np.sin(tau) + s * np.sin(tau + psi),
+                     pitch * tau + s], axis=1)
+
+
+def _tilted_family_jacs(u, n, pitch):
+    tau, s = u.T
+    psi = math.asin(pitch)
+    return _matrices([[-np.sin(tau) - s * np.sin(tau + psi), np.cos(tau + psi)],
+                      [np.cos(tau) + s * np.cos(tau + psi), np.sin(tau + psi)],
+                      [pitch, 1.0]], len(u))
+
+
+def _circle_wavefront_values(u, n, rho):
+    q = _hypot(u[:, 0], u[:, 1]).astype(float)
+    return _append(u, _hypot(q - rho, u[:, 2]).astype(float))
+
+
+def _circle_wavefront_jacs(u, n, rho):
+    q = _hypot(u[:, 0], u[:, 1]).astype(float)
+    s = q - rho
+    f = _hypot(s, u[:, 2]).astype(float)
+    return _graph_jacs(np.stack([s * u[:, 0] / (q * f), s * u[:, 1] / (q * f), u[:, 2] / f],
+                                axis=1))
+
+
+def _cone_vertex_bases(u, n):
+    p = np.zeros((len(u), n))
+    p[:, n - 1] = u[:, n - 2]
+    return p + _cone_directions(u, n)
+
+
+def _cone_directions(u, n):
+    v = u[:, : n - 2]
+    return np.concatenate([v, np.sqrt(1.0 - _dots(v, v))[:, None], np.ones((len(u), 1))], axis=1)
+
+
+def _twisted_directions(u, n, rate):
+    v = np.stack([np.ones(len(u)), rate * u[:, 2], -rate * u[:, 1]], axis=1)
+    v = v / np.sqrt(_dots(v, v))[:, None]
+    return _append(v, np.ones(len(u)))
+
+
+# ---------------------------------------------------------------------------
 # catalog registry
 
 
@@ -299,6 +445,8 @@ def _make_spacelike_slice(n):
         value=partial(_slice_value, n=n),
         jacobian=partial(_slice_jac, n=n),
         hessian=partial(_slice_hess, n=n),
+        values=partial(_slice_values, n=n),
+        jacobians=partial(_repeat, _slice_jac, n=n),
         name="spacelike_slice",
     )
 
@@ -309,6 +457,8 @@ def _make_timelike_hyperplane(n):
         domain=tuple((-1.0, 1.0) for _ in range(n - 1)),
         value=partial(_timelike_plane_value, n=n),
         jacobian=partial(_timelike_plane_jac, n=n),
+        values=partial(_timelike_plane_values, n=n),
+        jacobians=partial(_repeat, _timelike_plane_jac, n=n),
         name="timelike_hyperplane",
     )
 
@@ -319,6 +469,8 @@ def _make_null_hyperplane(n):
         domain=tuple((-1.0, 1.0) for _ in range(n - 1)),
         value=partial(_null_plane_value, n=n),
         jacobian=partial(_null_plane_jac, n=n),
+        values=partial(_null_plane_values, n=n),
+        jacobians=partial(_repeat, _null_plane_jac, n=n),
         name="null_hyperplane",
     )
 
@@ -330,6 +482,8 @@ def _make_light_cone(n):
         value=partial(_light_cone_value, n=n),
         jacobian=partial(_light_cone_jac, n=n),
         hessian=partial(_light_cone_hess, n=n),
+        values=partial(_light_cone_values, n=n),
+        jacobians=partial(_light_cone_jacs, n=n),
         name="light_cone",
     )
 
@@ -342,6 +496,8 @@ def _make_spacelike_hypersphere(n, a):
         domain=tuple((-1.0, 1.0) for _ in range(n - 1)),
         value=partial(_spacelike_sphere_value, n=n, a=a),
         jacobian=partial(_spacelike_sphere_jac, n=n, a=a),
+        values=partial(_spacelike_sphere_values, n=n, a=a),
+        jacobians=partial(_spacelike_sphere_jacs, n=n, a=a),
         name="spacelike_hypersphere",
     )
 
@@ -356,6 +512,8 @@ def _make_timelike_hypersphere(n, a):
         domain=domain,
         value=partial(_timelike_sphere_value, n=n, a=a),
         jacobian=partial(_timelike_sphere_jac, n=n, a=a),
+        values=partial(_timelike_sphere_values, n=n, a=a),
+        jacobians=partial(_timelike_sphere_jacs, n=n, a=a),
         name="timelike_hypersphere",
     )
 
@@ -366,6 +524,8 @@ def _make_euclidean_sphere(n):
         domain=((0.05, math.pi - 0.05), (0.0, 2.0 * math.pi)),
         value=partial(_euclidean_sphere_value, n=3),
         jacobian=partial(_euclidean_sphere_jac, n=3),
+        values=partial(_euclidean_sphere_values, n=3),
+        jacobians=partial(_euclidean_sphere_jacs, n=3),
         name="euclidean_sphere",
     )
 
@@ -379,6 +539,8 @@ def _make_tilted_null_family(n, pitch):
         value=partial(_tilted_family_value, n=3, pitch=pitch),
         jacobian=partial(_tilted_family_jac, n=3, pitch=pitch),
         hessian=partial(_tilted_family_hess, n=3, pitch=pitch),
+        values=partial(_tilted_family_values, n=3, pitch=pitch),
+        jacobians=partial(_tilted_family_jacs, n=3, pitch=pitch),
         name="tilted_null_family",
     )
 
@@ -390,6 +552,8 @@ def _make_circle_wavefront(n, rho):
         value=partial(_circle_wavefront_value, n=4, rho=rho),
         jacobian=partial(_circle_wavefront_jac, n=4, rho=rho),
         hessian=partial(_circle_wavefront_hess, n=4, rho=rho),
+        values=partial(_circle_wavefront_values, n=4, rho=rho),
+        jacobians=partial(_circle_wavefront_jacs, n=4, rho=rho),
         name="circle_wavefront",
     )
 
@@ -400,6 +564,8 @@ def _make_parallel_congruence(n):
         domain=tuple((-1.0, 1.0) for _ in range(n - 1)),
         base_point=partial(_parallel_base, n=n),
         direction=partial(_parallel_direction, n=n),
+        base_points=partial(_slice_values, n=n),
+        directions=partial(_repeat, _parallel_direction, n=n),
         name="parallel_null_congruence",
     )
 
@@ -411,6 +577,8 @@ def _make_cone_normal_congruence(n):
         domain=domain,
         base_point=partial(_cone_vertex_base, n=n),
         direction=partial(_cone_direction, n=n),
+        base_points=partial(_cone_vertex_bases, n=n),
+        directions=partial(_cone_directions, n=n),
         name="cone_normal_congruence",
     )
 
@@ -421,6 +589,8 @@ def _make_twisted_congruence(n, rate):
         domain=((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)),
         base_point=partial(_twisted_base, n=4),
         direction=partial(_twisted_direction, n=4, rate=rate),
+        base_points=partial(_slice_values, n=4),
+        directions=partial(_twisted_directions, n=4, rate=rate),
         name="twisted_congruence",
     )
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotOnQuadricError
-from .linalg import BilinearForm, scalar_product
+from .linalg import BilinearForm, _dots, scalar_product
 
 #: |scalar square| below this times the squared coordinate norm means "point"
 POINT_TOL = 1e-10
@@ -162,23 +162,32 @@ def darboux_embed(p, model: AmbientModel) -> ProjectivePoint:
 
 def lift_point(p, model: AmbientModel) -> np.ndarray:
     """Raw (unnormalized) homogeneous image of a finite point in the
-    x^0 = 1 chart; smooth in p, unlike the normalized representative."""
+    x^0 = 1 chart; smooth in p, unlike the normalized representative.
+
+    A stack of points (..., n) lifts to (..., n+2) in one pass; every member
+    has the bits of its one-point lift (the square is a ``linalg._dots``)."""
     p = np.asarray(p, dtype=float)
-    x = np.empty(model.n + 2)
-    x[0] = 1.0
-    x[1 : model.n + 1] = p
-    x[model.n + 1] = 0.5 * scalar_product(p, p, model.metric)
-    return x
+    square = 0.5 * _dots(p @ model.metric.gram, p)[..., None]
+    return np.concatenate([np.ones(square.shape), p, square], axis=-1)
 
 
 def lift_tangent(p, v, model: AmbientModel) -> np.ndarray:
-    """Differential of ``lift_point`` at p applied to the tangent vector v."""
+    """Differential of ``lift_point`` at p applied to the tangent vector v.
+
+    Stacks broadcast: points (..., n) with vectors (..., n), one per point,
+    or with rows (..., k, n) of vectors at each point.  The pairings with p
+    are one stacked product, ``linalg._dots`` for one vector per point; the
+    result keeps the memory layout of the rows, on which later products'
+    bits depend."""
+    p = np.asarray(p, dtype=float)
     v = np.asarray(v, dtype=float)
-    x = np.empty(model.n + 2)
-    x[0] = 0.0
-    x[1 : model.n + 1] = v
-    x[model.n + 1] = scalar_product(np.asarray(p, dtype=float), v, model.metric)
-    return x
+    pg = (p @ model.metric.gram)[..., None, :]
+    if v.ndim > p.ndim:
+        pairs = np.swapaxes(pg @ np.swapaxes(v, -1, -2), -1, -2)
+    else:
+        pairs = (pg @ v[..., None])[..., 0]
+    v = np.broadcast_to(v, pairs.shape[:-1] + v.shape[-1:])
+    return np.concatenate([np.zeros(pairs.shape), v, pairs], axis=-1)
 
 
 def quadric_residual(x, model: AmbientModel) -> float:

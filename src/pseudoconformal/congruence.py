@@ -34,7 +34,8 @@ import numpy as np
 from .conformal import AmbientModel, ProjectivePoint, lift_point, lift_tangent
 from .errors import ConvergenceError, DegenerateBasisError, GeometryError, NonIntegrableError
 from .frames import _line_screen_candidates, _screen_error, build_screen, null_frame_coordinates
-from .hypersurface import _evaluation_error, _inertia, _pullback, parameter_grid
+from .hypersurface import (_evaluate_stack, _evaluation_error, _inertia, _pullback,
+                           parameter_grid)
 from .linalg import _dots, char_roots, jacobi_eigh, orthonormal_rows, solve
 
 DEFAULT_STEP = 1e-4
@@ -49,27 +50,42 @@ class IsotropicCongruence:
 
     ``line`` maps a parameter vector to a pair of homogeneous vectors
     spanning the line; both must lie on the quadric and pair to zero.
+    ``lines`` is its optional broadcasting twin: it maps a stack of
+    parameter vectors (N, n-1) to the pairs (N, 2, n+2), each member with
+    the bits of ``line``.
     """
 
     n: int
     domain: tuple
     line: Callable[[np.ndarray], tuple]
     name: str = ""
+    lines: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     @property
     def params(self) -> int:
         return self.n - 1
 
     def line_at(self, u):
-        a0, a1 = self.line(np.asarray(u, dtype=float))
+        """The pair (A_0, A_1) at u, or for a stack of parameter vectors
+        (N, n-1) the pairs (N, 2, n+2) and the failures {index: exception}
+        of ``hypersurface._evaluate_stack``."""
+        u = np.asarray(u, dtype=float)
+        if u.ndim == 2:
+            return _evaluate_stack(self.line_at, self.lines, u, (2, self.n + 2))
+        a0, a1 = self.line(u)
         return np.asarray(a0, dtype=float), np.asarray(a1, dtype=float)
 
     @classmethod
     def from_null_lines(cls, n, domain, base_point, direction, name="",
-                        model: Optional[AmbientModel] = None):
+                        model: Optional[AmbientModel] = None, base_points=None,
+                        directions=None):
         """Build from Lorentzian data: a base point field p(u) and a null
         direction field l(u); the line through p with direction l lifts to
-        the quadric line spanned by the images of p and of the direction."""
+        the quadric line spanned by the images of p and of the direction.
+        Broadcasting twins ``base_points`` and ``directions`` of the two
+        fields, given together, make ``lines`` one stacked lift."""
+        if (base_points is None) != (directions is None):
+            raise ValueError("base_points and directions are given together or not at all")
         if model is None:
             model = AmbientModel.standard(n)
 
@@ -78,7 +94,12 @@ class IsotropicCongruence:
             l = np.asarray(direction(u), dtype=float)
             return lift_point(p, model), lift_tangent(p, l, model)
 
-        return cls(n=n, domain=domain, line=line, name=name)
+        def lines(us):
+            p = np.asarray(base_points(us), dtype=float)
+            return np.stack([lift_point(p, model), lift_tangent(p, directions(us), model)], axis=1)
+
+        return cls(n=n, domain=domain, line=line, name=name,
+                   lines=None if base_points is None else lines)
 
     def validate(self, u, model: Optional[AmbientModel] = None, tol: float = 1e-10):
         """The residuals of the line at u by name, or the GeometryError it
@@ -157,9 +178,9 @@ def _dependent(u: np.ndarray) -> DegenerateBasisError:
 def _line_jets(cong: IsotropicCongruence, us: np.ndarray, model: AmbientModel,
                step: float) -> _LineJets:
     """Lines at the parameter points us (N, d), their central differences
-    and transversal forms omega_0^n = -<d_a A_0, A_1>, from one loop over
-    ``line_at`` at every point and its neighbours u +- step e_a.  A point
-    fails with the first of: its own evaluation, its line checks, its
+    and transversal forms omega_0^n = -<d_a A_0, A_1>, from one stacked
+    ``line_at`` call at every point and its neighbours u +- step e_a.  A
+    point fails with the first of: its own evaluation, its line checks, its
     neighbours' evaluations (+e_0, -e_0, +e_1, ...), non-finite differentials,
     dependent basis forms (rows of dA_0 dependent modulo the line).  An
     evaluator's ValueError or ArithmeticError becomes a GeometryError naming
@@ -170,13 +191,12 @@ def _line_jets(cong: IsotropicCongruence, us: np.ndarray, model: AmbientModel,
     stencil = np.repeat(us[:, None], width, axis=1)
     stencil[:, 1::2] += step * np.eye(d)
     stencil[:, 2::2] -= step * np.eye(d)
-    lines = np.zeros((count, width, 2, cong.n + 2))
+    lines, failed = cong.line_at(stencil.reshape(-1, d))
+    lines = lines.reshape(count, width, 2, cong.n + 2)
     raised = {}
-    for (i, k), u in zip(np.ndindex(count, width), stencil.reshape(-1, d)):
-        try:
-            lines[i, k] = cong.line_at(u)
-        except (ValueError, ArithmeticError) as exc:  # GeometryError included
-            raised.setdefault(i, {})[k] = _evaluation_error(u, exc)
+    for f, exc in failed.items():
+        i, k = divmod(f, width)
+        raised.setdefault(i, {})[k] = _evaluation_error(stencil[i, k], exc)
     failures = _line_checks(us, lines[:, 0, 0], lines[:, 0, 1], model)[1]
     for i, at in raised.items():
         if 0 in at or i not in failures:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conformal import AmbientModel
-from .errors import DegenerateBasisError, NotLightlikeError, NotOnQuadricError
+from .errors import DegenerateBasisError, GeometryError, NotLightlikeError, NotOnQuadricError
 from .hypersurface import _inertia, _pullback
 from .linalg import _dots, inverse, jacobi_eigh, nullspace, solve
 
@@ -346,6 +346,8 @@ def complete_isotropic_frame(a0, a1, model: AmbientModel) -> ConformalFrame:
     """
     a0 = np.asarray(a0, dtype=float)
     a1 = np.asarray(a1, dtype=float)
+    if not (np.isfinite(a0).all() and np.isfinite(a1).all()):
+        raise GeometryError("line vectors have non-finite coordinates")
     scale2 = max(float(a0 @ a0), float(a1 @ a1))
     for label, vec in (("first", a0), ("second", a1)):
         if abs(model.quadratic(vec)) > 1e-8 * scale2:

@@ -47,6 +47,12 @@ class Immersion:
     Lorentzian space (length n), or to homogeneous coordinates (length n+2)
     when ``homogeneous`` is set.  ``jacobian`` and ``hessian`` are optional
     analytic jets; finite differences fill in for whichever is missing.
+
+    ``values`` and ``jacobians`` are optional broadcasting twins of ``value``
+    and ``jacobian``: they map a stack of parameter vectors (N, n-1) to
+    (N, target_dim) and (N, target_dim, n-1), each member with the bits of
+    the one-point callable.  ``point`` and ``jet1`` take one parameter vector
+    or a stack; a stack is evaluated by ``_evaluate_stack``.
     """
 
     n: int
@@ -56,6 +62,8 @@ class Immersion:
     hessian: Optional[Callable[[np.ndarray], np.ndarray]] = None
     homogeneous: bool = False
     name: str = ""
+    values: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    jacobians: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     @property
     def params(self) -> int:
@@ -69,12 +77,21 @@ class Immersion:
     def analytic(self) -> bool:
         return self.jacobian is not None
 
-    def point(self, u) -> np.ndarray:
-        return np.asarray(self.value(np.asarray(u, dtype=float)), dtype=float)
-
-    def jet1(self, u) -> np.ndarray:
-        """First-order jet: target_dim x (n-1) Jacobian."""
+    def point(self, u):
+        """The point at u, or for a stack of parameter vectors (N, n-1) the
+        points (N, target_dim) and the failures {index: exception}."""
         u = np.asarray(u, dtype=float)
+        if u.ndim == 2:
+            return _evaluate_stack(self.point, self.values, u, (self.target_dim,))
+        return np.asarray(self.value(u), dtype=float)
+
+    def jet1(self, u):
+        """First-order jet: target_dim x (n-1) Jacobian; for a stack of
+        parameter vectors (N, n-1) the Jacobians and the failures, as
+        ``point``."""
+        u = np.asarray(u, dtype=float)
+        if u.ndim == 2:
+            return _evaluate_stack(self.jet1, self.jacobians, u, (self.target_dim, self.params))
         if self.jacobian is not None:
             j = np.asarray(self.jacobian(u), dtype=float)
         else:
@@ -119,6 +136,39 @@ class Immersion:
 
     def lightlike_tol(self) -> float:
         return LIGHTLIKE_TOL_ANALYTIC if self.analytic else LIGHTLIKE_TOL_FD
+
+
+def _evaluate_stack(scalar: Callable, stacked: Optional[Callable], us: np.ndarray,
+                    shape: tuple) -> tuple:
+    """Outputs (N, *shape) of an evaluator at the parameter points us (N, d)
+    and its failures {index: the ValueError or ArithmeticError raised}.
+
+    The broadcasting twin ``stacked`` runs once over the stack with floating
+    point warnings off.  The one-point ``scalar`` then evaluates again every
+    member the twin left non-finite, or every member if the twin is None,
+    raised a ValueError or ArithmeticError or gave another shape, so each
+    such member gets the one-point result, exception and warnings.  Failed
+    members are zero.
+    """
+    out = None
+    if stacked is not None:
+        try:
+            with np.errstate(all="ignore"):
+                out = np.array(stacked(us), dtype=float, order="C")
+        except (ValueError, ArithmeticError):
+            pass
+    if out is None or out.shape != (len(us),) + shape:
+        out, replay = np.zeros((len(us),) + shape), range(len(us))
+    else:
+        replay = np.flatnonzero(~np.isfinite(out).all(axis=tuple(range(1, out.ndim)))).tolist()
+    failures = {}
+    for i in replay:
+        try:
+            out[i] = scalar(us[i])
+        except (ValueError, ArithmeticError) as exc:  # GeometryError included
+            out[i] = 0.0
+            failures[i] = exc
+    return out, failures
 
 
 def parameter_grid(obj, counts):
@@ -234,9 +284,11 @@ def _stacked_spectra(jets, gram, us, failures, tol: float = JACOBI_TOL) -> tuple
     count, _, d = jets.shape
     live = np.array([i for i in range(count) if i not in failures], dtype=int)
     j = jets[live]
+    finite = np.isfinite(j).all(axis=(1, 2))
+    j = np.where(finite[:, None, None], j, 0.0)  # inf * 0 would warn
     metrics = _pullback(j, gram)
     jtj = np.swapaxes(j, 1, 2) @ j
-    finite = np.isfinite(metrics).all(axis=(1, 2)) & np.isfinite(jtj).all(axis=(1, 2))
+    finite &= np.isfinite(metrics).all(axis=(1, 2)) & np.isfinite(jtj).all(axis=(1, 2))
     for i in live[~finite].tolist():
         failures[i] = DegenerateBasisError(f"non-finite jacobian at u={us[i].tolist()}")
     live, metrics, jtj = live[finite], metrics[finite], jtj[finite]
@@ -329,8 +381,8 @@ def survey(imm: Immersion, grid_counts: Sequence[int], tol: Optional[float] = No
            model: Optional[AmbientModel] = None) -> ClassificationReport:
     """Classify every grid point and summarize pure vs mixed character.
 
-    Each point's Jacobian is evaluated once; the induced metrics and J^T J of
-    the whole grid are then eigendecomposed in one stacked Jacobi pass.  Every
+    The Jacobians of the whole grid are one stacked ``jet1`` call, and the
+    induced metrics and J^T J one stacked Jacobi pass.  Every
     point gets the kind and inertia ``classify_point`` gives it, and a point
     where that would raise is recorded in ``errors`` instead.  Results are in
     grid order.
@@ -343,13 +395,7 @@ def survey(imm: Immersion, grid_counts: Sequence[int], tol: Optional[float] = No
     indices = list(np.ndindex(*shape))
     us = [tuple(u) for u in grid.tolist()]
 
-    failures = {}
-    jets = np.zeros((len(indices), imm.target_dim, imm.params))
-    for i, u in enumerate(grid):
-        try:
-            jets[i] = imm.jet1(u)
-        except (GeometryError, ValueError, ArithmeticError) as exc:
-            failures[i] = exc
+    jets, failures = imm.jet1(grid)
     w, _ = _stacked_spectra(jets, gram, grid, failures)
     live = np.array([i for i in range(len(indices)) if i not in failures], dtype=int)
     w = w[live]

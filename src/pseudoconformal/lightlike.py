@@ -24,7 +24,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .conformal import AmbientModel, AtInfinity, ProjectivePoint, darboux_unembed
+from .conformal import (AmbientModel, AtInfinity, ProjectivePoint, darboux_unembed, lift_point,
+                        lift_tangent)
 from .errors import GeometryError, NotLightlikeError
 from .frames import (_generator, _lightlike_lines, _null_frame, _orthonormal_screens,
                      null_frame_coordinates)
@@ -58,14 +59,16 @@ GENERATOR_JACOBI_TOL = 1e-14
 
 
 class _JetStack:
-    """Jets of an immersion at a stack of parameter points us (N, params),
-    each point and Jacobian evaluated once, lifted to the quadric, with every
-    induced metric (eigenpairs ``w``, ``v``) and J^T J eigendecomposed in one
-    stacked Jacobi pass.  ``_lines`` builds the lines (A_0, A_1) and screens
-    of any set of members in one stacked pass.
+    """Jets of an immersion at a stack of parameter points us (N, params):
+    the points and Jacobians of all members from one stacked ``point`` and
+    one stacked ``jet1`` call, lifted to the quadric in one stacked
+    ``lift_point``/``lift_tangent`` pass, with every induced metric
+    (eigenpairs ``w``, ``v``) and J^T J eigendecomposed in one stacked Jacobi
+    pass.  ``_lines`` builds the lines (A_0, A_1) and screens of any set of
+    members in one stacked pass.
 
     ``failures`` maps the index of each member that is not a regular point to
-    the exception it raises: the one its jet evaluation raised (a
+    the exception it raises: the one its point or else its Jacobian raised (a
     ValueError or ArithmeticError becomes a GeometryError naming the member),
     else a DegenerateBasisError for a non-finite or rank-deficient Jacobian.
     """
@@ -74,28 +77,21 @@ class _JetStack:
                  generator_scale: float):
         self.imm, self.us, self.model = imm, us, model
         self.generator_scale = generator_scale
-        n, d = imm.n, imm.params
-        points = np.zeros((len(us), imm.target_dim))
-        jets = np.zeros((len(us), imm.target_dim, d))
-        self.failures = {}
-        for i, u in enumerate(us):
-            try:
-                points[i], jets[i] = imm.point(u), imm.jet1(u)
-            except (ValueError, ArithmeticError) as exc:  # GeometryError included
-                self.failures[i] = _evaluation_error(u, exc)
+        points, raised = imm.point(us)
+        jets, jet_raised = imm.jet1(us)
+        raised = {**jet_raised, **raised}
+        self.failures = {i: _evaluation_error(us[i], raised[i]) for i in sorted(raised)}
         self.w, self.v = _stacked_spectra(jets, _ambient_gram(imm, model), us, self.failures,
                                           tol=GENERATOR_JACOBI_TOL)
+        failed = list(self.failures)
+        points[failed], jets[failed] = 0.0, 0.0  # masked before the lift: inf * 0 would warn
         if imm.homogeneous:
             self.a0, self.rows = points, np.swapaxes(jets, 1, 2)
         else:
-            # the chart lift x -> (1, x, g(x, x)/2) and its differential
-            pg = points @ model.metric.gram
-            self.a0 = np.hstack([np.ones((len(us), 1)), points,
-                                 0.5 * (pg * points).sum(axis=1, keepdims=True)])
-            self.rows = np.concatenate([np.zeros((len(us), d, 1)), np.swapaxes(jets, 1, 2),
-                                        (pg[:, None, :] @ jets).transpose(0, 2, 1)], axis=2)
+            self.a0 = lift_point(points, model)
+            self.rows = lift_tangent(points, np.swapaxes(jets, 1, 2), model)
         with np.errstate(invalid="ignore", divide="ignore"):  # failed members only
-            self.generators = _generator(self.rows, self.w, self.v, n, generator_scale)
+            self.generators = _generator(self.rows, self.w, self.v, imm.n, generator_scale)
 
 
 def _lines(jets: _JetStack, members: np.ndarray) -> tuple:

@@ -1,3 +1,6 @@
+import itertools
+import warnings
+
 import numpy as np
 import pytest
 
@@ -111,3 +114,70 @@ class TestTiltedFamilyOracle:
             diff = focal - surface_pt
             cross = diff - (diff @ ruling) * ruling
             assert np.abs(cross).max() < 1e-10
+
+
+def _scalar_outcome(fn, u):
+    """What a one-point evaluator gives at u: its array, or the type and
+    message of what it raised."""
+    try:
+        return np.array(fn(u))
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+def _stencil_sample(obj, rng, count=30, step=1e-4):
+    """Random points of the domain, their +-step stencil offsets and the
+    domain corners."""
+    lo, hi = np.array(obj.domain).T
+    us = lo + (hi - lo) * rng.random((count, obj.params))
+    corners = np.array(list(itertools.product(*obj.domain)), dtype=float)
+    offsets = [s * step * e for e in np.eye(obj.params) for s in (1.0, -1.0)]
+    return np.concatenate([us] + [us + o for o in offsets] + [corners])
+
+
+#: catalog entries (name, n) and edge points: the light-cone vertex, and
+#: points where a one-point evaluator raises (outside the default domain,
+#: and the corners of the n=6 cone congruence)
+TWIN_CASES = [(name, None, []) for name in sorted(catalog.CATALOG)] + [
+    ("light_cone", 3, [[0.0, 0.0], [0.0, 1e-4], [-0.0, 0.0]]),
+    ("light_cone", 5, [[0.0, 0.0, 0.0, 0.0]]),
+    ("timelike_hypersphere", 3, [[1.75, 0.0], [-1.5, 1.0]]),
+    ("timelike_hypersphere", 5, [[1.75, 0.0, 0.0, 0.0]]),
+    ("cone_normal_congruence", 4, [[0.5, 0.9, 0.0], [0.6, 0.8, 0.3]]),
+    ("cone_normal_congruence", 6, []),
+    ("spacelike_hypersphere", 4, []),
+    ("parallel_null_congruence", 5, []),
+]
+
+
+class TestBroadcastingTwins:
+    """Every catalog entry evaluates a stack in one call, member for member
+    with the bits, exceptions and non-finite values of its one-point
+    evaluators, and the raw twins agree wherever those give finite values."""
+
+    @pytest.mark.parametrize("name, n, edges", TWIN_CASES)
+    def test_stack_equals_one_point_evaluators(self, name, n, edges, rng):
+        obj = catalog.build(name, n=n)
+        us = _stencil_sample(obj, rng)
+        if edges:
+            us = np.concatenate([us, np.array(edges, dtype=float)])
+        if isinstance(obj, Immersion):
+            pairs = [(obj.point, obj.values), (obj.jet1, obj.jacobians)]
+        else:
+            pairs = [(obj.line_at, obj.lines)]
+        for scalar, twin in pairs:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got, failures = scalar(us)
+            with np.errstate(all="ignore"):
+                raw = np.asarray(twin(us))
+            for i, u in enumerate(us):
+                want = _scalar_outcome(scalar, u)
+                if isinstance(want, tuple):
+                    assert (type(failures[i]), str(failures[i])) == want
+                    assert not got[i].any()
+                    continue
+                assert i not in failures
+                assert got[i].tobytes() == want.tobytes()
+                if np.isfinite(want).all():
+                    assert raw[i].tobytes() == want.tobytes()

@@ -409,3 +409,50 @@ class TestScripts:
         proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script)],
                               capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
+
+
+def _result_line(correct, points_per_s, scene_s_p50=0.05, setup_s=0.2, peak_rss_mb=40.0):
+    """A ``perfbench/run.py`` result line."""
+    values = dict(points_per_s=points_per_s, scene_s_p50=scene_s_p50, setup_s=setup_s,
+                  peak_rss_mb=peak_rss_mb)
+    return json.dumps({"correct": correct, "attempted": 100, "failed": 0 if correct else 5,
+                       "metrics": {k: {"value": v, "unit": "-"} for k, v in values.items()}})
+
+
+class TestAbBench:
+    """The summary of ``scripts/ab_bench.py``, on canned run output only."""
+
+    @pytest.fixture()
+    def ab(self):
+        sys.path.insert(0, str(ROOT / "scripts"))
+        try:
+            import ab_bench
+        finally:
+            sys.path.pop(0)
+        return ab_bench
+
+    def test_summary_of_canned_runs(self, ab):
+        stdout = "congruence: 3 cycles, 24 scenes\n  points_per_s 1100 points/s\n{}\n"
+        pairs = [tuple(ab.parse_result(stdout.format(_result_line(True, pps, scene_s_p50=s)))
+                       for pps, s in pair)
+                 for pair in [((1087, 0.087), (1765, 0.055)), ((1198, 0.083), (1847, 0.053)),
+                              ((1100, 0.085), (1800, 0.054))]]
+        lines, ok = ab.summarize("congruence", pairs)
+        assert ok
+        assert lines[0] == ("congruence pair 0: old points_per_s 1087 scene_s_p50 0.087 setup_s 0.2 "
+                            "peak_rss_mb 40 | new points_per_s 1765 scene_s_p50 0.055 setup_s 0.2 "
+                            "peak_rss_mb 40")
+        assert lines[3] == ("congruence points_per_s: old 1100 [1087-1198] -> "
+                            "new 1800 [1765-1847], new/old 1.636")
+        assert lines[4] == ("congruence scene_s_p50: old 0.085 [0.083-0.087] -> "
+                            "new 0.054 [0.053-0.055], new/old 0.635")
+        assert len(lines) == 3 + len(ab.METRICS)
+
+    def test_incorrect_or_missing_run_fails(self, ab):
+        good, bad = (ab.parse_result(_result_line(c, 1000.0)) for c in (True, False))
+        lines, ok = ab.summarize("lightlike", [(good, bad)])
+        assert not ok and lines[0].endswith("INCORRECT")
+        assert ab.parse_result("Traceback (most recent call last):\n") is None
+        lines, ok = ab.summarize("lightlike", [(good, None)])
+        assert not ok and lines == ["lightlike pair 0: old points_per_s 1000 scene_s_p50 0.05 "
+                                    "setup_s 0.2 peak_rss_mb 40 | new no result"]

@@ -430,6 +430,36 @@ CONGRUENCES = {
 }
 
 
+class TestStackedLineJets:
+    def test_mixed_failures_keep_messages_and_bits(self, model4):
+        # one stacked line_at call over the stencil; a scalar-only copy
+        # evaluates member by member, and both give the same failures (own
+        # evaluation, then a neighbour's) and bits
+        cong = catalog.build("cone_normal_congruence", n=4)
+        scalar_only = IsotropicCongruence(n=4, domain=cong.domain, line=cong.line)
+        edge = math.sqrt(0.75) - 0.5 * DEFAULT_STEP  # its +e_0 and +e_1 neighbours fail
+        us = np.array([[0.1, 0.2, 0.3], [0.5, 0.9, 0.0], [0.5, edge, 0.0], [-0.3, 0.1, -0.5]])
+        got, ref = (_line_jets(obj, us, model4, DEFAULT_STEP) for obj in (cong, scalar_only))
+        neighbour = (us[2] + DEFAULT_STEP * np.eye(3)[0]).tolist()  # first in stencil order
+        assert {i: str(exc) for i, exc in got.failures.items()} == {
+            1: "evaluation failed at u=[0.5, 0.9, 0.0]: math domain error",
+            2: f"evaluation failed at u={neighbour}: math domain error"}
+        assert ({i: (type(exc), str(exc)) for i, exc in got.failures.items()}
+                == {i: (type(exc), str(exc)) for i, exc in ref.failures.items()})
+        for a, b in zip(got[:-1], ref[:-1]):
+            assert a.tobytes() == b.tobytes()
+        results = _congruence_affinors(cong, us, model4)
+        assert [str(r) for r in results[1:3]] == [str(got.failures[1]), str(got.failures[2])]
+        assert ([_analysis_bits(r) for r in (results[0], results[3])] == [
+            _analysis_bits(r) for r in _congruence_affinors(scalar_only, us[[0, 3]], model4)])
+
+
+    def test_twins_are_given_together(self):
+        with pytest.raises(ValueError, match="given together"):
+            IsotropicCongruence.from_null_lines(3, ((-1, 1), (-1, 1)), np.zeros, np.zeros,
+                                                base_points=np.zeros)
+
+
 def _analysis_bits(an):
     """Every field of a CongruenceAnalysis, arrays as bytes."""
     return (an.u.tobytes(), an.shape_operator.tobytes(), an.transversal_shift.tobytes(),

@@ -5,7 +5,8 @@ import pytest
 
 from pseudoconformal import catalog
 from pseudoconformal.conformal import AmbientModel, darboux_embed, lift_point, lift_tangent
-from pseudoconformal.errors import DegenerateBasisError, NotLightlikeError, NotOnQuadricError
+from pseudoconformal.errors import (DegenerateBasisError, GeometryError, NotLightlikeError,
+                                   NotOnQuadricError)
 from pseudoconformal.frames import (
     _lightlike_lines,
     adapt_lightlike_frame,
@@ -156,6 +157,18 @@ class TestCompleteIsotropicFrame:
         a0 = darboux_embed(np.array([0.2, -0.1, 0.3]), model3).coords
         with pytest.raises(DegenerateBasisError, match="line vectors are dependent"):
             complete_isotropic_frame(a0, 2.0 * a0, model3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_non_finite_line_vectors_rejected(self, model3, bad, which):
+        line = [np.array([0.0, 1.0, 0.0, 1.0, 0.0]), np.array([1.0, 0.0, 0.0, 0.0, 0.0])]
+        line[which][2] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GeometryError, match="non-finite coordinates"):
+                complete_isotropic_frame(*line, model3)
+            with pytest.raises(GeometryError, match="non-finite coordinates"):
+                complete_isotropic_frame(np.full(5, bad), line[1 - which], model3)
 
     def test_components_resolves_frame_basis(self, model3):
         p = np.array([0.0, 0.0, 0.5])

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -246,6 +247,17 @@ def nan_immersion():
     return Immersion(n=3, domain=((0, 1), (0, 1)), value=value)
 
 
+def inf_immersion():
+    """A Jacobian with an infinite entry for u0 > 0.5: its induced metric
+    would multiply inf by 0."""
+
+    def jacobian(u):
+        return np.array([[1.0, 0.0], [0.0, 1.0], [math.inf if u[0] > 0.5 else u[0], 0.0]])
+
+    return Immersion(n=3, domain=((0, 1), (0, 1)), jacobian=jacobian,
+                     value=lambda u: np.array([u[0], u[1], 0.0]))
+
+
 def rank_deficient_immersion():
     def value(u):
         return np.array([u[0], u[0], 0.0]) if u[1] > 0 else np.array([u[0], u[1], 0.0])
@@ -328,7 +340,7 @@ class TestSurveyEquivalence:
         assert_survey_matches_classify_point(imm, counts, tol=scene.tolerances.get("lightlike"))
 
     @pytest.mark.parametrize(
-        "build", [nan_immersion, rank_deficient_immersion, mixed_graph_immersion]
+        "build", [nan_immersion, inf_immersion, rank_deficient_immersion, mixed_graph_immersion]
     )
     def test_failing_points(self, build):
         assert_survey_matches_classify_point(build(), (9, 5))
@@ -353,3 +365,29 @@ class TestParameterGrid:
     def test_wrong_number_of_counts(self):
         with pytest.raises(ValueError, match="need 2 grid counts"):
             parameter_grid(catalog.build("light_cone"), [3, 3, 3])
+
+
+def scalar_only(imm):
+    """The immersion without its broadcasting twins, as a user would write it."""
+    return Immersion(n=imm.n, domain=imm.domain, value=imm.value, jacobian=imm.jacobian,
+                     name=imm.name)
+
+
+class TestStackedSurvey:
+    """``survey`` evaluates the grid in one stacked call; members the twin
+    cannot evaluate fail as they fail alone, and the others keep the bits of
+    a scalar-only immersion evaluated member by member."""
+
+    @pytest.mark.parametrize("name, domain, counts, errors", [
+        ("timelike_hypersphere", ((0.25, 1.75), (0.0, 1.0)), (4, 2),
+         {(2, 0): "math domain error", (3, 0): "math domain error",
+          (3, 1): "math domain error"}),
+        ("light_cone", ((0.0, 1.0), (0.0, 1.0)), (3, 3),
+         {(0, 0): "non-finite jacobian at u=[0.0, 0.0]"}),
+    ])
+    def test_mixed_failures_keep_messages_and_bits(self, name, domain, counts, errors, model3):
+        imm = replace(catalog.build(name), domain=domain)
+        got = survey(imm, counts, model=model3)
+        assert dict(got.errors) == errors
+        assert got == survey(scalar_only(imm), counts, model=model3)
+        assert len(got.points) == np.prod(counts) - len(errors)

@@ -475,6 +475,37 @@ class TestJetStack:
             assert min(np.abs(g - ref).max(), np.abs(g + ref).max()) < 1e-12
 
 
+    @pytest.mark.parametrize("name, us, errors", [
+        ("light_cone", [[0.7, 0.4], [0.0, 0.0], [1.1, -0.3]],
+         {1: "non-finite jacobian at u=[0.0, 0.0]"}),
+        ("timelike_hypersphere", [[0.1, 0.2], [1.75, 0.0], [-0.2, 0.5]],
+         {1: "evaluation failed at u=[1.75, 0.0]: math domain error"}),
+    ])
+    def test_mixed_failures_keep_messages_and_bits(self, name, us, errors, model3):
+        # one stacked point and jet call; the scalar-only copy evaluates
+        # member by member, and both give the same failures and bits
+        imm = catalog.build(name)
+        scalar_only = Immersion(n=imm.n, domain=imm.domain, value=imm.value,
+                                jacobian=imm.jacobian)
+        us = np.array(us)
+        got, ref = (_JetStack(obj, us, model3, 1.0) for obj in (imm, scalar_only))
+        assert {i: str(exc) for i, exc in got.failures.items()} == errors
+        assert ({i: (type(exc), str(exc)) for i, exc in got.failures.items()}
+                == {i: (type(exc), str(exc)) for i, exc in ref.failures.items()})
+        live = [i for i in range(len(us)) if i not in errors]
+        for field in ("a0", "rows", "w", "v", "generators"):
+            assert getattr(got, field)[live].tobytes() == getattr(ref, field)[live].tobytes()
+
+
+    def test_infinite_jacobian_fails_without_warning(self, model3):
+        # the member is masked before the lift, where inf * 0 would warn
+        jacobian = lambda u: np.array([[1.0, 0.0], [0.0, 1.0], [math.inf if u[0] > 0.5 else 0.0, 0.0]])
+        imm = Immersion(n=3, domain=((0, 1), (0, 1)), jacobian=jacobian,
+                        value=lambda u: np.array([u[0], u[1], 0.0]))
+        errors = dict(focal_map(imm, [3, 3], model=model3).errors)
+        assert errors[(1.0, 0.5)] == "non-finite jacobian at u=[1.0, 0.5]"
+
+
 def _cone_variant(**overrides):
     """The light cone with its value or jacobian replaced."""
     cone = catalog.build("light_cone")
