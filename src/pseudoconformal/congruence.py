@@ -52,7 +52,8 @@ class IsotropicCongruence:
     spanning the line; both must lie on the quadric and pair to zero.
     ``lines`` is its optional broadcasting twin: it maps a stack of
     parameter vectors (N, n-1) to the pairs (N, 2, n+2), each member with
-    the bits of ``line``.
+    the bits of ``line``.  ``line_at`` evaluates one point, as a stack, with
+    floating point warnings off.
     """
 
     n: int
@@ -72,7 +73,8 @@ class IsotropicCongruence:
         u = np.asarray(u, dtype=float)
         if u.ndim == 2:
             return _evaluate_stack(self.line_at, self.lines, u, (2, self.n + 2))
-        a0, a1 = self.line(u)
+        with np.errstate(all="ignore"):
+            a0, a1 = self.line(u)
         return np.asarray(a0, dtype=float), np.asarray(a1, dtype=float)
 
     @classmethod
@@ -83,7 +85,9 @@ class IsotropicCongruence:
         direction field l(u); the line through p with direction l lifts to
         the quadric line spanned by the images of p and of the direction.
         Broadcasting twins ``base_points`` and ``directions`` of the two
-        fields, given together, make ``lines`` one stacked lift."""
+        fields, given together, make ``lines`` one stacked lift; fields that
+        broadcast over leading axes, as the catalog's do, may be passed as
+        their own twins."""
         if (base_points is None) != (directions is None):
             raise ValueError("base_points and directions are given together or not at all")
         if model is None:

@@ -51,8 +51,12 @@ class Immersion:
     ``values`` and ``jacobians`` are optional broadcasting twins of ``value``
     and ``jacobian``: they map a stack of parameter vectors (N, n-1) to
     (N, target_dim) and (N, target_dim, n-1), each member with the bits of
-    the one-point callable.  ``point`` and ``jet1`` take one parameter vector
-    or a stack; a stack is evaluated by ``_evaluate_stack``.
+    the one-point callable.  A callable that broadcasts over leading axes,
+    as every catalog evaluator does, may be passed as its own twin.
+    ``point`` and ``jet1`` take one parameter vector or a stack; a stack is
+    evaluated by ``_evaluate_stack``.  One point is evaluated with floating
+    point warnings off, as a stack is: a non-finite result is the engines'
+    to report.
     """
 
     n: int
@@ -83,7 +87,8 @@ class Immersion:
         u = np.asarray(u, dtype=float)
         if u.ndim == 2:
             return _evaluate_stack(self.point, self.values, u, (self.target_dim,))
-        return np.asarray(self.value(u), dtype=float)
+        with np.errstate(all="ignore"):
+            return np.asarray(self.value(u), dtype=float)
 
     def jet1(self, u):
         """First-order jet: target_dim x (n-1) Jacobian; for a stack of
@@ -92,14 +97,15 @@ class Immersion:
         u = np.asarray(u, dtype=float)
         if u.ndim == 2:
             return _evaluate_stack(self.jet1, self.jacobians, u, (self.target_dim, self.params))
-        if self.jacobian is not None:
-            j = np.asarray(self.jacobian(u), dtype=float)
-        else:
-            j = np.empty((self.target_dim, self.params))
-            for a in range(self.params):
-                e = np.zeros(self.params)
-                e[a] = FD_STEP_FIRST
-                j[:, a] = (self.point(u + e) - self.point(u - e)) / (2 * FD_STEP_FIRST)
+        with np.errstate(all="ignore"):
+            if self.jacobian is not None:
+                j = np.asarray(self.jacobian(u), dtype=float)
+            else:
+                j = np.empty((self.target_dim, self.params))
+                for a in range(self.params):
+                    e = np.zeros(self.params)
+                    e[a] = FD_STEP_FIRST
+                    j[:, a] = (self.point(u + e) - self.point(u - e)) / (2 * FD_STEP_FIRST)
         if j.shape != (self.target_dim, self.params):
             raise ValueError(f"jacobian has shape {j.shape}, expected {(self.target_dim, self.params)}")
         return j
@@ -108,7 +114,8 @@ class Immersion:
         """Second-order jet: target_dim x (n-1) x (n-1) Hessian."""
         u = np.asarray(u, dtype=float)
         if self.hessian is not None:
-            h = np.asarray(self.hessian(u), dtype=float)
+            with np.errstate(all="ignore"):
+                h = np.asarray(self.hessian(u), dtype=float)
             expected = (self.target_dim, self.params, self.params)
             if h.shape != expected:
                 raise ValueError(f"hessian has shape {h.shape}, expected {expected}")
@@ -117,21 +124,22 @@ class Immersion:
         step = FD_STEP_SECOND
         h = np.empty((self.target_dim, d, d))
         f0 = self.point(u)
-        for a in range(d):
-            ea = np.zeros(d)
-            ea[a] = step
-            h[:, a, a] = (self.point(u + ea) - 2 * f0 + self.point(u - ea)) / step**2
-            for b in range(a + 1, d):
-                eb = np.zeros(d)
-                eb[b] = step
-                mixed = (
-                    self.point(u + ea + eb)
-                    - self.point(u + ea - eb)
-                    - self.point(u - ea + eb)
-                    + self.point(u - ea - eb)
-                ) / (4 * step**2)
-                h[:, a, b] = mixed
-                h[:, b, a] = mixed
+        with np.errstate(all="ignore"):
+            for a in range(d):
+                ea = np.zeros(d)
+                ea[a] = step
+                h[:, a, a] = (self.point(u + ea) - 2 * f0 + self.point(u - ea)) / step**2
+                for b in range(a + 1, d):
+                    eb = np.zeros(d)
+                    eb[b] = step
+                    mixed = (
+                        self.point(u + ea + eb)
+                        - self.point(u + ea - eb)
+                        - self.point(u - ea + eb)
+                        + self.point(u - ea - eb)
+                    ) / (4 * step**2)
+                    h[:, a, b] = mixed
+                    h[:, b, a] = mixed
         return h
 
     def lightlike_tol(self) -> float:
@@ -143,12 +151,13 @@ def _evaluate_stack(scalar: Callable, stacked: Optional[Callable], us: np.ndarra
     """Outputs (N, *shape) of an evaluator at the parameter points us (N, d)
     and its failures {index: the ValueError or ArithmeticError raised}.
 
-    The broadcasting twin ``stacked`` runs once over the stack with floating
-    point warnings off.  The one-point ``scalar`` then evaluates again every
-    member the twin left non-finite, or every member if the twin is None,
-    raised a ValueError or ArithmeticError or gave another shape, so each
-    such member gets the one-point result, exception and warnings.  Failed
-    members are zero.
+    The broadcasting twin ``stacked``, which may be the one-point evaluator
+    itself if that broadcasts, runs once over the stack with floating point
+    warnings off.  The one-point ``scalar`` then evaluates again every member
+    the twin left non-finite, or every member if the twin is None, raised a
+    ValueError or ArithmeticError or gave another shape, so each such member
+    gets the one-point result and exception (a negative square root is NaN
+    in a stack but raises for one point).  Failed members are zero.
     """
     out = None
     if stacked is not None:

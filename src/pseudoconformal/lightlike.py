@@ -378,18 +378,18 @@ def _kernel_flow(imm: Immersion, u0, model: AmbientModel, arc: float, steps: int
     runs = []
     for direction in (+1.0, -1.0):
         u = np.asarray(u0, dtype=float).copy()
-        ref = direction * k0
+        k1 = direction * k0  # the first stage at u0, aligned with itself
         runs.append([])
-        for _ in range(steps):
+        for step in range(steps):
             try:
-                k1 = aligned_kernel(u, ref)
+                if step:
+                    k1 = aligned_kernel(u, k1)
                 k2 = aligned_kernel(u + 0.5 * h * k1, k1)
                 k3 = aligned_kernel(u + 0.5 * h * k2, k2)
                 k4 = aligned_kernel(u + h * k3, k3)
             except (ValueError, ArithmeticError):  # GeometryError included
                 break
             u = u + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            ref = k1
             runs[-1].append(u.copy())
     return k0, runs
 

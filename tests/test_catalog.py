@@ -181,3 +181,9 @@ class TestBroadcastingTwins:
                 assert got[i].tobytes() == want.tobytes()
                 if np.isfinite(want).all():
                     assert raw[i].tobytes() == want.tobytes()
+        if isinstance(obj, Immersion) and obj.hessian is not None:
+            # analytic Hessians broadcast too, member for member
+            with np.errstate(all="ignore"):
+                stacked = np.asarray(obj.hessian(us))
+                assert [h.tobytes() for h in stacked] == \
+                    [np.asarray(obj.hessian(u)).tobytes() for u in us]

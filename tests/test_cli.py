@@ -252,6 +252,23 @@ class TestStencilNeighbour:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("lightlike pipeline on light_cone:")
 
+    def test_degenerate_jacobian_is_a_point_error(self, tmp_path):
+        # the timelike hypersphere's graph function vanishes at u = (1, 0),
+        # where its one-point jacobian divides by zero; run in a subprocess
+        # so that a numpy warning would reach its stderr
+        doc = {"kind": "hypersurface", "builtin": "timelike_hypersphere", "n": 3,
+               "grid": {"axes": [{"start": 0, "stop": 1, "count": 2},
+                                 {"start": 0, "stop": 1, "count": 2}]}}
+        out = tmp_path / "sphere.json"
+        proc = run_cli(["classify", "--scene", write_scene(tmp_path, doc), "--out", str(out),
+                        "--format", "json"])
+        assert proc.returncode == 0
+        data = json.loads(out.read_text())
+        assert data["errors"] == [{"index": [1, 0],
+                                   "message": "non-finite jacobian at u=[1.0, 0.0]"}]
+        err = proc.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("classified 3 points:")
+
 
 class TestDegeneracyFlow:
     @pytest.mark.parametrize("u1", [[0.05, 0.15], [0.1, 0.3]],

@@ -433,8 +433,10 @@ class TestDegeneracy:
         original = pseudoconformal.linalg.jacobi_eigh
 
         def counted(*args, **kwargs):
-            callers = [f.function for f in inspect.stack(0)[1:4]]
-            calls.append((np.ndim(args[0]), callers))
+            frames = inspect.stack(0)[1:4]
+            callers = [f.function for f in frames]
+            at_centre = np.array_equal(frames[0].frame.f_locals.get("u"), an.u)
+            calls.append((np.ndim(args[0]), callers, at_centre))
             return original(*args, **kwargs)
 
         for module in (pseudoconformal.hypersurface, pseudoconformal.lightlike,
@@ -442,13 +444,15 @@ class TestDegeneracy:
             monkeypatch.setattr(module, "jacobi_eigh", counted)
         report = degeneracy_check(imm, an, model=model)
         assert report.samples
-        assert [callers[0] for ndim, callers in calls if ndim == 3] == \
+        assert [callers[0] for ndim, callers, _ in calls if ndim == 3] == \
             ["_stacked_spectra", "max_principal_angle"]
-        single = [callers for ndim, callers in calls if ndim != 3]
+        single = [(callers, at_centre) for ndim, callers, at_centre in calls if ndim != 3]
         assert single
-        for callers in single:
+        for callers, _ in single:
             assert callers[0] == "lightlike_kernel"
             assert "_kernel_flow" in callers[1:]
+        # the first RK4 stage of both runs is the centre's kernel, taken once
+        assert sum(at_centre for _, at_centre in single) == 1
 
     def test_spacelike_input_rejected(self, model3):
         imm = catalog.build("spacelike_hypersphere")
