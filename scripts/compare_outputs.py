@@ -6,7 +6,9 @@ NEW_SRC, each tree in its own interpreter, and compares what they write:
 * every shipped scene in ``scenes/`` under its command (hypersurface scenes
   under both ``classify`` and ``lightlike``), in CSV and in JSON;
 * the 8 generated copies of each benchmark cycle, from
-  ``perfbench/workloads.generate(workload, 3, dir)``, in their own formats.
+  ``perfbench/workloads.generate(workload, 3, dir)``, in their own formats;
+* the ``ERROR_SCENES`` below under ``classify``, in CSV and in JSON: grids
+  with point errors, which no shipped or generated scene has.
 
 For each run it prints the two exit codes and whether the output bytes are
 identical, ``.leaf.csv`` side files included.  Where they differ it says
@@ -35,6 +37,17 @@ ROOT = Path(__file__).resolve().parent.parent
 #: command(s) each scene kind runs under
 COMMANDS = {"points": ("embed",), "hypersurface": ("classify", "lightlike"),
             "congruence": ("congruence",)}
+
+#: classify scenes with point errors: one point of the grid fails (a zero
+#: division at u=(1, 0)), or every point fails ("math domain error")
+ERROR_SCENES = {
+    "failing_point": {"kind": "hypersurface", "builtin": "timelike_hypersphere", "n": 3,
+                      "grid": {"axes": [{"start": 0.0, "stop": 1.0, "count": 3},
+                                        {"start": 0.0, "stop": 1.0, "count": 3}]}},
+    "all_failing": {"kind": "hypersurface", "builtin": "timelike_hypersphere", "n": 3,
+                    "grid": {"axes": [{"start": 1.6, "stop": 1.9, "count": 3},
+                                      {"start": 0.0, "stop": 1.0, "count": 2}]}},
+}
 
 #: numbers as the CLI writes them (shortest round-trip floats, integers)
 NUMBER = re.compile(r"-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|-?\binf\b|\bnan\b|-?Infinity|NaN")
@@ -81,6 +94,11 @@ def plan_runs(scenes_dir: Path) -> list:
             for scene in copy:
                 runs.append((f"{workload}/{Path(scene.path).stem}.{scene.slot.fmt}",
                              scene.slot.command, scene.path, scene.slot.fmt))
+    for name, doc in ERROR_SCENES.items():
+        path = scenes_dir / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        runs += [(f"errors/{name}.classify.{fmt}", "classify", str(path), fmt)
+                 for fmt in ("csv", "json")]
     return runs
 
 

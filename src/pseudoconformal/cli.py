@@ -16,6 +16,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -192,6 +193,9 @@ def _resolve_grid(scene: Scene, obj):
              float(ax.get("stop", obj.domain[i][1])))
             for i, ax in enumerate(axes)
         )
+        for i, (lo, hi) in enumerate(domain):
+            if not math.isfinite(hi - lo):
+                raise SceneError(f"grid axis u{i + 1} from {lo!r} to {hi!r} has non-finite samples")
     if len(counts) != obj.params:
         raise SceneError(f"grid needs {obj.params} axis counts")
     if not all(type(c) is int and c >= 2 for c in counts):
@@ -233,6 +237,39 @@ def _emit(path, fmt, csv_header, csv_rows, payload):
         _write_csv(path, csv_header, csv_rows)
     else:
         _write(path, json.dumps(payload, sort_keys=True, indent=1) + "\n")
+
+
+def _reprs(values: np.ndarray) -> list:
+    """float.__repr__ of each entry of a float array, formatted once per
+    distinct bit pattern: a grid column repeats its axis samples."""
+    keys, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    return np.array([repr(k) for k in keys.view(float).tolist()], dtype=object)[inverse].tolist()
+
+
+def _rows(template: str, sep: str, columns: list) -> str:
+    """A row template filled from each row of equal-length columns of cells,
+    the rows joined by sep."""
+    return sep.join([template] * len(columns[0])) % tuple(chain.from_iterable(zip(*columns)))
+
+
+def _classify_text(report, fmt, header, fields) -> str:
+    """Classify output written from the report's columns: the CSV table, or
+    the JSON document of the small ``fields`` and the points.  The bytes are
+    those of the per-cell CSV rule and of ``json.dumps(sort_keys=True,
+    indent=1)`` on per-point records; floats are in ``float.__repr__`` form."""
+    u = [_reprs(column) for column in report.u.T]
+    ratio = list(map(float.__repr__, report.min_eig_ratio.tolist()))
+    inertia = [report.plus.tolist(), report.minus.tolist(), report.zero.tolist()]
+    if fmt == "csv":
+        row = ",".join(["%s"] * (len(u) + 5)) + "\n"
+        return ",".join(header) + "\n" + _rows(row, "", u + [report.kinds] + inertia + [ratio])
+    point = ('  {\n   "inertia": [\n    %s,\n    %s,\n    %s\n   ],\n   "min_eig_ratio": %s,\n'
+             '   "type": "%s",\n   "u": [\n' + ",\n".join(["    %s"] * len(u)) + "\n   ]\n  }")
+    points = _rows(point, ",\n", inertia + [ratio, report.kinds] + u)
+    blocks = {k: json.dumps(v, sort_keys=True, indent=1).replace("\n", "\n ")
+              for k, v in fields.items()}
+    blocks["points"] = f"[\n{points}\n ]" if points else "[]"
+    return "{\n" + ",\n".join(f' "{k}": {v}' for k, v in sorted(blocks.items())) + "\n}\n"
 
 
 def _roots_json(roots):
@@ -281,42 +318,21 @@ def run_embed(scene: Scene, out_path, fmt) -> int:
 
 
 def run_classify(scene: Scene, out_path, fmt) -> int:
-    imm = _build_object(scene)
-    imm, counts = _resolve_grid(scene, imm)
-    tol = scene.tolerances.get("lightlike")
-    report = survey(imm, counts, tol=tol)
-    header = (
-        [f"u{i}" for i in range(1, imm.params + 1)]
-        + ["type", "plus", "minus", "zero", "min_eig_ratio"]
-    )
-    rows = report.to_csv_rows()
-    payload = {
+    imm, counts = _resolve_grid(scene, _build_object(scene))
+    report = survey(imm, counts, tol=scene.tolerances.get("lightlike"))
+    header = ([f"u{i}" for i in range(1, imm.params + 1)]
+              + ["type", "plus", "minus", "zero", "min_eig_ratio"])
+    fields = {
         "builtin": imm.name,
         "n": imm.n,
         "counts": report.counts,
         "pure": report.pure,
-        "transitions": [
-            {
-                "axis": t.axis,
-                "index_low": list(t.index_low),
-                "u_low": list(t.u_low),
-                "u_high": list(t.u_high),
-                "kinds": list(t.kinds),
-            }
-            for t in report.transitions
-        ],
-        "points": [
-            {
-                "u": list(p.u),
-                "type": p.causal.kind,
-                "inertia": list(p.causal.as_tuple()),
-                "min_eig_ratio": p.causal.min_eig_ratio,
-            }
-            for p in report.points
-        ],
+        "transitions": [{"axis": t.axis, "index_low": list(t.index_low), "u_low": list(t.u_low),
+                         "u_high": list(t.u_high), "kinds": list(t.kinds)}
+                        for t in report.transitions],
         "errors": [{"index": list(i), "message": m} for i, m in report.errors],
     }
-    _emit(out_path, fmt, header, rows, payload)
+    _write(out_path, _classify_text(report, fmt, header, fields))
     summary = report.pure if report.pure else "mixed"
     print(
         f"classified {sum(report.counts.values())} points: {summary} "

@@ -14,7 +14,8 @@ anything else is reported as degenerate beyond the lightlike case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -227,16 +228,20 @@ def induced_metric(imm: Immersion, u, model: Optional[AmbientModel] = None) -> n
     return _pullback(imm.jet1(u), _ambient_gram(imm, model))
 
 
+#: causal kinds by their integer codes
+_KINDS = (SPACELIKE, TIMELIKE, LIGHTLIKE, DEGENERATE)
+
+
+def _kind_codes(plus, minus, zero) -> np.ndarray:
+    """Codes into _KINDS of the causal characters named by induced-metric
+    inertias (plus, minus, zero), elementwise."""
+    return np.select([minus + zero == 0, (minus == 1) & (zero == 0), (minus == 0) & (zero == 1)],
+                     [0, 1, 2], 3)
+
+
 def _causal_kind(plus: int, minus: int, zero: int) -> str:
     """Causal character named by an induced-metric inertia."""
-    d = plus + minus + zero
-    if (plus, minus, zero) == (d, 0, 0):
-        return SPACELIKE
-    if (plus, minus, zero) == (d - 1, 1, 0):
-        return TIMELIKE
-    if (plus, minus, zero) == (d - 1, 0, 1):
-        return LIGHTLIKE
-    return DEGENERATE
+    return _KINDS[int(_kind_codes(plus, minus, zero))]
 
 
 def _inertia(w: np.ndarray, tol: float) -> tuple:
@@ -291,7 +296,7 @@ def _stacked_spectra(jets, gram, us, failures, tol: float = JACOBI_TOL) -> tuple
     of every metric in stack order, zero for failed members.
     """
     count, _, d = jets.shape
-    live = np.array([i for i in range(count) if i not in failures], dtype=int)
+    live = np.delete(np.arange(count), list(failures))
     j = jets[live]
     finite = np.isfinite(j).all(axis=(1, 2))
     j = np.where(finite[:, None, None], j, 0.0)  # inf * 0 would warn
@@ -351,12 +356,40 @@ class TransitionCell:
     kinds: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClassificationReport:
-    points: list
+    """Survey result in columns, one row per classified grid point in grid
+    order: parameter points u (N, d), grid indices (N, d), inertia counts,
+    least eigenvalue ratios and codes into _KINDS."""
+
+    u: np.ndarray
+    index: np.ndarray
+    plus: np.ndarray
+    minus: np.ndarray
+    zero: np.ndarray
+    min_eig_ratio: np.ndarray
+    codes: np.ndarray
     counts: dict
     transitions: list
     errors: list = field(default_factory=list)
+
+    def __eq__(self, other):
+        if not isinstance(other, ClassificationReport):
+            return NotImplemented
+        pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+        return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b for a, b in pairs)
+
+    @property
+    def kinds(self) -> list:
+        """The causal kind name of each row."""
+        return np.array(_KINDS, dtype=object)[self.codes].tolist()
+
+    @cached_property
+    def points(self) -> list:
+        """The rows as GridPoint records, built on first use."""
+        columns = (self.u, self.index, self.plus, self.minus, self.zero, self.min_eig_ratio)
+        return [GridPoint(u=tuple(u), index=tuple(i), causal=CausalType(k, p, m, z, r))
+                for k, u, i, p, m, z, r in zip(self.kinds, *(c.tolist() for c in columns))]
 
     @property
     def pure(self) -> Optional[str]:
@@ -371,20 +404,6 @@ class ClassificationReport:
         total = sum(self.counts.values())
         return {k: c / total for k, c in self.counts.items() if total}
 
-    def to_csv_rows(self):
-        rows = []
-        for p in self.points:
-            rows.append(
-                list(p.u)
-                + [p.causal.kind, p.causal.plus, p.causal.minus, p.causal.zero,
-                   p.causal.min_eig_ratio]
-            )
-        return rows
-
-
-#: causal kinds by the integer codes of the transition scan
-_KINDS = (SPACELIKE, TIMELIKE, LIGHTLIKE, DEGENERATE)
-
 
 def survey(imm: Immersion, grid_counts: Sequence[int], tol: Optional[float] = None,
            model: Optional[AmbientModel] = None) -> ClassificationReport:
@@ -394,36 +413,26 @@ def survey(imm: Immersion, grid_counts: Sequence[int], tol: Optional[float] = No
     induced metrics and J^T J one stacked Jacobi pass.  Every
     point gets the kind and inertia ``classify_point`` gives it, and a point
     where that would raise is recorded in ``errors`` instead.  Results are in
-    grid order.
+    grid order, as columns: no per-point record is built.
     """
     if tol is None:
         tol = imm.lightlike_tol()
-    gram = _ambient_gram(imm, model)
     axes, grid = parameter_grid(imm, grid_counts)
     shape = tuple(len(ax) for ax in axes)
-    indices = list(np.ndindex(*shape))
-    us = [tuple(u) for u in grid.tolist()]
+    cells = np.indices(shape).reshape(len(shape), -1).T  # grid indices in grid order
 
     jets, failures = imm.jet1(grid)
-    w, _ = _stacked_spectra(jets, gram, grid, failures)
-    live = np.array([i for i in range(len(indices)) if i not in failures], dtype=int)
-    w = w[live]
-    plus, minus, zero, ratio = _inertia(w, tol)
-
-    codes = np.full(len(indices), -1)
-    grid_points = []
-    counts = dict.fromkeys(_KINDS, 0)
-    for i, p, m, z, r in zip(live.tolist(), plus.tolist(), minus.tolist(),
-                             zero.tolist(), ratio.tolist()):
-        kind = _causal_kind(p, m, z)
-        counts[kind] += 1
-        codes[i] = _KINDS.index(kind)
-        causal = CausalType(kind=kind, plus=p, minus=m, zero=z, min_eig_ratio=r)
-        grid_points.append(GridPoint(u=us[i], index=indices[i], causal=causal))
-    errors = [(indices[i], str(failures[i])) for i in sorted(failures)]
-    transitions = _transitions(codes.reshape(shape), axes)
-    return ClassificationReport(points=grid_points, counts=counts,
-                                transitions=transitions, errors=errors)
+    w, _ = _stacked_spectra(jets, _ambient_gram(imm, model), grid, failures)
+    live = np.delete(np.arange(len(grid)), list(failures))
+    plus, minus, zero, ratio = _inertia(w[live], tol)
+    codes = np.full(len(grid), -1)
+    codes[live] = _kind_codes(plus, minus, zero)
+    counts = dict(zip(_KINDS, np.bincount(codes[live], minlength=len(_KINDS)).tolist()))
+    errors = [(tuple(cells[i].tolist()), str(failures[i])) for i in sorted(failures)]
+    return ClassificationReport(u=grid[live], index=cells[live], plus=plus, minus=minus,
+                                zero=zero, min_eig_ratio=ratio, codes=codes[live], counts=counts,
+                                transitions=_transitions(codes.reshape(shape), axes),
+                                errors=errors)
 
 
 def _transitions(codes: np.ndarray, axes) -> list:

@@ -120,6 +120,27 @@ class TestInvalidScenes:
         assert "cannot write output file" in capsys.readouterr().err
 
 
+#: an axis whose ends are finite but whose width stop - start overflows
+WIDE_GRID = {"axes": [{"start": -1e308, "stop": 1.7e308, "count": 3}, {"count": 3}]}
+
+
+class TestNonFiniteGrid:
+    @pytest.mark.parametrize("command,doc", [
+        ("classify", dict(BASE_SCENE, grid=WIDE_GRID)),
+        ("lightlike", dict(BASE_SCENE, grid=WIDE_GRID)),
+        ("congruence", dict(CONGRUENCE_SCENE, grid=WIDE_GRID)),
+    ])
+    def test_overflowing_axis_is_a_scene_error(self, tmp_path, capsys, command, doc):
+        path = write_scene(tmp_path, doc)
+        out = tmp_path / "o.json"
+        # a numpy RuntimeWarning would be an error here (pytest filterwarnings)
+        assert main([command, "--scene", path, "--out", str(out), "--format", "json"]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"scene error ({command}): grid axis u1 from -1e+308 to 1.7e+308 "
+                       "has non-finite samples\n")
+        assert not out.exists()
+
+
 class TestExitCodes:
     def test_scene_error_is_2(self, tmp_path):
         path = write_scene(tmp_path, dict(BASE_SCENE, grid=[1, 4]))

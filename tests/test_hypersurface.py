@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from pseudoconformal import catalog
-from pseudoconformal.cli import _build_object, _resolve_grid, load_scene
+from pseudoconformal.cli import _build_object, _resolve_grid, load_scene, main
 from pseudoconformal.conformal import lift_point
 from pseudoconformal.errors import DegenerateBasisError
 from pseudoconformal.hypersurface import (
@@ -233,11 +234,45 @@ class TestSurvey:
         survey(imm, (4, 5), model=model3)
         assert len(calls) == 1 + 20
 
-    def test_csv_rows_shape(self, model3):
-        report = survey(catalog.build("spacelike_slice"), (3, 3), model=model3)
-        rows = report.to_csv_rows()
+    def test_csv_rows_shape(self, tmp_path, capsys):
+        """The classify CSV writer gives one row of 2 + 5 cells per point."""
+        scene = tmp_path / "slice.json"
+        scene.write_text(json.dumps({"kind": "hypersurface", "builtin": "spacelike_slice",
+                                     "n": 3, "grid": [3, 3]}))
+        out = tmp_path / "slice.csv"
+        assert main(["classify", "--scene", str(scene), "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         assert len(rows) == 9
         assert len(rows[0]) == 2 + 5
+
+
+class TestReportEquality:
+    """Reports hold numpy columns and still compare with == and !=."""
+
+    def test_surveys_of_one_grid_are_equal(self, model3):
+        imm = catalog.build("euclidean_sphere")
+        first, second = survey(imm, (6, 4), model=model3), survey(imm, (6, 4), model=model3)
+        assert first == second
+        assert not first != second
+
+    def test_one_inertia_apart_is_unequal(self, model3):
+        report = survey(catalog.build("euclidean_sphere"), (6, 4), model=model3)
+        plus, zero = report.plus.copy(), report.zero.copy()
+        plus[5], zero[5] = plus[5] - 1, zero[5] + 1
+        other = replace(report, plus=plus, zero=zero)
+        assert report != other
+        assert not report == other
+        assert report.points[5] != other.points[5]
+        assert report.points[:5] == other.points[:5]
+
+    def test_other_shapes_and_types_are_unequal(self, model3):
+        imm = catalog.build("euclidean_sphere")
+        report = survey(imm, (6, 4), model=model3)
+        assert report != survey(imm, (5, 4), model=model3)
+        assert report != survey(replace(imm, domain=((0.05, 1.0), (0.0, 1.0))), (6, 4),
+                                model=model3)
+        assert report != report.points
+        assert report is not None and report != "report"
 
 
 def nan_immersion():
