@@ -384,7 +384,7 @@ CATALOG = {
                partial(_box, lo=0.4, hi=1.6), (_light_cone_value, _light_cone_jac, _light_cone_hess)),
         _entry("hypersurface", "null_hyperplane",
                "hyperplane x^1 = x^n; totally geodesic lightlike",
-               _box, (_null_plane_value, _null_plane_jac)),
+               _box, (_null_plane_value, _null_plane_jac, _slice_hess)),
         _entry("hypersurface", "tilted_null_family",
                "null ruled surface over a spacelike helix (envelope "
                "of tilted null planes); focal set is a helix offset",

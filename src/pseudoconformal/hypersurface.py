@@ -22,7 +22,7 @@ import numpy as np
 
 from .conformal import AmbientModel
 from .errors import DegenerateBasisError, GeometryError
-from .linalg import JACOBI_TOL, jacobi_eigh
+from .linalg import jacobi_eigh
 
 SPACELIKE = "spacelike"
 TIMELIKE = "timelike"
@@ -35,9 +35,9 @@ LIGHTLIKE_TOL_ANALYTIC = 1e-7
 #: degeneracy threshold when jets come from finite differences
 LIGHTLIKE_TOL_FD = 1e-4
 
-#: central-difference steps for first- and second-order jets
+#: central-difference steps of ``jet1``, and of ``jet2`` over a differenced ``jet1``
 FD_STEP_FIRST = 1e-5
-FD_STEP_SECOND = 1e-3
+FD_STEP_SECOND = 1e-4
 
 
 @dataclass(frozen=True)
@@ -53,11 +53,11 @@ class Immersion:
     and ``jacobian``: they map a stack of parameter vectors (N, n-1) to
     (N, target_dim) and (N, target_dim, n-1), each member with the bits of
     the one-point callable.  A callable that broadcasts over leading axes,
-    as every catalog evaluator does, may be passed as its own twin.
-    ``point`` and ``jet1`` take one parameter vector or a stack; a stack is
-    evaluated by ``_evaluate_stack``.  One point is evaluated with floating
-    point warnings off, as a stack is: a non-finite result is the engines'
-    to report.
+    as every catalog evaluator does, may be passed as its own twin; the
+    ``hessian`` always is.  ``point``, ``jet1`` and ``jet2`` take one
+    parameter vector or a stack; a stack is evaluated by ``_evaluate_stack``.
+    One point is evaluated with floating point warnings off, as a stack is:
+    a non-finite result is the engines' to report.
     """
 
     n: int
@@ -111,36 +111,23 @@ class Immersion:
             raise ValueError(f"jacobian has shape {j.shape}, expected {(self.target_dim, self.params)}")
         return j
 
-    def jet2(self, u) -> np.ndarray:
-        """Second-order jet: target_dim x (n-1) x (n-1) Hessian."""
+    def jet2(self, u):
+        """Second-order jet: target_dim x (n-1) x (n-1) Hessian, or Hessians and
+        failures of a stack, as ``point``; else central differences of
+        ``jet1``, at FD_STEP_FIRST over an analytic Jacobian."""
         u = np.asarray(u, dtype=float)
-        if self.hessian is not None:
-            with np.errstate(all="ignore"):
-                h = np.asarray(self.hessian(u), dtype=float)
-            expected = (self.target_dim, self.params, self.params)
-            if h.shape != expected:
-                raise ValueError(f"hessian has shape {h.shape}, expected {expected}")
-            return h
-        d = self.params
-        step = FD_STEP_SECOND
-        h = np.empty((self.target_dim, d, d))
-        f0 = self.point(u)
+        expected = (self.target_dim, self.params, self.params)
+        if u.ndim == 2:
+            return _evaluate_stack(self.jet2, self.hessian, u, expected)
         with np.errstate(all="ignore"):
-            for a in range(d):
-                ea = np.zeros(d)
-                ea[a] = step
-                h[:, a, a] = (self.point(u + ea) - 2 * f0 + self.point(u - ea)) / step**2
-                for b in range(a + 1, d):
-                    eb = np.zeros(d)
-                    eb[b] = step
-                    mixed = (
-                        self.point(u + ea + eb)
-                        - self.point(u + ea - eb)
-                        - self.point(u - ea + eb)
-                        + self.point(u - ea - eb)
-                    ) / (4 * step**2)
-                    h[:, a, b] = mixed
-                    h[:, b, a] = mixed
+            if self.hessian is not None:
+                h = np.asarray(self.hessian(u), dtype=float)
+            else:
+                step = FD_STEP_FIRST if self.analytic else FD_STEP_SECOND
+                h = np.stack([(self.jet1(u + e) - self.jet1(u - e)) / (2 * step)
+                              for e in step * np.eye(self.params)], axis=-1)
+        if h.shape != expected:
+            raise ValueError(f"hessian has shape {h.shape}, expected {expected}")
         return h
 
     def lightlike_tol(self) -> float:
@@ -156,16 +143,17 @@ def _evaluate_stack(scalar: Callable, stacked: Optional[Callable], us: np.ndarra
     itself if that broadcasts, runs once over the stack with floating point
     warnings off.  The one-point ``scalar`` then evaluates again every member
     the twin left non-finite, or every member if the twin is None, raised a
-    ValueError or ArithmeticError or gave another shape, so each such member
-    gets the one-point result and exception (a negative square root is NaN
-    in a stack but raises for one point).  Failed members are zero.
+    ValueError, ArithmeticError, TypeError or IndexError (it does not
+    broadcast) or gave another shape, so each such member gets the one-point
+    result and exception (a negative square root is NaN in a stack but raises
+    for one point).  Failed members are zero.
     """
     out = None
     if stacked is not None:
         try:
             with np.errstate(all="ignore"):
                 out = np.array(stacked(us), dtype=float, order="C")
-        except (ValueError, ArithmeticError):
+        except (ValueError, ArithmeticError, TypeError, IndexError):
             pass
     if out is None or out.shape != (len(us),) + shape:
         out, replay = np.zeros((len(us),) + shape), range(len(us))
@@ -284,7 +272,7 @@ def _evaluation_error(u, exc: Exception) -> GeometryError:
     return GeometryError(f"evaluation failed at u={np.asarray(u).tolist()}: {exc}")
 
 
-def _stacked_spectra(jets, gram, us, failures, tol: float = JACOBI_TOL) -> tuple:
+def _stacked_spectra(jets, gram, us, failures) -> tuple:
     """Check a stack of Jacobians jets (N, target, params) at the parameter
     points us (N, params) and eigendecompose their induced metrics, in one
     stacked Jacobi pass together with their J^T J.
@@ -307,7 +295,7 @@ def _stacked_spectra(jets, gram, us, failures, tol: float = JACOBI_TOL) -> tuple
         failures[i] = DegenerateBasisError(f"non-finite jacobian at u={us[i].tolist()}")
     live, metrics, jtj = live[finite], metrics[finite], jtj[finite]
 
-    w, v = jacobi_eigh(np.concatenate([metrics, jtj]), tol=tol)
+    w, v = jacobi_eigh(np.concatenate([metrics, jtj]))
     for i in live[_rank_deficient(w[len(live):])].tolist():
         failures[i] = DegenerateBasisError(f"jacobian is rank deficient at u={us[i].tolist()}")
     w_all, v_all = np.zeros((count, d)), np.zeros((count, d, d))

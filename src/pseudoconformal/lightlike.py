@@ -26,7 +26,7 @@ import numpy as np
 
 from .conformal import (AmbientModel, AtInfinity, ProjectivePoint, darboux_unembed, lift_point,
                         lift_tangent)
-from .errors import GeometryError, NotLightlikeError
+from .errors import DegenerateBasisError, GeometryError, NotLightlikeError
 from .frames import (_generator, _lightlike_lines, _null_frame, _orthonormal_screens,
                      null_frame_coordinates)
 from .hypersurface import (Immersion, _ambient_gram, _causal_kind, _evaluation_error, _inertia,
@@ -50,13 +50,6 @@ FOCAL_MERGE_TOL = 1e-6
 #: at a focal point
 SINGULAR_TOL = 0.05
 
-DEFAULT_STEP = 1e-4
-
-#: Jacobi stopping tolerance for the induced metrics whose kernel columns give
-#: the generators: dA_1 divides generator differences by 2*step, so the
-#: default 1e-12 would leave eigenvector errors of up to ~5e-9 in it
-GENERATOR_JACOBI_TOL = 1e-14
-
 
 class _JetStack:
     """Jets of an immersion at a stack of parameter points us (N, params):
@@ -71,6 +64,7 @@ class _JetStack:
     the exception it raises: the one its point or else its Jacobian raised (a
     ValueError or ArithmeticError becomes a GeometryError naming the member),
     else a DegenerateBasisError for a non-finite or rank-deficient Jacobian.
+    The lightlike engine stacks one member per grid point.
     """
 
     def __init__(self, imm: Immersion, us: np.ndarray, model: AmbientModel,
@@ -81,8 +75,7 @@ class _JetStack:
         jets, jet_raised = imm.jet1(us)
         raised = {**jet_raised, **raised}
         self.failures = {i: _evaluation_error(us[i], raised[i]) for i in sorted(raised)}
-        self.w, self.v = _stacked_spectra(jets, _ambient_gram(imm, model), us, self.failures,
-                                          tol=GENERATOR_JACOBI_TOL)
+        self.w, self.v = _stacked_spectra(jets, _ambient_gram(imm, model), us, self.failures)
         failed = list(self.failures)
         points[failed], jets[failed] = 0.0, 0.0  # masked before the lift: inf * 0 would warn
         if imm.homogeneous:
@@ -94,21 +87,20 @@ class _JetStack:
             self.generators = _generator(self.rows, self.w, self.v, imm.n, generator_scale)
 
 
-def _lines(jets: _JetStack, members: np.ndarray) -> tuple:
-    """A_0, A_1, screens and failures (position in members -> exception) of
-    the members of a jet stack, in one pass of ``frames._lightlike_lines``.
-    A member fails with its jet's failure, then with an induced metric that
-    is not lightlike, then with the first failed check of the line builder.
+def _lines(jets: _JetStack) -> tuple:
+    """A_0, A_1, screens and failures (member -> exception) of a jet stack,
+    in one pass of ``frames._lightlike_lines``.  A member fails with its
+    jet's failure, then with an induced metric that is not lightlike, then
+    with the first failed check of the line builder.
     """
-    a0, a1, screens, built = _lightlike_lines(jets.a0[members], jets.rows[members], jets.model,
-                                              jets.generators[members], jets.generator_scale)
-    failed = np.flatnonzero(np.isin(members, list(jets.failures))).tolist()
-    failures = {j: jets.failures[members[j]] for j in failed}
-    plus, minus, zero, _ = _inertia(jets.w[members], jets.imm.lightlike_tol())
+    a0, a1, screens, built = _lightlike_lines(jets.a0, jets.rows, jets.model, jets.generators,
+                                              jets.generator_scale)
+    failures = dict(jets.failures)
+    plus, minus, zero, _ = _inertia(jets.w, jets.imm.lightlike_tol())
     for j in np.flatnonzero((minus != 0) | (zero != 1)).tolist():
         kind = _causal_kind(plus[j], minus[j], zero[j])
         failures.setdefault(j, NotLightlikeError(
-            f"hypersurface is {kind} at u={jets.us[members[j]].tolist()}, not lightlike"))
+            f"hypersurface is {kind} at u={jets.us[j].tolist()}, not lightlike"))
     for j, exc in built.items():
         failures.setdefault(j, exc)
     return a0, a1, screens, failures
@@ -130,7 +122,7 @@ def lightlike_frame_field(imm: Immersion, model: Optional[AmbientModel] = None,
 
     def field(u):
         jets = _JetStack(imm, np.asarray(u, dtype=float)[None], model, generator_scale)
-        a0, a1, screens, failures = _lines(jets, np.zeros(1, dtype=int))
+        a0, a1, screens, failures = _lines(jets)
         if failures:
             raise failures[0]
         return _null_frame(a0[0], a1[0], screens[0], model, float(a0[0] @ a0[0]), "adaptation")
@@ -170,21 +162,25 @@ class LightlikeAnalysis:
         return self.shape_operator.shape[0]
 
 
+def _pseudo_inverse(w, v) -> tuple:
+    """M^+ = sum_j v_j v_j^T / w_j (N, d, d) of metrics with eigenpairs w, v,
+    skipping the kernel column k (N, d) that ``_generator`` picks, and k."""
+    kernel = np.arange(w.shape[-1]) == np.abs(w).argmin(axis=-1)[:, None]
+    inv = np.where(kernel, 0.0, 1.0 / np.where(kernel, 1.0, w))
+    return (v * inv[:, None, :]) @ np.swapaxes(v, -1, -2), np.swapaxes(v, -1, -2)[kernel]
+
+
 def _shape_operators(a0, a1, screens, gram, da0, da1, w, v):
     """Shape operators (N, n-2, n-2), not symmetrized, and diagnostics "w0n",
     "w0np1", "w1n", "w1np1" (N,) of points with lines (A_0, A_1), screens,
     differentials dA_0, dA_1 (N, d, n+2) and induced-metric eigenpairs w, v.
     The screen coordinates c = <d_a A_0, e_i> and dd = <d_a A_1, e_i> are
-    pairings, c c^T = M and dd = c lam^T, so lam = dd^T M^+ c, where
-    M^+ = sum_j v_j v_j^T / w_j skips the kernel column ``_generator`` picks.
+    pairings, c c^T = M and dd = c lam^T, so lam = dd^T M^+ c.
     """
     d, k = da0.shape[-2], screens.shape[-2]
     comp = null_frame_coordinates(np.concatenate([da0, da1], axis=-2), (a0, a1), screens, gram)
     c, dd = comp[:, :d, :k], comp[:, d:, :k]
-    kernel = np.arange(d) == np.abs(w).argmin(axis=-1)[:, None]
-    inv = np.where(kernel, 0.0, 1.0 / np.where(kernel, 1.0, w))
-    pinv = (v * inv[:, None, :]) @ np.swapaxes(v, -1, -2)
-    lam = np.swapaxes(dd, -1, -2) @ pinv @ c
+    lam = np.swapaxes(dd, -1, -2) @ _pseudo_inverse(w, v)[0] @ c
     # columns k and k+1 are -<v, A_1> and -<v, A_0>
     pairs = np.abs(comp[..., k:])
     diagnostics = {"w0n": pairs[:, :d, 0].max(axis=1), "w0np1": pairs[:, :d, 1].max(axis=1),
@@ -192,50 +188,65 @@ def _shape_operators(a0, a1, screens, gram, da0, da1, w, v):
     return lam, diagnostics
 
 
-def _affinors(imm: Immersion, us: np.ndarray, model: AmbientModel, step: float,
-              generator_scale: float, sym_tol: Optional[float]) -> list:
+def _generator_differentials(jets: _JetStack, members, hessians) -> np.ndarray:
+    """dA_1 (N, d, n+2), modulo A_1, of the generators of the members of a
+    jet stack with Hessians (N, target, d, d), in closed form.  With R the
+    tangent rows, k the kernel column of M = R G R^T and A_1 = s R^T k / |R^T k|
+    (s the sign and scale), d_b k = -M^+ (d_b M) k (Magnus 1985), so
+        d_b A_1 = s ((d_b R)^T k - R^T M^+ (d_b M) k) / |R^T k|  mod A_1,
+    where (d_b M) k = d_b R G R^T k + R G (d_b R)^T k.  Row a of d_b R is
+    H_ab, or lift_tangent(p, H_ab) + M_ab e_{n+1} for the chart lift of p."""
+    imm, model, gram = jets.imm, jets.model, jets.model.form.gram
+    rows = jets.rows[members]
+    h = np.transpose(hessians, (0, 3, 2, 1))  # h[:, b, a] = H_ab
+    if not imm.homogeneous:
+        p, tangents = jets.a0[members, 1 : imm.n + 1], rows[..., 1 : imm.n + 1]
+        h = lift_tangent(p[:, None], h, model)
+        h[..., -1] += tangents @ model.metric.gram @ np.swapaxes(tangents, -1, -2)
+    pinv, k = _pseudo_inverse(jets.w[members], jets.v[members])
+    a1 = (k[:, None, :] @ rows)[:, 0]
+    dr_k = (k[:, None, None, :] @ h)[:, :, 0]  # (d_b R)^T k
+    dm_k = (h @ (a1 @ gram)[:, None, :, None])[..., 0] + dr_k @ gram @ np.swapaxes(rows, -1, -2)
+    scale = (jets.generators[members] * a1).sum(axis=-1) / (a1 * a1).sum(axis=-1)
+    return scale[:, None, None] * (dr_k - dm_k @ pinv @ rows)
+
+
+def _affinors(imm: Immersion, us: np.ndarray, model: AmbientModel, generator_scale: float,
+              sym_tol: Optional[float]) -> list:
     """Lightlike analysis at every parameter point of us (N, params): the
     LightlikeAnalysis of each point, or the exception it raises.
 
-    The jets of all points and of their 2d central-difference neighbours are
-    evaluated once and eigendecomposed in one stacked Jacobi pass (the
-    generators of the neighbours give dA_1), the lines and screens of all
-    points built in one stacked pass (``_lines``), the shape operators read
-    in one stacked pass (``_shape_operators``) and the symmetrized ones
-    eigendecomposed in a second Jacobi pass.  A stacked member does not
-    depend on the rest of its stack, so a point gets the same bits in any
-    grid.  A point fails with its own jet's failure, then with its
-    lightlike, line and screen checks, then with the first failure among its
-    neighbours (in the order +e_0, -e_0, +e_1, ...), then with its operator's
-    asymmetry.
+    The jets of all points are evaluated once and eigendecomposed in one
+    stacked Jacobi pass (``_JetStack``), the lines and screens built in one
+    stacked pass (``_lines``), the Hessians of the points that pass are one
+    stacked ``jet2`` call, dA_1 is read in closed form
+    (``_generator_differentials``), the shape operators in one stacked pass
+    (``_shape_operators``) and the symmetrized ones eigendecomposed in a
+    second Jacobi pass.  A stacked member does not depend on the rest of its
+    stack, so a point gets the same bits in any grid.  A point fails with
+    its own jet's failure, then with its lightlike, line and screen checks,
+    then with its Hessian's (what it raised, or a non-finite Hessian), then
+    with its operator's asymmetry.
     """
     if sym_tol is None:
         sym_tol = SYMMETRY_TOL_ANALYTIC if imm.analytic else SYMMETRY_TOL_FD
-    d = imm.params
-    width = 2 * d + 1
-    offsets = np.zeros((width, d))
-    for a in range(d):
-        offsets[2 * a + 1, a] = step
-        offsets[2 * a + 2, a] = -step
-    stencil = us[:, None, :] + offsets
-    stencil[:, 0] = us  # as given: u + 0.0 would turn -0.0 into 0.0
-    jets = _JetStack(imm, stencil.reshape(-1, d), model, generator_scale)
-    a0, a1, screens, failures = _lines(jets, np.arange(len(us)) * width)
-    neighbours = np.isin(np.arange(len(jets.us)), list(jets.failures)).reshape(-1, width)[:, 1:]
-    first = neighbours.argmax(axis=1) + 1
-    for i in np.flatnonzero(neighbours.any(axis=1)).tolist():
-        failures.setdefault(i, jets.failures[i * width + first[i]])
+    jets = _JetStack(imm, us, model, generator_scale)
+    a0, a1, screens, failures = _lines(jets)
+    live = [i for i in range(len(us)) if i not in failures]
+    hessians, raised = imm.jet2(us[live])  # failed members are zero
+    for j in np.flatnonzero(~np.isfinite(hessians).all(axis=(1, 2, 3))).tolist():
+        raised[j] = DegenerateBasisError(f"non-finite hessian at u={us[live[j]].tolist()}")
+    failures.update({live[j]: _evaluation_error(us[live[j]], exc) for j, exc in raised.items()})
     results = [failures.get(i) for i in range(len(us))]
-    pending = [i for i in range(len(us)) if i not in failures]
+    kept = [j for j in range(len(live)) if j not in raised]
+    pending = [live[j] for j in kept]
     if not pending:
         return results
 
-    centers = np.array(pending) * width
-    a0, a1, screens = a0[pending], a1[pending], screens[pending]
-    g = jets.generators[centers[:, None] + np.arange(1, width)]
-    da1 = (g[:, 0::2] - g[:, 1::2]) / (2.0 * step)
-    lam, diagnostics = _shape_operators(a0, a1, screens, model.form.gram, jets.rows[centers],
-                                        da1, jets.w[centers], jets.v[centers])
+    lam, diagnostics = _shape_operators(a0[pending], a1[pending], screens[pending],
+                                        model.form.gram, jets.rows[pending],
+                                        _generator_differentials(jets, pending, hessians[kept]),
+                                        jets.w[pending], jets.v[pending])
     lam_t = np.swapaxes(lam, 1, 2)
     defects = np.abs(lam - lam_t).max(axis=(1, 2))
     tols = sym_tol * (1.0 + np.abs(lam).max(axis=(1, 2)))
@@ -256,8 +267,8 @@ def _affinors(imm: Immersion, us: np.ndarray, model: AmbientModel, step: float,
             symmetry_defect=float(defects[j]),
             determinant=float(det(lam_sym[j])),
             roots=tuple(cluster_roots([complex(-x) for x in next(spectra)])),
-            line=(a0[j], a1[j]),
-            screen=screens[j],
+            line=(a0[i], a1[i]),
+            screen=screens[i],
             diagnostics={key: float(value[j]) for key, value in diagnostics.items()},
         )
     return results
@@ -281,8 +292,8 @@ def lightlike_affinor(
     """
     if model is None:
         model = AmbientModel.standard(imm.n)
-    result = _affinors(imm, np.asarray(u, dtype=float)[None], model, DEFAULT_STEP,
-                       generator_scale, sym_tol)[0]
+    result = _affinors(imm, np.asarray(u, dtype=float)[None], model, generator_scale,
+                       sym_tol)[0]
     if isinstance(result, Exception):
         raise result
     return result
@@ -508,7 +519,7 @@ def focal_map(
     _, grid = parameter_grid(imm, grid_counts)
     samples = []
     errors = []
-    for u, an in zip(grid, _affinors(imm, grid, model, DEFAULT_STEP, 1.0, sym_tol)):
+    for u, an in zip(grid, _affinors(imm, grid, model, 1.0, sym_tol)):
         key = tuple(float(x) for x in u)
         if not isinstance(an, LightlikeAnalysis):
             errors.append((key, str(an)))

@@ -1,10 +1,10 @@
 """Independent oracles used by the tests.
 
 Nothing here calls the library's own solvers: matrix functions come from
-explicit series or from numpy.linalg, jets from the immersion's own point
-and Jacobian lifted with ``lift_point``/``lift_tangent``, and singular
-generator positions from a brute-force rank scan along the line, so
-agreement with the library's characteristic-root route is a genuine
+explicit series or from numpy.linalg, jets from the immersion's own point,
+Jacobian and Hessian lifted with ``lift_point``/``lift_tangent`` or written
+out, and singular generator positions from a brute-force rank scan along the
+line, so agreement with the library's characteristic-root route is a genuine
 two-sided check.
 """
 
@@ -63,32 +63,63 @@ def eigh_jet(imm, u, model):
     return a0, rows, metric, g * np.sign(g[model.n])
 
 
-def _generator_differences(imm, u, model, step):
-    """Central differences dA_1 (params, n+2) of the eigh_jet generators."""
+def _generator_derivative(imm, u, model):
+    """Exact dA_1 (params, n+2) of the eigh_jet generator, from imm.jet2(u).
+
+    With a = R^T k the image of the unit kernel column k of the induced
+    metric M, the kernel moves by d_b k = -M^+ (d_b M) k, M^+ the
+    numpy.linalg.pinv of M cut at the lightlike threshold 1e-7, and the
+    generator s a / |a| by s (d_b a / |a| - a (a . d_b a) / |a|^3), its part
+    along A_1 included.  d_b J is the Hessian column H_{.b}; a chart row
+    (0, J_a, <p, J_a>) moves by (0, H_ab, <J_b, J_a> + <p, H_ab>).
+    """
+    p, j, h = imm.point(u), imm.jet1(u), imm.jet2(u)
+    d = imm.params
+    a0, rows, metric, g = eigh_jet(imm, u, model)
+    gram = model.form.gram if imm.homogeneous else model.metric.gram
+    w, v = np.linalg.eigh(metric)
+    k = v[:, np.argmin(np.abs(w))]
+    pinv = np.linalg.pinv(metric, rtol=1e-7, hermitian=True)
+    a = rows.T @ k
+    norm = np.linalg.norm(a)
+    da1 = np.empty((d, model.n + 2))
+    for b in range(d):
+        hb = h[:, :, b]
+        if imm.homogeneous:
+            drows = hb.T
+        else:
+            drows = np.array([np.concatenate([[0.0], hb[:, c], [j[:, b] @ gram @ j[:, c]
+                                                               + p @ gram @ hb[:, c]]])
+                              for c in range(d)])
+        dmetric = hb.T @ gram @ j + j.T @ gram @ hb
+        da = drows.T @ k - rows.T @ (pinv @ dmetric @ k)
+        da1[b] = np.sign(g @ a) * (da / norm - a * (a @ da) / norm**3)
+    return da1
+
+
+def _line_fields_hypersurface(imm, u, model, step=1e-4):
+    """A_0, A_1, dA_0 and central differences dA_1 of the eigh_jet
+    generators."""
+    a0, rows, _, a1 = eigh_jet(imm, u, model)
     d = imm.params
     da1 = np.empty((d, model.n + 2))
     for a in range(d):
         e = np.zeros(d)
         e[a] = step
         da1[a] = (eigh_jet(imm, u + e, model)[3] - eigh_jet(imm, u - e, model)[3]) / (2 * step)
-    return da1
+    return a0, a1, rows, da1
 
 
-def _line_fields_hypersurface(imm, u, model, step=1e-4):
-    a0, rows, _, a1 = eigh_jet(imm, u, model)
-    return a0, a1, rows, _generator_differences(imm, u, model, step)
-
-
-def focal_reference(imm, u, model, step=1e-4, cluster_radius=1e-6):
+def focal_reference(imm, u, model, cluster_radius=1e-6):
     """Per-point reference for the focal set at u: (x, multiplicity, target)
     per root, sorted by x.  Eigenvalues within cluster_radius (1 + |x|) of a
     root's smallest one make up the root, whose x is their mean; target is
     its finite focal point or, at infinity, the normalized projective
     coordinates.
 
-    The generators of u and of its central-difference neighbours are
-    numpy.linalg.eigh kernels.  The line (A_0, A_1) and the screen, with
-    their checks, are the library's.  The frame is completed by two
+    The generator at u is the numpy.linalg.eigh kernel image, and dA_1 its
+    exact derivative (``_generator_derivative``).  The line (A_0, A_1) and
+    the screen, with their checks, are the library's.  The frame is completed by two
     numpy.linalg.svd null vectors of [screen G; A_0; A_1] (any completion off
     the screen gives the same screen coordinates), and the screen
     coordinates c of dA_0 and dd of dA_1 come from numpy.linalg.solve.  The
@@ -107,7 +138,7 @@ def focal_reference(imm, u, model, step=1e-4, cluster_radius=1e-6):
     a0, a1, screen = (x[0] for x in line[:3])
     lines = np.vstack([screen @ model.form.gram, a0, a1])
     frame = np.vstack([a0, a1, screen, np.linalg.svd(lines)[2][n:]])
-    da1 = _generator_differences(imm, u, model, step)
+    da1 = _generator_derivative(imm, u, model)
     c = np.linalg.solve(frame.T, rows.T).T[:, 2:n]
     dd = np.linalg.solve(frame.T, da1.T).T[:, 2:n]
     w, v = np.linalg.eigh(metric)

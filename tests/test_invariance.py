@@ -150,9 +150,11 @@ def test_lightlike_focal_set_is_invariant(name):
         # the roots are gauge-covariant, so their order may flip with the
         # generator's normalization: match each focal point to its image
         assert sorted(s.multiplicity for s in xs) == sorted(s.multiplicity for s in ys)
+        # the image has no Hessian, so its dA_1 differences the analytic
+        # Jacobian: worst distance measured on these grids 1.8e-10
         for s in xs:
             assert min(projective_distance(t.projective.coords, m @ s.projective.coords)
-                       for t in ys if t.multiplicity == s.multiplicity) < 1e-7
+                       for t in ys if t.multiplicity == s.multiplicity) < 1e-9
 
 
 @pytest.mark.parametrize("motion", ["lift", "moved"])

@@ -1,6 +1,7 @@
 import ast
 import inspect
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,6 @@ from pseudoconformal.errors import (DegenerateBasisError, GeometryError, NotLigh
                                     NotOnQuadricError)
 from pseudoconformal.hypersurface import Immersion, parameter_grid
 from pseudoconformal.lightlike import (
-    DEFAULT_STEP,
     FocalSample,
     _affinors,
     _JetStack,
@@ -204,6 +204,51 @@ class TestCircleWavefront:
         assert len(scan) == len(roots)
         for r, s in zip(roots, sorted(scan)):
             assert abs(r - s) < 1e-4
+
+
+def _truth_distance(name, sample):
+    """Max-norm distance of a finite focal sample from the analytic focal set
+    of a catalog entry at default parameters: the cone's vertex, the tilted
+    family's focal curve at the sample's tau, and for the circle wavefront
+    the circle of radius 2 in the (x^1, x^2) plane or its axis."""
+    p = sample.point
+    if name == "light_cone":
+        return float(np.abs(p).max())
+    if name == "tilted_null_family":
+        return float(np.abs(p - catalog.tilted_family_focal_curve(sample.u[0], 0.5)).max())
+    q = math.hypot(p[0], p[1])
+    return min(max(abs(q - 2.0), abs(p[2])), q)
+
+
+class TestExactTruth:
+    """dA_1 is read in closed form from the analytic Hessians, so focal
+    points sit at rounding distance from their analytic truth (2-7e-9 with
+    the central-difference generators this replaced)."""
+
+    @pytest.mark.parametrize("name,n,count", [("light_cone", 3, 8), ("light_cone", 5, 3),
+                                              ("tilted_null_family", 3, 12),
+                                              ("circle_wavefront", 4, 5)])
+    def test_focal_points_match_analytic_truth(self, name, n, count):
+        imm = catalog.build(name, n=n)
+        focal = focal_map(imm, [count] * imm.params, model=AmbientModel.standard(n))
+        assert focal.errors == ()
+        assert len(focal.samples) == count ** imm.params * (2 if name == "circle_wavefront" else 1)
+        for s in focal.samples:
+            assert not s.at_infinity
+            assert _truth_distance(name, s) <= 1e-12
+        if name == "circle_wavefront":
+            # one root on the circle and one on its axis at every point
+            on_axis = [math.hypot(s.point[0], s.point[1]) <= 1e-12 for s in focal.samples]
+            assert on_axis.count(True) == on_axis.count(False)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_null_hyperplane_roots_vanish_at_infinity(self, n):
+        imm = catalog.build("null_hyperplane", n=n)
+        focal = focal_map(imm, [4] * imm.params, model=AmbientModel.standard(n))
+        assert focal.errors == ()
+        assert len(focal.samples) == 4 ** imm.params
+        for s in focal.samples:
+            assert s.x == 0.0 and s.multiplicity == n - 2 and s.at_infinity
 
 
 class TestTorseDirectionsSmallCases:
@@ -501,6 +546,40 @@ class TestJetStack:
             assert getattr(got, field)[live].tobytes() == getattr(ref, field)[live].tobytes()
 
 
+    def test_hessian_failures_are_point_errors(self, model3):
+        # one stacked jet2 call: a Hessian that raises for one point (a
+        # negative square root, NaN in the stack) and one that is not finite
+        # (a division by zero) fail their points; the other members keep the
+        # bits they get alone.  Hessians written for one point (a stack makes
+        # them raise TypeError, IndexError for a stack of one, or give another
+        # shape) are evaluated point by point, with the same results.
+        cone = catalog.build("light_cone")
+
+        def hessian(u):
+            ok = (catalog._sqrt(1.5 - u[..., 0]) * 0.0 + 1.0 / (u[..., 1] - 0.5) * 0.0 + 1.0)
+            return cone.hessian(u) * np.asarray(ok)[..., None, None, None]
+
+        variants = [Immersion(n=3, domain=cone.domain, value=cone.value, jacobian=cone.jacobian,
+                              hessian=h, values=cone.value, jacobians=cone.jacobian)
+                    for h in (hessian, lambda u: hessian(np.array([float(u[0]), float(u[1])])),
+                              lambda u: hessian(np.array([u[0], u[1]])))]
+        us = np.array([[0.7, 0.4], [1.55, 0.4], [1.1, 0.5], [1.2, 0.9]])
+        errors = {1: (GeometryError, "evaluation failed at u=[1.55, 0.4]: math domain error"),
+                  2: (DegenerateBasisError, "non-finite hessian at u=[1.1, 0.5]")}
+        bits = lambda an: (an.shape_operator.tobytes(), an.roots, an.line[0].tobytes(),
+                           an.line[1].tobytes(), an.screen.tobytes(), an.diagnostics)
+        for imm in variants:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                results = _affinors(imm, us, model3, 1.0, None)
+                alone = [_affinors(imm, u[None], model3, 1.0, None)[0] for u in us]
+            for i, got in enumerate(results):
+                if i in errors:
+                    assert (type(got), str(got)) == (type(alone[i]), str(alone[i])) == errors[i]
+                else:
+                    assert bits(got) == bits(alone[i]) == bits(
+                        lightlike_affinor(cone, us[i], model=model3))
+
     def test_infinite_jacobian_fails_without_warning(self, model3):
         # the member is masked before the lift, where inf * 0 would warn
         jacobian = lambda u: np.array([[1.0, 0.0], [0.0, 1.0], [math.inf if u[0] > 0.5 else 0.0, 0.0]])
@@ -728,7 +807,7 @@ class TestLightlikeEngine:
         imm = Immersion(n=3, domain=cone.domain, value=lambda u: pick(u).value(u),
                         jacobian=lambda u: pick(u).jacobian(u))
         grid = parameter_grid(imm, [4, 4])[1]
-        results = _affinors(imm, grid, model3, DEFAULT_STEP, 1.0, None)
+        results = _affinors(imm, grid, model3, 1.0, None)
         bits = lambda an: (an.shape_operator.tobytes(), an.roots, an.line[0].tobytes(),
                            an.line[1].tobytes(), an.screen.tobytes(), an.diagnostics)
         for u, got in zip(grid, results):
@@ -807,6 +886,25 @@ class TestLightlikeEngine:
             assert len(focal.samples) == count * count
             per_grid.append(len(calls))
         assert per_grid[0] == per_grid[1] == 2
+
+    @pytest.mark.parametrize("name", catalog.lightlike_entries())
+    def test_one_jet_per_grid_point(self, name, monkeypatch):
+        # one stacked point, jet1 and jet2 call per grid, one member per point
+        imm = catalog.build(name)
+        counts = [3] * imm.params
+        calls = []
+        for method in ("point", "jet1", "jet2"):
+            original = getattr(Immersion, method)
+
+            def counted(self, u, method=method, original=original):
+                calls.append((method, np.shape(u)))
+                return original(self, u)
+
+            monkeypatch.setattr(Immersion, method, counted)
+        focal = focal_map(imm, counts, model=AmbientModel.standard(imm.n))
+        assert focal.errors == ()
+        grid = (3 ** imm.params, imm.params)
+        assert sorted(calls) == [("jet1", grid), ("jet2", grid), ("point", grid)]
 
     def test_array_merge_matches_nested_loop(self, model3, rng):
         tol = 2.0 ** -20
