@@ -7,8 +7,8 @@ NEW_SRC, each tree in its own interpreter, and compares what they write:
   under both ``classify`` and ``lightlike``), in CSV and in JSON;
 * the 8 generated copies of each benchmark cycle, from
   ``perfbench/workloads.generate(workload, 3, dir)``, in their own formats;
-* the ``ERROR_SCENES`` below under ``classify``, in CSV and in JSON: grids
-  with point errors, which no shipped or generated scene has.
+* the ``ERROR_SCENES`` below under both hypersurface commands, in CSV and
+  in JSON: grids with point errors, which no shipped or generated scene has.
 
 For each run it prints the two exit codes and whether the output bytes are
 identical, ``.leaf.csv`` side files included.  Where they differ it says
@@ -38,8 +38,10 @@ ROOT = Path(__file__).resolve().parent.parent
 COMMANDS = {"points": ("embed",), "hypersurface": ("classify", "lightlike"),
             "congruence": ("congruence",)}
 
-#: classify scenes with point errors: one point of the grid fails (a zero
-#: division at u=(1, 0)), or every point fails ("math domain error")
+#: scenes with point errors: under classify one point of the grid fails (a
+#: zero division at u=(1, 0)) or every point fails ("math domain error"); under
+#: lightlike the cone's vertex is a grid point ("non-finite jacobian at
+#: u=[0.0, 0.0]") and the other 8 points each give one focal sample
 ERROR_SCENES = {
     "failing_point": {"kind": "hypersurface", "builtin": "timelike_hypersphere", "n": 3,
                       "grid": {"axes": [{"start": 0.0, "stop": 1.0, "count": 3},
@@ -47,6 +49,9 @@ ERROR_SCENES = {
     "all_failing": {"kind": "hypersurface", "builtin": "timelike_hypersphere", "n": 3,
                     "grid": {"axes": [{"start": 1.6, "stop": 1.9, "count": 3},
                                       {"start": 0.0, "stop": 1.0, "count": 2}]}},
+    "cone_vertex": {"kind": "hypersurface", "builtin": "light_cone", "n": 3,
+                    "grid": {"axes": [{"start": 0.0, "stop": 1.0, "count": 3},
+                                      {"start": 0.0, "stop": 1.0, "count": 3}]}},
 }
 
 #: numbers as the CLI writes them (shortest round-trip floats, integers)
@@ -97,8 +102,8 @@ def plan_runs(scenes_dir: Path) -> list:
     for name, doc in ERROR_SCENES.items():
         path = scenes_dir / f"{name}.json"
         path.write_text(json.dumps(doc))
-        runs += [(f"errors/{name}.classify.{fmt}", "classify", str(path), fmt)
-                 for fmt in ("csv", "json")]
+        runs += [(f"errors/{name}.{command}.{fmt}", command, str(path), fmt)
+                 for command in COMMANDS[doc["kind"]] for fmt in ("csv", "json")]
     return runs
 
 

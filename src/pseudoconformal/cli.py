@@ -65,11 +65,6 @@ class Scene:
     out_path: Optional[str]
 
 
-def _fmt(x) -> str:
-    """Shortest round-trip decimal form of a float."""
-    return repr(float(x))
-
-
 def _finite(x) -> bool:
     """Whether a parsed JSON value is a finite number (booleans are not)."""
     return (type(x) is float and math.isfinite(x)
@@ -217,26 +212,11 @@ def _write(path, text):
         raise SceneError(f"cannot write output file: {exc}") from exc
 
 
-def _write_csv(path, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for cell in row:
-            if isinstance(cell, float):
-                cells.append(_fmt(cell))
-            elif isinstance(cell, (int, np.integer)):
-                cells.append(str(int(cell)))
-            else:
-                cells.append(str(cell))
-        lines.append(",".join(cells))
-    _write(path, "\n".join(lines) + "\n")
-
-
 def _emit(path, fmt, csv_header, csv_rows, payload):
-    if fmt == "csv":
-        _write_csv(path, csv_header, csv_rows)
-    else:
-        _write(path, json.dumps(payload, sort_keys=True, indent=1) + "\n")
+    """Write a CSV table, every cell in ``str`` form (floats, numpy's too, in
+    shortest round-trip form), or the JSON document of payload."""
+    _write(path, "".join(",".join(map(str, row)) + "\n" for row in [csv_header] + csv_rows)
+           if fmt == "csv" else json.dumps(payload, sort_keys=True, indent=1) + "\n")
 
 
 def _reprs(values: np.ndarray) -> list:
@@ -252,6 +232,16 @@ def _rows(template: str, sep: str, columns: list) -> str:
     return sep.join([template] * len(columns[0])) % tuple(chain.from_iterable(zip(*columns)))
 
 
+def _json_text(fields: dict, blocks: dict) -> str:
+    """The bytes of ``json.dumps(sort_keys=True, indent=1)`` of a document
+    of the small ``fields`` and of lists given as ``blocks``: each one's
+    records already written at their depth and joined by ",\n"."""
+    items = {k: json.dumps(v, sort_keys=True, indent=1).replace("\n", "\n ")
+             for k, v in fields.items()}
+    items.update({k: f"[\n{v}\n ]" if v else "[]" for k, v in blocks.items()})
+    return "{\n" + ",\n".join(f' "{k}": {v}' for k, v in sorted(items.items())) + "\n}\n"
+
+
 def _classify_text(report, fmt, header, fields) -> str:
     """Classify output written from the report's columns: the CSV table, or
     the JSON document of the small ``fields`` and the points.  The bytes are
@@ -265,11 +255,35 @@ def _classify_text(report, fmt, header, fields) -> str:
         return ",".join(header) + "\n" + _rows(row, "", u + [report.kinds] + inertia + [ratio])
     point = ('  {\n   "inertia": [\n    %s,\n    %s,\n    %s\n   ],\n   "min_eig_ratio": %s,\n'
              '   "type": "%s",\n   "u": [\n' + ",\n".join(["    %s"] * len(u)) + "\n   ]\n  }")
-    points = _rows(point, ",\n", inertia + [ratio, report.kinds] + u)
-    blocks = {k: json.dumps(v, sort_keys=True, indent=1).replace("\n", "\n ")
-              for k, v in fields.items()}
-    blocks["points"] = f"[\n{points}\n ]" if points else "[]"
-    return "{\n" + ",\n".join(f' "{k}": {v}' for k, v in sorted(blocks.items())) + "\n}\n"
+    return _json_text(fields, {"points": _rows(point, ",\n", inertia + [ratio, report.kinds] + u)})
+
+
+def _lightlike_text(focal, fmt, header, fields) -> str:
+    """Lightlike output written from the focal set's columns, as
+    ``_classify_text``: the CSV table of the samples, or the JSON document of
+    the small ``fields``, the samples and the clusters."""
+    u = [_reprs(column) for column in focal.u.T]
+    x, index, mult = _reprs(focal.x), focal.root_index.tolist(), focal.multiplicity.tolist()
+    ideal = focal.at_infinity.tolist()
+    coords = [_reprs(column) for column in focal.point.T]
+    if fmt == "csv":
+        if any(ideal):
+            coords = [[("" if inf else c) for c, inf in zip(column, ideal)] for column in coords]
+        cells = u + [index, x, mult, ["INF" if inf else "point" for inf in ideal]] + coords
+        return ",".join(header) + "\n" + _rows(",".join(["%s"] * len(cells)) + "\n", "", cells)
+    flags = ["true" if inf else "false" for inf in ideal]
+    point = ["null" if inf else "[\n    " + ",\n    ".join(c) + "\n   ]"
+             for inf, c in zip(ideal, zip(*coords))]
+    sample = ('  {\n   "at_infinity": %s,\n   "multiplicity": %s,\n   "point": %s,\n'
+              '   "root_index": %s,\n   "u": [\n' + ",\n".join(["    %s"] * len(u))
+              + '\n   ],\n   "x": %s\n  }')
+    first = focal.first.tolist()
+    cluster = '  {\n   "at_infinity": %s,\n   "count": %s,\n   "representative": %s\n  }'
+    counts = np.bincount(focal.cluster, minlength=len(first)).tolist()
+    return _json_text(fields, {
+        "focal_samples": _rows(sample, ",\n", [flags, mult, point, index] + u + [x]),
+        "focal_clusters": _rows(cluster, ",\n", [[flags[f] for f in first], counts,
+                                                 [point[f] for f in first]])})
 
 
 def _roots_json(roots):
@@ -354,66 +368,22 @@ def run_lightlike(scene: Scene, out_path, fmt) -> int:
     torses = torse_directions(an)
     degeneracy = degeneracy_check(imm, an, model=model)
 
-    header = (
-        [f"u{i}" for i in range(1, imm.params + 1)]
-        + ["root_index", "x", "multiplicity", "focal"]
-        + [f"f{i}" for i in range(1, imm.n + 1)]
-    )
-    rows = []
-    for s in focal.samples:
-        target = AtInfinity(s.projective) if s.at_infinity else s.point
-        rows.append(list(s.u) + [s.root_index, s.x, s.multiplicity]
-                    + _focal_cells(target, imm.n))
-    payload = {
-        "builtin": imm.name,
-        "n": imm.n,
-        "center": {
-            "u": [float(v) for v in center],
-            "shape_operator": an.shape_operator.tolist(),
-            "symmetry_defect": an.symmetry_defect,
-            "determinant": an.determinant,
-            "roots": _roots_json(an.roots),
-            "torses": [
-                {"root": t.root, "multiplicity": t.multiplicity,
-                 "directions": t.directions.tolist()}
-                for t in torses
-            ],
-            "degeneracy": {
-                "max_angle": degeneracy.max_angle,
-                "tangent_rank": degeneracy.tangent_rank,
-                "skipped": len(degeneracy.skipped),
-            },
-        },
-        "focal_samples": [
-            {
-                "u": list(s.u),
-                "root_index": s.root_index,
-                "x": s.x,
-                "multiplicity": s.multiplicity,
-                "at_infinity": s.at_infinity,
-                "point": None if s.at_infinity else [float(v) for v in s.point],
-            }
-            for s in focal.samples
-        ],
-        "focal_clusters": [
-            {
-                "at_infinity": c.at_infinity,
-                "representative": None
-                if c.at_infinity
-                else [float(v) for v in c.representative],
-                "count": c.count,
-            }
-            for c in focal.clusters
-        ],
-        "errors": [{"u": list(u), "message": m} for u, m in focal.errors],
-    }
-    _emit(out_path, fmt, header, rows, payload)
-    print(
-        f"lightlike pipeline on {imm.name}: {len(focal.samples)} focal samples, "
-        f"{len(focal.clusters)} clusters, defect={an.symmetry_defect:.2e}, "
-        f"degeneracy={degeneracy.max_angle:.2e}",
-        file=sys.stderr,
-    )
+    header = ([f"u{i}" for i in range(1, imm.params + 1)]
+              + ["root_index", "x", "multiplicity", "focal"]
+              + [f"f{i}" for i in range(1, imm.n + 1)])
+    fields = {"builtin": imm.name, "n": imm.n, "center": {
+        "u": [float(v) for v in center], "shape_operator": an.shape_operator.tolist(),
+        "symmetry_defect": an.symmetry_defect, "determinant": an.determinant,
+        "roots": _roots_json(an.roots),
+        "torses": [{"root": t.root, "multiplicity": t.multiplicity,
+                    "directions": t.directions.tolist()} for t in torses],
+        "degeneracy": {"max_angle": degeneracy.max_angle, "tangent_rank": degeneracy.tangent_rank,
+                       "skipped": len(degeneracy.skipped)},
+    }, "errors": [{"u": list(u), "message": m} for u, m in focal.errors]}
+    _write(out_path, _lightlike_text(focal, fmt, header, fields))
+    print(f"lightlike pipeline on {imm.name}: {len(focal.x)} focal samples, "
+          f"{len(focal.first)} clusters, defect={an.symmetry_defect:.2e}, "
+          f"degeneracy={degeneracy.max_angle:.2e}", file=sys.stderr)
     return 0
 
 
@@ -476,15 +446,12 @@ def run_congruence(scene: Scene, out_path, fmt) -> int:
             "parameters": [list(p) for p in leaf.parameters],
         }
         payload["leaf"] = leaf_info
-        if fmt == "csv" and out_path is not None:
-            leaf_rows = [
-                [i] + list(p) for i, p in enumerate(leaf.parameters)
-            ]
-            _write_csv(
-                str(out_path) + ".leaf.csv",
-                ["index"] + [f"u{i}" for i in range(1, cong.params + 1)],
-                leaf_rows,
-            )
+        if fmt == "csv" and out_path is None:
+            print("congruence: the leaf table is written only beside an output file "
+                  "(use --out or JSON)", file=sys.stderr)
+        elif fmt == "csv":
+            _emit(f"{out_path}.leaf.csv", fmt, ["index"] + header[: cong.params],
+                  [[i] + list(p) for i, p in enumerate(leaf.parameters)], None)
     _emit(out_path, fmt, header, rows, payload)
     msg = f"congruence pipeline on {cong.name}: max defect={worst:.2e}"
     if leaf_info:

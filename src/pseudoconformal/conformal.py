@@ -90,6 +90,12 @@ def normalize_coords(coords) -> np.ndarray:
     return x / x[i]
 
 
+def _normalized(coords: np.ndarray) -> np.ndarray:
+    """``normalize_coords`` of every row of a stack of nonzero vectors
+    (N, m), with the same bits."""
+    return coords / np.take_along_axis(coords, np.abs(coords).argmax(axis=1)[:, None], axis=1)
+
+
 @dataclass(frozen=True)
 class ProjectivePoint:
     """Homogeneous coordinate vector up to nonzero scale.
@@ -203,18 +209,26 @@ def quadric_residual(x, model: AmbientModel) -> float:
 def darboux_unembed(x, model: AmbientModel, tol: float = QUADRIC_TOL):
     """Finite point with x^r / x^0, or an AtInfinity marker when x^0 ~ 0.
 
-    The input must lie on the quadric.
+    The input must lie on the quadric.  This is the one-point case of
+    ``_unembed``.
     """
     point = x if isinstance(x, ProjectivePoint) else ProjectivePoint(x)
-    residual = quadric_residual(point, model)
-    if abs(residual) > tol:
-        raise NotOnQuadricError(
-            f"vector is not on the quadric (residual {residual:.3e})"
-        )
-    x0 = point.coords[0]
-    if abs(x0) < 1e-12:
-        return AtInfinity(point)
-    return np.array(point.coords[1 : model.n + 1] / x0)
+    points, ideal, failures = _unembed(point.coords[None], model, tol)
+    if failures:
+        raise failures[0]
+    return AtInfinity(point) if ideal[0] else points[0]
+
+
+def _unembed(x: np.ndarray, model: AmbientModel, tol: float = QUADRIC_TOL) -> tuple:
+    """``darboux_unembed`` of normalized vectors (N, n+2) in one pass: points
+    x^r / x^0 (N, n), whether each is at infinity (point NaN) and the
+    NotOnQuadricError of each whose ``quadric_residual`` exceeds tol."""
+    residuals = _dots(x @ model.form.gram, x)
+    ideal = np.abs(x[:, 0]) < 1e-12
+    points = x[:, 1 : model.n + 1] / np.where(ideal, np.nan, x[:, 0])[:, None]
+    failures = {i: NotOnQuadricError(f"vector is not on the quadric (residual {residuals[i]:.3e})")
+                for i in np.flatnonzero(np.abs(residuals) > tol).tolist()}
+    return points, ideal, failures
 
 
 def classify_element(x, model: AmbientModel) -> ElementKind:

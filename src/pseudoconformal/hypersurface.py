@@ -15,7 +15,7 @@ anything else is reported as degenerate beyond the lightlike case.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -94,21 +94,18 @@ class Immersion:
     def jet1(self, u):
         """First-order jet: target_dim x (n-1) Jacobian; for a stack of
         parameter vectors (N, n-1) the Jacobians and the failures, as
-        ``point``."""
+        ``point``.  Without an analytic Jacobian, central differences of
+        ``point`` (``_differences``)."""
         u = np.asarray(u, dtype=float)
+        shape = (self.target_dim, self.params)
+        differences = partial(self._differences, self.point, step=FD_STEP_FIRST)
         if u.ndim == 2:
-            return _evaluate_stack(self.jet1, self.jacobians, u, (self.target_dim, self.params))
+            return _evaluate_stack(self.jet1, differences if self.jacobian is None
+                                   else self.jacobians, u, shape)
         with np.errstate(all="ignore"):
-            if self.jacobian is not None:
-                j = np.asarray(self.jacobian(u), dtype=float)
-            else:
-                j = np.empty((self.target_dim, self.params))
-                for a in range(self.params):
-                    e = np.zeros(self.params)
-                    e[a] = FD_STEP_FIRST
-                    j[:, a] = (self.point(u + e) - self.point(u - e)) / (2 * FD_STEP_FIRST)
-        if j.shape != (self.target_dim, self.params):
-            raise ValueError(f"jacobian has shape {j.shape}, expected {(self.target_dim, self.params)}")
+            j = differences(u) if self.jacobian is None else np.asarray(self.jacobian(u), float)
+        if j.shape != shape:
+            raise ValueError(f"jacobian has shape {j.shape}, expected {shape}")
         return j
 
     def jet2(self, u):
@@ -116,19 +113,31 @@ class Immersion:
         failures of a stack, as ``point``; else central differences of
         ``jet1``, at FD_STEP_FIRST over an analytic Jacobian."""
         u = np.asarray(u, dtype=float)
-        expected = (self.target_dim, self.params, self.params)
+        shape = (self.target_dim, self.params, self.params)
+        differences = partial(self._differences, self.jet1,
+                              step=FD_STEP_FIRST if self.analytic else FD_STEP_SECOND)
         if u.ndim == 2:
-            return _evaluate_stack(self.jet2, self.hessian, u, expected)
+            return _evaluate_stack(self.jet2, self.hessian or differences, u, shape)
         with np.errstate(all="ignore"):
-            if self.hessian is not None:
-                h = np.asarray(self.hessian(u), dtype=float)
-            else:
-                step = FD_STEP_FIRST if self.analytic else FD_STEP_SECOND
-                h = np.stack([(self.jet1(u + e) - self.jet1(u - e)) / (2 * step)
-                              for e in step * np.eye(self.params)], axis=-1)
-        if h.shape != expected:
-            raise ValueError(f"hessian has shape {h.shape}, expected {expected}")
+            h = differences(u) if self.hessian is None else np.asarray(self.hessian(u), float)
+        if h.shape != shape:
+            raise ValueError(f"hessian has shape {h.shape}, expected {shape}")
         return h
+
+    def _differences(self, evaluate: Callable, u: np.ndarray, step: float) -> np.ndarray:
+        """Central differences (..., *shape, n-1) of ``point`` or ``jet1`` at u,
+        one point or a stack, from one call at u + step e_0, u - step e_0, ...
+        One point raises its first failed neighbour's error; a stack member
+        with one is NaN, so ``_evaluate_stack`` replays it alone."""
+        us = np.atleast_2d(u)
+        shifts = np.stack([step * np.eye(self.params), -step * np.eye(self.params)], axis=1)
+        values, failed = evaluate((us[:, None, None] + shifts).reshape(-1, self.params))
+        if failed and u.ndim == 1:
+            raise failed[min(failed)]
+        values[list(failed)] = np.nan
+        values = values.reshape((len(us), self.params, 2) + values.shape[1:])
+        out = np.moveaxis((values[:, :, 0] - values[:, :, 1]) / (2 * step), 1, -1)
+        return out[0] if u.ndim == 1 else out
 
     def lightlike_tol(self) -> float:
         return LIGHTLIKE_TOL_ANALYTIC if self.analytic else LIGHTLIKE_TOL_FD

@@ -19,25 +19,22 @@ Its Generalizations*, 1996).
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .conformal import (AmbientModel, AtInfinity, ProjectivePoint, darboux_unembed, lift_point,
-                        lift_tangent)
+from .conformal import (AmbientModel, AtInfinity, ProjectivePoint, _normalized, _unembed,
+                        darboux_unembed, lift_point, lift_tangent)
 from .errors import DegenerateBasisError, GeometryError, NotLightlikeError
 from .frames import (_generator, _lightlike_lines, _null_frame, _orthonormal_screens,
                      null_frame_coordinates)
 from .hypersurface import (Immersion, _ambient_gram, _causal_kind, _evaluation_error, _inertia,
                            _stacked_spectra, lightlike_kernel, parameter_grid)
-from .linalg import (
-    cluster_roots,
-    det,
-    jacobi_eigh,
-    max_principal_angle,
-    orthonormal_rows,
-)
+from .linalg import (_cluster_real, cluster_roots, det, jacobi_eigh, max_principal_angle,
+                     orthonormal_rows)
 
 #: defect threshold (relative) above which the extracted operator is rejected
 SYMMETRY_TOL_ANALYTIC = 1e-6
@@ -211,10 +208,16 @@ def _generator_differentials(jets: _JetStack, members, hessians) -> np.ndarray:
     return scale[:, None, None] * (dr_k - dm_k @ pinv @ rows)
 
 
+_Affinors = namedtuple("_Affinors",
+                       "us members operators defects spectra a0 a1 screens diagnostics failures")
+
+
 def _affinors(imm: Immersion, us: np.ndarray, model: AmbientModel, generator_scale: float,
-              sym_tol: Optional[float]) -> list:
-    """Lightlike analysis at every parameter point of us (N, params): the
-    LightlikeAnalysis of each point, or the exception it raises.
+              sym_tol: Optional[float]) -> _Affinors:
+    """Lightlike analysis at the parameter points us (N, params) in columns
+    over the points that pass (stack indices ``members``): symmetrized shape
+    operators, symmetry defects, descending spectra, lines ``a0``, ``a1``,
+    screens and diagnostics {name: (P,)}; and the others' ``failures``.
 
     The jets of all points are evaluated once and eigendecomposed in one
     stacked Jacobi pass (``_JetStack``), the lines and screens built in one
@@ -237,11 +240,8 @@ def _affinors(imm: Immersion, us: np.ndarray, model: AmbientModel, generator_sca
     for j in np.flatnonzero(~np.isfinite(hessians).all(axis=(1, 2, 3))).tolist():
         raised[j] = DegenerateBasisError(f"non-finite hessian at u={us[live[j]].tolist()}")
     failures.update({live[j]: _evaluation_error(us[live[j]], exc) for j, exc in raised.items()})
-    results = [failures.get(i) for i in range(len(us))]
     kept = [j for j in range(len(live)) if j not in raised]
-    pending = [live[j] for j in kept]
-    if not pending:
-        return results
+    pending = np.array([live[j] for j in kept], dtype=int)
 
     lam, diagnostics = _shape_operators(a0[pending], a1[pending], screens[pending],
                                         model.form.gram, jets.rows[pending],
@@ -250,37 +250,22 @@ def _affinors(imm: Immersion, us: np.ndarray, model: AmbientModel, generator_sca
     lam_t = np.swapaxes(lam, 1, 2)
     defects = np.abs(lam - lam_t).max(axis=(1, 2))
     tols = sym_tol * (1.0 + np.abs(lam).max(axis=(1, 2)))
-    symmetric = (defects <= tols) & np.isfinite(tols)
-    lam_sym = 0.5 * (lam + lam_t)
+    ok = (defects <= tols) & np.isfinite(tols)
+    for j in np.flatnonzero(~ok).tolist():
+        failures[int(pending[j])] = GeometryError(
+            f"shape operator asymmetry {defects[j]:.3e} exceeds tolerance {tols[j]:.3e}")
     # a symmetric operator gets its roots from the Jacobi spectrum, which
     # keeps exact multiplicities real (the general root iteration splinters
     # multiple roots at the cube root of machine precision)
-    spectra = iter(jacobi_eigh(lam_sym[symmetric])[0])
-    for j, i in enumerate(pending):
-        if not symmetric[j]:
-            results[i] = GeometryError(
-                f"shape operator asymmetry {defects[j]:.3e} exceeds tolerance {tols[j]:.3e}")
-            continue
-        results[i] = LightlikeAnalysis(
-            u=us[i].copy(),
-            shape_operator=lam_sym[j],
-            symmetry_defect=float(defects[j]),
-            determinant=float(det(lam_sym[j])),
-            roots=tuple(cluster_roots([complex(-x) for x in next(spectra)])),
-            line=(a0[i], a1[i]),
-            screen=screens[i],
-            diagnostics={key: float(value[j]) for key, value in diagnostics.items()},
-        )
-    return results
+    lam_sym, members = (0.5 * (lam + lam_t))[ok], pending[ok]
+    return _Affinors(us, members, lam_sym, defects[ok], jacobi_eigh(lam_sym)[0], a0[members],
+                     a1[members], screens[members],
+                     {key: value[ok] for key, value in diagnostics.items()}, failures)
 
 
-def lightlike_affinor(
-    imm: Immersion,
-    u,
-    model: Optional[AmbientModel] = None,
-    generator_scale: float = 1.0,
-    sym_tol: Optional[float] = None,
-) -> LightlikeAnalysis:
+def lightlike_affinor(imm: Immersion, u, model: Optional[AmbientModel] = None,
+                      generator_scale: float = 1.0,
+                      sym_tol: Optional[float] = None) -> LightlikeAnalysis:
     """Extract the generator shape operator at a lightlike point.
 
     The operator maps the screen components of the differential of the base
@@ -288,15 +273,20 @@ def lightlike_affinor(
     induced metric's pseudo-inverse.  It is symmetric up to jet noise; within
     tolerance it is replaced by its symmetric part before root finding,
     beyond tolerance an error is raised.  This is the one-point case of the
-    grid engine behind ``focal_map``, with the same bits.
+    grid engine behind ``focal_map``, with the same bits; only here are the
+    determinant and the ``cluster_roots`` of the spectrum computed.
     """
     if model is None:
         model = AmbientModel.standard(imm.n)
-    result = _affinors(imm, np.asarray(u, dtype=float)[None], model, generator_scale,
-                       sym_tol)[0]
-    if isinstance(result, Exception):
-        raise result
-    return result
+    c = _affinors(imm, np.asarray(u, dtype=float)[None], model, generator_scale, sym_tol)
+    if c.failures:
+        raise c.failures[0]
+    return LightlikeAnalysis(
+        u=c.us[0].copy(), shape_operator=c.operators[0], symmetry_defect=float(c.defects[0]),
+        determinant=float(det(c.operators[0])),
+        roots=tuple(cluster_roots([complex(-x) for x in c.spectra[0]])),
+        line=(c.a0[0], c.a1[0]), screen=c.screens[0],
+        diagnostics={key: float(value[0]) for key, value in c.diagnostics.items()})
 
 
 @dataclass(frozen=True)
@@ -309,19 +299,18 @@ class SingularPoint:
 
 
 def singular_points(an: LightlikeAnalysis) -> list:
-    """Singular points of the generator, one per clustered real root."""
-    out = []
+    """Singular points of the generator, one per clustered real root: the
+    one-point case of ``focal_map``'s samples, with their coordinates."""
     for root in an.roots:
         if not root.is_real:
             raise GeometryError(
                 f"complex characteristic root {root.value} on a lightlike "
                 "hypersurface signals an inconsistent shape operator"
             )
-        x = root.real_value
-        coords = an.generator_point + x * an.base_point
-        out.append(SingularPoint(x=x, multiplicity=root.multiplicity,
-                                 point=ProjectivePoint(coords)))
-    return out
+    x = np.array([root.real_value for root in an.roots])
+    coords = _normalized(an.generator_point + x[:, None] * an.base_point)
+    return [SingularPoint(x=float(v), multiplicity=root.multiplicity, point=ProjectivePoint(c))
+            for root, v, c in zip(an.roots, x, coords)]
 
 
 @dataclass(frozen=True)
@@ -477,105 +466,104 @@ def degeneracy_check(
     )
 
 
-@dataclass(frozen=True)
-class FocalSample:
-    u: tuple
-    root_index: int
-    x: float
-    multiplicity: int
-    at_infinity: bool
-    point: Optional[np.ndarray]
-    projective: ProjectivePoint
+#: records of one row of a FocalSet, and of one cluster (its first sample's
+#: point and coordinates, its size and its samples' multiplicities)
+FocalSample = namedtuple("FocalSample", "u root_index x multiplicity at_infinity point projective")
+FocalCluster = namedtuple("FocalCluster",
+                          "at_infinity representative projective count multiplicities")
 
 
-@dataclass(frozen=True)
-class FocalCluster:
-    at_infinity: bool
-    representative: Optional[np.ndarray]
-    projective: ProjectivePoint
-    count: int
-    multiplicities: tuple
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FocalSet:
-    samples: tuple
-    clusters: tuple
+    """Focal samples in columns, one row per (grid point, root) in grid order,
+    with finite ``point`` (NaN at infinity) and normalized ``projective``
+    coordinates; each cluster's ``first`` sample, in order of creation; and
+    ``errors``, (u, message) per failed grid point.  ``samples`` and
+    ``clusters`` build records on first use."""
+
+    u: np.ndarray
+    root_index: np.ndarray
+    x: np.ndarray
+    multiplicity: np.ndarray
+    at_infinity: np.ndarray
+    point: np.ndarray
+    projective: np.ndarray
+    cluster: np.ndarray
+    first: np.ndarray
     errors: tuple
 
+    @cached_property
+    def samples(self) -> tuple:
+        columns = (self.u.tolist(), self.root_index.tolist(), self.x.tolist(),
+                   self.multiplicity.tolist(), self.at_infinity.tolist(), self.point)
+        return tuple(FocalSample(tuple(u), k, x, m, inf, None if inf else p, ProjectivePoint(c))
+                     for (u, k, x, m, inf, p), c in zip(zip(*columns), self.projective))
 
-def focal_map(
-    imm: Immersion,
-    grid_counts: Sequence[int],
-    model: Optional[AmbientModel] = None,
-    sym_tol: Optional[float] = None,
-) -> FocalSet:
+    @cached_property
+    def clusters(self) -> tuple:
+        return tuple(FocalCluster(s.at_infinity, s.point, s.projective, len(m),
+                                  tuple(self.multiplicity[m].tolist()))
+                     for s, m in ((self.samples[f], np.flatnonzero(self.cluster == c))
+                                  for c, f in enumerate(self.first.tolist())))
+
+
+def focal_map(imm: Immersion, grid_counts: Sequence[int], model: Optional[AmbientModel] = None,
+              sym_tol: Optional[float] = None) -> FocalSet:
     """Singular points of every generator over a parameter grid, merged into
     focal clusters within FOCAL_MERGE_TOL; ideal points keep an at-infinity
     marker.  ``sym_tol`` is passed to ``lightlike_affinor`` at every grid
-    point."""
+    point.  The roots of all grid points are one stacked clustering of their
+    spectra (``linalg._cluster_real``), and their singular points
+    X = A_1 + x A_0 one stacked normalization and quadric check
+    (``conformal._unembed``): a point whose k-th singular point is off the
+    quadric keeps its first k samples and is listed in ``errors``.
+    """
     if model is None:
         model = AmbientModel.standard(imm.n)
     _, grid = parameter_grid(imm, grid_counts)
-    samples = []
-    errors = []
-    for u, an in zip(grid, _affinors(imm, grid, model, 1.0, sym_tol)):
-        key = tuple(float(x) for x in u)
-        if not isinstance(an, LightlikeAnalysis):
-            errors.append((key, str(an)))
-            continue
-        try:
-            for k, sp in enumerate(singular_points(an)):
-                target = darboux_unembed(sp.point, model)
-                inf = isinstance(target, AtInfinity)
-                samples.append(
-                    FocalSample(
-                        u=key,
-                        root_index=k,
-                        x=sp.x,
-                        multiplicity=sp.multiplicity,
-                        at_infinity=inf,
-                        point=None if inf else target,
-                        projective=sp.point,
-                    )
-                )
-        except GeometryError as exc:
-            errors.append((key, str(exc)))
-
-    merged = tuple(
-        FocalCluster(
-            at_infinity=c[0].at_infinity,
-            representative=None if c[0].at_infinity else c[0].point.copy(),
-            projective=c[0].projective,
-            count=len(c),
-            multiplicities=tuple(s.multiplicity for s in c),
-        )
-        for c in _merge(samples, FOCAL_MERGE_TOL)
-    )
-    return FocalSet(samples=tuple(samples), clusters=merged, errors=tuple(errors))
+    columns = _affinors(imm, grid, model, 1.0, sym_tol)
+    x, multiplicity, counts = _cluster_real(-columns.spectra)
+    rows, root_index = np.nonzero(np.arange(x.shape[1]) < counts[:, None])
+    x, multiplicity = x[rows, root_index], multiplicity[rows, root_index]
+    coords = _normalized(columns.a1[rows] + x[:, None] * columns.a0[rows])
+    points, ideal, off = _unembed(coords, model)
+    failures, keep = dict(columns.failures), np.ones(len(rows), dtype=bool)
+    for s, exc in off.items():
+        failures.setdefault(int(columns.members[rows[s]]), exc)
+        keep[s:] &= rows[s:] != rows[s]
+    cluster, first = _merge(points[keep], coords[keep], ideal[keep], FOCAL_MERGE_TOL)
+    return FocalSet(u=grid[columns.members[rows[keep]]], root_index=root_index[keep], x=x[keep],
+                    multiplicity=multiplicity[keep], at_infinity=ideal[keep], point=points[keep],
+                    projective=coords[keep], cluster=cluster, first=first,
+                    errors=tuple((tuple(grid[i].tolist()), str(failures[i]))
+                                 for i in sorted(failures)))
 
 
-def _merge(samples, tol: float) -> list:
-    """Focal clusters as lists of samples, the first one representing each.
-
-    A sample joins the first earlier cluster of its kind (finite or ideal)
-    whose representative lies within tol in the max norm (of the point, or of
-    the normalized projective coordinates at infinity), else it starts a new
-    cluster.  Each sample is compared with all representatives of its kind
-    in one array operation.
-    """
-    clusters = []
-    kinds = {}  # at_infinity -> (representative coordinates, cluster indices)
-    for s in samples:
-        x = s.projective.coords if s.at_infinity else s.point
-        if s.at_infinity not in kinds:
-            kinds[s.at_infinity] = (np.empty((len(samples), len(x))), [])
-        reps, ids = kinds[s.at_infinity]
-        hits = np.flatnonzero(np.abs(reps[: len(ids)] - x).max(axis=1) <= tol)
-        if hits.size:
-            clusters[ids[hits[0]]].append(s)
-        else:
-            reps[len(ids)] = x
-            ids.append(len(clusters))
-            clusters.append([s])
-    return clusters
+def _merge(points: np.ndarray, projective: np.ndarray, at_infinity: np.ndarray,
+           tol: float) -> tuple:
+    """Cluster of each sample (finite points (S, n), normalized projective
+    coordinates (S, n+2), at-infinity flags) and first sample of each
+    cluster, in order of creation.  A sample joins the first earlier cluster
+    of its kind whose first sample lies within tol in the max norm (of the
+    point, or of the coordinates at infinity), else it starts one.  A sample
+    with a coordinate more than tol from all others' is a cluster alone; the
+    first unplaced sample starts each other cluster, and one array
+    comparison takes in every later one within tol."""
+    cluster, first = np.arange(len(at_infinity)), []
+    for keys, kind in ((points, False), (projective, True)):
+        rest, alone = np.flatnonzero(at_infinity == kind), np.zeros(len(at_infinity), dtype=bool)
+        for column in keys[rest].T if rest.size else ():
+            order = np.argsort(column)
+            apart = np.ones(len(order) + 1, dtype=bool)
+            apart[1:-1] = column[order[1:]] - column[order[:-1]] > tol
+            alone[rest[order]] |= apart[:-1] & apart[1:]
+        first += rest[alone[rest]].tolist()
+        rest = rest[~alone[rest]]
+        while rest.size:
+            close = np.abs(keys[rest] - keys[rest[0]]).max(axis=1) <= tol
+            close[0] = True
+            cluster[rest[close]] = rest[0]
+            first.append(rest[0])
+            rest = rest[~close]
+    first = np.sort(np.array(first, dtype=int))
+    return np.searchsorted(first, cluster), first

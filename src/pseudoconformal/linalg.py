@@ -351,6 +351,28 @@ def cluster_roots(values):
     return roots
 
 
+def _cluster_real(values: np.ndarray) -> tuple:
+    """``cluster_roots`` of every row of finite real values (N, k) in one
+    pass, with its bits (a value joins the first earlier cluster near its
+    running mean, summed in the same order): the ascending cluster means and
+    multiplicities (N, k), zero past each row's cluster count, and the counts."""
+    values = np.sort(values, axis=1, kind="stable")
+    sums, mults = np.zeros(values.shape), np.zeros(values.shape, dtype=int)
+    counts = np.zeros(len(values), dtype=int)
+    for z in values.T:
+        placed = np.zeros(len(values), dtype=bool)
+        for c in range(counts.max(initial=0)):
+            mean = sums[:, c] / np.maximum(mults[:, c], 1)
+            hit = ~placed & (c < counts) & (np.abs(z - mean) <= CLUSTER_RADIUS * (1 + np.abs(mean)))
+            sums[hit, c], mults[hit, c], placed = sums[hit, c] + z[hit], mults[hit, c] + 1, placed | hit
+        new = np.flatnonzero(~placed)
+        sums[new, counts[new]], mults[new, counts[new]] = 0.0 + z[new], 1
+        counts[new] += 1
+    means = sums / np.maximum(mults, 1)
+    order = np.argsort(np.where(mults > 0, means, np.inf), axis=1, kind="stable")
+    return np.take_along_axis(means, order, 1), np.take_along_axis(mults, order, 1), counts
+
+
 def char_roots(m):
     """Roots x of det(m + x I) = 0, i.e. the negated eigenvalues of m,
     clustered into multiplicities and flagged real or complex."""

@@ -10,6 +10,7 @@ two-sided check.
 
 import numpy as np
 
+from pseudoconformal.congruence import IsotropicCongruence
 from pseudoconformal.conformal import (AtInfinity, ProjectivePoint, darboux_unembed, lift_point,
                                       lift_tangent)
 from pseudoconformal.frames import _lightlike_lines, complete_isotropic_frame
@@ -157,6 +158,32 @@ def focal_reference(imm, u, model, cluster_radius=1e-6):
         out.append((x, len(group),
                     target.point.coords if isinstance(target, AtInfinity) else target))
     return out
+
+
+def translated_congruence(imm, last, model, t_range=(-0.5, 0.5)):
+    """The normal congruence swept by the time translates of a lightlike
+    chart immersion f across its generators: on the slice of parameters
+    u = (v, last), its line at (v, t) runs through f(v, last) + t e_n along
+    the generator there, the image under the Jacobian of the
+    numpy.linalg.eigh kernel of the induced metric (scaled to time
+    component 1, so the line field is smooth).  Its leaves t = const are the
+    translates of f, so its singular points are f's focal points, translated.
+    """
+    n = imm.n
+
+    def base(w):
+        p = np.array(imm.point(np.append(w[:-1], last)), dtype=float)
+        p[n - 1] += w[-1]
+        return p
+
+    def direction(w):
+        j = imm.jet1(np.append(w[:-1], last))
+        w_, v = np.linalg.eigh(j.T @ model.metric.gram @ j)
+        g = j @ v[:, np.argmin(np.abs(w_))]
+        return g / g[n - 1]
+
+    return IsotropicCongruence.from_null_lines(n, tuple(imm.domain[:-1]) + (t_range,), base,
+                                               direction, model=model)
 
 
 def _line_fields_congruence(cong, u, model, step=1e-4):

@@ -222,6 +222,29 @@ class TestOutputs:
         assert data["counts"]["timelike"] > 0
         assert data["transitions"]
 
+    def test_leaf_with_csv_on_stdout(self, tmp_path, capsys):
+        # the leaf is still integrated, so a non-integrable seed still fails
+        # with exit 3; stdout carries the grid table alone, and stderr says
+        # where the leaf table would go
+        doc = {"kind": "congruence", "builtin": "cone_normal_congruence", "n": 3, "grid": [3, 3],
+               "stratify": {"seed": [0.1, 0.4], "count": 10}}
+        path = write_scene(tmp_path, doc)
+        assert main(["congruence", "--scene", path, "--out", str(tmp_path / "cone.csv")]) == 0
+        capsys.readouterr()
+        assert main(["congruence", "--scene", path]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == (tmp_path / "cone.csv").read_text()
+        assert captured.err.splitlines()[0] == LEAF_NOTE
+        assert "leaf size=" in captured.err.splitlines()[1]
+        assert [p.name for p in tmp_path.glob("*.leaf.csv")] == ["cone.csv.leaf.csv"]
+        twisted = write_scene(tmp_path, {"kind": "congruence", "builtin": "twisted_congruence",
+                                         "n": 4, "grid": [3, 3, 3],
+                                         "stratify": {"seed": [0.0, 0.0, 0.0], "count": 3}})
+        assert main(["congruence", "--scene", twisted]) == 3
+        assert capsys.readouterr().err == (
+            "numerical failure (congruence): congruence is not integrable near the seed "
+            "(symmetry defect 2.000e+00)\n")
+
     def test_congruence_stratify_leaf_side_file(self, tmp_path, capsys):
         doc = {"kind": "congruence", "builtin": "cone_normal_congruence",
                "n": 3, "grid": [3, 3],
@@ -382,6 +405,10 @@ def assert_data(text, command, fmt, n):
         assert data["n"] == n
 
 
+#: the stderr note of a congruence run with a leaf and CSV data on stdout
+LEAF_NOTE = ("congruence: the leaf table is written only beside an output file "
+             "(use --out or JSON)")
+
 STDOUT_SCENES = {
     "embed": {"kind": "points", "n": 3, "points": [[0.0, 0.0, 0.0], [1.0, 0.5, 0.25]]},
     "classify": {"kind": "hypersurface", "builtin": "euclidean_sphere", "n": 3,
@@ -399,7 +426,10 @@ class TestStreams:
         assert main([command, "--scene", path, "--format", fmt]) == 0
         captured = capsys.readouterr()
         assert_data(captured.out, command, fmt, 3)
-        assert len(captured.err.splitlines()) == 1
+        # a congruence leaf table has no place on stdout beside CSV data: one
+        # more stderr line says so
+        notes = [LEAF_NOTE] if (command, fmt) == ("congruence", "csv") else []
+        assert captured.err.splitlines()[:-1] == notes
 
 
 #: catalog entries the lightlike pipeline applies to (README catalog table)
@@ -467,16 +497,21 @@ class TestCompareOutputs:
         return compare_outputs
 
     def test_a_few_runs_of_one_tree(self, co, monkeypatch, capsys):
-        # one shipped scene per command and one classify scene with a point error
+        # one shipped scene per command, one classify scene with a point error
+        # and the lightlike one in both formats
         def few_runs(scenes_dir):
             runs = [(f"scenes/{stem}.{command}.{fmt}", command, str(SCENES / f"{stem}.json"), fmt)
                     for stem, command, fmt in [("embed_points3", "embed", "csv"),
                                                ("nullplane3", "classify", "json"),
                                                ("lightcone3", "lightlike", "csv"),
                                                ("parallel3", "congruence", "json")]]
-            path = scenes_dir / "failing_point.json"
-            path.write_text(json.dumps(co.ERROR_SCENES["failing_point"]))
-            return runs + [("errors/failing_point.classify.json", "classify", str(path), "json")]
+            for name, command, fmt in [("failing_point", "classify", "json"),
+                                       ("cone_vertex", "lightlike", "csv"),
+                                       ("cone_vertex", "lightlike", "json")]:
+                path = scenes_dir / f"{name}.json"
+                path.write_text(json.dumps(co.ERROR_SCENES[name]))
+                runs.append((f"errors/{name}.{command}.{fmt}", command, str(path), fmt))
+            return runs
 
         monkeypatch.setattr(co, "plan_runs", few_runs)
         assert co.main([]) == 0
@@ -486,7 +521,9 @@ class TestCompareOutputs:
             "scenes/lightcone3.lightlike.csv: exit 0/0, identical",
             "scenes/parallel3.congruence.json: exit 0/0, identical",
             "errors/failing_point.classify.json: exit 0/0, identical",
-            "compare_outputs: 5 runs, 5 byte-identical, 0 same with numbers masked "
+            "errors/cone_vertex.lightlike.csv: exit 0/0, identical",
+            "errors/cone_vertex.lightlike.json: exit 0/0, identical",
+            "compare_outputs: 7 runs, 7 byte-identical, 0 same with numbers masked "
             "(max |d|/(1+|v|) 0.00e+00), 0 differing in text, 0 exit-code mismatches",
         ]
 

@@ -9,6 +9,8 @@ from pseudoconformal.conformal import (
     AmbientModel,
     AtInfinity,
     ProjectivePoint,
+    _normalized,
+    _unembed,
     classify_element,
     darboux_embed,
     darboux_unembed,
@@ -109,8 +111,40 @@ class TestUnembed:
         assert found > 0
 
     def test_off_quadric_rejected(self, model3):
-        with pytest.raises(NotOnQuadricError):
+        with pytest.raises(NotOnQuadricError) as exc:
             darboux_unembed(ProjectivePoint([1.0, 0.0, 0.0, 0.0, 1.0]), model3)
+        assert str(exc.value) == "vector is not on the quadric (residual -2.000e+00)"
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_stacked_unembed_keeps_one_point_results(self, n, rng):
+        # finite and ideal quadric points at every scale, and vectors off the
+        # quadric: each row of one stacked pass has the normalized
+        # coordinates of ProjectivePoint and the point, marker or message
+        # of darboux_unembed
+        model = AmbientModel.standard(n)
+        finite = [darboux_embed(p, model).coords * s
+                  for p, s in zip(rng.normal(size=(30, n)) * 10.0 ** rng.integers(-6, 6, (30, 1)),
+                                  rng.choice([-3.0, 1e-9, 1.0, 1e9], 30))]
+        ideal = []
+        for v in rng.normal(size=(10, n - 1)):
+            w = np.concatenate([v / np.linalg.norm(v), [1.0]])  # a null direction
+            ideal.append(np.concatenate([[0.0], w, rng.normal(size=1)]))
+        coords = np.array(finite + ideal + list(rng.normal(size=(10, n + 2))))
+        normalized = _normalized(coords)
+        points, at_infinity, failures = _unembed(normalized, model)
+        assert at_infinity.sum() == 10 and len(failures) >= 9
+        for i, x in enumerate(coords):
+            assert normalized[i].tobytes() == ProjectivePoint(x).coords.tobytes()
+            try:
+                expected = darboux_unembed(x, model)
+            except NotOnQuadricError as exc:
+                assert str(failures[i]) == str(exc)
+                continue
+            assert i not in failures
+            if isinstance(expected, AtInfinity):
+                assert at_infinity[i] and np.isnan(points[i]).all()
+            else:
+                assert not at_infinity[i] and points[i].tobytes() == expected.tobytes()
 
 
 class TestResidual:

@@ -381,6 +381,74 @@ class TestSurveyEquivalence:
         assert_survey_matches_classify_point(build(), (9, 5))
 
 
+class TestDifferencedJets:
+    """Without an analytic Hessian (or Jacobian) a stack's jets are central
+    differences of one stacked jet1 (or point) call; each member keeps the
+    bits, exception and message of its one-point jet."""
+
+    @staticmethod
+    def variants():
+        # the light cone, cut off beyond u0 = 1.5 where its evaluators take
+        # the square root of a negative number: "math domain error" for one
+        # point, NaN in a stack
+        cone = catalog.build("light_cone")
+        cut = lambda u: catalog._sqrt(1.5 - u[..., 0]) * 0.0 + 1.0
+        value = lambda u: cone.value(u) * np.asarray(cut(u))[..., None]
+        jacobian = lambda u: cone.jacobian(u) * np.asarray(cut(u))[..., None, None]
+        return {"analytic": Immersion(n=3, domain=cone.domain, value=value, jacobian=jacobian,
+                                      values=value, jacobians=jacobian),
+                "fd": Immersion(n=3, domain=cone.domain, value=value, values=value),
+                "fd_scalar": Immersion(n=3, domain=cone.domain, value=value)}
+
+    @pytest.mark.parametrize("variant", ["analytic", "fd", "fd_scalar"])
+    def test_members_keep_their_one_point_jets(self, variant, monkeypatch):
+        imm = self.variants()[variant]
+        # the second member's u0 + step lies past the cut for either step
+        us = np.array([[0.7, 0.4], [1.5 - 0.5e-5, 0.4], [1.1, -0.3], [0.6, 1.2]])
+        calls = []
+        original = Immersion.jet1
+
+        def counted(self, u):
+            calls.append(np.shape(u))
+            return original(self, u)
+
+        monkeypatch.setattr(Immersion, "jet1", counted)
+        hessians, failed = imm.jet2(us)
+        stacked_calls = list(calls)
+        for i, u in enumerate(us):
+            if i in failed:
+                with pytest.raises(ValueError) as exc:
+                    imm.jet2(u)
+                assert str(failed[i]) == str(exc.value) == "math domain error"
+            else:
+                assert hessians[i].tobytes() == imm.jet2(u).tobytes()
+        assert sorted(failed) == [1]
+        assert np.isfinite(hessians).all()
+        # one stacked jet1 call for the stack's neighbours, then one for the
+        # neighbours of the replayed member alone (one-point jet1 calls replay
+        # the neighbours past the cut)
+        assert [c for c in stacked_calls if len(c) == 2] == [(4 * 4, 2), (4, 2)]
+        # so are the Jacobians, differenced in one stacked point call without
+        # an analytic Jacobian (whose step reaches past the cut from member 1)
+        jets, failed = imm.jet1(us)
+        assert sorted(failed) == ([] if variant == "analytic" else [1])
+        for i, u in enumerate(us):
+            if i in failed:
+                with pytest.raises(ValueError, match="math domain error"):
+                    imm.jet1(u)
+            else:
+                assert jets[i].tobytes() == imm.jet1(u).tobytes()
+
+    def test_scalar_and_stacked_differences_agree_with_the_hessian(self):
+        cone = catalog.build("light_cone", n=5)
+        imm = Immersion(n=5, domain=cone.domain, value=cone.value, jacobian=cone.jacobian,
+                        values=cone.value, jacobians=cone.jacobian)
+        us = parameter_grid(imm, [3] * 4)[1]
+        hessians, failed = imm.jet2(us)
+        assert failed == {}
+        assert np.abs(hessians - cone.jet2(us)[0]).max() < 1e-5
+
+
 class TestParameterGrid:
     @pytest.mark.parametrize("name,counts", [
         ("light_cone", (3, 4)),

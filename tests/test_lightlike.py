@@ -16,6 +16,7 @@ from pseudoconformal.errors import (DegenerateBasisError, GeometryError, NotLigh
 from pseudoconformal.hypersurface import Immersion, parameter_grid
 from pseudoconformal.lightlike import (
     FocalSample,
+    LightlikeAnalysis,
     _affinors,
     _JetStack,
     _merge,
@@ -26,6 +27,7 @@ from pseudoconformal.lightlike import (
     singular_points,
     torse_directions,
 )
+from pseudoconformal.linalg import cluster_roots
 
 from _oracles import focal_reference, generator_rank_scan
 
@@ -571,8 +573,8 @@ class TestJetStack:
         for imm in variants:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                results = _affinors(imm, us, model3, 1.0, None)
-                alone = [_affinors(imm, u[None], model3, 1.0, None)[0] for u in us]
+                results = _members(_affinors(imm, us, model3, 1.0, None))
+                alone = [_members(_affinors(imm, u[None], model3, 1.0, None))[0] for u in us]
             for i, got in enumerate(results):
                 if i in errors:
                     assert (type(got), str(got)) == (type(alone[i]), str(alone[i])) == errors[i]
@@ -587,6 +589,21 @@ class TestJetStack:
                         value=lambda u: np.array([u[0], u[1], 0.0]))
         errors = dict(focal_map(imm, [3, 3], model=model3).errors)
         assert errors[(1.0, 0.5)] == "non-finite jacobian at u=[1.0, 0.5]"
+
+
+def _members(columns):
+    """Each member of ``_affinors`` columns as the exception it failed with,
+    or as the LightlikeAnalysis its columns and the cluster_roots of its
+    spectrum make (determinant 0)."""
+    results = dict(columns.failures)
+    for j, i in enumerate(columns.members.tolist()):
+        results[i] = LightlikeAnalysis(
+            u=columns.us[i], shape_operator=columns.operators[j],
+            symmetry_defect=float(columns.defects[j]), determinant=0.0,
+            roots=tuple(cluster_roots([complex(-x) for x in columns.spectra[j]])),
+            line=(columns.a0[j], columns.a1[j]), screen=columns.screens[j],
+            diagnostics={key: float(value[j]) for key, value in columns.diagnostics.items()})
+    return [results[i] for i in range(len(columns.us))]
 
 
 def _cone_variant(**overrides):
@@ -764,6 +781,16 @@ def _nested_loop_merge(samples, tol):
     return clusters
 
 
+def _column_merge(samples, tol):
+    """_merge on the columns of a list of samples, as lists of samples."""
+    ideal = np.array([s.at_infinity for s in samples])
+    points = np.array([np.full(len(samples[0].projective.coords) - 2, np.nan) if s.at_infinity
+                       else s.point for s in samples])
+    cluster, first = _merge(points, np.array([s.projective.coords for s in samples]), ideal, tol)
+    assert cluster[first].tolist() == list(range(len(first)))
+    return [[samples[i] for i in np.flatnonzero(cluster == c)] for c in range(len(first))]
+
+
 def _finite_sample(p, model):
     p = np.asarray(p, dtype=float)
     return FocalSample(u=(0.0,), root_index=0, x=0.0, multiplicity=1, at_infinity=False,
@@ -799,6 +826,34 @@ class TestLightlikeEngine:
                 for s in focal.samples] == samples
         assert list(focal.errors) == errors
 
+    def test_point_off_the_quadric_keeps_its_earlier_samples(self, model4, monkeypatch):
+        # a point keeps the samples before its first singular point off the
+        # quadric, loses the rest and is listed in errors with that one's
+        # message, in grid order
+        import pseudoconformal.lightlike
+
+        imm = catalog.build("circle_wavefront")
+        expected = focal_map(imm, [3, 3, 3], model=model4)
+        unembed = pseudoconformal.lightlike._unembed
+        # two roots per grid point: samples 2k and 2k + 1 are the roots of
+        # grid point k
+        off = {k: NotOnQuadricError(f"off at {k}") for k in (4, 6, 7, 9)}
+
+        def failing(coords, model):
+            points, ideal, failures = unembed(coords, model)
+            return points, ideal, {**failures, **off}
+
+        monkeypatch.setattr(pseudoconformal.lightlike, "_unembed", failing)
+        focal = focal_map(imm, [3, 3, 3], model=model4)
+        keep = [s for i, s in enumerate(expected.samples) if i not in (4, 5, 6, 7, 9)]
+        assert [(s.u, s.root_index, s.x) for s in focal.samples] == [
+            (s.u, s.root_index, s.x) for s in keep]
+        grid = parameter_grid(imm, [3, 3, 3])[1]
+        assert focal.errors == ((tuple(grid[2].tolist()), "off at 4"),
+                                (tuple(grid[3].tolist()), "off at 6"),
+                                (tuple(grid[4].tolist()), "off at 9"))
+        assert sum(c.count for c in focal.clusters) == len(keep)
+
     def test_non_lightlike_centres_in_a_stack(self, model3):
         # the light cone below u0 = 1, the spacelike slice above: the slice
         # members fail as they fail alone, the cone members keep their bits
@@ -807,7 +862,7 @@ class TestLightlikeEngine:
         imm = Immersion(n=3, domain=cone.domain, value=lambda u: pick(u).value(u),
                         jacobian=lambda u: pick(u).jacobian(u))
         grid = parameter_grid(imm, [4, 4])[1]
-        results = _affinors(imm, grid, model3, 1.0, None)
+        results = _members(_affinors(imm, grid, model3, 1.0, None))
         bits = lambda an: (an.shape_operator.tobytes(), an.roots, an.line[0].tobytes(),
                            an.line[1].tobytes(), an.screen.tobytes(), an.diagnostics)
         for u, got in zip(grid, results):
@@ -932,9 +987,9 @@ class TestLightlikeEngine:
                 mixed.append(_ideal_sample(np.concatenate([[0.0], centers[k] + offset, [1.0]])))
         for samples in (adversarial, mixed, adversarial[::-1] + mixed):
             expected = _nested_loop_merge(samples, tol)
-            got = _merge(samples, tol)
+            got = _column_merge(samples, tol)
             assert [[id(s) for s in c] for c in got] == [[id(s) for s in c] for c in expected]
-        assert [len(c) for c in _merge(adversarial, tol)] == [3, 2, 1, 2, 2, 1]
+        assert [len(c) for c in _column_merge(adversarial, tol)] == [3, 2, 1, 2, 2, 1]
 
 
 def _oracle_cases():
