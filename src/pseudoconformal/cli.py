@@ -32,12 +32,7 @@ from .conformal import (
 from .congruence import _congruence_affinors, congruence_singular_points, stratify
 from .errors import ConvergenceError, GeometryError, NonIntegrableError
 from .hypersurface import parameter_grid, survey
-from .lightlike import (
-    degeneracy_check,
-    focal_map,
-    lightlike_affinor,
-    torse_directions,
-)
+from .lightlike import degeneracy_check, focal_map, lightlike_affinor, torse_directions
 
 SCENE_KEYS = {"n", "kind", "builtin", "params", "points", "grid", "tolerances",
               "stratify", "output"}

@@ -308,9 +308,13 @@ def singular_points(an: LightlikeAnalysis) -> list:
                 "hypersurface signals an inconsistent shape operator"
             )
     x = np.array([root.real_value for root in an.roots])
-    coords = _normalized(an.generator_point + x[:, None] * an.base_point)
     return [SingularPoint(x=float(v), multiplicity=root.multiplicity, point=ProjectivePoint(c))
-            for root, v, c in zip(an.roots, x, coords)]
+            for root, v, c in zip(an.roots, x, _singular_coords(*an.line, x))]
+
+
+def _singular_coords(a0: np.ndarray, a1: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Normalized coordinates of X = A_1 + x A_0, one row per root x."""
+    return _normalized(a1 + x[:, None] * a0)
 
 
 @dataclass(frozen=True)
@@ -495,16 +499,18 @@ class FocalSet:
     @cached_property
     def samples(self) -> tuple:
         columns = (self.u.tolist(), self.root_index.tolist(), self.x.tolist(),
-                   self.multiplicity.tolist(), self.at_infinity.tolist(), self.point)
+                   self.multiplicity.tolist(), self.at_infinity.tolist(), self.point.copy())
         return tuple(FocalSample(tuple(u), k, x, m, inf, None if inf else p, ProjectivePoint(c))
                      for (u, k, x, m, inf, p), c in zip(zip(*columns), self.projective))
 
     @cached_property
     def clusters(self) -> tuple:
-        return tuple(FocalCluster(s.at_infinity, s.point, s.projective, len(m),
-                                  tuple(self.multiplicity[m].tolist()))
-                     for s, m in ((self.samples[f], np.flatnonzero(self.cluster == c))
-                                  for c, f in enumerate(self.first.tolist())))
+        order = np.argsort(self.cluster, kind="stable")
+        members = np.split(self.multiplicity[order], np.cumsum(np.bincount(self.cluster))[:-1])
+        return tuple(FocalCluster(inf, None if inf else self.point[f].copy(),
+                                  self.samples[f].projective, len(m), tuple(m.tolist()))
+                     for f, inf, m in zip(self.first.tolist(),
+                                          self.at_infinity[self.first].tolist(), members))
 
 
 def focal_map(imm: Immersion, grid_counts: Sequence[int], model: Optional[AmbientModel] = None,
@@ -516,8 +522,7 @@ def focal_map(imm: Immersion, grid_counts: Sequence[int], model: Optional[Ambien
     spectra (``linalg._cluster_real``), and their singular points
     X = A_1 + x A_0 one stacked normalization and quadric check
     (``conformal._unembed``): a point whose k-th singular point is off the
-    quadric keeps its first k samples and is listed in ``errors``.
-    """
+    quadric keeps its first k samples and is listed in ``errors``."""
     if model is None:
         model = AmbientModel.standard(imm.n)
     _, grid = parameter_grid(imm, grid_counts)
@@ -525,7 +530,7 @@ def focal_map(imm: Immersion, grid_counts: Sequence[int], model: Optional[Ambien
     x, multiplicity, counts = _cluster_real(-columns.spectra)
     rows, root_index = np.nonzero(np.arange(x.shape[1]) < counts[:, None])
     x, multiplicity = x[rows, root_index], multiplicity[rows, root_index]
-    coords = _normalized(columns.a1[rows] + x[:, None] * columns.a0[rows])
+    coords = _singular_coords(columns.a0[rows], columns.a1[rows], x)
     points, ideal, off = _unembed(coords, model)
     failures, keep = dict(columns.failures), np.ones(len(rows), dtype=bool)
     for s, exc in off.items():
@@ -546,17 +551,16 @@ def _merge(points: np.ndarray, projective: np.ndarray, at_infinity: np.ndarray,
     cluster, in order of creation.  A sample joins the first earlier cluster
     of its kind whose first sample lies within tol in the max norm (of the
     point, or of the coordinates at infinity), else it starts one.  A sample
-    with a coordinate more than tol from all others' is a cluster alone; the
-    first unplaced sample starts each other cluster, and one array
+    with a coordinate more than tol from every other's is a cluster alone;
+    the first unplaced sample starts each other cluster, and one array
     comparison takes in every later one within tol."""
     cluster, first = np.arange(len(at_infinity)), []
     for keys, kind in ((points, False), (projective, True)):
         rest, alone = np.flatnonzero(at_infinity == kind), np.zeros(len(at_infinity), dtype=bool)
-        for column in keys[rest].T if rest.size else ():
+        for column in keys[rest].T:
             order = np.argsort(column)
-            apart = np.ones(len(order) + 1, dtype=bool)
-            apart[1:-1] = column[order[1:]] - column[order[:-1]] > tol
-            alone[rest[order]] |= apart[:-1] & apart[1:]
+            gap = np.diff(column[order]) > tol
+            alone[rest[order]] |= np.r_[True, gap] & np.r_[gap, True]
         first += rest[alone[rest]].tolist()
         rest = rest[~alone[rest]]
         while rest.size:

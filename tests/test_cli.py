@@ -426,10 +426,12 @@ class TestStreams:
         assert main([command, "--scene", path, "--format", fmt]) == 0
         captured = capsys.readouterr()
         assert_data(captured.out, command, fmt, 3)
-        # a congruence leaf table has no place on stdout beside CSV data: one
-        # more stderr line says so
+        # one summary line on stderr; a congruence leaf table has no place on
+        # stdout beside CSV data, and one more line before it says so
         notes = [LEAF_NOTE] if (command, fmt) == ("congruence", "csv") else []
-        assert captured.err.splitlines()[:-1] == notes
+        lines = captured.err.splitlines()
+        assert len(lines) == len(notes) + 1
+        assert lines[:-1] == notes
 
 
 #: catalog entries the lightlike pipeline applies to (README catalog table)

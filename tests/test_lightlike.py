@@ -991,6 +991,24 @@ class TestLightlikeEngine:
             assert [[id(s) for s in c] for c in got] == [[id(s) for s in c] for c in expected]
         assert [len(c) for c in _column_merge(adversarial, tol)] == [3, 2, 1, 2, 2, 1]
 
+    def test_records_copy_the_columns(self, model4):
+        # each cluster lists its samples' multiplicities in sample order, from
+        # its first sample's point; changing a record changes neither the
+        # columns nor another record
+        focal = focal_map(catalog.build("circle_wavefront"), [3, 3, 3], model=model4)
+        assert len(focal.clusters) > 1
+        assert [(c.count, c.multiplicities, c.representative.tobytes())
+                for c in focal.clusters] == [
+            ((focal.cluster == c).sum(), tuple(focal.multiplicity[focal.cluster == c].tolist()),
+             focal.point[f].tobytes()) for c, f in enumerate(focal.first)]
+        before = focal.point.copy()
+        for p in [s.point for s in focal.samples] + [c.representative for c in focal.clusters]:
+            p += 1.0
+        assert focal.point.tobytes() == before.tobytes()
+        assert [s.point.tobytes() for s in focal.samples] == [p.tobytes() for p in before + 1.0]
+        assert [c.representative.tobytes() for c in focal.clusters] == [
+            (before[f] + 1.0).tobytes() for f in focal.first]
+
 
 def _oracle_cases():
     cases = []
