@@ -7,7 +7,7 @@ NEW_SRC, each tree in its own interpreter, and compares what they write:
   under both ``classify`` and ``lightlike``), in CSV and in JSON;
 * the 8 generated copies of each benchmark cycle, from
   ``perfbench/workloads.generate(workload, 3, dir)``, in their own formats;
-* the ``ERROR_SCENES`` below under both hypersurface commands, in CSV and
+* the ``ERROR_SCENES`` below under every command of their kind, in CSV and
   in JSON: grids with point errors, which no shipped or generated scene has.
 
 For each run it prints the two exit codes and whether the output bytes are
@@ -41,7 +41,9 @@ COMMANDS = {"points": ("embed",), "hypersurface": ("classify", "lightlike"),
 #: scenes with point errors: under classify one point of the grid fails (a
 #: zero division at u=(1, 0)) or every point fails ("math domain error"); under
 #: lightlike the cone's vertex is a grid point ("non-finite jacobian at
-#: u=[0.0, 0.0]") and the other 8 points each give one focal sample
+#: u=[0.0, 0.0]") and the other 8 points each give one focal sample; the cone
+#: congruence's v axis runs past 1, where its direction has no square root, so
+#: the run ends at the first point whose line or neighbour fails (exit 3)
 ERROR_SCENES = {
     "failing_point": {"kind": "hypersurface", "builtin": "timelike_hypersphere", "n": 3,
                       "grid": {"axes": [{"start": 0.0, "stop": 1.0, "count": 3},
@@ -52,6 +54,9 @@ ERROR_SCENES = {
     "cone_vertex": {"kind": "hypersurface", "builtin": "light_cone", "n": 3,
                     "grid": {"axes": [{"start": 0.0, "stop": 1.0, "count": 3},
                                       {"start": 0.0, "stop": 1.0, "count": 3}]}},
+    "cone_past_one": {"kind": "congruence", "builtin": "cone_normal_congruence", "n": 3,
+                      "grid": {"axes": [{"start": 0.5, "stop": 1.5, "count": 3},
+                                        {"start": -1.0, "stop": 1.0, "count": 3}]}},
 }
 
 #: numbers as the CLI writes them (shortest round-trip floats, integers)

@@ -24,15 +24,17 @@ import numpy as np
 from . import catalog
 from .conformal import (
     AmbientModel,
-    AtInfinity,
+    _singular_coords,
+    _unembed,
     darboux_embed,
     darboux_unembed,
     quadric_residual,
 )
-from .congruence import _congruence_affinors, congruence_singular_points, stratify
+from .congruence import _congruence_affinors, stratify
 from .errors import ConvergenceError, GeometryError, NonIntegrableError
 from .hypersurface import parameter_grid, survey
 from .lightlike import degeneracy_check, focal_map, lightlike_affinor, torse_directions
+from .linalg import MAX_ROOT_ORDER
 
 SCENE_KEYS = {"n", "kind", "builtin", "params", "points", "grid", "tolerances",
               "stratify", "output"}
@@ -287,16 +289,6 @@ def _roots_json(roots):
              "real": r.is_real} for r in roots]
 
 
-def _focal_cells(target, n):
-    """CSV marker and coordinate cells of a focal point, given what
-    darboux_unembed made of it, or None for a complex root."""
-    if target is None:
-        return ["complex"] + [""] * n
-    if isinstance(target, AtInfinity):
-        return ["INF"] + [""] * n
-    return ["point"] + [float(v) for v in target]
-
-
 def run_embed(scene: Scene, out_path, fmt) -> int:
     model = AmbientModel.standard(scene.n)
     rows = []
@@ -385,6 +377,9 @@ def run_lightlike(scene: Scene, out_path, fmt) -> int:
 def run_congruence(scene: Scene, out_path, fmt) -> int:
     cong = _build_object(scene)
     cong, counts = _resolve_grid(scene, cong)
+    if cong.n - 2 > MAX_ROOT_ORDER:
+        raise SceneError(f"congruence scenes are limited to n <= {MAX_ROOT_ORDER + 2}, "
+                         f"got n={cong.n}")
     model = AmbientModel.standard(cong.n)
     if scene.stratify and len(scene.stratify["seed"]) != cong.params:
         raise SceneError(f"stratify seed needs {cong.params} entries")
@@ -395,28 +390,27 @@ def run_congruence(scene: Scene, out_path, fmt) -> int:
            "focal"]
         + [f"f{i}" for i in range(1, cong.n + 1)]
     )
-    rows = []
-    samples = []
-    worst = 0.0
     grid = parameter_grid(cong, counts)[1]
-    for u, an in zip(grid, _congruence_affinors(cong, grid, model)):
-        if isinstance(an, Exception):
-            raise an
-        worst = max(worst, an.symmetry_defect)
-        sample = {
-            "u": [float(v) for v in u],
-            "defect": an.symmetry_defect,
-            "roots": _roots_json(an.roots),
-        }
-        samples.append(sample)
-        for k, sp in enumerate(congruence_singular_points(an)):
-            target = darboux_unembed(sp.point, model) if sp.is_real else None
-            rows.append(
-                list(float(v) for v in u)
-                + [an.symmetry_defect, k, sp.x.real, sp.x.imag, sp.multiplicity,
-                   int(sp.is_real)]
-                + _focal_cells(target, cong.n)
-            )
+    results = _congruence_affinors(cong, grid, model)
+    # the grid's first failure is its first failed point or, before that,
+    # its first root X = A_1 + x A_0 off the quadric
+    stop = next((i for i, an in enumerate(results) if isinstance(an, Exception)), len(results))
+    roots = [(an, k, root) for an in results[:stop] for k, root in enumerate(an.roots)]
+    real = [(an.line, root.real_value) for an, _, root in roots if root.is_real]
+    lines = np.array([line for line, _ in real]).reshape(-1, 2, cong.n + 2)
+    x = np.array([x for _, x in real])
+    points, ideal, off = _unembed(_singular_coords(lines[:, 0], lines[:, 1], x), model)
+    if off or stop < len(results):
+        raise off[min(off)] if off else results[stop]
+    blank = [""] * cong.n
+    focal = iter([["INF"] + blank if inf else ["point"] + p
+                  for inf, p in zip(ideal.tolist(), points.tolist())])
+    rows = [an.u.tolist() + [an.symmetry_defect, k, root.value.real, root.value.imag,
+                             root.multiplicity, int(root.is_real)]
+            + (next(focal) if root.is_real else ["complex"] + blank) for an, k, root in roots]
+    samples = [{"u": an.u.tolist(), "defect": an.symmetry_defect, "roots": _roots_json(an.roots)}
+               for an in results]
+    worst = max([0.0] + [an.symmetry_defect for an in results])
 
     payload = {
         "builtin": cong.name,

@@ -96,6 +96,12 @@ def _normalized(coords: np.ndarray) -> np.ndarray:
     return coords / np.take_along_axis(coords, np.abs(coords).argmax(axis=1)[:, None], axis=1)
 
 
+def _singular_coords(a0: np.ndarray, a1: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Normalized coordinates of the points X = A_1 + x A_0 of lines, one
+    row per root x: of one line (A_0, A_1) or of one line per root."""
+    return _normalized(a1 + x[:, None] * a0)
+
+
 @dataclass(frozen=True)
 class ProjectivePoint:
     """Homogeneous coordinate vector up to nonzero scale.
@@ -159,11 +165,7 @@ def darboux_embed(p, model: AmbientModel) -> ProjectivePoint:
     p = np.asarray(p, dtype=float)
     if p.shape != (model.n,):
         raise ValueError(f"point must have dimension {model.n}")
-    x = np.empty(model.n + 2)
-    x[0] = 1.0
-    x[1 : model.n + 1] = p
-    x[model.n + 1] = 0.5 * scalar_product(p, p, model.metric)
-    return ProjectivePoint(x)
+    return ProjectivePoint(lift_point(p, model))
 
 
 def lift_point(p, model: AmbientModel) -> np.ndarray:

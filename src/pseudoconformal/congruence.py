@@ -31,12 +31,12 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .conformal import AmbientModel, ProjectivePoint, lift_point, lift_tangent
+from .conformal import AmbientModel, ProjectivePoint, _singular_coords, lift_point, lift_tangent
 from .errors import ConvergenceError, DegenerateBasisError, GeometryError, NonIntegrableError
 from .frames import _line_screen_candidates, _screen_error, build_screen, null_frame_coordinates
-from .hypersurface import (_evaluate_stack, _evaluation_error, _inertia, _pullback,
-                           parameter_grid)
-from .linalg import _dots, char_roots, jacobi_eigh, orthonormal_rows, solve
+from .hypersurface import _evaluate_stack, _evaluation_error, _pullback, parameter_grid
+from .linalg import (MAX_ROOT_ORDER, _cluster, _dots, _inertia, _roots, char_poly, durand_kerner,
+                     jacobi_eigh, orthonormal_rows, solve)
 
 DEFAULT_STEP = 1e-4
 
@@ -228,9 +228,13 @@ def _congruence_affinors(cong: IsotropicCongruence, us: np.ndarray, model: Ambie
     """The CongruenceAnalysis of every parameter point of us (N, params), or
     the exception it raises: one ``_line_jets`` pass, one stacked screen pass
     (``build_screen``) and one stacked pairing pass, then each point's
-    basis-form solve and roots, failing at the first step that fails.  A
-    point gets the same bits in any stack."""
+    basis-form solve and root iteration, failing at the first step that
+    fails, and one ``linalg._cluster`` pass over the roots of every point.
+    A point gets the same bits in any stack.  Screens of dimension n-2
+    beyond ``linalg.MAX_ROOT_ORDER`` raise ValueError."""
     n, gram = cong.n, model.form.gram
+    if n - 2 > MAX_ROOT_ORDER:
+        raise ValueError(f"congruence roots are limited to n <= {MAX_ROOT_ORDER + 2}")
     jets = _line_jets(cong, us, model, DEFAULT_STEP)
     results = [jets.failures.get(i) for i in range(len(us))]
     live = np.array([i for i, r in enumerate(results) if r is None], dtype=int)
@@ -242,22 +246,26 @@ def _congruence_affinors(cong: IsotropicCongruence, us: np.ndarray, model: Ambie
     line = (jets.a0[live], jets.a1[live])
     c0 = null_frame_coordinates(jets.da0[live], line, screens, gram)
     c1 = null_frame_coordinates(jets.da1[live], line, screens, gram)
+    solved = []
     for j, i in enumerate(live):
-        e_form = jets.forms[i]
         try:
-            unknowns = solve(np.hstack([c0[j, :, : n - 2], e_form[:, None]]), c1[j, :, : n - 2])
-            lam = unknowns[: n - 2].T
-            roots = tuple(char_roots(lam)) if lam.size else ()
+            unknowns = solve(np.hstack([c0[j, :, : n - 2], jets.forms[i][:, None]]),
+                             c1[j, :, : n - 2])
+            eigen = durand_kerner(char_poly(unknowns[: n - 2].T))
         except DegenerateBasisError:  # from the solve
             results[i] = _dependent(us[i])
-            continue
         except ConvergenceError as exc:
             results[i] = exc
-            continue
+        else:
+            solved.append((j, i, unknowns, -eigen))
+    means, mults, root_counts = _cluster(np.array([x for *_, x in solved]).reshape(len(solved), n - 2))
+    for (j, i, unknowns, _), mean, mult, count in zip(solved, means, mults, root_counts):
+        lam, e_form = unknowns[: n - 2].T, jets.forms[i]
         results[i] = CongruenceAnalysis(
             u=us[i].copy(), shape_operator=lam, transversal_shift=unknowns[n - 2],
             symmetry_defect=float(np.abs(lam - lam.T).max()) if lam.size else 0.0,
-            roots=roots, line=(jets.a0[i], jets.a1[i]), screen=screens[j], transversal_form=e_form,
+            roots=tuple(_roots(mean[:count], mult[:count])), line=(jets.a0[i], jets.a1[i]),
+            screen=screens[j], transversal_form=e_form,
             diagnostics={"w0np1": float(np.abs(c0[j, :, n - 1]).max()),
                          "w1n": float(np.abs(c1[j, :, n - 2]).max()),
                          "transversal_consistency": float(np.abs(c1[j, :, n - 1] + e_form).max())})
@@ -294,21 +302,12 @@ class CongruenceSingularPoint:
 def congruence_singular_points(an: CongruenceAnalysis) -> list:
     """All characteristic roots with multiplicity; real roots carry the
     singular point X = A_1 + x A_0 of the line, complex roots carry none."""
-    out = []
-    for root in an.roots:
-        point = None
-        if root.is_real:
-            a0, a1 = an.line
-            point = ProjectivePoint(a1 + root.real_value * a0)
-        out.append(
-            CongruenceSingularPoint(
-                x=root.value,
-                is_real=root.is_real,
-                multiplicity=root.multiplicity,
-                point=point,
-            )
-        )
-    return out
+    coords = iter(_singular_coords(*an.line, np.array([r.real_value for r in an.roots
+                                                       if r.is_real])))
+    return [CongruenceSingularPoint(x=root.value, is_real=root.is_real,
+                                    multiplicity=root.multiplicity,
+                                    point=ProjectivePoint(next(coords)) if root.is_real else None)
+            for root in an.roots]
 
 
 def integrability_defect(cong: IsotropicCongruence, grid_counts: Sequence[int],

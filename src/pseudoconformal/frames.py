@@ -27,8 +27,8 @@ import numpy as np
 
 from .conformal import AmbientModel
 from .errors import DegenerateBasisError, GeometryError, NotLightlikeError, NotOnQuadricError
-from .hypersurface import _inertia, _pullback
-from .linalg import _dots, inverse, jacobi_eigh, nullspace, solve
+from .hypersurface import _pullback
+from .linalg import _dots, _inertia, inverse, jacobi_eigh, nullspace, solve
 
 #: Gram residual every adapted frame must meet
 ADAPT_TOL = 1e-10

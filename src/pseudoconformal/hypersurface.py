@@ -22,7 +22,7 @@ import numpy as np
 
 from .conformal import AmbientModel
 from .errors import DegenerateBasisError, GeometryError
-from .linalg import jacobi_eigh
+from .linalg import _inertia, jacobi_eigh
 
 SPACELIKE = "spacelike"
 TIMELIKE = "timelike"
@@ -239,17 +239,6 @@ def _kind_codes(plus, minus, zero) -> np.ndarray:
 def _causal_kind(plus: int, minus: int, zero: int) -> str:
     """Causal character named by an induced-metric inertia."""
     return _KINDS[int(_kind_codes(plus, minus, zero))]
-
-
-def _inertia(w: np.ndarray, tol: float) -> tuple:
-    """(plus, minus, zero) counts of eigenvalues w (last axis) beyond tol
-    times their spectral radius, and the ratio of the least |w| to that
-    radius; one of each per row of a stack."""
-    abs_w = np.abs(w)
-    radius = np.maximum(abs_w.max(axis=-1, keepdims=True), 1e-300)
-    plus = (w > tol * radius).sum(axis=-1)
-    minus = (w < -tol * radius).sum(axis=-1)
-    return plus, minus, w.shape[-1] - plus - minus, abs_w.min(axis=-1) / radius[..., 0]
 
 
 def causal_type_of_spectrum(w, tol: float) -> CausalType:

@@ -26,14 +26,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .conformal import (AmbientModel, AtInfinity, ProjectivePoint, _normalized, _unembed,
+from .conformal import (AmbientModel, AtInfinity, ProjectivePoint, _singular_coords, _unembed,
                         darboux_unembed, lift_point, lift_tangent)
 from .errors import DegenerateBasisError, GeometryError, NotLightlikeError
 from .frames import (_generator, _lightlike_lines, _null_frame, _orthonormal_screens,
                      null_frame_coordinates)
-from .hypersurface import (Immersion, _ambient_gram, _causal_kind, _evaluation_error, _inertia,
+from .hypersurface import (Immersion, _ambient_gram, _causal_kind, _evaluation_error,
                            _stacked_spectra, lightlike_kernel, parameter_grid)
-from .linalg import (_cluster_real, cluster_roots, det, jacobi_eigh, max_principal_angle,
+from .linalg import (_cluster, _inertia, _roots, det, jacobi_eigh, max_principal_angle,
                      orthonormal_rows)
 
 #: defect threshold (relative) above which the extracted operator is rejected
@@ -274,17 +274,18 @@ def lightlike_affinor(imm: Immersion, u, model: Optional[AmbientModel] = None,
     tolerance it is replaced by its symmetric part before root finding,
     beyond tolerance an error is raised.  This is the one-point case of the
     grid engine behind ``focal_map``, with the same bits; only here are the
-    determinant and the ``cluster_roots`` of the spectrum computed.
+    determinant and the ``Root`` records of the roots (``linalg._roots``) built.
     """
     if model is None:
         model = AmbientModel.standard(imm.n)
     c = _affinors(imm, np.asarray(u, dtype=float)[None], model, generator_scale, sym_tol)
     if c.failures:
         raise c.failures[0]
+    x, multiplicity, counts = _cluster(-c.spectra)
     return LightlikeAnalysis(
         u=c.us[0].copy(), shape_operator=c.operators[0], symmetry_defect=float(c.defects[0]),
         determinant=float(det(c.operators[0])),
-        roots=tuple(cluster_roots([complex(-x) for x in c.spectra[0]])),
+        roots=tuple(_roots(x[0, : counts[0]], multiplicity[0, : counts[0]])),
         line=(c.a0[0], c.a1[0]), screen=c.screens[0],
         diagnostics={key: float(value[0]) for key, value in c.diagnostics.items()})
 
@@ -310,11 +311,6 @@ def singular_points(an: LightlikeAnalysis) -> list:
     x = np.array([root.real_value for root in an.roots])
     return [SingularPoint(x=float(v), multiplicity=root.multiplicity, point=ProjectivePoint(c))
             for root, v, c in zip(an.roots, x, _singular_coords(*an.line, x))]
-
-
-def _singular_coords(a0: np.ndarray, a1: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Normalized coordinates of X = A_1 + x A_0, one row per root x."""
-    return _normalized(a1 + x[:, None] * a0)
 
 
 @dataclass(frozen=True)
@@ -519,15 +515,17 @@ def focal_map(imm: Immersion, grid_counts: Sequence[int], model: Optional[Ambien
     focal clusters within FOCAL_MERGE_TOL; ideal points keep an at-infinity
     marker.  ``sym_tol`` is passed to ``lightlike_affinor`` at every grid
     point.  The roots of all grid points are one stacked clustering of their
-    spectra (``linalg._cluster_real``), and their singular points
-    X = A_1 + x A_0 one stacked normalization and quadric check
-    (``conformal._unembed``): a point whose k-th singular point is off the
-    quadric keeps its first k samples and is listed in ``errors``."""
+    spectra in real arithmetic (``linalg._cluster``), put in ascending order,
+    and their singular points X = A_1 + x A_0 one stacked normalization and
+    quadric check (``conformal._unembed``): a point whose k-th singular point
+    is off the quadric keeps its first k samples and is listed in ``errors``."""
     if model is None:
         model = AmbientModel.standard(imm.n)
     _, grid = parameter_grid(imm, grid_counts)
     columns = _affinors(imm, grid, model, 1.0, sym_tol)
-    x, multiplicity, counts = _cluster_real(-columns.spectra)
+    x, multiplicity, counts = _cluster(-columns.spectra)
+    order = np.argsort(np.where(multiplicity > 0, x, np.inf), axis=1, kind="stable")
+    x, multiplicity = np.take_along_axis(x, order, 1), np.take_along_axis(multiplicity, order, 1)
     rows, root_index = np.nonzero(np.arange(x.shape[1]) < counts[:, None])
     x, multiplicity = x[rows, root_index], multiplicity[rows, root_index]
     coords = _singular_coords(columns.a0[rows], columns.a1[rows], x)

@@ -1,10 +1,10 @@
 """Dense linear algebra over indefinite scalar products at small sizes.
 
-Everything here is written for matrices of order <= ~12: characteristic
-polynomials are accumulated exactly by the Faddeev-LeVerrier recursion, roots
-come from a Durand-Kerner iteration, symmetric eigenproblems use cyclic Jacobi
-rotations, and linear solves use Gaussian elimination with pivoting.  All
-functions are pure; inputs are never mutated.
+Everything here is written for small matrices: characteristic polynomials
+are accumulated exactly by the Faddeev-LeVerrier recursion, roots come from a
+Durand-Kerner iteration (up to order ``MAX_ROOT_ORDER``), symmetric
+eigenproblems use cyclic Jacobi rotations, and linear solves use Gaussian
+elimination with pivoting.  All functions are pure; inputs are never mutated.
 """
 
 from __future__ import annotations
@@ -28,6 +28,9 @@ JACOBI_TOL = 1e-12
 
 #: relative pivot threshold treated as singular in elimination
 SINGULAR_TOL = 1e-12
+
+#: largest matrix order whose characteristic roots are computed
+MAX_ROOT_ORDER = 12
 
 
 def _as_matrix(m):
@@ -215,16 +218,22 @@ def _rotate_pair(xp, xq, c, s):
     xq[...] = s * old + c * xq
 
 
+def _inertia(w: np.ndarray, tol: float) -> tuple:
+    """(plus, minus, zero) counts of eigenvalues w (last axis) beyond tol
+    times their spectral radius, and the ratio of the least |w| to that
+    radius; one of each per row of a stack."""
+    abs_w = np.abs(w)
+    radius = np.maximum(abs_w.max(axis=-1, keepdims=True), 1e-300)
+    plus = (w > tol * radius).sum(axis=-1)
+    minus = (w < -tol * radius).sum(axis=-1)
+    return plus, minus, w.shape[-1] - plus - minus, abs_w.min(axis=-1) / radius[..., 0]
+
+
 def signature(m, tol: float = 1e-10) -> Signature:
     """Inertia of a symmetric matrix; eigenvalues within tol of zero
     (relative to the spectral radius) count as zero."""
-    a = _as_matrix(m)
-    w, _ = jacobi_eigh(a)
-    radius = float(np.abs(w).max()) if a.shape[0] else 0.0
-    cut = tol * radius
-    plus = int((w > cut).sum())
-    minus = int((w < -cut).sum())
-    return Signature(plus=plus, minus=minus, zero=a.shape[0] - plus - minus)
+    plus, minus, zero, _ = _inertia(jacobi_eigh(_as_matrix(m))[0], tol)
+    return Signature(plus=int(plus), minus=int(minus), zero=int(zero))
 
 
 def char_poly(m) -> np.ndarray:
@@ -309,26 +318,22 @@ class Root:
 
 
 def cluster_roots(values):
-    """Group near-coincident root values into (mean, multiplicity) clusters.
+    """Group near-coincident root values into (mean, multiplicity) clusters:
+    the one-row case of ``_cluster``, in numpy complex arithmetic, then the
+    conjugate cleanup of ``_roots``."""
+    means, mults, counts = _cluster(np.array([list(values)], dtype=complex))
+    return _roots(means[0, : counts[0]], mults[0, : counts[0]])
 
-    Conjugate asymmetry left over by the iteration is removed afterwards:
+
+def _roots(means: np.ndarray, mults: np.ndarray) -> list:
+    """The Roots of one row of ``_cluster`` (cluster means and
+    multiplicities in order of creation), sorted by real then imaginary part.
+
+    Conjugate asymmetry left over by the iteration is removed first:
     clusters whose means are mutual conjugates are symmetrized, and a cluster
     mean with relatively negligible imaginary part is flagged real.
     """
-    vals = sorted(values, key=lambda z: (z.real, z.imag))
-    clusters: list[list[complex]] = []
-    for z in vals:
-        placed = False
-        for cl in clusters:
-            center = sum(cl) / len(cl)
-            if abs(z - center) <= CLUSTER_RADIUS * (1.0 + abs(center)):
-                cl.append(z)
-                placed = True
-                break
-        if not placed:
-            clusters.append([z])
-    means = [sum(cl) / len(cl) for cl in clusters]
-    mults = [len(cl) for cl in clusters]
+    means, mults = list(means), mults.tolist()
     # enforce exact conjugate pairing of genuinely complex clusters
     for i in range(len(means)):
         if means[i].imag <= 0:
@@ -351,13 +356,16 @@ def cluster_roots(values):
     return roots
 
 
-def _cluster_real(values: np.ndarray) -> tuple:
-    """``cluster_roots`` of every row of finite real values (N, k) in one
-    pass, with its bits (a value joins the first earlier cluster near its
-    running mean, summed in the same order): the ascending cluster means and
-    multiplicities (N, k), zero past each row's cluster count, and the counts."""
+def _cluster(values: np.ndarray) -> tuple:
+    """Clusters of near-coincident values in every row of a stack (N, k),
+    real or complex, in one pass, in the input's arithmetic.  The values of
+    a row are visited in ascending (real, imaginary) order, and each joins
+    the first cluster, in order of creation, whose running mean m it lies
+    within ``CLUSTER_RADIUS`` (1 + |m|) of, else it starts one.  Returns the
+    cluster means and multiplicities (N, k) in order of creation, zero past
+    each row's cluster count, and the counts."""
     values = np.sort(values, axis=1, kind="stable")
-    sums, mults = np.zeros(values.shape), np.zeros(values.shape, dtype=int)
+    sums, mults = np.zeros(values.shape, values.dtype), np.zeros(values.shape, dtype=int)
     counts = np.zeros(len(values), dtype=int)
     for z in values.T:
         placed = np.zeros(len(values), dtype=bool)
@@ -368,19 +376,16 @@ def _cluster_real(values: np.ndarray) -> tuple:
         new = np.flatnonzero(~placed)
         sums[new, counts[new]], mults[new, counts[new]] = 0.0 + z[new], 1
         counts[new] += 1
-    means = sums / np.maximum(mults, 1)
-    order = np.argsort(np.where(mults > 0, means, np.inf), axis=1, kind="stable")
-    return np.take_along_axis(means, order, 1), np.take_along_axis(mults, order, 1), counts
+    return sums / np.maximum(mults, 1), mults, counts
 
 
 def char_roots(m):
     """Roots x of det(m + x I) = 0, i.e. the negated eigenvalues of m,
     clustered into multiplicities and flagged real or complex."""
     a = _as_matrix(m)
-    if a.shape[0] > 12:
-        raise ValueError("char_roots is limited to matrices of order <= 12")
-    eigen = durand_kerner(char_poly(a))
-    return cluster_roots([-z for z in eigen])
+    if a.shape[0] > MAX_ROOT_ORDER:
+        raise ValueError(f"char_roots is limited to matrices of order <= {MAX_ROOT_ORDER}")
+    return cluster_roots(-durand_kerner(char_poly(a)))
 
 
 def solve(a, b, tol: float = SINGULAR_TOL):

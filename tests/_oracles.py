@@ -5,8 +5,11 @@ explicit series or from numpy.linalg, jets from the immersion's own point,
 Jacobian and Hessian lifted with ``lift_point``/``lift_tangent`` or written
 out, and singular generator positions from a brute-force rank scan along the
 line, so agreement with the library's characteristic-root route is a genuine
-two-sided check.
+two-sided check.  Root clusters come from the nested-list rule that the
+library's stacked clustering replaced, one value at a time.
 """
+
+from collections import namedtuple
 
 import numpy as np
 
@@ -305,3 +308,65 @@ def fd_jacobian(fun, u, out_dim, step=1e-6):
         e[a] = step
         j[:, a] = (np.asarray(fun(u + e)) - np.asarray(fun(u - e))) / (2 * step)
     return j
+
+
+#: the clustering radius and real-root threshold the library documents
+#: (``linalg.CLUSTER_RADIUS``, ``linalg.REAL_ROOT_TOL``)
+CLUSTER_RADIUS, REAL_ROOT_TOL = 1e-6, 1e-8
+
+#: a clustered root, with the fields of ``linalg.Root``
+Root = namedtuple("Root", "value multiplicity is_real")
+
+
+def nested_clusters(values):
+    """Clusters of root values by the nested-list rule, one value at a time:
+    (mean, multiplicity) per cluster in order of creation.  Values are
+    visited in ascending (real, imaginary) order, and each joins the first
+    cluster whose mean, recomputed from its members, lies within
+    CLUSTER_RADIUS (1 + |mean|), else starts one.  The arithmetic is that of
+    the values: Python's for complex, numpy's for numpy scalars."""
+    vals = sorted(values, key=lambda z: (z.real, z.imag))
+    clusters = []
+    for z in vals:
+        for cl in clusters:
+            center = sum(cl) / len(cl)
+            if abs(z - center) <= CLUSTER_RADIUS * (1.0 + abs(center)):
+                cl.append(z)
+                break
+        else:
+            clusters.append([z])
+    return [(sum(cl) / len(cl), len(cl)) for cl in clusters]
+
+
+def nested_cluster_roots(values):
+    """Roots of the ``nested_clusters`` of values: clusters whose means are
+    mutual conjugates are symmetrized, a mean with relatively negligible
+    imaginary part is flagged real, and the roots are sorted by real then
+    imaginary part."""
+    clusters = nested_clusters(values)
+    means, mults = [m for m, _ in clusters], [k for _, k in clusters]
+    for i in range(len(means)):
+        if means[i].imag <= 0:
+            continue
+        for j in range(len(means)):
+            if i == j or mults[i] != mults[j]:
+                continue
+            if abs(means[j] - means[i].conjugate()) <= CLUSTER_RADIUS * (1.0 + abs(means[i])):
+                avg = 0.5 * (means[i] + means[j].conjugate())
+                means[i] = avg
+                means[j] = avg.conjugate()
+                break
+    roots = []
+    for mean, mult in zip(means, mults):
+        is_real = bool(abs(mean.imag) < REAL_ROOT_TOL * (1.0 + abs(mean.real)))
+        if is_real:
+            mean = complex(mean.real, 0.0)
+        roots.append(Root(value=complex(mean), multiplicity=int(mult), is_real=is_real))
+    roots.sort(key=lambda r: (r.value.real, r.value.imag))
+    return roots
+
+
+def root_bits(roots):
+    """The bits of Root records: hex real and imaginary parts, multiplicity
+    and real flag."""
+    return [(r.value.real.hex(), r.value.imag.hex(), r.multiplicity, r.is_real) for r in roots]

@@ -105,6 +105,16 @@ class TestInvalidScenes:
         assert "scene error" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_congruence_beyond_the_root_order_limit(self, tmp_path, capsys):
+        # rejected before the grid's 2**14 lines are evaluated
+        doc = {"kind": "congruence", "builtin": "parallel_null_congruence", "n": 15,
+               "grid": [2] * 14}
+        out = tmp_path / "o.csv"
+        assert main(["congruence", "--scene", write_scene(tmp_path, doc), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("scene error (congruence): congruence scenes are "
+                                           "limited to n <= 14, got n=15\n")
+        assert not out.exists()
+
     def test_output_in_missing_directory(self, tmp_path, capsys):
         path = write_scene(tmp_path, BASE_SCENE)
         out = tmp_path / "missing" / "o.csv"
@@ -509,7 +519,8 @@ class TestCompareOutputs:
                                                ("parallel3", "congruence", "json")]]
             for name, command, fmt in [("failing_point", "classify", "json"),
                                        ("cone_vertex", "lightlike", "csv"),
-                                       ("cone_vertex", "lightlike", "json")]:
+                                       ("cone_vertex", "lightlike", "json"),
+                                       ("cone_past_one", "congruence", "csv")]:
                 path = scenes_dir / f"{name}.json"
                 path.write_text(json.dumps(co.ERROR_SCENES[name]))
                 runs.append((f"errors/{name}.{command}.{fmt}", command, str(path), fmt))
@@ -525,7 +536,8 @@ class TestCompareOutputs:
             "errors/failing_point.classify.json: exit 0/0, identical",
             "errors/cone_vertex.lightlike.csv: exit 0/0, identical",
             "errors/cone_vertex.lightlike.json: exit 0/0, identical",
-            "compare_outputs: 7 runs, 7 byte-identical, 0 same with numbers masked "
+            "errors/cone_past_one.congruence.csv: exit 3/3, identical",
+            "compare_outputs: 8 runs, 8 byte-identical, 0 same with numbers masked "
             "(max |d|/(1+|v|) 0.00e+00), 0 differing in text, 0 exit-code mismatches",
         ]
 

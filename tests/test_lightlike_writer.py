@@ -7,7 +7,9 @@ the per-sample writer it replaced: records built from ``focal.samples`` and
 ``json.dumps(payload, sort_keys=True, indent=1)``.  Both must give the same
 bytes for every shipped hypersurface scene, the generated benchmark copies
 and a grid with a point error.  ``focal_map`` clusters the roots of all grid
-points in one stacked pass, which must give the bits of ``cluster_roots``.
+points in one stacked pass in real arithmetic, and ``lightlike_affinor`` the
+roots of one point, which must give the bits of the nested-list rule of
+``_oracles`` on the roots as Python complex numbers.
 """
 
 import json
@@ -24,7 +26,9 @@ from pseudoconformal.errors import GeometryError
 from pseudoconformal.hypersurface import parameter_grid
 from pseudoconformal.lightlike import (_affinors, degeneracy_check, focal_map, lightlike_affinor,
                                        torse_directions)
-from pseudoconformal.linalg import _cluster_real, cluster_roots
+from pseudoconformal.linalg import _cluster
+
+from _oracles import nested_cluster_roots, nested_clusters, root_bits
 
 from test_classify_writer import _cell, assert_same, hypersurface_scenes
 
@@ -136,19 +140,23 @@ def test_point_error_grid(tmp_path, capsys, fmt):
         assert len(text.splitlines()) == 1 + 8
 
 
-def _bits(roots):
-    return [(r.value.real.hex(), r.value.imag, r.multiplicity, r.is_real) for r in roots]
+def _stacked(spectra):
+    """The clusters of the roots -w of each row of spectra by ``_cluster``:
+    (hex mean, multiplicity) in order of creation."""
+    means, mults, counts = _cluster(-np.asarray(spectra, dtype=float))
+    return [[(m.hex(), k) for m, k in zip(row[:c], mult[:c])]
+            for row, mult, c in zip(means.tolist(), mults.tolist(), counts.tolist())]
 
 
-def _stacked(values):
-    """The roots of each row of values by ``_cluster_real``, as Root-like
-    tuples in the form of ``_bits``."""
-    means, mults, counts = _cluster_real(np.asarray(values, dtype=float))
-    return [[(float(m).hex(), 0.0, int(k), True) for m, k in zip(row[:c], mult[:c])]
-            for row, mult, c in zip(means, mults, counts.tolist())]
+def _expected(spectra):
+    """The same by the nested-list rule on the roots as Python complex
+    numbers, whose means are real."""
+    clusters = [nested_clusters([complex(-w) for w in row]) for row in spectra]
+    assert all(m.imag == 0.0 for row in clusters for m, _ in row)
+    return [[(m.real.hex(), k) for m, k in row] for row in clusters]
 
 
-def test_clustering_matches_cluster_roots_on_random_spectra(rng):
+def test_clustering_matches_the_nested_rule_on_random_spectra(rng):
     values = rng.normal(size=(4000, 4)) * rng.choice([1e-3, 1.0, 1e3], size=(4000, 1))
     values[::3, 1] = values[::3, 0] * (1 + 4e-7)        # within the cluster radius
     values[::5, 2] = values[::5, 1] + 1.5e-6            # near the edge of it
@@ -157,23 +165,28 @@ def test_clustering_matches_cluster_roots_on_random_spectra(rng):
     values[::13, 0] = -0.0
     values[::17] = [1.0, 1.0 + 9e-7, 1.0 + 1.9e-6, 1.0 + 2.8e-6]  # a chain of near roots
     values[::19, :2] = [0.0, 1e-6]                      # exactly the cluster radius apart
-    values = rng.permuted(values, axis=1)
-    expected = [_bits(cluster_roots([complex(v) for v in row])) for row in values]
-    got = _stacked(values)
-    assert got == expected
+    spectra = -rng.permuted(values, axis=1)
+    got = _stacked(spectra)
+    assert got == _expected(spectra)
     assert {len(r) for r in got} == {1, 2, 3, 4}
 
 
 @pytest.mark.parametrize("name,n,count", [("light_cone", 5, 3), ("light_cone", 4, 4),
                                           ("null_hyperplane", 5, 3),
                                           ("circle_wavefront", 4, 4)])
-def test_clustering_matches_cluster_roots_on_engine_spectra(name, n, count):
+def test_clustering_matches_the_nested_rule_on_engine_spectra(name, n, count):
     # the cone's roots are one root of multiplicity n - 2, the null plane's
     # are all zero, the wavefront's two simple ones
     imm = catalog.build(name, n=n)
     columns = _affinors(imm, parameter_grid(imm, [count] * imm.params)[1],
                         AmbientModel.standard(n), 1.0, None)
-    expected = [_bits(cluster_roots([complex(-x) for x in row])) for row in columns.spectra]
-    assert _stacked(-columns.spectra) == expected
+    expected = _expected(columns.spectra)
+    assert _stacked(columns.spectra) == expected
     if name != "circle_wavefront":
-        assert {tuple(k for _, _, k, _ in r) for r in expected} == {(n - 2,)}
+        assert {tuple(k for _, k in r) for r in expected} == {(n - 2,)}
+    roots = [root_bits(nested_cluster_roots([complex(-w) for w in row])) for row in columns.spectra]
+    an = lightlike_affinor(imm, columns.us[columns.members[0]], AmbientModel.standard(n))
+    assert root_bits(an.roots) == roots[0]
+    focal = focal_map(imm, [count] * imm.params)
+    assert ([(x.hex(), k) for x, k in zip(focal.x.tolist(), focal.multiplicity.tolist())]
+            == [(x, k) for row in roots for x, _, k, _ in row])

@@ -6,8 +6,12 @@ from hypothesis import strategies as st
 from pseudoconformal.errors import ConvergenceError, DegenerateBasisError
 from pseudoconformal.frames import lightlike_gram
 from pseudoconformal.linalg import (
+    CLUSTER_RADIUS,
     JACOBI_TOL,
+    MAX_ROOT_ORDER,
+    REAL_ROOT_TOL,
     BilinearForm,
+    _cluster,
     char_poly,
     char_roots,
     cluster_roots,
@@ -22,6 +26,9 @@ from pseudoconformal.linalg import (
     solve,
     solve_particular,
 )
+
+import _oracles
+from _oracles import nested_cluster_roots, nested_clusters, root_bits
 
 finite_floats = st.floats(min_value=-10, max_value=10, allow_nan=False)
 
@@ -224,7 +231,9 @@ class TestCharRoots:
             assert sum(r.multiplicity for r in roots) == k
 
     def test_size_limit(self):
-        with pytest.raises(ValueError):
+        assert MAX_ROOT_ORDER == 12
+        char_roots(np.zeros((MAX_ROOT_ORDER, MAX_ROOT_ORDER)))
+        with pytest.raises(ValueError, match="order <= 12"):
             char_roots(np.zeros((13, 13)))
 
     @given(st.integers(min_value=2, max_value=6), st.integers(min_value=0, max_value=2**32 - 1))
@@ -257,6 +266,31 @@ class TestClusterRoots:
         cplx = [r for r in roots if not r.is_real]
         assert len(real) == 1 and len(cplx) == 2
         assert cplx[0].value == cplx[1].value.conjugate()
+
+    def test_oracle_uses_the_library_constants(self):
+        assert (_oracles.CLUSTER_RADIUS, _oracles.REAL_ROOT_TOL) == (CLUSTER_RADIUS, REAL_ROOT_TOL)
+
+    def test_stacked_and_one_row_match_the_nested_rule(self, rng):
+        count, k = 3000, 6
+        v = (rng.normal(size=(count, k)) * rng.choice([1e-3, 1.0, 1e3], size=(count, 1))
+             + 1j * rng.normal(size=(count, k)) * rng.choice([0.0, 1e-9, 1.0], size=(count, 1)))
+        v[::3, 1] = v[::3, 0] * (1 + 4e-7)                  # within the cluster radius
+        v[::4, 3] = np.conj(v[::4, 2])                      # a conjugate pair
+        v[::5, 2] = v[::5, 1] + 1.5e-6                      # near the edge of it
+        v[::7, :3] = -1.0 + 0.3j                            # a triple complex root
+        v[::11, :4] = [2 + 1j, 2 - 1j, 2 + 1j, 2 - 1j]      # a double conjugate pair
+        v[::13, :2] = [-0.0, 0.0]
+        v[::17, :4] = [1.0, 1.0 + 9e-7, 1.0 + 1.9e-6 + 1e-7j, 1.0 + 2.8e-6]  # a chain of near roots
+        v[::19, :2] = [0.0, 1e-6]                           # exactly the cluster radius apart
+        v[::23, :2] = [1j, 1j + 2e-6]                       # so are these, about |1j| = 1
+        v = rng.permuted(v, axis=1)
+        means, mults, counts = _cluster(v)
+        for row, mean, mult, c in zip(v, means, mults, counts):
+            expected = nested_clusters(list(row))
+            assert ([(m.real.hex(), m.imag.hex(), int(j)) for m, j in zip(mean[:c], mult[:c])]
+                    == [(m.real.hex(), m.imag.hex(), j) for m, j in expected])
+            assert root_bits(cluster_roots(list(row))) == root_bits(nested_cluster_roots(list(row)))
+        assert mults.max() >= 3
 
 
 class TestSolve:
