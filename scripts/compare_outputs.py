@@ -13,8 +13,12 @@ NEW_SRC, each tree in its own interpreter, and compares what they write:
 For each run it prints the two exit codes and whether the output bytes are
 identical, ``.leaf.csv`` side files included.  Where they differ it says
 whether the text is the same with every number masked and, if so, the
-largest |new - old| / (1 + |old|) over the numbers.  One summary line ends
-the report; the exit code is 0 only if every run matched byte for byte.
+largest |new - old| / (1 + |old|) over the numbers, then that largest
+difference per field that moved, one indented line each: a JSON field is its
+key path with list indices dropped (``center.degeneracy.max_angle``), a CSV
+field its column header (``leaf:`` and the header in a leaf side file).  One
+summary line ends the report, with the worst difference per field over all
+runs; the exit code is 0 only if every run matched byte for byte.
 
 Example:
     python scripts/compare_outputs.py ../old/src src
@@ -23,6 +27,8 @@ Without arguments it compares this checkout's ``src`` with itself.
 """
 
 import argparse
+import csv
+import io
 import json
 import math
 import os
@@ -139,6 +145,53 @@ def _worst_relative(old: str, new: str) -> float:
     return worst
 
 
+def _json_fields(old, new, path: str = ""):
+    """(field, old text, new text) of every scalar of two JSON documents of
+    the same shape, the field being the key path without list indices."""
+    if isinstance(old, dict):
+        for (key, a), b in zip(old.items(), new.values()):
+            yield from _json_fields(a, b, f"{path}.{key}" if path else key)
+    elif isinstance(old, list):
+        for a, b in zip(old, new):
+            yield from _json_fields(a, b, path)
+    else:
+        yield path, str(old), str(new)
+
+
+def _csv_fields(old: str, new: str, prefix: str = ""):
+    """(field, old cell, new cell) of every cell of two CSV texts, the field
+    being the column header of the old text."""
+    rows_old, rows_new = list(csv.reader(io.StringIO(old))), list(csv.reader(io.StringIO(new)))
+    header = rows_old[0] if rows_old else []
+    for row_old, row_new in zip(rows_old[1:], rows_new[1:]):
+        for i, (a, b) in enumerate(zip(row_old, row_new)):
+            yield prefix + (header[i] if i < len(header) else f"column {i}"), a, b
+
+
+def field_differences(old_out: Path, new_out: Path) -> dict:
+    """Largest |new - old| / (1 + |old|) per field that moved, over one
+    run's output and its leaf side file, whose texts are the same with
+    numbers masked."""
+    worst = {}
+    for suffix in ("", ".leaf.csv"):
+        a, b = _read(Path(str(old_out) + suffix)), _read(Path(str(new_out) + suffix))
+        if a is None or b is None or a == b:
+            continue
+        ta, tb = a.decode(), b.decode()
+        if suffix:
+            cells = _csv_fields(ta, tb, "leaf:")
+        else:
+            try:
+                cells = _json_fields(json.loads(ta), json.loads(tb))
+            except ValueError:
+                cells = _csv_fields(ta, tb)
+        for name, x, y in cells:
+            delta = _worst_relative(x, y)
+            if delta > 0.0:
+                worst[name] = max(worst.get(name, 0.0), delta)
+    return worst
+
+
 def compare(old_out: Path, new_out: Path) -> tuple:
     """(identical, masked text equal, worst relative difference) of one
     run's output and its leaf side file."""
@@ -178,27 +231,34 @@ def main(argv=None) -> int:
         old_codes, new_codes = (json.loads((tmp / name / "codes.json").read_text())
                                 for name in ("old", "new"))
         same = masked_only = differing = code_mismatch = 0
-        worst = 0.0
+        worst, worst_fields = 0.0, {}
         for i, (label, *_rest) in enumerate(runs):
             out = f"{i:04d}.out"
             identical, masked, delta = compare(tmp / "old" / out, tmp / "new" / out)
             codes = f"exit {old_codes[i]}/{new_codes[i]}"
             if old_codes[i] != new_codes[i]:
                 code_mismatch += 1
+            fields = {}
             if identical:
                 same += 1
                 verdict = "identical"
             elif masked:
                 masked_only += 1
                 worst = max(worst, delta)
+                fields = field_differences(tmp / "old" / out, tmp / "new" / out)
                 verdict = f"differs, same text with numbers masked, max rel {delta:.2e}"
             else:
                 differing += 1
                 verdict = "differs in text"
             print(f"{label}: {codes}, {verdict}")
+            for name, value in sorted(fields.items()):
+                print(f"  {name}: max rel {value:.2e}")
+                worst_fields[name] = max(worst_fields.get(name, 0.0), value)
+    per_field = ", ".join(f"{name} {value:.2e}" for name, value in sorted(worst_fields.items()))
     print(f"compare_outputs: {len(runs)} runs, {same} byte-identical, {masked_only} same "
           f"with numbers masked (max |d|/(1+|v|) {worst:.2e}), {differing} differing in "
-          f"text, {code_mismatch} exit-code mismatches")
+          f"text, {code_mismatch} exit-code mismatches"
+          + (f"; worst per field: {per_field}" if per_field else ""))
     return 0 if same == len(runs) and code_mismatch == 0 else 1
 
 

@@ -21,19 +21,17 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .conformal import AmbientModel
-from .errors import DegenerateBasisError, GeometryError
-from .linalg import _inertia, jacobi_eigh
+from .errors import DegenerateBasisError, GeometryError, NotLightlikeError
+from .linalg import _faddeev_leverrier, _inertia, jacobi_eigh
 
 SPACELIKE = "spacelike"
 TIMELIKE = "timelike"
 LIGHTLIKE = "lightlike"
 DEGENERATE = "degenerate_beyond_lightlike"
 
-#: degeneracy threshold for analytic jets: smallest |eigenvalue| relative to largest
-LIGHTLIKE_TOL_ANALYTIC = 1e-7
-
-#: degeneracy threshold when jets come from finite differences
-LIGHTLIKE_TOL_FD = 1e-4
+#: degeneracy threshold of the induced metric: smallest |eigenvalue| relative
+#: to largest, for analytic and finite-difference jets alike
+LIGHTLIKE_TOL = 1e-7
 
 #: central-difference steps of ``jet1``, and of ``jet2`` over a differenced ``jet1``
 FD_STEP_FIRST = 1e-5
@@ -138,9 +136,6 @@ class Immersion:
         values = values.reshape((len(us), self.params, 2) + values.shape[1:])
         out = np.moveaxis((values[:, :, 0] - values[:, :, 1]) / (2 * step), 1, -1)
         return out[0] if u.ndim == 1 else out
-
-    def lightlike_tol(self) -> float:
-        return LIGHTLIKE_TOL_ANALYTIC if self.analytic else LIGHTLIKE_TOL_FD
 
 
 def _evaluate_stack(scalar: Callable, stacked: Optional[Callable], us: np.ndarray,
@@ -313,15 +308,38 @@ def classify_point(imm: Immersion, u, tol: Optional[float] = None,
                             np.asarray(u, dtype=float)[None], failures)
     if failures:
         raise failures[0]
-    return causal_type_of_spectrum(w[0], imm.lightlike_tol() if tol is None else tol)
+    return causal_type_of_spectrum(w[0], LIGHTLIKE_TOL if tol is None else tol)
 
 
 def lightlike_kernel(imm: Immersion, u, model: Optional[AmbientModel] = None) -> np.ndarray:
-    """Parameter-space kernel direction of the induced metric at a lightlike
-    point, unit-normalized; its Jacobian image is the null generator."""
-    m = induced_metric(imm, u, model=model)
-    w, v = jacobi_eigh(m)
-    return v[:, int(np.argmin(np.abs(w)))]
+    """Unit parameter-space kernel direction x of the induced metric M at a
+    lightlike point; its Jacobian image is the null generator.  A
+    one-dimensional kernel spans every nonzero column of adj M, so x is the
+    largest column of the adjugate of S = M / max |M_ij|, signed so that its
+    entry of largest magnitude is positive, as ``jacobi_eigh`` signs columns.
+
+    The tests mirror ``_inertia``'s, with the Frobenius norm F of S as the
+    radius.  With c the coefficients of det(x I - S), (k-1)|c_(k-1) / c_(k-2)|
+    is at least the second least |eigenvalue|: DegenerateBasisError where it
+    is at most ``LIGHTLIKE_TOL`` (a kernel of dimension 2 or more).  |S x| is
+    at least the least one: NotLightlikeError where it exceeds
+    ``LIGHTLIKE_TOL`` F (no kernel, or none the recursion resolves).  Rounding
+    limits x to about 2e-16 F^(k-1) / |c_(k-1)|, 4e-15 on the catalog's
+    lightlike entries.
+    """
+    m, at = induced_metric(imm, u, model=model), np.asarray(u).tolist()
+    if not np.isfinite(m).all():
+        raise DegenerateBasisError(f"non-finite induced metric at u={at}")
+    s = m / max(np.abs(m).max(), 1e-300)
+    c, adjugate = _faddeev_leverrier(s)
+    if (len(s) - 1) * abs(c[-2]) <= LIGHTLIKE_TOL * abs(c[-3]):
+        raise DegenerateBasisError(f"induced metric has a kernel of dimension above 1 at u={at}")
+    column = adjugate[:, np.argmax((adjugate * adjugate).sum(axis=0))]
+    k = column / np.sqrt(column @ column)
+    residual = s @ k
+    if not np.sqrt(residual @ residual) <= LIGHTLIKE_TOL * np.sqrt((s * s).sum()):
+        raise NotLightlikeError(f"induced metric is not degenerate at u={at}")
+    return -k if k[np.argmax(np.abs(k))] < 0 else k
 
 
 @dataclass(frozen=True)
@@ -401,8 +419,7 @@ def survey(imm: Immersion, grid_counts: Sequence[int], tol: Optional[float] = No
     where that would raise is recorded in ``errors`` instead.  Results are in
     grid order, as columns: no per-point record is built.
     """
-    if tol is None:
-        tol = imm.lightlike_tol()
+    tol = LIGHTLIKE_TOL if tol is None else tol
     axes, grid = parameter_grid(imm, grid_counts)
     shape = tuple(len(ax) for ax in axes)
     cells = np.indices(shape).reshape(len(shape), -1).T  # grid indices in grid order

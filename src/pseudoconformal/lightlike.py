@@ -31,14 +31,14 @@ from .conformal import (AmbientModel, AtInfinity, ProjectivePoint, _singular_coo
 from .errors import DegenerateBasisError, GeometryError, NotLightlikeError
 from .frames import (_generator, _lightlike_lines, _null_frame, _orthonormal_screens,
                      null_frame_coordinates)
-from .hypersurface import (Immersion, _ambient_gram, _causal_kind, _evaluation_error,
-                           _stacked_spectra, lightlike_kernel, parameter_grid)
+from .hypersurface import (LIGHTLIKE_TOL, Immersion, _ambient_gram, _causal_kind,
+                           _evaluation_error, _stacked_spectra, lightlike_kernel, parameter_grid)
 from .linalg import (_cluster, _inertia, _roots, det, jacobi_eigh, max_principal_angle,
                      orthonormal_rows)
 
-#: defect threshold (relative) above which the extracted operator is rejected
-SYMMETRY_TOL_ANALYTIC = 1e-6
-SYMMETRY_TOL_FD = 1e-3
+#: defect threshold (relative) above which the extracted operator is rejected,
+#: for analytic and finite-difference jets alike
+SYMMETRY_TOL = 1e-6
 
 #: matching radius when merging focal points
 FOCAL_MERGE_TOL = 1e-6
@@ -93,7 +93,7 @@ def _lines(jets: _JetStack) -> tuple:
     a0, a1, screens, built = _lightlike_lines(jets.a0, jets.rows, jets.model, jets.generators,
                                               jets.generator_scale)
     failures = dict(jets.failures)
-    plus, minus, zero, _ = _inertia(jets.w, jets.imm.lightlike_tol())
+    plus, minus, zero, _ = _inertia(jets.w, LIGHTLIKE_TOL)
     for j in np.flatnonzero((minus != 0) | (zero != 1)).tolist():
         kind = _causal_kind(plus[j], minus[j], zero[j])
         failures.setdefault(j, NotLightlikeError(
@@ -231,8 +231,7 @@ def _affinors(imm: Immersion, us: np.ndarray, model: AmbientModel, generator_sca
     then with its Hessian's (what it raised, or a non-finite Hessian), then
     with its operator's asymmetry.
     """
-    if sym_tol is None:
-        sym_tol = SYMMETRY_TOL_ANALYTIC if imm.analytic else SYMMETRY_TOL_FD
+    sym_tol = SYMMETRY_TOL if sym_tol is None else sym_tol
     jets = _JetStack(imm, us, model, generator_scale)
     a0, a1, screens, failures = _lines(jets)
     live = [i for i in range(len(us)) if i not in failures]

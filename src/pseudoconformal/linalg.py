@@ -40,6 +40,13 @@ def _as_matrix(m):
     return a
 
 
+def _finite_matrix(m, name: str):
+    a = _as_matrix(m)
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} requires finite entries")
+    return a
+
+
 @dataclass(frozen=True)
 class BilinearForm:
     """Symmetric nondegenerate bilinear form on an m-dimensional space."""
@@ -47,7 +54,7 @@ class BilinearForm:
     gram: np.ndarray
 
     def __post_init__(self):
-        g = _as_matrix(self.gram).copy()
+        g = _finite_matrix(self.gram, "a gram matrix").copy()
         scale = max(np.abs(g).max(), 1.0)
         if np.abs(g - g.T).max() > 1e-12 * scale:
             raise ValueError("gram matrix is not symmetric")
@@ -98,73 +105,25 @@ def scalar_product(u, v, form: BilinearForm) -> float:
 
 
 def jacobi_eigh(m, tol: float = JACOBI_TOL, max_sweeps: int = 60):
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
-
-    Returns (eigenvalues, eigenvectors) with eigenvalues sorted descending and
-    eigenvectors as columns.  Column signs are fixed so that the entry of
-    largest magnitude in each eigenvector is positive.
+    """Eigendecomposition of symmetric matrices by cyclic Jacobi rotations.
 
     A stack of shape (N, k, k) is decomposed member by member in one
-    vectorized pass and gives shapes (N, k) and (N, k, k).  Raises ValueError
-    on non-finite or asymmetric input and ConvergenceError when the
-    off-diagonal norm is still above ``tol`` after ``max_sweeps`` sweeps.
+    vectorized pass and gives eigenvalues (N, k), sorted descending, and
+    eigenvectors (N, k, k) as columns; a single matrix (k, k) is a stack of
+    one and gives shapes (k,) and (k, k).  Column signs are fixed so that the
+    entry of largest magnitude in each eigenvector is positive.
+
+    Every member visits the (p, q) pairs in row order, with its own
+    convergence test at the start of each sweep.  A member that has
+    converged, or whose a_pq is negligible, is rotated by c = 1, s = 0 and so
+    left exactly unchanged.  Raises ValueError on non-finite or asymmetric
+    input and ConvergenceError when the off-diagonal norm is still above
+    ``tol`` after ``max_sweeps`` sweeps.
     """
-    if np.ndim(m) == 3:
-        return _jacobi_eigh_stacked(np.asarray(m, dtype=float), tol, max_sweeps)
-    a = _as_matrix(m).copy()
-    k = a.shape[0]
-    scale = max(np.abs(a).max(), 1e-300)
-    if not math.isfinite(scale):  # the maximum propagates NaN
-        raise ValueError("jacobi_eigh requires finite entries")
-    if np.abs(a - a.T).max() > 1e-10 * scale:
-        raise ValueError("jacobi_eigh requires a symmetric matrix")
-    a = 0.5 * (a + a.T)
-    v = np.eye(k)
-    for sweep in range(max_sweeps + 1):
-        strict = a - np.diag(np.diag(a))
-        off = math.sqrt(float((strict * strict).sum()))
-        if off <= tol * scale:
-            break
-        if sweep == max_sweeps:
-            raise ConvergenceError(
-                f"Jacobi sweeps did not converge in {max_sweeps} sweeps "
-                f"(off-diagonal norm {off:.3e})",
-                residual=off,
-            )
-        for p in range(k - 1):
-            for q in range(p + 1, k):
-                apq = a[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                rot = np.eye(k)
-                rot[p, p] = rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                a = rot.T @ a @ rot
-                a[p, q] = a[q, p] = 0.0
-                v = v @ rot
-    order = np.argsort(-np.diag(a), kind="stable")
-    w = np.diag(a)[order]
-    v = v[:, order]
-    for j in range(k):
-        i = int(np.argmax(np.abs(v[:, j])))
-        if v[i, j] < 0:
-            v[:, j] = -v[:, j]
-    return w, v
-
-
-def _jacobi_eigh_stacked(a, tol: float, max_sweeps: int):
-    """Cyclic Jacobi over a stack of symmetric matrices.
-
-    Every member visits the (p, q) pairs in the order of the single-matrix
-    loop, with its own convergence test at the start of each sweep.  A member
-    that has converged, or whose a_pq is negligible, is rotated by c = 1,
-    s = 0 and so left exactly unchanged.
-    """
+    a = np.asarray(m, dtype=float)
+    single = a.ndim != 3
+    if single:
+        a = _as_matrix(a)[None]
     if a.shape[1] != a.shape[2]:
         raise ValueError(f"expected a stack of square matrices, got shape {a.shape}")
     count, k, _ = a.shape
@@ -207,7 +166,8 @@ def _jacobi_eigh_stacked(a, tol: float, max_sweeps: int):
     w = np.take_along_axis(diagonal, order, axis=1)
     v = np.take_along_axis(v, order[:, None, :], axis=2)
     lead = np.take_along_axis(v, np.abs(v).argmax(axis=1)[:, None, :], axis=1)
-    return w, np.where(lead < 0, -v, v)
+    v = np.where(lead < 0, -v, v)
+    return (w[0], v[0]) if single else (w, v)
 
 
 def _rotate_pair(xp, xq, c, s):
@@ -239,17 +199,24 @@ def signature(m, tol: float = 1e-10) -> Signature:
 def char_poly(m) -> np.ndarray:
     """Coefficients of det(x I - m) in descending powers, by the
     Faddeev-LeVerrier recursion.  coeffs[0] is always 1."""
-    a = _as_matrix(m)
+    return _faddeev_leverrier(_as_matrix(m))[0]
+
+
+def _faddeev_leverrier(a: np.ndarray) -> tuple:
+    """Coefficients c of det(x I - a) in descending powers and the adjugate
+    of a square a, by the Faddeev-LeVerrier recursion N_0 = I,
+    M_j = a N_(j-1), c_j = -tr(M_j) / j, N_j = M_j + c_j I.  Since N_k = 0,
+    a N_(k-1) = -c_k I = (-1)^(k-1) det(a) I, so adj a = (-1)^(k-1) N_(k-1)."""
     k = a.shape[0]
     coeffs = np.empty(k + 1)
     coeffs[0] = 1.0
-    n_m = np.eye(k)
+    n_m = n_last = np.eye(k)
     for j in range(1, k + 1):
-        m_j = a @ n_m
+        n_last, m_j = n_m, a @ n_m
         c = -np.trace(m_j) / j
         coeffs[j] = c
         n_m = m_j + c * np.eye(k)
-    return coeffs
+    return coeffs, (-1.0) ** (k - 1) * n_last
 
 
 def durand_kerner(coeffs):
@@ -258,9 +225,14 @@ def durand_kerner(coeffs):
     Initial guesses sit on a circle whose radius is one plus the largest
     coefficient magnitude, offset off the real axis so conjugate symmetry
     cannot trap the iteration.  It stops once no root moves by 1e-13 (1 plus
-    the largest root magnitude) in a sweep, or after 500 sweeps.
+    the largest root magnitude) in a sweep, or after 500 sweeps.  Raises
+    ValueError on a non-finite coefficient or a zero leading one, and
+    ConvergenceError when the final residual is not finite or above
+    1e-8 max(1, radius)^deg.
     """
     c = np.asarray(coeffs, dtype=complex)
+    if not np.isfinite(c).all() or c[0] == 0:
+        raise ValueError("durand_kerner requires finite coefficients and a nonzero leading one")
     if abs(c[0] - 1.0) > 1e-12:
         c = c / c[0]
     deg = len(c) - 1
@@ -272,31 +244,35 @@ def durand_kerner(coeffs):
     z = np.array(
         [radius * cmath.exp(2j * math.pi * (j + 0.3) / deg) for j in range(deg)]
     )
-    for _ in range(500):
-        max_step = 0.0
-        for i in range(deg):
+    tail = list(c[1:])
+    with np.errstate(all="ignore"):  # an overflow ends in a non-finite residual
+        for _ in range(500):
+            max_step = 0.0
+            for i in range(deg):
+                zi, p = z[i], c[0]
+                for ck in tail:
+                    p = p * zi + ck
+                denom = 1.0 + 0.0j
+                for j in range(deg):
+                    if j != i:
+                        d = zi - z[j]
+                        if abs(d) < 1e-30:
+                            d = 1e-30
+                        denom *= d
+                step = p / denom
+                z[i] -= step
+                max_step = max(max_step, abs(step))
+            if max_step < 1e-13 * (1.0 + float(np.abs(z).max())):
+                break
+        values = []
+        for zi in z:
             p = c[0]
-            for ck in c[1:]:
-                p = p * z[i] + ck
-            denom = 1.0 + 0.0j
-            for j in range(deg):
-                if j != i:
-                    d = z[i] - z[j]
-                    if abs(d) < 1e-30:
-                        d = 1e-30
-                    denom *= d
-            step = p / denom
-            z[i] -= step
-            max_step = max(max_step, abs(step))
-        if max_step < 1e-13 * (1.0 + float(np.abs(z).max())):
-            break
-    residual = 0.0
-    for zi in z:
-        p = c[0]
-        for ck in c[1:]:
-            p = p * zi + ck
-        residual = max(residual, abs(p))
-    if residual > 1e-8 * max(1.0, radius) ** deg:
+            for ck in tail:
+                p = p * zi + ck
+            values.append(abs(p))
+        residual = float(np.max(values))  # a NaN value propagates
+        bound = 1e-8 * np.float64(max(1.0, radius)) ** deg
+    if not (math.isfinite(residual) and residual <= bound):
         raise ConvergenceError(
             f"root iteration did not converge (residual {residual:.3e})",
             residual=residual,
@@ -391,9 +367,10 @@ def char_roots(m):
 def solve(a, b, tol: float = SINGULAR_TOL):
     """Solve a x = b by Gaussian elimination with partial pivoting.
 
-    b may be a vector or a matrix of stacked right-hand sides.
+    b may be a vector or a matrix of stacked right-hand sides.  Raises
+    ValueError on a non-finite matrix.
     """
-    m = _as_matrix(a).copy()
+    m = _finite_matrix(a, "solve").copy()
     k = m.shape[0]
     rhs = np.asarray(b, dtype=float).copy()
     vector = rhs.ndim == 1
@@ -401,21 +378,8 @@ def solve(a, b, tol: float = SINGULAR_TOL):
         rhs = rhs[:, None]
     if rhs.shape[0] != k:
         raise ValueError("right-hand side has incompatible shape")
-    scale = max(np.abs(m).max(), 1e-300)
-    perm = list(range(k))
-    for col in range(k):
-        pivot_row = col + int(np.argmax(np.abs(m[col:, col])))
-        if abs(m[pivot_row, col]) <= tol * scale:
-            raise DegenerateBasisError("matrix is singular to working precision")
-        if pivot_row != col:
-            m[[col, pivot_row]] = m[[pivot_row, col]]
-            rhs[[col, pivot_row]] = rhs[[pivot_row, col]]
-            perm[col], perm[pivot_row] = perm[pivot_row], perm[col]
-        for row in range(col + 1, k):
-            f = m[row, col] / m[col, col]
-            if f != 0.0:
-                m[row, col:] -= f * m[col, col:]
-                rhs[row] -= f * rhs[col]
+    if _eliminate(m, rhs, tol * max(np.abs(m).max(), 1e-300)) is None:
+        raise DegenerateBasisError("matrix is singular to working precision")
     # one contiguous row per right-hand side: a column's bits never depend on the others
     x = np.zeros((rhs.shape[1], k))
     for b, xb in zip(rhs.T, x):
@@ -430,24 +394,37 @@ def inverse(a, tol: float = SINGULAR_TOL):
 
 
 def det(a) -> float:
-    """Determinant by elimination with partial pivoting."""
-    m = _as_matrix(a).copy()
-    k = m.shape[0]
+    """Determinant as the signed product of the pivots of ``_eliminate``;
+    0.0 at the first exactly zero pivot.  Raises ValueError on a non-finite
+    matrix."""
+    m = _finite_matrix(a, "det").copy()
+    sign = _eliminate(m, None, 0.0)
+    return 0.0 if sign is None else sign * math.prod(np.diagonal(m).tolist())
+
+
+def _eliminate(m: np.ndarray, rhs: np.ndarray | None, floor: float):
+    """Gaussian elimination with partial pivoting of a square m, in place,
+    applied in place to the right-hand sides rhs (k, r) too unless rhs is
+    None.  Returns the sign of the row permutation, or None at the first
+    pivot whose magnitude is at most floor; m is then upper triangular with
+    the pivots on its diagonal."""
     sign = 1.0
-    value = 1.0
-    for col in range(k):
+    for col in range(m.shape[0]):
         pivot_row = col + int(np.argmax(np.abs(m[col:, col])))
-        if m[pivot_row, col] == 0.0:
-            return 0.0
+        if abs(m[pivot_row, col]) <= floor:
+            return None
         if pivot_row != col:
             m[[col, pivot_row]] = m[[pivot_row, col]]
+            if rhs is not None:
+                rhs[[col, pivot_row]] = rhs[[pivot_row, col]]
             sign = -sign
-        value *= m[col, col]
-        for row in range(col + 1, k):
+        for row in range(col + 1, m.shape[0]):
             f = m[row, col] / m[col, col]
             if f != 0.0:
                 m[row, col:] -= f * m[col, col:]
-    return sign * value
+                if rhs is not None:
+                    rhs[row] -= f * rhs[col]
+    return sign
 
 
 def solve_particular(a, b, tol: float = SINGULAR_TOL):

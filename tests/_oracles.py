@@ -6,9 +6,12 @@ Jacobian and Hessian lifted with ``lift_point``/``lift_tangent`` or written
 out, and singular generator positions from a brute-force rank scan along the
 line, so agreement with the library's characteristic-root route is a genuine
 two-sided check.  Root clusters come from the nested-list rule that the
-library's stacked clustering replaced, one value at a time.
+library's stacked clustering replaced, one value at a time, and single
+symmetric eigenproblems from the one-matrix Jacobi loop that its stacked
+pass replaced.
 """
 
+import math
 from collections import namedtuple
 
 import numpy as np
@@ -16,6 +19,7 @@ import numpy as np
 from pseudoconformal.congruence import IsotropicCongruence
 from pseudoconformal.conformal import (AtInfinity, ProjectivePoint, darboux_unembed, lift_point,
                                       lift_tangent)
+from pseudoconformal.errors import ConvergenceError
 from pseudoconformal.frames import _lightlike_lines, complete_isotropic_frame
 
 
@@ -298,6 +302,58 @@ def generator_rank_scan(obj, u, model, kind="hypersurface", t_range=(-10.0, 10.0
         if not merged or abs(t - merged[-1]) > 1e-6 * (1 + abs(t)):
             merged.append(t)
     return merged
+
+
+def single_matrix_jacobi(m, tol=1e-12, max_sweeps=60):
+    """Eigendecomposition of one symmetric matrix by cyclic Jacobi rotations,
+    one explicit rotation matrix at a time: eigenvalues sorted descending,
+    eigenvectors as columns signed so that the entry of largest magnitude in
+    each is positive.  This is the single-matrix loop that
+    ``linalg.jacobi_eigh`` ran before a single matrix became a stack of one."""
+    a = np.array(m, dtype=float)
+    k = a.shape[0]
+    scale = max(np.abs(a).max(), 1e-300)
+    if not math.isfinite(scale):  # the maximum propagates NaN
+        raise ValueError("jacobi_eigh requires finite entries")
+    if np.abs(a - a.T).max() > 1e-10 * scale:
+        raise ValueError("jacobi_eigh requires a symmetric matrix")
+    a = 0.5 * (a + a.T)
+    v = np.eye(k)
+    for sweep in range(max_sweeps + 1):
+        strict = a - np.diag(np.diag(a))
+        off = math.sqrt(float((strict * strict).sum()))
+        if off <= tol * scale:
+            break
+        if sweep == max_sweeps:
+            raise ConvergenceError(
+                f"Jacobi sweeps did not converge in {max_sweeps} sweeps "
+                f"(off-diagonal norm {off:.3e})",
+                residual=off,
+            )
+        for p in range(k - 1):
+            for q in range(p + 1, k):
+                apq = a[p, q]
+                if abs(apq) <= 1e-300:
+                    continue
+                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
+                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
+                c = 1.0 / math.hypot(1.0, t)
+                s = t * c
+                rot = np.eye(k)
+                rot[p, p] = rot[q, q] = c
+                rot[p, q] = s
+                rot[q, p] = -s
+                a = rot.T @ a @ rot
+                a[p, q] = a[q, p] = 0.0
+                v = v @ rot
+    order = np.argsort(-np.diag(a), kind="stable")
+    w = np.diag(a)[order]
+    v = v[:, order]
+    for j in range(k):
+        i = int(np.argmax(np.abs(v[:, j])))
+        if v[i, j] < 0:
+            v[:, j] = -v[:, j]
+    return w, v
 
 
 def fd_jacobian(fun, u, out_dim, step=1e-6):

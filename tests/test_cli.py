@@ -541,6 +541,45 @@ class TestCompareOutputs:
             "(max |d|/(1+|v|) 0.00e+00), 0 differing in text, 0 exit-code mismatches",
         ]
 
+    def test_the_fields_that_moved_are_named(self, co, monkeypatch, capsys):
+        # the new tree writes one JSON field and one CSV column differently:
+        # each run names its field, list indices dropped, and the summary
+        # gives the worst value per field
+        old = {"center": {"degeneracy": {"max_angle": 1e-15, "skipped": 0}},
+               "samples": [{"u": [0.5], "x": 1.0}, {"u": [0.75], "x": 2.0}]}
+        new = json.loads(json.dumps(old))
+        new["center"]["degeneracy"]["max_angle"] = 1.2e-15
+        new["samples"][1]["x"] = 2.0000000001
+        outputs = {"old": [json.dumps(old), "u1,x\n0.5,1.0\n"],
+                   "new": [json.dumps(new), "u1,x\n0.5,1.000001\n"]}
+
+        class Finished:
+            def wait(self):
+                return 0
+
+        def canned_side(src, runs, out_dir):
+            out_dir.mkdir()
+            for i, text in enumerate(outputs[out_dir.name]):
+                (out_dir / f"{i:04d}.out").write_text(text)
+            (out_dir / "codes.json").write_text(json.dumps([0] * len(runs)))
+            return Finished()
+
+        monkeypatch.setattr(co, "plan_runs", lambda scenes_dir: [
+            ("a.json", "lightlike", "a", "json"), ("b.csv", "lightlike", "b", "csv")])
+        monkeypatch.setattr(co, "run_side", canned_side)
+        assert co.main([]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "a.json: exit 0/0, differs, same text with numbers masked, max rel 3.33e-11",
+            "  center.degeneracy.max_angle: max rel 2.00e-16",
+            "  samples.x: max rel 3.33e-11",
+            "b.csv: exit 0/0, differs, same text with numbers masked, max rel 5.00e-07",
+            "  x: max rel 5.00e-07",
+            "compare_outputs: 2 runs, 0 byte-identical, 2 same with numbers masked "
+            "(max |d|/(1+|v|) 5.00e-07), 0 differing in text, 0 exit-code mismatches; "
+            "worst per field: center.degeneracy.max_angle 2.00e-16, samples.x 3.33e-11, "
+            "x 5.00e-07",
+        ]
+
     def test_numbers_that_differ_are_masked_and_measured(self, co, tmp_path):
         old, new = tmp_path / "old.out", tmp_path / "new.out"
         old.write_text('{"x": 1.0, "y": [2.5e-9, -3.0], "z": NaN, "w": -Infinity}\n')
@@ -556,6 +595,7 @@ class TestCompareOutputs:
         identical, masked, worst = co.compare(old, new)
         assert (identical, masked) == (False, True)
         assert worst == pytest.approx(0.00000001 / 1.5, rel=1e-6)
+        assert co.field_differences(old, new) == {"leaf:u1": worst}
 
     def test_text_or_file_differences_are_not_masked(self, co, tmp_path):
         old, new = tmp_path / "old.out", tmp_path / "new.out"

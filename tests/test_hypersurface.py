@@ -8,8 +8,8 @@ import pytest
 
 from pseudoconformal import catalog
 from pseudoconformal.cli import _build_object, _resolve_grid, load_scene, main
-from pseudoconformal.conformal import lift_point
-from pseudoconformal.errors import DegenerateBasisError
+from pseudoconformal.conformal import AmbientModel, lift_point
+from pseudoconformal.errors import DegenerateBasisError, NotLightlikeError
 from pseudoconformal.hypersurface import (
     Immersion,
     causal_type_of_metric,
@@ -19,6 +19,7 @@ from pseudoconformal.hypersurface import (
     parameter_grid,
     survey,
 )
+from pseudoconformal.lightlike import degeneracy_check, lightlike_affinor
 from pseudoconformal.linalg import scalar_product
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
@@ -158,6 +159,106 @@ class TestClassifyPoint:
         m_flat = induced_metric(flat, u, model=model3)
         m_lift = induced_metric(lifted, u, model=model3)
         assert np.abs(m_lift - sigma(u) ** 2 * m_flat).max() < 1e-7
+
+
+def linear_immersion(*columns):
+    """The parameter map u -> J u into the Lorentzian space, with analytic
+    jets, given the n-1 columns of J."""
+    j = np.array(columns, dtype=float).T
+    return Immersion(n=j.shape[0], domain=((-1.0, 1.0),) * j.shape[1],
+                     value=lambda u: j @ u, jacobian=lambda u: j,
+                     hessian=lambda u: np.zeros(j.shape + (j.shape[1],)))
+
+
+KERNEL_CASES = ([("light_cone", n) for n in range(3, 7)]
+                + [("null_hyperplane", n) for n in range(3, 7)]
+                + [("tilted_null_family", 3), ("circle_wavefront", 4)])
+
+
+class TestLightlikeKernel:
+    """``lightlike_kernel`` reads the kernel off the adjugate of the induced
+    metric; ``numpy.linalg.eigh`` is the independent oracle."""
+
+    @pytest.mark.parametrize("name,n", KERNEL_CASES)
+    def test_matches_the_eigh_kernel(self, name, n):
+        # the worst difference measured over these grids is 1.8e-15
+        imm, model = catalog.build(name, n=n), AmbientModel.standard(n)
+        for u in parameter_grid(imm, [3] * imm.params)[1]:
+            w, v = np.linalg.eigh(induced_metric(imm, u, model=model))
+            want = v[:, np.argmin(np.abs(w))]
+            want = want if want[np.argmax(np.abs(want))] > 0 else -want  # the Jacobi sign rule
+            assert np.abs(lightlike_kernel(imm, u, model=model) - want).max() <= 1e-14
+
+    @pytest.mark.parametrize("scale", [1e-4, 1e4])
+    def test_invariant_under_scaling(self, scale):
+        # the tolerances are relative to the metric's largest entry
+        imm, model = catalog.build("light_cone", n=4), AmbientModel.standard(4)
+        scaled = Immersion(n=4, domain=imm.domain, value=lambda u: scale * imm.value(u),
+                           jacobian=lambda u: scale * imm.jacobian(u))
+        for u in parameter_grid(imm, [3] * imm.params)[1]:
+            assert np.abs(lightlike_kernel(scaled, u, model=model)
+                          - lightlike_kernel(imm, u, model=model)).max() <= 1e-14
+
+    def test_sign_rule_on_an_indefinite_metric(self, rng):
+        # J = (e_1, e_4, 0): the metric diag(1, -1, 0), rotated, whose
+        # adjugate columns lead with a negative entry
+        rotation, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        j = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0], np.zeros(4)])
+        imm = linear_immersion(*(rotation.T @ j))
+        w, v = np.linalg.eigh(induced_metric(imm, np.zeros(3)))
+        want = v[:, np.argmin(np.abs(w))]
+        want = want if want[np.argmax(np.abs(want))] > 0 else -want
+        assert np.abs(lightlike_kernel(imm, np.zeros(3)) - want).max() <= 1e-14
+
+    def test_anisotropic_metric_passes_where_the_centre_did(self):
+        # J = (l, e_1, 1e-3 e_2, 1e-3 e_3): the metric diag(0, 1, 1e-6, 1e-6),
+        # whose least eigenvalue ratio 1e-6 over the second least lets
+        # ``_inertia`` find it lightlike although the adjugate is only 1e-12
+        j = np.array([[1.0, 0, 0, 0, 1], [0, 1, 0, 0, 0], [0, 0, 1e-3, 0, 0], [0, 0, 0, 1e-3, 0]])
+        imm, u = linear_immersion(*j), np.zeros(4)
+        w, v = np.linalg.eigh(induced_metric(imm, u))
+        want = v[:, np.argmin(np.abs(w))]
+        want = want if want[np.argmax(np.abs(want))] > 0 else -want
+        assert np.abs(lightlike_kernel(imm, u) - want).max() <= 1e-14
+        report = degeneracy_check(imm, lightlike_affinor(imm, u))
+        assert report.max_angle <= 1e-14
+
+    @pytest.mark.parametrize("scale", [1e-1, 1e-2])
+    def test_rotated_anisotropic_metric_within_the_rounding_bound(self, rng, scale):
+        # the metric diag(0, 1, scale^2, scale^2) in rotated parameters: the
+        # recursion's rounding bounds the direction by about
+        # 2e-16 F^(k-1) / |c_(k-1)| (2e-12 and 2e-8 here)
+        rotation, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+        j = np.array([[1.0, 0, 0, 0, 1], [0, 1, 0, 0, 0],
+                      [0, 0, scale, 0, 0], [0, 0, 0, scale, 0]])
+        imm, u = linear_immersion(*(rotation.T @ j)), np.zeros(4)
+        m = induced_metric(imm, u)
+        w, v = np.linalg.eigh(m)
+        want = v[:, np.argmin(np.abs(w))]
+        want = want if want[np.argmax(np.abs(want))] > 0 else -want
+        s = m / np.abs(m).max()
+        bound = 1e-15 * np.sqrt((s * s).sum()) ** 3 / abs(np.poly(s)[-2])
+        assert np.abs(lightlike_kernel(imm, u) - want).max() <= bound
+
+    def test_two_dimensional_kernel_raises(self, rng):
+        # J = (l, 2 l, e_1) with l null: the metric is diag(0, 0, 1) up to a
+        # rotation of the parameters, whose adjugate is zero up to rounding
+        null, e1 = np.array([1.0, 0.0, 0.0, 1.0]), np.array([0.0, 1.0, 0.0, 0.0])
+        rotation, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        for j in (np.array([null, 2 * null, e1]), rotation.T @ np.array([null, 2 * null, e1])):
+            with pytest.raises(DegenerateBasisError, match="kernel of dimension above 1"):
+                lightlike_kernel(linear_immersion(*j), np.zeros(3))
+
+    @pytest.mark.parametrize("columns", [np.eye(4)[:3], np.eye(4)[[0, 1, 3]]],
+                             ids=["spacelike", "timelike"])
+    def test_nonsingular_metric_raises(self, columns):
+        with pytest.raises(NotLightlikeError, match="not degenerate"):
+            lightlike_kernel(linear_immersion(*columns), np.zeros(3))
+
+    def test_non_finite_metric_raises(self):
+        with pytest.raises(DegenerateBasisError, match="non-finite"):
+            lightlike_kernel(linear_immersion([1.0, 0.0, 0.0, 1.0], [0.0, np.nan, 0.0, 0.0],
+                                              [0.0, 0.0, 1.0, 0.0]), np.zeros(3))
 
 
 class TestSurvey:

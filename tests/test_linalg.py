@@ -16,6 +16,7 @@ from pseudoconformal.linalg import (
     char_roots,
     cluster_roots,
     det,
+    durand_kerner,
     inverse,
     jacobi_eigh,
     max_principal_angle,
@@ -28,7 +29,7 @@ from pseudoconformal.linalg import (
 )
 
 import _oracles
-from _oracles import nested_cluster_roots, nested_clusters, root_bits
+from _oracles import nested_cluster_roots, nested_clusters, root_bits, single_matrix_jacobi
 
 finite_floats = st.floats(min_value=-10, max_value=10, allow_nan=False)
 
@@ -131,7 +132,7 @@ class TestJacobi:
             jacobi_eigh(stack, max_sweeps=1)
         w, _ = jacobi_eigh(stack[:2], max_sweeps=1)
         for member, wm in zip(stack[:2], w):
-            assert np.abs(wm - jacobi_eigh(member, max_sweeps=1)[0]).max() <= 1e-15
+            assert np.abs(wm - single_matrix_jacobi(member, max_sweeps=1)[0]).max() <= 1e-15
 
 
 def mixed_stack(rng, k):
@@ -154,13 +155,13 @@ def mixed_stack(rng, k):
 
 class TestStackedJacobi:
     @pytest.mark.parametrize("k", range(1, 7))
-    def test_matches_numpy_and_single_matrix_calls(self, rng, k):
+    def test_matches_numpy_and_the_single_matrix_loop(self, rng, k):
         stack = mixed_stack(rng, k)
         w, v = jacobi_eigh(stack)
         assert w.shape == (len(stack), k) and v.shape == (len(stack), k, k)
         for a, wm, vm in zip(stack, w, v):
             scale = max(np.abs(a).max(), 1.0)
-            ws, vs = jacobi_eigh(a)
+            ws, vs = single_matrix_jacobi(a)
             if np.linalg.norm(a - np.diag(np.diag(a))) <= JACOBI_TOL * np.abs(a).max():
                 # converged before the first sweep: the stacked pass must leave
                 # the member exactly as the single-matrix loop does
@@ -172,9 +173,24 @@ class TestStackedJacobi:
             if k == 1 or np.diff(ws).max() < -1e-3 * scale:
                 assert np.abs(vm - vs).max() <= 1e-9
 
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_single_matrix_is_a_stack_of_one(self, rng, k):
+        # a member's bits do not depend on the rest of its stack
+        stack = mixed_stack(rng, k)
+        w, v = jacobi_eigh(stack)
+        for a, wm, vm in zip(stack, w, v):
+            ws, vs = jacobi_eigh(a)
+            assert ws.shape == (k,) and vs.shape == (k, k)
+            assert np.array_equal(ws, wm) and np.array_equal(vs, vm)
+
     def test_empty_stack(self):
         w, v = jacobi_eigh(np.zeros((0, 3, 3)))
         assert w.shape == (0, 3) and v.shape == (0, 3, 3)
+
+    def test_rejects_what_is_not_a_square_matrix_or_stack(self):
+        for bad in (np.zeros(3), np.zeros((2, 3)), np.zeros((2, 2, 3)), np.zeros((1, 1, 2, 2))):
+            with pytest.raises(ValueError):
+                jacobi_eigh(bad)
 
 
 class TestCharRoots:
@@ -327,6 +343,16 @@ class TestSolve:
             a = rng.normal(size=(k, k))
             assert det(a) == pytest.approx(np.linalg.det(a), rel=1e-9, abs=1e-12)
 
+    def test_det_is_the_signed_product_of_the_pivots(self, rng):
+        # each row swap of the pivoting flips the sign; an exactly zero
+        # pivot gives 0.0
+        assert det(np.diag([2.0, 3.0])) == 6.0
+        assert det(2.0 * np.eye(3)[[1, 0, 2]]) == -8.0
+        assert det(np.eye(4)[[1, 0, 3, 2]]) == 1.0
+        a = rng.normal(size=(4, 4))
+        a[:, 1] = 0.0
+        assert det(a) == 0.0
+
     def test_particular_solution(self, rng):
         a = rng.normal(size=(3, 6))
         x_true = rng.normal(size=6)
@@ -339,6 +365,35 @@ class TestSolve:
         basis = nullspace(a)
         assert basis.shape == (5, 3)
         assert np.abs(a @ basis).max() < 1e-8
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_solve_and_det_reject(self, bad):
+        a = np.array([[1.0, bad], [0.0, 1.0]])
+        for call in (lambda: solve(a, np.ones(2)), lambda: inverse(a), lambda: det(a)):
+            with pytest.raises(ValueError, match="finite"):
+                call()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_bilinear_form_rejects(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            BilinearForm(np.full((2, 2), bad))
+
+    @pytest.mark.parametrize("coeffs", [[1.0, np.nan, 1.0], [1.0, 1.0, -np.inf], [0.0, 1.0, 2.0]])
+    def test_durand_kerner_rejects(self, coeffs):
+        with pytest.raises(ValueError, match="finite coefficients and a nonzero leading"):
+            durand_kerner(coeffs)
+
+    def test_durand_kerner_non_finite_residual_does_not_converge(self):
+        # the iteration overflows: the residual is not finite
+        with pytest.raises(ConvergenceError) as exc:
+            durand_kerner([1.0, 0.0, 1e200])
+        assert not np.isfinite(exc.value.residual)
+
+    def test_char_roots_rejects_a_nan_matrix(self):
+        with pytest.raises(ValueError, match="finite"):
+            char_roots(np.full((2, 2), np.nan))
 
 
 def _mixed_stack(seed, count=60, rows=5, cols=7):
