@@ -4,8 +4,12 @@ Runs each checkout's own ``perfbench/run.py --trace 0`` as a subprocess, in
 alternation: pair k runs OLD then NEW for even k and NEW then OLD for odd k,
 so slow drift of the machine falls on both sides alike.  For every pair it
 prints the four end-to-end metrics of both runs, then per metric the median
-and the range of each side and the ratio of the medians.  The exit code is
-1 if any run reports ``correct: false`` or no result, else 0.
+and the range of each side and the ratio of the medians, then per metric how
+many pairs the new side won (ties count for neither), the interquartile
+range of the old side, and whether the claim rule holds: the new side won at
+least nine tenths of the pairs, and its median is better than the old one by
+more than that range.  The exit code is 1 if any run reports
+``correct: false`` or no result, else 0.
 
 Example, from the root of a checkout:
     python scripts/ab_bench.py ../old . --workload congruence --pairs 3 --seconds 10 --seed 41
@@ -22,6 +26,8 @@ import subprocess
 import sys
 
 METRICS = ("points_per_s", "scene_s_p50", "setup_s", "peak_rss_mb")
+#: the metrics for which higher is better; lower is better for the others
+HIGHER_IS_BETTER = ("points_per_s",)
 
 
 def parse_result(stdout: str):
@@ -76,6 +82,27 @@ def summarize(workload: str, pairs) -> tuple:
     return lines, ok
 
 
+def claim_lines(workload: str, pairs) -> list:
+    """Per metric: the pairs the new side won, the old side's interquartile
+    range and whether the claim rule holds, over the (old, new) pairs."""
+    lines = []
+    for m in METRICS:
+        sign = 1.0 if m in HIGHER_IS_BETTER else -1.0
+        both = [(o["metrics"][m]["value"], n["metrics"][m]["value"])
+                for o, n in pairs if o is not None and n is not None]
+        if not both:
+            continue
+        wins = sum(sign * (n - o) > 0 for o, n in both)
+        old, new = zip(*both)
+        q1, _, q3 = (statistics.quantiles(old, n=4, method="inclusive") if len(old) > 1
+                     else (old[0],) * 3)
+        gain = sign * (statistics.median(new) - statistics.median(old)) + 0.0  # not -0
+        held = wins >= 0.9 * len(pairs) and gain > q3 - q1
+        lines.append(f"{workload} {m}: new won {wins}/{len(pairs)} pairs, old IQR {q3 - q1:.6g}, "
+                     f"median gain {gain:.6g}: claim rule {'holds' if held else 'does not hold'}")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old_root", nargs="?", help="OLD_ROOT, a checkout with perfbench/")
@@ -100,7 +127,7 @@ def main(argv=None) -> int:
             print(pair_line(workload, k, *results), flush=True)
         lines, good = summarize(workload, pairs)
         ok &= good
-        print("\n".join(lines[len(pairs):]), flush=True)
+        print("\n".join(lines[len(pairs):] + claim_lines(workload, pairs)), flush=True)
     return 0 if ok else 1
 
 

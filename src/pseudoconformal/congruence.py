@@ -35,8 +35,8 @@ from .conformal import AmbientModel, ProjectivePoint, _singular_coords, lift_poi
 from .errors import ConvergenceError, DegenerateBasisError, GeometryError, NonIntegrableError
 from .frames import _line_screen_candidates, _screen_error, build_screen, null_frame_coordinates
 from .hypersurface import _evaluate_stack, _evaluation_error, _pullback, parameter_grid
-from .linalg import (MAX_ROOT_ORDER, _cluster, _dots, _inertia, _roots, char_poly, durand_kerner,
-                     jacobi_eigh, orthonormal_rows, solve)
+from .linalg import (MAX_ROOT_ORDER, _cluster, _dots, _durand_kerner, _faddeev_leverrier, _inertia,
+                     _roots, _solve, jacobi_eigh, orthonormal_rows)
 
 DEFAULT_STEP = 1e-4
 
@@ -169,9 +169,9 @@ class CongruenceAnalysis:
         return self.shape_operator.shape[0]
 
 
-#: ``_line_jets`` of N points: A_0, A_1 (N, n+2), dA_0, dA_1 (N, d, n+2) and forms
-#: (N, d), all zero at a failed point, and the failures (index -> exception)
-_LineJets = namedtuple("_LineJets", "a0 a1 da0 da1 forms failures")
+#: ``_line_jets`` of N points: A_0, A_1 (N, n+2), dA_0, dA_1 (N, d, n+2), forms (N, d),
+#: rows [A_0; A_1; dA_0], all zero at a failed point, and failures (index -> exception)
+_LineJets = namedtuple("_LineJets", "a0 a1 da0 da1 forms rows failures")
 
 
 def _dependent(u: np.ndarray) -> DegenerateBasisError:
@@ -180,16 +180,16 @@ def _dependent(u: np.ndarray) -> DegenerateBasisError:
 
 
 def _line_jets(cong: IsotropicCongruence, us: np.ndarray, model: AmbientModel,
-               step: float) -> _LineJets:
+               step: float, check_ranks: bool = True) -> _LineJets:
     """Lines at the parameter points us (N, d), their central differences
     and transversal forms omega_0^n = -<d_a A_0, A_1>, from one stacked
     ``line_at`` call at every point and its neighbours u +- step e_a.  A
     point fails with the first of: its own evaluation, its line checks, its
     neighbours' evaluations (+e_0, -e_0, +e_1, ...), non-finite differentials,
-    dependent basis forms (rows of dA_0 dependent modulo the line).  An
-    evaluator's ValueError or ArithmeticError becomes a GeometryError naming
-    the point.  Non-finite members are masked before any arithmetic, and no
-    point depends on the rest of its stack."""
+    dependent basis forms (rows [A_0; A_1; dA_0] of rank below d+2; without
+    ``check_ranks`` the caller checks them).  An evaluator's ValueError or
+    ArithmeticError becomes a GeometryError naming the point.  Non-finite
+    members are masked first, and no point depends on the rest of its stack."""
     count, d = us.shape
     width = 2 * d + 1
     stencil = np.repeat(us[:, None], width, axis=1)
@@ -214,22 +214,23 @@ def _line_jets(cong: IsotropicCongruence, us: np.ndarray, model: AmbientModel,
     for i in np.flatnonzero(~live):
         failures.setdefault(i, GeometryError(
             f"non-finite line differentials at u={us[i].tolist()}"))
-    idx = np.flatnonzero(live)
-    _, ranks = orthonormal_rows(np.concatenate([lines[idx, 0], diffs[idx, :, 0]], axis=1))
-    for i in idx[ranks < d + 2]:
-        failures[i], live[i] = _dependent(us[i]), False
     lines[~live], diffs[~live] = 0.0, 0.0
+    rows = np.concatenate([lines[:, 0], diffs[:, :, 0]], axis=1)
+    if check_ranks:
+        dependent = np.flatnonzero(live)[orthonormal_rows(rows[live])[1] < d + 2]
+        failures.update({i: _dependent(us[i]) for i in dependent.tolist()})
+        lines[dependent], diffs[dependent], rows[dependent] = 0.0, 0.0, 0.0
     forms = -(diffs[:, :, 0] @ (model.form.gram @ lines[:, 0, 1, :, None]))[..., 0]
-    return _LineJets(lines[:, 0, 0], lines[:, 0, 1], diffs[:, :, 0], diffs[:, :, 1], forms,
+    return _LineJets(lines[:, 0, 0], lines[:, 0, 1], diffs[:, :, 0], diffs[:, :, 1], forms, rows,
                      failures)
 
 
 def _congruence_affinors(cong: IsotropicCongruence, us: np.ndarray, model: AmbientModel) -> list:
     """The CongruenceAnalysis of every parameter point of us (N, params), or
     the exception it raises: one ``_line_jets`` pass, one stacked screen pass
-    (``build_screen``) and one stacked pairing pass, then each point's
-    basis-form solve and root iteration, failing at the first step that
-    fails, and one ``linalg._cluster`` pass over the roots of every point.
+    (``build_screen``), one stacked pairing pass, then one basis-form solve,
+    characteristic polynomial and root pass over the stack, failing at the
+    first step that fails, and one ``linalg._cluster`` pass over the roots.
     A point gets the same bits in any stack.  Screens of dimension n-2
     beyond ``linalg.MAX_ROOT_ORDER`` raise ValueError."""
     n, gram = cong.n, model.form.gram
@@ -246,20 +247,21 @@ def _congruence_affinors(cong: IsotropicCongruence, us: np.ndarray, model: Ambie
     line = (jets.a0[live], jets.a1[live])
     c0 = null_frame_coordinates(jets.da0[live], line, screens, gram)
     c1 = null_frame_coordinates(jets.da1[live], line, screens, gram)
-    solved = []
-    for j, i in enumerate(live):
-        try:
-            unknowns = solve(np.hstack([c0[j, :, : n - 2], jets.forms[i][:, None]]),
-                             c1[j, :, : n - 2])
-            eigen = durand_kerner(char_poly(unknowns[: n - 2].T))
-        except DegenerateBasisError:  # from the solve
-            results[i] = _dependent(us[i])
-        except ConvergenceError as exc:
-            results[i] = exc
-        else:
-            solved.append((j, i, unknowns, -eigen))
-    means, mults, root_counts = _cluster(np.array([x for *_, x in solved]).reshape(len(solved), n - 2))
-    for (j, i, unknowns, _), mean, mult, count in zip(solved, means, mults, root_counts):
+    x, regular = _solve(np.concatenate([c0[:, :, : n - 2], jets.forms[live, :, None]], axis=2),
+                        c1[:, :, : n - 2])
+    for i in live[~regular].tolist():
+        results[i] = _dependent(us[i])
+    keep = np.flatnonzero(regular)
+    solved = np.ascontiguousarray(np.swapaxes(x[keep], 1, 2))  # members laid out as solve's
+    eigen, residual, converged = _durand_kerner(
+        _faddeev_leverrier(np.swapaxes(solved[:, : n - 2], 1, 2))[0].astype(complex))
+    for i, r in zip(live[keep[~converged]].tolist(), residual[~converged].tolist()):
+        results[i] = ConvergenceError(f"root iteration did not converge at u={us[i].tolist()} "
+                                      f"(residual {r:.3e})", residual=r)
+    means, mults, root_counts = _cluster(-eigen[converged])
+    for j, unknowns, mean, mult, count in zip(keep[converged].tolist(), solved[converged], means,
+                                              mults, root_counts):
+        i = live[j]
         lam, e_form = unknowns[: n - 2].T, jets.forms[i]
         results[i] = CongruenceAnalysis(
             u=us[i].copy(), shape_operator=lam, transversal_shift=unknowns[n - 2],
@@ -363,41 +365,63 @@ def _rk4_runs(cong: IsotropicCongruence, starts: np.ndarray, refs: np.ndarray,
     by classical fourth-order stepping, carrying each direction, first refs
     (R, d), by projection, for ``count`` steps or until a run leaves the
     domain.  The runs go in lockstep: each stage is one ``_line_jets`` pass
-    over the runs still going, and a last pass visits their end points.  A
-    failed line jet, a vanishing form or a direction off the kernel raises.
-    Returns per run the (point, line jets, index) of its start and of each
-    point reached, and whether a run left the domain."""
+    over the runs still going, a last pass visits their end points, and the
+    passes' rank checks are one call at the end.  A failed line jet, a
+    vanishing form or a direction off the kernel raises the failure of the
+    earliest failing pass, at its lowest member.  Returns per run the
+    (point, line jets, index) of its start and of each point reached, and
+    whether a run left the domain."""
     lo, hi = np.array(cong.domain, dtype=float).T
     u, ref = starts.copy(), refs.copy()
-    going, visits, truncated = np.arange(len(u)), [[] for _ in u], False
+    going, visits, truncated, passes = np.arange(len(u)), [[] for _ in u], False, []
     ks = np.zeros((4,) + u.shape)
-    for n_step in range(count + 1):
-        if not going.size:
-            break
-        for stage, weight in enumerate((0.0, 0.5, 0.5, 1.0)):
-            prev = ref if stage == 0 else ks[stage - 1]
-            stack = _line_jets(cong, u[going] + weight * step * prev[going] if stage else u[going],
-                               model, DEFAULT_STEP)
-            if stack.failures:
-                raise stack.failures[min(stack.failures)]
-            if stage == 0:
-                for j, r in enumerate(going):
-                    visits[r].append((u[r].copy(), stack, j))
-            if n_step == count:
-                return visits, truncated
-            d, norms, vanishing = _kernel_projections(stack.forms, prev[going])
-            if vanishing.any():
-                raise DegenerateBasisError("transversal form vanishes; distribution undefined")
-            if (norms < 1e-10).any():
-                raise DegenerateBasisError("transport direction left the distribution kernel")
-            ks[stage, going] = d / norms[:, None]
-        u[going] = u[going] + (step / 6.0) * (ks[0, going] + 2 * ks[1, going]
-                                              + 2 * ks[2, going] + ks[3, going])
-        outside = np.any(u[going] < lo - 1e-9, axis=1) | np.any(u[going] > hi + 1e-9, axis=1)
-        truncated |= bool(outside.any())
-        going = going[~outside]
-        ref[going] = ks[0, going]
+    try:
+        for n_step in range(count + 1):
+            if not going.size:
+                break
+            for stage, weight in enumerate((0.0, 0.5, 0.5, 1.0)):
+                prev = ref if stage == 0 else ks[stage - 1]
+                points = u[going] + weight * step * prev[going] if stage else u[going]
+                stack = _line_jets(cong, points, model, DEFAULT_STEP, check_ranks=False)
+                passes.append((points, stack.rows, stack.failures))
+                if stack.failures:
+                    raise stack.failures[min(stack.failures)]
+                if stage == 0:
+                    for j, r in enumerate(going):
+                        visits[r].append((u[r].copy(), stack, j))
+                if n_step == count:
+                    break
+                d, norms, vanishing = _kernel_projections(stack.forms, prev[going])
+                for bad, why in ((vanishing, "transversal form vanishes at u={}; "
+                                  "distribution undefined"),
+                                 (norms < 1e-10, "transport direction left the distribution "
+                                  "kernel at u={}")):
+                    if bad.any():  # named at the first failing member
+                        raise DegenerateBasisError(why.format(points[bad.argmax()].tolist()))
+                ks[stage, going] = d / norms[:, None]
+            else:  # a full step, not the visit of the end points
+                u[going] = u[going] + (step / 6.0) * (ks[0, going] + 2 * ks[1, going]
+                                                      + 2 * ks[2, going] + ks[3, going])
+                outside = ((u[going] < lo - 1e-9) | (u[going] > hi + 1e-9)).any(axis=1)
+                truncated |= bool(outside.any())
+                going = going[~outside]
+                ref[going] = ks[0, going]
+    except Exception as exc:
+        raise _first_failure(passes) or exc
+    if first := _first_failure(passes):
+        raise first
     return visits, truncated
+
+
+def _first_failure(passes: list):
+    """The failure of the lowest member of the earliest pass (points, rows
+    unchecked for rank, failures) that has one, or None, from one rank check."""
+    ranks = orthonormal_rows(np.concatenate([rows for _, rows, _ in passes]))[1] if passes else []
+    for points, _, failures in passes:
+        low, ranks = ranks[: len(points)] < points.shape[1] + 2, ranks[len(points) :]
+        failed = {i: _dependent(points[i]) for i in np.flatnonzero(low).tolist()} | failures
+        if failed:
+            return failed[min(failed)]
 
 
 def stratify(cong: IsotropicCongruence, seed, model: Optional[AmbientModel] = None,

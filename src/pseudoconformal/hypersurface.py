@@ -22,7 +22,7 @@ import numpy as np
 
 from .conformal import AmbientModel
 from .errors import DegenerateBasisError, GeometryError, NotLightlikeError
-from .linalg import _faddeev_leverrier, _inertia, jacobi_eigh
+from .linalg import _faddeev_leverrier, _inertia, jacobi_eigh, solve
 
 SPACELIKE = "spacelike"
 TIMELIKE = "timelike"
@@ -32,6 +32,8 @@ DEGENERATE = "degenerate_beyond_lightlike"
 #: degeneracy threshold of the induced metric: smallest |eigenvalue| relative
 #: to largest, for analytic and finite-difference jets alike
 LIGHTLIKE_TOL = 1e-7
+#: rounding bound of the kernel direction above which a bordered solve refines it
+KERNEL_REFINE_BOUND = 1e-12
 
 #: central-difference steps of ``jet1``, and of ``jet2`` over a differenced ``jet1``
 FD_STEP_FIRST = 1e-5
@@ -325,7 +327,8 @@ def lightlike_kernel(imm: Immersion, u, model: Optional[AmbientModel] = None) ->
     at least the least one: NotLightlikeError where it exceeds
     ``LIGHTLIKE_TOL`` F (no kernel, or none the recursion resolves).  Rounding
     limits x to about 2e-16 F^(k-1) / |c_(k-1)|, 4e-15 on the catalog's
-    lightlike entries.
+    lightlike entries; above ``KERNEL_REFINE_BOUND`` y of [[S, x], [x^T, 0]]
+    (y, mu) = (0, 1) replaces it, to 2e-16 / (least nonzero |eigenvalue|).
     """
     m, at = induced_metric(imm, u, model=model), np.asarray(u).tolist()
     if not np.isfinite(m).all():
@@ -335,9 +338,12 @@ def lightlike_kernel(imm: Immersion, u, model: Optional[AmbientModel] = None) ->
     if (len(s) - 1) * abs(c[-2]) <= LIGHTLIKE_TOL * abs(c[-3]):
         raise DegenerateBasisError(f"induced metric has a kernel of dimension above 1 at u={at}")
     column = adjugate[:, np.argmax((adjugate * adjugate).sum(axis=0))]
-    k = column / np.sqrt(column @ column)
+    k, f = column / np.sqrt(column @ column), np.sqrt((s * s).sum())
+    if 2e-16 * f ** (len(s) - 1) > KERNEL_REFINE_BOUND * abs(c[-2]):
+        k = solve(np.block([[s, k[:, None]], [k, 0.0]]), np.eye(len(s) + 1)[-1])[:-1]
+        k = k / np.sqrt(k @ k)
     residual = s @ k
-    if not np.sqrt(residual @ residual) <= LIGHTLIKE_TOL * np.sqrt((s * s).sum()):
+    if not np.sqrt(residual @ residual) <= LIGHTLIKE_TOL * f:
         raise NotLightlikeError(f"induced metric is not degenerate at u={at}")
     return -k if k[np.argmax(np.abs(k))] < 0 else k
 

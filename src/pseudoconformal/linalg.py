@@ -203,81 +203,88 @@ def char_poly(m) -> np.ndarray:
 
 
 def _faddeev_leverrier(a: np.ndarray) -> tuple:
-    """Coefficients c of det(x I - a) in descending powers and the adjugate
-    of a square a, by the Faddeev-LeVerrier recursion N_0 = I,
-    M_j = a N_(j-1), c_j = -tr(M_j) / j, N_j = M_j + c_j I.  Since N_k = 0,
-    a N_(k-1) = -c_k I = (-1)^(k-1) det(a) I, so adj a = (-1)^(k-1) N_(k-1)."""
-    k = a.shape[0]
-    coeffs = np.empty(k + 1)
-    coeffs[0] = 1.0
-    n_m = n_last = np.eye(k)
+    """Coefficients c (..., k+1) of det(x I - a) in descending powers and the
+    adjugates (..., k, k) of square matrices a (..., k, k), by the
+    Faddeev-LeVerrier recursion N_0 = I, M_j = a N_(j-1), c_j = -tr(M_j) / j,
+    N_j = M_j + c_j I.  Since N_k = 0, a N_(k-1) = -c_k I = (-1)^(k-1) det(a) I,
+    so adj a = (-1)^(k-1) N_(k-1).  A member has the bits of its stack of one."""
+    k = a.shape[-1]
+    coeffs = np.empty(a.shape[:-2] + (k + 1,))
+    coeffs[..., 0] = 1.0
+    n_m = n_last = eye = np.eye(k)
     for j in range(1, k + 1):
         n_last, m_j = n_m, a @ n_m
-        c = -np.trace(m_j) / j
-        coeffs[j] = c
-        n_m = m_j + c * np.eye(k)
-    return coeffs, (-1.0) ** (k - 1) * n_last
+        c = -np.trace(m_j, axis1=-2, axis2=-1) / j
+        coeffs[..., j] = c
+        n_m = m_j + c[..., None, None] * eye
+    return coeffs, (-1.0) ** (k - 1) * (n_last if k > 1 else np.broadcast_to(n_last, a.shape))
 
 
 def durand_kerner(coeffs):
-    """All complex roots of a monic polynomial given in descending powers.
+    """All complex roots of a polynomial given in descending powers: the stack
+    of one of ``_durand_kerner``, raising ConvergenceError where it fails."""
+    roots, residual, converged = _durand_kerner(np.asarray(coeffs, dtype=complex)[None])
+    if not converged[0]:
+        raise ConvergenceError(f"root iteration did not converge (residual {residual[0]:.3e})",
+                               residual=float(residual[0]))
+    return roots[0]
 
-    Initial guesses sit on a circle whose radius is one plus the largest
-    coefficient magnitude, offset off the real axis so conjugate symmetry
-    cannot trap the iteration.  It stops once no root moves by 1e-13 (1 plus
-    the largest root magnitude) in a sweep, or after 500 sweeps.  Raises
-    ValueError on a non-finite coefficient or a zero leading one, and
-    ConvergenceError when the final residual is not finite or above
-    1e-8 max(1, radius)^deg.
-    """
-    c = np.asarray(coeffs, dtype=complex)
-    if not np.isfinite(c).all() or c[0] == 0:
+
+def _durand_kerner(c: np.ndarray) -> tuple:
+    """Roots (N, deg) of polynomials (N, deg+1) in descending powers, all at
+    once by Durand-Kerner sweeps from a circle of radius one plus the largest
+    coefficient magnitude, off the real axis lest conjugate symmetry trap it.
+    A member stops once no root moves by 1e-13 (1 plus its largest root
+    magnitude), or after 500 sweeps.  Products and magnitudes follow numpy's
+    complex scalars (its vectorized ones round differently), so a member has
+    the bits of its stack of one.  Returns the roots, the residuals max |p(z)|
+    and whether each is finite and at most 1e-8 max(1, radius)^deg.  Raises
+    ValueError on a non-finite coefficient or a zero leading one."""
+    if not np.isfinite(c).all() or (c[:, 0] == 0).any():
         raise ValueError("durand_kerner requires finite coefficients and a nonzero leading one")
-    if abs(c[0] - 1.0) > 1e-12:
-        c = c / c[0]
-    deg = len(c) - 1
-    if deg == 0:
-        return np.empty(0, dtype=complex)
-    if deg == 1:
-        return np.array([-c[1]], dtype=complex)
-    radius = 1.0 + float(np.abs(c[1:]).max())
-    z = np.array(
-        [radius * cmath.exp(2j * math.pi * (j + 0.3) / deg) for j in range(deg)]
-    )
-    tail = list(c[1:])
+    c = np.where(np.hypot(c[:, :1].real - 1.0, c[:, :1].imag) > 1e-12, c / c[:, :1], c)
+    count, deg = c.shape[0], c.shape[1] - 1
+    if deg <= 1 or not count:
+        return -c[:, 1:], np.zeros(count), np.ones(count, dtype=bool)
+    radius = 1.0 + np.abs(c[:, 1:]).max(axis=1)
+    unit = [cmath.exp(2j * math.pi * (j + 0.3) / deg) for j in range(deg)]
+    z = np.array([[r * w for w in unit] for r in radius.tolist()])
+    live, zl, cl = np.arange(count), z, c  # the members still iterating
     with np.errstate(all="ignore"):  # an overflow ends in a non-finite residual
         for _ in range(500):
-            max_step = 0.0
+            # p(z_i) reads only z_i, which no other update of the sweep moves
+            p, max_step = _horner(cl, zl), np.zeros(len(live))
             for i in range(deg):
-                zi, p = z[i], c[0]
-                for ck in tail:
-                    p = p * zi + ck
-                denom = 1.0 + 0.0j
-                for j in range(deg):
-                    if j != i:
-                        d = zi - z[j]
-                        if abs(d) < 1e-30:
-                            d = 1e-30
-                        denom *= d
-                step = p / denom
-                z[i] -= step
-                max_step = max(max_step, abs(step))
-            if max_step < 1e-13 * (1.0 + float(np.abs(z).max())):
+                dr, di = 1.0, 0.0
+                for j in (*range(i), *range(i + 1, deg)):
+                    er, ei = zl.real[:, i] - zl.real[:, j], zl.imag[:, i] - zl.imag[:, j]
+                    tiny = np.hypot(er, ei) < 1e-30
+                    er, ei = np.where(tiny, 1e-30, er), np.where(tiny, 0.0, ei)
+                    dr, di = dr * er - di * ei, dr * ei + di * er
+                denom = dr.astype(complex)
+                denom.imag = di
+                step = p[:, i] / denom
+                zl[:, i] -= step
+                max_step = np.fmax(max_step, np.hypot(step.real, step.imag))
+            done = max_step < 1e-13 * (1.0 + np.abs(zl).max(axis=1))
+            z[live[done]] = zl[done]
+            live, zl, cl = live[~done], zl[~done], cl[~done]
+            if not live.size:
                 break
-        values = []
-        for zi in z:
-            p = c[0]
-            for ck in tail:
-                p = p * zi + ck
-            values.append(abs(p))
-        residual = float(np.max(values))  # a NaN value propagates
-        bound = 1e-8 * np.float64(max(1.0, radius)) ** deg
-    if not (math.isfinite(residual) and residual <= bound):
-        raise ConvergenceError(
-            f"root iteration did not converge (residual {residual:.3e})",
-            residual=residual,
-        )
-    return z
+        z[live] = zl
+        p = _horner(c, z)
+        residual = np.hypot(p.real, p.imag).max(axis=1)  # a NaN value propagates
+        bound = [1e-8 * np.float64(max(1.0, r)) ** deg for r in radius.tolist()]
+    return z, residual, np.isfinite(residual) & (residual <= bound)
+
+
+def _horner(c: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Polynomials c (N, deg+1) at z (N, m) in numpy's complex scalar arithmetic."""
+    pr, pi = c.real[:, :1], c.imag[:, :1]
+    for k in range(1, c.shape[1]):
+        pr, pi = (pr * z.real - pi * z.imag + c.real[:, k : k + 1],
+                  pr * z.imag + pi * z.real + c.imag[:, k : k + 1])
+    return np.stack([pr, pi], axis=-1).view(complex)[..., 0]
 
 
 @dataclass(frozen=True)
@@ -365,66 +372,65 @@ def char_roots(m):
 
 
 def solve(a, b, tol: float = SINGULAR_TOL):
-    """Solve a x = b by Gaussian elimination with partial pivoting.
-
-    b may be a vector or a matrix of stacked right-hand sides.  Raises
-    ValueError on a non-finite matrix.
-    """
-    m = _finite_matrix(a, "solve").copy()
-    k = m.shape[0]
-    rhs = np.asarray(b, dtype=float).copy()
-    vector = rhs.ndim == 1
-    if vector:
-        rhs = rhs[:, None]
-    if rhs.shape[0] != k:
+    """Solve a x = b, b a vector or a matrix of stacked right-hand sides: the
+    stack of one of ``_solve``.  Raises ValueError on a non-finite matrix."""
+    m, rhs = _finite_matrix(a, "solve"), np.asarray(b, dtype=float)
+    if rhs.shape[:1] != m.shape[:1]:
         raise ValueError("right-hand side has incompatible shape")
-    if _eliminate(m, rhs, tol * max(np.abs(m).max(), 1e-300)) is None:
+    x, regular = _solve(m[None], rhs.reshape(len(rhs), -1)[None], tol)
+    if not regular[0]:
         raise DegenerateBasisError("matrix is singular to working precision")
-    # one contiguous row per right-hand side: a column's bits never depend on the others
-    x = np.zeros((rhs.shape[1], k))
-    for b, xb in zip(rhs.T, x):
-        for row in range(k - 1, -1, -1):
-            xb[row] = (b[row] - m[row, row + 1 :] @ xb[row + 1 :]) / m[row, row]
-    return x[0] if vector else np.ascontiguousarray(x.T)
+    return x[0, 0] if rhs.ndim == 1 else np.ascontiguousarray(x[0].T)
+
+
+def _solve(a: np.ndarray, b: np.ndarray, tol: float = SINGULAR_TOL) -> tuple:
+    """Solutions (N, r, k) of a x = b, a (N, k, k) and b (N, k, r) finite,
+    zero where a pivot is at most tol times the member's largest entry, and
+    whether each member is regular.  A contiguous row per right-hand side
+    keeps its bits independent of the others, and a member's of its stack."""
+    count, k = a.shape[:2]
+    m = np.concatenate([a, b], axis=2)
+    regular = _eliminate(m, tol * np.maximum(np.abs(a).max(axis=(1, 2)), 1e-300))[1]
+    m[~regular] = np.eye(k, m.shape[2])
+    x = np.zeros((count, b.shape[2], k))
+    for row in range(k - 1, -1, -1):
+        x[:, :, row] = ((m[:, row, k:] - _dots(m[:, None, row, row + 1 : k], x[:, :, row + 1 :]))
+                        / m[:, row, row, None])
+    return x, regular
 
 
 def inverse(a, tol: float = SINGULAR_TOL):
-    m = _as_matrix(a)
-    return solve(m, np.eye(m.shape[0]), tol=tol)
+    return solve(a, np.eye(len(a)), tol=tol)
 
 
 def det(a) -> float:
-    """Determinant as the signed product of the pivots of ``_eliminate``;
-    0.0 at the first exactly zero pivot.  Raises ValueError on a non-finite
-    matrix."""
-    m = _finite_matrix(a, "det").copy()
-    sign = _eliminate(m, None, 0.0)
-    return 0.0 if sign is None else sign * math.prod(np.diagonal(m).tolist())
+    """Determinant as the signed product of the pivots of ``_eliminate``, 0.0
+    at the first exactly zero pivot.  Raises ValueError on a non-finite matrix."""
+    m = _finite_matrix(a, "det")[None].copy()
+    sign, regular = _eliminate(m, np.zeros(1))
+    return float(sign[0]) * math.prod(np.diagonal(m[0]).tolist()) if regular[0] else 0.0
 
 
-def _eliminate(m: np.ndarray, rhs: np.ndarray | None, floor: float):
-    """Gaussian elimination with partial pivoting of a square m, in place,
-    applied in place to the right-hand sides rhs (k, r) too unless rhs is
-    None.  Returns the sign of the row permutation, or None at the first
-    pivot whose magnitude is at most floor; m is then upper triangular with
-    the pivots on its diagonal."""
-    sign = 1.0
-    for col in range(m.shape[0]):
-        pivot_row = col + int(np.argmax(np.abs(m[col:, col])))
-        if abs(m[pivot_row, col]) <= floor:
-            return None
-        if pivot_row != col:
-            m[[col, pivot_row]] = m[[pivot_row, col]]
-            if rhs is not None:
-                rhs[[col, pivot_row]] = rhs[[pivot_row, col]]
-            sign = -sign
-        for row in range(col + 1, m.shape[0]):
-            f = m[row, col] / m[col, col]
-            if f != 0.0:
-                m[row, col:] -= f * m[col, col:]
-                if rhs is not None:
-                    rhs[row] -= f * rhs[col]
-    return sign
+def _eliminate(m: np.ndarray, floor: np.ndarray) -> tuple:
+    """Gaussian elimination with partial pivoting, in place, of square
+    matrices augmented with right-hand sides, m (N, k, k+r): the signs of
+    the row permutations and whether each member's pivots, left on its
+    diagonal, all exceed its floor (N,).  Rows with a zero multiplier stay
+    as they are, so a member has the bits of its stack of one."""
+    count, k = m.shape[:2]
+    members, sign = np.arange(count), np.ones(count)
+    with np.errstate(all="ignore"):  # past a pivot at its floor a member's values are not read
+        for col in range(k):
+            pivot = col + np.abs(m[:, col:, col]).argmax(axis=1)
+            moved = pivot != col
+            if moved.any():
+                m[:, col], m[members, pivot] = m[members, pivot], m[:, col].copy()
+                sign = np.where(moved, -sign, sign)
+            f = m[:, col + 1 :, col : col + 1] / m[:, col : col + 1, col : col + 1]
+            if f.any():
+                below = m[:, col + 1 :, col:]
+                np.subtract(below, f * m[:, col : col + 1, col:], out=below, where=f != 0.0)
+    return sign, (np.abs(np.diagonal(m, 0, 1, 2)) > floor[:, None]).all(axis=1)
 
 
 def solve_particular(a, b, tol: float = SINGULAR_TOL):

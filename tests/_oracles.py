@@ -7,10 +7,12 @@ out, and singular generator positions from a brute-force rank scan along the
 line, so agreement with the library's characteristic-root route is a genuine
 two-sided check.  Root clusters come from the nested-list rule that the
 library's stacked clustering replaced, one value at a time, and single
-symmetric eigenproblems from the one-matrix Jacobi loop that its stacked
-pass replaced.
+symmetric eigenproblems, solves, determinants, characteristic polynomials
+and polynomial roots from the one-matrix loops that the stacked passes
+replaced.
 """
 
+import cmath
 import math
 from collections import namedtuple
 
@@ -19,7 +21,7 @@ import numpy as np
 from pseudoconformal.congruence import IsotropicCongruence
 from pseudoconformal.conformal import (AtInfinity, ProjectivePoint, darboux_unembed, lift_point,
                                       lift_tangent)
-from pseudoconformal.errors import ConvergenceError
+from pseudoconformal.errors import ConvergenceError, DegenerateBasisError
 from pseudoconformal.frames import _lightlike_lines, complete_isotropic_frame
 
 
@@ -354,6 +356,117 @@ def single_matrix_jacobi(m, tol=1e-12, max_sweeps=60):
         if v[i, j] < 0:
             v[:, j] = -v[:, j]
     return w, v
+
+
+def single_matrix_solve(a, b, tol=1e-12):
+    """Solution of one finite system a x = b, b a vector or a matrix of
+    right-hand sides, or DegenerateBasisError: the single-matrix elimination
+    and back substitution ``linalg.solve`` ran before a matrix became a
+    stack of one of ``linalg._solve``."""
+    m = np.array(a, dtype=float)
+    k = m.shape[0]
+    rhs = np.asarray(b, dtype=float).copy()
+    vector = rhs.ndim == 1
+    if vector:
+        rhs = rhs[:, None]
+    if _single_matrix_eliminate(m, rhs, tol * max(np.abs(m).max(), 1e-300)) is None:
+        raise DegenerateBasisError("matrix is singular to working precision")
+    x = np.zeros((rhs.shape[1], k))
+    for b, xb in zip(rhs.T, x):
+        for row in range(k - 1, -1, -1):
+            xb[row] = (b[row] - m[row, row + 1 :] @ xb[row + 1 :]) / m[row, row]
+    return x[0] if vector else np.ascontiguousarray(x.T)
+
+
+def single_matrix_det(a):
+    """Determinant of one finite matrix as ``linalg.det`` took it before a
+    matrix became a stack of one of ``linalg._eliminate``."""
+    m = np.array(a, dtype=float)
+    sign = _single_matrix_eliminate(m, None, 0.0)
+    return 0.0 if sign is None else sign * math.prod(np.diagonal(m).tolist())
+
+
+def _single_matrix_eliminate(m, rhs, floor):
+    sign = 1.0
+    for col in range(m.shape[0]):
+        pivot_row = col + int(np.argmax(np.abs(m[col:, col])))
+        if abs(m[pivot_row, col]) <= floor:
+            return None
+        if pivot_row != col:
+            m[[col, pivot_row]] = m[[pivot_row, col]]
+            if rhs is not None:
+                rhs[[col, pivot_row]] = rhs[[pivot_row, col]]
+            sign = -sign
+        for row in range(col + 1, m.shape[0]):
+            f = m[row, col] / m[col, col]
+            if f != 0.0:
+                m[row, col:] -= f * m[col, col:]
+                if rhs is not None:
+                    rhs[row] -= f * rhs[col]
+    return sign
+
+
+def single_matrix_faddeev_leverrier(a):
+    """Characteristic coefficients and adjugate of one square matrix as
+    ``linalg._faddeev_leverrier`` took them before it broadcast."""
+    k = a.shape[0]
+    coeffs = np.empty(k + 1)
+    coeffs[0] = 1.0
+    n_m = n_last = np.eye(k)
+    for j in range(1, k + 1):
+        n_last, m_j = n_m, a @ n_m
+        c = -np.trace(m_j) / j
+        coeffs[j] = c
+        n_m = m_j + c * np.eye(k)
+    return coeffs, (-1.0) ** (k - 1) * n_last
+
+
+def single_polynomial_durand_kerner(coeffs):
+    """Roots of one polynomial, or ConvergenceError, by the single-polynomial
+    Durand-Kerner loop in numpy complex scalars that ``linalg.durand_kerner``
+    ran before a polynomial became a stack of one."""
+    c = np.asarray(coeffs, dtype=complex)
+    if abs(c[0] - 1.0) > 1e-12:
+        c = c / c[0]
+    deg = len(c) - 1
+    if deg == 0:
+        return np.empty(0, dtype=complex)
+    if deg == 1:
+        return np.array([-c[1]], dtype=complex)
+    radius = 1.0 + float(np.abs(c[1:]).max())
+    z = np.array([radius * cmath.exp(2j * math.pi * (j + 0.3) / deg) for j in range(deg)])
+    tail = list(c[1:])
+    with np.errstate(all="ignore"):
+        for _ in range(500):
+            max_step = 0.0
+            for i in range(deg):
+                zi, p = z[i], c[0]
+                for ck in tail:
+                    p = p * zi + ck
+                denom = 1.0 + 0.0j
+                for j in range(deg):
+                    if j != i:
+                        d = zi - z[j]
+                        if abs(d) < 1e-30:
+                            d = 1e-30
+                        denom *= d
+                step = p / denom
+                z[i] -= step
+                max_step = max(max_step, abs(step))
+            if max_step < 1e-13 * (1.0 + float(np.abs(z).max())):
+                break
+        values = []
+        for zi in z:
+            p = c[0]
+            for ck in tail:
+                p = p * zi + ck
+            values.append(abs(p))
+        residual = float(np.max(values))
+        bound = 1e-8 * np.float64(max(1.0, radius)) ** deg
+    if not (math.isfinite(residual) and residual <= bound):
+        raise ConvergenceError(f"root iteration did not converge (residual {residual:.3e})",
+                               residual=residual)
+    return z
 
 
 def fd_jacobian(fun, u, out_dim, step=1e-6):

@@ -653,6 +653,29 @@ class TestAbBench:
                             "new 0.054 [0.053-0.055], new/old 0.635")
         assert len(lines) == 3 + len(ab.METRICS)
 
+    def test_claim_rule(self, ab):
+        # ten pairs: the new side wins nine on points_per_s, by more than the
+        # old interquartile range, ties on setup_s and loses on peak_rss_mb
+        def pair(old_pps, new_pps):
+            return (ab.parse_result(_result_line(True, old_pps)),
+                    ab.parse_result(_result_line(True, new_pps, peak_rss_mb=41)))
+
+        pairs = [pair(1000 + 10 * k, 1500 + 10 * k) for k in range(9)] + [pair(1600, 1400)]
+        lines = ab.claim_lines("congruence", pairs)
+        assert lines[0] == ("congruence points_per_s: new won 9/10 pairs, old IQR 45, "
+                            "median gain 490: claim rule holds")
+        assert lines[2] == ("congruence setup_s: new won 0/10 pairs, old IQR 0, "
+                            "median gain 0: claim rule does not hold")
+        assert lines[3] == ("congruence peak_rss_mb: new won 0/10 pairs, old IQR 0, "
+                            "median gain -1: claim rule does not hold")
+        # eight wins of ten are not enough, however large the gain
+        lines = ab.claim_lines("congruence", pairs[1:] + [pair(1600, 1400)])
+        assert lines[0].startswith("congruence points_per_s: new won 8/10 pairs")
+        assert lines[0].endswith("claim rule does not hold")
+        # nor is a gain within the old interquartile range
+        close = [pair(1000 + 100 * k, 1060 + 100 * k) for k in range(10)]
+        assert ab.claim_lines("congruence", close)[0].endswith("claim rule does not hold")
+
     def test_incorrect_or_missing_run_fails(self, ab):
         good, bad = (ab.parse_result(_result_line(c, 1000.0)) for c in (True, False))
         lines, ok = ab.summarize("lightlike", [(good, bad)])

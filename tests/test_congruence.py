@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -11,6 +12,7 @@ from pseudoconformal.congruence import (
     _congruence_affinors,
     _kernel_bases,
     _line_jets,
+    _rk4_runs,
     congruence_affinor,
     congruence_singular_points,
     integrability_defect,
@@ -18,7 +20,8 @@ from pseudoconformal.congruence import (
 )
 from pseudoconformal.conformal import AmbientModel, AtInfinity, darboux_unembed
 from pseudoconformal.frames import complete_isotropic_frame
-from pseudoconformal.errors import GeometryError, NonIntegrableError
+from pseudoconformal.errors import (ConvergenceError, DegenerateBasisError, GeometryError,
+                                   NonIntegrableError)
 from pseudoconformal.hypersurface import LIGHTLIKE, causal_type_of_metric, parameter_grid
 from pseudoconformal.lightlike import lightlike_affinor, singular_points
 from pseudoconformal.linalg import REAL_ROOT_TOL
@@ -473,8 +476,8 @@ def _each_alone(line_jets):
     """``_line_jets`` evaluating each member of a stack as a stack of one."""
     import pseudoconformal.congruence as module
 
-    def alone(cong, us, model, step):
-        parts = [line_jets(cong, u[None], model, step) for u in us]
+    def alone(cong, us, model, step, **kwargs):
+        parts = [line_jets(cong, u[None], model, step, **kwargs) for u in us]
         arrays = (np.concatenate(field) for field in zip(*(part[:-1] for part in parts)))
         return module._LineJets(*arrays, {i: part.failures[0]
                                           for i, part in enumerate(parts) if part.failures})
@@ -611,9 +614,9 @@ class TestCongruenceEngine:
         def run(jets):
             passes = []
 
-            def counted(cong, us, model, step):
+            def counted(cong, us, model, step, **kwargs):
                 passes.append([u.tobytes() for u in us])
-                return jets(cong, us, model, step)
+                return jets(cong, us, model, step, **kwargs)
 
             monkeypatch.setattr(module, "_line_jets", counted)
             leaf = stratify(catalog.build("cone_normal_congruence", n=4),
@@ -632,6 +635,108 @@ class TestCongruenceEngine:
         assert all(a.tobytes() == b.tobytes() for la, lb in zip(leaf.lines, alone.lines)
                    for a, b in zip(la, lb))
         assert len(leaf.lines) == len(alone.lines) == 81
+
+
+def _inline_rank_checks(monkeypatch):
+    """Make every ``_line_jets`` pass check its ranks itself: the reference
+    behaviour of the leaf integrator's one deferred check."""
+    import pseudoconformal.congruence as module
+
+    line_jets = module._line_jets
+    monkeypatch.setattr(module, "_line_jets",
+                        lambda cong, us, model, step, **kwargs: line_jets(cong, us, model, step))
+
+
+def bent_fold_congruence():
+    """The fold, with a direction that is not null from u0 = 0.5 on."""
+    return IsotropicCongruence.from_null_lines(
+        3, ((-1.0, 1.0), (-1.0, 1.0)),
+        base_point=lambda u: np.array([u[0], u[1] ** 2, 0.0]),
+        direction=lambda u: np.array([1.0, 0.0, 1.0 if u[0] < 0.5 else 2.0]),
+    )
+
+
+class TestDeferredRankChecks:
+    """The leaf integrator checks the ranks of all its passes in one call and
+    raises what checking each pass at once raised: the failure of the
+    earliest failing pass, at its lowest failing member."""
+
+    @pytest.mark.parametrize("seed", [(0.1, 0.05), (0.2, 0.1), (0.1, 0.02)])
+    def test_a_leaf_that_turns_degenerate_between_lattice_points(self, model3, monkeypatch,
+                                                                 seed):
+        # the leaf runs along u1 into the fold at u1 = 0, which it reaches
+        # at an intermediate stage of a step
+        deferred = outcome(stratify, fold_congruence(), np.array(seed), model=model3, count=10)
+        _inline_rank_checks(monkeypatch)
+        inline = outcome(stratify, fold_congruence(), np.array(seed), model=model3, count=10)
+        assert deferred == inline
+        assert deferred[0] is DegenerateBasisError
+        assert deferred[1].startswith(f"basis forms are dependent at u=[{seed[0]}, ")
+
+    @pytest.mark.parametrize("starts,first", [
+        ([(0.7, 0.3), (0.0, 0.0)], "not an isotropic line at u=\\[0.7, 0.3\\]"),
+        ([(0.0, 0.0), (0.7, 0.3)], "basis forms are dependent at u=\\[0.0, 0.0\\]"),
+    ])
+    def test_the_lowest_member_of_a_failing_pass_wins(self, model3, monkeypatch, starts, first):
+        # one pass with a line-check failure beside a rank failure
+        def run():
+            return outcome(_rk4_runs, bent_fold_congruence(), np.array(starts),
+                           np.array([[1.0, 0.0], [1.0, 0.0]]), model3, 1e-2, 3)
+
+        deferred = run()
+        _inline_rank_checks(monkeypatch)
+        assert deferred == run()
+        assert re.fullmatch(first + ".*", deferred[1])
+
+    @pytest.mark.parametrize("why", ["transversal form vanishes at u=\\[0.2, 0.3\\]; "
+                                     "distribution undefined",
+                                     "transport direction left the distribution kernel at "
+                                     "u=\\[0.2, 0.3\\]"])
+    def test_transport_messages_name_the_point(self, model3, monkeypatch, why):
+        # the second run's form vanishes, or its projected direction does
+        import pseudoconformal.congruence as module
+
+        projections = module._kernel_projections
+
+        def failing(forms, refs):
+            d, norms, vanishing = projections(forms, refs)
+            second = np.arange(len(forms)) == 1
+            if why.startswith("transversal"):
+                return d, norms, vanishing | second
+            return d, np.where(second, 0.0, norms), vanishing
+
+        monkeypatch.setattr(module, "_kernel_projections", failing)
+        starts = np.array([[0.1, 0.4], [0.2, 0.3]])
+        with pytest.raises(DegenerateBasisError, match=why):
+            _rk4_runs(catalog.build("cone_normal_congruence"), starts,
+                      np.array([[1.0, 0.0], [1.0, 0.0]]), model3, 1e-2, 2)
+
+
+class TestStackedRoots:
+    def test_a_member_that_does_not_converge_fails_alone(self, model4, monkeypatch):
+        # one member's root iteration is made to fail: it alone raises a
+        # ConvergenceError naming u, the others keep their bits
+        import pseudoconformal.congruence as module
+
+        cong = catalog.build("twisted_congruence", n=4)
+        grid = parameter_grid(cong, [2, 2, 2])[1]
+        want = _congruence_affinors(cong, grid, model4)
+        roots = module._durand_kerner
+
+        def failing(c):
+            z, residual, converged = roots(c)
+            third = np.arange(len(c)) == 3
+            return z, np.where(third, 0.5, residual), converged & ~third
+
+        monkeypatch.setattr(module, "_durand_kerner", failing)
+        got = _congruence_affinors(cong, grid, model4)
+        for i, (a, b) in enumerate(zip(got, want)):
+            if i == 3:
+                assert isinstance(a, ConvergenceError) and a.residual == 0.5
+                assert str(a) == (f"root iteration did not converge at u={grid[3].tolist()} "
+                                  "(residual 5.000e-01)")
+            else:
+                assert _analysis_bits(a) == _analysis_bits(b)
 
 
 def _close(value, reference, rel=1e-12):

@@ -240,6 +240,20 @@ class TestLightlikeKernel:
         bound = 1e-15 * np.sqrt((s * s).sum()) ** 3 / abs(np.poly(s)[-2])
         assert np.abs(lightlike_kernel(imm, u) - want).max() <= bound
 
+    def test_rotated_anisotropic_metric_is_refined(self, rng):
+        # scale 1e-3: the metric diag(0, 1, 1e-6, 1e-6) in rotated parameters,
+        # whose rounding bound 2e-4 the adjugate's direction alone cannot
+        # meet; one bordered solve brings it to eigh's own 2e-16 / 1e-6
+        rotation, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+        j = np.array([[1.0, 0, 0, 0, 1], [0, 1, 0, 0, 0], [0, 0, 1e-3, 0, 0], [0, 0, 0, 1e-3, 0]])
+        imm, u = linear_immersion(*(rotation.T @ j)), np.zeros(4)
+        w, v = np.linalg.eigh(induced_metric(imm, u))
+        want = v[:, np.argmin(np.abs(w))]
+        want = want if want[np.argmax(np.abs(want))] > 0 else -want
+        assert np.abs(lightlike_kernel(imm, u) - want).max() <= 1e-9
+        report = degeneracy_check(imm, lightlike_affinor(imm, u))
+        assert report.max_angle <= 1e-12
+
     def test_two_dimensional_kernel_raises(self, rng):
         # J = (l, 2 l, e_1) with l null: the metric is diag(0, 0, 1) up to a
         # rotation of the parameters, whose adjugate is zero up to rounding

@@ -12,6 +12,9 @@ from pseudoconformal.linalg import (
     REAL_ROOT_TOL,
     BilinearForm,
     _cluster,
+    _durand_kerner,
+    _faddeev_leverrier,
+    _solve,
     char_poly,
     char_roots,
     cluster_roots,
@@ -29,7 +32,9 @@ from pseudoconformal.linalg import (
 )
 
 import _oracles
-from _oracles import nested_cluster_roots, nested_clusters, root_bits, single_matrix_jacobi
+from _oracles import (nested_cluster_roots, nested_clusters, root_bits, single_matrix_det,
+                      single_matrix_faddeev_leverrier, single_matrix_jacobi, single_matrix_solve,
+                      single_polynomial_durand_kerner)
 
 finite_floats = st.floats(min_value=-10, max_value=10, allow_nan=False)
 
@@ -394,6 +399,112 @@ class TestNonFiniteInput:
     def test_char_roots_rejects_a_nan_matrix(self):
         with pytest.raises(ValueError, match="finite"):
             char_roots(np.full((2, 2), np.nan))
+
+
+def _outcome(fn, *args):
+    """Result of a call, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _same(a, b):
+    if isinstance(a, tuple) or isinstance(b, tuple):
+        return isinstance(a, tuple) and isinstance(b, tuple) and a == b
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _square_stack(rng, count, k):
+    """Seeded square matrices at scales 1e-3 .. 1e3: random, with a zero
+    row, with dependent columns and with small integer entries."""
+    a = rng.standard_normal((count, k, k)) * 10.0 ** rng.uniform(-3, 3, (count, 1, 1))
+    a[1::4, rng.integers(k)] = 0.0
+    if k > 1:
+        a[2::4, :, 1] = 2.0 * a[2::4, :, 0]
+    a[3::4] = np.round(3.0 * a[3::4] / np.abs(a[3::4]).max(axis=(1, 2), keepdims=True))
+    return a
+
+
+class TestStackedKernels:
+    """``_solve`` (with ``_eliminate``), ``_faddeev_leverrier`` and
+    ``_durand_kerner`` run whole stacks; ``solve``, ``det``, ``char_poly``
+    and ``durand_kerner`` are their stacks of one."""
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_single_calls_keep_the_bits_of_the_single_matrix_loops(self, k):
+        rng = np.random.default_rng(100 + k)
+        for a in _square_stack(rng, 200, k):
+            b = rng.standard_normal((k, 3))
+            assert _same(_outcome(det, a), _outcome(single_matrix_det, a))
+            assert _same(_outcome(solve, a, b), _outcome(single_matrix_solve, a, b))
+            assert _same(_outcome(solve, a, b[:, 0]), _outcome(single_matrix_solve, a, b[:, 0]))
+            for got, want in zip(_faddeev_leverrier(a), single_matrix_faddeev_leverrier(a)):
+                assert _same(got, want)
+            if k <= 5:
+                c = char_poly(a) * (1.0 if k % 2 else 1.5)  # also a leading 1.5
+                assert _same(_outcome(durand_kerner, c),
+                             _outcome(single_polynomial_durand_kerner, c))
+
+    @pytest.mark.parametrize("roots", [[0.3, 0.3], [0.0, 0.0, 0.0], [1.0, 1.0 + 1e-9, -2.0],
+                                       [0.5, 0.5, 0.5, 0.5], [1e3, -1e-3]])
+    def test_durand_kerner_keeps_the_bits_on_multiple_roots(self, roots):
+        c = np.poly(roots)
+        assert _same(_outcome(durand_kerner, c), _outcome(single_polynomial_durand_kerner, c))
+
+    def test_durand_kerner_keeps_the_error_of_a_non_finite_residual(self):
+        c = [1.0, 0.0, 1e200]
+        assert _same(_outcome(durand_kerner, c), _outcome(single_polynomial_durand_kerner, c))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 8, 12])
+    def test_members_have_the_bits_of_their_stack_of_one(self, k):
+        rng = np.random.default_rng(200 + k)
+        a, b = _square_stack(rng, 40, k), rng.standard_normal((40, k, 2))
+        x, regular = _solve(a, b)
+        coeffs, adjugates = _faddeev_leverrier(a)
+        for i in range(40):
+            x1, regular1 = _solve(a[i][None], b[i][None])
+            assert _same(x[i], x1[0]) and regular[i] == regular1[0]
+            c1, adj1 = _faddeev_leverrier(a[i])
+            assert _same(coeffs[i], c1) and _same(adjugates[i], adj1)
+        assert not regular.all() and regular.any()
+        if k <= 5:
+            # and, from degree 2, a polynomial whose iteration overflows
+            overflow = [[1.0, 0.0, 1e200] + [0.0] * (k - 2)] if k > 1 else np.empty((0, 2))
+            polys = np.concatenate([coeffs, overflow])
+            roots, residual, converged = _durand_kerner(polys.astype(complex))
+            for i, poly in enumerate(polys):
+                r1, res1, conv1 = _durand_kerner(poly.astype(complex)[None])
+                assert _same(roots[i], r1[0]) and _same(residual[i], res1[0])
+                assert converged[i] == conv1[0]
+            assert converged[:40].all() and not converged[40:].any()
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_against_numpy(self, k):
+        rng = np.random.default_rng(300 + k)
+        a, b = _square_stack(rng, 40, k), rng.standard_normal((40, k, 2))
+        x, regular = _solve(a, b)
+        for i in range(40):
+            if regular[i]:
+                want = np.linalg.solve(a[i], b[i])
+                assert np.abs(x[i].T - want).max() <= 1e-9 * (1.0 + np.abs(want).max())
+            else:
+                assert np.linalg.matrix_rank(a[i]) < k and not x[i].any()
+        assert regular.sum() >= 10
+        coeffs = _faddeev_leverrier(a)[0]
+        for member, c in zip(a, coeffs):
+            want = np.poly(member)
+            scale = np.abs(member).max() ** np.arange(k + 1)
+            assert np.abs(c - want).max() <= 1e-12 * (1.0 + np.abs(want) + scale).max()
+        polys = coeffs[regular]
+        roots, _, converged = _durand_kerner(polys.astype(complex))
+        assert converged.all()
+        for poly, got in zip(polys, roots):
+            want = np.roots(poly)
+            radius = 1.0 + np.abs(want).max()
+            # match each numpy root to the nearest root of the iteration
+            assert max(np.abs(got - w).min() for w in want) <= 1e-6 * radius
 
 
 def _mixed_stack(seed, count=60, rows=5, cols=7):
