@@ -11,14 +11,16 @@ NEW_SRC, each tree in its own interpreter, and compares what they write:
   in JSON: grids with point errors, which no shipped or generated scene has.
 
 For each run it prints the two exit codes and whether the output bytes are
-identical, ``.leaf.csv`` side files included.  Where they differ it says
-whether the text is the same with every number masked and, if so, the
-largest |new - old| / (1 + |old|) over the numbers, then that largest
-difference per field that moved, one indented line each: a JSON field is its
-key path with list indices dropped (``center.degeneracy.max_angle``), a CSV
-field its column header (``leaf:`` and the header in a leaf side file).  One
-summary line ends the report, with the worst difference per field over all
-runs; the exit code is 0 only if every run matched byte for byte.
+identical, ``.leaf.csv`` side files and the run's standard error included
+(failure messages go only there).  Where they differ it says whether the
+text is the same with every number masked and, if so, the largest
+|new - old| / (1 + |old|) over the numbers, then that largest difference per
+field that moved, one indented line each: a JSON field is its key path with
+list indices dropped (``center.degeneracy.max_angle``), a CSV field its
+column header (``leaf:`` and the header in a leaf side file), the standard
+error the one field ``stderr``.  One summary line ends the report, with the
+worst difference per field over all runs; the exit code is 0 only if every
+run matched byte for byte.
 
 Example:
     python scripts/compare_outputs.py ../old/src src
@@ -49,7 +51,8 @@ COMMANDS = {"points": ("embed",), "hypersurface": ("classify", "lightlike"),
 #: lightlike the cone's vertex is a grid point ("non-finite jacobian at
 #: u=[0.0, 0.0]") and the other 8 points each give one focal sample; the cone
 #: congruence's v axis runs past 1, where its direction has no square root, so
-#: the run ends at the first point whose line or neighbour fails (exit 3)
+#: the run ends at the first point whose line or neighbour fails (exit 3); with
+#: a grid short of v = 1, the cone congruence's leaf runs past it (exit 3)
 ERROR_SCENES = {
     "failing_point": {"kind": "hypersurface", "builtin": "timelike_hypersphere", "n": 3,
                       "grid": {"axes": [{"start": 0.0, "stop": 1.0, "count": 3},
@@ -63,13 +66,21 @@ ERROR_SCENES = {
     "cone_past_one": {"kind": "congruence", "builtin": "cone_normal_congruence", "n": 3,
                       "grid": {"axes": [{"start": 0.5, "stop": 1.5, "count": 3},
                                         {"start": -1.0, "stop": 1.0, "count": 3}]}},
+    "cone_leaf_past_one": {"kind": "congruence", "builtin": "cone_normal_congruence", "n": 3,
+                           "grid": {"axes": [{"start": 0.5, "stop": 0.999, "count": 3},
+                                             {"start": -1.0, "stop": 1.0, "count": 3}]},
+                           "stratify": {"seed": [0.9, 0.2], "step": 0.01, "count": 40}},
 }
+
+#: what a run leaves beside its output file: the leaf table, the standard error
+SIDE_FILES = (".leaf.csv", ".stderr")
 
 #: numbers as the CLI writes them (shortest round-trip floats, integers)
 NUMBER = re.compile(r"-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|-?\binf\b|\bnan\b|-?Infinity|NaN")
 
 #: child program: run each (command, scene, out, format) with the CLI of one
-#: source tree, in-process, and write the exit codes as JSON
+#: source tree, in-process, write each run's standard error beside its output
+#: and the exit codes as JSON
 RUNNER = """
 import contextlib, io, json, os, sys
 src, plan, codes_path = sys.argv[1:4]
@@ -79,8 +90,8 @@ if os.path.dirname(os.path.abspath(cli.__file__)) != os.path.join(os.path.abspat
     raise SystemExit(f"imported {cli.__file__}, not {src}")
 codes = []
 for command, scene, out, fmt in json.load(open(plan)):
-    sink = io.StringIO()
-    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+    sink, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(err):
         try:
             code = cli.main([command, "--scene", scene, "--out", out, "--format", fmt])
         except SystemExit as exc:
@@ -88,6 +99,8 @@ for command, scene, out, fmt in json.load(open(plan)):
         except Exception:  # the CLI would print a traceback and exit 1
             code = 1
     codes.append(code)
+    with open(out + ".stderr", "w") as fh:
+        fh.write(err.getvalue())
 json.dump(codes, open(codes_path, "w"))
 """
 
@@ -170,15 +183,17 @@ def _csv_fields(old: str, new: str, prefix: str = ""):
 
 def field_differences(old_out: Path, new_out: Path) -> dict:
     """Largest |new - old| / (1 + |old|) per field that moved, over one
-    run's output and its leaf side file, whose texts are the same with
-    numbers masked."""
+    run's output and its side files, whose texts are the same with numbers
+    masked."""
     worst = {}
-    for suffix in ("", ".leaf.csv"):
+    for suffix in ("",) + SIDE_FILES:
         a, b = _read(Path(str(old_out) + suffix)), _read(Path(str(new_out) + suffix))
         if a is None or b is None or a == b:
             continue
         ta, tb = a.decode(), b.decode()
-        if suffix:
+        if suffix == ".stderr":
+            cells = [("stderr", ta, tb)]
+        elif suffix:
             cells = _csv_fields(ta, tb, "leaf:")
         else:
             try:
@@ -194,9 +209,9 @@ def field_differences(old_out: Path, new_out: Path) -> dict:
 
 def compare(old_out: Path, new_out: Path) -> tuple:
     """(identical, masked text equal, worst relative difference) of one
-    run's output and its leaf side file."""
+    run's output and its side files."""
     identical, masked, worst = True, True, 0.0
-    for suffix in ("", ".leaf.csv"):
+    for suffix in ("",) + SIDE_FILES:
         a, b = _read(Path(str(old_out) + suffix)), _read(Path(str(new_out) + suffix))
         if a == b:
             continue

@@ -16,6 +16,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import chain
 from typing import Optional
 
@@ -229,14 +230,19 @@ def _rows(template: str, sep: str, columns: list) -> str:
     return sep.join([template] * len(columns[0])) % tuple(chain.from_iterable(zip(*columns)))
 
 
-def _json_text(fields: dict, blocks: dict) -> str:
+def _json_text(fields: dict, blocks: dict, depth: int = 0) -> str:
     """The bytes of ``json.dumps(sort_keys=True, indent=1)`` of a document
     of the small ``fields`` and of lists given as ``blocks``: each one's
-    records already written at their depth and joined by ",\n"."""
-    items = {k: json.dumps(v, sort_keys=True, indent=1).replace("\n", "\n ")
+    records already written at their depth and joined by ",\n", or a pair
+    (fields, blocks) of an object within.  An object within, at depth > 0,
+    has no final newline."""
+    pad = " " * (depth + 1)
+    items = {k: json.dumps(v, sort_keys=True, indent=1).replace("\n", "\n" + pad)
              for k, v in fields.items()}
-    items.update({k: f"[\n{v}\n ]" if v else "[]" for k, v in blocks.items()})
-    return "{\n" + ",\n".join(f' "{k}": {v}' for k, v in sorted(items.items())) + "\n}\n"
+    items.update({k: _json_text(*v, depth + 1) if isinstance(v, tuple)
+                  else f"[\n{v}\n{pad}]" if v else "[]" for k, v in blocks.items()})
+    close = "\n" + pad[1:] + ("}" if depth else "}\n")
+    return "{\n" + ",\n".join(f'{pad}"{k}": {v}' for k, v in sorted(items.items())) + close
 
 
 def _classify_text(report, fmt, header, fields) -> str:
@@ -281,6 +287,47 @@ def _lightlike_text(focal, fmt, header, fields) -> str:
         "focal_samples": _rows(sample, ",\n", [flags, mult, point, index] + u + [x]),
         "focal_clusters": _rows(cluster, ",\n", [[flags[f] for f in first], counts,
                                                  [point[f] for f in first]])})
+
+
+def _congruence_text(results, points, ideal, leaf, fmt, header, fields) -> str:
+    """Congruence output written from columns, as ``_classify_text``: the CSV
+    table of the roots of the analyses ``results``, the real ones' singular
+    points ``points`` and ``ideal`` in order, or the JSON document of the
+    small ``fields``, the samples and the leaf block of ``leaf`` (the JSON
+    leaf fields and the parameter points), if any."""
+    u = np.array([an.u for an in results])
+    roots = [root for an in results for root in an.roots]
+    owner = np.repeat(np.arange(len(results)), [len(an.roots) for an in results])
+    index = [k for an in results for k in range(len(an.roots))]
+    re = _reprs(np.array([root.value.real for root in roots]))
+    im = _reprs(np.array([root.value.imag for root in roots]))
+    mult = [root.multiplicity for root in roots]
+    real = np.array([root.is_real for root in roots], dtype=bool)
+    defect = np.array(_reprs(np.array([an.symmetry_defect for an in results])), dtype=object)
+    if fmt == "csv":
+        focal = np.full(len(roots), "complex", dtype=object)
+        focal[real] = np.where(ideal, "INF", "point")
+        coords = np.full((points.shape[1], len(roots)), "", dtype=object)
+        coords[:, np.flatnonzero(real)[~ideal]] = [_reprs(column) for column in points[~ideal].T]
+        cells = ([np.array(_reprs(column), dtype=object)[owner].tolist() for column in u.T]
+                 + [defect[owner].tolist(), index, re, im, mult, real.astype(int).tolist(),
+                    focal.tolist()] + coords.tolist())
+        return ",".join(header) + "\n" + _rows(",".join(["%s"] * len(cells)) + "\n", "", cells)
+    root = ('    {\n     "multiplicity": %s,\n     "real": %s,\n     "x": [\n      %s,\n'
+            '      %s\n     ]\n    }')
+    records = iter([root % cells for cells in zip(mult, np.where(real, "true", "false"), re, im)])
+    listed = ["[\n" + ",\n".join([next(records) for _ in an.roots]) + "\n   ]" if an.roots
+              else "[]" for an in results]
+    sample = ('  {\n   "defect": %s,\n   "roots": %s,\n   "u": [\n'
+              + ",\n".join(["    %s"] * u.shape[1]) + "\n   ]\n  }")
+    blocks = {"samples": _rows(sample, ",\n", [defect.tolist(), listed]
+                               + [_reprs(column) for column in u.T])}
+    if leaf is not None:
+        leaf_fields, parameters = leaf
+        point = "   [\n" + ",\n".join(["    %s"] * parameters.shape[1]) + "\n   ]"
+        blocks["leaf"] = (leaf_fields, {"parameters": _rows(
+            point, ",\n", [_reprs(column) for column in parameters.T])})
+    return _json_text(fields, blocks)
 
 
 def _roots_json(roots):
@@ -395,30 +442,17 @@ def run_congruence(scene: Scene, out_path, fmt) -> int:
     # the grid's first failure is its first failed point or, before that,
     # its first root X = A_1 + x A_0 off the quadric
     stop = next((i for i, an in enumerate(results) if isinstance(an, Exception)), len(results))
-    roots = [(an, k, root) for an in results[:stop] for k, root in enumerate(an.roots)]
-    real = [(an.line, root.real_value) for an, _, root in roots if root.is_real]
+    real = [(an.line, root.real_value) for an in results[:stop] for root in an.roots
+            if root.is_real]
     lines = np.array([line for line, _ in real]).reshape(-1, 2, cong.n + 2)
     x = np.array([x for _, x in real])
     points, ideal, off = _unembed(_singular_coords(lines[:, 0], lines[:, 1], x), model)
     if off or stop < len(results):
         raise off[min(off)] if off else results[stop]
-    blank = [""] * cong.n
-    focal = iter([["INF"] + blank if inf else ["point"] + p
-                  for inf, p in zip(ideal.tolist(), points.tolist())])
-    rows = [an.u.tolist() + [an.symmetry_defect, k, root.value.real, root.value.imag,
-                             root.multiplicity, int(root.is_real)]
-            + (next(focal) if root.is_real else ["complex"] + blank) for an, k, root in roots]
-    samples = [{"u": an.u.tolist(), "defect": an.symmetry_defect, "roots": _roots_json(an.roots)}
-               for an in results]
     worst = max([0.0] + [an.symmetry_defect for an in results])
 
-    payload = {
-        "builtin": cong.name,
-        "n": cong.n,
-        "max_defect": worst,
-        "samples": samples,
-    }
-    leaf_info = None
+    fields = {"builtin": cong.name, "n": cong.n, "max_defect": worst}
+    leaf, leaf_info = None, None
     if scene.stratify:
         seed = np.asarray(scene.stratify["seed"], dtype=float)
         tol = scene.tolerances.get("integrability")
@@ -427,27 +461,22 @@ def run_congruence(scene: Scene, out_path, fmt) -> int:
         if tol is not None:
             kwargs["tol"] = float(tol)
         leaf = stratify(cong, seed, model=model, **kwargs)
-        leaf_info = {
-            "seed": list(leaf.seed),
-            "size": len(leaf.parameters),
-            "lightlike_fraction": leaf.lightlike_fraction,
-            "truncated": leaf.truncated,
-            "parameters": [list(p) for p in leaf.parameters],
-        }
-        payload["leaf"] = leaf_info
+        parameters = np.array(leaf.parameters).reshape(-1, cong.params)
+        leaf_info = ({"seed": list(leaf.seed), "size": len(leaf.parameters),
+                      "lightlike_fraction": leaf.lightlike_fraction,
+                      "truncated": leaf.truncated}, parameters)
         if fmt == "csv" and out_path is None:
             print("congruence: the leaf table is written only beside an output file "
                   "(use --out or JSON)", file=sys.stderr)
         elif fmt == "csv":
-            _emit(f"{out_path}.leaf.csv", fmt, ["index"] + header[: cong.params],
-                  [[i] + list(p) for i, p in enumerate(leaf.parameters)], None)
-    _emit(out_path, fmt, header, rows, payload)
+            cells = [list(range(len(parameters)))] + [_reprs(c) for c in parameters.T]
+            _write(f"{out_path}.leaf.csv", ",".join(["index"] + header[: cong.params]) + "\n"
+                   + _rows(",".join(["%s"] * len(cells)) + "\n", "", cells))
+    _write(out_path, _congruence_text(results, points, ideal, leaf_info, fmt, header, fields))
     msg = f"congruence pipeline on {cong.name}: max defect={worst:.2e}"
-    if leaf_info:
-        msg += (
-            f", leaf size={leaf_info['size']}"
-            f", lightlike fraction={leaf_info['lightlike_fraction']:.3f}"
-        )
+    if leaf:
+        msg += (f", leaf size={len(leaf.parameters)}"
+                f", lightlike fraction={leaf.lightlike_fraction:.3f}")
     print(msg, file=sys.stderr)
     return 0
 
@@ -463,7 +492,10 @@ def run_examples() -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first ``main`` call of a
+    process and kept: parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="pseudoconformal",
         description="surveys and focal analyses on the quadric model of "
@@ -484,8 +516,11 @@ def main(argv=None) -> int:
         p.add_argument("--format", default=None, choices=["csv", "json"],
                        help="override the scene's output format")
     sub.add_parser("examples", help="list the built-in catalog")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     if args.command == "examples":
         return run_examples()
 

@@ -17,7 +17,9 @@ hypersphere exactly when their product vanishes.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -61,12 +63,12 @@ class AmbientModel:
 
     @classmethod
     def standard(cls, n: int) -> "AmbientModel":
+        """The model of n-dimensional Minkowski space, built once per n in a
+        process: the model and its read-only grams are immutable."""
+        n = operator.index(n)
         if n < 3:
             raise ValueError("ambient dimension must be at least 3")
-        gram = np.zeros((n + 2, n + 2))
-        gram[1 : n + 1, 1 : n + 1] = minkowski_gram(n)
-        gram[0, n + 1] = gram[n + 1, 0] = -1.0
-        return cls(n=n, form=BilinearForm(gram), metric=minkowski_form(n))
+        return _standard_model(cls, n)
 
     @property
     def ambient_dim(self) -> int:
@@ -77,6 +79,14 @@ class AmbientModel:
 
     def quadratic(self, x) -> float:
         return scalar_product(x, x, self.form)
+
+
+@lru_cache(maxsize=32)
+def _standard_model(cls, n: int) -> AmbientModel:
+    gram = np.zeros((n + 2, n + 2))
+    gram[1 : n + 1, 1 : n + 1] = minkowski_gram(n)
+    gram[0, n + 1] = gram[n + 1, 0] = -1.0
+    return cls(n=n, form=BilinearForm(gram), metric=minkowski_form(n))
 
 
 def normalize_coords(coords) -> np.ndarray:
@@ -196,6 +206,23 @@ def lift_tangent(p, v, model: AmbientModel) -> np.ndarray:
         pairs = (pg @ v[..., None])[..., 0]
     v = np.broadcast_to(v, pairs.shape[:-1] + v.shape[-1:])
     return np.concatenate([np.zeros(pairs.shape), v, pairs], axis=-1)
+
+
+def _lift_lines(p, l, model: AmbientModel) -> np.ndarray:
+    """The quadric lines (lift_point(p), lift_tangent(p, l)) of points p
+    (..., n) and directions l of the same shape or (n,), as (..., 2, n+2)
+    with their bits, in one pass over one product p g."""
+    p = np.asarray(p, dtype=float)
+    l = np.asarray(l, dtype=float)
+    n = model.n
+    pg = p @ model.metric.gram
+    lines = np.zeros(p.shape[:-1] + (2, n + 2))
+    lines[..., 0, 0] = 1.0
+    lines[..., 0, 1 : n + 1] = p
+    lines[..., 0, n + 1] = 0.5 * _dots(pg, p)
+    lines[..., 1, 1 : n + 1] = l
+    lines[..., 1, n + 1] = _dots(pg, l)
+    return lines
 
 
 def quadric_residual(x, model: AmbientModel) -> float:

@@ -27,11 +27,12 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .conformal import AmbientModel, ProjectivePoint, _singular_coords, lift_point, lift_tangent
+from .conformal import AmbientModel, ProjectivePoint, _lift_lines, _singular_coords
 from .errors import ConvergenceError, DegenerateBasisError, GeometryError, NonIntegrableError
 from .frames import _line_screen_candidates, _screen_error, build_screen, null_frame_coordinates
 from .hypersurface import _evaluate_stack, _evaluation_error, _pullback, parameter_grid
@@ -94,13 +95,10 @@ class IsotropicCongruence:
             model = AmbientModel.standard(n)
 
         def line(u):
-            p = np.asarray(base_point(u), dtype=float)
-            l = np.asarray(direction(u), dtype=float)
-            return lift_point(p, model), lift_tangent(p, l, model)
+            return tuple(_lift_lines(base_point(u), direction(u), model))
 
         def lines(us):
-            p = np.asarray(base_points(us), dtype=float)
-            return np.stack([lift_point(p, model), lift_tangent(p, directions(us), model)], axis=1)
+            return _lift_lines(base_points(us), directions(us), model)
 
         return cls(n=n, domain=domain, line=line, name=name,
                    lines=None if base_points is None else lines)
@@ -169,9 +167,11 @@ class CongruenceAnalysis:
         return self.shape_operator.shape[0]
 
 
-#: ``_line_jets`` of N points: A_0, A_1 (N, n+2), dA_0, dA_1 (N, d, n+2), forms (N, d),
-#: rows [A_0; A_1; dA_0], all zero at a failed point, and failures (index -> exception)
-_LineJets = namedtuple("_LineJets", "a0 a1 da0 da1 forms rows failures")
+#: ``_line_jets`` of N points, unchecked: the points us (N, d), the stencil
+#: points (N, 2d+1, d) and their lines (N, 2d+1, 2, n+2), zero where an
+#: evaluation failed, the evaluations' failures {index into the flattened
+#: stencil: exception}, A_0, A_1 (N, n+2), dA_0, dA_1 (N, d, n+2) and forms (N, d)
+_LineJets = namedtuple("_LineJets", "us stencil lines raised a0 a1 da0 da1 forms")
 
 
 def _dependent(u: np.ndarray) -> DegenerateBasisError:
@@ -179,50 +179,77 @@ def _dependent(u: np.ndarray) -> DegenerateBasisError:
                                 "the family is not a congruence there")
 
 
+@lru_cache(maxsize=None)
+def _stencil_offsets(d: int, step: float) -> np.ndarray:
+    """Offsets (2d+1, d) of the stencil u, u + step e_0, u - step e_0, ...
+    whose sums with u have the bits of u, u + step e_a and u - step e_a: the
+    centre adds -0.0, which keeps every u, and the minus rows add the
+    negation of step e_a."""
+    offsets = np.full((2 * d + 1, d), -0.0)
+    offsets[1::2] = step * np.eye(d)
+    offsets[2::2] = -(step * np.eye(d))
+    offsets.flags.writeable = False
+    return offsets
+
+
 def _line_jets(cong: IsotropicCongruence, us: np.ndarray, model: AmbientModel,
-               step: float, check_ranks: bool = True) -> _LineJets:
-    """Lines at the parameter points us (N, d), their central differences
-    and transversal forms omega_0^n = -<d_a A_0, A_1>, from one stacked
-    ``line_at`` call at every point and its neighbours u +- step e_a.  A
-    point fails with the first of: its own evaluation, its line checks, its
-    neighbours' evaluations (+e_0, -e_0, +e_1, ...), non-finite differentials,
-    dependent basis forms (rows [A_0; A_1; dA_0] of rank below d+2; without
-    ``check_ranks`` the caller checks them).  An evaluator's ValueError or
-    ArithmeticError becomes a GeometryError naming the point.  Non-finite
-    members are masked first, and no point depends on the rest of its stack."""
+               step: float) -> _LineJets:
+    """The evaluate half of the line jets at the parameter points us (N, d):
+    one stacked ``line_at`` call at every point and its neighbours
+    u +- step e_a, the central differences of the lines and the transversal
+    forms omega_0^n = -<d_a A_0, A_1>.  Nothing is checked: a point whose
+    evaluations failed has zero or non-finite jets until ``_line_failures``,
+    the judge half, rejects it.  No point depends on the rest of its stack."""
     count, d = us.shape
-    width = 2 * d + 1
-    stencil = np.repeat(us[:, None], width, axis=1)
-    stencil[:, 1::2] += step * np.eye(d)
-    stencil[:, 2::2] -= step * np.eye(d)
-    lines, failed = cong.line_at(stencil.reshape(-1, d))
-    lines = lines.reshape(count, width, 2, cong.n + 2)
-    raised = {}
-    for f, exc in failed.items():
-        i, k = divmod(f, width)
-        raised.setdefault(i, {})[k] = _evaluation_error(stencil[i, k], exc)
-    failures = _line_checks(us, lines[:, 0, 0], lines[:, 0, 1], model)[1]
+    stencil = us[:, None] + _stencil_offsets(d, step)
+    lines, raised = cong.line_at(stencil.reshape(-1, d))
+    lines = lines.reshape(count, 2 * d + 1, 2, cong.n + 2)
+    with np.errstate(all="ignore"):  # failed members only
+        diffs = (lines[:, 1::2] - lines[:, 2::2]) / (2.0 * step)
+        forms = -(diffs[:, :, 0] @ (model.form.gram @ lines[:, 0, 1, :, None]))[..., 0]
+    return _LineJets(us, stencil, lines, raised, lines[:, 0, 0], lines[:, 0, 1], diffs[:, :, 0],
+                     diffs[:, :, 1], forms)
+
+
+def _line_failures(passes: list, model: AmbientModel) -> dict:
+    """The judge half of ``_line_jets``: the failures {index: exception} of
+    the points of a list of passes, indexed in pass order, so that the lowest
+    index is the lowest failing member of the earliest failing pass.  A point
+    fails with the first of: its own evaluation, its line checks, its
+    neighbours' evaluations (+e_0, -e_0, +e_1, ...), non-finite
+    differentials, dependent basis forms (rows [A_0; A_1; dA_0] of rank
+    below d+2).  An evaluator's ValueError or ArithmeticError becomes a
+    GeometryError naming the point.  One line check screens every pass at
+    half the tolerance and one rank check covers them all; a pass that the
+    screen flags is checked again alone, because the bits of its residuals,
+    and so its messages, depend on the size of the stack."""
+    us, lines, da0, da1 = (np.concatenate(field) for field in zip(*(
+        (p.us, p.lines, p.da0, p.da1) for p in passes)))
+    starts = np.cumsum([0] + [len(p.us) for p in passes])
+    failures, raised = {}, {}
+    screened = _line_checks(us, lines[:, 0, 0], lines[:, 0, 1], model, tol=0.5e-10)[1]
+    for k in sorted({int(np.searchsorted(starts, i, side="right")) - 1 for i in screened}):
+        p = passes[k]
+        failures.update({starts[k] + i: exc
+                         for i, exc in _line_checks(p.us, p.a0, p.a1, model)[1].items()})
+    for k, p in enumerate(passes):
+        for f, exc in p.raised.items():
+            i, at = divmod(f, p.stencil.shape[1])
+            raised.setdefault(starts[k] + i, {})[at] = _evaluation_error(p.stencil[i, at], exc)
     for i, at in raised.items():
         if 0 in at or i not in failures:
             failures[i] = at[min(at)]
 
-    live = np.isfinite(lines[:, 1:]).all(axis=(1, 2, 3))
+    live = (np.isfinite(lines[:, 1:]).all(axis=(1, 2, 3)) & np.isfinite(da0).all(axis=(1, 2))
+            & np.isfinite(da1).all(axis=(1, 2)))
     live[list(failures)] = False
-    diffs = np.where(live[:, None, None, None], lines[:, 1:], 0.0)
-    diffs = (diffs[:, 0::2] - diffs[:, 1::2]) / (2.0 * step)
-    live &= np.isfinite(diffs).all(axis=(1, 2, 3))
-    for i in np.flatnonzero(~live):
+    for i in np.flatnonzero(~live).tolist():
         failures.setdefault(i, GeometryError(
             f"non-finite line differentials at u={us[i].tolist()}"))
-    lines[~live], diffs[~live] = 0.0, 0.0
-    rows = np.concatenate([lines[:, 0], diffs[:, :, 0]], axis=1)
-    if check_ranks:
-        dependent = np.flatnonzero(live)[orthonormal_rows(rows[live])[1] < d + 2]
-        failures.update({i: _dependent(us[i]) for i in dependent.tolist()})
-        lines[dependent], diffs[dependent], rows[dependent] = 0.0, 0.0, 0.0
-    forms = -(diffs[:, :, 0] @ (model.form.gram @ lines[:, 0, 1, :, None]))[..., 0]
-    return _LineJets(lines[:, 0, 0], lines[:, 0, 1], diffs[:, :, 0], diffs[:, :, 1], forms, rows,
-                     failures)
+    ranks = orthonormal_rows(np.concatenate([lines[live, 0], da0[live]], axis=1))[1]
+    failures.update({i: _dependent(us[i])
+                     for i in np.flatnonzero(live)[ranks < us.shape[1] + 2].tolist()})
+    return failures
 
 
 def _congruence_affinors(cong: IsotropicCongruence, us: np.ndarray, model: AmbientModel) -> list:
@@ -237,7 +264,8 @@ def _congruence_affinors(cong: IsotropicCongruence, us: np.ndarray, model: Ambie
     if n - 2 > MAX_ROOT_ORDER:
         raise ValueError(f"congruence roots are limited to n <= {MAX_ROOT_ORDER + 2}")
     jets = _line_jets(cong, us, model, DEFAULT_STEP)
-    results = [jets.failures.get(i) for i in range(len(us))]
+    failures = _line_failures([jets], model)
+    results = [failures.get(i) for i in range(len(us))]
     live = np.array([i for i, r in enumerate(results) if r is None], dtype=int)
     screens, counts = build_screen(_line_screen_candidates(jets.a0[live], jets.a1[live], model),
                                    model, count=n - 2)
@@ -364,64 +392,65 @@ def _rk4_runs(cong: IsotropicCongruence, starts: np.ndarray, refs: np.ndarray,
     """March runs from starts (R, d) along the kernel of the transversal form
     by classical fourth-order stepping, carrying each direction, first refs
     (R, d), by projection, for ``count`` steps or until a run leaves the
-    domain.  The runs go in lockstep: each stage is one ``_line_jets`` pass
-    over the runs still going, a last pass visits their end points, and the
-    passes' rank checks are one call at the end.  A failed line jet, a
-    vanishing form or a direction off the kernel raises the failure of the
-    earliest failing pass, at its lowest member.  Returns per run the
-    (point, line jets, index) of its start and of each point reached, and
-    whether a run left the domain."""
+    domain.  The runs go in lockstep, and a last pass visits their end
+    points.  Each stage does only what the stepping needs: one unchecked
+    ``_line_jets`` evaluation over the runs still going and the projections
+    on the kernels of its forms, where a vanishing form or a direction off
+    the kernel raises at once.  Every other check of the passes (their
+    evaluations, line checks, differentials and ranks) is one
+    ``_line_failures`` call at the end, and the march stops at the first pass
+    whose evaluations failed.  What is raised is what checking each pass at
+    once raised: the failure of the earliest failing pass, at its lowest
+    member.  Returns per run the (point, line jets, index) of its start and
+    of each point reached, and whether a run left the domain."""
     lo, hi = np.array(cong.domain, dtype=float).T
     u, ref = starts.copy(), refs.copy()
     going, visits, truncated, passes = np.arange(len(u)), [[] for _ in u], False, []
     ks = np.zeros((4,) + u.shape)
     try:
-        for n_step in range(count + 1):
-            if not going.size:
-                break
-            for stage, weight in enumerate((0.0, 0.5, 0.5, 1.0)):
-                prev = ref if stage == 0 else ks[stage - 1]
-                points = u[going] + weight * step * prev[going] if stage else u[going]
-                stack = _line_jets(cong, points, model, DEFAULT_STEP, check_ranks=False)
-                passes.append((points, stack.rows, stack.failures))
-                if stack.failures:
-                    raise stack.failures[min(stack.failures)]
-                if stage == 0:
-                    for j, r in enumerate(going):
-                        visits[r].append((u[r].copy(), stack, j))
-                if n_step == count:
+        with np.errstate(all="ignore"):  # members that failed are zero or NaN until judged
+            for n_step in range(count + 1):
+                if not going.size:
                     break
-                d, norms, vanishing = _kernel_projections(stack.forms, prev[going])
-                for bad, why in ((vanishing, "transversal form vanishes at u={}; "
-                                  "distribution undefined"),
-                                 (norms < 1e-10, "transport direction left the distribution "
-                                  "kernel at u={}")):
-                    if bad.any():  # named at the first failing member
-                        raise DegenerateBasisError(why.format(points[bad.argmax()].tolist()))
-                ks[stage, going] = d / norms[:, None]
-            else:  # a full step, not the visit of the end points
-                u[going] = u[going] + (step / 6.0) * (ks[0, going] + 2 * ks[1, going]
-                                                      + 2 * ks[2, going] + ks[3, going])
-                outside = ((u[going] < lo - 1e-9) | (u[going] > hi + 1e-9)).any(axis=1)
-                truncated |= bool(outside.any())
-                going = going[~outside]
-                ref[going] = ks[0, going]
+                for stage, weight in enumerate((0.0, 0.5, 0.5, 1.0)):
+                    prev = ref if stage == 0 else ks[stage - 1]
+                    points = u[going] + weight * step * prev[going] if stage else u[going]
+                    jets = _line_jets(cong, points, model, DEFAULT_STEP)
+                    passes.append(jets)
+                    if jets.raised:  # this pass fails, as the judge will say
+                        going = going[:0]
+                        break
+                    if stage == 0:
+                        for j, r in enumerate(going):
+                            visits[r].append((u[r].copy(), jets, j))
+                    if n_step == count:
+                        break
+                    d, norms, vanishing = _kernel_projections(jets.forms, prev[going])
+                    for bad, why in ((vanishing, "transversal form vanishes at u={}; "
+                                      "distribution undefined"),
+                                     (norms < 1e-10, "transport direction left the "
+                                      "distribution kernel at u={}")):
+                        if bad.any():  # named at the first failing member
+                            raise DegenerateBasisError(why.format(points[bad.argmax()].tolist()))
+                    ks[stage, going] = d / norms[:, None]
+                else:  # a full step, not the visit of the end points
+                    u[going] = u[going] + (step / 6.0) * (ks[0, going] + 2 * ks[1, going]
+                                                          + 2 * ks[2, going] + ks[3, going])
+                    outside = ((u[going] < lo - 1e-9) | (u[going] > hi + 1e-9)).any(axis=1)
+                    truncated |= bool(outside.any())
+                    going = going[~outside]
+                    ref[going] = ks[0, going]
     except Exception as exc:
-        raise _first_failure(passes) or exc
-    if first := _first_failure(passes):
+        raise _first_failure(passes, model) or exc
+    if first := _first_failure(passes, model):
         raise first
     return visits, truncated
 
 
-def _first_failure(passes: list):
-    """The failure of the lowest member of the earliest pass (points, rows
-    unchecked for rank, failures) that has one, or None, from one rank check."""
-    ranks = orthonormal_rows(np.concatenate([rows for _, rows, _ in passes]))[1] if passes else []
-    for points, _, failures in passes:
-        low, ranks = ranks[: len(points)] < points.shape[1] + 2, ranks[len(points) :]
-        failed = {i: _dependent(points[i]) for i in np.flatnonzero(low).tolist()} | failures
-        if failed:
-            return failed[min(failed)]
+def _first_failure(passes: list, model: AmbientModel):
+    """The failure of the lowest member of the earliest failing pass, or None."""
+    failures = _line_failures(passes, model) if passes else {}
+    return failures[min(failures)] if failures else None
 
 
 def stratify(cong: IsotropicCongruence, seed, model: Optional[AmbientModel] = None,
@@ -434,10 +463,11 @@ def stratify(cong: IsotropicCongruence, seed, model: Optional[AmbientModel] = No
     on a lattice of kernel directions: a spine along the first direction and,
     for higher screen dimension, transversal runs from every spine point.
     The two spine runs, then all transversal runs, advance in lockstep
-    (``_rk4_runs``), and each lattice point reads its line jets from the first
-    stage of its step.  The swept point set is classified against the
-    lightlike criterion in one stacked Jacobi pass, and the surviving
-    fraction reported.  Only the seed gets the full shape operator, whose
+    (``_rk4_runs``): a stage evaluates lines and forms only, and each set of
+    runs is checked by one judgement of its passes at its end.  Each lattice
+    point reads its line jets from the first stage of its step.  The swept
+    point set is classified against the lightlike criterion in one stacked
+    Jacobi pass, and the surviving fraction reported.  Only the seed gets the full shape operator, whose
     symmetry defect decides integrability.
     """
     if model is None:

@@ -9,7 +9,8 @@ two-sided check.  Root clusters come from the nested-list rule that the
 library's stacked clustering replaced, one value at a time, and single
 symmetric eigenproblems, solves, determinants, characteristic polynomials
 and polynomial roots from the one-matrix loops that the stacked passes
-replaced.
+replaced.  The leaf integrator's reference checks every pass of its RK4 runs
+as soon as it is made, which the integrator defers to one check at the end.
 """
 
 import cmath
@@ -18,11 +19,12 @@ from collections import namedtuple
 
 import numpy as np
 
-from pseudoconformal.congruence import IsotropicCongruence
+from pseudoconformal.congruence import IsotropicCongruence, _kernel_projections, _line_checks
 from pseudoconformal.conformal import (AtInfinity, ProjectivePoint, darboux_unembed, lift_point,
                                       lift_tangent)
-from pseudoconformal.errors import ConvergenceError, DegenerateBasisError
+from pseudoconformal.errors import ConvergenceError, DegenerateBasisError, GeometryError
 from pseudoconformal.frames import _lightlike_lines, complete_isotropic_frame
+from pseudoconformal.hypersurface import _evaluation_error
 
 
 def expm(a, terms=30):
@@ -247,6 +249,111 @@ def congruence_reference(cong, u, model, step=1e-4):
             "transversal_consistency": np.abs(comp1[:, n + 1] + comp0[:, n]).max(),
         },
     }
+
+
+def pivoted_rank(rows, tol=1e-12):
+    """Rank of one row matrix by modified Gram-Schmidt with pivoting on the
+    largest remaining norm, stopping at the first pivot whose norm is at most
+    tol times the largest entry: the rule of ``linalg.orthonormal_rows``."""
+    v = np.array(rows, dtype=float)
+    scale = max(float(np.abs(v).max(initial=0.0)), 1e-300)
+    left, rank = list(range(len(v))), 0
+    while left:
+        norms = [math.sqrt(float(v[i] @ v[i])) for i in left]
+        k = int(np.argmax(norms))
+        if norms[k] <= tol * scale:
+            break
+        q = v[left.pop(k)] / norms[k]
+        v = v - np.outer(v @ q, q)
+        rank += 1
+    return rank
+
+
+#: line jets of ``inline_rk4_runs``: A_0, A_1 (N, n+2), dA_0, dA_1 (N, d, n+2), forms (N, d)
+InlineJets = namedtuple("InlineJets", "a0 a1 da0 da1 forms")
+
+
+def inline_line_jets(cong, us, model, step=1e-4):
+    """Line jets at us (N, d), every point checked as soon as its pass is
+    evaluated: one stacked ``line_at`` call over the stencil u, u + step e_0,
+    u - step e_0, ..., then the failure of the lowest failing point raised,
+    a point failing with the first of its own evaluation, its line checks,
+    its neighbours' evaluations in stencil order, non-finite differentials
+    and dependent basis forms (rank of [A_0; A_1; dA_0] below d+2)."""
+    count, d = us.shape
+    width = 2 * d + 1
+    stencil = np.repeat(us[:, None], width, axis=1)
+    stencil[:, 1::2] += step * np.eye(d)
+    stencil[:, 2::2] -= step * np.eye(d)
+    lines, failed = cong.line_at(stencil.reshape(-1, d))
+    lines = lines.reshape(count, width, 2, cong.n + 2)
+    raised = {}
+    for f, exc in failed.items():
+        i, k = divmod(f, width)
+        raised.setdefault(i, {})[k] = _evaluation_error(stencil[i, k], exc)
+    failures = _line_checks(us, lines[:, 0, 0], lines[:, 0, 1], model)[1]
+    for i, at in raised.items():
+        if 0 in at or i not in failures:
+            failures[i] = at[min(at)]
+    live = np.isfinite(lines[:, 1:]).all(axis=(1, 2, 3))
+    live[list(failures)] = False
+    diffs = np.where(live[:, None, None, None], lines[:, 1:], 0.0)
+    diffs = (diffs[:, 0::2] - diffs[:, 1::2]) / (2.0 * step)
+    live &= np.isfinite(diffs).all(axis=(1, 2, 3))
+    for i in np.flatnonzero(~live):
+        failures.setdefault(i, GeometryError(
+            f"non-finite line differentials at u={us[i].tolist()}"))
+    rows = np.concatenate([lines[:, 0], diffs[:, :, 0]], axis=1)
+    for i in [i for i in np.flatnonzero(live).tolist() if pivoted_rank(rows[i]) < d + 2]:
+        failures[i] = DegenerateBasisError(f"basis forms are dependent at u={us[i].tolist()}; "
+                                           "the family is not a congruence there")
+    if failures:
+        raise failures[min(failures)]
+    forms = -(diffs[:, :, 0] @ (model.form.gram @ lines[:, 0, 1, :, None]))[..., 0]
+    return InlineJets(lines[:, 0, 0], lines[:, 0, 1], diffs[:, :, 0], diffs[:, :, 1], forms)
+
+
+def inline_rk4_runs(cong, starts, refs, model, step, count):
+    """Reference for ``congruence._rk4_runs``: the same lockstep RK4 runs,
+    with every pass checked as soon as it is evaluated (``inline_line_jets``)
+    and the projections' checks after it, so the first failing pass raises
+    at once, at its lowest failing member.  It shares the line check and the
+    kernel projection with the library, and the rank rule with
+    ``linalg.orthonormal_rows``; what it does not share is when they run.  Returns per run the (point, jets, index) of its
+    start and of each point reached, and whether a run left the domain."""
+    lo, hi = np.array(cong.domain, dtype=float).T
+    u, ref = starts.copy(), refs.copy()
+    going, visits, truncated = np.arange(len(u)), [[] for _ in u], False
+    ks = np.zeros((4,) + u.shape)
+    for n_step in range(count + 1):
+        if not going.size:
+            break
+        for stage, weight in enumerate((0.0, 0.5, 0.5, 1.0)):
+            prev = ref if stage == 0 else ks[stage - 1]
+            points = u[going] + weight * step * prev[going] if stage else u[going]
+            jets = inline_line_jets(cong, points, model)
+            if stage == 0:
+                for j, r in enumerate(going):
+                    visits[r].append((u[r].copy(), jets, j))
+            if n_step == count:
+                break
+            d, norms, vanishing = _kernel_projections(jets.forms, prev[going])
+            if vanishing.any():
+                raise DegenerateBasisError(f"transversal form vanishes at "
+                                           f"u={points[vanishing.argmax()].tolist()}; "
+                                           "distribution undefined")
+            if (norms < 1e-10).any():
+                raise DegenerateBasisError("transport direction left the distribution kernel "
+                                           f"at u={points[(norms < 1e-10).argmax()].tolist()}")
+            ks[stage, going] = d / norms[:, None]
+        else:
+            u[going] = u[going] + (step / 6.0) * (ks[0, going] + 2 * ks[1, going]
+                                                  + 2 * ks[2, going] + ks[3, going])
+            outside = ((u[going] < lo - 1e-9) | (u[going] > hi + 1e-9)).any(axis=1)
+            truncated |= bool(outside.any())
+            going = going[~outside]
+            ref[going] = ks[0, going]
+    return visits, truncated
 
 
 def generator_rank_scan(obj, u, model, kind="hypersurface", t_range=(-10.0, 10.0),

@@ -197,6 +197,36 @@ class TestExitCodes:
                      str(tmp_path / "o.csv")])
         assert code == 0
 
+    def test_repeated_calls_keep_codes_and_outputs(self, capsys):
+        # the parser is built on the first call and kept: a second round of
+        # calls, after a usage error, writes what the first round wrote
+        from pseudoconformal import cli
+
+        cli._parser.cache_clear()
+        lightcone, parallel = str(SCENES / "lightcone3.json"), str(SCENES / "parallel3.json")
+        calls = [["examples"], ["classify", "--scene", lightcone, "--format", "json"],
+                 ["congruence", "--scene", lightcone], ["lightlike"],
+                 ["lightlike", "--scene", lightcone], ["congruence", "--scene", parallel]]
+
+        def one_round():
+            seen = []
+            for argv in calls:
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+                seen.append((code, *capsys.readouterr()))
+            return seen
+
+        first = one_round()
+        assert one_round() == first
+        assert cli._parser.cache_info().misses == 1
+        assert [code for code, _, _ in first] == [0, 0, 2, 2, 0, 0]
+        assert first[2][2] == ("scene error (congruence): congruence needs a congruence scene, "
+                               "got kind='hypersurface'\n")
+        assert first[3][2].startswith("usage: pseudoconformal lightlike")
+        assert all(out for code, out, _ in first if code == 0)
+
 
 class TestOutputs:
     def test_embed_csv_content(self, tmp_path, capsys):
@@ -520,7 +550,8 @@ class TestCompareOutputs:
             for name, command, fmt in [("failing_point", "classify", "json"),
                                        ("cone_vertex", "lightlike", "csv"),
                                        ("cone_vertex", "lightlike", "json"),
-                                       ("cone_past_one", "congruence", "csv")]:
+                                       ("cone_past_one", "congruence", "csv"),
+                                       ("cone_leaf_past_one", "congruence", "json")]:
                 path = scenes_dir / f"{name}.json"
                 path.write_text(json.dumps(co.ERROR_SCENES[name]))
                 runs.append((f"errors/{name}.{command}.{fmt}", command, str(path), fmt))
@@ -537,7 +568,8 @@ class TestCompareOutputs:
             "errors/cone_vertex.lightlike.csv: exit 0/0, identical",
             "errors/cone_vertex.lightlike.json: exit 0/0, identical",
             "errors/cone_past_one.congruence.csv: exit 3/3, identical",
-            "compare_outputs: 8 runs, 8 byte-identical, 0 same with numbers masked "
+            "errors/cone_leaf_past_one.congruence.json: exit 3/3, identical",
+            "compare_outputs: 9 runs, 9 byte-identical, 0 same with numbers masked "
             "(max |d|/(1+|v|) 0.00e+00), 0 differing in text, 0 exit-code mismatches",
         ]
 
@@ -596,6 +628,14 @@ class TestCompareOutputs:
         assert (identical, masked) == (False, True)
         assert worst == pytest.approx(0.00000001 / 1.5, rel=1e-6)
         assert co.field_differences(old, new) == {"leaf:u1": worst}
+        # and so is the standard error of a run
+        Path(f"{new}.leaf.csv").write_text(Path(f"{old}.leaf.csv").read_text())
+        Path(f"{old}.stderr").write_text("numerical failure (congruence): at u=[1.0001, 0.2]\n")
+        Path(f"{new}.stderr").write_text("numerical failure (congruence): at u=[1.0002, 0.2]\n")
+        identical, masked, worst = co.compare(old, new)
+        assert (identical, masked) == (False, True)
+        assert worst == pytest.approx(0.0001 / 2.0001, rel=1e-6)
+        assert co.field_differences(old, new) == {"stderr": worst}
 
     def test_text_or_file_differences_are_not_masked(self, co, tmp_path):
         old, new = tmp_path / "old.out", tmp_path / "new.out"
@@ -606,6 +646,9 @@ class TestCompareOutputs:
         assert co.compare(old, new)[:2] == (False, False)
         new.write_text(old.read_text())
         Path(f"{new}.leaf.csv").write_text("index,u1\n")
+        assert co.compare(old, new)[:2] == (False, False)
+        Path(f"{new}.leaf.csv").unlink()
+        Path(f"{new}.stderr").write_text("congruence pipeline on cone: max defect=0.00e+00\n")
         assert co.compare(old, new)[:2] == (False, False)
 
     def test_worst_relative_pairs_numbers_in_order(self, co):

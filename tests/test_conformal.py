@@ -9,6 +9,7 @@ from pseudoconformal.conformal import (
     AmbientModel,
     AtInfinity,
     ProjectivePoint,
+    _lift_lines,
     _normalized,
     _unembed,
     classify_element,
@@ -17,11 +18,12 @@ from pseudoconformal.conformal import (
     hypersphere_coords,
     hypersphere_element,
     lift_point,
+    lift_tangent,
     normalize_coords,
     quadric_residual,
 )
 from pseudoconformal.errors import NotOnQuadricError
-from pseudoconformal.linalg import scalar_product, signature
+from pseudoconformal.linalg import BilinearForm, scalar_product, signature
 
 
 class TestModel:
@@ -33,6 +35,35 @@ class TestModel:
     def test_rejects_small_dimension(self):
         with pytest.raises(ValueError):
             AmbientModel.standard(2)
+
+    def test_rejects_a_dimension_that_is_not_an_integer(self):
+        with pytest.raises(TypeError):
+            AmbientModel.standard(3.0)
+
+    def test_one_model_per_dimension(self):
+        # the model is immutable, so every call for one n returns the same one
+        model = AmbientModel.standard(4)
+        assert AmbientModel.standard(np.int64(4)) is model
+        assert AmbientModel.standard(3) is not model
+        assert not model.form.gram.flags.writeable and not model.metric.gram.flags.writeable
+
+
+class TestLiftLines:
+    @pytest.mark.parametrize("general", [False, True])
+    def test_stacked_lines_have_the_lifts_bits(self, general):
+        # the stacked line lift of the congruence twins, against the two
+        # lifts it fuses, on a general metric too, where the order of
+        # summation in p g shows in the last bits
+        rng = np.random.default_rng(5)
+        model = AmbientModel.standard(4)
+        if general:
+            metric = rng.normal(size=(4, 4))
+            model = AmbientModel(n=4, form=model.form, metric=BilinearForm(metric + metric.T))
+        p, l = rng.normal(size=(2, 7, 4))
+        for point, direction in ((p, l), (p, l[0]), (p[0], l[0])):
+            expected = np.stack([lift_point(point, model), lift_tangent(point, direction, model)],
+                                axis=-2)
+            assert _lift_lines(point, direction, model).tobytes() == expected.tobytes()
 
 
 class TestProjectivePoint:

@@ -1,6 +1,9 @@
+import collections
 import math
 import re
 import warnings
+from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from pseudoconformal.congruence import (
     IsotropicCongruence,
     _congruence_affinors,
     _kernel_bases,
+    _line_failures,
     _line_jets,
     _rk4_runs,
     congruence_affinor,
@@ -26,7 +30,7 @@ from pseudoconformal.hypersurface import LIGHTLIKE, causal_type_of_metric, param
 from pseudoconformal.lightlike import lightlike_affinor, singular_points
 from pseudoconformal.linalg import REAL_ROOT_TOL
 
-from _oracles import (SingularBasis, congruence_reference, generator_rank_scan,
+from _oracles import (SingularBasis, congruence_reference, generator_rank_scan, inline_rk4_runs,
                       translated_congruence)
 
 
@@ -445,19 +449,31 @@ class TestStackedLineJets:
         edge = math.sqrt(0.75) - 0.5 * DEFAULT_STEP  # its +e_0 and +e_1 neighbours fail
         us = np.array([[0.1, 0.2, 0.3], [0.5, 0.9, 0.0], [0.5, edge, 0.0], [-0.3, 0.1, -0.5]])
         got, ref = (_line_jets(obj, us, model4, DEFAULT_STEP) for obj in (cong, scalar_only))
+        failures = _line_failures([got], model4)
         neighbour = (us[2] + DEFAULT_STEP * np.eye(3)[0]).tolist()  # first in stencil order
-        assert {i: str(exc) for i, exc in got.failures.items()} == {
+        assert {i: str(exc) for i, exc in failures.items()} == {
             1: "evaluation failed at u=[0.5, 0.9, 0.0]: math domain error",
             2: f"evaluation failed at u={neighbour}: math domain error"}
-        assert ({i: (type(exc), str(exc)) for i, exc in got.failures.items()}
-                == {i: (type(exc), str(exc)) for i, exc in ref.failures.items()})
-        for a, b in zip(got[:-1], ref[:-1]):
-            assert a.tobytes() == b.tobytes()
+        assert ({i: (type(exc), str(exc)) for i, exc in failures.items()}
+                == {i: (type(exc), str(exc)) for i, exc in _line_failures([ref], model4).items()})
+        assert ({f: str(exc) for f, exc in got.raised.items()}
+                == {f: str(exc) for f, exc in ref.raised.items()})
+        for a, b in zip(got._replace(raised=None), ref._replace(raised=None)):
+            assert a is None or a.tobytes() == b.tobytes()
         results = _congruence_affinors(cong, us, model4)
-        assert [str(r) for r in results[1:3]] == [str(got.failures[1]), str(got.failures[2])]
+        assert [str(r) for r in results[1:3]] == [str(failures[1]), str(failures[2])]
         assert ([_analysis_bits(r) for r in (results[0], results[3])] == [
             _analysis_bits(r) for r in _congruence_affinors(scalar_only, us[[0, 3]], model4)])
 
+
+    def test_stencil_points_are_u_plus_and_minus_the_step(self, model4):
+        # the stencil adds cached offsets; signed zeros keep their signs
+        us = np.array([[-0.0, 0.0, 0.3], [0.1, -0.0, -0.5]])
+        jets = _line_jets(catalog.build("cone_normal_congruence", n=4), us, model4, DEFAULT_STEP)
+        expected = np.repeat(us[:, None], 7, axis=1)
+        expected[:, 1::2] += DEFAULT_STEP * np.eye(3)
+        expected[:, 2::2] -= DEFAULT_STEP * np.eye(3)
+        assert jets.stencil.tobytes() == expected.tobytes()
 
     def test_twins_are_given_together(self):
         with pytest.raises(ValueError, match="given together"):
@@ -474,13 +490,15 @@ def _analysis_bits(an):
 
 def _each_alone(line_jets):
     """``_line_jets`` evaluating each member of a stack as a stack of one."""
-    import pseudoconformal.congruence as module
 
-    def alone(cong, us, model, step, **kwargs):
-        parts = [line_jets(cong, u[None], model, step, **kwargs) for u in us]
-        arrays = (np.concatenate(field) for field in zip(*(part[:-1] for part in parts)))
-        return module._LineJets(*arrays, {i: part.failures[0]
-                                          for i, part in enumerate(parts) if part.failures})
+    def alone(cong, us, model, step):
+        parts = [line_jets(cong, u[None], model, step) for u in us]
+        width = parts[0].stencil.shape[1]
+        raised = {i * width + f: exc for i, part in enumerate(parts)
+                  for f, exc in part.raised.items()}
+        return parts[0]._make(raised if field == "raised" else
+                              np.concatenate([getattr(part, field) for part in parts])
+                              for field in parts[0]._fields)
 
     return alone
 
@@ -565,7 +583,7 @@ class TestCongruenceEngine:
         cong = CONGRUENCES[name]()
         model = AmbientModel.standard(cong.n)
         grid = parameter_grid(cong, [3] * cong.params)[1]
-        failures = _line_jets(cong, grid, model, DEFAULT_STEP).failures
+        failures = _line_failures([_line_jets(cong, grid, model, DEFAULT_STEP)], model)
         for i, u in enumerate(grid):
             alone = outcome(congruence_affinor, cong, u, model=model)
             got = failures.get(i)
@@ -603,8 +621,8 @@ class TestCongruenceEngine:
         assert leaf.truncated == truncated == (n == 3)
 
     def test_stratify_evaluation_bound(self, model4, monkeypatch):
-        # the runs advance in lockstep, one line-jet pass per RK4 stage: the
-        # points evaluated are the 320 a per-point integrator with a cache
+        # the runs advance in lockstep, one line-jet evaluation per RK4 stage:
+        # the points evaluated are the 320 a per-point integrator with a cache
         # visits, fewer times than the 410 it visits without one
         import pseudoconformal.congruence as module
 
@@ -614,9 +632,9 @@ class TestCongruenceEngine:
         def run(jets):
             passes = []
 
-            def counted(cong, us, model, step, **kwargs):
+            def counted(cong, us, model, step):
                 passes.append([u.tobytes() for u in us])
-                return jets(cong, us, model, step, **kwargs)
+                return jets(cong, us, model, step)
 
             monkeypatch.setattr(module, "_line_jets", counted)
             leaf = stratify(catalog.build("cone_normal_congruence", n=4),
@@ -637,14 +655,17 @@ class TestCongruenceEngine:
         assert len(leaf.lines) == len(alone.lines) == 81
 
 
-def _inline_rank_checks(monkeypatch):
-    """Make every ``_line_jets`` pass check its ranks itself: the reference
-    behaviour of the leaf integrator's one deferred check."""
-    import pseudoconformal.congruence as module
-
-    line_jets = module._line_jets
-    monkeypatch.setattr(module, "_line_jets",
-                        lambda cong, us, model, step, **kwargs: line_jets(cong, us, model, step))
+def run_outcome(runs, *args):
+    """What an RK4 runs function gives on args: per run the bits of each
+    point reached and of its line jets, and the truncation flag; or the type
+    and message of what it raised."""
+    result = outcome(runs, *args)
+    if isinstance(result[0], type):
+        return result
+    visits, truncated = result
+    return [[(p.tobytes(),) + tuple(getattr(jets, f)[j].tobytes()
+                                    for f in ("a0", "a1", "da0", "da1", "forms"))
+             for p, jets, j in run] for run in visits], truncated
 
 
 def bent_fold_congruence():
@@ -656,37 +677,93 @@ def bent_fold_congruence():
     )
 
 
+def kinked_plane_congruence(frozen_from=math.inf):
+    """Null lines along (1, 0, 1) through the plane t = 0, whose leaves run
+    along u1.  From u1 = 0.5 on the direction is (1, 0, 2), which is not
+    null, and from u1 = frozen_from on the base point stands still, so the
+    transversal form vanishes."""
+    return IsotropicCongruence.from_null_lines(
+        3, ((-1.0, 1.0), (-1.0, 1.0)),
+        base_point=lambda u: np.array([0.1, frozen_from, 0.0] if u[1] >= frozen_from
+                                      else [u[0], u[1], 0.0]),
+        direction=lambda u: np.array([1.0, 0.0, 1.0 if u[1] < 0.5 else 2.0]),
+    )
+
+
 class TestDeferredRankChecks:
-    """The leaf integrator checks the ranks of all its passes in one call and
-    raises what checking each pass at once raised: the failure of the
-    earliest failing pass, at its lowest failing member."""
+    """The leaf integrator checks its passes in one judge at the end and
+    raises what checking each pass at once raised (``inline_rk4_runs``): the
+    failure of the earliest failing pass, at its lowest failing member."""
 
     @pytest.mark.parametrize("seed", [(0.1, 0.05), (0.2, 0.1), (0.1, 0.02)])
     def test_a_leaf_that_turns_degenerate_between_lattice_points(self, model3, monkeypatch,
                                                                  seed):
         # the leaf runs along u1 into the fold at u1 = 0, which it reaches
         # at an intermediate stage of a step
+        import pseudoconformal.congruence as module
+
         deferred = outcome(stratify, fold_congruence(), np.array(seed), model=model3, count=10)
-        _inline_rank_checks(monkeypatch)
+        monkeypatch.setattr(module, "_rk4_runs", inline_rk4_runs)
         inline = outcome(stratify, fold_congruence(), np.array(seed), model=model3, count=10)
         assert deferred == inline
         assert deferred[0] is DegenerateBasisError
         assert deferred[1].startswith(f"basis forms are dependent at u=[{seed[0]}, ")
 
-    @pytest.mark.parametrize("starts,first", [
-        ([(0.7, 0.3), (0.0, 0.0)], "not an isotropic line at u=\\[0.7, 0.3\\]"),
-        ([(0.0, 0.0), (0.7, 0.3)], "basis forms are dependent at u=\\[0.0, 0.0\\]"),
-    ])
-    def test_the_lowest_member_of_a_failing_pass_wins(self, model3, monkeypatch, starts, first):
+    @pytest.mark.parametrize("cong,starts,ref,count,first", [
         # one pass with a line-check failure beside a rank failure
-        def run():
-            return outcome(_rk4_runs, bent_fold_congruence(), np.array(starts),
-                           np.array([[1.0, 0.0], [1.0, 0.0]]), model3, 1e-2, 3)
-
-        deferred = run()
-        _inline_rank_checks(monkeypatch)
-        assert deferred == run()
+        (bent_fold_congruence, [(0.7, 0.3), (0.0, 0.0)], (1.0, 0.0), 3,
+         "not an isotropic line at u=\\[0.7, 0.3\\]"),
+        (bent_fold_congruence, [(0.0, 0.0), (0.7, 0.3)], (1.0, 0.0), 3,
+         "basis forms are dependent at u=\\[0.0, 0.0\\]"),
+        # the fourth stage of the first step fails its line check, and the
+        # march goes on to the end
+        (kinked_plane_congruence, [(0.1, 0.493)], (0.0, 1.0), 3,
+         "not an isotropic line at u=\\[0.1, 0.503\\]: \\{'direction_on_quadric'"),
+        # the same, and then a later pass's form vanishes, which raises at once
+        (partial(kinked_plane_congruence, 0.505), [(0.1, 0.493)], (0.0, 1.0), 3,
+         "not an isotropic line at u=\\[0.1, 0.503\\]: \\{'direction_on_quadric'"),
+        # a run crosses v = 1, where the cone's direction has no square root
+        (lambda: replace(catalog.build("cone_normal_congruence"), domain=((-1.2, 1.2),) * 2),
+         [(0.95, 0.2), (0.5, -0.2)], (1.0, 0.0), 10,
+         "evaluation failed at u=\\[1\\.0000999\\d*, 0\\.1999\\d*\\]: math domain error"),
+    ])
+    def test_the_failure_is_the_inline_one(self, model3, cong, starts, ref, count, first):
+        args = (cong(), np.array(starts, dtype=float), np.array([ref] * len(starts)),
+                model3, 1e-2, count)
+        deferred = run_outcome(_rk4_runs, *args)
+        assert deferred == run_outcome(inline_rk4_runs, *args)
         assert re.fullmatch(first + ".*", deferred[1])
+
+    @pytest.mark.parametrize("n,starts", [(3, [(0.1, 0.4), (-0.2, 0.3)]),
+                                          (4, [(0.1, 0.1, 0.3), (0.0, -0.1, 0.2)])])
+    def test_runs_that_pass_keep_the_inline_bits(self, n, starts):
+        cong = catalog.build("cone_normal_congruence", n=n)
+        refs = np.eye(n - 1)[[0] * len(starts)]
+        args = (cong, np.array(starts), refs, AmbientModel.standard(n), 1e-2, 6)
+        assert run_outcome(_rk4_runs, *args) == run_outcome(inline_rk4_runs, *args)
+
+    def test_a_stage_evaluates_once_and_checks_nothing(self, model3, monkeypatch):
+        # two runs of 5 steps: 21 stages, each one line_at call; the line
+        # and rank checks are one call each, the judge's
+        import pseudoconformal.congruence as module
+
+        calls = collections.Counter()
+
+        def counted(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(IsotropicCongruence, "line_at",
+                            counted("line_at", IsotropicCongruence.line_at))
+        cong = catalog.build("cone_normal_congruence")
+        for name in ("_line_jets", "_line_checks", "orthonormal_rows"):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        _rk4_runs(cong, np.array([[0.1, 0.4], [-0.2, 0.3]]), np.array([[1.0, 0.0]] * 2),
+                  model3, 1e-2, 5)
+        assert calls == {"line_at": 21, "_line_jets": 21, "_line_checks": 1,
+                         "orthonormal_rows": 1}
 
     @pytest.mark.parametrize("why", ["transversal form vanishes at u=\\[0.2, 0.3\\]; "
                                      "distribution undefined",

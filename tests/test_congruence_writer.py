@@ -46,9 +46,9 @@ def nested_roots(an):
     return nested_cluster_roots(list(-durand_kerner(char_poly(an.shape_operator))))
 
 
-def oracle(scene_path, fmt) -> str:
-    """The congruence output of a scene by the per-sample loop; raises what
-    the run fails with."""
+def oracle(scene_path, fmt) -> tuple:
+    """The congruence output of a scene by the per-sample loop, and in CSV
+    the text of its leaf side file or None; raises what the run fails with."""
     scene = load_scene(str(scene_path))
     cong, counts = _resolve_grid(scene, _build_object(scene))
     model = AmbientModel.standard(cong.n)
@@ -74,18 +74,21 @@ def oracle(scene_path, fmt) -> str:
                      ["point"] + [float(v) for v in target])
             rows.append([float(v) for v in u] + [an.symmetry_defect, k, sp.x.real, sp.x.imag,
                                                  sp.multiplicity, int(sp.is_real)] + focal)
+    leaf = scene.stratify and stratify(
+        cong, np.asarray(scene.stratify["seed"], dtype=float), model=model,
+        step=float(scene.stratify.get("step", 1e-2)), count=int(scene.stratify.get("count", 40)))
     if fmt == "csv":
-        return "".join(",".join(map(str, row)) + "\n" for row in [header] + rows)
+        return ("".join(",".join(map(str, row)) + "\n" for row in [header] + rows),
+                leaf and "".join(",".join(map(str, row)) + "\n" for row in [
+                    ["index"] + header[: cong.params]]
+                    + [[i] + list(p) for i, p in enumerate(leaf.parameters)]))
     payload = {"builtin": cong.name, "n": cong.n, "max_defect": worst, "samples": samples}
-    if scene.stratify:
-        leaf = stratify(cong, np.asarray(scene.stratify["seed"], dtype=float), model=model,
-                        step=float(scene.stratify.get("step", 1e-2)),
-                        count=int(scene.stratify.get("count", 40)))
+    if leaf:
         payload["leaf"] = {"seed": list(leaf.seed), "size": len(leaf.parameters),
                            "lightlike_fraction": leaf.lightlike_fraction,
                            "truncated": leaf.truncated,
                            "parameters": [list(p) for p in leaf.parameters]}
-    return json.dumps(payload, sort_keys=True, indent=1) + "\n"
+    return json.dumps(payload, sort_keys=True, indent=1) + "\n", None
 
 
 def check_scene(tmp_path, capsys, scene_path, fmt):
@@ -95,7 +98,7 @@ def check_scene(tmp_path, capsys, scene_path, fmt):
     code = main(["congruence", "--scene", str(scene_path), "--out", str(out), "--format", fmt])
     err = capsys.readouterr().err
     try:
-        expected = oracle(scene_path, fmt)
+        expected, leaf = oracle(scene_path, fmt)
     except (GeometryError, ConvergenceError) as exc:
         assert code == 3 and not out.exists()
         assert err == f"numerical failure (congruence): {exc}\n"
@@ -103,6 +106,10 @@ def check_scene(tmp_path, capsys, scene_path, fmt):
     assert code == 0
     text = out.read_text()
     assert_same(text, expected)
+    side = Path(f"{out}.leaf.csv")
+    assert side.exists() == (leaf is not None)
+    if leaf is not None:
+        assert_same(side.read_text(), leaf)
     return text
 
 
@@ -129,16 +136,22 @@ def test_generated_copies(tmp_path, capsys, generated, copy):
         assert check_scene(tmp_path, capsys, scene.path, scene.slot.fmt) is not None
 
 
-@pytest.fixture()
-def failing_grid(tmp_path):
+def error_scene(tmp_path, name):
     path = tmp_path / "scene.json"
-    path.write_text(json.dumps(ERROR_SCENES["cone_past_one"]))
+    path.write_text(json.dumps(ERROR_SCENES[name]))
     return path
 
 
+@pytest.fixture()
+def failing_grid(tmp_path):
+    return error_scene(tmp_path, "cone_past_one")
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_failing_point_grid(tmp_path, capsys, failing_grid, fmt):
-    assert check_scene(tmp_path, capsys, failing_grid, fmt) is None
+@pytest.mark.parametrize("name", ["cone_past_one", "cone_leaf_past_one"])
+def test_failing_point_grid(tmp_path, capsys, name, fmt):
+    # a grid point fails, or a point the leaf reaches
+    assert check_scene(tmp_path, capsys, error_scene(tmp_path, name), fmt) is None
 
 
 @pytest.mark.parametrize("at", [0, 2])
