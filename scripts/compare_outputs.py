@@ -16,10 +16,13 @@ identical, ``.leaf.csv`` side files and the run's standard error included
 text is the same with every number masked and, if so, the largest
 |new - old| / (1 + |old|) over the numbers, then that largest difference per
 field that moved, one indented line each: a JSON field is its key path with
-list indices dropped (``center.degeneracy.max_angle``), a CSV field its
+list indices dropped (``center.degeneracy.generator_rate``), a CSV field its
 column header (``leaf:`` and the header in a leaf side file), the standard
-error the one field ``stderr``.  One summary line ends the report, with the
-worst difference per field over all runs; the exit code is 0 only if every
+error the one field ``stderr``.  Where the text differs too, the fields are
+compared the same way, JSON objects matched by key, and each JSON field
+that only one side writes is named ("only in old" or "only in new").  One
+summary line ends the report, with the worst difference per field over all
+runs and the fields only one side writes; the exit code is 0 only if every
 run matched byte for byte.
 
 Example:
@@ -158,17 +161,25 @@ def _worst_relative(old: str, new: str) -> float:
     return worst
 
 
+#: the value of a key that one JSON document lacks
+ABSENT = object()
+
+
 def _json_fields(old, new, path: str = ""):
-    """(field, old text, new text) of every scalar of two JSON documents of
-    the same shape, the field being the key path without list indices."""
-    if isinstance(old, dict):
-        for (key, a), b in zip(old.items(), new.values()):
-            yield from _json_fields(a, b, f"{path}.{key}" if path else key)
-    elif isinstance(old, list):
+    """(field, old text, new text) of every scalar of two JSON documents,
+    the field being the key path without list indices; objects are matched
+    by key, and a key that one side lacks has the text None there."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in {**old, **new}:
+            yield from _json_fields(old.get(key, ABSENT), new.get(key, ABSENT),
+                                    f"{path}.{key}" if path else key)
+    elif isinstance(old, list) and isinstance(new, list):
         for a, b in zip(old, new):
             yield from _json_fields(a, b, path)
     else:
-        yield path, str(old), str(new)
+        yield path, *(None if x is ABSENT else str(x) for x in (old, new))
+
+
 
 
 def _csv_fields(old: str, new: str, prefix: str = ""):
@@ -201,10 +212,21 @@ def field_differences(old_out: Path, new_out: Path) -> dict:
             except ValueError:
                 cells = _csv_fields(ta, tb)
         for name, x, y in cells:
-            delta = _worst_relative(x, y)
+            delta = 0.0 if x is None or y is None else _worst_relative(x, y)
             if delta > 0.0:
                 worst[name] = max(worst.get(name, 0.0), delta)
     return worst
+
+
+def key_differences(old_out: Path, new_out: Path) -> dict:
+    """The fields of one run's JSON output that only one side has, each
+    mapped to "old" or "new"; empty for other outputs."""
+    try:
+        cells = _json_fields(*(json.loads(_read(out) or b"") for out in (old_out, new_out)))
+        return {name: "new" if x is None else "old" for name, x, y in cells
+                if x is None or y is None}
+    except ValueError:
+        return {}
 
 
 def compare(old_out: Path, new_out: Path) -> tuple:
@@ -246,14 +268,14 @@ def main(argv=None) -> int:
         old_codes, new_codes = (json.loads((tmp / name / "codes.json").read_text())
                                 for name in ("old", "new"))
         same = masked_only = differing = code_mismatch = 0
-        worst, worst_fields = 0.0, {}
+        worst, worst_fields, sides = 0.0, {}, {}
         for i, (label, *_rest) in enumerate(runs):
             out = f"{i:04d}.out"
             identical, masked, delta = compare(tmp / "old" / out, tmp / "new" / out)
             codes = f"exit {old_codes[i]}/{new_codes[i]}"
             if old_codes[i] != new_codes[i]:
                 code_mismatch += 1
-            fields = {}
+            fields, keys = {}, {}
             if identical:
                 same += 1
                 verdict = "identical"
@@ -264,16 +286,25 @@ def main(argv=None) -> int:
                 verdict = f"differs, same text with numbers masked, max rel {delta:.2e}"
             else:
                 differing += 1
+                fields = field_differences(tmp / "old" / out, tmp / "new" / out)
+                keys = key_differences(tmp / "old" / out, tmp / "new" / out)
                 verdict = "differs in text"
             print(f"{label}: {codes}, {verdict}")
+            for name, side in sorted(keys.items()):
+                print(f"  {name}: only in {side}")
+                sides[name] = side
             for name, value in sorted(fields.items()):
                 print(f"  {name}: max rel {value:.2e}")
                 worst_fields[name] = max(worst_fields.get(name, 0.0), value)
     per_field = ", ".join(f"{name} {value:.2e}" for name, value in sorted(worst_fields.items()))
+    only = "; ".join(f"only in {side}: "
+                     + ", ".join(sorted(k for k, v in sides.items() if v == side))
+                     for side in ("old", "new") if side in sides.values())
     print(f"compare_outputs: {len(runs)} runs, {same} byte-identical, {masked_only} same "
           f"with numbers masked (max |d|/(1+|v|) {worst:.2e}), {differing} differing in "
           f"text, {code_mismatch} exit-code mismatches"
-          + (f"; worst per field: {per_field}" if per_field else ""))
+          + (f"; worst per field: {per_field}" if per_field else "")
+          + (f"; {only}" if only else ""))
     return 0 if same == len(runs) and code_mismatch == 0 else 1
 
 

@@ -43,7 +43,7 @@ def main():
               f"directions {fam.directions.round(6).tolist()}")
 
     rep = degeneracy_check(imm, an, model=model)
-    print(f"  tangent span deviation along generator: {rep.max_angle:.2e} "
+    print(f"  tangent span turning rate along generator: {rep.generator_rate:.2e} "
           f"(rank {rep.tangent_rank})")
 
     counts = args.grid or [8] * imm.params

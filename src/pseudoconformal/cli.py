@@ -411,13 +411,13 @@ def run_lightlike(scene: Scene, out_path, fmt) -> int:
         "roots": _roots_json(an.roots),
         "torses": [{"root": t.root, "multiplicity": t.multiplicity,
                     "directions": t.directions.tolist()} for t in torses],
-        "degeneracy": {"max_angle": degeneracy.max_angle, "tangent_rank": degeneracy.tangent_rank,
-                       "skipped": len(degeneracy.skipped)},
+        "degeneracy": {"generator_rate": degeneracy.generator_rate,
+                       "tangent_rank": degeneracy.tangent_rank},
     }, "errors": [{"u": list(u), "message": m} for u, m in focal.errors]}
     _write(out_path, _lightlike_text(focal, fmt, header, fields))
     print(f"lightlike pipeline on {imm.name}: {len(focal.x)} focal samples, "
           f"{len(focal.first)} clusters, defect={an.symmetry_defect:.2e}, "
-          f"degeneracy={degeneracy.max_angle:.2e}", file=sys.stderr)
+          f"degeneracy={degeneracy.generator_rate:.2e}", file=sys.stderr)
     return 0
 
 

@@ -36,6 +36,7 @@ from .conformal import AmbientModel, ProjectivePoint, _lift_lines, _singular_coo
 from .errors import ConvergenceError, DegenerateBasisError, GeometryError, NonIntegrableError
 from .frames import _line_screen_candidates, _screen_error, build_screen, null_frame_coordinates
 from .hypersurface import _evaluate_stack, _evaluation_error, _pullback, parameter_grid
+from .lightlike import SYMMETRY_TOL
 from .linalg import (MAX_ROOT_ORDER, _cluster, _dots, _durand_kerner, _faddeev_leverrier, _inertia,
                      _roots, _solve, jacobi_eigh, orthonormal_rows)
 
@@ -255,8 +256,9 @@ def _line_failures(passes: list, model: AmbientModel) -> dict:
 def _congruence_affinors(cong: IsotropicCongruence, us: np.ndarray, model: AmbientModel) -> list:
     """The CongruenceAnalysis of every parameter point of us (N, params), or
     the exception it raises: one ``_line_jets`` pass, one stacked screen pass
-    (``build_screen``), one stacked pairing pass, then one basis-form solve,
-    characteristic polynomial and root pass over the stack, failing at the
+    (``build_screen``), one stacked pairing pass, then one basis-form solve
+    over the stack, one Jacobi pass over the symmetric operators and one
+    characteristic polynomial and root pass over the others, failing at the
     first step that fails, and one ``linalg._cluster`` pass over the roots.
     A point gets the same bits in any stack.  Screens of dimension n-2
     beyond ``linalg.MAX_ROOT_ORDER`` raise ValueError."""
@@ -281,20 +283,31 @@ def _congruence_affinors(cong: IsotropicCongruence, us: np.ndarray, model: Ambie
         results[i] = _dependent(us[i])
     keep = np.flatnonzero(regular)
     solved = np.ascontiguousarray(np.swapaxes(x[keep], 1, 2))  # members laid out as solve's
-    eigen, residual, converged = _durand_kerner(
-        _faddeev_leverrier(np.swapaxes(solved[:, : n - 2], 1, 2))[0].astype(complex))
-    for i, r in zip(live[keep[~converged]].tolist(), residual[~converged].tolist()):
+    operators, transposed = np.swapaxes(solved[:, : n - 2], 1, 2), solved[:, : n - 2]
+    defects = np.abs(operators - transposed).max(axis=(1, 2))
+    # an operator that passes lightlike's symmetry test gets its roots from the
+    # Jacobi spectrum of its symmetric part, which keeps multiple roots real;
+    # the others from the general root iteration
+    symmetric = defects <= SYMMETRY_TOL * (1.0 + np.abs(operators).max(axis=(1, 2)))
+    general = np.flatnonzero(~symmetric)
+    eigen = np.zeros(operators.shape[:2], dtype=complex)
+    eigen[symmetric] = jacobi_eigh(0.5 * (operators + transposed)[symmetric])[0]
+    eigen[general], residual, converged = _durand_kerner(
+        _faddeev_leverrier(np.swapaxes(solved[general][:, : n - 2], 1, 2))[0].astype(complex))
+    for i, r in zip(live[keep[general[~converged]]].tolist(), residual[~converged].tolist()):
         results[i] = ConvergenceError(f"root iteration did not converge at u={us[i].tolist()} "
                                       f"(residual {r:.3e})", residual=r)
-    means, mults, root_counts = _cluster(-eigen[converged])
-    for j, unknowns, mean, mult, count in zip(keep[converged].tolist(), solved[converged], means,
-                                              mults, root_counts):
+    done = np.delete(np.arange(len(keep)), general[~converged])
+    means, mults, root_counts = _cluster(-eigen[done])
+    for j, unknowns, defect, mean, mult, count in zip(keep[done].tolist(), solved[done],
+                                                      defects[done].tolist(), means, mults,
+                                                      root_counts):
         i = live[j]
         lam, e_form = unknowns[: n - 2].T, jets.forms[i]
         results[i] = CongruenceAnalysis(
             u=us[i].copy(), shape_operator=lam, transversal_shift=unknowns[n - 2],
-            symmetry_defect=float(np.abs(lam - lam.T).max()) if lam.size else 0.0,
-            roots=tuple(_roots(mean[:count], mult[:count])), line=(jets.a0[i], jets.a1[i]),
+            symmetry_defect=defect, roots=tuple(_roots(mean[:count], mult[:count])),
+            line=(jets.a0[i], jets.a1[i]),
             screen=screens[j], transversal_form=e_form,
             diagnostics={"w0np1": float(np.abs(c0[j, :, n - 1]).max()),
                          "w1n": float(np.abs(c1[j, :, n - 2]).max()),

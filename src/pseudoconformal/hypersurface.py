@@ -21,8 +21,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .conformal import AmbientModel
-from .errors import DegenerateBasisError, GeometryError, NotLightlikeError
-from .linalg import _faddeev_leverrier, _inertia, jacobi_eigh, solve
+from .errors import DegenerateBasisError, GeometryError
+from .linalg import _inertia, jacobi_eigh
 
 SPACELIKE = "spacelike"
 TIMELIKE = "timelike"
@@ -32,8 +32,6 @@ DEGENERATE = "degenerate_beyond_lightlike"
 #: degeneracy threshold of the induced metric: smallest |eigenvalue| relative
 #: to largest, for analytic and finite-difference jets alike
 LIGHTLIKE_TOL = 1e-7
-#: rounding bound of the kernel direction above which a bordered solve refines it
-KERNEL_REFINE_BOUND = 1e-12
 
 #: central-difference steps of ``jet1``, and of ``jet2`` over a differenced ``jet1``
 FD_STEP_FIRST = 1e-5
@@ -311,41 +309,6 @@ def classify_point(imm: Immersion, u, tol: Optional[float] = None,
     if failures:
         raise failures[0]
     return causal_type_of_spectrum(w[0], LIGHTLIKE_TOL if tol is None else tol)
-
-
-def lightlike_kernel(imm: Immersion, u, model: Optional[AmbientModel] = None) -> np.ndarray:
-    """Unit parameter-space kernel direction x of the induced metric M at a
-    lightlike point; its Jacobian image is the null generator.  A
-    one-dimensional kernel spans every nonzero column of adj M, so x is the
-    largest column of the adjugate of S = M / max |M_ij|, signed so that its
-    entry of largest magnitude is positive, as ``jacobi_eigh`` signs columns.
-
-    The tests mirror ``_inertia``'s, with the Frobenius norm F of S as the
-    radius.  With c the coefficients of det(x I - S), (k-1)|c_(k-1) / c_(k-2)|
-    is at least the second least |eigenvalue|: DegenerateBasisError where it
-    is at most ``LIGHTLIKE_TOL`` (a kernel of dimension 2 or more).  |S x| is
-    at least the least one: NotLightlikeError where it exceeds
-    ``LIGHTLIKE_TOL`` F (no kernel, or none the recursion resolves).  Rounding
-    limits x to about 2e-16 F^(k-1) / |c_(k-1)|, 4e-15 on the catalog's
-    lightlike entries; above ``KERNEL_REFINE_BOUND`` y of [[S, x], [x^T, 0]]
-    (y, mu) = (0, 1) replaces it, to 2e-16 / (least nonzero |eigenvalue|).
-    """
-    m, at = induced_metric(imm, u, model=model), np.asarray(u).tolist()
-    if not np.isfinite(m).all():
-        raise DegenerateBasisError(f"non-finite induced metric at u={at}")
-    s = m / max(np.abs(m).max(), 1e-300)
-    c, adjugate = _faddeev_leverrier(s)
-    if (len(s) - 1) * abs(c[-2]) <= LIGHTLIKE_TOL * abs(c[-3]):
-        raise DegenerateBasisError(f"induced metric has a kernel of dimension above 1 at u={at}")
-    column = adjugate[:, np.argmax((adjugate * adjugate).sum(axis=0))]
-    k, f = column / np.sqrt(column @ column), np.sqrt((s * s).sum())
-    if 2e-16 * f ** (len(s) - 1) > KERNEL_REFINE_BOUND * abs(c[-2]):
-        k = solve(np.block([[s, k[:, None]], [k, 0.0]]), np.eye(len(s) + 1)[-1])[:-1]
-        k = k / np.sqrt(k @ k)
-    residual = s @ k
-    if not np.sqrt(residual @ residual) <= LIGHTLIKE_TOL * f:
-        raise NotLightlikeError(f"induced metric is not degenerate at u={at}")
-    return -k if k[np.argmax(np.abs(k))] < 0 else k
 
 
 @dataclass(frozen=True)

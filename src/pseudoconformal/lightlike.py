@@ -26,15 +26,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .conformal import (AmbientModel, AtInfinity, ProjectivePoint, _singular_coords, _unembed,
-                        darboux_unembed, lift_point, lift_tangent)
+from .conformal import (AmbientModel, ProjectivePoint, _singular_coords, _unembed, lift_point,
+                        lift_tangent)
 from .errors import DegenerateBasisError, GeometryError, NotLightlikeError
 from .frames import (_generator, _lightlike_lines, _null_frame, _orthonormal_screens,
                      null_frame_coordinates)
 from .hypersurface import (LIGHTLIKE_TOL, Immersion, _ambient_gram, _causal_kind,
-                           _evaluation_error, _stacked_spectra, lightlike_kernel, parameter_grid)
-from .linalg import (_cluster, _inertia, _roots, det, jacobi_eigh, max_principal_angle,
-                     orthonormal_rows)
+                           _evaluation_error, _stacked_spectra, parameter_grid)
+from .linalg import _cluster, _inertia, _roots, det, jacobi_eigh, orthonormal_rows
 
 #: defect threshold (relative) above which the extracted operator is rejected,
 #: for analytic and finite-difference jets alike
@@ -42,10 +41,6 @@ SYMMETRY_TOL = 1e-6
 
 #: matching radius when merging focal points
 FOCAL_MERGE_TOL = 1e-6
-
-#: distance in chart coordinates within which a degeneracy sample counts as
-#: at a focal point
-SINGULAR_TOL = 0.05
 
 
 class _JetStack:
@@ -84,20 +79,27 @@ class _JetStack:
             self.generators = _generator(self.rows, self.w, self.v, imm.n, generator_scale)
 
 
-def _lines(jets: _JetStack) -> tuple:
-    """A_0, A_1, screens and failures (member -> exception) of a jet stack,
-    in one pass of ``frames._lightlike_lines``.  A member fails with its
-    jet's failure, then with an induced metric that is not lightlike, then
-    with the first failed check of the line builder.
-    """
-    a0, a1, screens, built = _lightlike_lines(jets.a0, jets.rows, jets.model, jets.generators,
-                                              jets.generator_scale)
+def _lightlike_failures(jets: _JetStack) -> dict:
+    """Failures (member -> exception) of a jet stack: a member fails with its
+    jet's failure, then with an induced metric that is not lightlike."""
     failures = dict(jets.failures)
     plus, minus, zero, _ = _inertia(jets.w, LIGHTLIKE_TOL)
     for j in np.flatnonzero((minus != 0) | (zero != 1)).tolist():
         kind = _causal_kind(plus[j], minus[j], zero[j])
         failures.setdefault(j, NotLightlikeError(
             f"hypersurface is {kind} at u={jets.us[j].tolist()}, not lightlike"))
+    return failures
+
+
+def _lines(jets: _JetStack) -> tuple:
+    """A_0, A_1, screens and failures (member -> exception) of a jet stack,
+    in one pass of ``frames._lightlike_lines``.  A member fails with its
+    ``_lightlike_failures``, then with the first failed check of the line
+    builder.
+    """
+    a0, a1, screens, built = _lightlike_lines(jets.a0, jets.rows, jets.model, jets.generators,
+                                              jets.generator_scale)
+    failures = _lightlike_failures(jets)
     for j, exc in built.items():
         failures.setdefault(j, exc)
     return a0, a1, screens, failures
@@ -185,21 +187,29 @@ def _shape_operators(a0, a1, screens, gram, da0, da1, w, v):
     return lam, diagnostics
 
 
+def _row_derivatives(jets: _JetStack, members, hessians) -> np.ndarray:
+    """d_b R (N, d, d, n+2) of the tangent rows R of the members of a jet
+    stack with Hessians (N, target, d, d): row a of d_b R is H_ab, or
+    lift_tangent(p, H_ab) + M_ab e_{n+1} for the chart lift of p."""
+    imm, model = jets.imm, jets.model
+    h = np.transpose(hessians, (0, 3, 2, 1))  # h[:, b, a] = H_ab
+    if not imm.homogeneous:
+        p, tangents = jets.a0[members, 1 : imm.n + 1], jets.rows[members][..., 1 : imm.n + 1]
+        h = lift_tangent(p[:, None], h, model)
+        h[..., -1] += tangents @ model.metric.gram @ np.swapaxes(tangents, -1, -2)
+    return h
+
+
 def _generator_differentials(jets: _JetStack, members, hessians) -> np.ndarray:
     """dA_1 (N, d, n+2), modulo A_1, of the generators of the members of a
     jet stack with Hessians (N, target, d, d), in closed form.  With R the
     tangent rows, k the kernel column of M = R G R^T and A_1 = s R^T k / |R^T k|
     (s the sign and scale), d_b k = -M^+ (d_b M) k (Magnus 1985), so
         d_b A_1 = s ((d_b R)^T k - R^T M^+ (d_b M) k) / |R^T k|  mod A_1,
-    where (d_b M) k = d_b R G R^T k + R G (d_b R)^T k.  Row a of d_b R is
-    H_ab, or lift_tangent(p, H_ab) + M_ab e_{n+1} for the chart lift of p."""
-    imm, model, gram = jets.imm, jets.model, jets.model.form.gram
-    rows = jets.rows[members]
-    h = np.transpose(hessians, (0, 3, 2, 1))  # h[:, b, a] = H_ab
-    if not imm.homogeneous:
-        p, tangents = jets.a0[members, 1 : imm.n + 1], rows[..., 1 : imm.n + 1]
-        h = lift_tangent(p[:, None], h, model)
-        h[..., -1] += tangents @ model.metric.gram @ np.swapaxes(tangents, -1, -2)
+    where (d_b M) k = d_b R G R^T k + R G (d_b R)^T k, d_b R from
+    ``_row_derivatives``."""
+    gram, rows = jets.model.form.gram, jets.rows[members]
+    h = _row_derivatives(jets, members, hessians)
     pinv, k = _pseudo_inverse(jets.w[members], jets.v[members])
     a1 = (k[:, None, :] @ rows)[:, 0]
     dr_k = (k[:, None, None, :] @ h)[:, :, 0]  # (d_b R)^T k
@@ -353,116 +363,53 @@ def torse_directions(an: LightlikeAnalysis) -> list:
 
 @dataclass(frozen=True)
 class DegeneracyReport:
-    max_angle: float
-    angles: tuple
-    samples: tuple
-    skipped: tuple
-    variation_rates: tuple
+    """How far the tangent span of the Darboux image turns along the
+    generator, relative to its fastest turning (``generator_rate``), and in
+    how many parameter directions it turns (``tangent_rank``)."""
+
+    generator_rate: float
     tangent_rank: int
 
 
-def _kernel_flow(imm: Immersion, u0, model: AmbientModel, arc: float, steps: int):
-    """Sample parameter points along the generator curve through u0 by
-    integrating the unit kernel field of the induced metric (RK4, carrying
-    the direction sign along for continuity).  Returns the kernel direction
-    at u0 and the two runs from u0; each ends at the first stage whose jet is
-    not regular (its evaluation fails or is non-finite), such as a vertex."""
-    h = arc / steps
+def degeneracy_check(imm: Immersion, an: LightlikeAnalysis,
+                     model: Optional[AmbientModel] = None) -> DegeneracyReport:
+    """Verify tangential degeneracy of the Darboux image at ``an.u``, given
+    ``an``, the ``lightlike_affinor`` analysis of ``imm`` there, in closed
+    form at that one point.
 
-    def aligned_kernel(u, ref):
-        k = lightlike_kernel(imm, u, model=model)
-        return k if float(k @ ref) >= 0.0 else -k
-
-    k0 = lightlike_kernel(imm, u0, model=model)
-    runs = []
-    for direction in (+1.0, -1.0):
-        u = np.asarray(u0, dtype=float).copy()
-        k1 = direction * k0  # the first stage at u0, aligned with itself
-        runs.append([])
-        for step in range(steps):
-            try:
-                if step:
-                    k1 = aligned_kernel(u, k1)
-                k2 = aligned_kernel(u + 0.5 * h * k1, k1)
-                k3 = aligned_kernel(u + 0.5 * h * k2, k2)
-                k4 = aligned_kernel(u + h * k3, k3)
-            except (ValueError, ArithmeticError):  # GeometryError included
-                break
-            u = u + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            runs[-1].append(u.copy())
-    return k0, runs
-
-
-def degeneracy_check(
-    imm: Immersion,
-    an: LightlikeAnalysis,
-    model: Optional[AmbientModel] = None,
-    arc: float = 0.25,
-) -> DegeneracyReport:
-    """Verify tangential degeneracy along the generator through ``an.u``,
-    given ``an``, the ``lightlike_affinor`` analysis of ``imm`` there.
-
-    The homogeneous tangent span is compared, by largest principal angle,
-    between the base point and samples along the generator curve; it also
-    measures how many parameter directions actually move the tangent span
-    (the rank of the tangential degeneracy).  The centre, the samples and the
-    rate neighbours u + 1e-4 d are one jet stack (``_JetStack``) and all
-    their angles one ``max_principal_angle`` call.  The curve has 5 samples
-    each way, and each run ends at its first sample whose jet fails, or that
-    lies within ``SINGULAR_TOL`` of a finite singular point in the chart
-    coordinates x^r / x^0 of its base point; that sample is skipped.  Past a
-    singular point the curve leaves the generator (on a cone, for the
-    opposite ray).
-    A failed centre or rate neighbour raises its jet's failure.
+    Let X be the lifted point, R the tangent rows and T_b the derivatives
+    d_b R (``_row_derivatives``) projected off the Euclidean span {X, R}:
+    T_b is how fast the tangent span turns in parameter direction b.  The
+    image is tangentially degenerate along the generator when sum_b k_b T_b
+    vanishes, k the kernel column of the induced metric.  Its rate is
+    |sum_b k_b T_b| over the largest singular value of b -> T_b, read
+    directly (the square root of k^T G k would floor it at about 1e-8), and
+    the rank of the degeneracy is the number of eigenvalues of the Gram
+    matrix G_bc = <T_b, T_c> above 1e-12 times the largest, which is 1e-6 on
+    the singular values.  A point that is not a regular lightlike one raises
+    its jet's failure or NotLightlikeError, one whose Hessian fails its
+    evaluation error.
     """
     if model is None:
         model = AmbientModel.standard(imm.n)
-    u, n, d = an.u, imm.n, imm.params
-    focal = []
-    for sp in singular_points(an):
-        target = darboux_unembed(sp.point, model)
-        if not isinstance(target, AtInfinity):
-            focal.append(target)
-
-    k, runs = _kernel_flow(imm, u, model, arc=arc, steps=5)
-    # variation of the tangent span across an orthonormal parameter basis
-    complement, rank = orthonormal_rows((np.eye(d) - np.outer(k, k))[None])
-    basis = np.vstack([k, complement[0, : rank[0]]])
-    eps = 1e-4
-    flow = np.array([s for run in runs for s in run]).reshape(-1, d)
-    first_rate = 1 + len(flow)
-    jets = _JetStack(imm, np.vstack([u, flow, u + eps * basis]), model, 1.0)
-    exc = next((jets.failures[k] for k in (0, *range(first_rate, len(jets.us)))
-                if k in jets.failures), None)
-    if exc is not None:
-        raise exc
-    spans = np.concatenate([jets.a0[:, None, :], jets.rows], axis=1)
-    with np.errstate(invalid="ignore", divide="ignore"):  # ideal or failed members
-        chart = jets.a0[:, 1 : n + 1] / jets.a0[:, :1]
-    near = np.zeros(len(chart), dtype=bool)
-    for f in focal:
-        near |= np.sqrt(((chart - f) ** 2).sum(axis=1)) < SINGULAR_TOL
-
-    used, skipped, at = [], [], 1
-    for run in runs:
-        for i, s in enumerate(run, start=at):
-            if i in jets.failures or near[i]:
-                skipped.append(tuple(float(x) for x in s))
-                break
-            used.append(i)
-        at += len(run)
-    angles = max_principal_angle(spans[0], spans[used + list(range(first_rate, len(spans)))])
-    angles, rates = angles[: len(used)], angles[len(used):] / eps
-    rank = (rates > max(1e-6, 1e-3 * rates.max())).sum()
-
-    return DegeneracyReport(
-        max_angle=float(angles.max(initial=0.0)),
-        angles=tuple(float(a) for a in angles),
-        samples=tuple(tuple(float(x) for x in jets.us[i]) for i in used),
-        skipped=tuple(skipped),
-        variation_rates=tuple(float(r) for r in rates),
-        tangent_rank=int(rank),
-    )
+    jets = _JetStack(imm, np.asarray(an.u, dtype=float)[None], model, 1.0)
+    failures = _lightlike_failures(jets)
+    if failures:
+        raise failures[0]
+    hessians, raised = imm.jet2(jets.us)
+    if raised:
+        raise _evaluation_error(jets.us[0], raised[0])
+    if not np.isfinite(hessians).all():
+        raise DegenerateBasisError(f"non-finite hessian at u={jets.us[0].tolist()}")
+    d = imm.params
+    dr = _row_derivatives(jets, [0], hessians)[0]
+    span = orthonormal_rows(np.concatenate([jets.a0[:, None], jets.rows], axis=1))[0][0]
+    turns = (dr - (dr @ span.T) @ span).reshape(d, -1)
+    along = _pseudo_inverse(jets.w, jets.v)[1] @ turns
+    w = jacobi_eigh(turns @ turns.T)[0]
+    top = max(float(w[0]), 1e-300)
+    return DegeneracyReport(generator_rate=float(np.sqrt((along * along).sum()) / np.sqrt(top)),
+                            tangent_rank=int((w > 1e-12 * top).sum()))
 
 
 #: records of one row of a FocalSet, and of one cluster (its first sample's

@@ -535,32 +535,3 @@ def orthonormal_rows(stack, tol: float = 1e-12):
         left[members, pivot] = False
         v = v - _dots(v, q[:, None, :])[..., None] * q[:, None, :]
     return bases, ranks
-
-
-def max_principal_angle(span_a, spans_b) -> np.ndarray:
-    """Largest principal angle between the row span span_a (k, m) and each
-    member of a stack of row spans spans_b (N, k, m), as an (N,) array.
-
-    The residual r of span_a off a span has the sines of the principal
-    angles as singular values.  Along the top eigenvector v of r r^T the unit
-    combination v^T q_a splits into its part v^T p q_b in the span and v^T r
-    off it, and the angle is atan2(|v^T r|, |v^T p|).  Taking the sine keeps
-    small angles to rounding; the arccosine of a cosine near 1 cannot
-    resolve angles below about 1.5e-8.  All spans are orthonormalized in one
-    ``orthonormal_rows`` pass, and all r r^T are eigendecomposed in one
-    stacked Jacobi pass; a member of another rank than span_a is at pi/2.
-    """
-    spans_b = np.asarray(spans_b, dtype=float)
-    bases, ranks = orthonormal_rows(np.concatenate([np.asarray(span_a, dtype=float)[None],
-                                                    spans_b]))
-    k = ranks[0]
-    qa = bases[0, :k]
-    same = np.flatnonzero(ranks[1:] == k)
-    qb = bases[1 + same, :k]
-    angles = np.full(len(spans_b), math.pi / 2.0)
-    p = qa @ np.swapaxes(qb, 1, 2)
-    r = qa - p @ qb
-    top = jacobi_eigh(r @ np.swapaxes(r, 1, 2))[1][:, None, :, 0]  # eigenvalues descend
-    off, on = (top @ r)[:, 0], (top @ p)[:, 0]
-    angles[same] = np.arctan2(np.sqrt((off * off).sum(axis=1)), np.sqrt((on * on).sum(axis=1)))
-    return angles

@@ -11,6 +11,9 @@ symmetric eigenproblems, solves, determinants, characteristic polynomials
 and polynomial roots from the one-matrix loops that the stacked passes
 replaced.  The leaf integrator's reference checks every pass of its RK4 runs
 as soon as it is made, which the integrator defers to one check at the end.
+The tangential-degeneracy reference is the kernel flow that the closed-form
+check replaced: RK4 along the numpy.linalg.eigh kernel field, and principal
+angles from numpy.linalg.svd.
 """
 
 import cmath
@@ -169,6 +172,109 @@ def focal_reference(imm, u, model, cluster_radius=1e-6):
         out.append((x, len(group),
                     target.point.coords if isinstance(target, AtInfinity) else target))
     return out
+
+
+#: the kernel flow reference's step count each way, its arc, its focal stop
+#: radius in chart coordinates and its rate neighbours' step
+FLOW_STEPS, FLOW_ARC, FLOW_FOCAL_RADIUS, FLOW_RATE_STEP = 5, 0.25, 0.05, 1e-4
+
+DegeneracyFlow = namedtuple("DegeneracyFlow", "max_angle tangent_rank samples skipped rates")
+
+
+def _eigh_kernel(imm, u, model):
+    """The unit numpy.linalg.eigh kernel column of the induced metric at u
+    and the span [A_0; rows] there, or None where the jet fails or the
+    metric is not degenerate with a one-dimensional kernel."""
+    try:
+        a0, rows, metric, _ = eigh_jet(imm, u, model)
+    except (ValueError, ArithmeticError):
+        return None
+    if not (np.isfinite(metric).all() and np.isfinite(rows).all() and np.isfinite(a0).all()):
+        return None
+    w, v = np.linalg.eigh(metric)
+    order = np.argsort(np.abs(w))
+    radius = np.abs(w).max()
+    if not (abs(w[order[0]]) <= 1e-7 * radius < abs(w[order[1]])):
+        return None
+    return v[:, order[0]], v[:, order[1:]], np.vstack([a0, rows])
+
+
+def _sine_of_largest_angle(span_a, span_b):
+    """Sine of the largest principal angle between two row spans of equal
+    rank, from numpy.linalg.svd: the largest singular value of span_a's
+    orthonormal basis minus its projection on span_b's (1 for other ranks)."""
+    bases = []
+    for span in (span_a, span_b):
+        _, sv, vt = np.linalg.svd(span)
+        bases.append(vt[: int((sv > 1e-12 * sv[0]).sum())])
+    qa, qb = bases
+    if len(qa) != len(qb):
+        return 1.0
+    return float(np.linalg.svd(qa - (qa @ qb.T) @ qb, compute_uv=False)[0])
+
+
+def degeneracy_flow_reference(imm, u, model, arc=FLOW_ARC, steps=FLOW_STEPS):
+    """The tangential degeneracy of the Darboux image at u by the kernel
+    flow: the span [A_0; rows] at u is compared, by its largest principal
+    angle, with the spans at samples along the generator curve through u,
+    and the rank is the number of directions of an orthonormal parameter
+    basis (the kernel column k first) along which it turns at a rate above
+    max(1e-6, 1e-3 times the fastest) between u and u + 1e-4 d.
+
+    The curve integrates the unit numpy.linalg.eigh kernel field by RK4 in
+    ``steps`` steps of arc / steps each way, carrying the direction's sign,
+    and a run ends where a stage is not a regular lightlike point.  A run's
+    samples end at the first that is not one either, or lies within
+    FLOW_FOCAL_RADIUS of a finite focal point of u (``focal_reference``) in
+    the chart coordinates x^r / x^0; that sample is skipped.  Angles are
+    arcsines of ``_sine_of_largest_angle``.  Returns the largest angle, the
+    rank, the samples used, those skipped and the rates."""
+    n, h = imm.n, arc / steps
+    centre = _eigh_kernel(imm, u, model)
+    if centre is None:
+        raise GeometryError(f"not a regular lightlike point at u={np.asarray(u).tolist()}")
+    k0, others, span0 = centre
+    k0 = k0 if k0[np.argmax(np.abs(k0))] > 0 else -k0
+    focal = [t for _, _, t in focal_reference(imm, u, model) if len(t) == n]
+
+    def aligned(x, ref):
+        got = _eigh_kernel(imm, x, model)
+        if got is None:
+            raise GeometryError(f"not a regular lightlike point at u={x.tolist()}")
+        return got[0] if got[0] @ ref >= 0.0 else -got[0]
+
+    used, skipped = [], []
+    for sign in (1.0, -1.0):
+        x, k1, run = np.array(u, dtype=float), sign * k0, []
+        try:
+            for step in range(steps):
+                k1 = aligned(x, k1) if step else k1
+                k2 = aligned(x + 0.5 * h * k1, k1)
+                k3 = aligned(x + 0.5 * h * k2, k2)
+                k4 = aligned(x + h * k3, k3)
+                x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+                run.append(x.copy())
+        except GeometryError:
+            pass
+        for sample in run:
+            got = _eigh_kernel(imm, sample, model)
+            chart = None if got is None else got[2][0, 1 : n + 1] / got[2][0, 0]
+            if got is None or any(np.linalg.norm(chart - f) < FLOW_FOCAL_RADIUS for f in focal):
+                skipped.append(tuple(sample.tolist()))
+                break
+            used.append((tuple(sample.tolist()), got[2]))
+    angles = [math.asin(min(1.0, _sine_of_largest_angle(span0, span))) for _, span in used]
+    rates = []
+    for direction in np.vstack([k0, others.T]):
+        got = _eigh_kernel(imm, np.asarray(u, dtype=float) + FLOW_RATE_STEP * direction, model)
+        if got is None:
+            raise GeometryError(f"rate neighbour of u={np.asarray(u).tolist()} is not regular")
+        rates.append(math.asin(min(1.0, _sine_of_largest_angle(span0, got[2])))
+                     / FLOW_RATE_STEP)
+    rates = np.array(rates)
+    return DegeneracyFlow(max(angles, default=0.0),
+                          int((rates > max(1e-6, 1e-3 * rates.max())).sum()),
+                          tuple(s for s, _ in used), tuple(skipped), tuple(rates.tolist()))
 
 
 def translated_congruence(imm, last, model, t_range=(-0.5, 0.5)):

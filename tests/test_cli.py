@@ -248,7 +248,9 @@ class TestOutputs:
         data = json.loads(out.read_text())
         assert data["builtin"] == "light_cone"
         assert len(data["focal_clusters"]) == 1
-        assert data["center"]["degeneracy"]["max_angle"] < 1e-6
+        assert data["center"]["degeneracy"] == {
+            "generator_rate": data["center"]["degeneracy"]["generator_rate"], "tangent_rank": 1}
+        assert data["center"]["degeneracy"]["generator_rate"] < 1e-6
 
     def test_classify_json_summary(self, tmp_path, capsys):
         doc = {"kind": "hypersurface", "builtin": "euclidean_sphere", "n": 3,
@@ -358,10 +360,10 @@ class TestPointErrors:
 class TestDegeneracyFlow:
     @pytest.mark.parametrize("u1", [[0.05, 0.15], [0.1, 0.3]],
                              ids=["stage_on_the_vertex", "flow_past_the_vertex"])
-    def test_kernel_flow_stops_at_the_vertex(self, tmp_path, capsys, u1):
-        # the generator curve from the centre runs into the cone's vertex:
-        # an RK4 stage lands on it, or the samples past it lie on the
-        # opposite ray, unless the run ends there
+    def test_degeneracy_near_the_vertex(self, tmp_path, capsys, u1):
+        # the generator curve from the centre runs into the cone's vertex,
+        # which a check that samples along the curve must stop at; the
+        # pointwise check reads the centre alone
         doc = {"kind": "hypersurface", "builtin": "light_cone", "n": 3,
                "grid": {"axes": [{"start": u1[0], "stop": u1[1], "count": 3},
                                  {"start": -0.1, "stop": 0.1, "count": 3}]}}
@@ -369,8 +371,33 @@ class TestDegeneracyFlow:
         assert main(["lightlike", "--scene", write_scene(tmp_path, doc), "--out", str(out),
                      "--format", "json"]) == 0
         degeneracy = json.loads(out.read_text())["center"]["degeneracy"]
-        assert degeneracy["max_angle"] <= 1e-13
+        assert degeneracy["generator_rate"] <= 1e-13
         assert degeneracy["tangent_rank"] == 1
+        assert capsys.readouterr().err.endswith(
+            f"degeneracy={degeneracy['generator_rate']:.2e}\n")
+
+
+class TestConeCongruenceRoots:
+    def test_the_vertex_stays_real_at_n5(self, tmp_path, capsys):
+        # the normal cone congruence at n = 5 on a 3^4 grid: the root
+        # iteration gave 235 complex roots and no singular point; every line's
+        # root is the vertex, x = -1 of multiplicity 3
+        doc = {"kind": "congruence", "builtin": "cone_normal_congruence", "n": 5,
+               "grid": [3, 3, 3, 3]}
+        out = tmp_path / "cone.json"
+        assert main(["congruence", "--scene", write_scene(tmp_path, doc), "--out", str(out),
+                     "--format", "json"]) == 0
+        samples = json.loads(out.read_text())["samples"]
+        assert len(samples) == 81
+        for sample in samples:
+            [root] = sample["roots"]
+            assert (root["multiplicity"], root["real"], root["x"][1]) == (3, True, 0.0)
+            assert abs(root["x"][0] + 1.0) <= 1e-8
+        csv_out = tmp_path / "cone.csv"
+        assert main(["congruence", "--scene", write_scene(tmp_path, doc), "--out", str(csv_out),
+                     "--format", "csv"]) == 0
+        rows = list(csv.DictReader(io.StringIO(csv_out.read_text())))
+        assert len(rows) == 81 and {row["focal"] for row in rows} == {"point"}
 
 
 class TestDeterminism:
@@ -577,10 +604,10 @@ class TestCompareOutputs:
         # the new tree writes one JSON field and one CSV column differently:
         # each run names its field, list indices dropped, and the summary
         # gives the worst value per field
-        old = {"center": {"degeneracy": {"max_angle": 1e-15, "skipped": 0}},
+        old = {"center": {"degeneracy": {"generator_rate": 1e-15, "tangent_rank": 1}},
                "samples": [{"u": [0.5], "x": 1.0}, {"u": [0.75], "x": 2.0}]}
         new = json.loads(json.dumps(old))
-        new["center"]["degeneracy"]["max_angle"] = 1.2e-15
+        new["center"]["degeneracy"]["generator_rate"] = 1.2e-15
         new["samples"][1]["x"] = 2.0000000001
         outputs = {"old": [json.dumps(old), "u1,x\n0.5,1.0\n"],
                    "new": [json.dumps(new), "u1,x\n0.5,1.000001\n"]}
@@ -602,14 +629,48 @@ class TestCompareOutputs:
         assert co.main([]) == 1
         assert capsys.readouterr().out.splitlines() == [
             "a.json: exit 0/0, differs, same text with numbers masked, max rel 3.33e-11",
-            "  center.degeneracy.max_angle: max rel 2.00e-16",
+            "  center.degeneracy.generator_rate: max rel 2.00e-16",
             "  samples.x: max rel 3.33e-11",
             "b.csv: exit 0/0, differs, same text with numbers masked, max rel 5.00e-07",
             "  x: max rel 5.00e-07",
             "compare_outputs: 2 runs, 0 byte-identical, 2 same with numbers masked "
             "(max |d|/(1+|v|) 5.00e-07), 0 differing in text, 0 exit-code mismatches; "
-            "worst per field: center.degeneracy.max_angle 2.00e-16, samples.x 3.33e-11, "
+            "worst per field: center.degeneracy.generator_rate 2.00e-16, samples.x 3.33e-11, "
             "x 5.00e-07",
+        ]
+
+    def test_fields_only_one_side_writes_are_named(self, co, monkeypatch, capsys):
+        # a JSON key renamed: the text differs, the renamed fields are named
+        # by side and the fields both write are still measured by key
+        old = {"center": {"degeneracy": {"max_angle": 1e-15, "skipped": 0, "tangent_rank": 1},
+                          "u": [0.5, 0.25]}}
+        new = {"center": {"degeneracy": {"generator_rate": 2e-16, "tangent_rank": 1},
+                          "u": [0.5, 0.2500000001]}}
+
+        class Finished:
+            def wait(self):
+                return 0
+
+        def canned_side(src, runs, out_dir):
+            out_dir.mkdir()
+            (out_dir / "0000.out").write_text(json.dumps(old if out_dir.name == "old" else new))
+            (out_dir / "codes.json").write_text(json.dumps([0]))
+            return Finished()
+
+        monkeypatch.setattr(co, "plan_runs", lambda scenes_dir: [
+            ("a.json", "lightlike", "a", "json")])
+        monkeypatch.setattr(co, "run_side", canned_side)
+        assert co.main([]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "a.json: exit 0/0, differs in text",
+            "  center.degeneracy.generator_rate: only in new",
+            "  center.degeneracy.max_angle: only in old",
+            "  center.degeneracy.skipped: only in old",
+            "  center.u: max rel 8.00e-11",
+            "compare_outputs: 1 runs, 0 byte-identical, 0 same with numbers masked "
+            "(max |d|/(1+|v|) 0.00e+00), 1 differing in text, 0 exit-code mismatches; "
+            "worst per field: center.u 8.00e-11; only in old: center.degeneracy.max_angle, "
+            "center.degeneracy.skipped; only in new: center.degeneracy.generator_rate",
         ]
 
     def test_numbers_that_differ_are_masked_and_measured(self, co, tmp_path):

@@ -3,8 +3,9 @@
 ``congruence`` clusters the roots of every grid point in one stacked pass
 and turns every real root into its singular point in one stacked unembed.
 The oracle here is the per-sample loop it replaced: each point's roots by
-the nested-list rule of ``_oracles.nested_cluster_roots`` on its
-Durand-Kerner roots, its singular points by ``congruence_singular_points``
+the nested-list rule of ``_oracles.nested_cluster_roots`` on the Jacobi
+spectrum of its symmetric part if its operator passes the symmetry test,
+else on its Durand-Kerner roots, its singular points by ``congruence_singular_points``
 and ``darboux_unembed`` one at a time, CSV cells by the per-cell rule and
 JSON by ``json.dumps(payload, sort_keys=True, indent=1)``.  Both must give
 the same bytes for every shipped congruence scene, the generated benchmark
@@ -25,7 +26,9 @@ from pseudoconformal.congruence import (_congruence_affinors, congruence_affinor
                                         congruence_singular_points, stratify)
 from pseudoconformal.errors import ConvergenceError, GeometryError, NotOnQuadricError
 from pseudoconformal.hypersurface import parameter_grid
-from pseudoconformal.linalg import MAX_ROOT_ORDER, char_poly, cluster_roots, durand_kerner
+from pseudoconformal.lightlike import SYMMETRY_TOL
+from pseudoconformal.linalg import (MAX_ROOT_ORDER, char_poly, cluster_roots, durand_kerner,
+                                    jacobi_eigh)
 
 from _oracles import nested_cluster_roots, root_bits
 from test_classify_writer import assert_same
@@ -41,9 +44,19 @@ finally:
     del sys.path[:2]
 
 
+def root_values(an):
+    """The unclustered roots of a congruence analysis: the negated Jacobi
+    spectrum of its operator's symmetric part where the operator passes
+    lightlike's symmetry test, else its negated Durand-Kerner eigenvalues."""
+    lam = an.shape_operator
+    if an.symmetry_defect <= SYMMETRY_TOL * (1.0 + np.abs(lam).max()):
+        return -jacobi_eigh(0.5 * (lam + lam.T))[0].astype(complex)
+    return -durand_kerner(char_poly(lam))
+
+
 def nested_roots(an):
     """The roots of a congruence analysis by the nested-list rule."""
-    return nested_cluster_roots(list(-durand_kerner(char_poly(an.shape_operator))))
+    return nested_cluster_roots(list(root_values(an)))
 
 
 def oracle(scene_path, fmt) -> tuple:
@@ -210,12 +223,17 @@ def catalog_grids():
 
 @pytest.mark.parametrize("name,n", catalog_grids())
 def test_roots_match_the_nested_rule_on_catalog_grids(name, n):
+    # the normal congruences' operators pass the symmetry test at every grid
+    # point and take their roots from the Jacobi spectrum, the twisted one's
+    # from Durand-Kerner
     cong = catalog.build(name, n=n)
     results = _congruence_affinors(cong, parameter_grid(cong, [3] * cong.params)[1],
                                    AmbientModel.standard(n))
     assert not [r for r in results if isinstance(r, Exception)]
     for an in results:
-        values = -durand_kerner(char_poly(an.shape_operator))
+        symmetric = an.symmetry_defect <= SYMMETRY_TOL * (1.0 + np.abs(an.shape_operator).max())
+        assert symmetric == (name != "twisted_congruence")
+        values = root_values(an)
         expected = root_bits(nested_cluster_roots(list(values)))
         assert root_bits(an.roots) == expected
         assert root_bits(cluster_roots(values)) == expected

@@ -75,9 +75,8 @@ def oracle(scene_path, fmt) -> str:
                        "real": r.is_real} for r in an.roots],
             "torses": [{"root": t.root, "multiplicity": t.multiplicity,
                         "directions": t.directions.tolist()} for t in torses],
-            "degeneracy": {"max_angle": degeneracy.max_angle,
-                           "tangent_rank": degeneracy.tangent_rank,
-                           "skipped": len(degeneracy.skipped)},
+            "degeneracy": {"generator_rate": degeneracy.generator_rate,
+                           "tangent_rank": degeneracy.tangent_rank},
         },
         "focal_samples": [{"u": list(s.u), "root_index": s.root_index, "x": s.x,
                            "multiplicity": s.multiplicity, "at_infinity": s.at_infinity,

@@ -22,7 +22,6 @@ from pseudoconformal.linalg import (
     durand_kerner,
     inverse,
     jacobi_eigh,
-    max_principal_angle,
     nullspace,
     orthonormal_rows,
     scalar_product,
@@ -552,14 +551,3 @@ class TestOrthonormalRows:
     def test_rejects_a_single_matrix(self):
         with pytest.raises(ValueError, match="stack"):
             orthonormal_rows(np.eye(3))
-
-
-class TestMaxPrincipalAngle:
-    def test_other_rank_is_a_right_angle(self, rng):
-        span = rng.standard_normal((3, 6))
-        deficient = span.copy()
-        deficient[2] = deficient[0] + deficient[1]
-        rotated = np.linalg.qr(rng.standard_normal((3, 3)))[0] @ span
-        angles = max_principal_angle(span, np.array([rotated, deficient, np.zeros((3, 6))]))
-        assert angles[0] < 1e-14
-        assert angles[1] == angles[2] == np.pi / 2
