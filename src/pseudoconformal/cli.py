@@ -34,7 +34,7 @@ from .conformal import (
 from .congruence import _congruence_affinors, stratify
 from .errors import ConvergenceError, GeometryError, NonIntegrableError
 from .hypersurface import parameter_grid, survey
-from .lightlike import degeneracy_check, focal_map, lightlike_affinor, torse_directions
+from .lightlike import _affinors, _analysis, _focal_set, torse_directions
 from .linalg import MAX_ROOT_ORDER
 
 SCENE_KEYS = {"n", "kind", "builtin", "params", "points", "grid", "tolerances",
@@ -115,9 +115,15 @@ def load_scene(path: str) -> Scene:
     params = raw.get("params", {})
     if not isinstance(params, dict):
         raise SceneError("params must be an object")
+    for key, value in params.items():
+        if not _finite(value):
+            raise SceneError(f"params value {key!r} must be a finite number, got {value!r}")
     tolerances = raw.get("tolerances", {})
     if tolerances:
         _check_keys(tolerances, TOLERANCE_KEYS, "tolerances")
+        for key, value in tolerances.items():
+            if not (_finite(value) and value > 0):
+                raise SceneError(f"tolerance {key!r} must be a finite number > 0, got {value!r}")
     strat = raw.get("stratify")
     if strat is not None:
         _check_keys(strat, STRATIFY_KEYS, "stratify")
@@ -145,6 +151,8 @@ def load_scene(path: str) -> Scene:
     out_format = output.get("format", "csv")
     if out_format not in ("csv", "json"):
         raise SceneError("output format must be 'csv' or 'json'")
+    if "path" in output and not (isinstance(output["path"], str) and output["path"]):
+        raise SceneError("output path must be a non-empty string")
     return Scene(
         n=n,
         kind=kind,
@@ -208,13 +216,6 @@ def _write(path, text):
             fh.write(text)
     except OSError as exc:
         raise SceneError(f"cannot write output file: {exc}") from exc
-
-
-def _emit(path, fmt, csv_header, csv_rows, payload):
-    """Write a CSV table, every cell in ``str`` form (floats, numpy's too, in
-    shortest round-trip form), or the JSON document of payload."""
-    _write(path, "".join(",".join(map(str, row)) + "\n" for row in [csv_header] + csv_rows)
-           if fmt == "csv" else json.dumps(payload, sort_keys=True, indent=1) + "\n")
 
 
 def _reprs(values: np.ndarray) -> list:
@@ -289,25 +290,24 @@ def _lightlike_text(focal, fmt, header, fields) -> str:
                                                  [point[f] for f in first]])})
 
 
-def _congruence_text(results, points, ideal, leaf, fmt, header, fields) -> str:
+def _congruence_text(columns, points, ideal, leaf, fmt, header, fields) -> str:
     """Congruence output written from columns, as ``_classify_text``: the CSV
-    table of the roots of the analyses ``results``, the real ones' singular
-    points ``points`` and ``ideal`` in order, or the JSON document of the
-    small ``fields``, the samples and the leaf block of ``leaf`` (the JSON
-    leaf fields and the parameter points), if any."""
-    u = np.array([an.u for an in results])
-    roots = [root for an in results for root in an.roots]
-    owner = np.repeat(np.arange(len(results)), [len(an.roots) for an in results])
-    index = [k for an in results for k in range(len(an.roots))]
-    re = _reprs(np.array([root.value.real for root in roots]))
-    im = _reprs(np.array([root.value.imag for root in roots]))
-    mult = [root.multiplicity for root in roots]
-    real = np.array([root.is_real for root in roots], dtype=bool)
-    defect = np.array(_reprs(np.array([an.symmetry_defect for an in results])), dtype=object)
+    table of the roots of ``_congruence_affinors`` columns, the real ones'
+    singular points ``points`` and ``ideal`` in order, or the JSON document
+    of the small ``fields``, the samples and the leaf block of ``leaf`` (the
+    JSON leaf fields and the parameter points), if any."""
+    u = columns.us[columns.members]
+    owner, index = np.nonzero(np.arange(columns.roots.shape[1]) < columns.counts[:, None])
+    values = columns.roots[owner, index]
+    re, im = _reprs(values.real), _reprs(values.imag)
+    mult = columns.multiplicities[owner, index].tolist()
+    real = columns.real[owner, index]
+    defect = np.array(_reprs(columns.defects), dtype=object)
+    index = index.tolist()
     if fmt == "csv":
-        focal = np.full(len(roots), "complex", dtype=object)
+        focal = np.full(len(values), "complex", dtype=object)
         focal[real] = np.where(ideal, "INF", "point")
-        coords = np.full((points.shape[1], len(roots)), "", dtype=object)
+        coords = np.full((points.shape[1], len(values)), "", dtype=object)
         coords[:, np.flatnonzero(real)[~ideal]] = [_reprs(column) for column in points[~ideal].T]
         cells = ([np.array(_reprs(column), dtype=object)[owner].tolist() for column in u.T]
                  + [defect[owner].tolist(), index, re, im, mult, real.astype(int).tolist(),
@@ -315,9 +315,10 @@ def _congruence_text(results, points, ideal, leaf, fmt, header, fields) -> str:
         return ",".join(header) + "\n" + _rows(",".join(["%s"] * len(cells)) + "\n", "", cells)
     root = ('    {\n     "multiplicity": %s,\n     "real": %s,\n     "x": [\n      %s,\n'
             '      %s\n     ]\n    }')
-    records = iter([root % cells for cells in zip(mult, np.where(real, "true", "false"), re, im)])
-    listed = ["[\n" + ",\n".join([next(records) for _ in an.roots]) + "\n   ]" if an.roots
-              else "[]" for an in results]
+    records = [root % cells for cells in zip(mult, np.where(real, "true", "false"), re, im)]
+    ends = np.cumsum(columns.counts).tolist()
+    listed = ["[\n" + ",\n".join(records[a:b]) + "\n   ]" if b > a else "[]"
+              for a, b in zip([0] + ends, ends)]
     sample = ('  {\n   "defect": %s,\n   "roots": %s,\n   "u": [\n'
               + ",\n".join(["    %s"] * u.shape[1]) + "\n   ]\n  }")
     blocks = {"samples": _rows(sample, ",\n", [defect.tolist(), listed]
@@ -330,38 +331,28 @@ def _congruence_text(results, points, ideal, leaf, fmt, header, fields) -> str:
     return _json_text(fields, blocks)
 
 
-def _roots_json(roots):
-    """JSON records of characteristic roots."""
-    return [{"x": [r.value.real, r.value.imag], "multiplicity": r.multiplicity,
-             "real": r.is_real} for r in roots]
-
-
 def run_embed(scene: Scene, out_path, fmt) -> int:
-    model = AmbientModel.standard(scene.n)
-    rows = []
-    entries = []
-    for p in scene.points:
-        p = np.asarray(p, dtype=float)
-        x = darboux_embed(p, model)
-        res = quadric_residual(x, model)
-        back = darboux_unembed(x, model)
-        roundtrip = float(np.abs(back - p).max())
-        rows.append(list(p) + list(x.coords) + [res, roundtrip])
-        entries.append(
-            {
-                "point": [float(v) for v in p],
-                "coords": [float(v) for v in x.coords],
-                "residual": res,
-                "roundtrip": roundtrip,
-            }
-        )
-    header = (
-        [f"p{i}" for i in range(1, scene.n + 1)]
-        + [f"x{i}" for i in range(scene.n + 2)]
-        + ["residual", "roundtrip"]
-    )
-    _emit(out_path, fmt, header, rows, {"n": scene.n, "points": entries})
-    print(f"embedded {len(rows)} points (n={scene.n})", file=sys.stderr)
+    n, model = scene.n, AmbientModel.standard(scene.n)
+    points = np.array(scene.points, dtype=float)
+    images = [darboux_embed(p, model) for p in points]
+    coords = [_reprs(c) for c in np.array([x.coords for x in images]).T]
+    p = [_reprs(c) for c in points.T]
+    residual = _reprs(np.array([quadric_residual(x, model) for x in images]))
+    roundtrip = _reprs(np.array([np.abs(darboux_unembed(x, model) - q).max()
+                                 for x, q in zip(images, points)]))
+    if fmt == "csv":
+        header = [f"p{i}" for i in range(1, n + 1)] + [f"x{i}" for i in range(n + 2)]
+        cells = p + coords + [residual, roundtrip]
+        text = (",".join(header + ["residual", "roundtrip"]) + "\n"
+                + _rows(",".join(["%s"] * len(cells)) + "\n", "", cells))
+    else:
+        record = ('  {\n   "coords": [\n' + ",\n".join(["    %s"] * (n + 2)) + '\n   ],\n'
+                  '   "point": [\n' + ",\n".join(["    %s"] * n) + '\n   ],\n'
+                  '   "residual": %s,\n   "roundtrip": %s\n  }')
+        text = _json_text({"n": n}, {"points": _rows(record, ",\n",
+                                                     coords + p + [residual, roundtrip])})
+    _write(out_path, text)
+    print(f"embedded {len(points)} points (n={n})", file=sys.stderr)
     return 0
 
 
@@ -396,11 +387,13 @@ def run_lightlike(scene: Scene, out_path, fmt) -> int:
     model = AmbientModel.standard(imm.n)
     sym_tol = scene.tolerances.get("symmetry")
 
-    focal = focal_map(imm, counts, model=model, sym_tol=sym_tol)
+    # one engine pass: the grid, then the centre as its last member
+    grid = parameter_grid(imm, counts)[1]
     center = np.array([0.5 * (lo + hi) for lo, hi in imm.domain])
-    an = lightlike_affinor(imm, center, model=model, sym_tol=sym_tol)
+    columns = _affinors(imm, np.vstack([grid, center]), model, 1.0, sym_tol)
+    focal = _focal_set(columns, len(grid), model)
+    an, degeneracy = _analysis(columns, len(grid))
     torses = torse_directions(an)
-    degeneracy = degeneracy_check(imm, an, model=model)
 
     header = ([f"u{i}" for i in range(1, imm.params + 1)]
               + ["root_index", "x", "multiplicity", "focal"]
@@ -408,7 +401,8 @@ def run_lightlike(scene: Scene, out_path, fmt) -> int:
     fields = {"builtin": imm.name, "n": imm.n, "center": {
         "u": [float(v) for v in center], "shape_operator": an.shape_operator.tolist(),
         "symmetry_defect": an.symmetry_defect, "determinant": an.determinant,
-        "roots": _roots_json(an.roots),
+        "roots": [{"x": [r.value.real, r.value.imag], "multiplicity": r.multiplicity,
+                   "real": r.is_real} for r in an.roots],
         "torses": [{"root": t.root, "multiplicity": t.multiplicity,
                     "directions": t.directions.tolist()} for t in torses],
         "degeneracy": {"generator_rate": degeneracy.generator_rate,
@@ -438,18 +432,16 @@ def run_congruence(scene: Scene, out_path, fmt) -> int:
         + [f"f{i}" for i in range(1, cong.n + 1)]
     )
     grid = parameter_grid(cong, counts)[1]
-    results = _congruence_affinors(cong, grid, model)
+    columns = _congruence_affinors(cong, grid, model)
     # the grid's first failure is its first failed point or, before that,
     # its first root X = A_1 + x A_0 off the quadric
-    stop = next((i for i, an in enumerate(results) if isinstance(an, Exception)), len(results))
-    real = [(an.line, root.real_value) for an in results[:stop] for root in an.roots
-            if root.is_real]
-    lines = np.array([line for line, _ in real]).reshape(-1, 2, cong.n + 2)
-    x = np.array([x for _, x in real])
-    points, ideal, off = _unembed(_singular_coords(lines[:, 0], lines[:, 1], x), model)
-    if off or stop < len(results):
-        raise off[min(off)] if off else results[stop]
-    worst = max([0.0] + [an.symmetry_defect for an in results])
+    stop = min(columns.failures, default=len(grid))
+    rows, index = np.nonzero(columns.real[columns.members < stop])
+    points, ideal, off = _unembed(_singular_coords(columns.a0[rows], columns.a1[rows],
+                                                   columns.roots[rows, index].real), model)
+    if off or columns.failures:
+        raise off[min(off)] if off else columns.failures[stop]
+    worst = max([0.0] + columns.defects.tolist())
 
     fields = {"builtin": cong.name, "n": cong.n, "max_defect": worst}
     leaf, leaf_info = None, None
@@ -472,7 +464,7 @@ def run_congruence(scene: Scene, out_path, fmt) -> int:
             cells = [list(range(len(parameters)))] + [_reprs(c) for c in parameters.T]
             _write(f"{out_path}.leaf.csv", ",".join(["index"] + header[: cong.params]) + "\n"
                    + _rows(",".join(["%s"] * len(cells)) + "\n", "", cells))
-    _write(out_path, _congruence_text(results, points, ideal, leaf_info, fmt, header, fields))
+    _write(out_path, _congruence_text(columns, points, ideal, leaf_info, fmt, header, fields))
     msg = f"congruence pipeline on {cong.name}: max defect={worst:.2e}"
     if leaf:
         msg += (f", leaf size={len(leaf.parameters)}"

@@ -38,7 +38,7 @@ from .frames import _line_screen_candidates, _screen_error, build_screen, null_f
 from .hypersurface import _evaluate_stack, _evaluation_error, _pullback, parameter_grid
 from .lightlike import SYMMETRY_TOL
 from .linalg import (MAX_ROOT_ORDER, _cluster, _dots, _durand_kerner, _faddeev_leverrier, _inertia,
-                     _roots, _solve, jacobi_eigh, orthonormal_rows)
+                     _root_records, _roots, _solve, jacobi_eigh, orthonormal_rows)
 
 DEFAULT_STEP = 1e-4
 
@@ -253,34 +253,44 @@ def _line_failures(passes: list, model: AmbientModel) -> dict:
     return failures
 
 
-def _congruence_affinors(cong: IsotropicCongruence, us: np.ndarray, model: AmbientModel) -> list:
-    """The CongruenceAnalysis of every parameter point of us (N, params), or
-    the exception it raises: one ``_line_jets`` pass, one stacked screen pass
+_Congruences = namedtuple("_Congruences", "us members operators shifts defects roots "
+                                          "multiplicities real counts a0 a1 screens forms "
+                                          "diagnostics failures")
+
+
+def _congruence_affinors(cong: IsotropicCongruence, us: np.ndarray,
+                         model: AmbientModel) -> _Congruences:
+    """The congruence analysis of the parameter points us (N, params) in
+    columns over the points that pass (stack indices ``members``,
+    ascending): operators (P, n-2, n-2), transversal shifts (P, n-2),
+    symmetry defects, the roots of ``linalg._roots`` (values, multiplicities
+    and real flags (P, n-2), counts), lines ``a0``, ``a1``, screens,
+    transversal forms (P, d) and diagnostics {name: (P,)}; and the others'
+    ``failures``.  One ``_line_jets`` pass, one stacked screen pass
     (``build_screen``), one stacked pairing pass, then one basis-form solve
     over the stack, one Jacobi pass over the symmetric operators and one
-    characteristic polynomial and root pass over the others, failing at the
-    first step that fails, and one ``linalg._cluster`` pass over the roots.
-    A point gets the same bits in any stack.  Screens of dimension n-2
-    beyond ``linalg.MAX_ROOT_ORDER`` raise ValueError."""
+    characteristic polynomial and root pass over the others, a point failing
+    at the first step that fails, and one ``linalg._cluster`` and
+    ``linalg._roots`` pass over the roots.  A point gets the same bits in
+    any stack.  Screens of dimension n-2 beyond ``linalg.MAX_ROOT_ORDER``
+    raise ValueError."""
     n, gram = cong.n, model.form.gram
     if n - 2 > MAX_ROOT_ORDER:
         raise ValueError(f"congruence roots are limited to n <= {MAX_ROOT_ORDER + 2}")
     jets = _line_jets(cong, us, model, DEFAULT_STEP)
     failures = _line_failures([jets], model)
-    results = [failures.get(i) for i in range(len(us))]
-    live = np.array([i for i, r in enumerate(results) if r is None], dtype=int)
+    live = np.array([i for i in range(len(us)) if i not in failures], dtype=int)
     screens, counts = build_screen(_line_screen_candidates(jets.a0[live], jets.a1[live], model),
                                    model, count=n - 2)
     for j in np.flatnonzero(counts < n - 2).tolist():
-        results[live[j]] = _screen_error(n - 2, counts[j])
+        failures[int(live[j])] = _screen_error(n - 2, counts[j])
     screens, live = screens[counts == n - 2], live[counts == n - 2]
     line = (jets.a0[live], jets.a1[live])
     c0 = null_frame_coordinates(jets.da0[live], line, screens, gram)
     c1 = null_frame_coordinates(jets.da1[live], line, screens, gram)
     x, regular = _solve(np.concatenate([c0[:, :, : n - 2], jets.forms[live, :, None]], axis=2),
                         c1[:, :, : n - 2])
-    for i in live[~regular].tolist():
-        results[i] = _dependent(us[i])
+    failures.update({i: _dependent(us[i]) for i in live[~regular].tolist()})
     keep = np.flatnonzero(regular)
     solved = np.ascontiguousarray(np.swapaxes(x[keep], 1, 2))  # members laid out as solve's
     operators, transposed = np.swapaxes(solved[:, : n - 2], 1, 2), solved[:, : n - 2]
@@ -295,24 +305,19 @@ def _congruence_affinors(cong: IsotropicCongruence, us: np.ndarray, model: Ambie
     eigen[general], residual, converged = _durand_kerner(
         _faddeev_leverrier(np.swapaxes(solved[general][:, : n - 2], 1, 2))[0].astype(complex))
     for i, r in zip(live[keep[general[~converged]]].tolist(), residual[~converged].tolist()):
-        results[i] = ConvergenceError(f"root iteration did not converge at u={us[i].tolist()} "
-                                      f"(residual {r:.3e})", residual=r)
+        failures[i] = ConvergenceError(f"root iteration did not converge at u={us[i].tolist()} "
+                                       f"(residual {r:.3e})", residual=r)
     done = np.delete(np.arange(len(keep)), general[~converged])
     means, mults, root_counts = _cluster(-eigen[done])
-    for j, unknowns, defect, mean, mult, count in zip(keep[done].tolist(), solved[done],
-                                                      defects[done].tolist(), means, mults,
-                                                      root_counts):
-        i = live[j]
-        lam, e_form = unknowns[: n - 2].T, jets.forms[i]
-        results[i] = CongruenceAnalysis(
-            u=us[i].copy(), shape_operator=lam, transversal_shift=unknowns[n - 2],
-            symmetry_defect=defect, roots=tuple(_roots(mean[:count], mult[:count])),
-            line=(jets.a0[i], jets.a1[i]),
-            screen=screens[j], transversal_form=e_form,
-            diagnostics={"w0np1": float(np.abs(c0[j, :, n - 1]).max()),
-                         "w1n": float(np.abs(c1[j, :, n - 2]).max()),
-                         "transversal_consistency": float(np.abs(c1[j, :, n - 1] + e_form).max())})
-    return results
+    j = keep[done]
+    members, c0, c1 = live[j], c0[j], c1[j]
+    forms = jets.forms[members]
+    return _Congruences(
+        us, members, operators[done], solved[done, n - 2], defects[done],
+        *_roots(means, mults, root_counts), root_counts, jets.a0[members], jets.a1[members],
+        screens[j], forms,
+        {"w0np1": np.abs(c0[:, :, n - 1]).max(axis=1), "w1n": np.abs(c1[:, :, n - 2]).max(axis=1),
+         "transversal_consistency": np.abs(c1[:, :, n - 1] + forms).max(axis=1)}, failures)
 
 
 def congruence_affinor(cong: IsotropicCongruence, u,
@@ -324,14 +329,20 @@ def congruence_affinor(cong: IsotropicCongruence, u,
     matrix; solving it against the screen components <d_a A_1, e_i> yields
     the operator and the transversal shift.  Dependent basis forms mean the
     family is not a congruence at u.  This is the one-point case of the grid
-    engine of ``integrability_defect`` and the CLI, with the same bits.
+    engine of ``integrability_defect`` and the CLI, with the same bits; only
+    here are the ``Root`` records of the roots built.
     """
     if model is None:
         model = AmbientModel.standard(cong.n)
-    result = _congruence_affinors(cong, np.asarray(u, dtype=float)[None], model)[0]
-    if isinstance(result, Exception):
-        raise result
-    return result
+    c = _congruence_affinors(cong, np.asarray(u, dtype=float)[None], model)
+    if c.failures:
+        raise c.failures[0]
+    return CongruenceAnalysis(
+        u=c.us[0].copy(), shape_operator=c.operators[0], transversal_shift=c.shifts[0],
+        symmetry_defect=float(c.defects[0]),
+        roots=tuple(_root_records(c.roots[0], c.multiplicities[0], c.real[0])),
+        line=(c.a0[0], c.a1[0]), screen=c.screens[0], transversal_form=c.forms[0],
+        diagnostics={key: float(value[0]) for key, value in c.diagnostics.items()})
 
 
 @dataclass(frozen=True)
@@ -359,11 +370,10 @@ def integrability_defect(cong: IsotropicCongruence, grid_counts: Sequence[int],
     near zero the congruence is normal and stratifies."""
     if model is None:
         model = AmbientModel.standard(cong.n)
-    results = _congruence_affinors(cong, parameter_grid(cong, grid_counts)[1], model)
-    for an in results:
-        if isinstance(an, Exception):
-            raise an
-    return max([0.0] + [an.symmetry_defect for an in results])
+    c = _congruence_affinors(cong, parameter_grid(cong, grid_counts)[1], model)
+    if c.failures:
+        raise c.failures[min(c.failures)]
+    return max([0.0] + c.defects.tolist())
 
 
 @dataclass(frozen=True)

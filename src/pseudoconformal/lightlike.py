@@ -33,7 +33,7 @@ from .frames import (_generator, _lightlike_lines, _null_frame, _orthonormal_scr
                      null_frame_coordinates)
 from .hypersurface import (LIGHTLIKE_TOL, Immersion, _ambient_gram, _causal_kind,
                            _evaluation_error, _stacked_spectra, parameter_grid)
-from .linalg import _cluster, _inertia, _roots, det, jacobi_eigh, orthonormal_rows
+from .linalg import _cluster, _inertia, _root_records, _roots, det, jacobi_eigh, orthonormal_rows
 
 #: defect threshold (relative) above which the extracted operator is rejected,
 #: for analytic and finite-difference jets alike
@@ -79,27 +79,20 @@ class _JetStack:
             self.generators = _generator(self.rows, self.w, self.v, imm.n, generator_scale)
 
 
-def _lightlike_failures(jets: _JetStack) -> dict:
-    """Failures (member -> exception) of a jet stack: a member fails with its
-    jet's failure, then with an induced metric that is not lightlike."""
+def _lines(jets: _JetStack) -> tuple:
+    """A_0, A_1, screens and failures (member -> exception) of a jet stack,
+    in one pass of ``frames._lightlike_lines``.  A member fails with its
+    jet's failure, then with an induced metric that is not lightlike, then
+    with the first failed check of the line builder.
+    """
+    a0, a1, screens, built = _lightlike_lines(jets.a0, jets.rows, jets.model, jets.generators,
+                                              jets.generator_scale)
     failures = dict(jets.failures)
     plus, minus, zero, _ = _inertia(jets.w, LIGHTLIKE_TOL)
     for j in np.flatnonzero((minus != 0) | (zero != 1)).tolist():
         kind = _causal_kind(plus[j], minus[j], zero[j])
         failures.setdefault(j, NotLightlikeError(
             f"hypersurface is {kind} at u={jets.us[j].tolist()}, not lightlike"))
-    return failures
-
-
-def _lines(jets: _JetStack) -> tuple:
-    """A_0, A_1, screens and failures (member -> exception) of a jet stack,
-    in one pass of ``frames._lightlike_lines``.  A member fails with its
-    ``_lightlike_failures``, then with the first failed check of the line
-    builder.
-    """
-    a0, a1, screens, built = _lightlike_lines(jets.a0, jets.rows, jets.model, jets.generators,
-                                              jets.generator_scale)
-    failures = _lightlike_failures(jets)
     for j, exc in built.items():
         failures.setdefault(j, exc)
     return a0, a1, screens, failures
@@ -161,6 +154,16 @@ class LightlikeAnalysis:
         return self.shape_operator.shape[0]
 
 
+@dataclass(frozen=True)
+class DegeneracyReport:
+    """How far the tangent span of the Darboux image turns along the
+    generator, relative to its fastest turning (``generator_rate``), and in
+    how many parameter directions it turns (``tangent_rank``)."""
+
+    generator_rate: float
+    tangent_rank: int
+
+
 def _pseudo_inverse(w, v) -> tuple:
     """M^+ = sum_j v_j v_j^T / w_j (N, d, d) of metrics with eigenpairs w, v,
     skipping the kernel column k (N, d) that ``_generator`` picks, and k."""
@@ -200,16 +203,15 @@ def _row_derivatives(jets: _JetStack, members, hessians) -> np.ndarray:
     return h
 
 
-def _generator_differentials(jets: _JetStack, members, hessians) -> np.ndarray:
+def _generator_differentials(jets: _JetStack, members, h) -> np.ndarray:
     """dA_1 (N, d, n+2), modulo A_1, of the generators of the members of a
-    jet stack with Hessians (N, target, d, d), in closed form.  With R the
+    jet stack with row derivatives h = d_b R (``_row_derivatives``), in
+    closed form.  With R the
     tangent rows, k the kernel column of M = R G R^T and A_1 = s R^T k / |R^T k|
     (s the sign and scale), d_b k = -M^+ (d_b M) k (Magnus 1985), so
         d_b A_1 = s ((d_b R)^T k - R^T M^+ (d_b M) k) / |R^T k|  mod A_1,
-    where (d_b M) k = d_b R G R^T k + R G (d_b R)^T k, d_b R from
-    ``_row_derivatives``."""
+    where (d_b M) k = d_b R G R^T k + R G (d_b R)^T k."""
     gram, rows = jets.model.form.gram, jets.rows[members]
-    h = _row_derivatives(jets, members, hessians)
     pinv, k = _pseudo_inverse(jets.w[members], jets.v[members])
     a1 = (k[:, None, :] @ rows)[:, 0]
     dr_k = (k[:, None, None, :] @ h)[:, :, 0]  # (d_b R)^T k
@@ -218,28 +220,58 @@ def _generator_differentials(jets: _JetStack, members, hessians) -> np.ndarray:
     return scale[:, None, None] * (dr_k - dm_k @ pinv @ rows)
 
 
-_Affinors = namedtuple("_Affinors",
-                       "us members operators defects spectra a0 a1 screens diagnostics failures")
+def _degeneracy(jets: _JetStack, members, dr) -> tuple:
+    """Generator rates and tangent ranks (N,) of the Darboux image at the
+    members of a jet stack with row derivatives dr = d_b R
+    (``_row_derivatives``), in one stacked pass.
+
+    Let X be the lifted point, R the tangent rows and T_b the derivatives
+    d_b R projected off the Euclidean span {X, R}
+    (one stacked ``orthonormal_rows`` call): T_b is how fast the tangent
+    span turns in parameter direction b.  The image is tangentially
+    degenerate along the generator when sum_b k_b T_b vanishes, k the
+    kernel column of the induced metric.  Its rate is |sum_b k_b T_b| over
+    the largest singular value of b -> T_b, read directly (the square root
+    of k^T G k would floor it at about 1e-8), and the rank of the degeneracy
+    is the number of eigenvalues of the Gram matrix G_bc = <T_b, T_c> (one
+    stacked Jacobi pass) above 1e-12 times the largest, which is 1e-6 on
+    the singular values.
+    """
+    span = orthonormal_rows(np.concatenate([jets.a0[members, None], jets.rows[members]],
+                                           axis=1))[0][:, None]
+    count, d, _, width = dr.shape
+    turns = (dr - (dr @ np.swapaxes(span, -1, -2)) @ span).reshape(count, d, d * width)
+    along = (_pseudo_inverse(jets.w[members], jets.v[members])[1][:, None] @ turns)[:, 0]
+    w = jacobi_eigh(turns @ np.swapaxes(turns, -1, -2))[0]
+    top = np.maximum(w[:, 0], 1e-300)
+    return (np.sqrt((along * along).sum(axis=1)) / np.sqrt(top),
+            (w > 1e-12 * top[:, None]).sum(axis=1))
+
+
+_Affinors = namedtuple("_Affinors", "us members operators defects spectra a0 a1 screens "
+                                    "diagnostics rates ranks failures")
 
 
 def _affinors(imm: Immersion, us: np.ndarray, model: AmbientModel, generator_scale: float,
               sym_tol: Optional[float]) -> _Affinors:
     """Lightlike analysis at the parameter points us (N, params) in columns
-    over the points that pass (stack indices ``members``): symmetrized shape
-    operators, symmetry defects, descending spectra, lines ``a0``, ``a1``,
-    screens and diagnostics {name: (P,)}; and the others' ``failures``.
+    over the points that pass (stack indices ``members``, ascending):
+    symmetrized shape operators, symmetry defects, descending spectra, lines
+    ``a0``, ``a1``, screens, diagnostics {name: (P,)}, and the generator
+    rates and tangent ranks of ``_degeneracy``; and the others' ``failures``.
 
     The jets of all points are evaluated once and eigendecomposed in one
     stacked Jacobi pass (``_JetStack``), the lines and screens built in one
     stacked pass (``_lines``), the Hessians of the points that pass are one
-    stacked ``jet2`` call, dA_1 is read in closed form
-    (``_generator_differentials``), the shape operators in one stacked pass
-    (``_shape_operators``) and the symmetrized ones eigendecomposed in a
-    second Jacobi pass.  A stacked member does not depend on the rest of its
-    stack, so a point gets the same bits in any grid.  A point fails with
-    its own jet's failure, then with its lightlike, line and screen checks,
-    then with its Hessian's (what it raised, or a non-finite Hessian), then
-    with its operator's asymmetry.
+    stacked ``jet2`` call, lifted once (``_row_derivatives``), dA_1 is read
+    in closed form (``_generator_differentials``), the shape operators in
+    one stacked pass (``_shape_operators``), the symmetrized ones
+    eigendecomposed in a second Jacobi pass and the degeneracy read with a
+    third (``_degeneracy``).  A stacked member does not depend on the rest
+    of its stack, so a point gets the same bits in any grid.  A point fails
+    with its own jet's failure, then with its lightlike, line and screen
+    checks, then with its Hessian's (what it raised, or a non-finite
+    Hessian), then with its operator's asymmetry.
     """
     sym_tol = SYMMETRY_TOL if sym_tol is None else sym_tol
     jets = _JetStack(imm, us, model, generator_scale)
@@ -252,9 +284,10 @@ def _affinors(imm: Immersion, us: np.ndarray, model: AmbientModel, generator_sca
     kept = [j for j in range(len(live)) if j not in raised]
     pending = np.array([live[j] for j in kept], dtype=int)
 
+    dr = _row_derivatives(jets, pending, hessians[kept])
     lam, diagnostics = _shape_operators(a0[pending], a1[pending], screens[pending],
                                         model.form.gram, jets.rows[pending],
-                                        _generator_differentials(jets, pending, hessians[kept]),
+                                        _generator_differentials(jets, pending, dr),
                                         jets.w[pending], jets.v[pending])
     lam_t = np.swapaxes(lam, 1, 2)
     defects = np.abs(lam - lam_t).max(axis=(1, 2))
@@ -269,7 +302,24 @@ def _affinors(imm: Immersion, us: np.ndarray, model: AmbientModel, generator_sca
     lam_sym, members = (0.5 * (lam + lam_t))[ok], pending[ok]
     return _Affinors(us, members, lam_sym, defects[ok], jacobi_eigh(lam_sym)[0], a0[members],
                      a1[members], screens[members],
-                     {key: value[ok] for key, value in diagnostics.items()}, failures)
+                     {key: value[ok] for key, value in diagnostics.items()},
+                     *_degeneracy(jets, members, dr[ok]), failures)
+
+
+def _analysis(c: _Affinors, i: int) -> tuple:
+    """The LightlikeAnalysis and DegeneracyReport of stack member i of
+    ``_affinors`` columns, or the exception it failed with raised.  Only here
+    are the determinant and the ``Root`` records of the roots built."""
+    if i in c.failures:
+        raise c.failures[i]
+    j = int(np.searchsorted(c.members, i))
+    return LightlikeAnalysis(
+        u=c.us[i].copy(), shape_operator=c.operators[j], symmetry_defect=float(c.defects[j]),
+        determinant=float(det(c.operators[j])),
+        roots=tuple(_root_records(*(x[0] for x in _roots(*_cluster(-c.spectra[j : j + 1]))))),
+        line=(c.a0[j], c.a1[j]), screen=c.screens[j],
+        diagnostics={key: float(value[j]) for key, value in c.diagnostics.items()},
+    ), DegeneracyReport(generator_rate=float(c.rates[j]), tangent_rank=int(c.ranks[j]))
 
 
 def lightlike_affinor(imm: Immersion, u, model: Optional[AmbientModel] = None,
@@ -282,21 +332,13 @@ def lightlike_affinor(imm: Immersion, u, model: Optional[AmbientModel] = None,
     induced metric's pseudo-inverse.  It is symmetric up to jet noise; within
     tolerance it is replaced by its symmetric part before root finding,
     beyond tolerance an error is raised.  This is the one-point case of the
-    grid engine behind ``focal_map``, with the same bits; only here are the
-    determinant and the ``Root`` records of the roots (``linalg._roots``) built.
+    grid engine behind ``focal_map``, with the same bits, read through the
+    member view ``_analysis``.
     """
     if model is None:
         model = AmbientModel.standard(imm.n)
-    c = _affinors(imm, np.asarray(u, dtype=float)[None], model, generator_scale, sym_tol)
-    if c.failures:
-        raise c.failures[0]
-    x, multiplicity, counts = _cluster(-c.spectra)
-    return LightlikeAnalysis(
-        u=c.us[0].copy(), shape_operator=c.operators[0], symmetry_defect=float(c.defects[0]),
-        determinant=float(det(c.operators[0])),
-        roots=tuple(_roots(x[0, : counts[0]], multiplicity[0, : counts[0]])),
-        line=(c.a0[0], c.a1[0]), screen=c.screens[0],
-        diagnostics={key: float(value[0]) for key, value in c.diagnostics.items()})
+    return _analysis(_affinors(imm, np.asarray(u, dtype=float)[None], model, generator_scale,
+                               sym_tol), 0)[0]
 
 
 @dataclass(frozen=True)
@@ -361,55 +403,14 @@ def torse_directions(an: LightlikeAnalysis) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class DegeneracyReport:
-    """How far the tangent span of the Darboux image turns along the
-    generator, relative to its fastest turning (``generator_rate``), and in
-    how many parameter directions it turns (``tangent_rank``)."""
-
-    generator_rate: float
-    tangent_rank: int
-
-
 def degeneracy_check(imm: Immersion, an: LightlikeAnalysis,
                      model: Optional[AmbientModel] = None) -> DegeneracyReport:
-    """Verify tangential degeneracy of the Darboux image at ``an.u``, given
-    ``an``, the ``lightlike_affinor`` analysis of ``imm`` there, in closed
-    form at that one point.
-
-    Let X be the lifted point, R the tangent rows and T_b the derivatives
-    d_b R (``_row_derivatives``) projected off the Euclidean span {X, R}:
-    T_b is how fast the tangent span turns in parameter direction b.  The
-    image is tangentially degenerate along the generator when sum_b k_b T_b
-    vanishes, k the kernel column of the induced metric.  Its rate is
-    |sum_b k_b T_b| over the largest singular value of b -> T_b, read
-    directly (the square root of k^T G k would floor it at about 1e-8), and
-    the rank of the degeneracy is the number of eigenvalues of the Gram
-    matrix G_bc = <T_b, T_c> above 1e-12 times the largest, which is 1e-6 on
-    the singular values.  A point that is not a regular lightlike one raises
-    its jet's failure or NotLightlikeError, one whose Hessian fails its
-    evaluation error.
-    """
+    """Tangential degeneracy of the Darboux image at ``an.u``, the one field
+    of ``an`` read: the ``_degeneracy`` of the one-point grid engine, read
+    through ``_analysis``, which raises the failure of a point it rejects."""
     if model is None:
         model = AmbientModel.standard(imm.n)
-    jets = _JetStack(imm, np.asarray(an.u, dtype=float)[None], model, 1.0)
-    failures = _lightlike_failures(jets)
-    if failures:
-        raise failures[0]
-    hessians, raised = imm.jet2(jets.us)
-    if raised:
-        raise _evaluation_error(jets.us[0], raised[0])
-    if not np.isfinite(hessians).all():
-        raise DegenerateBasisError(f"non-finite hessian at u={jets.us[0].tolist()}")
-    d = imm.params
-    dr = _row_derivatives(jets, [0], hessians)[0]
-    span = orthonormal_rows(np.concatenate([jets.a0[:, None], jets.rows], axis=1))[0][0]
-    turns = (dr - (dr @ span.T) @ span).reshape(d, -1)
-    along = _pseudo_inverse(jets.w, jets.v)[1] @ turns
-    w = jacobi_eigh(turns @ turns.T)[0]
-    top = max(float(w[0]), 1e-300)
-    return DegeneracyReport(generator_rate=float(np.sqrt((along * along).sum()) / np.sqrt(top)),
-                            tangent_rank=int((w > 1e-12 * top).sum()))
+    return _analysis(_affinors(imm, np.asarray(an.u, dtype=float)[None], model, 1.0, None), 0)[1]
 
 
 #: records of one row of a FocalSet, and of one cluster (its first sample's
@@ -459,32 +460,40 @@ def focal_map(imm: Immersion, grid_counts: Sequence[int], model: Optional[Ambien
               sym_tol: Optional[float] = None) -> FocalSet:
     """Singular points of every generator over a parameter grid, merged into
     focal clusters within FOCAL_MERGE_TOL; ideal points keep an at-infinity
-    marker.  ``sym_tol`` is passed to ``lightlike_affinor`` at every grid
-    point.  The roots of all grid points are one stacked clustering of their
-    spectra in real arithmetic (``linalg._cluster``), put in ascending order,
-    and their singular points X = A_1 + x A_0 one stacked normalization and
-    quadric check (``conformal._unembed``): a point whose k-th singular point
-    is off the quadric keeps its first k samples and is listed in ``errors``."""
+    marker: one ``_affinors`` pass over the grid with ``sym_tol``, then
+    ``_focal_set``."""
     if model is None:
         model = AmbientModel.standard(imm.n)
     _, grid = parameter_grid(imm, grid_counts)
-    columns = _affinors(imm, grid, model, 1.0, sym_tol)
-    x, multiplicity, counts = _cluster(-columns.spectra)
+    return _focal_set(_affinors(imm, grid, model, 1.0, sym_tol), len(grid), model)
+
+
+def _focal_set(columns: _Affinors, count: int, model: AmbientModel) -> FocalSet:
+    """The FocalSet of the first ``count`` stack members of ``_affinors``
+    columns.  The roots of all their points are one stacked clustering of
+    their spectra in real arithmetic (``linalg._cluster``), put in ascending
+    order, and their singular points X = A_1 + x A_0 one stacked
+    normalization and quadric check (``conformal._unembed``): a point whose
+    k-th singular point is off the quadric keeps its first k samples and is
+    listed in ``errors``."""
+    x, multiplicity, counts = _cluster(-columns.spectra[columns.members < count])
     order = np.argsort(np.where(multiplicity > 0, x, np.inf), axis=1, kind="stable")
     x, multiplicity = np.take_along_axis(x, order, 1), np.take_along_axis(multiplicity, order, 1)
     rows, root_index = np.nonzero(np.arange(x.shape[1]) < counts[:, None])
     x, multiplicity = x[rows, root_index], multiplicity[rows, root_index]
     coords = _singular_coords(columns.a0[rows], columns.a1[rows], x)
     points, ideal, off = _unembed(coords, model)
-    failures, keep = dict(columns.failures), np.ones(len(rows), dtype=bool)
+    failures = {i: exc for i, exc in columns.failures.items() if i < count}
+    keep = np.ones(len(rows), dtype=bool)
     for s, exc in off.items():
         failures.setdefault(int(columns.members[rows[s]]), exc)
         keep[s:] &= rows[s:] != rows[s]
     cluster, first = _merge(points[keep], coords[keep], ideal[keep], FOCAL_MERGE_TOL)
-    return FocalSet(u=grid[columns.members[rows[keep]]], root_index=root_index[keep], x=x[keep],
+    us = columns.us
+    return FocalSet(u=us[columns.members[rows[keep]]], root_index=root_index[keep], x=x[keep],
                     multiplicity=multiplicity[keep], at_infinity=ideal[keep], point=points[keep],
                     projective=coords[keep], cluster=cluster, first=first,
-                    errors=tuple((tuple(grid[i].tolist()), str(failures[i]))
+                    errors=tuple((tuple(us[i].tolist()), str(failures[i]))
                                  for i in sorted(failures)))
 
 

@@ -302,41 +302,46 @@ class Root:
 
 def cluster_roots(values):
     """Group near-coincident root values into (mean, multiplicity) clusters:
-    the one-row case of ``_cluster``, in numpy complex arithmetic, then the
-    conjugate cleanup of ``_roots``."""
-    means, mults, counts = _cluster(np.array([list(values)], dtype=complex))
-    return _roots(means[0, : counts[0]], mults[0, : counts[0]])
+    the one-row case of ``_cluster`` and ``_roots``, in numpy complex
+    arithmetic."""
+    return _root_records(*(x[0] for x in _roots(*_cluster(np.array([list(values)],
+                                                                  dtype=complex)))))
 
 
-def _roots(means: np.ndarray, mults: np.ndarray) -> list:
-    """The Roots of one row of ``_cluster`` (cluster means and
-    multiplicities in order of creation), sorted by real then imaginary part.
+def _root_records(values: np.ndarray, mults: np.ndarray, real: np.ndarray) -> list:
+    """The Roots of one row of ``_roots``."""
+    return [Root(value=v, multiplicity=m, is_real=r)
+            for v, m, r in zip(values.tolist(), mults.tolist(), real.tolist()) if m]
 
-    Conjugate asymmetry left over by the iteration is removed first:
-    clusters whose means are mutual conjugates are symmetrized, and a cluster
-    mean with relatively negligible imaginary part is flagged real.
+
+def _roots(means: np.ndarray, mults: np.ndarray, counts: np.ndarray) -> tuple:
+    """Roots of the rows of ``_cluster`` (cluster means, real or complex, and
+    multiplicities (N, k) in order of creation, and counts), in one pass:
+    the values (N, k) as complex, sorted by real then imaginary part, their
+    multiplicities and real flags, zero past each row's count.
+
+    Conjugate asymmetry left over by the iteration is removed first: column
+    by column, the cluster mean m_i of every row, if its imaginary part is
+    positive, pairs with the first mean of its multiplicity within
+    ``CLUSTER_RADIUS`` (1 + |m_i|) of its conjugate, and the two become
+    their average and its conjugate.  Then a mean with relatively negligible
+    imaginary part is flagged real.
     """
-    means, mults = list(means), mults.tolist()
-    # enforce exact conjugate pairing of genuinely complex clusters
-    for i in range(len(means)):
-        if means[i].imag <= 0:
-            continue
-        for j in range(len(means)):
-            if i == j or mults[i] != mults[j]:
-                continue
-            if abs(means[j] - means[i].conjugate()) <= CLUSTER_RADIUS * (1.0 + abs(means[i])):
-                avg = 0.5 * (means[i] + means[j].conjugate())
-                means[i] = avg
-                means[j] = avg.conjugate()
-                break
-    roots = []
-    for mean, mult in zip(means, mults):
-        is_real = bool(abs(mean.imag) < REAL_ROOT_TOL * (1.0 + abs(mean.real)))
-        if is_real:
-            mean = complex(mean.real, 0.0)
-        roots.append(Root(value=complex(mean), multiplicity=int(mult), is_real=is_real))
-    roots.sort(key=lambda r: (r.value.real, r.value.imag))
-    return roots
+    z, columns = means.astype(complex), np.arange(means.shape[1])
+    valid = columns < counts[:, None]
+    for i in columns.tolist():
+        pair = ((np.abs(z - np.conj(z[:, i, None]))
+                 <= CLUSTER_RADIUS * (1.0 + np.abs(z[:, i, None])))
+                & valid & (mults == mults[:, i, None]) & (columns != i)
+                & (valid[:, i] & (z[:, i].imag > 0))[:, None])
+        rows = np.flatnonzero(pair.any(axis=1))
+        j = pair[rows].argmax(axis=1)
+        z[rows, i] = 0.5 * (z[rows, i] + np.conj(z[rows, j]))
+        z[rows, j] = np.conj(z[rows, i])
+    real = valid & (np.abs(z.imag) < REAL_ROOT_TOL * (1.0 + np.abs(z.real)))
+    z.imag[real], z[~valid] = 0.0, 0.0
+    order = np.lexsort((z.imag, z.real, ~valid))
+    return tuple(np.take_along_axis(a, order, axis=1) for a in (z, np.where(valid, mults, 0), real))
 
 
 def _cluster(values: np.ndarray) -> tuple:

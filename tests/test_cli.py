@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pseudoconformal import catalog
@@ -77,6 +78,9 @@ class TestSceneValidation:
             load_scene(write_scene(tmp_path, doc))
 
 
+WAVEFRONT_SCENE = {"kind": "hypersurface", "builtin": "circle_wavefront", "n": 4,
+                   "grid": [2, 2, 2]}
+
 CONGRUENCE_SCENE = {
     "kind": "congruence",
     "builtin": "cone_normal_congruence",
@@ -96,13 +100,39 @@ class TestInvalidScenes:
         ("congruence", dict(CONGRUENCE_SCENE, stratify={"seed": [0.1, 0.4], "step": -0.01})),
         ("congruence", dict(CONGRUENCE_SCENE, stratify={"seed": [0.1, 0.4], "count": 0})),
         ("embed", {"kind": "points", "n": 3, "points": [[math.nan, 0.0, 0.0]]}),
+        ("lightlike", dict(WAVEFRONT_SCENE, params={"rho": "x"})),
+        ("lightlike", dict(WAVEFRONT_SCENE, params={"rho": None})),
+        ("lightlike", dict(WAVEFRONT_SCENE, params={"rho": True})),
+        ("lightlike", dict(WAVEFRONT_SCENE, params={"rho": math.inf})),
+        ("congruence", {"kind": "congruence", "builtin": "twisted_congruence", "n": 4,
+                        "grid": [2, 2, 2], "params": {"rate": "q"}}),
+        ("classify", dict(BASE_SCENE, tolerances={"lightlike": "x"})),
+        ("lightlike", dict(BASE_SCENE, tolerances={"symmetry": "x"})),
+        ("congruence", dict(CONGRUENCE_SCENE, tolerances={"integrability": "x"})),
+        ("classify", dict(BASE_SCENE, tolerances={"lightlike": math.nan})),
+        ("lightlike", dict(BASE_SCENE, tolerances={"symmetry": -1})),
+        ("congruence", dict(CONGRUENCE_SCENE, tolerances={"integrability": 0})),
+        ("classify", dict(BASE_SCENE, tolerances={"lightlike": False})),
+        ("classify", dict(BASE_SCENE, output={"path": True})),
+        ("classify", dict(BASE_SCENE, output={"path": 7})),
+        ("classify", dict(BASE_SCENE, output={"path": ["a"]})),
+        ("classify", dict(BASE_SCENE, output={"path": ""})),
+        ("classify", dict(BASE_SCENE, output={"path": None})),
     ], ids=["fractional-count", "boolean-count", "text-start", "infinite-stop",
-            "short-seed", "nan-seed", "negative-step", "zero-count", "nan-point"])
-    def test_exits_2_without_output(self, tmp_path, capsys, command, doc):
+            "short-seed", "nan-seed", "negative-step", "zero-count", "nan-point",
+            "text-param", "null-param", "boolean-param", "infinite-param", "text-rate",
+            "text-lightlike", "text-symmetry", "text-integrability", "nan-lightlike",
+            "negative-symmetry", "zero-integrability", "boolean-lightlike", "boolean-path",
+            "integer-path", "list-path", "empty-path", "null-path"])
+    def test_exits_2_without_output(self, tmp_path, capfd, command, doc):
+        # with --out and with the scene's own output path: nothing is
+        # written, not even to a file descriptor that a non-string path names
         path = write_scene(tmp_path, doc)
         out = tmp_path / "o.csv"
-        assert main([command, "--scene", path, "--out", str(out)]) == 2
-        assert "scene error" in capsys.readouterr().err
+        for flags in (["--out", str(out)], []):
+            assert main([command, "--scene", path] + flags) == 2
+            stdout, err = capfd.readouterr()
+            assert stdout == "" and "scene error" in err and "Traceback" not in err
         assert not out.exists()
 
     def test_congruence_beyond_the_root_order_limit(self, tmp_path, capsys):
@@ -239,6 +269,35 @@ class TestOutputs:
         assert lines[0].startswith("p1,p2,p3,x0")
         assert lines[1] == "0.0,0.0,0.0,1.0,0.0,0.0,0.0,0.0,0.0,0.0"
         assert lines[2] == "1.0,0.0,0.0,1.0,1.0,0.0,0.0,0.5,0.0,0.0"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("n,points", [
+        (3, [[0, 1, -2], [-0.0, 1e-300, 123.456], [1e3, -1e-5, 0.1], [2.5e-7, 3, 1e-16]]),
+        (4, [[0.1, 0.2, 0.3, 0.4], [-7, 1e2, 1e-4, 9.999e-5]]),
+    ], ids=["n3", "n4"])
+    def test_embed_bytes_match_the_per_cell_rule(self, tmp_path, capsys, n, points, fmt):
+        # the columns writer against the per-point rule it replaced: every CSV
+        # cell in str form, JSON by json.dumps(sort_keys=True, indent=1)
+        from pseudoconformal.conformal import (AmbientModel, darboux_embed, darboux_unembed,
+                                               quadric_residual)
+
+        model, rows, entries = AmbientModel.standard(n), [], []
+        for p in np.asarray(points, dtype=float):
+            x = darboux_embed(p, model)
+            res, back = quadric_residual(x, model), darboux_unembed(x, model)
+            roundtrip = float(np.abs(back - p).max())
+            rows.append(list(p) + list(x.coords) + [res, roundtrip])
+            entries.append({"point": [float(v) for v in p], "coords": [float(v) for v in x.coords],
+                            "residual": res, "roundtrip": roundtrip})
+        header = ([f"p{i}" for i in range(1, n + 1)] + [f"x{i}" for i in range(n + 2)]
+                  + ["residual", "roundtrip"])
+        expected = ("".join(",".join(map(str, row)) + "\n" for row in [header] + rows)
+                    if fmt == "csv" else
+                    json.dumps({"n": n, "points": entries}, sort_keys=True, indent=1) + "\n")
+        path = write_scene(tmp_path, {"kind": "points", "n": n, "points": points})
+        out = tmp_path / f"embed.{fmt}"
+        assert main(["embed", "--scene", path, "--out", str(out), "--format", fmt]) == 0
+        assert out.read_text() == expected
 
     def test_json_format_flag_overrides(self, tmp_path, capsys):
         path = write_scene(tmp_path, BASE_SCENE)

@@ -10,6 +10,7 @@ import pytest
 
 from pseudoconformal import catalog
 from pseudoconformal.congruence import (
+    CongruenceAnalysis,
     DEFAULT_STEP,
     IsotropicCongruence,
     _congruence_affinors,
@@ -28,7 +29,7 @@ from pseudoconformal.errors import (ConvergenceError, DegenerateBasisError, Geom
                                    NonIntegrableError)
 from pseudoconformal.hypersurface import LIGHTLIKE, causal_type_of_metric, parameter_grid
 from pseudoconformal.lightlike import lightlike_affinor, singular_points
-from pseudoconformal.linalg import REAL_ROOT_TOL
+from pseudoconformal.linalg import REAL_ROOT_TOL, Root
 
 from _oracles import (SingularBasis, congruence_reference, generator_rank_scan, inline_rk4_runs,
                       translated_congruence)
@@ -165,7 +166,7 @@ class TestConeNormalCongruence:
         # 7.1e-9 measured)
         cong, model = catalog.build("cone_normal_congruence", n=n), AmbientModel.standard(n)
         grid = parameter_grid(cong, [3] * cong.params)[1]
-        results = _congruence_affinors(cong, grid, model)
+        results = analyses(cong, grid, model)
         passed = [(u, an) for u, an in zip(grid, results) if not isinstance(an, Exception)]
         assert len(passed) == (195 if n == 6 else 3 ** cong.params)
         for u, an in passed:
@@ -388,7 +389,7 @@ class TestZeroLine:
         grid = parameter_grid(cong, [3, 3])[1]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            results = _congruence_affinors(cong, grid, model3)
+            results = analyses(cong, grid, model3)
         zero = grid[:, 0] > 0.2
         assert 0 < zero.sum() < len(grid)
         for u, got, failed in zip(grid, results, zero):
@@ -479,10 +480,10 @@ class TestStackedLineJets:
                 == {f: str(exc) for f, exc in ref.raised.items()})
         for a, b in zip(got._replace(raised=None), ref._replace(raised=None)):
             assert a is None or a.tobytes() == b.tobytes()
-        results = _congruence_affinors(cong, us, model4)
+        results = analyses(cong, us, model4)
         assert [str(r) for r in results[1:3]] == [str(failures[1]), str(failures[2])]
         assert ([_analysis_bits(r) for r in (results[0], results[3])] == [
-            _analysis_bits(r) for r in _congruence_affinors(scalar_only, us[[0, 3]], model4)])
+            _analysis_bits(r) for r in analyses(scalar_only, us[[0, 3]], model4)])
 
 
     def test_stencil_points_are_u_plus_and_minus_the_step(self, model4):
@@ -498,6 +499,23 @@ class TestStackedLineJets:
         with pytest.raises(ValueError, match="given together"):
             IsotropicCongruence.from_null_lines(3, ((-1, 1), (-1, 1)), np.zeros, np.zeros,
                                                 base_points=np.zeros)
+
+
+def analyses(cong, us, model):
+    """Each member of the ``_congruence_affinors`` columns of us as the
+    exception it failed with, or as the CongruenceAnalysis of its columns,
+    read as ``congruence_affinor`` reads member 0 of a stack of one."""
+    c = _congruence_affinors(cong, us, model)
+    results = dict(c.failures)
+    for j, i in enumerate(c.members.tolist()):
+        results[i] = CongruenceAnalysis(
+            u=c.us[i].copy(), shape_operator=c.operators[j], transversal_shift=c.shifts[j],
+            symmetry_defect=float(c.defects[j]),
+            roots=tuple(Root(complex(v), int(m), bool(r)) for v, m, r in zip(
+                c.roots[j, : c.counts[j]], c.multiplicities[j], c.real[j])),
+            line=(c.a0[j], c.a1[j]), screen=c.screens[j], transversal_form=c.forms[j],
+            diagnostics={key: float(value[j]) for key, value in c.diagnostics.items()})
+    return [results[i] for i in range(len(us))]
 
 
 def _analysis_bits(an):
@@ -572,7 +590,7 @@ class TestCongruenceEngine:
         model = AmbientModel.standard(cong.n)
         grid = parameter_grid(cong, [3] * cong.params)[1]
         raised = 0
-        for u, got in zip(grid, _congruence_affinors(cong, grid, model)):
+        for u, got in zip(grid, analyses(cong, grid, model)):
             alone = outcome(congruence_affinor, cong, u, model=model)
             if isinstance(alone, tuple):
                 assert isinstance(got, Exception) and (type(got), str(got)) == alone
@@ -590,7 +608,7 @@ class TestCongruenceEngine:
         cong = catalog.build(name)
         model = AmbientModel.standard(cong.n)
         grid = parameter_grid(cong, [3] * cong.params)[1]
-        for u, an in zip(grid, _congruence_affinors(cong, grid, model)):
+        for u, an in zip(grid, analyses(cong, grid, model)):
             frame = complete_isotropic_frame(*an.line, model)
             assert frame.vectors[2 : cong.n].tobytes() == an.screen.tobytes()
             assert frame.gram_residual() < 1e-10
@@ -816,7 +834,7 @@ class TestStackedRoots:
 
         cong = catalog.build("twisted_congruence", n=4)
         grid = parameter_grid(cong, [2, 2, 2])[1]
-        want = _congruence_affinors(cong, grid, model4)
+        want = analyses(cong, grid, model4)
         roots = module._durand_kerner
 
         def failing(c):
@@ -825,7 +843,7 @@ class TestStackedRoots:
             return z, np.where(third, 0.5, residual), converged & ~third
 
         monkeypatch.setattr(module, "_durand_kerner", failing)
-        got = _congruence_affinors(cong, grid, model4)
+        got = analyses(cong, grid, model4)
         for i, (a, b) in enumerate(zip(got, want)):
             if i == 3:
                 assert isinstance(a, ConvergenceError) and a.residual == 0.5
@@ -846,7 +864,7 @@ class TestStackedRoots:
 
         spliced = IsotropicCongruence(n=4, domain=cone.domain, line=line)
         grid = parameter_grid(spliced, [3, 3, 4])[1]
-        results = _congruence_affinors(spliced, grid, model4)
+        results = analyses(spliced, grid, model4)
         kinds = set()
         for u, got in zip(grid, results):
             assert _analysis_bits(got) == _analysis_bits(congruence_affinor(spliced, u,

@@ -22,8 +22,7 @@ import pytest
 from pseudoconformal import catalog, cli, conformal, congruence
 from pseudoconformal.cli import _build_object, _resolve_grid, load_scene, main
 from pseudoconformal.conformal import AmbientModel, AtInfinity, ProjectivePoint, darboux_unembed
-from pseudoconformal.congruence import (_congruence_affinors, congruence_affinor,
-                                        congruence_singular_points, stratify)
+from pseudoconformal.congruence import congruence_affinor, congruence_singular_points, stratify
 from pseudoconformal.errors import ConvergenceError, GeometryError, NotOnQuadricError
 from pseudoconformal.hypersurface import parameter_grid
 from pseudoconformal.lightlike import SYMMETRY_TOL
@@ -32,6 +31,7 @@ from pseudoconformal.linalg import (MAX_ROOT_ORDER, char_poly, cluster_roots, du
 
 from _oracles import nested_cluster_roots, root_bits
 from test_classify_writer import assert_same
+from test_congruence import analyses
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -70,7 +70,7 @@ def oracle(scene_path, fmt) -> tuple:
               + [f"f{i}" for i in range(1, cong.n + 1)])
     rows, samples, worst = [], [], 0.0
     grid = parameter_grid(cong, counts)[1]
-    for u, an in zip(grid, _congruence_affinors(cong, grid, model)):
+    for u, an in zip(grid, analyses(cong, grid, model)):
         if isinstance(an, Exception):
             raise an
         roots = nested_roots(an)
@@ -205,7 +205,7 @@ def test_one_clustering_pass_and_no_unembed_per_sample(tmp_path, capsys, monkeyp
 def test_singular_points_are_the_lines_points():
     model = AmbientModel.standard(4)
     cong = catalog.build("twisted_congruence")
-    for an in _congruence_affinors(cong, parameter_grid(cong, [3, 3, 3])[1], model):
+    for an in analyses(cong, parameter_grid(cong, [3, 3, 3])[1], model):
         for sp, root in zip(congruence_singular_points(an), an.roots):
             a0, a1 = an.line
             assert sp.x == root.value and sp.multiplicity == root.multiplicity
@@ -227,8 +227,7 @@ def test_roots_match_the_nested_rule_on_catalog_grids(name, n):
     # point and take their roots from the Jacobi spectrum, the twisted one's
     # from Durand-Kerner
     cong = catalog.build(name, n=n)
-    results = _congruence_affinors(cong, parameter_grid(cong, [3] * cong.params)[1],
-                                   AmbientModel.standard(n))
+    results = analyses(cong, parameter_grid(cong, [3] * cong.params)[1], AmbientModel.standard(n))
     assert not [r for r in results if isinstance(r, Exception)]
     for an in results:
         symmetric = an.symmetry_defect <= SYMMETRY_TOL * (1.0 + np.abs(an.shape_operator).max())

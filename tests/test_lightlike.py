@@ -1,5 +1,6 @@
 import ast
 import inspect
+import json
 import math
 import warnings
 from pathlib import Path
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from pseudoconformal import catalog
-from pseudoconformal.cli import _build_object, _resolve_grid, load_scene
+from pseudoconformal.cli import _build_object, _resolve_grid, load_scene, main
 from pseudoconformal.conformal import (AmbientModel, AtInfinity, ProjectivePoint, darboux_embed,
                                       darboux_unembed, lift_point, lift_tangent)
 from pseudoconformal.errors import (DegenerateBasisError, GeometryError, NotLightlikeError,
@@ -19,8 +20,10 @@ from pseudoconformal.lightlike import (
     FocalSample,
     LightlikeAnalysis,
     _affinors,
+    _degeneracy,
     _JetStack,
     _merge,
+    _row_derivatives,
     degeneracy_check,
     focal_map,
     lightlike_affinor,
@@ -489,25 +492,29 @@ class TestDegeneracy:
         assert flow.max_angle <= 1e-13 and report.generator_rate <= 1e-13
         assert flow.tangent_rank == report.tangent_rank == 1
 
-    @pytest.mark.parametrize("name", catalog.lightlike_entries())
-    def test_one_jet_stack_and_one_hessian_call(self, name, monkeypatch):
-        # the centre's jets are one stack of one, its Hessians one jet2 call,
-        # and the Gram matrix of the turning rates the one Jacobi pass beside
-        # the induced metric's
+    @pytest.mark.parametrize("scene", ["lightcone3.json", "nullplane3.json", "tilted3.json",
+                                       "wavefront4.json"])
+    def test_the_centre_joins_the_grid_pass(self, scene, tmp_path, monkeypatch):
+        # one lightlike run makes one jet stack and one jet2 call, over the
+        # grid with the centre as its last member; the degeneracy of every
+        # member that passes is one stacked Jacobi pass beside the induced
+        # metric's and the operators'
+        import pseudoconformal.frames
         import pseudoconformal.hypersurface
         import pseudoconformal.lightlike
         import pseudoconformal.linalg
 
-        imm = catalog.build(name)
-        model = AmbientModel.standard(imm.n)
-        u = np.array([lo + 0.55 * (hi - lo) for lo, hi in imm.domain])
-        an = lightlike_affinor(imm, u, model=model)
+        path = str(Path(__file__).resolve().parent.parent / "scenes" / scene)
+        scene_doc = load_scene(path)
+        imm, counts = _resolve_grid(scene_doc, _build_object(scene_doc))
+        grid = parameter_grid(imm, counts)[1]
+        center = [0.5 * (lo + hi) for lo, hi in imm.domain]
         calls, stacks, hessians = [], [], []
         original, original_stack = pseudoconformal.linalg.jacobi_eigh, _JetStack
         original_jet2 = Immersion.jet2
 
         def counted(*args, **kwargs):
-            calls.append((np.ndim(args[0]), inspect.stack(0)[1].function))
+            calls.append((np.shape(args[0]), inspect.stack(0)[1].function))
             return original(*args, **kwargs)
 
         def counted_stack(imm, us, *args):
@@ -515,57 +522,78 @@ class TestDegeneracy:
             return original_stack(imm, us, *args)
 
         def counted_jet2(self, u):
-            hessians.append(np.asarray(u).tolist())
+            hessians.append(len(u))
             return original_jet2(self, u)
 
-        for module in (pseudoconformal.hypersurface, pseudoconformal.lightlike,
-                       pseudoconformal.linalg):
+        for module in (pseudoconformal.frames, pseudoconformal.hypersurface,
+                       pseudoconformal.lightlike, pseudoconformal.linalg):
             monkeypatch.setattr(module, "jacobi_eigh", counted)
         monkeypatch.setattr(pseudoconformal.lightlike, "_JetStack", counted_stack)
         monkeypatch.setattr(Immersion, "jet2", counted_jet2)
-        report = degeneracy_check(imm, an, model=model)
-        assert report.tangent_rank == imm.n - 2
-        assert stacks == hessians == [[u.tolist()]]
-        assert calls == [(3, "_stacked_spectra"), (2, "degeneracy_check")]
+        out = tmp_path / "out.json"
+        assert main(["lightlike", "--scene", path, "--out", str(out), "--format", "json"]) == 0
+        assert len(stacks) == 1 and stacks[0] == grid.tolist() + [center]
+        members = len(grid) + 1 - len(json.loads(out.read_text())["errors"])
+        assert hessians == [members]
+        d = imm.params
+        assert [call for call in calls if len(call[0]) == 3] == [
+            ((2 * len(grid) + 2, d, d), "_stacked_spectra"),  # metrics and J^T J
+            ((members, d - 1, d - 1), "_affinors"),
+            ((members, d, d), "_degeneracy")]
+
+    @pytest.mark.parametrize("name", catalog.lightlike_entries())
+    def test_grid_members_read_the_centre_check(self, name):
+        # every member of a grid pass has the generator rate and tangent rank
+        # bits that degeneracy_check gives its point alone
+        imm = catalog.build(name)
+        model = AmbientModel.standard(imm.n)
+        columns = _affinors(imm, parameter_grid(imm, [3] * imm.params)[1], model, 1.0, None)
+        assert not columns.failures
+        for i, rate, rank in zip(columns.members, columns.rates, columns.ranks):
+            report = degeneracy_check(imm, SimpleNamespace(u=columns.us[i]), model=model)
+            assert (report.generator_rate.hex(), report.tangent_rank) == (rate.hex(), rank)
 
     @pytest.mark.parametrize("name", catalog.lightlike_entries())
     def test_another_eigenvector_fails(self, name, monkeypatch):
-        # the rate along any other eigenvector of the induced metric than the
-        # kernel's is that of a direction the span turns in (0.35 or more here)
+        # forced through the stacked check on the grid's jet stack: the rate
+        # along any other eigenvector of the induced metric than the kernel's
+        # is that of a direction the span turns in (0.35 or more here)
         import pseudoconformal.lightlike
 
         imm = catalog.build(name)
         model = AmbientModel.standard(imm.n)
+        grid = parameter_grid(imm, [3] * imm.params)[1]
+        jets, (hessians, raised) = _JetStack(imm, grid, model, 1.0), imm.jet2(grid)
+        assert not jets.failures and not raised
+        members = np.arange(len(grid))
+        dr = _row_derivatives(jets, members, hessians)
+        rates, ranks = _degeneracy(jets, members, dr)
+        assert (rates <= 1e-13).all() and (ranks == imm.n - 2).all()
         original = pseudoconformal.lightlike._pseudo_inverse
 
         def other_column(w, v):
-            return original(w, v)[0], np.swapaxes(v, -1, -2)[:, np.abs(w[0]).argmax()]
+            return original(w, v)[0], np.swapaxes(v, -1, -2)[np.arange(len(w)),
+                                                              np.abs(w).argmax(axis=1)]
 
-        for u in parameter_grid(imm, [3] * imm.params)[1]:
-            an = lightlike_affinor(imm, u, model=model)
-            with monkeypatch.context() as patch:
-                patch.setattr(pseudoconformal.lightlike, "_pseudo_inverse", other_column)
-                report = degeneracy_check(imm, an, model=model)
-            assert report.generator_rate > 0.1
+        monkeypatch.setattr(pseudoconformal.lightlike, "_pseudo_inverse", other_column)
+        assert (_degeneracy(jets, members, dr)[0] > 0.1).all()
 
     @pytest.mark.parametrize("name,n", [("spacelike_hypersphere", 3),
                                         ("timelike_hypersphere", 3), ("euclidean_sphere", 3)])
-    def test_a_non_lightlike_immersion_fails(self, name, n, monkeypatch):
-        # forced through: the check refuses the point, and with its lightlike
-        # test taken out the formula reads a span that turns along the
-        # least eigenvector of the metric (at rate 0.58 or more here), in
-        # all n - 1 directions
-        import pseudoconformal.lightlike
-
+    def test_a_non_lightlike_immersion_fails(self, name, n):
+        # the check refuses the point; forced through the stacked check on
+        # its jet stack, which takes no lightlike test, the formula reads a
+        # span that turns along the least eigenvector of the metric (at rate
+        # 0.58 or more here), in all n - 1 directions
         imm = catalog.build(name, n=n)
         model = AmbientModel.standard(n)
-        forced = SimpleNamespace(u=np.array([lo + 0.4 * (hi - lo) for lo, hi in imm.domain]))
+        u = np.array([lo + 0.4 * (hi - lo) for lo, hi in imm.domain])
         with pytest.raises(NotLightlikeError):
-            degeneracy_check(imm, forced, model=model)
-        monkeypatch.setattr(pseudoconformal.lightlike, "_lightlike_failures",
-                            lambda jets: dict(jets.failures))
-        report = degeneracy_check(imm, forced, model=model)
-        assert report.generator_rate > 0.1 and report.tangent_rank == n - 1
+            degeneracy_check(imm, SimpleNamespace(u=u), model=model)
+        jets, (hessians, raised) = _JetStack(imm, u[None], model, 1.0), imm.jet2(u[None])
+        assert not jets.failures and not raised
+        rates, ranks = _degeneracy(jets, [0], _row_derivatives(jets, [0], hessians))
+        assert rates[0] > 0.1 and ranks[0] == n - 1
 
     def test_spacelike_input_rejected(self, model3):
         imm = catalog.build("spacelike_hypersphere")
@@ -1006,7 +1034,7 @@ class TestLightlikeEngine:
             focal = focal_map(imm, (count, count), model=model3)
             assert len(focal.samples) == count * count
             per_grid.append(len(calls))
-        assert per_grid[0] == per_grid[1] == 2
+        assert per_grid[0] == per_grid[1] == 3
 
     @pytest.mark.parametrize("name", catalog.lightlike_entries())
     def test_one_jet_per_grid_point(self, name, monkeypatch):

@@ -12,6 +12,8 @@ from pseudoconformal.linalg import (
     REAL_ROOT_TOL,
     BilinearForm,
     _cluster,
+    _root_records,
+    _roots,
     _durand_kerner,
     _faddeev_leverrier,
     _solve,
@@ -303,14 +305,24 @@ class TestClusterRoots:
         v[::17, :4] = [1.0, 1.0 + 9e-7, 1.0 + 1.9e-6 + 1e-7j, 1.0 + 2.8e-6]  # a chain of near roots
         v[::19, :2] = [0.0, 1e-6]                           # exactly the cluster radius apart
         v[::23, :2] = [1j, 1j + 2e-6]                       # so are these, about |1j| = 1
+        v[::29, :2] = [-1.0, -1.0 - 7.1e-9]                 # the cone n=4 vertex, double
+        v[::31, :4] = [3 + 2e-9j, 3 - 1e-9j, 5e-9j, -4e-9j]  # near-real clusters
+        v[::37, :2] = [2 + 0.5j, 2 - 0.5j + 3e-7 + 2e-7j]   # a pair within the radius of conjugate
         v = rng.permuted(v, axis=1)
         means, mults, counts = _cluster(v)
-        for row, mean, mult, c in zip(v, means, mults, counts):
+        # the stacked root rule, one pass over all rows, has the bits of the
+        # nested rule row by row
+        values, root_mults, real = _roots(means, mults, counts)
+        for row, mean, mult, c, roots in zip(v, means, mults, counts,
+                                             zip(values, root_mults, real)):
             expected = nested_clusters(list(row))
             assert ([(m.real.hex(), m.imag.hex(), int(j)) for m, j in zip(mean[:c], mult[:c])]
                     == [(m.real.hex(), m.imag.hex(), j) for m, j in expected])
-            assert root_bits(cluster_roots(list(row))) == root_bits(nested_cluster_roots(list(row)))
-        assert mults.max() >= 3
+            nested = root_bits(nested_cluster_roots(list(row)))
+            assert root_bits(_root_records(*roots)) == root_bits(cluster_roots(list(row))) == nested
+            assert (roots[1][c:] == 0).all() and not roots[2][c:].any()
+        assert mults.max() >= 3 and counts.min() < k
+        assert real.any() and (~real & (root_mults > 0)).any()
 
 
 class TestSolve:
