@@ -24,6 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .conformal import AmbientModel, _lift_lines
 from .congruence import IsotropicCongruence
 from .hypersurface import Immersion
 from .linalg import _dots
@@ -276,18 +277,19 @@ def _circle_wavefront_hess(u, n, rho):
 # congruence evaluators
 
 
-def _parallel_direction(u, n):
+def _parallel_line(u, n):
     l = np.zeros(u.shape[:-1] + (n,))
     l[..., 0] = l[..., n - 1] = 1.0
-    return l
+    return _graph(u, 0.0), l
 
 
-def _cone_vertex_base(u, n):
+def _cone_line(u, n):
     # one light cone per value of the last parameter; base point one unit
     # out along the ray so the base field stays an immersion
+    l = _cone_direction(u, n)
     p = np.zeros(u.shape[:-1] + (n,))
     p[..., n - 1] = u[..., n - 2]
-    return p + _cone_direction(u, n)
+    return p + l, l
 
 
 def _cone_direction(u, n):
@@ -299,7 +301,7 @@ def _cone_direction(u, n):
     return l
 
 
-def _twisted_direction(u, n, rate):
+def _twisted_line(u, n, rate):
     # direction of the parallel congruence rotated, to first order, by
     # rate * u3 in the (x1, x2) plane and by -rate * u2 in the (x1, x3) plane
     l = np.ones(u.shape[:-1] + (4,))
@@ -307,7 +309,7 @@ def _twisted_direction(u, n, rate):
     l[..., 2] = -rate * u[..., 1]
     v = l[..., :3]
     l[..., :3] = v / _sqrt(_dots(v, v))[..., None]
-    return l
+    return _graph(u, 0.0), l
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +341,7 @@ class CatalogEntry:
 
 def _entry(kind, name, description, domain, evaluators, dims=(), params=None):
     """Catalog entry of a hypersurface with broadcasting evaluators (value,
-    Jacobian[, Hessian]) or of a congruence with (base point, direction).
+    Jacobian[, Hessian]) or of a congruence with one of (base, direction).
     Each evaluator, bound to n and the parameters, is passed as its own twin;
     ``domain`` maps n and the parameters to the default domain and rejects
     parameters out of range."""
@@ -348,10 +350,12 @@ def _entry(kind, name, description, domain, evaluators, dims=(), params=None):
         dom = domain(n, **params)
         bound = [partial(e, n=n, **params) for e in evaluators]
         if kind == "congruence":
-            base, direction = bound
-            return IsotropicCongruence.from_null_lines(
-                n=n, domain=dom, base_point=base, direction=direction, base_points=base,
-                directions=direction, name=name)
+            (pair,), model = bound, AmbientModel.standard(n)
+
+            def lines(u):
+                return _lift_lines(*pair(u), model)
+
+            return IsotropicCongruence(n=n, domain=dom, line=lines, lines=lines, name=name)
         value, jacobian, hessian = bound + [None] * (3 - len(bound))
         return Immersion(n=n, domain=dom, value=value, jacobian=jacobian, hessian=hessian,
                          values=value, jacobians=jacobian, name=name)
@@ -399,16 +403,16 @@ CATALOG = {
                dims=(4,), params={"rho": 2.0}),
         _entry("congruence", "parallel_null_congruence",
                "parallel null lines through a spacelike slice",
-               _box, (_slice_value, _parallel_direction)),
+               _box, (_parallel_line,)),
         _entry("congruence", "cone_normal_congruence",
                "rays of the light cones of a timelike line of "
                "vertices; normal, stratifies into the cones",
                lambda n: ((-0.55, 0.55),) * (n - 2) + ((-1.0, 1.0),),
-               (_cone_vertex_base, _cone_direction)),
+               (_cone_line,)),
         _entry("congruence", "twisted_congruence",
                "parallel congruence with direction twisted along a "
                "transversal coordinate; not integrable, complex focal pair",
-               lambda n, rate: _box(n), (lambda u, n, rate: _graph(u, 0.0), _twisted_direction),
+               lambda n, rate: _box(n), (_twisted_line,),
                dims=(4,), params={"rate": 1.0}),
     ]
 }

@@ -23,19 +23,12 @@ from typing import Optional
 import numpy as np
 
 from . import catalog
-from .conformal import (
-    AmbientModel,
-    _singular_coords,
-    _unembed,
-    darboux_embed,
-    darboux_unembed,
-    quadric_residual,
-)
+from .conformal import AmbientModel, _normalized, _singular_coords, _unembed, lift_point
 from .congruence import _congruence_affinors, stratify
 from .errors import ConvergenceError, GeometryError, NonIntegrableError
 from .hypersurface import parameter_grid, survey
 from .lightlike import _affinors, _analysis, _focal_set, torse_directions
-from .linalg import MAX_ROOT_ORDER
+from .linalg import MAX_ROOT_ORDER, _dots
 
 SCENE_KEYS = {"n", "kind", "builtin", "params", "points", "grid", "tolerances",
               "stratify", "output"}
@@ -334,12 +327,18 @@ def _congruence_text(columns, points, ideal, leaf, fmt, header, fields) -> str:
 def run_embed(scene: Scene, out_path, fmt) -> int:
     n, model = scene.n, AmbientModel.standard(scene.n)
     points = np.array(scene.points, dtype=float)
-    images = [darboux_embed(p, model) for p in points]
-    coords = [_reprs(c) for c in np.array([x.coords for x in images]).T]
+    with np.errstate(over="ignore", invalid="ignore"):  # far points, refused below
+        images = _normalized(lift_point(points, model))
+        back, _, off = _unembed(images, model)
+    # the first point off the quadric, or so far out that its image is ideal or overflows
+    first = min([*off, *np.flatnonzero(~np.isfinite(back).all(axis=1)).tolist()], default=None)
+    if first is not None:
+        raise off.get(first) or SceneError(f"point {scene.points[first]!r} is too far out "
+                                           "to map back from the quadric")
+    coords = [_reprs(c) for c in images.T]
     p = [_reprs(c) for c in points.T]
-    residual = _reprs(np.array([quadric_residual(x, model) for x in images]))
-    roundtrip = _reprs(np.array([np.abs(darboux_unembed(x, model) - q).max()
-                                 for x, q in zip(images, points)]))
+    residual = _reprs(_dots(images @ model.form.gram, images))
+    roundtrip = _reprs(np.abs(back - points).max(axis=1))
     if fmt == "csv":
         header = [f"p{i}" for i in range(1, n + 1)] + [f"x{i}" for i in range(n + 2)]
         cells = p + coords + [residual, roundtrip]
@@ -382,8 +381,7 @@ def run_classify(scene: Scene, out_path, fmt) -> int:
 
 
 def run_lightlike(scene: Scene, out_path, fmt) -> int:
-    imm = _build_object(scene)
-    imm, counts = _resolve_grid(scene, imm)
+    imm, counts = _resolve_grid(scene, _build_object(scene))
     model = AmbientModel.standard(imm.n)
     sym_tol = scene.tolerances.get("symmetry")
 
@@ -416,8 +414,7 @@ def run_lightlike(scene: Scene, out_path, fmt) -> int:
 
 
 def run_congruence(scene: Scene, out_path, fmt) -> int:
-    cong = _build_object(scene)
-    cong, counts = _resolve_grid(scene, cong)
+    cong, counts = _resolve_grid(scene, _build_object(scene))
     if cong.n - 2 > MAX_ROOT_ORDER:
         raise SceneError(f"congruence scenes are limited to n <= {MAX_ROOT_ORDER + 2}, "
                          f"got n={cong.n}")
@@ -533,6 +530,9 @@ def main(argv=None) -> int:
         return run(scene, out_path, fmt)
     except SceneError as exc:
         print(f"scene error ({args.command}): {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"scene error ({args.command}): out of memory ({exc})", file=sys.stderr)
         return 2
     except (GeometryError, NonIntegrableError, ConvergenceError) as exc:
         print(f"numerical failure ({args.command}): {exc}", file=sys.stderr)

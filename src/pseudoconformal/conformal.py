@@ -70,10 +70,6 @@ class AmbientModel:
             raise ValueError("ambient dimension must be at least 3")
         return _standard_model(cls, n)
 
-    @property
-    def ambient_dim(self) -> int:
-        return self.n + 2
-
     def product(self, u, v) -> float:
         return scalar_product(u, v, self.form)
 

@@ -81,28 +81,16 @@ class IsotropicCongruence:
 
     @classmethod
     def from_null_lines(cls, n, domain, base_point, direction, name="",
-                        model: Optional[AmbientModel] = None, base_points=None,
-                        directions=None):
+                        model: Optional[AmbientModel] = None):
         """Build from Lorentzian data: a base point field p(u) and a null
         direction field l(u); the line through p with direction l lifts to
         the quadric line spanned by the images of p and of the direction.
-        Broadcasting twins ``base_points`` and ``directions`` of the two
-        fields, given together, make ``lines`` one stacked lift; fields that
-        broadcast over leading axes, as the catalog's do, may be passed as
-        their own twins."""
-        if (base_points is None) != (directions is None):
-            raise ValueError("base_points and directions are given together or not at all")
+        The congruence has no ``lines`` twin: it is evaluated point by
+        point."""
         if model is None:
             model = AmbientModel.standard(n)
-
-        def line(u):
-            return tuple(_lift_lines(base_point(u), direction(u), model))
-
-        def lines(us):
-            return _lift_lines(base_points(us), directions(us), model)
-
-        return cls(n=n, domain=domain, line=line, name=name,
-                   lines=None if base_points is None else lines)
+        return cls(n=n, domain=domain, name=name,
+                   line=lambda u: tuple(_lift_lines(base_point(u), direction(u), model)))
 
     def validate(self, u, model: Optional[AmbientModel] = None, tol: float = 1e-10):
         """The residuals of the line at u by name, or the GeometryError it
@@ -220,19 +208,13 @@ def _line_failures(passes: list, model: AmbientModel) -> dict:
     neighbours' evaluations (+e_0, -e_0, +e_1, ...), non-finite
     differentials, dependent basis forms (rows [A_0; A_1; dA_0] of rank
     below d+2).  An evaluator's ValueError or ArithmeticError becomes a
-    GeometryError naming the point.  One line check screens every pass at
-    half the tolerance and one rank check covers them all; a pass that the
-    screen flags is checked again alone, because the bits of its residuals,
-    and so its messages, depend on the size of the stack."""
+    GeometryError naming the point.  One line check and one rank check cover
+    every pass; the standard form's Gram matrix has one +-1 entry per row, so
+    each residual has the bits it has in its own pass."""
     us, lines, da0, da1 = (np.concatenate(field) for field in zip(*(
         (p.us, p.lines, p.da0, p.da1) for p in passes)))
     starts = np.cumsum([0] + [len(p.us) for p in passes])
-    failures, raised = {}, {}
-    screened = _line_checks(us, lines[:, 0, 0], lines[:, 0, 1], model, tol=0.5e-10)[1]
-    for k in sorted({int(np.searchsorted(starts, i, side="right")) - 1 for i in screened}):
-        p = passes[k]
-        failures.update({starts[k] + i: exc
-                         for i, exc in _line_checks(p.us, p.a0, p.a1, model)[1].items()})
+    failures, raised = _line_checks(us, lines[:, 0, 0], lines[:, 0, 1], model)[1], {}
     for k, p in enumerate(passes):
         for f, exc in p.raised.items():
             i, at = divmod(f, p.stencil.shape[1])

@@ -401,9 +401,6 @@ class ConnectionForms:
     gram: np.ndarray
     n: int
 
-    def direction(self, a: int) -> np.ndarray:
-        return self.omega[a]
-
     def gram_relation_residual(self) -> float:
         """Max violation of omega G + G omega^T = 0 over all directions;
         covers every differentiated Gram normalization at once."""

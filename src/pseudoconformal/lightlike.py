@@ -471,16 +471,14 @@ def focal_map(imm: Immersion, grid_counts: Sequence[int], model: Optional[Ambien
 def _focal_set(columns: _Affinors, count: int, model: AmbientModel) -> FocalSet:
     """The FocalSet of the first ``count`` stack members of ``_affinors``
     columns.  The roots of all their points are one stacked clustering of
-    their spectra in real arithmetic (``linalg._cluster``), put in ascending
-    order, and their singular points X = A_1 + x A_0 one stacked
-    normalization and quadric check (``conformal._unembed``): a point whose
-    k-th singular point is off the quadric keeps its first k samples and is
-    listed in ``errors``."""
-    x, multiplicity, counts = _cluster(-columns.spectra[columns.members < count])
-    order = np.argsort(np.where(multiplicity > 0, x, np.inf), axis=1, kind="stable")
-    x, multiplicity = np.take_along_axis(x, order, 1), np.take_along_axis(multiplicity, order, 1)
-    rows, root_index = np.nonzero(np.arange(x.shape[1]) < counts[:, None])
-    x, multiplicity = x[rows, root_index], multiplicity[rows, root_index]
+    their spectra in real arithmetic, ordered by the centre's rule
+    (``linalg._roots`` of ``linalg._cluster``), and their singular points
+    X = A_1 + x A_0 one stacked normalization and quadric check
+    (``conformal._unembed``): a point whose k-th singular point is off the
+    quadric keeps its first k samples and is listed in ``errors``."""
+    x, multiplicity, _ = _roots(*_cluster(-columns.spectra[columns.members < count]))
+    rows, root_index = np.nonzero(multiplicity)
+    x, multiplicity = x.real[rows, root_index], multiplicity[rows, root_index]
     coords = _singular_coords(columns.a0[rows], columns.a1[rows], x)
     points, ideal, off = _unembed(coords, model)
     failures = {i: exc for i, exc in columns.failures.items() if i < count}

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pseudoconformal import catalog
+from pseudoconformal import catalog, cli
 from pseudoconformal.cli import load_scene, main
 from pseudoconformal.errors import GeometryError
 from pseudoconformal.hypersurface import parameter_grid
@@ -100,6 +100,7 @@ class TestInvalidScenes:
         ("congruence", dict(CONGRUENCE_SCENE, stratify={"seed": [0.1, 0.4], "step": -0.01})),
         ("congruence", dict(CONGRUENCE_SCENE, stratify={"seed": [0.1, 0.4], "count": 0})),
         ("embed", {"kind": "points", "n": 3, "points": [[math.nan, 0.0, 0.0]]}),
+        ("embed", {"kind": "points", "n": 3, "points": [[0.0, 1.0, 0.0], [1e20, 0, 0]]}),
         ("lightlike", dict(WAVEFRONT_SCENE, params={"rho": "x"})),
         ("lightlike", dict(WAVEFRONT_SCENE, params={"rho": None})),
         ("lightlike", dict(WAVEFRONT_SCENE, params={"rho": True})),
@@ -119,7 +120,7 @@ class TestInvalidScenes:
         ("classify", dict(BASE_SCENE, output={"path": ""})),
         ("classify", dict(BASE_SCENE, output={"path": None})),
     ], ids=["fractional-count", "boolean-count", "text-start", "infinite-stop",
-            "short-seed", "nan-seed", "negative-step", "zero-count", "nan-point",
+            "short-seed", "nan-seed", "negative-step", "zero-count", "nan-point", "far-point",
             "text-param", "null-param", "boolean-param", "infinite-param", "text-rate",
             "text-lightlike", "text-symmetry", "text-integrability", "nan-lightlike",
             "negative-symmetry", "zero-integrability", "boolean-lightlike", "boolean-path",
@@ -133,6 +134,36 @@ class TestInvalidScenes:
             assert main([command, "--scene", path] + flags) == 2
             stdout, err = capfd.readouterr()
             assert stdout == "" and "scene error" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("far", [[1e20, 0, 0], [1e200, 0, 0], [1e155, 0, 1e155]],
+                             ids=["ideal", "overflow", "inf-minus-inf"])
+    def test_far_point_is_named(self, tmp_path, capsys, far):
+        # an image with x^0 ~ 2e-40 is ideal; a square beyond the largest
+        # float makes it inf, or NaN from inf - inf; none maps back
+        doc = {"kind": "points", "n": 3, "points": [[0.0, 1.0, 0.0], far]}
+        assert main(["embed", "--scene", write_scene(tmp_path, doc)]) == 2
+        assert capsys.readouterr() == ("", f"scene error (embed): point {far!r} is too far out "
+                                           "to map back from the quadric\n")
+
+    @pytest.mark.parametrize("command,doc,engine", [
+        ("embed", {"kind": "points", "n": 3, "points": [[0.0, 1.0, 0.0]]}, "lift_point"),
+        ("classify", BASE_SCENE, "survey"),
+        ("lightlike", WAVEFRONT_SCENE, "_affinors"),
+        ("congruence", CONGRUENCE_SCENE, "_congruence_affinors"),
+    ])
+    def test_out_of_memory_is_a_scene_error(self, tmp_path, capfd, monkeypatch, command, doc,
+                                            engine):
+        # a grid too large for memory, without allocating one: the engine
+        # raises as numpy's allocator does
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 2.91 TiB for an array")
+
+        monkeypatch.setattr(cli, engine, exhausted)
+        out = tmp_path / "o.csv"
+        assert main([command, "--scene", write_scene(tmp_path, doc), "--out", str(out)]) == 2
+        assert capfd.readouterr() == ("", f"scene error ({command}): out of memory (Unable to "
+                                          "allocate 2.91 TiB for an array)\n")
         assert not out.exists()
 
     def test_congruence_beyond_the_root_order_limit(self, tmp_path, capsys):
@@ -230,8 +261,6 @@ class TestExitCodes:
     def test_repeated_calls_keep_codes_and_outputs(self, capsys):
         # the parser is built on the first call and kept: a second round of
         # calls, after a usage error, writes what the first round wrote
-        from pseudoconformal import cli
-
         cli._parser.cache_clear()
         lightcone, parallel = str(SCENES / "lightcone3.json"), str(SCENES / "parallel3.json")
         calls = [["examples"], ["classify", "--scene", lightcone, "--format", "json"],

@@ -1,5 +1,7 @@
 import collections
+import cProfile
 import math
+import pstats
 import re
 import warnings
 from dataclasses import replace
@@ -14,7 +16,9 @@ from pseudoconformal.congruence import (
     DEFAULT_STEP,
     IsotropicCongruence,
     _congruence_affinors,
+    _first_failure,
     _kernel_bases,
+    _line_checks,
     _line_failures,
     _line_jets,
     _rk4_runs,
@@ -495,10 +499,37 @@ class TestStackedLineJets:
         expected[:, 2::2] -= DEFAULT_STEP * np.eye(3)
         assert jets.stencil.tobytes() == expected.tobytes()
 
-    def test_twins_are_given_together(self):
-        with pytest.raises(ValueError, match="given together"):
-            IsotropicCongruence.from_null_lines(3, ((-1, 1), (-1, 1)), np.zeros, np.zeros,
-                                                base_points=np.zeros)
+    def test_one_cone_direction_pass_per_stacked_line_at(self):
+        # the cone's evaluator gives the base point p + l and the direction l
+        # from one evaluation of l; counted by the profiler, which sees calls
+        # through bound references as well
+        cong = catalog.build("cone_normal_congruence", n=4)
+        profile = cProfile.Profile()
+        lines, failures = profile.runcall(cong.line_at,
+                                          np.array([[0.1, 0.2, 0.3], [0.0, -0.3, 0.5]]))
+        assert not failures and [v[1] for k, v in pstats.Stats(profile).stats.items()
+                                 if k[2] == "_cone_direction"] == [1]
+        assert lines[1].tobytes() == np.array(cong.line_at([0.0, -0.3, 0.5])).tobytes()
+
+    def test_one_line_check_over_every_pass(self, model3):
+        # three passes of a leaf: a line of pass 2 off the quadric by a
+        # relative residual within (0.5e-10, 1e-10], which passes, and one of
+        # pass 3 beyond 1e-10, which fails; the judge of all three passes
+        # gives what the line checks of each pass alone give
+        cong = catalog.build("cone_normal_congruence")
+        passes = [_line_jets(cong, us, model3, DEFAULT_STEP) for us in (
+            np.array([[0.1, 0.4], [-0.2, 0.3]]), np.array([[0.0, 0.1], [0.3, -0.2], [0.2, 0.5]]),
+            np.array([[-0.1, 0.2], [0.25, 0.0]]))]
+        for p, i, residual in ((passes[1], 2, 0.75e-10), (passes[2], 1, 3e-10)):
+            a0, a1 = p.a0[i], p.a1[i]
+            p.lines[i, 0, 0, -1] += 0.5 * residual * max(a0 @ a0, a1 @ a1)  # <A_0, A_0> = -2 dx
+        alone = {starts + i: str(exc) for starts, p in zip((0, 2, 5), passes)
+                 for i, exc in _line_checks(p.us, p.a0, p.a1, model3)[1].items()}
+        screened = _line_checks(passes[1].us, passes[1].a0, passes[1].a1, model3, tol=0.5e-10)[1]
+        assert list(screened) == [2] and list(alone) == [6]
+        assert {i: str(exc) for i, exc in _line_failures(passes, model3).items()} == alone
+        assert str(_first_failure(passes, model3)) == alone[6]
+        assert "base_on_quadric" in alone[6] and "u=[0.25, 0.0]" in alone[6]
 
 
 def analyses(cong, us, model):

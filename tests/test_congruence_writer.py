@@ -183,7 +183,9 @@ def test_a_root_off_the_quadric_before_the_failed_point_is_raised(tmp_path, caps
 
 
 def test_one_clustering_pass_and_no_unembed_per_sample(tmp_path, capsys, monkeypatch):
-    calls = {"cluster": 0, "darboux_unembed": 0}
+    # the command line maps points and singular points in columns: it calls
+    # neither one-point map, and imports neither
+    calls = {"cluster": 0, "darboux_embed": 0, "darboux_unembed": 0}
 
     def counted(name, function):
         def wrapper(*args, **kwargs):
@@ -192,14 +194,18 @@ def test_one_clustering_pass_and_no_unembed_per_sample(tmp_path, capsys, monkeyp
         return wrapper
 
     monkeypatch.setattr(congruence, "_cluster", counted("cluster", congruence._cluster))
-    for module in (cli, conformal):
-        monkeypatch.setattr(module, "darboux_unembed",
-                            counted("darboux_unembed", conformal.darboux_unembed))
+    for name in ("darboux_embed", "darboux_unembed"):
+        assert not hasattr(cli, name)
+        monkeypatch.setattr(conformal, name, counted(name, getattr(conformal, name)))
     out = tmp_path / "out.csv"
     assert main(["congruence", "--scene", str(ROOT / "scenes" / "conecongruence4.json"),
                  "--out", str(out), "--format", "csv"]) == 0
-    assert calls == {"cluster": 1, "darboux_unembed": 0}
     assert len(out.read_text().splitlines()) == 1 + 4 ** 3  # one double root per line
+    scene = tmp_path / "points.json"
+    scene.write_text(json.dumps({"kind": "points", "n": 3, "points": [[0, 1, -2], [3, 0.5, 1]]}))
+    assert main(["embed", "--scene", str(scene), "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 1 + 2
+    assert calls == {"cluster": 1, "darboux_embed": 0, "darboux_unembed": 0}
 
 
 def test_singular_points_are_the_lines_points():
