@@ -55,7 +55,9 @@ COMMANDS = {"points": ("embed",), "hypersurface": ("classify", "lightlike"),
 #: u=[0.0, 0.0]") and the other 8 points each give one focal sample; the cone
 #: congruence's v axis runs past 1, where its direction has no square root, so
 #: the run ends at the first point whose line or neighbour fails (exit 3); with
-#: a grid short of v = 1, the cone congruence's leaf runs past it (exit 3)
+#: a grid short of v = 1, the cone congruence's leaf runs past it (exit 3); the
+#: sphere's row u1 = 0 is its pole, where the Jacobian is rank deficient (a
+#: J^T J check), and the spacelike sphere is no lightlike scene (exit 3)
 ERROR_SCENES = {
     "failing_point": {"kind": "hypersurface", "builtin": "timelike_hypersphere", "n": 3,
                       "grid": {"axes": [{"start": 0.0, "stop": 1.0, "count": 3},
@@ -73,6 +75,9 @@ ERROR_SCENES = {
                            "grid": {"axes": [{"start": 0.5, "stop": 0.999, "count": 3},
                                              {"start": -1.0, "stop": 1.0, "count": 3}]},
                            "stratify": {"seed": [0.9, 0.2], "step": 0.01, "count": 40}},
+    "sphere_pole": {"kind": "hypersurface", "builtin": "euclidean_sphere", "n": 3,
+                    "grid": {"axes": [{"start": 0.0, "stop": 1.0, "count": 3},
+                                      {"start": 0.0, "stop": 1.0, "count": 3}]}},
 }
 
 #: what a run leaves beside its output file: the leaf table, the standard error

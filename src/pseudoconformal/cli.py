@@ -245,7 +245,7 @@ def _classify_text(report, fmt, header, fields) -> str:
     those of the per-cell CSV rule and of ``json.dumps(sort_keys=True,
     indent=1)`` on per-point records; floats are in ``float.__repr__`` form."""
     u = [_reprs(column) for column in report.u.T]
-    ratio = list(map(float.__repr__, report.min_eig_ratio.tolist()))
+    ratio = _reprs(report.min_eig_ratio)
     inertia = [report.plus.tolist(), report.minus.tolist(), report.zero.tolist()]
     if fmt == "csv":
         row = ",".join(["%s"] * (len(u) + 5)) + "\n"

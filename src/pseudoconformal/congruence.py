@@ -283,7 +283,7 @@ def _congruence_affinors(cong: IsotropicCongruence, us: np.ndarray,
     symmetric = defects <= SYMMETRY_TOL * (1.0 + np.abs(operators).max(axis=(1, 2)))
     general = np.flatnonzero(~symmetric)
     eigen = np.zeros(operators.shape[:2], dtype=complex)
-    eigen[symmetric] = jacobi_eigh(0.5 * (operators + transposed)[symmetric])[0]
+    eigen[symmetric] = jacobi_eigh(0.5 * (operators + transposed)[symmetric], vectors=0)[0]
     eigen[general], residual, converged = _durand_kerner(
         _faddeev_leverrier(np.swapaxes(solved[general][:, : n - 2], 1, 2))[0].astype(complex))
     for i, r in zip(live[keep[general[~converged]]].tolist(), residual[~converged].tolist()):
@@ -519,7 +519,7 @@ def stratify(cong: IsotropicCongruence, seed, model: Optional[AmbientModel] = No
     swept = (bases @ da0)[:, None] + samples * (bases @ da1)[:, None]
     line_dir = np.broadcast_to(a1[:, None, None], swept.shape[:2] + (1, a1.shape[1]))
     tangents = np.concatenate([swept, line_dir], axis=2).reshape(-1, len(seed), a1.shape[1])
-    w, _ = jacobi_eigh(_pullback(np.swapaxes(tangents, 1, 2), model.form.gram))
+    w = jacobi_eigh(_pullback(np.swapaxes(tangents, 1, 2), model.form.gram), vectors=0)[0]
     _, minus, zero, _ = _inertia(w, 1e-4)
     good = int(((minus == 0) & (zero == 1)).sum())
     return LeafTrace(

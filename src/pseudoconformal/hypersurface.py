@@ -246,8 +246,7 @@ def causal_type_of_spectrum(w, tol: float) -> CausalType:
 
 def causal_type_of_metric(m, tol: float) -> CausalType:
     """Classify an induced-metric matrix by its eigenvalue inertia."""
-    w, _ = jacobi_eigh(m)
-    return causal_type_of_spectrum(w, tol)
+    return causal_type_of_spectrum(jacobi_eigh(m, vectors=0)[0], tol)
 
 
 def _rank_deficient(w: np.ndarray) -> np.ndarray:
@@ -265,16 +264,17 @@ def _evaluation_error(u, exc: Exception) -> GeometryError:
     return GeometryError(f"evaluation failed at u={np.asarray(u).tolist()}: {exc}")
 
 
-def _stacked_spectra(jets, gram, us, failures) -> tuple:
+def _stacked_spectra(jets, gram, us, failures, vectors: bool = False) -> tuple:
     """Check a stack of Jacobians jets (N, target, params) at the parameter
-    points us (N, params) and eigendecompose their induced metrics, in one
-    stacked Jacobi pass together with their J^T J.
+    points us (N, params) and read the spectra of their induced metrics, in
+    one stacked Jacobi pass together with their J^T J.
 
     ``failures`` maps the stack index of each point whose jet could not be
     evaluated to its exception; every other Jacobian that is non-finite or
     rank deficient (not an immersion there) gets a DegenerateBasisError in it.
-    Returns the eigenvalues (N, params) and eigenvectors (N, params, params)
-    of every metric in stack order, zero for failed members.
+    Returns the eigenvalues (N, params) of every metric in stack order, and
+    with ``vectors`` their eigenvectors (N, params, params), else None; zero
+    for failed members.  J^T J carries no eigenvectors.
     """
     count, _, d = jets.shape
     live = np.delete(np.arange(count), list(failures))
@@ -288,11 +288,13 @@ def _stacked_spectra(jets, gram, us, failures) -> tuple:
         failures[i] = DegenerateBasisError(f"non-finite jacobian at u={us[i].tolist()}")
     live, metrics, jtj = live[finite], metrics[finite], jtj[finite]
 
-    w, v = jacobi_eigh(np.concatenate([metrics, jtj]))
+    w, v = jacobi_eigh(np.concatenate([metrics, jtj]), vectors=len(live) if vectors else 0)
     for i in live[_rank_deficient(w[len(live):])].tolist():
         failures[i] = DegenerateBasisError(f"jacobian is rank deficient at u={us[i].tolist()}")
-    w_all, v_all = np.zeros((count, d)), np.zeros((count, d, d))
-    w_all[live], v_all[live] = w[: len(live)], v[: len(live)]
+    w_all, v_all = np.zeros((count, d)), np.zeros((count, d, d)) if vectors else None
+    w_all[live] = w[: len(live)]
+    if vectors:
+        v_all[live] = v
     return w_all, v_all
 
 
@@ -304,8 +306,8 @@ def classify_point(imm: Immersion, u, tol: Optional[float] = None,
     deficient there (not an immersion).
     """
     failures = {}
-    w, _ = _stacked_spectra(imm.jet1(u)[None], _ambient_gram(imm, model),
-                            np.asarray(u, dtype=float)[None], failures)
+    w = _stacked_spectra(imm.jet1(u)[None], _ambient_gram(imm, model),
+                         np.asarray(u, dtype=float)[None], failures)[0]
     if failures:
         raise failures[0]
     return causal_type_of_spectrum(w[0], LIGHTLIKE_TOL if tol is None else tol)
@@ -394,7 +396,7 @@ def survey(imm: Immersion, grid_counts: Sequence[int], tol: Optional[float] = No
     cells = np.indices(shape).reshape(len(shape), -1).T  # grid indices in grid order
 
     jets, failures = imm.jet1(grid)
-    w, _ = _stacked_spectra(jets, _ambient_gram(imm, model), grid, failures)
+    w = _stacked_spectra(jets, _ambient_gram(imm, model), grid, failures)[0]
     live = np.delete(np.arange(len(grid)), list(failures))
     plus, minus, zero, ratio = _inertia(w[live], tol)
     codes = np.full(len(grid), -1)

@@ -48,8 +48,8 @@ class _JetStack:
     the points and Jacobians of all members from one stacked ``point`` and
     one stacked ``jet1`` call, lifted to the quadric in one stacked
     ``lift_point``/``lift_tangent`` pass, with every induced metric
-    (eigenpairs ``w``, ``v``) and J^T J eigendecomposed in one stacked Jacobi
-    pass.  ``_lines`` builds the lines (A_0, A_1) and screens of any set of
+    eigendecomposed (eigenpairs ``w``, ``v``) in one stacked Jacobi pass with
+    the spectra of the J^T J.  ``_lines`` builds the lines (A_0, A_1) and screens of any set of
     members in one stacked pass.
 
     ``failures`` maps the index of each member that is not a regular point to
@@ -67,7 +67,8 @@ class _JetStack:
         jets, jet_raised = imm.jet1(us)
         raised = {**jet_raised, **raised}
         self.failures = {i: _evaluation_error(us[i], raised[i]) for i in sorted(raised)}
-        self.w, self.v = _stacked_spectra(jets, _ambient_gram(imm, model), us, self.failures)
+        self.w, self.v = _stacked_spectra(jets, _ambient_gram(imm, model), us, self.failures,
+                                          vectors=True)
         failed = list(self.failures)
         points[failed], jets[failed] = 0.0, 0.0  # masked before the lift: inf * 0 would warn
         if imm.homogeneous:
@@ -242,7 +243,7 @@ def _degeneracy(jets: _JetStack, members, dr) -> tuple:
     count, d, _, width = dr.shape
     turns = (dr - (dr @ np.swapaxes(span, -1, -2)) @ span).reshape(count, d, d * width)
     along = (_pseudo_inverse(jets.w[members], jets.v[members])[1][:, None] @ turns)[:, 0]
-    w = jacobi_eigh(turns @ np.swapaxes(turns, -1, -2))[0]
+    w = jacobi_eigh(turns @ np.swapaxes(turns, -1, -2), vectors=0)[0]
     top = np.maximum(w[:, 0], 1e-300)
     return (np.sqrt((along * along).sum(axis=1)) / np.sqrt(top),
             (w > 1e-12 * top[:, None]).sum(axis=1))
@@ -265,9 +266,9 @@ def _affinors(imm: Immersion, us: np.ndarray, model: AmbientModel, generator_sca
     stacked pass (``_lines``), the Hessians of the points that pass are one
     stacked ``jet2`` call, lifted once (``_row_derivatives``), dA_1 is read
     in closed form (``_generator_differentials``), the shape operators in
-    one stacked pass (``_shape_operators``), the symmetrized ones
-    eigendecomposed in a second Jacobi pass and the degeneracy read with a
-    third (``_degeneracy``).  A stacked member does not depend on the rest
+    one stacked pass (``_shape_operators``), the spectra of the symmetrized
+    ones read in a second Jacobi pass and the degeneracy with a third
+    (``_degeneracy``), neither with eigenvectors.  A stacked member does not depend on the rest
     of its stack, so a point gets the same bits in any grid.  A point fails
     with its own jet's failure, then with its lightlike, line and screen
     checks, then with its Hessian's (what it raised, or a non-finite
@@ -300,8 +301,8 @@ def _affinors(imm: Immersion, us: np.ndarray, model: AmbientModel, generator_sca
     # keeps exact multiplicities real (the general root iteration splinters
     # multiple roots at the cube root of machine precision)
     lam_sym, members = (0.5 * (lam + lam_t))[ok], pending[ok]
-    return _Affinors(us, members, lam_sym, defects[ok], jacobi_eigh(lam_sym)[0], a0[members],
-                     a1[members], screens[members],
+    return _Affinors(us, members, lam_sym, defects[ok], jacobi_eigh(lam_sym, vectors=0)[0],
+                     a0[members], a1[members], screens[members],
                      {key: value[ok] for key, value in diagnostics.items()},
                      *_degeneracy(jets, members, dr[ok]), failures)
 

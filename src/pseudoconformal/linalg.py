@@ -104,21 +104,25 @@ def scalar_product(u, v, form: BilinearForm) -> float:
     return float(u @ form.gram @ v)
 
 
-def jacobi_eigh(m, tol: float = JACOBI_TOL, max_sweeps: int = 60):
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is reported as such
+def jacobi_eigh(m, tol: float = JACOBI_TOL, max_sweeps: int = 60,
+                vectors: int | None = None):
     """Eigendecomposition of symmetric matrices by cyclic Jacobi rotations.
 
     A stack of shape (N, k, k) is decomposed member by member in one
-    vectorized pass and gives eigenvalues (N, k), sorted descending, and
-    eigenvectors (N, k, k) as columns; a single matrix (k, k) is a stack of
-    one and gives shapes (k,) and (k, k).  Column signs are fixed so that the
-    entry of largest magnitude in each eigenvector is positive.
+    vectorized pass and gives eigenvalues (N, k), sorted descending, and the
+    eigenvectors (V, k, k), as columns, of its leading V = ``vectors``
+    members: all of them by default, none at 0.  A single matrix (k, k) is a
+    stack of one and gives shapes (k,) and (k, k), its eigenvectors None at
+    0.  Column signs are fixed so that the entry of largest magnitude in each
+    eigenvector is positive.  Eigenvalues do not depend on ``vectors``.
 
     Every member visits the (p, q) pairs in row order, with its own
     convergence test at the start of each sweep.  A member that has
     converged, or whose a_pq is negligible, is rotated by c = 1, s = 0 and so
     left exactly unchanged.  Raises ValueError on non-finite or asymmetric
-    input and ConvergenceError when the off-diagonal norm is still above
-    ``tol`` after ``max_sweeps`` sweeps.
+    input and ConvergenceError when a member overflows or its off-diagonal
+    norm is still above ``tol`` after ``max_sweeps`` sweeps.
     """
     a = np.asarray(m, dtype=float)
     single = a.ndim != 3
@@ -127,17 +131,22 @@ def jacobi_eigh(m, tol: float = JACOBI_TOL, max_sweeps: int = 60):
     if a.shape[1] != a.shape[2]:
         raise ValueError(f"expected a stack of square matrices, got shape {a.shape}")
     count, k, _ = a.shape
+    carry = count if vectors is None else min(vectors, count)
     scale = np.maximum(np.abs(a).max(axis=(1, 2)), 1e-300)
     if not np.isfinite(scale).all():
         raise ValueError("jacobi_eigh requires finite entries")
     if (np.abs(a - a.transpose(0, 2, 1)).max(axis=(1, 2)) > 1e-10 * scale).any():
         raise ValueError("jacobi_eigh requires symmetric matrices")
     a = 0.5 * (a + a.transpose(0, 2, 1))
-    v = np.tile(np.eye(k), (count, 1, 1))
+    v = np.tile(np.eye(k), (carry, 1, 1))
     off_diagonal = ~np.eye(k, dtype=bool)
     for sweep in range(max_sweeps + 1):
-        strict = a * off_diagonal
+        strict = a * off_diagonal  # not finite once any entry of the member is not
         off = np.sqrt((strict * strict).sum(axis=(1, 2)))
+        if not np.isfinite(off).all() and not np.isfinite(a).all():
+            raise ConvergenceError(
+                f"Jacobi pass overflowed for {int((~np.isfinite(a).all(axis=(1, 2))).sum())}"
+                f" of {count} matrices", residual=math.inf)
         active = off > tol * scale
         if not active.any():
             break
@@ -158,16 +167,18 @@ def jacobi_eigh(m, tol: float = JACOBI_TOL, max_sweeps: int = 60):
                 s = np.where(rotate, t, 0.0)[:, None] * c
                 _rotate_pair(a[:, :, p], a[:, :, q], c, s)
                 _rotate_pair(a[:, p, :], a[:, q, :], c, s)
-                _rotate_pair(v[:, :, p], v[:, :, q], c, s)
+                if carry:
+                    _rotate_pair(v[:, :, p], v[:, :, q], c[:carry], s[:carry])
                 a[rotate, p, q] = 0.0
                 a[rotate, q, p] = 0.0
     diagonal = np.diagonal(a, axis1=1, axis2=2)
-    order = np.argsort(-diagonal, axis=1, kind="stable")
-    w = np.take_along_axis(diagonal, order, axis=1)
-    v = np.take_along_axis(v, order[:, None, :], axis=2)
-    lead = np.take_along_axis(v, np.abs(v).argmax(axis=1)[:, None, :], axis=1)
-    v = np.where(lead < 0, -v, v)
-    return (w[0], v[0]) if single else (w, v)
+    w = -np.sort(-diagonal, axis=1, kind="stable")
+    if carry:
+        order = np.argsort(-diagonal[:carry], axis=1, kind="stable")
+        v = np.take_along_axis(v, order[:, None, :], axis=2)
+        lead = np.take_along_axis(v, np.abs(v).argmax(axis=1)[:, None, :], axis=1)
+        v = np.where(lead < 0, -v, v)
+    return (w[0], v[0] if carry else None) if single else (w, v)
 
 
 def _rotate_pair(xp, xq, c, s):
@@ -192,7 +203,7 @@ def _inertia(w: np.ndarray, tol: float) -> tuple:
 def signature(m, tol: float = 1e-10) -> Signature:
     """Inertia of a symmetric matrix; eigenvalues within tol of zero
     (relative to the spectral radius) count as zero."""
-    plus, minus, zero, _ = _inertia(jacobi_eigh(_as_matrix(m))[0], tol)
+    plus, minus, zero, _ = _inertia(jacobi_eigh(_as_matrix(m), vectors=0)[0], tol)
     return Signature(plus=int(plus), minus=int(minus), zero=int(zero))
 
 

@@ -8,12 +8,15 @@ bytes for every shipped hypersurface scene, the generated benchmark copies
 and grids with point errors or transitions.
 """
 
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import pseudoconformal.cli
 from pseudoconformal.cli import _build_object, _resolve_grid, load_scene, main
 from pseudoconformal.hypersurface import survey
 
@@ -40,7 +43,11 @@ def oracle(scene_path, fmt) -> str:
     """The classify output of a scene by the per-point writer."""
     scene = load_scene(str(scene_path))
     imm, counts = _resolve_grid(scene, _build_object(scene))
-    report = survey(imm, counts, tol=scene.tolerances.get("lightlike"))
+    return report_oracle(survey(imm, counts, tol=scene.tolerances.get("lightlike")), imm, fmt)
+
+
+def report_oracle(report, imm, fmt) -> str:
+    """The classify output of the survey report of imm by the per-point writer."""
     if fmt == "csv":
         header = [f"u{i}" for i in range(1, imm.params + 1)] + [
             "type", "plus", "minus", "zero", "min_eig_ratio"]
@@ -126,3 +133,22 @@ def test_error_and_transition_grids(tmp_path, capsys, name, fmt):
             assert '\n "points": [],\n' in text
         else:
             assert data["transitions"] and not data["errors"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_ratio_column_keeps_the_per_cell_rule(tmp_path, capsys, monkeypatch, fmt):
+    # ratios that repeat and include 0.0, -0.0, a subnormal and 1.0, written
+    # once per distinct bit pattern, give each cell the bytes of its own repr
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(MIXED))
+    scene = load_scene(str(path))
+    imm, counts = _resolve_grid(scene, _build_object(scene))
+    report = survey(imm, counts)
+    ratios = np.resize([0.0, -0.0, 5e-324, 1.0, 0.1, 1.0, -0.0, 5e-324, 1 / 3, 0.0],
+                       len(report.min_eig_ratio))
+    forged = dataclasses.replace(report, min_eig_ratio=ratios)
+    monkeypatch.setattr(pseudoconformal.cli, "survey", lambda *args, **kwargs: forged)
+    text = written(tmp_path, path, fmt)
+    assert_same(text, report_oracle(forged, imm, fmt))
+    for cell in ("0.0", "-0.0", "5e-324", "1.0"):
+        assert f",{cell}\n" in text if fmt == "csv" else f'"min_eig_ratio": {cell},' in text

@@ -1,10 +1,16 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pseudoconformal import catalog
+from pseudoconformal.congruence import _congruence_affinors, stratify
 from pseudoconformal.errors import ConvergenceError, DegenerateBasisError
 from pseudoconformal.frames import lightlike_gram
+from pseudoconformal.hypersurface import classify_point, parameter_grid, survey
+from pseudoconformal.lightlike import _affinors
 from pseudoconformal.linalg import (
     CLUSTER_RADIUS,
     JACOBI_TOL,
@@ -140,6 +146,26 @@ class TestJacobi:
         for member, wm in zip(stack[:2], w):
             assert np.abs(wm - single_matrix_jacobi(member, max_sweeps=1)[0]).max() <= 1e-15
 
+    def test_overflow_is_a_convergence_error(self):
+        # finite and symmetric, but its symmetrization already overflows; the
+        # true inertia is 1+/1-, and inf/-inf eigenvalues would read 0+/0-/2
+        a = np.array([[1e308, 1e308], [1e308, -1e308]])
+        for call in (lambda: jacobi_eigh(a), lambda: jacobi_eigh(a, vectors=0),
+                     lambda: signature(a)):
+            with pytest.raises(ConvergenceError, match="overflowed for 1 of 1 matrices"):
+                call()
+        with pytest.raises(ConvergenceError, match="overflowed for 2 of 3 matrices"):
+            jacobi_eigh(np.array([np.eye(2), a, -a]), vectors=1)
+
+    def test_large_entries_that_stay_finite_keep_their_bits(self):
+        # the squares in the off-diagonal norm overflow, the pass does not: it
+        # gives the exact power-of-two multiple of the unscaled one, silently
+        small = np.array([[1.0, 1.0], [1.0, 0.0]])
+        w, v = jacobi_eigh(2.0**600 * small)
+        ws, vs = single_matrix_jacobi(small)
+        assert np.array_equal(w, 2.0**600 * ws) and np.array_equal(v, vs)
+        assert signature(2.0**600 * small).as_tuple() == (1, 1, 0)
+
 
 def mixed_stack(rng, k):
     """Zero, diagonal, already converged and repeated-eigenvalue members mixed
@@ -197,6 +223,48 @@ class TestStackedJacobi:
         for bad in (np.zeros(3), np.zeros((2, 3)), np.zeros((2, 2, 3)), np.zeros((1, 1, 2, 2))):
             with pytest.raises(ValueError):
                 jacobi_eigh(bad)
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_eigenvectors_for_none_some_or_all_members(self, rng, k):
+        # the eigenvalues do not depend on how many leading members carry
+        # eigenvectors, and those carried are the full pass's, bit for bit
+        stack = mixed_stack(rng, k)
+        w, v = jacobi_eigh(stack)
+        for carried in (0, 1, 4, len(stack), len(stack) + 3):
+            wc, vc = jacobi_eigh(stack, vectors=carried)
+            assert wc.shape == w.shape and wc.tobytes() == w.tobytes()
+            assert vc.shape == (min(carried, len(stack)), k, k)
+            assert vc.tobytes() == v[:carried].tobytes()
+        for a, wm in zip(stack, w):
+            scale = max(np.abs(a).max(), 1.0)
+            assert np.abs(wm - np.linalg.eigvalsh(a)[::-1]).max() <= 1e-12 * scale
+            ws, vs = jacobi_eigh(a, vectors=0)
+            assert vs is None and ws.shape == (k,) and ws.tobytes() == wm.tobytes()
+            w1, v1 = jacobi_eigh(a[None], vectors=0)
+            assert v1.shape == (0, k, k) and w1.shape == (1, k) and w1.tobytes() == wm.tobytes()
+
+    def test_empty_stack_without_eigenvectors(self):
+        w, v = jacobi_eigh(np.zeros((0, 3, 3)), vectors=0)
+        assert w.shape == (0, 3) and v.shape == (0, 3, 3)
+
+    def test_errors_do_not_depend_on_the_eigenvectors_carried(self, rng):
+        full = rng.normal(size=(6, 6))
+        one_pair = np.diag(rng.normal(size=6))
+        one_pair[1, 4] = one_pair[4, 1] = 0.7
+        unconverged = np.array([np.diag(rng.normal(size=6)), one_pair, full + full.T])
+        cases = [(np.array([[1.0, np.nan], [np.nan, 2.0]]), {}),
+                 (np.array([np.eye(2), [[1.0, np.inf], [np.inf, 2.0]]]), {}),
+                 (np.array([[0.0, 1.0], [0.0, 0.0]]), {}),
+                 (np.array([np.eye(2), [[0.0, 1.0], [0.0, 0.0]]]), {}),
+                 (np.zeros((2, 2, 3)), {}),
+                 (unconverged, {"max_sweeps": 1})]
+        for a, options in cases:
+            expected = _outcome(lambda: jacobi_eigh(a, **options))
+            assert isinstance(expected, tuple) and issubclass(expected[0], Exception)
+            for carried in (0, 1, 2):
+                assert _outcome(lambda: jacobi_eigh(a, vectors=carried, **options)) == expected
+        assert _outcome(lambda: jacobi_eigh(unconverged, max_sweeps=1, vectors=0))[1].startswith(
+            "Jacobi sweeps did not converge in 1 sweeps for 1 of 3 matrices")
 
 
 class TestCharRoots:
@@ -563,3 +631,80 @@ class TestOrthonormalRows:
     def test_rejects_a_single_matrix(self):
         with pytest.raises(ValueError, match="stack"):
             orthonormal_rows(np.eye(3))
+
+
+@pytest.fixture
+def jacobi_passes(monkeypatch):
+    """The Jacobi passes made while a test runs, as [caller, stack shape,
+    rotations of its matrices, leading sizes of its other rotations].  Each
+    (p, q) pair of each sweep rotates the columns and the rows of the
+    matrices, views of one working array; every further rotation is of an
+    eigenvector accumulator."""
+    import pseudoconformal.congruence
+    import pseudoconformal.frames
+    import pseudoconformal.hypersurface
+    import pseudoconformal.lightlike
+    import pseudoconformal.linalg as linalg
+
+    passes, matrices = [], []
+    original, rotate = linalg.jacobi_eigh, linalg._rotate_pair
+
+    def counted(m, *args, **kwargs):
+        passes.append([inspect.stack(0)[1].function, np.shape(m), 0, []])
+        matrices.clear()
+        return original(m, *args, **kwargs)
+
+    def counted_rotate(xp, xq, c, s):
+        if not matrices:  # a pair's first rotation is of the matrices' columns
+            matrices.append(xp.base)
+        if xp.base is matrices[0]:
+            passes[-1][2] += 1
+        else:
+            passes[-1][3].append(len(xp))
+        rotate(xp, xq, c, s)
+
+    for module in (pseudoconformal.congruence, pseudoconformal.frames,
+                   pseudoconformal.hypersurface, pseudoconformal.lightlike, linalg):
+        monkeypatch.setattr(module, "jacobi_eigh", counted)
+    monkeypatch.setattr(linalg, "_rotate_pair", counted_rotate)
+    return passes
+
+
+class TestSpectraWithoutEigenvectors:
+    """Passes whose callers read eigenvalues alone rotate no eigenvector
+    accumulator, and lightlike's jet stack carries eigenvectors for its
+    induced metrics only, not for their J^T J.  Every pass here rotates."""
+
+    def test_classification(self, jacobi_passes):
+        imm = catalog.build("timelike_hypersphere")
+        survey(imm, [3, 3])
+        classify_point(imm, [0.3, 0.7])
+        signature(np.array([[1.0, 2.0], [2.0, -1.0]]))
+        assert [(caller, shape) for caller, shape, _, _ in jacobi_passes] == [
+            ("_stacked_spectra", (18, 2, 2)), ("_stacked_spectra", (2, 2, 2)),
+            ("signature", (2, 2))]
+        assert all(rotated and not others for _, _, rotated, others in jacobi_passes)
+
+    def test_lightlike_passes(self, jacobi_passes, model4):
+        imm = catalog.build("circle_wavefront")
+        columns = _affinors(imm, parameter_grid(imm, [3, 3, 3])[1], model4, 1.0, None)
+        assert not columns.failures
+        spectra, *operator_passes = jacobi_passes
+        assert [(caller, shape) for caller, shape, _, _ in jacobi_passes] == [
+            ("_stacked_spectra", (54, 3, 3)), ("_affinors", (27, 2, 2)),
+            ("_degeneracy", (27, 3, 3))]
+        # one accumulator rotation per pair and sweep, over the 27 metrics
+        assert spectra[2] and spectra[3] == [27] * (spectra[2] // 2)
+        assert all(rotated and not others for _, _, rotated, others in operator_passes)
+
+    def test_congruence_passes(self, jacobi_passes, model3, model4):
+        cong = catalog.build("cone_normal_congruence", n=4)
+        columns = _congruence_affinors(cong, parameter_grid(cong, [3, 3, 3])[1], model4)
+        assert not columns.failures
+        stratify(catalog.build("cone_normal_congruence"), np.array([0.1, 0.4]), model=model3,
+                 count=4)
+        assert [(caller, shape) for caller, shape, _, _ in jacobi_passes] == [
+            ("_congruence_affinors", (27, 2, 2)), ("_congruence_affinors", (1, 1, 1)),
+            ("stratify", (36, 2, 2))]
+        assert all(not others for _, _, _, others in jacobi_passes)
+        assert jacobi_passes[0][2] and jacobi_passes[2][2]
