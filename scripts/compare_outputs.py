@@ -21,9 +21,10 @@ column header (``leaf:`` and the header in a leaf side file), the standard
 error the one field ``stderr``.  Where the text differs too, the fields are
 compared the same way, JSON objects matched by key, and each JSON field
 that only one side writes is named ("only in old" or "only in new").  One
-summary line ends the report, with the worst difference per field over all
-runs and the fields only one side writes; the exit code is 0 only if every
-run matched byte for byte.
+summary line ends the report, with the line count of each tree's
+``pseudoconformal/*.py`` (old -> new), the worst difference per field over
+all runs and the fields only one side writes; the exit code is 0 only if
+every run matched byte for byte.
 
 Example:
     python scripts/compare_outputs.py ../old/src src
@@ -148,6 +149,11 @@ def run_side(src: str, runs: list, out_dir: Path) -> subprocess.Popen:
     return subprocess.Popen([sys.executable, "-c", RUNNER, os.path.abspath(src),
                              str(out_dir / "plan.json"), str(out_dir / "codes.json")],
                             env=dict(os.environ, PYTHONPATH=os.path.abspath(src)))
+
+
+def source_lines(src: str) -> int:
+    """Lines of the package modules of a source tree, as ``wc -l`` counts them."""
+    return sum(p.read_bytes().count(b"\n") for p in Path(src, "pseudoconformal").glob("*.py"))
 
 
 def _read(path: Path):
@@ -307,7 +313,8 @@ def main(argv=None) -> int:
                      for side in ("old", "new") if side in sides.values())
     print(f"compare_outputs: {len(runs)} runs, {same} byte-identical, {masked_only} same "
           f"with numbers masked (max |d|/(1+|v|) {worst:.2e}), {differing} differing in "
-          f"text, {code_mismatch} exit-code mismatches"
+          f"text, {code_mismatch} exit-code mismatches, pseudoconformal/*.py "
+          f"{source_lines(args.old_src)} -> {source_lines(args.new_src)} lines"
           + (f"; worst per field: {per_field}" if per_field else "")
           + (f"; {only}" if only else ""))
     return 0 if same == len(runs) and code_mismatch == 0 else 1

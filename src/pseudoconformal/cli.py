@@ -76,7 +76,7 @@ def load_scene(path: str) -> Scene:
             raw = json.load(fh)
     except OSError as exc:
         raise SceneError(f"cannot read scene file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise SceneError(f"scene file is not valid JSON: {exc}") from exc
     _check_keys(raw, SCENE_KEYS, "scene")
     kind = raw.get("kind")
@@ -90,7 +90,7 @@ def load_scene(path: str) -> Scene:
     if kind != "points":
         if not builtin:
             raise SceneError("scene needs a 'builtin' catalog name")
-        if builtin not in catalog.CATALOG:
+        if not isinstance(builtin, str) or builtin not in catalog.CATALOG:
             raise SceneError(
                 f"unknown builtin {builtin!r}; run the 'examples' subcommand"
             )
@@ -112,11 +112,10 @@ def load_scene(path: str) -> Scene:
         if not _finite(value):
             raise SceneError(f"params value {key!r} must be a finite number, got {value!r}")
     tolerances = raw.get("tolerances", {})
-    if tolerances:
-        _check_keys(tolerances, TOLERANCE_KEYS, "tolerances")
-        for key, value in tolerances.items():
-            if not (_finite(value) and value > 0):
-                raise SceneError(f"tolerance {key!r} must be a finite number > 0, got {value!r}")
+    _check_keys(tolerances, TOLERANCE_KEYS, "tolerances")
+    for key, value in tolerances.items():
+        if not (_finite(value) and value > 0):
+            raise SceneError(f"tolerance {key!r} must be a finite number > 0, got {value!r}")
     strat = raw.get("stratify")
     if strat is not None:
         _check_keys(strat, STRATIFY_KEYS, "stratify")
@@ -125,22 +124,21 @@ def load_scene(path: str) -> Scene:
         seed = strat.get("seed")
         if not (isinstance(seed, list) and all(_finite(x) for x in seed)):
             raise SceneError("stratify needs a seed parameter point of finite numbers")
-        step = strat.get("step", 1e-2)
-        if not (_finite(step) and step > 0):
+        if "step" in strat and not (_finite(strat["step"]) and strat["step"] > 0):
             raise SceneError("stratify step must be a finite number > 0")
-        count = strat.get("count", 40)
-        if not (type(count) is int and count >= 1):
+        if "count" in strat and not (type(strat["count"]) is int and strat["count"] >= 1):
             raise SceneError("stratify count must be an integer >= 1")
     grid = raw.get("grid")
     if isinstance(grid, dict):
         _check_keys(grid, {"axes"}, "grid")
+        if not isinstance(grid.get("axes", []), list):
+            raise SceneError("grid axes must be an array")
         for ax in grid.get("axes", []):
             _check_keys(ax, GRID_AXIS_KEYS, "grid axis")
     elif grid is not None and not isinstance(grid, list):
         raise SceneError("grid must be a counts array or an axes object")
     output = raw.get("output", {})
-    if output:
-        _check_keys(output, OUTPUT_KEYS, "output")
+    _check_keys(output, OUTPUT_KEYS, "output")
     out_format = output.get("format", "csv")
     if out_format not in ("csv", "json"):
         raise SceneError("output format must be 'csv' or 'json'")
@@ -444,11 +442,9 @@ def run_congruence(scene: Scene, out_path, fmt) -> int:
     leaf, leaf_info = None, None
     if scene.stratify:
         seed = np.asarray(scene.stratify["seed"], dtype=float)
-        tol = scene.tolerances.get("integrability")
-        kwargs = {"step": float(scene.stratify.get("step", 1e-2)),
-                  "count": int(scene.stratify.get("count", 40))}
-        if tol is not None:
-            kwargs["tol"] = float(tol)
+        kwargs = {key: scene.stratify[key] for key in ("step", "count") if key in scene.stratify}
+        if "integrability" in scene.tolerances:
+            kwargs["tol"] = scene.tolerances["integrability"]
         leaf = stratify(cong, seed, model=model, **kwargs)
         parameters = np.array(leaf.parameters).reshape(-1, cong.params)
         leaf_info = ({"seed": list(leaf.seed), "size": len(leaf.parameters),

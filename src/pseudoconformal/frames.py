@@ -27,8 +27,8 @@ import numpy as np
 
 from .conformal import AmbientModel
 from .errors import DegenerateBasisError, GeometryError, NotLightlikeError, NotOnQuadricError
-from .hypersurface import _pullback
-from .linalg import _dots, _inertia, inverse, jacobi_eigh, nullspace, solve
+from .hypersurface import LIGHTLIKE_TOL, _pullback
+from .linalg import _dots, _inertia, inverse, jacobi_eigh, orthonormal_rows, solve
 
 #: Gram residual every adapted frame must meet
 ADAPT_TOL = 1e-10
@@ -184,16 +184,8 @@ def build_screen(candidates, model: AmbientModel, count: int, tol: float = 1e-8)
     vectors under the ambient form (``_orthonormal_screens``); candidates
     whose residual collapses (null directions of the span's radical) are
     dropped.  A stack (N, r, m) gives the screens (N, count, m) and each
-    member's count (N,); one set (r, m) gives its (count, m) screen or
-    raises DegenerateBasisError."""
-    c = np.asarray(candidates, dtype=float)
-    screens, counts = _orthonormal_screens(c.reshape((-1,) + c.shape[-2:]), model.form.gram,
-                                           count, tol)
-    if c.ndim == 3:
-        return screens, counts
-    if counts[0] < count:
-        raise _screen_error(count, counts[0])
-    return screens[0]
+    member's count (N,)."""
+    return _orthonormal_screens(candidates, model.form.gram, count, tol)
 
 
 def null_frame_coordinates(vectors, line, screen, gram) -> np.ndarray:
@@ -289,7 +281,7 @@ def _lightlike_lines(points, tangent_rows, model: AmbientModel, generators=None,
             w, v = jacobi_eigh(_pullback(np.swapaxes(rows, 1, 2), g))
             fail(np.maximum(np.abs(w).max(axis=1), 1e-300) <= 1e-14 * scale2,
                  lambda i: DegenerateBasisError("tangent basis is rank deficient"))
-            plus, minus, zero, _ = _inertia(w, 1e-7)
+            plus, minus, zero, _ = _inertia(w, LIGHTLIKE_TOL)
             fail((minus != 0) | (zero != 1), lambda i: NotLightlikeError(
                 "tangent plane is not tangent to the isotropic cone here "
                 f"(induced inertia {plus[i]}+/{minus[i]}-/{zero[i]}0)"))
@@ -321,8 +313,8 @@ def adapt_lightlike_frame(point, tangent_basis, model: AmbientModel, generator=N
     that inertia off the same metric.  The screen comes from orthonormalizing
     the tangent directions, and A_n, A_{n+1} complete the two hyperbolic
     pairs in closed form (``_null_frame``): the one-point case of
-    ``_lightlike_lines``.  An eigenvalue of the induced form below 1e-7 times
-    its spectral radius counts as zero.  The lightlike engine builds no
+    ``_lightlike_lines``.  Induced eigenvalues below ``LIGHTLIKE_TOL`` times
+    their spectral radius count as zero.  The lightlike engine builds no
     frame; this is for callers that need one, such as connection forms.
     """
     a0, a1, screens, failures = _lightlike_lines(
@@ -356,9 +348,11 @@ def complete_isotropic_frame(a0, a1, model: AmbientModel) -> ConformalFrame:
         raise DegenerateBasisError("line vectors are not conjugate (line is not on the quadric)")
     if _collinear(a0, a1):
         raise DegenerateBasisError("line vectors are dependent")
-    screen = build_screen(_line_screen_candidates(a0[None], a1[None], model)[0], model,
-                          count=model.n - 2)
-    return _null_frame(a0, a1, screen, model, scale2, "completion")
+    screens, counts = build_screen(_line_screen_candidates(a0[None], a1[None], model), model,
+                                   count=model.n - 2)
+    if counts[0] < model.n - 2:
+        raise _screen_error(model.n - 2, counts[0])
+    return _null_frame(a0, a1, screens[0], model, scale2, "completion")
 
 
 def _line_screen_candidates(a0, a1, model: AmbientModel) -> np.ndarray:
@@ -367,8 +361,10 @@ def _line_screen_candidates(a0, a1, model: AmbientModel) -> np.ndarray:
     ideal coordinate gives the null spatial direction l, each unit e_k
     (k < n-1) is shifted along the time axis to be orthogonal to l (which
     never annihilates a nonzero null vector) and lifted at the chart point.
-    For an ideal line, the orthogonal complement of the line.  Zero rows,
-    which never pivot, pad members with fewer candidates."""
+    For an ideal line, the line's orthogonal complement: the unit vectors
+    projected off the span of G A_0 and G A_1, orthonormalized (each span
+    one ``orthonormal_rows`` pass over the ideal lines).  Zero rows, which
+    never pivot, pad the chart members of a stack with an ideal line."""
     n, g = model.n, model.form.gram
     with np.errstate(invalid="ignore", divide="ignore"):  # ideal members only
         p = a0[:, 1 : n + 1] / a0[:, :1]
@@ -378,13 +374,14 @@ def _line_screen_candidates(a0, a1, model: AmbientModel) -> np.ndarray:
         v = np.zeros((len(a0), n - 1, n))
         v[:, :, : n - 1] = np.eye(n - 1)
         v[:, :, -1] += (l @ model.metric.gram)[:, : n - 1] / l[:, -1:]
-    ideal = [nullspace(np.vstack([g @ a0[i], g @ a1[i]]), tol=1e-10).T
-             for i in np.flatnonzero(~chart)]
-    candidates = np.zeros((len(a0), max([n - 1] + [len(c) for c in ideal]), n + 2))
+    ideal = np.flatnonzero(~chart)
+    candidates = np.zeros((len(a0), n if ideal.size else n - 1, n + 2))
     candidates[chart, : n - 1, 1 : n + 1] = v[chart]
     candidates[chart, : n - 1, n + 1] = _dots((p[chart] @ model.metric.gram)[:, None], v[chart])
-    for i, c in zip(np.flatnonzero(~chart), ideal):
-        candidates[i, : len(c)] = c
+    if ideal.size:
+        span = orthonormal_rows(np.stack([a0[ideal], a1[ideal]], axis=1) @ g)[0]
+        complement = orthonormal_rows(np.eye(n + 2) - np.swapaxes(span, 1, 2) @ span)[0]
+        candidates[ideal] = complement[:, :n]
     return candidates
 
 

@@ -183,7 +183,8 @@ def parameter_grid(obj, counts):
     if len(counts) != obj.params:
         raise ValueError(f"need {obj.params} grid counts")
     axes = [np.linspace(lo, hi, int(c)) for (lo, hi), c in zip(obj.domain, counts)]
-    return axes, np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+    cells = np.indices([len(ax) for ax in axes]).reshape(len(axes), -1)
+    return axes, np.stack([ax[i] for ax, i in zip(axes, cells)], axis=-1)
 
 
 @dataclass(frozen=True)

@@ -173,17 +173,17 @@ def _pseudo_inverse(w, v) -> tuple:
     return (v * inv[:, None, :]) @ np.swapaxes(v, -1, -2), np.swapaxes(v, -1, -2)[kernel]
 
 
-def _shape_operators(a0, a1, screens, gram, da0, da1, w, v):
+def _shape_operators(a0, a1, screens, gram, da0, da1, pinv):
     """Shape operators (N, n-2, n-2), not symmetrized, and diagnostics "w0n",
     "w0np1", "w1n", "w1np1" (N,) of points with lines (A_0, A_1), screens,
-    differentials dA_0, dA_1 (N, d, n+2) and induced-metric eigenpairs w, v.
-    The screen coordinates c = <d_a A_0, e_i> and dd = <d_a A_1, e_i> are
+    differentials dA_0, dA_1 (N, d, n+2) and induced-metric pseudo-inverses
+    pinv (``_pseudo_inverse``).  The screen coordinates c = <d_a A_0, e_i> and dd = <d_a A_1, e_i> are
     pairings, c c^T = M and dd = c lam^T, so lam = dd^T M^+ c.
     """
     d, k = da0.shape[-2], screens.shape[-2]
     comp = null_frame_coordinates(np.concatenate([da0, da1], axis=-2), (a0, a1), screens, gram)
     c, dd = comp[:, :d, :k], comp[:, d:, :k]
-    lam = np.swapaxes(dd, -1, -2) @ _pseudo_inverse(w, v)[0] @ c
+    lam = np.swapaxes(dd, -1, -2) @ pinv @ c
     # columns k and k+1 are -<v, A_1> and -<v, A_0>
     pairs = np.abs(comp[..., k:])
     diagnostics = {"w0n": pairs[:, :d, 0].max(axis=1), "w0np1": pairs[:, :d, 1].max(axis=1),
@@ -204,16 +204,15 @@ def _row_derivatives(jets: _JetStack, members, hessians) -> np.ndarray:
     return h
 
 
-def _generator_differentials(jets: _JetStack, members, h) -> np.ndarray:
+def _generator_differentials(jets: _JetStack, members, h, pinv, k) -> np.ndarray:
     """dA_1 (N, d, n+2), modulo A_1, of the generators of the members of a
-    jet stack with row derivatives h = d_b R (``_row_derivatives``), in
-    closed form.  With R the
+    jet stack with row derivatives h = d_b R (``_row_derivatives``) and the
+    ``_pseudo_inverse`` pinv, k of their metrics, in closed form.  With R the
     tangent rows, k the kernel column of M = R G R^T and A_1 = s R^T k / |R^T k|
     (s the sign and scale), d_b k = -M^+ (d_b M) k (Magnus 1985), so
         d_b A_1 = s ((d_b R)^T k - R^T M^+ (d_b M) k) / |R^T k|  mod A_1,
     where (d_b M) k = d_b R G R^T k + R G (d_b R)^T k."""
     gram, rows = jets.model.form.gram, jets.rows[members]
-    pinv, k = _pseudo_inverse(jets.w[members], jets.v[members])
     a1 = (k[:, None, :] @ rows)[:, 0]
     dr_k = (k[:, None, None, :] @ h)[:, :, 0]  # (d_b R)^T k
     dm_k = (h @ (a1 @ gram)[:, None, :, None])[..., 0] + dr_k @ gram @ np.swapaxes(rows, -1, -2)
@@ -221,10 +220,11 @@ def _generator_differentials(jets: _JetStack, members, h) -> np.ndarray:
     return scale[:, None, None] * (dr_k - dm_k @ pinv @ rows)
 
 
-def _degeneracy(jets: _JetStack, members, dr) -> tuple:
+def _degeneracy(jets: _JetStack, members, dr, k) -> tuple:
     """Generator rates and tangent ranks (N,) of the Darboux image at the
     members of a jet stack with row derivatives dr = d_b R
-    (``_row_derivatives``), in one stacked pass.
+    (``_row_derivatives``) and metric kernel columns k (``_pseudo_inverse``),
+    in one stacked pass.
 
     Let X be the lifted point, R the tangent rows and T_b the derivatives
     d_b R projected off the Euclidean span {X, R}
@@ -242,7 +242,7 @@ def _degeneracy(jets: _JetStack, members, dr) -> tuple:
                                            axis=1))[0][:, None]
     count, d, _, width = dr.shape
     turns = (dr - (dr @ np.swapaxes(span, -1, -2)) @ span).reshape(count, d, d * width)
-    along = (_pseudo_inverse(jets.w[members], jets.v[members])[1][:, None] @ turns)[:, 0]
+    along = (k[:, None] @ turns)[:, 0]
     w = jacobi_eigh(turns @ np.swapaxes(turns, -1, -2), vectors=0)[0]
     top = np.maximum(w[:, 0], 1e-300)
     return (np.sqrt((along * along).sum(axis=1)) / np.sqrt(top),
@@ -264,15 +264,16 @@ def _affinors(imm: Immersion, us: np.ndarray, model: AmbientModel, generator_sca
     The jets of all points are evaluated once and eigendecomposed in one
     stacked Jacobi pass (``_JetStack``), the lines and screens built in one
     stacked pass (``_lines``), the Hessians of the points that pass are one
-    stacked ``jet2`` call, lifted once (``_row_derivatives``), dA_1 is read
-    in closed form (``_generator_differentials``), the shape operators in
-    one stacked pass (``_shape_operators``), the spectra of the symmetrized
-    ones read in a second Jacobi pass and the degeneracy with a third
-    (``_degeneracy``), neither with eigenvectors.  A stacked member does not depend on the rest
-    of its stack, so a point gets the same bits in any grid.  A point fails
-    with its own jet's failure, then with its lightlike, line and screen
-    checks, then with its Hessian's (what it raised, or a non-finite
-    Hessian), then with its operator's asymmetry.
+    stacked ``jet2`` call, lifted once (``_row_derivatives``), their
+    metrics' pseudo-inverses and kernels taken once (``_pseudo_inverse``),
+    dA_1 read in closed form (``_generator_differentials``), the shape
+    operators in one stacked pass (``_shape_operators``), the spectra of the
+    symmetrized ones read in a second Jacobi pass and the degeneracy with a
+    third (``_degeneracy``), neither with eigenvectors.  A stacked member does
+    not depend on the rest of its stack, so a point gets the same bits in any
+    grid.  A point fails with its own jet's failure, then with its lightlike,
+    line and screen checks, then with its Hessian's (what it raised, or a
+    non-finite Hessian), then with its operator's asymmetry.
     """
     sym_tol = SYMMETRY_TOL if sym_tol is None else sym_tol
     jets = _JetStack(imm, us, model, generator_scale)
@@ -286,10 +287,10 @@ def _affinors(imm: Immersion, us: np.ndarray, model: AmbientModel, generator_sca
     pending = np.array([live[j] for j in kept], dtype=int)
 
     dr = _row_derivatives(jets, pending, hessians[kept])
+    pinv, k = _pseudo_inverse(jets.w[pending], jets.v[pending])
     lam, diagnostics = _shape_operators(a0[pending], a1[pending], screens[pending],
                                         model.form.gram, jets.rows[pending],
-                                        _generator_differentials(jets, pending, dr),
-                                        jets.w[pending], jets.v[pending])
+                                        _generator_differentials(jets, pending, dr, pinv, k), pinv)
     lam_t = np.swapaxes(lam, 1, 2)
     defects = np.abs(lam - lam_t).max(axis=(1, 2))
     tols = sym_tol * (1.0 + np.abs(lam).max(axis=(1, 2)))
@@ -304,7 +305,7 @@ def _affinors(imm: Immersion, us: np.ndarray, model: AmbientModel, generator_sca
     return _Affinors(us, members, lam_sym, defects[ok], jacobi_eigh(lam_sym, vectors=0)[0],
                      a0[members], a1[members], screens[members],
                      {key: value[ok] for key, value in diagnostics.items()},
-                     *_degeneracy(jets, members, dr[ok]), failures)
+                     *_degeneracy(jets, members, dr[ok], k[ok]), failures)
 
 
 def _analysis(c: _Affinors, i: int) -> tuple:
@@ -377,29 +378,25 @@ class TorseFamily:
 def torse_directions(an: LightlikeAnalysis) -> list:
     """Per root, the unit screen directions annihilated by (lambda + x I).
 
-    Simple roots get a single direction; multiple roots return their whole
-    eigenspace basis, which depends on the eigenspace alone: the rows of its
-    projector V V^T, orthonormalized under the identity Gram with the banded
-    pivot of ``build_screen`` (the identity basis for a root of full
-    multiplicity).
+    The roots are the clusters of the eigenvalues -w of the operator, both
+    in ascending order, so each root takes the next ``multiplicity``
+    eigenvectors of its Jacobi decomposition.  Simple roots get a single
+    direction; multiple roots return their whole eigenspace basis, which
+    depends on the eigenspace alone: the rows of its projector V V^T,
+    orthonormalized under the identity Gram with the banded pivot of
+    ``build_screen`` (the identity basis for a root of full multiplicity).
     """
     if an.screen_dim == 0:
         return []
     w, v = jacobi_eigh(an.shape_operator)
-    out = []
+    out, start = [], 0
     for root in an.roots:
-        x = root.real_value
-        cols = [j for j in range(len(w)) if abs(-w[j] - x) <= 1e-6 * (1.0 + abs(x))]
-        if len(cols) != root.multiplicity:
-            # fall back to the nearest eigenvalues when clustering disagrees
-            order = np.argsort(np.abs(-w - x))
-            cols = sorted(int(j) for j in order[: root.multiplicity])
-        dirs = v[:, cols].T
+        dirs, start = v[:, start : start + root.multiplicity].T, start + root.multiplicity
         if root.multiplicity > 1:
             rows, count = _orthonormal_screens((dirs.T @ dirs)[None], np.eye(len(w)),
                                                root.multiplicity, 1e-8)
             dirs = rows[0, : count[0]]
-        out.append(TorseFamily(root=x, multiplicity=root.multiplicity,
+        out.append(TorseFamily(root=root.real_value, multiplicity=root.multiplicity,
                                directions=dirs))
     return out
 

@@ -500,18 +500,6 @@ def solve_particular(a, b, tol: float = SINGULAR_TOL):
     return x
 
 
-def nullspace(a, tol: float = 1e-10):
-    """Orthonormal (Euclidean) basis of the kernel of a, via the symmetric
-    eigendecomposition of a^T a."""
-    m = np.asarray(a, dtype=float)
-    if m.ndim != 2:
-        raise ValueError("expected a 2-d matrix")
-    w, v = jacobi_eigh(m.T @ m)
-    radius = max(float(np.abs(w).max()), 1e-300)
-    keep = np.abs(w) <= tol * radius
-    return v[:, keep]
-
-
 def _dots(a, b) -> np.ndarray:
     """Dot products of the vectors on the last axes of a and b, broadcast
     over the leading axes; each has the bits of the 1-d ``a @ b``."""

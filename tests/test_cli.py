@@ -119,12 +119,17 @@ class TestInvalidScenes:
         ("classify", dict(BASE_SCENE, output={"path": ["a"]})),
         ("classify", dict(BASE_SCENE, output={"path": ""})),
         ("classify", dict(BASE_SCENE, output={"path": None})),
+        ("classify", dict(BASE_SCENE, grid={"axes": 5})),
+        ("lightlike", dict(BASE_SCENE, builtin=["light_cone"])),
+        ("classify", dict(BASE_SCENE, tolerances=[])),
+        ("classify", dict(BASE_SCENE, output=[])),
     ], ids=["fractional-count", "boolean-count", "text-start", "infinite-stop",
             "short-seed", "nan-seed", "negative-step", "zero-count", "nan-point", "far-point",
             "text-param", "null-param", "boolean-param", "infinite-param", "text-rate",
             "text-lightlike", "text-symmetry", "text-integrability", "nan-lightlike",
             "negative-symmetry", "zero-integrability", "boolean-lightlike", "boolean-path",
-            "integer-path", "list-path", "empty-path", "null-path"])
+            "integer-path", "list-path", "empty-path", "null-path", "scalar-axes",
+            "list-builtin", "list-tolerances", "list-output"])
     def test_exits_2_without_output(self, tmp_path, capfd, command, doc):
         # with --out and with the scene's own output path: nothing is
         # written, not even to a file descriptor that a non-string path names
@@ -135,6 +140,26 @@ class TestInvalidScenes:
             stdout, err = capfd.readouterr()
             assert stdout == "" and "scene error" in err and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("raw", [b'{"kind": "\xff"}', b"[" * 10**5 + b"]" * 10**5],
+                             ids=["not-utf8", "deep-nesting"])
+    def test_unreadable_json_exits_2(self, tmp_path, capfd, raw):
+        path = tmp_path / "scene.json"
+        path.write_bytes(raw)
+        assert main(["classify", "--scene", str(path)]) == 2
+        stdout, err = capfd.readouterr()
+        assert stdout == "" and "Traceback" not in err
+        assert err.startswith("scene error (classify): scene file is not valid JSON: ")
+
+    @pytest.mark.parametrize("doc,message", [
+        (dict(BASE_SCENE, grid={"axes": 5}), "grid axes must be an array"),
+        (dict(BASE_SCENE, builtin=["light_cone"]),
+         "unknown builtin ['light_cone']; run the 'examples' subcommand"),
+    ], ids=["scalar-axes", "list-builtin"])
+    def test_malformed_values_are_named(self, tmp_path, doc, message):
+        with pytest.raises(cli.SceneError) as info:
+            load_scene(write_scene(tmp_path, doc))
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("far", [[1e20, 0, 0], [1e200, 0, 0], [1e155, 0, 1e155]],
                              ids=["ideal", "overflow", "inf-minus-inf"])
@@ -385,6 +410,24 @@ class TestOutputs:
         leaf = Path(str(out) + ".leaf.csv")
         assert leaf.exists()
         assert leaf.read_text().splitlines()[0] == "index,u1,u2"
+
+    def test_stratify_defaults_are_its_own(self, tmp_path):
+        # a seed alone takes stratify's own step and count: 2 x 40 steps and
+        # the seed on the cone; an integer step is a step
+        parallel = dict(CONGRUENCE_SCENE, builtin="parallel_null_congruence")
+        texts = []
+        for doc in (dict(CONGRUENCE_SCENE, stratify={"seed": [0.1, 0.4]}),
+                    dict(CONGRUENCE_SCENE, stratify={"seed": [0.1, 0.4], "step": 0.01,
+                                                     "count": 40}),
+                    dict(parallel, stratify={"seed": [0.0, 0.0], "step": 1, "count": 1}),
+                    dict(parallel, stratify={"seed": [0.0, 0.0], "step": 1.0, "count": 1})):
+            out = tmp_path / f"{len(texts)}.json"
+            assert main(["congruence", "--scene", write_scene(tmp_path, doc), "--out", str(out),
+                         "--format", "json"]) == 0
+            texts.append(out.read_text())
+        assert texts[0] == texts[1] and json.loads(texts[0])["leaf"]["size"] == 81
+        assert texts[2] == texts[3]
+        assert json.loads(texts[2])["leaf"]["parameters"] == [[0.0, -1.0], [0.0, 0.0], [0.0, 1.0]]
 
 
 class TestSymmetryTolerance:
@@ -640,6 +683,12 @@ class TestScripts:
         assert proc.returncode == 0, proc.stderr
 
 
+def package_lines() -> int:
+    """Lines of this tree's package modules."""
+    return sum(len(p.read_text().splitlines())
+               for p in (ROOT / "src" / "pseudoconformal").glob("*.py"))
+
+
 class TestCompareOutputs:
     """``scripts/compare_outputs.py`` in process: a few runs of this tree
     against itself, and its verdicts on canned outputs."""
@@ -674,6 +723,7 @@ class TestCompareOutputs:
 
         monkeypatch.setattr(co, "plan_runs", few_runs)
         assert co.main([]) == 0
+        lines = package_lines()
         assert capsys.readouterr().out.splitlines() == [
             "scenes/embed_points3.embed.csv: exit 0/0, identical",
             "scenes/nullplane3.classify.json: exit 0/0, identical",
@@ -685,7 +735,8 @@ class TestCompareOutputs:
             "errors/cone_past_one.congruence.csv: exit 3/3, identical",
             "errors/cone_leaf_past_one.congruence.json: exit 3/3, identical",
             "compare_outputs: 9 runs, 9 byte-identical, 0 same with numbers masked "
-            "(max |d|/(1+|v|) 0.00e+00), 0 differing in text, 0 exit-code mismatches",
+            "(max |d|/(1+|v|) 0.00e+00), 0 differing in text, 0 exit-code mismatches, "
+            f"pseudoconformal/*.py {lines} -> {lines} lines",
         ]
 
     def test_the_fields_that_moved_are_named(self, co, monkeypatch, capsys):
@@ -722,9 +773,9 @@ class TestCompareOutputs:
             "b.csv: exit 0/0, differs, same text with numbers masked, max rel 5.00e-07",
             "  x: max rel 5.00e-07",
             "compare_outputs: 2 runs, 0 byte-identical, 2 same with numbers masked "
-            "(max |d|/(1+|v|) 5.00e-07), 0 differing in text, 0 exit-code mismatches; "
-            "worst per field: center.degeneracy.generator_rate 2.00e-16, samples.x 3.33e-11, "
-            "x 5.00e-07",
+            "(max |d|/(1+|v|) 5.00e-07), 0 differing in text, 0 exit-code mismatches, "
+            f"pseudoconformal/*.py {package_lines()} -> {package_lines()} lines; worst per "
+            "field: center.degeneracy.generator_rate 2.00e-16, samples.x 3.33e-11, x 5.00e-07",
         ]
 
     def test_fields_only_one_side_writes_are_named(self, co, monkeypatch, capsys):
@@ -756,8 +807,9 @@ class TestCompareOutputs:
             "  center.degeneracy.skipped: only in old",
             "  center.u: max rel 8.00e-11",
             "compare_outputs: 1 runs, 0 byte-identical, 0 same with numbers masked "
-            "(max |d|/(1+|v|) 0.00e+00), 1 differing in text, 0 exit-code mismatches; "
-            "worst per field: center.u 8.00e-11; only in old: center.degeneracy.max_angle, "
+            "(max |d|/(1+|v|) 0.00e+00), 1 differing in text, 0 exit-code mismatches, "
+            f"pseudoconformal/*.py {package_lines()} -> {package_lines()} lines; worst per "
+            "field: center.u 8.00e-11; only in old: center.degeneracy.max_angle, "
             "center.degeneracy.skipped; only in new: center.degeneracy.generator_rate",
         ]
 

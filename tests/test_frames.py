@@ -9,6 +9,7 @@ from pseudoconformal.errors import (DegenerateBasisError, GeometryError, NotLigh
                                    NotOnQuadricError)
 from pseudoconformal.frames import (
     _lightlike_lines,
+    _line_screen_candidates,
     adapt_lightlike_frame,
     build_screen,
     complete_isotropic_frame,
@@ -146,6 +147,19 @@ class TestCompleteIsotropicFrame:
         frame = complete_isotropic_frame(a0, a1, model3)
         assert frame.gram_residual() < 1e-10
 
+    def test_short_candidate_set_is_named(self, model4, monkeypatch):
+        # one candidate where the screen needs two
+        import pseudoconformal.frames
+
+        full = pseudoconformal.frames._line_screen_candidates
+        monkeypatch.setattr(pseudoconformal.frames, "_line_screen_candidates",
+                            lambda a0, a1, model: full(a0, a1, model)[:, :1])
+        p = np.array([0.4, -0.1, 0.2, 0.0])
+        l = np.array([0.0, 0.0, 1.0, 1.0])
+        with pytest.raises(DegenerateBasisError,
+                           match=r"could not extract 2 spacelike screen vectors \(got 1\)"):
+            complete_isotropic_frame(lift_point(p, model4), lift_tangent(p, l, model4), model4)
+
     def test_non_conjugate_pair_rejected(self, model3):
         a = darboux_embed(np.zeros(3), model3).coords
         b = darboux_embed(np.array([1.0, 1.0, 0.0]), model3).coords
@@ -229,7 +243,7 @@ class TestStackedLineStage:
         assert regular.tobytes() == expected[0].vectors[:3].tobytes()
 
     @pytest.mark.parametrize("n", [3, 4, 5])
-    def test_single_build_screen_is_its_stack_member(self, n, rng):
+    def test_build_screen_members_stand_alone(self, n, rng):
         model = AmbientModel.standard(n)
         stack = rng.normal(size=(30, n + 1, n + 2))
         stack[::3, 1] = stack[::3, 0]  # a repeated candidate
@@ -242,14 +256,38 @@ class TestStackedLineStage:
         assert set(counts[2::10]) == {0} and set(counts[1::10]) == {1}
         for member, screen, count in zip(stack, screens, counts):
             assert not screen[count:].any()
+            alone = build_screen(member[None], model, count=n - 2)
+            assert (alone[0][0].tobytes(), alone[1][0]) == (screen.tobytes(), count)
             if count == n - 2:
-                assert build_screen(member, model, count=n - 2).tobytes() == screen.tobytes()
                 gram = screen @ model.form.gram @ screen.T
                 assert np.abs(gram - np.eye(n - 2)).max() < 1e-12
-            else:
-                assert outcome(build_screen, member, model, n - 2) == (
-                    DegenerateBasisError,
-                    f"could not extract {n - 2} spacelike screen vectors (got {count})")
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_ideal_lines_join_a_chart_stack(self, n, rng):
+        # lifted null lines (chart) alternate with the same lines read from
+        # their ideal point (x^0 = 0): a chart member keeps the bits of its
+        # stack of one, and an ideal one gets n orthonormal candidates
+        # orthogonal to G A_0 and G A_1
+        model = AmbientModel.standard(n)
+        a0, a1 = [], []
+        for _ in range(4):
+            p, d = rng.normal(size=n), rng.normal(size=n - 1)
+            x, y = lift_point(p, model), lift_tangent(p, np.r_[d / np.linalg.norm(d), 1.0], model)
+            a0 += [x, y]
+            a1 += [y, x]
+        a0, a1 = np.array(a0), np.array(a1)
+        stacked = _line_screen_candidates(a0, a1, model)
+        assert stacked.shape == (8, n, n + 2)
+        for i in range(0, 8, 2):
+            alone = _line_screen_candidates(a0[i : i + 1], a1[i : i + 1], model)
+            assert alone.shape == (1, n - 1, n + 2)
+            assert stacked[i, : n - 1].tobytes() == alone[0].tobytes()
+            assert not stacked[i, n - 1 :].any()
+        for i in range(1, 8, 2):
+            c = stacked[i]
+            assert np.abs(c @ c.T - np.eye(n)).max() < 1e-12
+            line = np.array([a0[i], a1[i]]) @ model.form.gram
+            assert np.abs(c @ line.T).max() < 1e-12 * np.abs(line).max()
 
 
 def adapted_frame(kind, n):

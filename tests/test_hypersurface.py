@@ -533,6 +533,13 @@ class TestParameterGrid:
         assert grid.shape == (len(expected), len(counts))
         assert [u.tobytes() for u in grid] == [u.tobytes() for u in expected]
 
+    def test_more_axes_than_numpy_broadcasts(self):
+        # 33 parameters, one sample each: the grid is the box's lower corner
+        obj = catalog.build("light_cone", n=34)
+        axes, grid = parameter_grid(obj, [1] * 33)
+        assert grid.shape == (1, 33)
+        assert grid[0].tolist() == [lo for lo, _ in obj.domain]
+
     def test_wrong_number_of_counts(self):
         with pytest.raises(ValueError, match="need 2 grid counts"):
             parameter_grid(catalog.build("light_cone"), [3, 3, 3])

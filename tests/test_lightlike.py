@@ -23,6 +23,7 @@ from pseudoconformal.lightlike import (
     _degeneracy,
     _JetStack,
     _merge,
+    _pseudo_inverse,
     _row_derivatives,
     degeneracy_check,
     focal_map,
@@ -340,6 +341,20 @@ class TestTorseMultipleRoots:
                     # the rows span the root's eigenspace
                     assert np.abs(f.directions @ (lam + f.root * np.eye(k))).max() < 1e-8
 
+    def test_a_chained_cluster_gets_each_eigenvector_once(self, rng):
+        # -w = 1e-6 (0, 1, 1.5, 1.833, 2.1, 2.2) clusters as 4 + 2, but 2.1e-6
+        # lies nearer the first cluster's mean than 0 does: each root takes
+        # its own eigenvectors, so all the directions form one orthonormal basis
+        x = 1e-6 * np.array([0.0, 1.0, 1.5, 1.833, 2.1, 2.2])
+        q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+        lam = q @ np.diag(-x) @ q.T
+        fams = torse_directions(_analysis(0.5 * (lam + lam.T)))
+        assert [f.multiplicity for f in fams] == [4, 2]
+        dirs = np.vstack([f.directions for f in fams])
+        assert np.abs(dirs @ dirs.T - np.eye(6)).max() < 1e-12
+        for f, own in zip(fams, (q[:, :4], q[:, 4:])):
+            assert np.abs(f.directions.T @ f.directions - own @ own.T).max() < 1e-9
+
 
 def _any_line(model):
     """The line and screen fields of a LightlikeAnalysis, from a completed
@@ -375,7 +390,8 @@ class TestShapeOperatorPairings:
         # the induced metric of the screen part, c c^T, with its kernel
         w, v = np.linalg.eigh(c @ c.T)
         lam, stacked = _shape_operators(a0[None], a1[None], fields["screen"][None],
-                                        model4.form.gram, da0[None], da1[None], w[None], v[None])
+                                        model4.form.gram, da0[None], da1[None],
+                                        _pseudo_inverse(w[None], v[None])[0])
         diagnostics = {key: float(value[0]) for key, value in stacked.items()}
         pairs = {"w0n": (da0, a1), "w0np1": (da0, a0), "w1n": (da1, a1), "w1np1": (da1, a0)}
         for key, (rows, vec) in pairs.items():
@@ -541,6 +557,23 @@ class TestDegeneracy:
             ((members, d - 1, d - 1), "_affinors"),
             ((members, d, d), "_degeneracy")]
 
+    def test_one_pseudo_inverse_per_pass(self, monkeypatch):
+        # dA_1, the shape operators and the degeneracy read the metrics'
+        # pseudo-inverses and kernels of one call
+        import pseudoconformal.lightlike
+
+        calls, original = [], pseudoconformal.lightlike._pseudo_inverse
+
+        def counted(w, v):
+            calls.append(len(w))
+            return original(w, v)
+
+        monkeypatch.setattr(pseudoconformal.lightlike, "_pseudo_inverse", counted)
+        imm = catalog.build("circle_wavefront")
+        grid = parameter_grid(imm, [3] * imm.params)[1]
+        columns = _affinors(imm, grid, AmbientModel.standard(imm.n), 1.0, None)
+        assert calls == [len(grid)] and len(columns.members) == len(grid)
+
     @pytest.mark.parametrize("name", catalog.lightlike_entries())
     def test_grid_members_read_the_centre_check(self, name):
         # every member of a grid pass has the generator rate and tangent rank
@@ -554,12 +587,10 @@ class TestDegeneracy:
             assert (report.generator_rate.hex(), report.tangent_rank) == (rate.hex(), rank)
 
     @pytest.mark.parametrize("name", catalog.lightlike_entries())
-    def test_another_eigenvector_fails(self, name, monkeypatch):
+    def test_another_eigenvector_fails(self, name):
         # forced through the stacked check on the grid's jet stack: the rate
         # along any other eigenvector of the induced metric than the kernel's
         # is that of a direction the span turns in (0.35 or more here)
-        import pseudoconformal.lightlike
-
         imm = catalog.build(name)
         model = AmbientModel.standard(imm.n)
         grid = parameter_grid(imm, [3] * imm.params)[1]
@@ -567,16 +598,10 @@ class TestDegeneracy:
         assert not jets.failures and not raised
         members = np.arange(len(grid))
         dr = _row_derivatives(jets, members, hessians)
-        rates, ranks = _degeneracy(jets, members, dr)
+        rates, ranks = _degeneracy(jets, members, dr, _pseudo_inverse(jets.w, jets.v)[1])
         assert (rates <= 1e-13).all() and (ranks == imm.n - 2).all()
-        original = pseudoconformal.lightlike._pseudo_inverse
-
-        def other_column(w, v):
-            return original(w, v)[0], np.swapaxes(v, -1, -2)[np.arange(len(w)),
-                                                              np.abs(w).argmax(axis=1)]
-
-        monkeypatch.setattr(pseudoconformal.lightlike, "_pseudo_inverse", other_column)
-        assert (_degeneracy(jets, members, dr)[0] > 0.1).all()
+        other = np.swapaxes(jets.v, -1, -2)[members, np.abs(jets.w).argmax(axis=1)]
+        assert (_degeneracy(jets, members, dr, other)[0] > 0.1).all()
 
     @pytest.mark.parametrize("name,n", [("spacelike_hypersphere", 3),
                                         ("timelike_hypersphere", 3), ("euclidean_sphere", 3)])
@@ -592,7 +617,8 @@ class TestDegeneracy:
             degeneracy_check(imm, SimpleNamespace(u=u), model=model)
         jets, (hessians, raised) = _JetStack(imm, u[None], model, 1.0), imm.jet2(u[None])
         assert not jets.failures and not raised
-        rates, ranks = _degeneracy(jets, [0], _row_derivatives(jets, [0], hessians))
+        rates, ranks = _degeneracy(jets, [0], _row_derivatives(jets, [0], hessians),
+                                   _pseudo_inverse(jets.w, jets.v)[1])
         assert rates[0] > 0.1 and ranks[0] == n - 1
 
     def test_spacelike_input_rejected(self, model3):

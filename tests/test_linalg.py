@@ -30,7 +30,6 @@ from pseudoconformal.linalg import (
     durand_kerner,
     inverse,
     jacobi_eigh,
-    nullspace,
     orthonormal_rows,
     scalar_product,
     signature,
@@ -443,12 +442,6 @@ class TestSolve:
         b = a @ x_true
         x = solve_particular(a, b)
         assert np.abs(a @ x - b).max() < 1e-9
-
-    def test_nullspace(self, rng):
-        a = rng.normal(size=(2, 5))
-        basis = nullspace(a)
-        assert basis.shape == (5, 3)
-        assert np.abs(a @ basis).max() < 1e-8
 
 
 class TestNonFiniteInput:
