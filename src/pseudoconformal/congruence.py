@@ -28,6 +28,7 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import product
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -156,7 +157,7 @@ class CongruenceAnalysis:
         return self.shape_operator.shape[0]
 
 
-#: ``_line_jets`` of N points, unchecked: the points us (N, d), the stencil
+#: line jets of N points, unchecked: the points us (N, d), the stencil
 #: points (N, 2d+1, d) and their lines (N, 2d+1, 2, n+2), zero where an
 #: evaluation failed, the evaluations' failures {index into the flattened
 #: stencil: exception}, A_0, A_1 (N, n+2), dA_0, dA_1 (N, d, n+2) and forms (N, d)
@@ -181,48 +182,57 @@ def _stencil_offsets(d: int, step: float) -> np.ndarray:
     return offsets
 
 
-def _line_jets(cong: IsotropicCongruence, us: np.ndarray, model: AmbientModel,
-               step: float) -> _LineJets:
+def _evaluate_lines(cong: IsotropicCongruence, us: np.ndarray, step: float) -> tuple:
     """The evaluate half of the line jets at the parameter points us (N, d):
-    one stacked ``line_at`` call at every point and its neighbours
-    u +- step e_a, the central differences of the lines and the transversal
-    forms omega_0^n = -<d_a A_0, A_1>.  Nothing is checked: a point whose
-    evaluations failed has zero or non-finite jets until ``_line_failures``,
-    the judge half, rejects it.  No point depends on the rest of its stack."""
+    the stencil points u, u + step e_0, u - step e_0, ... (N, 2d+1, d),
+    their lines (N, 2d+1, 2, n+2) from one stacked ``line_at`` call, zero
+    where an evaluation failed, and its failures."""
     count, d = us.shape
     stencil = us[:, None] + _stencil_offsets(d, step)
     lines, raised = cong.line_at(stencil.reshape(-1, d))
-    lines = lines.reshape(count, 2 * d + 1, 2, cong.n + 2)
+    return stencil, lines.reshape(count, 2 * d + 1, 2, cong.n + 2), raised
+
+
+def _differences(lines: np.ndarray, model: AmbientModel, step: float, sides: int = 2) -> tuple:
+    """Central differences (N, d, sides, n+2) of the first ``sides`` of
+    (A_0, A_1) from stencil lines (N, 2d+1, 2, n+2), and the transversal
+    forms omega_0^n = -<d_a A_0, A_1> (N, d)."""
+    diffs = (lines[:, 1::2, :sides] - lines[:, 2::2, :sides]) / (2.0 * step)
+    return diffs, -(diffs[:, :, 0] @ (model.form.gram @ lines[:, 0, 1, :, None]))[..., 0]
+
+
+def _stack_jets(records: list, model: AmbientModel, step: float) -> _LineJets:
+    """The jets half: evaluated passes ``records`` (us, stencil, lines,
+    raised) as one ``_LineJets`` stack in pass order, raised keys offset by
+    each pass's start times the stencil width, with the central differences
+    and forms.  Nothing is checked: a point whose evaluations failed has zero
+    or non-finite jets until ``_line_failures`` rejects it."""
+    us, stencil, lines = (np.concatenate(x) for x in list(zip(*records))[:3])
+    starts = np.cumsum([0] + [r[1].shape[0] * r[1].shape[1] for r in records]).tolist()
+    raised = {start + f: exc for start, r in zip(starts, records) for f, exc in r[3].items()}
     with np.errstate(all="ignore"):  # failed members only
-        diffs = (lines[:, 1::2] - lines[:, 2::2]) / (2.0 * step)
-        forms = -(diffs[:, :, 0] @ (model.form.gram @ lines[:, 0, 1, :, None]))[..., 0]
+        diffs, forms = _differences(lines, model, step)
     return _LineJets(us, stencil, lines, raised, lines[:, 0, 0], lines[:, 0, 1], diffs[:, :, 0],
                      diffs[:, :, 1], forms)
 
 
-def _line_failures(passes: list, model: AmbientModel) -> dict:
-    """The judge half of ``_line_jets``: the failures {index: exception} of
-    the points of a list of passes, indexed in pass order, so that the lowest
-    index is the lowest failing member of the earliest failing pass.  A point
-    fails with the first of: its own evaluation, its line checks, its
-    neighbours' evaluations (+e_0, -e_0, +e_1, ...), non-finite
-    differentials, dependent basis forms (rows [A_0; A_1; dA_0] of rank
-    below d+2).  An evaluator's ValueError or ArithmeticError becomes a
-    GeometryError naming the point.  One line check and one rank check cover
-    every pass; the standard form's Gram matrix has one +-1 entry per row, so
-    each residual has the bits it has in its own pass."""
-    us, lines, da0, da1 = (np.concatenate(field) for field in zip(*(
-        (p.us, p.lines, p.da0, p.da1) for p in passes)))
-    starts = np.cumsum([0] + [len(p.us) for p in passes])
-    failures, raised = _line_checks(us, lines[:, 0, 0], lines[:, 0, 1], model)[1], {}
-    for k, p in enumerate(passes):
-        for f, exc in p.raised.items():
-            i, at = divmod(f, p.stencil.shape[1])
-            raised.setdefault(starts[k] + i, {})[at] = _evaluation_error(p.stencil[i, at], exc)
+def _line_failures(jets: _LineJets, model: AmbientModel) -> dict:
+    """The judge of a ``_LineJets`` stack: the failures {index: exception}
+    of its points.  A point fails with the first of: its own evaluation, its
+    line checks, its neighbours' evaluations (+e_0, -e_0, +e_1, ...),
+    non-finite differentials, dependent basis forms (rows [A_0; A_1; dA_0]
+    of rank below d+2).  An evaluator's ValueError or ArithmeticError becomes
+    a GeometryError naming the point.  One line check and one rank check
+    cover the stack; the standard form's Gram matrix has one +-1 entry per
+    row, so each residual has the bits it has in a stack of its own pass."""
+    us, lines, da0, da1 = jets.us, jets.lines, jets.da0, jets.da1
+    failures, raised = _line_checks(us, jets.a0, jets.a1, model)[1], {}
+    for f, exc in jets.raised.items():
+        i, at = divmod(f, jets.stencil.shape[1])
+        raised.setdefault(i, {})[at] = _evaluation_error(jets.stencil[i, at], exc)
     for i, at in raised.items():
         if 0 in at or i not in failures:
             failures[i] = at[min(at)]
-
     live = (np.isfinite(lines[:, 1:]).all(axis=(1, 2, 3)) & np.isfinite(da0).all(axis=(1, 2))
             & np.isfinite(da1).all(axis=(1, 2)))
     live[list(failures)] = False
@@ -248,19 +258,19 @@ def _congruence_affinors(cong: IsotropicCongruence, us: np.ndarray,
     symmetry defects, the roots of ``linalg._roots`` (values, multiplicities
     and real flags (P, n-2), counts), lines ``a0``, ``a1``, screens,
     transversal forms (P, d) and diagnostics {name: (P,)}; and the others'
-    ``failures``.  One ``_line_jets`` pass, one stacked screen pass
-    (``build_screen``), one stacked pairing pass, then one basis-form solve
-    over the stack, one Jacobi pass over the symmetric operators and one
-    characteristic polynomial and root pass over the others, a point failing
-    at the first step that fails, and one ``linalg._cluster`` and
-    ``linalg._roots`` pass over the roots.  A point gets the same bits in
-    any stack.  Screens of dimension n-2 beyond ``linalg.MAX_ROOT_ORDER``
-    raise ValueError."""
+    ``failures``.  One line-jet pass (``_evaluate_lines``, ``_stack_jets``),
+    one stacked screen pass (``build_screen``), one stacked pairing pass,
+    then one basis-form solve over the stack, one Jacobi pass over the
+    symmetric operators and one characteristic polynomial and root pass over
+    the others, a point failing at the first step that fails, and one
+    ``linalg._cluster`` and ``linalg._roots`` pass over the roots.  A point
+    gets the same bits in any stack.  Screens of dimension n-2 beyond
+    ``linalg.MAX_ROOT_ORDER`` raise ValueError."""
     n, gram = cong.n, model.form.gram
     if n - 2 > MAX_ROOT_ORDER:
         raise ValueError(f"congruence roots are limited to n <= {MAX_ROOT_ORDER + 2}")
-    jets = _line_jets(cong, us, model, DEFAULT_STEP)
-    failures = _line_failures([jets], model)
+    jets = _stack_jets([(us, *_evaluate_lines(cong, us, DEFAULT_STEP))], model, DEFAULT_STEP)
+    failures = _line_failures(jets, model)
     live = np.array([i for i in range(len(us)) if i not in failures], dtype=int)
     screens, counts = build_screen(_line_screen_candidates(jets.a0[live], jets.a1[live], model),
                                    model, count=n - 2)
@@ -398,64 +408,59 @@ def _rk4_runs(cong: IsotropicCongruence, starts: np.ndarray, refs: np.ndarray,
     by classical fourth-order stepping, carrying each direction, first refs
     (R, d), by projection, for ``count`` steps or until a run leaves the
     domain.  The runs go in lockstep, and a last pass visits their end
-    points.  Each stage does only what the stepping needs: one unchecked
-    ``_line_jets`` evaluation over the runs still going and the projections
-    on the kernels of its forms, where a vanishing form or a direction off
-    the kernel raises at once.  Every other check of the passes (their
-    evaluations, line checks, differentials and ranks) is one
-    ``_line_failures`` call at the end, and the march stops at the first pass
-    whose evaluations failed.  What is raised is what checking each pass at
-    once raised: the failure of the earliest failing pass, at its lowest
-    member.  Returns per run the (point, line jets, index) of its start and
-    of each point reached, and whether a run left the domain."""
+    points.  The march holds only the runs still going, compacted when one
+    leaves the domain.  A stage evaluates lines (``_evaluate_lines``) and
+    steps on the differences of A_0 and the forms only: a vanishing form or
+    a direction off its kernel raises at once.  A pass whose evaluations
+    failed ends the march.  At its end, or before anything is raised, the
+    passes are one ``_stack_jets`` stack in pass order, judged by one
+    ``_line_failures`` call: what is raised is what checking each pass at
+    once raised, the failure of the earliest failing pass at its lowest
+    member.  Returns per run the (point, stack, index) of its start and of
+    each point reached, and whether a run left the domain."""
     lo, hi = np.array(cong.domain, dtype=float).T
-    u, ref = starts.copy(), refs.copy()
-    going, visits, truncated, passes = np.arange(len(u)), [[] for _ in u], False, []
-    ks = np.zeros((4,) + u.shape)
+    u, ref, runs, ks = starts.copy(), refs.copy(), np.arange(len(starts)), [None] * 4
+    visits, records, size, truncated, error = [[] for _ in starts], [], 0, False, None
     try:
         with np.errstate(all="ignore"):  # members that failed are zero or NaN until judged
-            for n_step in range(count + 1):
-                if not going.size:
+            for n_step, (stage, weight) in product(range(count + 1),
+                                                   enumerate((0.0, 0.5, 0.5, 1.0))):
+                if not len(runs):
                     break
-                for stage, weight in enumerate((0.0, 0.5, 0.5, 1.0)):
-                    prev = ref if stage == 0 else ks[stage - 1]
-                    points = u[going] + weight * step * prev[going] if stage else u[going]
-                    jets = _line_jets(cong, points, model, DEFAULT_STEP)
-                    passes.append(jets)
-                    if jets.raised:  # this pass fails, as the judge will say
-                        going = going[:0]
-                        break
-                    if stage == 0:
-                        for j, r in enumerate(going):
-                            visits[r].append((u[r].copy(), jets, j))
-                    if n_step == count:
-                        break
-                    d, norms, vanishing = _kernel_projections(jets.forms, prev[going])
-                    for bad, why in ((vanishing, "transversal form vanishes at u={}; "
-                                      "distribution undefined"),
-                                     (norms < 1e-10, "transport direction left the "
-                                      "distribution kernel at u={}")):
-                        if bad.any():  # named at the first failing member
-                            raise DegenerateBasisError(why.format(points[bad.argmax()].tolist()))
-                    ks[stage, going] = d / norms[:, None]
-                else:  # a full step, not the visit of the end points
-                    u[going] = u[going] + (step / 6.0) * (ks[0, going] + 2 * ks[1, going]
-                                                          + 2 * ks[2, going] + ks[3, going])
-                    outside = ((u[going] < lo - 1e-9) | (u[going] > hi + 1e-9)).any(axis=1)
-                    truncated |= bool(outside.any())
-                    going = going[~outside]
-                    ref[going] = ks[0, going]
+                prev = ks[stage - 1] if stage else ref
+                points = u + weight * step * prev if stage else u
+                stencil, lines, raised = _evaluate_lines(cong, points, DEFAULT_STEP)
+                records.append((points, stencil, lines, raised))
+                if raised:  # this pass fails, as the judge will say
+                    break
+                if stage == 0:
+                    for j, r in enumerate(runs.tolist()):
+                        visits[r].append(size + j)
+                size += len(points)
+                if n_step == count:
+                    break
+                d, norms, vanishing = _kernel_projections(
+                    _differences(lines, model, DEFAULT_STEP, sides=1)[1], prev)
+                for bad, why in ((vanishing, "transversal form vanishes at u={}; "
+                                  "distribution undefined"),
+                                 (norms < 1e-10, "transport direction left the "
+                                  "distribution kernel at u={}")):
+                    if bad.any():  # named at the first failing member
+                        raise DegenerateBasisError(why.format(points[bad.argmax()].tolist()))
+                ks[stage] = d / norms[:, None]
+                if stage == 3:  # a full step, not the visit of the end points
+                    u = u + (step / 6.0) * (ks[0] + 2 * ks[1] + 2 * ks[2] + ks[3])
+                    inside = ~((u < lo - 1e-9) | (u > hi + 1e-9)).any(axis=1)
+                    if not inside.all():
+                        truncated, u, runs, ks[0] = True, u[inside], runs[inside], ks[0][inside]
+                    ref = ks[0]
     except Exception as exc:
-        raise _first_failure(passes, model) or exc
-    if first := _first_failure(passes, model):
-        raise first
-    return visits, truncated
-
-
-def _first_failure(passes: list, model: AmbientModel):
-    """The failure of the lowest member of the earliest failing pass, or None."""
-    failures = _line_failures(passes, model) if passes else {}
-    return failures[min(failures)] if failures else None
+        error = exc
+    jets = _stack_jets(records, model, DEFAULT_STEP) if records else None
+    failures = _line_failures(jets, model) if records else {}
+    if failures or error:
+        raise failures[min(failures)] if failures else error
+    return [[(jets.us[i], jets, i) for i in run] for run in visits], truncated
 
 
 def stratify(cong: IsotropicCongruence, seed, model: Optional[AmbientModel] = None,
@@ -468,12 +473,13 @@ def stratify(cong: IsotropicCongruence, seed, model: Optional[AmbientModel] = No
     on a lattice of kernel directions: a spine along the first direction and,
     for higher screen dimension, transversal runs from every spine point.
     The two spine runs, then all transversal runs, advance in lockstep
-    (``_rk4_runs``): a stage evaluates lines and forms only, and each set of
-    runs is checked by one judgement of its passes at its end.  Each lattice
-    point reads its line jets from the first stage of its step.  The swept
-    point set is classified against the lightlike criterion in one stacked
-    Jacobi pass, and the surviving fraction reported.  Only the seed gets the full shape operator, whose
-    symmetry defect decides integrability.
+    (``_rk4_runs``): a stage evaluates lines and steps on the differences of
+    A_0 and the forms only, and each march is judged as one stack of its
+    passes in pass order.  Each lattice point reads its line jets by index
+    from its march's stack, at the first stage of its step.  The swept point
+    set is classified against the lightlike criterion in one stacked Jacobi
+    pass, and the surviving fraction reported.  Only the seed gets the full
+    shape operator, whose symmetry defect decides integrability.
     """
     if model is None:
         model = AmbientModel.standard(cong.n)
@@ -489,41 +495,41 @@ def stratify(cong: IsotropicCongruence, seed, model: Optional[AmbientModel] = No
 
     (back, ahead), truncated = _rk4_runs(cong, np.array([seed, seed]),
                                          np.array([-basis0[0], basis0[0]]), model, step, count)
-    lattice = back[:0:-1] + back[:1] + ahead[1:]
+    spine = back[:0:-1] + back[:1] + ahead[1:]
+    columns = [(spine[0][1], [i for _, _, i in spine])]  # (stack, lattice indices) per march
     if len(basis0) > 1:
         # from every spine point a pair of runs (-ref, +ref) along each further
         # kernel direction projected off the point's form, if anything is left
-        others = len(basis0) - 1
-        d, norms, vanishing = _kernel_projections(
-            np.repeat([stack.forms[i] for _, stack, i in lattice], others, axis=0),
-            np.tile(basis0[1:], (len(lattice), 1)))
+        (jets, at), others = columns[0], len(basis0) - 1
+        d, norms, vanishing = _kernel_projections(np.repeat(jets.forms[at], others, axis=0),
+                                                  np.tile(basis0[1:], (len(at), 1)))
         if vanishing.any():
             raise DegenerateBasisError("transversal form vanishes; distribution undefined")
         keep = norms >= 1e-10
         refs = d[keep] / norms[keep, None]
         runs, cross_truncated = _rk4_runs(
-            cong, np.repeat(np.repeat([p for p, _, _ in lattice], others, axis=0)[keep], 2, axis=0),
+            cong, np.repeat(np.repeat(jets.us[at], others, axis=0)[keep], 2, axis=0),
             np.stack([-refs, refs], axis=1).reshape(-1, len(seed)), model, step, count)
         truncated |= cross_truncated
-        lattice += [visit for run in runs for visit in run[1:]]
+        cross = [visit for run in runs for visit in run[1:]]
+        columns += [(cross[0][1], [i for _, _, i in cross])] if cross else []
 
     # classify the swept point set: the leaf's tangent directions at a point
     # are the kernel of its transversal form, so the swept tangent space is
     # spanned by the derivatives of X(s) = A_0 + s A_1 along them (combined
     # from those along the parameter directions) and the line direction A_1
-    forms, da0, da1, a1 = (np.array(x) for x in zip(*[
-        (stack.forms[i], stack.da0[i], stack.da1[i], stack.a1[i]) for _, stack, i in lattice]))
+    us, a0, a1, forms, da0, da1 = (np.concatenate([getattr(jets, f)[at] for jets, at in columns])
+                                   for f in ("us", "a0", "a1", "forms", "da0", "da1"))
     bases, valid = _kernel_bases(forms)
-    bases, da0, da1, a1 = bases[valid], da0[valid], da1[valid], a1[valid]
+    bases, da0, da1, directions = bases[valid], da0[valid], da1[valid], a1[valid]
     samples = np.asarray(line_samples, dtype=float)[:, None, None]
     swept = (bases @ da0)[:, None] + samples * (bases @ da1)[:, None]
-    line_dir = np.broadcast_to(a1[:, None, None], swept.shape[:2] + (1, a1.shape[1]))
+    line_dir = np.broadcast_to(directions[:, None, None], swept.shape[:2] + (1, a1.shape[1]))
     tangents = np.concatenate([swept, line_dir], axis=2).reshape(-1, len(seed), a1.shape[1])
     w = jacobi_eigh(_pullback(np.swapaxes(tangents, 1, 2), model.form.gram), vectors=0)[0]
     _, minus, zero, _ = _inertia(w, 1e-4)
     good = int(((minus == 0) & (zero == 1)).sum())
     return LeafTrace(
-        seed=tuple(float(x) for x in seed),
-        parameters=tuple(tuple(float(x) for x in p) for p, _, _ in lattice),
-        lines=tuple((stack.a0[i], stack.a1[i]) for _, stack, i in lattice),
-        lightlike_fraction=good / len(w) if len(w) else 0.0, step=step, truncated=truncated)
+        seed=tuple(float(x) for x in seed), parameters=tuple(map(tuple, us.tolist())),
+        lines=tuple(zip(a0, a1)), lightlike_fraction=good / len(w) if len(w) else 0.0,
+        step=step, truncated=truncated)

@@ -161,8 +161,9 @@ def _evaluate_stack(scalar: Callable, stacked: Optional[Callable], us: np.ndarra
             pass
     if out is None or out.shape != (len(us),) + shape:
         out, replay = np.zeros((len(us),) + shape), range(len(us))
-    else:
-        replay = np.flatnonzero(~np.isfinite(out).all(axis=tuple(range(1, out.ndim)))).tolist()
+    else:  # the per-member scan only when the whole stack is not finite
+        replay = [] if np.isfinite(out).all() else np.flatnonzero(
+            ~np.isfinite(out).all(axis=tuple(range(1, out.ndim)))).tolist()
     failures = {}
     for i in replay:
         try:

@@ -16,12 +16,12 @@ from pseudoconformal.congruence import (
     DEFAULT_STEP,
     IsotropicCongruence,
     _congruence_affinors,
-    _first_failure,
+    _evaluate_lines,
     _kernel_bases,
     _line_checks,
     _line_failures,
-    _line_jets,
     _rk4_runs,
+    _stack_jets,
     congruence_affinor,
     congruence_singular_points,
     integrability_defect,
@@ -463,6 +463,11 @@ CONGRUENCES = {
 }
 
 
+def line_jets(cong, us, model):
+    """The unchecked line jets of one pass at us, as the grid pass builds them."""
+    return _stack_jets([(us, *_evaluate_lines(cong, us, DEFAULT_STEP))], model, DEFAULT_STEP)
+
+
 class TestStackedLineJets:
     def test_mixed_failures_keep_messages_and_bits(self, model4):
         # one stacked line_at call over the stencil; a scalar-only copy
@@ -472,14 +477,14 @@ class TestStackedLineJets:
         scalar_only = IsotropicCongruence(n=4, domain=cong.domain, line=cong.line)
         edge = math.sqrt(0.75) - 0.5 * DEFAULT_STEP  # its +e_0 and +e_1 neighbours fail
         us = np.array([[0.1, 0.2, 0.3], [0.5, 0.9, 0.0], [0.5, edge, 0.0], [-0.3, 0.1, -0.5]])
-        got, ref = (_line_jets(obj, us, model4, DEFAULT_STEP) for obj in (cong, scalar_only))
-        failures = _line_failures([got], model4)
+        got, ref = (line_jets(obj, us, model4) for obj in (cong, scalar_only))
+        failures = _line_failures(got, model4)
         neighbour = (us[2] + DEFAULT_STEP * np.eye(3)[0]).tolist()  # first in stencil order
         assert {i: str(exc) for i, exc in failures.items()} == {
             1: "evaluation failed at u=[0.5, 0.9, 0.0]: math domain error",
             2: f"evaluation failed at u={neighbour}: math domain error"}
         assert ({i: (type(exc), str(exc)) for i, exc in failures.items()}
-                == {i: (type(exc), str(exc)) for i, exc in _line_failures([ref], model4).items()})
+                == {i: (type(exc), str(exc)) for i, exc in _line_failures(ref, model4).items()})
         assert ({f: str(exc) for f, exc in got.raised.items()}
                 == {f: str(exc) for f, exc in ref.raised.items()})
         for a, b in zip(got._replace(raised=None), ref._replace(raised=None)):
@@ -493,7 +498,7 @@ class TestStackedLineJets:
     def test_stencil_points_are_u_plus_and_minus_the_step(self, model4):
         # the stencil adds cached offsets; signed zeros keep their signs
         us = np.array([[-0.0, 0.0, 0.3], [0.1, -0.0, -0.5]])
-        jets = _line_jets(catalog.build("cone_normal_congruence", n=4), us, model4, DEFAULT_STEP)
+        jets = line_jets(catalog.build("cone_normal_congruence", n=4), us, model4)
         expected = np.repeat(us[:, None], 7, axis=1)
         expected[:, 1::2] += DEFAULT_STEP * np.eye(3)
         expected[:, 2::2] -= DEFAULT_STEP * np.eye(3)
@@ -512,23 +517,25 @@ class TestStackedLineJets:
         assert lines[1].tobytes() == np.array(cong.line_at([0.0, -0.3, 0.5])).tobytes()
 
     def test_one_line_check_over_every_pass(self, model3):
-        # three passes of a leaf: a line of pass 2 off the quadric by a
-        # relative residual within (0.5e-10, 1e-10], which passes, and one of
-        # pass 3 beyond 1e-10, which fails; the judge of all three passes
-        # gives what the line checks of each pass alone give
+        # three passes of a leaf gathered into one stack, as a march gathers
+        # them: a line of pass 2 off the quadric by a relative residual within
+        # (0.5e-10, 1e-10], which passes, and one of pass 3 beyond 1e-10,
+        # which fails; the judge of the stack gives what the line checks of
+        # each pass alone give
         cong = catalog.build("cone_normal_congruence")
-        passes = [_line_jets(cong, us, model3, DEFAULT_STEP) for us in (
+        records = [(us, *_evaluate_lines(cong, us, DEFAULT_STEP)) for us in (
             np.array([[0.1, 0.4], [-0.2, 0.3]]), np.array([[0.0, 0.1], [0.3, -0.2], [0.2, 0.5]]),
             np.array([[-0.1, 0.2], [0.25, 0.0]]))]
-        for p, i, residual in ((passes[1], 2, 0.75e-10), (passes[2], 1, 3e-10)):
-            a0, a1 = p.a0[i], p.a1[i]
-            p.lines[i, 0, 0, -1] += 0.5 * residual * max(a0 @ a0, a1 @ a1)  # <A_0, A_0> = -2 dx
+        for (_, _, lines, _), i, residual in ((records[1], 2, 0.75e-10), (records[2], 1, 3e-10)):
+            a0, a1 = lines[i, 0]
+            lines[i, 0, 0, -1] += 0.5 * residual * max(a0 @ a0, a1 @ a1)  # <A_0, A_0> = -2 dx
+        passes = [_stack_jets([record], model3, DEFAULT_STEP) for record in records]
         alone = {starts + i: str(exc) for starts, p in zip((0, 2, 5), passes)
                  for i, exc in _line_checks(p.us, p.a0, p.a1, model3)[1].items()}
         screened = _line_checks(passes[1].us, passes[1].a0, passes[1].a1, model3, tol=0.5e-10)[1]
         assert list(screened) == [2] and list(alone) == [6]
-        assert {i: str(exc) for i, exc in _line_failures(passes, model3).items()} == alone
-        assert str(_first_failure(passes, model3)) == alone[6]
+        failures = _line_failures(_stack_jets(records, model3, DEFAULT_STEP), model3)
+        assert {i: str(exc) for i, exc in failures.items()} == alone
         assert "base_on_quadric" in alone[6] and "u=[0.25, 0.0]" in alone[6]
 
 
@@ -556,17 +563,16 @@ def _analysis_bits(an):
             an.screen.tobytes(), an.transversal_form.tobytes(), an.diagnostics)
 
 
-def _each_alone(line_jets):
-    """``_line_jets`` evaluating each member of a stack as a stack of one."""
+def _each_alone(line_at):
+    """``line_at`` evaluating the stencil of each member of a stacked pass
+    as a stack of its own."""
 
-    def alone(cong, us, model, step):
-        parts = [line_jets(cong, u[None], model, step) for u in us]
-        width = parts[0].stencil.shape[1]
-        raised = {i * width + f: exc for i, part in enumerate(parts)
-                  for f, exc in part.raised.items()}
-        return parts[0]._make(raised if field == "raised" else
-                              np.concatenate([getattr(part, field) for part in parts])
-                              for field in parts[0]._fields)
+    def alone(cong, u):
+        width = 2 * cong.params + 1
+        parts = [line_at(cong, stencil) for stencil in u.reshape(-1, width, cong.params)]
+        return (np.concatenate([lines for lines, _ in parts]),
+                {i * width + f: exc for i, (_, raised) in enumerate(parts)
+                 for f, exc in raised.items()})
 
     return alone
 
@@ -651,7 +657,7 @@ class TestCongruenceEngine:
         cong = CONGRUENCES[name]()
         model = AmbientModel.standard(cong.n)
         grid = parameter_grid(cong, [3] * cong.params)[1]
-        failures = _line_failures([_line_jets(cong, grid, model, DEFAULT_STEP)], model)
+        failures = _line_failures(line_jets(cong, grid, model), model)
         for i, u in enumerate(grid):
             alone = outcome(congruence_affinor, cong, u, model=model)
             got = failures.get(i)
@@ -689,32 +695,34 @@ class TestCongruenceEngine:
         assert leaf.truncated == truncated == (n == 3)
 
     def test_stratify_evaluation_bound(self, model4, monkeypatch):
-        # the runs advance in lockstep, one line-jet evaluation per RK4 stage:
-        # the points evaluated are the 320 a per-point integrator with a cache
-        # visits, fewer times than the 410 it visits without one
-        import pseudoconformal.congruence as module
-
-        line_jets = module._line_jets
+        # the runs advance in lockstep, one stacked line_at call per RK4
+        # stage: the points evaluated, the centres of its stencils, are the
+        # 320 a per-point integrator with a cache visits, fewer times than the
+        # 410 it visits without one
+        line_at = IsotropicCongruence.line_at
         count = 4
 
-        def run(jets):
+        def run(evaluate):
             passes = []
 
-            def counted(cong, us, model, step):
-                passes.append([u.tobytes() for u in us])
-                return jets(cong, us, model, step)
+            def counted(cong, u):
+                u = np.asarray(u, dtype=float)
+                if u.ndim == 1:
+                    return line_at(cong, u)
+                passes.append([p.tobytes() for p in u[:: 2 * cong.params + 1]])
+                return evaluate(cong, u)
 
-            monkeypatch.setattr(module, "_line_jets", counted)
+            monkeypatch.setattr(IsotropicCongruence, "line_at", counted)
             leaf = stratify(catalog.build("cone_normal_congruence", n=4),
                             np.array([0.1, 0.1, 0.3]), model=model4, count=count)
             return leaf, passes
 
-        leaf, passes = run(line_jets)
+        leaf, passes = run(line_at)
         seen = [u for points in passes for u in points]
         assert len(set(seen)) == 320
         assert len(seen) < 410
         assert len(passes) <= 2 * (4 * count + 1) + 1
-        alone, _ = run(_each_alone(line_jets))
+        alone, _ = run(_each_alone(line_at))
         assert leaf.parameters == alone.parameters
         assert leaf.lightlike_fraction == alone.lightlike_fraction
         assert leaf.truncated == alone.truncated
@@ -802,6 +810,25 @@ class TestDeferredRankChecks:
         assert deferred == run_outcome(inline_rk4_runs, *args)
         assert re.fullmatch(first + ".*", deferred[1])
 
+    @pytest.mark.parametrize("count,first", [
+        (8, None),
+        (12, "evaluation failed at u=\\[1\\.0000999\\d*, 0\\.0999\\d*\\]: math domain error")])
+    def test_runs_that_leave_the_domain_are_compacted(self, model3, count, first):
+        # two runs leave the domain, at steps 4 and 6; the third crosses v = 1
+        # on a cone widened beyond it, and its stencil fails in a pass after
+        # both compactions, at a stack index offset past every earlier pass
+        cong = replace(catalog.build("cone_normal_congruence"),
+                       domain=((-0.6, 1.2), (-1.0, 1.0)))
+        args = (cong, np.array([[-0.57, 0.3], [-0.55, -0.2], [0.9, 0.1]]),
+                np.array([[-1.0, 0.0], [-1.0, 0.0], [1.0, 0.0]]), model3, 1e-2, count)
+        deferred = run_outcome(_rk4_runs, *args)
+        assert deferred == run_outcome(inline_rk4_runs, *args)
+        if first is None:
+            visits, truncated = deferred
+            assert truncated and [len(run) for run in visits] == [4, 6, 9]
+        else:
+            assert deferred[0] is GeometryError and re.fullmatch(first, deferred[1])
+
     @pytest.mark.parametrize("n,starts", [(3, [(0.1, 0.4), (-0.2, 0.3)]),
                                           (4, [(0.1, 0.1, 0.3), (0.0, -0.1, 0.2)])])
     def test_runs_that_pass_keep_the_inline_bits(self, n, starts):
@@ -826,12 +853,11 @@ class TestDeferredRankChecks:
         monkeypatch.setattr(IsotropicCongruence, "line_at",
                             counted("line_at", IsotropicCongruence.line_at))
         cong = catalog.build("cone_normal_congruence")
-        for name in ("_line_jets", "_line_checks", "orthonormal_rows"):
+        for name in ("_line_checks", "orthonormal_rows"):
             monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         _rk4_runs(cong, np.array([[0.1, 0.4], [-0.2, 0.3]]), np.array([[1.0, 0.0]] * 2),
                   model3, 1e-2, 5)
-        assert calls == {"line_at": 21, "_line_jets": 21, "_line_checks": 1,
-                         "orthonormal_rows": 1}
+        assert calls == {"line_at": 21, "_line_checks": 1, "orthonormal_rows": 1}
 
     @pytest.mark.parametrize("why", ["transversal form vanishes at u=\\[0.2, 0.3\\]; "
                                      "distribution undefined",
