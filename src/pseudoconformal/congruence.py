@@ -481,6 +481,8 @@ def stratify(cong: IsotropicCongruence, seed, model: Optional[AmbientModel] = No
     pass, and the surviving fraction reported.  Only the seed gets the full
     shape operator, whose symmetry defect decides integrability.
     """
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 0:
+        raise ValueError(f"stratify count must be a non-negative integer, got {count!r}")
     if model is None:
         model = AmbientModel.standard(cong.n)
     seed = np.asarray(seed, dtype=float)

@@ -252,9 +252,9 @@ def causal_type_of_metric(m, tol: float) -> CausalType:
 
 
 def _rank_deficient(w: np.ndarray) -> np.ndarray:
-    """Whether J^T J, given its eigenvalues w (last axis), is singular
-    relative to its largest eigenvalue: J is then not an immersion there."""
-    return w.min(axis=-1) <= 1e-12 * np.maximum(w.max(axis=-1), 1e-300)
+    """Whether each J^T J, given its descending Jacobi spectrum w (N, k), is
+    singular relative to its largest eigenvalue: J is not an immersion there."""
+    return w[:, -1] <= 1e-12 * np.maximum(w[:, 0], 1e-300)
 
 
 def _evaluation_error(u, exc: Exception) -> GeometryError:
@@ -273,7 +273,8 @@ def _stacked_spectra(jets, gram, us, failures, vectors: bool = False) -> tuple:
 
     ``failures`` maps the stack index of each point whose jet could not be
     evaluated to its exception; every other Jacobian that is non-finite or
-    rank deficient (not an immersion there) gets a DegenerateBasisError in it.
+    rank deficient (not an immersion there) gets a DegenerateBasisError in it;
+    non-finite members are sought one by one only if the whole stack is not finite.
     Returns the eigenvalues (N, params) of every metric in stack order, and
     with ``vectors`` their eigenvectors (N, params, params), else None; zero
     for failed members.  J^T J carries no eigenvectors.
@@ -281,16 +282,15 @@ def _stacked_spectra(jets, gram, us, failures, vectors: bool = False) -> tuple:
     count, _, d = jets.shape
     live = np.delete(np.arange(count), list(failures))
     j = jets[live]
-    finite = np.isfinite(j).all(axis=(1, 2))
-    j = np.where(finite[:, None, None], j, 0.0)  # inf * 0 would warn
-    metrics = _pullback(j, gram)
-    jtj = np.swapaxes(j, 1, 2) @ j
-    finite &= np.isfinite(metrics).all(axis=(1, 2)) & np.isfinite(jtj).all(axis=(1, 2))
-    for i in live[~finite].tolist():
-        failures[i] = DegenerateBasisError(f"non-finite jacobian at u={us[i].tolist()}")
-    live, metrics, jtj = live[finite], metrics[finite], jtj[finite]
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite J has a non-finite J^T J
+        stack = np.concatenate([_pullback(j, gram), np.swapaxes(j, 1, 2) @ j])
+    if not np.isfinite(stack).all():
+        finite = np.isfinite(stack).all(axis=(1, 2)).reshape(2, -1).all(axis=0)
+        for i in live[~finite].tolist():
+            failures[i] = DegenerateBasisError(f"non-finite jacobian at u={us[i].tolist()}")
+        live, stack = live[finite], stack[np.tile(finite, 2)]
 
-    w, v = jacobi_eigh(np.concatenate([metrics, jtj]), vectors=len(live) if vectors else 0)
+    w, v = jacobi_eigh(stack, vectors=len(live) if vectors else 0)
     for i in live[_rank_deficient(w[len(live):])].tolist():
         failures[i] = DegenerateBasisError(f"jacobian is rank deficient at u={us[i].tolist()}")
     w_all, v_all = np.zeros((count, d)), np.zeros((count, d, d)) if vectors else None
@@ -425,17 +425,13 @@ def _transitions(codes: np.ndarray, axes) -> list:
             (low >= 0) & (high >= 0) & (low != high)
             & (spacelike_timelike | (low == lightlike) | (high == lightlike))
         )
-        flat = np.ravel_multi_index(np.nonzero(crossing), codes.shape)
-        found.extend((f, axis) for f in flat.tolist())
-    transitions = []
-    for flat, axis in sorted(found):
-        index_low = tuple(int(i) for i in np.unravel_index(flat, codes.shape))
-        index_high = tuple(i + (a == axis) for a, i in enumerate(index_low))
-        transitions.append(TransitionCell(
-            axis=axis,
-            index_low=index_low,
-            u_low=tuple(float(axes[a][i]) for a, i in enumerate(index_low)),
-            u_high=tuple(float(axes[a][i]) for a, i in enumerate(index_high)),
-            kinds=(_KINDS[codes[index_low]], _KINDS[codes[index_high]]),
-        ))
-    return transitions
+        found.append(np.ravel_multi_index(np.nonzero(crossing), codes.shape) * codes.ndim + axis)
+    flat, along = np.divmod(np.sort(np.concatenate(found)), codes.ndim)  # by lower end, then axis
+    low = np.array(np.unravel_index(flat, codes.shape))  # (d, edges): the lower ends
+    high = low + (np.arange(codes.ndim)[:, None] == along)
+    u_low, u_high = (np.array([ax[i] for ax, i in zip(axes, end)]).T.tolist() for end in (low, high))
+    k_low, k_high = (codes[tuple(end)].tolist() for end in (low, high))
+    return [TransitionCell(axis=a, index_low=tuple(i), u_low=tuple(ul), u_high=tuple(uh),
+                           kinds=(_KINDS[kl], _KINDS[kh]))
+            for a, i, ul, uh, kl, kh in zip(along.tolist(), low.T.tolist(), u_low, u_high,
+                                            k_low, k_high)]

@@ -12,6 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -117,35 +118,40 @@ def jacobi_eigh(m, tol: float = JACOBI_TOL, max_sweeps: int = 60,
     0.  Column signs are fixed so that the entry of largest magnitude in each
     eigenvector is positive.  Eigenvalues do not depend on ``vectors``.
 
+    The pass works member-last, on (k, k, N) and an accumulator (k, k, V):
+    rotations update contiguous rows and reductions run along the stack.
     Every member visits the (p, q) pairs in row order, with its own
-    convergence test at the start of each sweep.  A member that has
-    converged, or whose a_pq is negligible, is rotated by c = 1, s = 0 and so
-    left exactly unchanged.  Raises ValueError on non-finite or asymmetric
-    input and ConvergenceError when a member overflows or its off-diagonal
-    norm is still above ``tol`` after ``max_sweeps`` sweeps.
+    convergence test at the start of each sweep, its off-diagonal norm
+    summed as numpy sums its k*k squares (pairwise, in order below 8).  A
+    member that has converged, or whose a_pq is negligible, is rotated by
+    c = 1, s = 0 and so left exactly unchanged.  Raises ValueError on
+    non-finite or asymmetric input and ConvergenceError when a member
+    overflows or its off-diagonal norm is above ``tol`` after ``max_sweeps``.
     """
     a = np.asarray(m, dtype=float)
     single = a.ndim != 3
-    if single:
-        a = _as_matrix(a)[None]
+    a = _as_matrix(a)[None] if single else a
     if a.shape[1] != a.shape[2]:
         raise ValueError(f"expected a stack of square matrices, got shape {a.shape}")
     count, k, _ = a.shape
+    if not count:
+        return np.zeros((0, k)), np.zeros((0, k, k))
     carry = count if vectors is None else min(vectors, count)
-    scale = np.maximum(np.abs(a).max(axis=(1, 2)), 1e-300)
+    a = np.ascontiguousarray(a.transpose(1, 2, 0))
+    scale = np.maximum(np.abs(a).max(axis=(0, 1)), 1e-300)
     if not np.isfinite(scale).all():
         raise ValueError("jacobi_eigh requires finite entries")
-    if (np.abs(a - a.transpose(0, 2, 1)).max(axis=(1, 2)) > 1e-10 * scale).any():
+    if (np.abs(a - a.transpose(1, 0, 2)).max(axis=(0, 1)) > 1e-10 * scale).any():
         raise ValueError("jacobi_eigh requires symmetric matrices")
-    a = 0.5 * (a + a.transpose(0, 2, 1))
-    v = np.tile(np.eye(k), (carry, 1, 1))
-    off_diagonal = ~np.eye(k, dtype=bool)
+    a = 0.5 * (a + a.transpose(1, 0, 2))
+    v = np.repeat(np.eye(k)[:, :, None], carry, axis=2)  # v[j, i, n]: member n's v_ij
+    off_diagonal = ~np.eye(k, dtype=bool)[:, :, None]
     for sweep in range(max_sweeps + 1):
-        strict = a * off_diagonal  # not finite once any entry of the member is not
-        off = np.sqrt((strict * strict).sum(axis=(1, 2)))
+        squares = np.square(a * off_diagonal).reshape(k * k, count)  # an inf diagonal gives nan
+        off = np.sqrt(squares.sum(axis=0) if k < 3 else np.ascontiguousarray(squares.T).sum(axis=1))
         if not np.isfinite(off).all() and not np.isfinite(a).all():
             raise ConvergenceError(
-                f"Jacobi pass overflowed for {int((~np.isfinite(a).all(axis=(1, 2))).sum())}"
+                f"Jacobi pass overflowed for {int((~np.isfinite(a).all(axis=(0, 1))).sum())}"
                 f" of {count} matrices", residual=math.inf)
         active = off > tol * scale
         if not active.any():
@@ -159,20 +165,19 @@ def jacobi_eigh(m, tol: float = JACOBI_TOL, max_sweeps: int = 60,
             )
         for p in range(k - 1):
             for q in range(p + 1, k):
-                apq = a[:, p, q]
+                apq = a[p, q]
                 rotate = active & (np.abs(apq) > 1e-300)
-                tau = (a[:, q, q] - a[:, p, p]) / (2.0 * np.where(rotate, apq, 1.0))
+                tau = (a[q, q] - a[p, p]) / (2.0 * np.where(rotate, apq, 1.0))
                 t = np.copysign(1.0, tau) / (np.abs(tau) + np.hypot(1.0, tau))
-                c = np.where(rotate, 1.0 / np.hypot(1.0, t), 1.0)[:, None]
-                s = np.where(rotate, t, 0.0)[:, None] * c
-                _rotate_pair(a[:, :, p], a[:, :, q], c, s)
-                _rotate_pair(a[:, p, :], a[:, q, :], c, s)
+                c = np.where(rotate, 1.0 / np.hypot(1.0, t), 1.0)
+                s = np.where(rotate, t, 0.0) * c
+                _rotate_pair(a.swapaxes(0, 1), p, q, c, s)
+                _rotate_pair(a, p, q, c, s)
                 if carry:
-                    _rotate_pair(v[:, :, p], v[:, :, q], c[:carry], s[:carry])
-                a[rotate, p, q] = 0.0
-                a[rotate, q, p] = 0.0
-    diagonal = np.diagonal(a, axis1=1, axis2=2)
-    w = -np.sort(-diagonal, axis=1, kind="stable")
+                    _rotate_pair(v, p, q, c[:carry], s[:carry])
+                a[p, q], a[q, p] = np.where(rotate, 0.0, a[p, q]), np.where(rotate, 0.0, a[q, p])
+    diagonal = np.diagonal(a).copy()
+    w, v = -np.sort(-diagonal, axis=1, kind="stable"), v.transpose(2, 1, 0)
     if carry:
         order = np.argsort(-diagonal[:carry], axis=1, kind="stable")
         v = np.take_along_axis(v, order[:, None, :], axis=2)
@@ -181,23 +186,20 @@ def jacobi_eigh(m, tol: float = JACOBI_TOL, max_sweeps: int = 60,
     return (w[0], v[0] if carry else None) if single else (w, v)
 
 
-def _rotate_pair(xp, xq, c, s):
-    """Givens rotation in place of two equally shaped views: columns (or
-    rows) p and q of every member become c xp - s xq and s xp + c xq."""
-    old = xp.copy()
-    xp[...] = c * xp - s * xq
-    xq[...] = s * old + c * xq
+def _rotate_pair(x, p, q, c, s):
+    """Rows p, q of a member-last stack x become c x_p - s x_q, s x_p + c x_q."""
+    x[p], x[q] = c * x[p] - s * x[q], s * x[p] + c * x[q]
 
 
 def _inertia(w: np.ndarray, tol: float) -> tuple:
-    """(plus, minus, zero) counts of eigenvalues w (last axis) beyond tol
-    times their spectral radius, and the ratio of the least |w| to that
-    radius; one of each per row of a stack."""
-    abs_w = np.abs(w)
-    radius = np.maximum(abs_w.max(axis=-1, keepdims=True), 1e-300)
-    plus = (w > tol * radius).sum(axis=-1)
-    minus = (w < -tol * radius).sum(axis=-1)
-    return plus, minus, w.shape[-1] - plus - minus, abs_w.min(axis=-1) / radius[..., 0]
+    """(plus, minus, zero) counts of eigenvalues w (last axis, any order)
+    beyond tol times their spectral radius, and the ratio of the least |w|
+    to that radius; one of each per row of a stack, taken column by column."""
+    columns = np.moveaxis(w, -1, 0)
+    radius = np.maximum(reduce(np.maximum, np.abs(columns)), 1e-300)
+    plus = sum(column > tol * radius for column in columns)
+    minus = sum(column < -tol * radius for column in columns)
+    return plus, minus, w.shape[-1] - plus - minus, reduce(np.minimum, np.abs(columns)) / radius
 
 
 def signature(m, tol: float = 1e-10) -> Signature:

@@ -9,7 +9,8 @@ two-sided check.  Root clusters come from the nested-list rule that the
 library's stacked clustering replaced, one value at a time, and single
 symmetric eigenproblems, solves, determinants, characteristic polynomials
 and polynomial roots from the one-matrix loops that the stacked passes
-replaced.  The leaf integrator's reference checks every pass of its RK4 runs
+replaced; stacked eigenproblems also from the member-first Jacobi pass that
+the member-last one replaced.  The leaf integrator's reference checks every pass of its RK4 runs
 as soon as it is made, which the integrator defers to one check at the end.
 The tangential-degeneracy reference is the kernel flow that the closed-form
 check replaced: RK4 along the numpy.linalg.eigh kernel field, and principal
@@ -569,6 +570,81 @@ def single_matrix_jacobi(m, tol=1e-12, max_sweeps=60):
         if v[i, j] < 0:
             v[:, j] = -v[:, j]
     return w, v
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def member_first_jacobi(m, tol=1e-12, max_sweeps=60, vectors=None):
+    """Eigendecomposition of a stack of symmetric matrices (N, k, k), or of
+    one matrix, by cyclic Jacobi rotations: the member-first pass that
+    ``linalg.jacobi_eigh`` ran before it worked on a member-last copy.  Its
+    reductions run over each member's k*k entries and its rotations update
+    stride-k columns of the (N, k, k) stack; results, errors and their
+    messages are otherwise ``jacobi_eigh``'s."""
+    a = np.asarray(m, dtype=float)
+    single = a.ndim != 3
+    if single:
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {a.shape}")
+        a = a[None]
+    if a.shape[1] != a.shape[2]:
+        raise ValueError(f"expected a stack of square matrices, got shape {a.shape}")
+    count, k, _ = a.shape
+    carry = count if vectors is None else min(vectors, count)
+    scale = np.maximum(np.abs(a).max(axis=(1, 2)), 1e-300)
+    if not np.isfinite(scale).all():
+        raise ValueError("jacobi_eigh requires finite entries")
+    if (np.abs(a - a.transpose(0, 2, 1)).max(axis=(1, 2)) > 1e-10 * scale).any():
+        raise ValueError("jacobi_eigh requires symmetric matrices")
+    a = 0.5 * (a + a.transpose(0, 2, 1))
+    v = np.tile(np.eye(k), (carry, 1, 1))
+    off_diagonal = ~np.eye(k, dtype=bool)
+    for sweep in range(max_sweeps + 1):
+        strict = a * off_diagonal  # not finite once any entry of the member is not
+        off = np.sqrt((strict * strict).sum(axis=(1, 2)))
+        if not np.isfinite(off).all() and not np.isfinite(a).all():
+            raise ConvergenceError(
+                f"Jacobi pass overflowed for {int((~np.isfinite(a).all(axis=(1, 2))).sum())}"
+                f" of {count} matrices", residual=math.inf)
+        active = off > tol * scale
+        if not active.any():
+            break
+        if sweep == max_sweeps:
+            raise ConvergenceError(
+                f"Jacobi sweeps did not converge in {max_sweeps} sweeps for "
+                f"{int(active.sum())} of {count} matrices "
+                f"(largest off-diagonal norm {off.max():.3e})",
+                residual=float(off.max()),
+            )
+        for p in range(k - 1):
+            for q in range(p + 1, k):
+                apq = a[:, p, q]
+                rotate = active & (np.abs(apq) > 1e-300)
+                tau = (a[:, q, q] - a[:, p, p]) / (2.0 * np.where(rotate, apq, 1.0))
+                t = np.copysign(1.0, tau) / (np.abs(tau) + np.hypot(1.0, tau))
+                c = np.where(rotate, 1.0 / np.hypot(1.0, t), 1.0)[:, None]
+                s = np.where(rotate, t, 0.0)[:, None] * c
+                _member_first_rotate_pair(a[:, :, p], a[:, :, q], c, s)
+                _member_first_rotate_pair(a[:, p, :], a[:, q, :], c, s)
+                if carry:
+                    _member_first_rotate_pair(v[:, :, p], v[:, :, q], c[:carry], s[:carry])
+                a[rotate, p, q] = 0.0
+                a[rotate, q, p] = 0.0
+    diagonal = np.diagonal(a, axis1=1, axis2=2)
+    w = -np.sort(-diagonal, axis=1, kind="stable")
+    if carry:
+        order = np.argsort(-diagonal[:carry], axis=1, kind="stable")
+        v = np.take_along_axis(v, order[:, None, :], axis=2)
+        lead = np.take_along_axis(v, np.abs(v).argmax(axis=1)[:, None, :], axis=1)
+        v = np.where(lead < 0, -v, v)
+    return (w[0], v[0] if carry else None) if single else (w, v)
+
+
+def _member_first_rotate_pair(xp, xq, c, s):
+    """Givens rotation in place of two equally shaped views: columns (or
+    rows) p and q of every member become c xp - s xq and s xp + c xq."""
+    old = xp.copy()
+    xp[...] = c * xp - s * xq
+    xq[...] = s * old + c * xq
 
 
 def single_matrix_solve(a, b, tol=1e-12):

@@ -224,6 +224,16 @@ class TestSymmetryImpliesRealRoots:
 
 
 class TestStratify:
+    def test_count_is_a_non_negative_integer(self, model3):
+        # a negative count used to die with a bare IndexError at the spine
+        cong, seed = catalog.build("cone_normal_congruence"), np.array([0.1, 0.2])
+        for count in (-1, -40, 2.5, "3", True, None):
+            with pytest.raises(ValueError, match="count"):
+                stratify(cong, seed, model=model3, count=count)
+        leaf = stratify(cong, seed, model=model3, count=0)
+        assert leaf.parameters == ((0.1, 0.2),) and len(leaf.lines) == 1 and not leaf.truncated
+        assert len(stratify(cong, seed, model=model3, count=np.int64(1)).parameters) == 3
+
     def test_cone_leaf_keeps_vertex_parameter(self, model3):
         cong = catalog.build("cone_normal_congruence")
         leaf = stratify(cong, np.array([0.1, 0.4]), model=model3, step=1e-2,

@@ -12,7 +12,9 @@ from pseudoconformal.cli import _build_object, _resolve_grid, load_scene, main
 from pseudoconformal.conformal import AmbientModel, lift_point
 from pseudoconformal.errors import DegenerateBasisError, NotLightlikeError
 from pseudoconformal.hypersurface import (
+    _KINDS,
     Immersion,
+    _transitions,
     causal_type_of_metric,
     classify_point,
     induced_metric,
@@ -447,6 +449,18 @@ class TestSurveyEquivalence:
     )
     def test_failing_points(self, build):
         assert_survey_matches_classify_point(build(), (9, 5))
+
+    def test_transitions_of_random_codes(self, rng):
+        # every kind next to every other and to failed points (-1), on 1 to 4
+        # axes; the edges carry Python ints and floats, as the scan's do
+        for shape in [(1,), (9,), (2, 2), (5, 6, 7), (3, 1, 4, 2)]:
+            codes = rng.integers(-1, len(_KINDS), size=shape)
+            axes = [np.linspace(-1.0, 1.7, count) for count in shape]
+            kinds = {idx: _KINDS[code] for idx, code in np.ndenumerate(codes) if code >= 0}
+            got = [(t.axis, t.index_low, t.u_low, t.u_high, t.kinds)
+                   for t in _transitions(codes, axes)]
+            expected = scanned_transitions(kinds, axes)
+            assert got == expected and repr(got) == repr(expected)
 
 
 class TestDifferencedJets:

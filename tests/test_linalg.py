@@ -18,6 +18,7 @@ from pseudoconformal.linalg import (
     REAL_ROOT_TOL,
     BilinearForm,
     _cluster,
+    _inertia,
     _root_records,
     _roots,
     _durand_kerner,
@@ -38,9 +39,9 @@ from pseudoconformal.linalg import (
 )
 
 import _oracles
-from _oracles import (nested_cluster_roots, nested_clusters, root_bits, single_matrix_det,
-                      single_matrix_faddeev_leverrier, single_matrix_jacobi, single_matrix_solve,
-                      single_polynomial_durand_kerner)
+from _oracles import (member_first_jacobi, nested_cluster_roots, nested_clusters, root_bits,
+                      single_matrix_det, single_matrix_faddeev_leverrier, single_matrix_jacobi,
+                      single_matrix_solve, single_polynomial_durand_kerner)
 
 finite_floats = st.floats(min_value=-10, max_value=10, allow_nan=False)
 
@@ -264,6 +265,111 @@ class TestStackedJacobi:
                 assert _outcome(lambda: jacobi_eigh(a, vectors=carried, **options)) == expected
         assert _outcome(lambda: jacobi_eigh(unconverged, max_sweeps=1, vectors=0))[1].startswith(
             "Jacobi sweeps did not converge in 1 sweeps for 1 of 3 matrices")
+
+
+def _bits(x):
+    return None if x is None else (x.shape, x.tobytes())
+
+
+def _raised(fn):
+    """Type, message and residual of what a call raised, or None."""
+    try:
+        fn()
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "residual", None)
+    return None
+
+
+def assert_member_first_bits(stack, carried=(0, 1, 4, None)):
+    """jacobi_eigh gives the member-first pass's eigenvalues and eigenvectors
+    bit for bit, with each count of carried eigenvectors."""
+    for vectors in carried:
+        w, v = jacobi_eigh(stack, vectors=vectors)
+        expected_w, expected_v = member_first_jacobi(stack, vectors=vectors)
+        assert _bits(w) == _bits(expected_w) and _bits(v) == _bits(expected_v)
+
+
+class TestMemberLastJacobi:
+    """The member-last pass keeps the bits and the errors of the member-first
+    pass it replaced (``_oracles.member_first_jacobi``)."""
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_mixed_stacks(self, rng, k):
+        stack = mixed_stack(rng, k)
+        assert_member_first_bits(stack, carried=(0, 1, 4, len(stack), None))
+        for member in stack[[0, 4, -1]]:
+            assert_member_first_bits(member)
+
+    def test_scaled_converged_and_zero_members(self, rng):
+        # 2^600-scaled members overflow the off-diagonal norm, not the pass
+        for k in (2, 3, 5):
+            a = rng.normal(size=(k, k))
+            full, diagonal = a + a.T, np.diag(rng.normal(size=k))
+            stack = np.array([2.0**600 * full, diagonal, np.zeros((k, k)), 2.0**600 * diagonal,
+                              full, 2.0**-600 * full, np.zeros((k, k)), 2.0**600 * full.T])
+            assert_member_first_bits(stack)
+
+    def test_classify_slot_stacks(self, monkeypatch):
+        import pseudoconformal.hypersurface as hypersurface
+
+        stacks = []
+
+        def recorded(m, **options):
+            stacks.append(np.array(m))
+            return jacobi_eigh(m, **options)
+
+        monkeypatch.setattr(hypersurface, "jacobi_eigh", recorded)
+        survey(catalog.build("euclidean_sphere"), [64, 64])
+        survey(catalog.build("timelike_hypersphere", n=5), [6] * 4)
+        survey(catalog.build("spacelike_hypersphere", n=4), [12] * 3)
+        assert [stack.shape for stack in stacks] == [(8192, 2, 2), (2592, 4, 4), (3456, 3, 3)]
+        for stack in stacks:  # the metrics, then their J^T J
+            assert_member_first_bits(stack, carried=(0, None))
+
+    def test_errors_and_their_messages(self, rng):
+        full = rng.normal(size=(6, 6))
+        one_pair = np.diag(rng.normal(size=6))
+        one_pair[1, 4] = one_pair[4, 1] = 0.7
+        overflowing = np.array([[1e308, 1e308], [1e308, -1e308]])
+        cases = [(np.array([np.diag(rng.normal(size=6)), one_pair, full + full.T]),
+                  {"max_sweeps": 1}, "for 1 of 3 matrices"),
+                 (np.array([np.eye(2), overflowing, -overflowing]), {}, "overflowed for 2 of 3"),
+                 (overflowing, {}, "overflowed for 1 of 1"),
+                 (np.array([np.eye(2), [[1.0, np.nan], [np.nan, 2.0]]]), {}, "finite"),
+                 (np.array([np.eye(2), [[0.0, 1.0], [0.0, 0.0]]]), {}, "symmetric"),
+                 (np.zeros((0, 2, 3)), {}, "square")]
+        for stack, options, message in cases:
+            for vectors in (0, 1, None):
+                raised = _raised(lambda: jacobi_eigh(stack, vectors=vectors, **options))
+                assert raised is not None and message in raised[1]
+                assert raised == _raised(lambda: member_first_jacobi(stack, vectors=vectors,
+                                                                     **options))
+
+    def test_empty_stack_returns_at_once(self):
+        for vectors in (None, 0, 2):
+            w, v = jacobi_eigh(np.zeros((0, 3, 3)), vectors=vectors)
+            assert w.shape == (0, 3) and v.shape == (0, 3, 3)
+            assert _bits(w) == _bits(member_first_jacobi(np.zeros((0, 3, 3)), vectors=vectors)[0])
+
+    def test_inertia_of_a_permuted_spectrum(self, rng):
+        # counts and ratio do not depend on the order of a spectrum: a
+        # descending Jacobi spectrum and any permutation of it read alike
+        w = rng.normal(size=(60, 5)) * 10.0 ** rng.integers(-3, 3, size=(60, 5))
+        w[::3, 1] = 0.0
+        w[::4, 2] = 1e-12 * w[::4, 0]
+        w[-1] = 0.0
+        tol = 1e-8
+        radius = np.maximum(np.abs(w).max(axis=1), 1e-300)
+        plus = (w > tol * radius[:, None]).sum(axis=1)
+        minus = (w < -tol * radius[:, None]).sum(axis=1)
+        expected = (plus, minus, 5 - plus - minus, np.abs(w).min(axis=1) / radius)
+        spectra = [w, -np.sort(-w, axis=1), np.sort(w, axis=1), rng.permuted(w, axis=1)]
+        for spectrum in spectra:
+            got = _inertia(spectrum, tol)
+            assert [_bits(x) for x in got] == [_bits(x) for x in expected]
+            for row in (0, 3, 4, 59):
+                single = _inertia(spectrum[row], tol)
+                assert [float(x) for x in single] == [float(x[row]) for x in expected]
 
 
 class TestCharRoots:
@@ -629,10 +735,10 @@ class TestOrthonormalRows:
 @pytest.fixture
 def jacobi_passes(monkeypatch):
     """The Jacobi passes made while a test runs, as [caller, stack shape,
-    rotations of its matrices, leading sizes of its other rotations].  Each
+    rotations of its matrices, member counts of its other rotations].  Each
     (p, q) pair of each sweep rotates the columns and the rows of the
-    matrices, views of one working array; every further rotation is of an
-    eigenvector accumulator."""
+    matrices, views of one member-last working array; every further rotation
+    is of an eigenvector accumulator, whose last axis counts its members."""
     import pseudoconformal.congruence
     import pseudoconformal.frames
     import pseudoconformal.hypersurface
@@ -647,14 +753,14 @@ def jacobi_passes(monkeypatch):
         matrices.clear()
         return original(m, *args, **kwargs)
 
-    def counted_rotate(xp, xq, c, s):
+    def counted_rotate(x, p, q, c, s):
         if not matrices:  # a pair's first rotation is of the matrices' columns
-            matrices.append(xp.base)
-        if xp.base is matrices[0]:
+            matrices.append(x.base)
+        if np.shares_memory(x, matrices[0]):
             passes[-1][2] += 1
         else:
-            passes[-1][3].append(len(xp))
-        rotate(xp, xq, c, s)
+            passes[-1][3].append(x.shape[-1])
+        rotate(x, p, q, c, s)
 
     for module in (pseudoconformal.congruence, pseudoconformal.frames,
                    pseudoconformal.hypersurface, pseudoconformal.lightlike, linalg):
