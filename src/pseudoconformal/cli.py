@@ -27,7 +27,7 @@ from .conformal import AmbientModel, _normalized, _singular_coords, _unembed, li
 from .congruence import _congruence_affinors, stratify
 from .errors import ConvergenceError, GeometryError, NonIntegrableError
 from .hypersurface import parameter_grid, survey
-from .lightlike import _affinors, _analysis, _focal_set, torse_directions
+from .lightlike import _affinors, _analysis, _degeneracy_report, _focal_set, torse_directions
 from .linalg import MAX_ROOT_ORDER, _dots
 
 SCENE_KEYS = {"n", "kind", "builtin", "params", "points", "grid", "tolerances",
@@ -167,9 +167,8 @@ def _build_object(scene: Scene):
 
 def _resolve_grid(scene: Scene, obj):
     """Grid counts plus an optional domain override from the scene."""
-    default_counts = [8] * obj.params
     if scene.grid is None:
-        return obj, default_counts
+        return obj, [8] * obj.params
     if isinstance(scene.grid, list):
         counts = scene.grid
         domain = None
@@ -388,7 +387,7 @@ def run_lightlike(scene: Scene, out_path, fmt) -> int:
     center = np.array([0.5 * (lo + hi) for lo, hi in imm.domain])
     columns = _affinors(imm, np.vstack([grid, center]), model, 1.0, sym_tol)
     focal = _focal_set(columns, len(grid), model)
-    an, degeneracy = _analysis(columns, len(grid))
+    an, degeneracy = _analysis(columns, len(grid)), _degeneracy_report(columns, len(grid))
     torses = torse_directions(an)
 
     header = ([f"u{i}" for i in range(1, imm.params + 1)]

@@ -251,12 +251,6 @@ def causal_type_of_metric(m, tol: float) -> CausalType:
     return causal_type_of_spectrum(jacobi_eigh(m, vectors=0)[0], tol)
 
 
-def _rank_deficient(w: np.ndarray) -> np.ndarray:
-    """Whether each J^T J, given its descending Jacobi spectrum w (N, k), is
-    singular relative to its largest eigenvalue: J is not an immersion there."""
-    return w[:, -1] <= 1e-12 * np.maximum(w[:, 0], 1e-300)
-
-
 def _evaluation_error(u, exc: Exception) -> GeometryError:
     """What an evaluator raised at the parameter point u as a GeometryError:
     a GeometryError as it is, any other error naming u and keeping its
@@ -291,7 +285,8 @@ def _stacked_spectra(jets, gram, us, failures, vectors: bool = False) -> tuple:
         live, stack = live[finite], stack[np.tile(finite, 2)]
 
     w, v = jacobi_eigh(stack, vectors=len(live) if vectors else 0)
-    for i in live[_rank_deficient(w[len(live):])].tolist():
+    spectra = w[len(live):]  # of J^T J, singular relative to its largest where J is no immersion
+    for i in live[spectra[:, -1] <= 1e-12 * np.maximum(spectra[:, 0], 1e-300)].tolist():
         failures[i] = DegenerateBasisError(f"jacobian is rank deficient at u={us[i].tolist()}")
     w_all, v_all = np.zeros((count, d)), np.zeros((count, d, d)) if vectors else None
     w_all[live] = w[: len(live)]

@@ -143,14 +143,6 @@ class LightlikeAnalysis:
     diagnostics: dict = field(default_factory=dict)
 
     @property
-    def base_point(self) -> np.ndarray:
-        return self.line[0]
-
-    @property
-    def generator_point(self) -> np.ndarray:
-        return self.line[1]
-
-    @property
     def screen_dim(self) -> int:
         return self.shape_operator.shape[0]
 
@@ -249,31 +241,34 @@ def _degeneracy(jets: _JetStack, members, dr, k) -> tuple:
             (w > 1e-12 * top[:, None]).sum(axis=1))
 
 
-_Affinors = namedtuple("_Affinors", "us members operators defects spectra a0 a1 screens "
-                                    "diagnostics rates ranks failures")
+_Affinors = namedtuple("_Affinors", "us members operators defects spectra roots a0 a1 screens "
+                                    "diagnostics jets dr kernels failures")
 
 
 def _affinors(imm: Immersion, us: np.ndarray, model: AmbientModel, generator_scale: float,
               sym_tol: Optional[float]) -> _Affinors:
     """Lightlike analysis at the parameter points us (N, params) in columns
     over the points that pass (stack indices ``members``, ascending):
-    symmetrized shape operators, symmetry defects, descending spectra, lines
-    ``a0``, ``a1``, screens, diagnostics {name: (P,)}, and the generator
-    rates and tangent ranks of ``_degeneracy``; and the others' ``failures``.
+    symmetrized shape operators, symmetry defects, descending spectra and
+    their roots (``linalg._roots`` of ``linalg._cluster``), lines ``a0``,
+    ``a1``, screens, diagnostics {name: (P,)}, and the jet stack, row
+    derivatives and kernel columns that ``_degeneracy`` reads; and the
+    others' ``failures``.
 
-    The jets of all points are evaluated once and eigendecomposed in one
-    stacked Jacobi pass (``_JetStack``), the lines and screens built in one
-    stacked pass (``_lines``), the Hessians of the points that pass are one
-    stacked ``jet2`` call, lifted once (``_row_derivatives``), their
-    metrics' pseudo-inverses and kernels taken once (``_pseudo_inverse``),
-    dA_1 read in closed form (``_generator_differentials``), the shape
-    operators in one stacked pass (``_shape_operators``), the spectra of the
-    symmetrized ones read in a second Jacobi pass and the degeneracy with a
-    third (``_degeneracy``), neither with eigenvectors.  A stacked member does
-    not depend on the rest of its stack, so a point gets the same bits in any
-    grid.  A point fails with its own jet's failure, then with its lightlike,
-    line and screen checks, then with its Hessian's (what it raised, or a
-    non-finite Hessian), then with its operator's asymmetry.
+    The jets of all points are evaluated and eigendecomposed once
+    (``_JetStack``), their lines and screens built in one pass (``_lines``),
+    the Hessians of the points that pass are one ``jet2`` call, lifted once
+    (``_row_derivatives``), their metrics' pseudo-inverses and kernels taken
+    once (``_pseudo_inverse``), dA_1 read in closed form
+    (``_generator_differentials``), the operators in one pass
+    (``_shape_operators``), and the spectra of their symmetric parts in a
+    second Jacobi pass, without eigenvectors, clustered into roots once.
+    The degeneracy is left to the members whose report is read
+    (``_degeneracy_report``).  A member does not depend on the rest of its
+    stack, so a point gets the same bits in any grid.  A point fails with
+    its own jet's failure, then with its lightlike, line and screen checks,
+    then with its Hessian's (what it raised, or a non-finite Hessian), then
+    with its operator's asymmetry.
     """
     sym_tol = SYMMETRY_TOL if sym_tol is None else sym_tol
     jets = _JetStack(imm, us, model, generator_scale)
@@ -302,26 +297,36 @@ def _affinors(imm: Immersion, us: np.ndarray, model: AmbientModel, generator_sca
     # keeps exact multiplicities real (the general root iteration splinters
     # multiple roots at the cube root of machine precision)
     lam_sym, members = (0.5 * (lam + lam_t))[ok], pending[ok]
-    return _Affinors(us, members, lam_sym, defects[ok], jacobi_eigh(lam_sym, vectors=0)[0],
+    spectra = jacobi_eigh(lam_sym, vectors=0)[0]
+    return _Affinors(us, members, lam_sym, defects[ok], spectra, _roots(*_cluster(-spectra)),
                      a0[members], a1[members], screens[members],
                      {key: value[ok] for key, value in diagnostics.items()},
-                     *_degeneracy(jets, members, dr[ok], k[ok]), failures)
+                     jets, dr[ok], k[ok], failures)
 
 
-def _analysis(c: _Affinors, i: int) -> tuple:
-    """The LightlikeAnalysis and DegeneracyReport of stack member i of
-    ``_affinors`` columns, or the exception it failed with raised.  Only here
-    are the determinant and the ``Root`` records of the roots built."""
+def _analysis(c: _Affinors, i: int) -> LightlikeAnalysis:
+    """The LightlikeAnalysis of stack member i of ``_affinors`` columns, or
+    the exception it failed with raised.  Only here are the determinant and
+    the ``Root`` records of its row of roots built."""
     if i in c.failures:
         raise c.failures[i]
     j = int(np.searchsorted(c.members, i))
     return LightlikeAnalysis(
         u=c.us[i].copy(), shape_operator=c.operators[j], symmetry_defect=float(c.defects[j]),
         determinant=float(det(c.operators[j])),
-        roots=tuple(_root_records(*(x[0] for x in _roots(*_cluster(-c.spectra[j : j + 1]))))),
+        roots=tuple(_root_records(*(a[j] for a in c.roots))),
         line=(c.a0[j], c.a1[j]), screen=c.screens[j],
-        diagnostics={key: float(value[j]) for key, value in c.diagnostics.items()},
-    ), DegeneracyReport(generator_rate=float(c.rates[j]), tangent_rank=int(c.ranks[j]))
+        diagnostics={key: float(value[j]) for key, value in c.diagnostics.items()})
+
+
+def _degeneracy_report(c: _Affinors, i: int) -> DegeneracyReport:
+    """The DegeneracyReport of stack member i of ``_affinors`` columns, or
+    the exception it failed with raised: ``_degeneracy`` of that one member."""
+    if i in c.failures:
+        raise c.failures[i]
+    j = slice(*np.searchsorted(c.members, [i, i + 1]))
+    rate, rank = _degeneracy(c.jets, c.members[j], c.dr[j], c.kernels[j])
+    return DegeneracyReport(generator_rate=float(rate[0]), tangent_rank=int(rank[0]))
 
 
 def lightlike_affinor(imm: Immersion, u, model: Optional[AmbientModel] = None,
@@ -340,7 +345,7 @@ def lightlike_affinor(imm: Immersion, u, model: Optional[AmbientModel] = None,
     if model is None:
         model = AmbientModel.standard(imm.n)
     return _analysis(_affinors(imm, np.asarray(u, dtype=float)[None], model, generator_scale,
-                               sym_tol), 0)[0]
+                               sym_tol), 0)
 
 
 @dataclass(frozen=True)
@@ -404,11 +409,12 @@ def torse_directions(an: LightlikeAnalysis) -> list:
 def degeneracy_check(imm: Immersion, an: LightlikeAnalysis,
                      model: Optional[AmbientModel] = None) -> DegeneracyReport:
     """Tangential degeneracy of the Darboux image at ``an.u``, the one field
-    of ``an`` read: the ``_degeneracy`` of the one-point grid engine, read
-    through ``_analysis``, which raises the failure of a point it rejects."""
+    of ``an`` read: the ``_degeneracy_report`` of the one-point grid engine,
+    which raises the failure of a point it rejects."""
     if model is None:
         model = AmbientModel.standard(imm.n)
-    return _analysis(_affinors(imm, np.asarray(an.u, dtype=float)[None], model, 1.0, None), 0)[1]
+    return _degeneracy_report(_affinors(imm, np.asarray(an.u, dtype=float)[None], model, 1.0,
+                                        None), 0)
 
 
 #: records of one row of a FocalSet, and of one cluster (its first sample's
@@ -468,15 +474,13 @@ def focal_map(imm: Immersion, grid_counts: Sequence[int], model: Optional[Ambien
 
 def _focal_set(columns: _Affinors, count: int, model: AmbientModel) -> FocalSet:
     """The FocalSet of the first ``count`` stack members of ``_affinors``
-    columns.  The roots of all their points are one stacked clustering of
-    their spectra in real arithmetic, ordered by the centre's rule
-    (``linalg._roots`` of ``linalg._cluster``), and their singular points
-    X = A_1 + x A_0 one stacked normalization and quadric check
-    (``conformal._unembed``): a point whose k-th singular point is off the
-    quadric keeps its first k samples and is listed in ``errors``."""
-    x, multiplicity, _ = _roots(*_cluster(-columns.spectra[columns.members < count]))
-    rows, root_index = np.nonzero(multiplicity)
-    x, multiplicity = x.real[rows, root_index], multiplicity[rows, root_index]
+    columns.  Their roots are the leading rows of the columns' ``roots``,
+    and their singular points X = A_1 + x A_0 one stacked normalization and
+    quadric check (``conformal._unembed``): a point whose k-th singular
+    point is off the quadric keeps its first k samples and is listed in
+    ``errors``."""
+    rows, root_index = np.nonzero(columns.roots[1][columns.members < count])
+    x, multiplicity = columns.roots[0].real[rows, root_index], columns.roots[1][rows, root_index]
     coords = _singular_coords(columns.a0[rows], columns.a1[rows], x)
     points, ideal, off = _unembed(coords, model)
     failures = {i: exc for i, exc in columns.failures.items() if i < count}
@@ -500,18 +504,25 @@ def _merge(points: np.ndarray, projective: np.ndarray, at_infinity: np.ndarray,
     cluster, in order of creation.  A sample joins the first earlier cluster
     of its kind whose first sample lies within tol in the max norm (of the
     point, or of the coordinates at infinity), else it starts one.  A sample
-    with a coordinate more than tol from every other's is a cluster alone;
-    the first unplaced sample starts each other cluster, and one array
-    comparison takes in every later one within tol."""
+    with a coordinate more than tol from every other's is a cluster alone,
+    which one sort of each kind's columns and one gap test find; the first
+    unplaced sample starts each other cluster, and one array comparison
+    takes in every later one within tol."""
     cluster, first = np.arange(len(at_infinity)), []
     for keys, kind in ((points, False), (projective, True)):
-        rest, alone = np.flatnonzero(at_infinity == kind), np.zeros(len(at_infinity), dtype=bool)
-        for column in keys[rest].T:
-            order = np.argsort(column)
-            gap = np.diff(column[order]) > tol
-            alone[rest[order]] |= np.r_[True, gap] & np.r_[gap, True]
-        first += rest[alone[rest]].tolist()
-        rest = rest[~alone[rest]]
+        rest = np.flatnonzero(at_infinity == kind)
+        if not rest.size:
+            continue
+        values, columns = keys[rest], np.arange(keys.shape[1])
+        order = np.argsort(values, axis=0)
+        ranked = values[order, columns]
+        gap = np.ones((len(rest) + 1, len(columns)), dtype=bool)  # the ends have no neighbour
+        gap[1:-1] = ranked[1:] - ranked[:-1] > tol
+        alone = np.zeros(order.shape, dtype=bool)
+        alone[order, columns] = gap[:-1] & gap[1:]
+        alone = alone.any(axis=1)
+        first += rest[alone].tolist()
+        rest = rest[~alone]
         while rest.size:
             close = np.abs(keys[rest] - keys[rest[0]]).max(axis=1) <= tol
             close[0] = True

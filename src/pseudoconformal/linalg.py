@@ -70,9 +70,6 @@ class BilinearForm:
     def dim(self) -> int:
         return self.gram.shape[0]
 
-    def product(self, u, v) -> float:
-        return scalar_product(u, v, self)
-
     def norm2(self, u) -> float:
         return scalar_product(u, u, self)
 
@@ -84,10 +81,6 @@ class Signature:
     plus: int
     minus: int
     zero: int
-
-    @property
-    def dim(self) -> int:
-        return self.plus + self.minus + self.zero
 
     def as_tuple(self):
         return (self.plus, self.minus, self.zero)
@@ -337,12 +330,14 @@ def _roots(means: np.ndarray, mults: np.ndarray, counts: np.ndarray) -> tuple:
     by column, the cluster mean m_i of every row, if its imaginary part is
     positive, pairs with the first mean of its multiplicity within
     ``CLUSTER_RADIUS`` (1 + |m_i|) of its conjugate, and the two become
-    their average and its conjugate.  Then a mean with relatively negligible
-    imaginary part is flagged real.
+    their average and its conjugate.  Where no mean has a positive
+    imaginary part (real spectra), nothing can pair and the columns are not
+    visited.  Then a mean with relatively negligible imaginary part is
+    flagged real.
     """
     z, columns = means.astype(complex), np.arange(means.shape[1])
     valid = columns < counts[:, None]
-    for i in columns.tolist():
+    for i in columns.tolist() if (z.imag > 0).any() else ():
         pair = ((np.abs(z - np.conj(z[:, i, None]))
                  <= CLUSTER_RADIUS * (1.0 + np.abs(z[:, i, None])))
                 & valid & (mults == mults[:, i, None]) & (columns != i)

@@ -512,9 +512,9 @@ class TestDegeneracy:
                                        "wavefront4.json"])
     def test_the_centre_joins_the_grid_pass(self, scene, tmp_path, monkeypatch):
         # one lightlike run makes one jet stack and one jet2 call, over the
-        # grid with the centre as its last member; the degeneracy of every
-        # member that passes is one stacked Jacobi pass beside the induced
-        # metric's and the operators'
+        # grid with the centre as its last member; the degeneracy, which only
+        # the centre's report reads, is one Jacobi pass over that one member
+        # beside the induced metrics' and the operators'
         import pseudoconformal.frames
         import pseudoconformal.hypersurface
         import pseudoconformal.lightlike
@@ -555,7 +555,33 @@ class TestDegeneracy:
         assert [call for call in calls if len(call[0]) == 3] == [
             ((2 * len(grid) + 2, d, d), "_stacked_spectra"),  # metrics and J^T J
             ((members, d - 1, d - 1), "_affinors"),
-            ((members, d, d), "_degeneracy")]
+            ((1, d, d), "_degeneracy")]
+
+    def test_one_clustering_and_one_member_degeneracy_per_run(self, tmp_path, capsys,
+                                                              monkeypatch):
+        # a lightlike run clusters the roots of its whole stack once, for the
+        # focal set and the centre alike, and takes the degeneracy of the
+        # centre alone; lightlike_affinor takes none
+        import pseudoconformal.lightlike
+
+        calls = []
+
+        def counted(name, original):
+            def wrapper(*args):
+                calls.append((name, len(args[1]) if name == "_degeneracy" else len(args[0])))
+                return original(*args)
+            return wrapper
+
+        for name in ("_cluster", "_roots", "_degeneracy"):
+            monkeypatch.setattr(pseudoconformal.lightlike, name,
+                                counted(name, getattr(pseudoconformal.lightlike, name)))
+        path = Path(__file__).resolve().parent.parent / "scenes" / "wavefront4.json"
+        assert main(["lightlike", "--scene", str(path), "--out", str(tmp_path / "out.csv")]) == 0
+        members = len(parameter_grid(catalog.build("circle_wavefront"), [4, 4, 4])[1]) + 1
+        assert calls == [("_cluster", members), ("_roots", members), ("_degeneracy", 1)]
+        calls.clear()
+        lightlike_affinor(catalog.build("circle_wavefront"), np.array([0.6, 0.7, 0.5]))
+        assert calls == [("_cluster", 1), ("_roots", 1)]
 
     def test_one_pseudo_inverse_per_pass(self, monkeypatch):
         # dA_1, the shape operators and the degeneracy read the metrics'
@@ -576,13 +602,15 @@ class TestDegeneracy:
 
     @pytest.mark.parametrize("name", catalog.lightlike_entries())
     def test_grid_members_read_the_centre_check(self, name):
-        # every member of a grid pass has the generator rate and tangent rank
-        # bits that degeneracy_check gives its point alone
+        # the degeneracy of every member of a grid pass, in one stacked pass,
+        # has the generator rate and tangent rank bits that degeneracy_check
+        # gives its point alone
         imm = catalog.build(name)
         model = AmbientModel.standard(imm.n)
         columns = _affinors(imm, parameter_grid(imm, [3] * imm.params)[1], model, 1.0, None)
         assert not columns.failures
-        for i, rate, rank in zip(columns.members, columns.rates, columns.ranks):
+        rates, ranks = _degeneracy(columns.jets, columns.members, columns.dr, columns.kernels)
+        for i, rate, rank in zip(columns.members, rates, ranks):
             report = degeneracy_check(imm, SimpleNamespace(u=columns.us[i]), model=model)
             assert (report.generator_rate.hex(), report.tangent_rank) == (rate.hex(), rank)
 
@@ -1060,7 +1088,7 @@ class TestLightlikeEngine:
             focal = focal_map(imm, (count, count), model=model3)
             assert len(focal.samples) == count * count
             per_grid.append(len(calls))
-        assert per_grid[0] == per_grid[1] == 3
+        assert per_grid[0] == per_grid[1] == 2
 
     @pytest.mark.parametrize("name", catalog.lightlike_entries())
     def test_one_jet_per_grid_point(self, name, monkeypatch):
@@ -1110,6 +1138,44 @@ class TestLightlikeEngine:
             got = _column_merge(samples, tol)
             assert [[id(s) for s in c] for c in got] == [[id(s) for s in c] for c in expected]
         assert [len(c) for c in _column_merge(adversarial, tol)] == [3, 2, 1, 2, 2, 1]
+
+    @pytest.mark.parametrize("kind", ["finite", "ideal", "empty", "tied"])
+    def test_merge_columns_match_the_nested_loop(self, kind, model3, rng):
+        # _merge gives the cluster and first columns of the nested loop's
+        # clusters, bit for bit, on samples of one kind, on none, and on
+        # samples whose coordinates tie across samples
+        tol = 2.0 ** -20
+        centers = rng.uniform(-1.0, 1.0, size=(5, 3))
+        near = lambda k: centers[k] + rng.uniform(-1.5 * tol, 1.5 * tol, size=3)
+        picks = rng.integers(0, 5, size=200).tolist()
+        if kind == "finite":
+            samples = [_finite_sample(near(k), model3) for k in picks]
+        elif kind == "ideal":
+            samples = [_ideal_sample(np.concatenate([[0.0], near(k), [1.0]])) for k in picks]
+        elif kind == "empty":
+            samples = []
+        else:
+            # lattice points of pitch tol (ties in every coordinate, repeated
+            # points, neighbours exactly tol apart) and points off the lattice
+            # in one coordinate only
+            lattice = rng.integers(0, 4, size=(150, 3)) * tol
+            lattice[::10, 1] = 0.5 + np.arange(15)
+            samples = ([_finite_sample(p, model3) for p in lattice]
+                       + [_ideal_sample(np.concatenate([[0.0], p + 0.25, [1.0]]))
+                          for p in lattice[::3]])
+        ideal = np.array([s.at_infinity for s in samples], dtype=bool)
+        points = np.array([np.full(3, np.nan) if s.at_infinity else s.point
+                           for s in samples]).reshape(-1, 3)
+        cluster, first = _merge(points, np.array([s.projective.coords for s in samples])
+                                .reshape(-1, 5), ideal, tol)
+        clusters = _nested_loop_merge(samples, tol)
+        label = {id(s): c for c, members in enumerate(clusters) for s in members}
+        position = {id(s): i for i, s in enumerate(samples)}
+        expected = (np.array([label[id(s)] for s in samples], dtype=int),
+                    np.array([position[id(c[0])] for c in clusters], dtype=int))
+        for got, want in zip((cluster, first), expected):
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+        assert len(clusters) < len(samples) or kind == "empty"
 
     def test_records_copy_the_columns(self, model4):
         # each cluster lists its samples' multiplicities in sample order, from
