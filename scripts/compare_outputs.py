@@ -57,6 +57,8 @@ COMMANDS = {"points": ("embed",), "hypersurface": ("classify", "lightlike"),
 #: congruence's v axis runs past 1, where its direction has no square root, so
 #: the run ends at the first point whose line or neighbour fails (exit 3); with
 #: a grid short of v = 1, the cone congruence's leaf runs past it (exit 3); the
+#: twisted congruence's seed is not integrable (exit 3) and a cone seed outside
+#: the grid's box is a scene error (exit 2); the
 #: sphere's row u1 = 0 is its pole, where the Jacobian is rank deficient (a
 #: J^T J check), and the spacelike sphere is no lightlike scene (exit 3)
 ERROR_SCENES = {
@@ -76,6 +78,12 @@ ERROR_SCENES = {
                            "grid": {"axes": [{"start": 0.5, "stop": 0.999, "count": 3},
                                              {"start": -1.0, "stop": 1.0, "count": 3}]},
                            "stratify": {"seed": [0.9, 0.2], "step": 0.01, "count": 40}},
+    "twisted_leaf": {"kind": "congruence", "builtin": "twisted_congruence", "n": 4,
+                     "grid": [3, 3, 3], "stratify": {"seed": [0.1, 0.2, -0.3], "count": 3}},
+    "cone_seed_outside": {"kind": "congruence", "builtin": "cone_normal_congruence", "n": 3,
+                          "grid": {"axes": [{"start": -0.2, "stop": 0.2, "count": 3},
+                                            {"start": -0.5, "stop": 0.5, "count": 3}]},
+                          "stratify": {"seed": [0.45, 0.9]}},
     "sphere_pole": {"kind": "hypersurface", "builtin": "euclidean_sphere", "n": 3,
                     "grid": {"axes": [{"start": 0.0, "stop": 1.0, "count": 3},
                                       {"start": 0.0, "stop": 1.0, "count": 3}]}},

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import catalog
 from .conformal import AmbientModel, _normalized, _singular_coords, _unembed, lift_point
-from .congruence import _congruence_affinors, stratify
+from .congruence import _congruence_affinors, _domain_bounds, _member_analysis, stratify
 from .errors import ConvergenceError, GeometryError, NonIntegrableError
 from .hypersurface import parameter_grid, survey
 from .lightlike import _affinors, _analysis, _degeneracy_report, _focal_set, torse_directions
@@ -91,9 +91,7 @@ def load_scene(path: str) -> Scene:
         if not builtin:
             raise SceneError("scene needs a 'builtin' catalog name")
         if not isinstance(builtin, str) or builtin not in catalog.CATALOG:
-            raise SceneError(
-                f"unknown builtin {builtin!r}; run the 'examples' subcommand"
-            )
+            raise SceneError(f"unknown builtin {builtin!r}; run the 'examples' subcommand")
         if catalog.CATALOG[builtin].kind != kind:
             raise SceneError(f"builtin {builtin!r} is not a {kind}")
     points = raw.get("points")
@@ -144,18 +142,9 @@ def load_scene(path: str) -> Scene:
         raise SceneError("output format must be 'csv' or 'json'")
     if "path" in output and not (isinstance(output["path"], str) and output["path"]):
         raise SceneError("output path must be a non-empty string")
-    return Scene(
-        n=n,
-        kind=kind,
-        builtin=builtin,
-        params=params,
-        points=points,
-        grid=grid,
-        tolerances=tolerances,
-        stratify=strat,
-        out_format=out_format,
-        out_path=output.get("path"),
-    )
+    return Scene(n=n, kind=kind, builtin=builtin, params=params, points=points, grid=grid,
+                 tolerances=tolerances, stratify=strat, out_format=out_format,
+                 out_path=output.get("path"))
 
 
 def _build_object(scene: Scene):
@@ -280,19 +269,21 @@ def _lightlike_text(focal, fmt, header, fields) -> str:
                                                  [point[f] for f in first]])})
 
 
-def _congruence_text(columns, points, ideal, leaf, fmt, header, fields) -> str:
+def _congruence_text(columns, count, points, ideal, leaf, fmt, header, fields) -> str:
     """Congruence output written from columns, as ``_classify_text``: the CSV
-    table of the roots of ``_congruence_affinors`` columns, the real ones'
-    singular points ``points`` and ``ideal`` in order, or the JSON document
-    of the small ``fields``, the samples and the leaf block of ``leaf`` (the
-    JSON leaf fields and the parameter points), if any."""
-    u = columns.us[columns.members]
-    owner, index = np.nonzero(np.arange(columns.roots.shape[1]) < columns.counts[:, None])
+    table of the roots of the first ``count`` stack members of
+    ``_congruence_affinors`` columns, the real ones' singular points
+    ``points`` and ``ideal`` in order, or the JSON document of the small
+    ``fields``, the samples and the leaf block of ``leaf`` (the JSON leaf
+    fields and the parameter points), if any."""
+    k = int(np.searchsorted(columns.members, count))
+    u, counts = columns.us[columns.members[:k]], columns.counts[:k]
+    owner, index = np.nonzero(np.arange(columns.roots.shape[1]) < counts[:, None])
     values = columns.roots[owner, index]
     re, im = _reprs(values.real), _reprs(values.imag)
     mult = columns.multiplicities[owner, index].tolist()
     real = columns.real[owner, index]
-    defect = np.array(_reprs(columns.defects), dtype=object)
+    defect = np.array(_reprs(columns.defects[:k]), dtype=object)
     index = index.tolist()
     if fmt == "csv":
         focal = np.full(len(values), "complex", dtype=object)
@@ -306,7 +297,7 @@ def _congruence_text(columns, points, ideal, leaf, fmt, header, fields) -> str:
     root = ('    {\n     "multiplicity": %s,\n     "real": %s,\n     "x": [\n      %s,\n'
             '      %s\n     ]\n    }')
     records = [root % cells for cells in zip(mult, np.where(real, "true", "false"), re, im)]
-    ends = np.cumsum(columns.counts).tolist()
+    ends = np.cumsum(counts).tolist()
     listed = ["[\n" + ",\n".join(records[a:b]) + "\n   ]" if b > a else "[]"
               for a, b in zip([0] + ends, ends)]
     sample = ('  {\n   "defect": %s,\n   "roots": %s,\n   "u": [\n'
@@ -357,23 +348,15 @@ def run_classify(scene: Scene, out_path, fmt) -> int:
     report = survey(imm, counts, tol=scene.tolerances.get("lightlike"))
     header = ([f"u{i}" for i in range(1, imm.params + 1)]
               + ["type", "plus", "minus", "zero", "min_eig_ratio"])
-    fields = {
-        "builtin": imm.name,
-        "n": imm.n,
-        "counts": report.counts,
-        "pure": report.pure,
-        "transitions": [{"axis": t.axis, "index_low": list(t.index_low), "u_low": list(t.u_low),
-                         "u_high": list(t.u_high), "kinds": list(t.kinds)}
-                        for t in report.transitions],
-        "errors": [{"index": list(i), "message": m} for i, m in report.errors],
-    }
+    fields = {"builtin": imm.name, "n": imm.n, "counts": report.counts, "pure": report.pure,
+              "transitions": [{"axis": t.axis, "index_low": list(t.index_low),
+                               "u_low": list(t.u_low), "u_high": list(t.u_high),
+                               "kinds": list(t.kinds)} for t in report.transitions],
+              "errors": [{"index": list(i), "message": m} for i, m in report.errors]}
     _write(out_path, _classify_text(report, fmt, header, fields))
     summary = report.pure if report.pure else "mixed"
-    print(
-        f"classified {sum(report.counts.values())} points: {summary} "
-        f"({report.counts}, transitions={len(report.transitions)})",
-        file=sys.stderr,
-    )
+    print(f"classified {sum(report.counts.values())} points: {summary} "
+          f"({report.counts}, transitions={len(report.transitions)})", file=sys.stderr)
     return 0
 
 
@@ -411,40 +394,45 @@ def run_lightlike(scene: Scene, out_path, fmt) -> int:
 
 
 def run_congruence(scene: Scene, out_path, fmt) -> int:
+    """One engine pass over the grid and a ``stratify`` seed, its last
+    member, which the leaf starts from and nothing else reads; a grid failure
+    wins over the seed's.  A seed outside the domain is a scene error."""
     cong, counts = _resolve_grid(scene, _build_object(scene))
     if cong.n - 2 > MAX_ROOT_ORDER:
         raise SceneError(f"congruence scenes are limited to n <= {MAX_ROOT_ORDER + 2}, "
                          f"got n={cong.n}")
     model = AmbientModel.standard(cong.n)
-    if scene.stratify and len(scene.stratify["seed"]) != cong.params:
-        raise SceneError(f"stratify seed needs {cong.params} entries")
+    seed = np.asarray(scene.stratify["seed"], dtype=float) if scene.stratify else None
+    if seed is not None:
+        if len(seed) != cong.params:
+            raise SceneError(f"stratify seed needs {cong.params} entries")
+        lo, hi = _domain_bounds(cong)
+        if ((seed < lo) | (seed > hi)).any():
+            raise SceneError(f"stratify seed {seed.tolist()} lies outside the domain "
+                             f"{np.array(cong.domain, dtype=float).tolist()}")
 
-    header = (
-        [f"u{i}" for i in range(1, cong.params + 1)]
-        + ["defect", "root_index", "root_re", "root_im", "multiplicity", "real",
-           "focal"]
-        + [f"f{i}" for i in range(1, cong.n + 1)]
-    )
+    header = ([f"u{i}" for i in range(1, cong.params + 1)]
+              + ["defect", "root_index", "root_re", "root_im", "multiplicity", "real", "focal"]
+              + [f"f{i}" for i in range(1, cong.n + 1)])
     grid = parameter_grid(cong, counts)[1]
-    columns = _congruence_affinors(cong, grid, model)
+    columns = _congruence_affinors(cong, grid if seed is None else np.vstack([grid, seed]), model)
     # the grid's first failure is its first failed point or, before that,
-    # its first root X = A_1 + x A_0 off the quadric
+    # its first root X = A_1 + x A_0 off the quadric; a failing seed comes after both
     stop = min(columns.failures, default=len(grid))
     rows, index = np.nonzero(columns.real[columns.members < stop])
     points, ideal, off = _unembed(_singular_coords(columns.a0[rows], columns.a1[rows],
                                                    columns.roots[rows, index].real), model)
     if off or columns.failures:
         raise off[min(off)] if off else columns.failures[stop]
-    worst = max([0.0] + columns.defects.tolist())
+    worst = max([0.0] + columns.defects[: len(grid)].tolist())
 
     fields = {"builtin": cong.name, "n": cong.n, "max_defect": worst}
     leaf, leaf_info = None, None
-    if scene.stratify:
-        seed = np.asarray(scene.stratify["seed"], dtype=float)
+    if seed is not None:
         kwargs = {key: scene.stratify[key] for key in ("step", "count") if key in scene.stratify}
         if "integrability" in scene.tolerances:
             kwargs["tol"] = scene.tolerances["integrability"]
-        leaf = stratify(cong, seed, model=model, **kwargs)
+        leaf = stratify(cong, _member_analysis(columns, len(grid)), model=model, **kwargs)
         parameters = np.array(leaf.parameters).reshape(-1, cong.params)
         leaf_info = ({"seed": list(leaf.seed), "size": len(leaf.parameters),
                       "lightlike_fraction": leaf.lightlike_fraction,
@@ -456,7 +444,8 @@ def run_congruence(scene: Scene, out_path, fmt) -> int:
             cells = [list(range(len(parameters)))] + [_reprs(c) for c in parameters.T]
             _write(f"{out_path}.leaf.csv", ",".join(["index"] + header[: cong.params]) + "\n"
                    + _rows(",".join(["%s"] * len(cells)) + "\n", "", cells))
-    _write(out_path, _congruence_text(columns, points, ideal, leaf_info, fmt, header, fields))
+    _write(out_path, _congruence_text(columns, len(grid), points, ideal, leaf_info, fmt, header,
+                                      fields))
     msg = f"congruence pipeline on {cong.name}: max defect={worst:.2e}"
     if leaf:
         msg += (f", leaf size={len(leaf.parameters)}"
@@ -512,16 +501,11 @@ def main(argv=None) -> int:
         scene = load_scene(args.scene)
         fmt = args.format or scene.out_format
         out_path = args.out or scene.out_path
-        expected, run = {
-            "embed": ("points", run_embed),
-            "classify": ("hypersurface", run_classify),
-            "lightlike": ("hypersurface", run_lightlike),
-            "congruence": ("congruence", run_congruence),
-        }[args.command]
+        expected, run = {"embed": ("points", run_embed), "classify": ("hypersurface", run_classify),
+                         "lightlike": ("hypersurface", run_lightlike),
+                         "congruence": ("congruence", run_congruence)}[args.command]
         if scene.kind != expected:
-            raise SceneError(
-                f"{args.command} needs a {expected} scene, got kind={scene.kind!r}"
-            )
+            raise SceneError(f"{args.command} needs a {expected} scene, got kind={scene.kind!r}")
         return run(scene, out_path, fmt)
     except SceneError as exc:
         print(f"scene error ({args.command}): {exc}", file=sys.stderr)

@@ -152,10 +152,6 @@ class CongruenceAnalysis:
     transversal_form: np.ndarray
     diagnostics: dict = field(default_factory=dict)
 
-    @property
-    def screen_dim(self) -> int:
-        return self.shape_operator.shape[0]
-
 
 #: line jets of N points, unchecked: the points us (N, d), the stencil
 #: points (N, 2d+1, d) and their lines (N, 2d+1, 2, n+2), zero where an
@@ -182,36 +178,29 @@ def _stencil_offsets(d: int, step: float) -> np.ndarray:
     return offsets
 
 
-def _evaluate_lines(cong: IsotropicCongruence, us: np.ndarray, step: float) -> tuple:
+def _evaluate_lines(cong: IsotropicCongruence, us: np.ndarray, offsets: np.ndarray) -> tuple:
     """The evaluate half of the line jets at the parameter points us (N, d):
-    the stencil points u, u + step e_0, u - step e_0, ... (N, 2d+1, d),
+    the stencil points us + offsets (N, 2d+1, d) (``_stencil_offsets``),
     their lines (N, 2d+1, 2, n+2) from one stacked ``line_at`` call, zero
     where an evaluation failed, and its failures."""
-    count, d = us.shape
-    stencil = us[:, None] + _stencil_offsets(d, step)
-    lines, raised = cong.line_at(stencil.reshape(-1, d))
-    return stencil, lines.reshape(count, 2 * d + 1, 2, cong.n + 2), raised
-
-
-def _differences(lines: np.ndarray, model: AmbientModel, step: float, sides: int = 2) -> tuple:
-    """Central differences (N, d, sides, n+2) of the first ``sides`` of
-    (A_0, A_1) from stencil lines (N, 2d+1, 2, n+2), and the transversal
-    forms omega_0^n = -<d_a A_0, A_1> (N, d)."""
-    diffs = (lines[:, 1::2, :sides] - lines[:, 2::2, :sides]) / (2.0 * step)
-    return diffs, -(diffs[:, :, 0] @ (model.form.gram @ lines[:, 0, 1, :, None]))[..., 0]
+    stencil = us[:, None] + offsets
+    lines, raised = cong.line_at(stencil.reshape(-1, cong.params))
+    return stencil, lines.reshape(stencil.shape[:2] + (2, cong.n + 2)), raised
 
 
 def _stack_jets(records: list, model: AmbientModel, step: float) -> _LineJets:
     """The jets half: evaluated passes ``records`` (us, stencil, lines,
     raised) as one ``_LineJets`` stack in pass order, raised keys offset by
     each pass's start times the stencil width, with the central differences
-    and forms.  Nothing is checked: a point whose evaluations failed has zero
-    or non-finite jets until ``_line_failures`` rejects it."""
+    of (A_0, A_1) and the transversal forms omega_0^n = -<d_a A_0, A_1>.
+    Nothing is checked: a point whose evaluations failed has zero or
+    non-finite jets until ``_line_failures`` rejects it."""
     us, stencil, lines = (np.concatenate(x) for x in list(zip(*records))[:3])
     starts = np.cumsum([0] + [r[1].shape[0] * r[1].shape[1] for r in records]).tolist()
     raised = {start + f: exc for start, r in zip(starts, records) for f, exc in r[3].items()}
     with np.errstate(all="ignore"):  # failed members only
-        diffs, forms = _differences(lines, model, step)
+        diffs = (lines[:, 1::2] - lines[:, 2::2]) / (2.0 * step)
+        forms = -(diffs[:, :, 0] @ (model.form.gram @ lines[:, 0, 1, :, None]))[..., 0]
     return _LineJets(us, stencil, lines, raised, lines[:, 0, 0], lines[:, 0, 1], diffs[:, :, 0],
                      diffs[:, :, 1], forms)
 
@@ -262,14 +251,16 @@ def _congruence_affinors(cong: IsotropicCongruence, us: np.ndarray,
     one stacked screen pass (``build_screen``), one stacked pairing pass,
     then one basis-form solve over the stack, one Jacobi pass over the
     symmetric operators and one characteristic polynomial and root pass over
-    the others, a point failing at the first step that fails, and one
+    the others, skipped when there are none (a normal congruence's stack), a
+    point failing at the first step that fails, and one
     ``linalg._cluster`` and ``linalg._roots`` pass over the roots.  A point
     gets the same bits in any stack.  Screens of dimension n-2 beyond
     ``linalg.MAX_ROOT_ORDER`` raise ValueError."""
     n, gram = cong.n, model.form.gram
     if n - 2 > MAX_ROOT_ORDER:
         raise ValueError(f"congruence roots are limited to n <= {MAX_ROOT_ORDER + 2}")
-    jets = _stack_jets([(us, *_evaluate_lines(cong, us, DEFAULT_STEP))], model, DEFAULT_STEP)
+    offsets = _stencil_offsets(cong.params, DEFAULT_STEP)
+    jets = _stack_jets([(us, *_evaluate_lines(cong, us, offsets))], model, DEFAULT_STEP)
     failures = _line_failures(jets, model)
     live = np.array([i for i in range(len(us)) if i not in failures], dtype=int)
     screens, counts = build_screen(_line_screen_candidates(jets.a0[live], jets.a1[live], model),
@@ -294,12 +285,15 @@ def _congruence_affinors(cong: IsotropicCongruence, us: np.ndarray,
     general = np.flatnonzero(~symmetric)
     eigen = np.zeros(operators.shape[:2], dtype=complex)
     eigen[symmetric] = jacobi_eigh(0.5 * (operators + transposed)[symmetric], vectors=0)[0]
-    eigen[general], residual, converged = _durand_kerner(
-        _faddeev_leverrier(np.swapaxes(solved[general][:, : n - 2], 1, 2))[0].astype(complex))
-    for i, r in zip(live[keep[general[~converged]]].tolist(), residual[~converged].tolist()):
-        failures[i] = ConvergenceError(f"root iteration did not converge at u={us[i].tolist()} "
-                                       f"(residual {r:.3e})", residual=r)
-    done = np.delete(np.arange(len(keep)), general[~converged])
+    unconverged = general[:0]
+    if len(general):  # none in a normal congruence's stack
+        eigen[general], residual, converged = _durand_kerner(
+            _faddeev_leverrier(np.swapaxes(solved[general][:, : n - 2], 1, 2))[0].astype(complex))
+        unconverged = general[~converged]
+        for i, r in zip(live[keep[unconverged]].tolist(), residual[~converged].tolist()):
+            failures[i] = ConvergenceError(f"root iteration did not converge at "
+                                           f"u={us[i].tolist()} (residual {r:.3e})", residual=r)
+    done = np.delete(np.arange(len(keep)), unconverged)
     means, mults, root_counts = _cluster(-eigen[done])
     j = keep[done]
     members, c0, c1 = live[j], c0[j], c1[j]
@@ -321,20 +315,26 @@ def congruence_affinor(cong: IsotropicCongruence, u,
     matrix; solving it against the screen components <d_a A_1, e_i> yields
     the operator and the transversal shift.  Dependent basis forms mean the
     family is not a congruence at u.  This is the one-point case of the grid
-    engine of ``integrability_defect`` and the CLI, with the same bits; only
-    here are the ``Root`` records of the roots built.
+    engine of ``integrability_defect`` and the CLI, with the same bits.
     """
     if model is None:
         model = AmbientModel.standard(cong.n)
-    c = _congruence_affinors(cong, np.asarray(u, dtype=float)[None], model)
-    if c.failures:
-        raise c.failures[0]
+    return _member_analysis(_congruence_affinors(cong, np.asarray(u, dtype=float)[None], model), 0)
+
+
+def _member_analysis(c: _Congruences, i: int) -> CongruenceAnalysis:
+    """The CongruenceAnalysis of stack member i of ``_congruence_affinors``
+    columns, or the exception it failed with raised.  Only here are the
+    ``Root`` records of its roots built."""
+    if i in c.failures:
+        raise c.failures[i]
+    j = int(np.searchsorted(c.members, i))
     return CongruenceAnalysis(
-        u=c.us[0].copy(), shape_operator=c.operators[0], transversal_shift=c.shifts[0],
-        symmetry_defect=float(c.defects[0]),
-        roots=tuple(_root_records(c.roots[0], c.multiplicities[0], c.real[0])),
-        line=(c.a0[0], c.a1[0]), screen=c.screens[0], transversal_form=c.forms[0],
-        diagnostics={key: float(value[0]) for key, value in c.diagnostics.items()})
+        u=c.us[i].copy(), shape_operator=c.operators[j], transversal_shift=c.shifts[j],
+        symmetry_defect=float(c.defects[j]),
+        roots=tuple(_root_records(c.roots[j], c.multiplicities[j], c.real[j])),
+        line=(c.a0[j], c.a1[j]), screen=c.screens[j], transversal_form=c.forms[j],
+        diagnostics={key: float(value[j]) for key, value in c.diagnostics.items()})
 
 
 @dataclass(frozen=True)
@@ -402,23 +402,31 @@ def _kernel_bases(forms: np.ndarray) -> tuple:
     return bases[:, : d - 1], ~vanishing[::d] & (ranks == d - 1)
 
 
+def _domain_bounds(cong: IsotropicCongruence) -> tuple:
+    """The domain's lower and upper bounds (d,), widened by the march's 1e-9."""
+    lo, hi = np.array(cong.domain, dtype=float).T
+    return lo - 1e-9, hi + 1e-9
+
+
 def _rk4_runs(cong: IsotropicCongruence, starts: np.ndarray, refs: np.ndarray,
               model: AmbientModel, step: float, count: int) -> tuple:
     """March runs from starts (R, d) along the kernel of the transversal form
     by classical fourth-order stepping, carrying each direction, first refs
     (R, d), by projection, for ``count`` steps or until a run leaves the
-    domain.  The runs go in lockstep, and a last pass visits their end
-    points.  The march holds only the runs still going, compacted when one
-    leaves the domain.  A stage evaluates lines (``_evaluate_lines``) and
-    steps on the differences of A_0 and the forms only: a vanishing form or
-    a direction off its kernel raises at once.  A pass whose evaluations
-    failed ends the march.  At its end, or before anything is raised, the
-    passes are one ``_stack_jets`` stack in pass order, judged by one
-    ``_line_failures`` call: what is raised is what checking each pass at
-    once raised, the failure of the earliest failing pass at its lowest
-    member.  Returns per run the (point, stack, index) of its start and of
-    each point reached, and whether a run left the domain."""
-    lo, hi = np.array(cong.domain, dtype=float).T
+    domain (``_domain_bounds``).  The runs go in lockstep, and a last pass
+    visits their end points.  The march holds only the runs still going,
+    compacted when one leaves the domain.  A stage makes one ``line_at``
+    call over the stencils of its points, from offsets fetched once
+    (``_evaluate_lines``), and steps on the transversal forms, from the
+    differences of A_0 only: a vanishing form or a direction off its kernel
+    raises at once.  A pass whose evaluations failed ends the march.  At its
+    end, or before anything is raised, the passes are one ``_stack_jets``
+    stack in pass order, judged by one ``_line_failures`` call: what is
+    raised is what checking each pass at once raised, the failure of the
+    earliest failing pass at its lowest member.  Returns per run the (point,
+    stack, index) of its start and of each point reached, and whether a run
+    left the domain."""
+    (lo, hi), offsets = _domain_bounds(cong), _stencil_offsets(cong.params, DEFAULT_STEP)
     u, ref, runs, ks = starts.copy(), refs.copy(), np.arange(len(starts)), [None] * 4
     visits, records, size, truncated, error = [[] for _ in starts], [], 0, False, None
     try:
@@ -429,7 +437,7 @@ def _rk4_runs(cong: IsotropicCongruence, starts: np.ndarray, refs: np.ndarray,
                     break
                 prev = ks[stage - 1] if stage else ref
                 points = u + weight * step * prev if stage else u
-                stencil, lines, raised = _evaluate_lines(cong, points, DEFAULT_STEP)
+                stencil, lines, raised = _evaluate_lines(cong, points, offsets)
                 records.append((points, stencil, lines, raised))
                 if raised:  # this pass fails, as the judge will say
                     break
@@ -439,18 +447,19 @@ def _rk4_runs(cong: IsotropicCongruence, starts: np.ndarray, refs: np.ndarray,
                 size += len(points)
                 if n_step == count:
                     break
-                d, norms, vanishing = _kernel_projections(
-                    _differences(lines, model, DEFAULT_STEP, sides=1)[1], prev)
+                forms = -(((lines[:, 1::2, 0] - lines[:, 2::2, 0]) / (2.0 * DEFAULT_STEP))
+                          @ (model.form.gram @ lines[:, 0, 1, :, None]))[..., 0]
+                projected, norms, vanishing = _kernel_projections(forms, prev)
                 for bad, why in ((vanishing, "transversal form vanishes at u={}; "
                                   "distribution undefined"),
                                  (norms < 1e-10, "transport direction left the "
                                   "distribution kernel at u={}")):
                     if bad.any():  # named at the first failing member
                         raise DegenerateBasisError(why.format(points[bad.argmax()].tolist()))
-                ks[stage] = d / norms[:, None]
+                ks[stage] = projected / norms[:, None]
                 if stage == 3:  # a full step, not the visit of the end points
                     u = u + (step / 6.0) * (ks[0] + 2 * ks[1] + 2 * ks[2] + ks[3])
-                    inside = ~((u < lo - 1e-9) | (u > hi + 1e-9)).any(axis=1)
+                    inside = ~((u < lo) | (u > hi)).any(axis=1)
                     if not inside.all():
                         truncated, u, runs, ks[0] = True, u[inside], runs[inside], ks[0][inside]
                     ref = ks[0]
@@ -466,16 +475,18 @@ def _rk4_runs(cong: IsotropicCongruence, starts: np.ndarray, refs: np.ndarray,
 def stratify(cong: IsotropicCongruence, seed, model: Optional[AmbientModel] = None,
              step: float = 1e-2, count: int = 40, tol: float = INTEGRABILITY_TOL,
              line_samples: Sequence[float] = (-0.5, 0.0, 0.5, 1.0)) -> LeafTrace:
-    """Integrate the leaf of the transversal distribution through ``seed``.
+    """Integrate the leaf of the transversal distribution through ``seed``,
+    a parameter point or the ``CongruenceAnalysis`` at one (the CLI reads it
+    from its grid's engine pass), which is then not analysed again.
 
     Steps are projected onto the kernel of the transversal form at every
     integrator stage (classical fourth-order stepping).  The leaf is sampled
     on a lattice of kernel directions: a spine along the first direction and,
     for higher screen dimension, transversal runs from every spine point.
     The two spine runs, then all transversal runs, advance in lockstep
-    (``_rk4_runs``): a stage evaluates lines and steps on the differences of
-    A_0 and the forms only, and each march is judged as one stack of its
-    passes in pass order.  Each lattice point reads its line jets by index
+    (``_rk4_runs``): a stage evaluates lines and steps on the transversal
+    forms only, and each march is judged as one stack of its passes in pass
+    order.  Each lattice point reads its line jets by index
     from its march's stack, at the first stage of its step.  The swept point
     set is classified against the lightlike criterion in one stacked Jacobi
     pass, and the surviving fraction reported.  Only the seed gets the full
@@ -485,8 +496,8 @@ def stratify(cong: IsotropicCongruence, seed, model: Optional[AmbientModel] = No
         raise ValueError(f"stratify count must be a non-negative integer, got {count!r}")
     if model is None:
         model = AmbientModel.standard(cong.n)
-    seed = np.asarray(seed, dtype=float)
-    an0 = congruence_affinor(cong, seed, model=model)
+    an0 = seed if isinstance(seed, CongruenceAnalysis) else congruence_affinor(cong, seed, model)
+    seed = an0.u
     if an0.symmetry_defect > tol * (1.0 + float(np.abs(an0.shape_operator).max(initial=0.0))):
         raise NonIntegrableError("congruence is not integrable near the seed "
                                  f"(symmetry defect {an0.symmetry_defect:.3e})")

@@ -511,13 +511,16 @@ def orthonormal_rows(stack, tol: float = 1e-12):
     Returns the bases (N, r, m) and the ranks (N,).  A member's basis fills
     its leading rows in pivot order, and the rows after its rank are zero;
     it stops at the first pivot whose norm is at most tol times its largest
-    entry.  A member does not depend on the rest of its stack.
+    entry, one reduction over each member's flattened rows.  A member does
+    not depend on the rest of its stack.  No row is deflated after the last
+    pivot.
     """
     v = np.array(stack, dtype=float)
     if v.ndim != 3:
         raise ValueError("expected a stack of row matrices (N, r, m)")
-    count, rows, _ = v.shape
-    scale = np.maximum(np.abs(v).max(axis=(1, 2), initial=0.0), 1e-300)
+    count, rows, width = v.shape
+    # explicit sizes: an empty stack cannot infer -1
+    scale = np.maximum(np.abs(v.reshape(count, rows * width)).max(axis=1, initial=0.0), 1e-300)
     bases = np.zeros_like(v)
     ranks = np.zeros(count, dtype=int)
     active = np.ones(count, dtype=bool)
@@ -534,5 +537,6 @@ def orthonormal_rows(stack, tol: float = 1e-12):
         bases[:, k] = q
         ranks += active
         left[members, pivot] = False
-        v = v - _dots(v, q[:, None, :])[..., None] * q[:, None, :]
+        if k + 1 < rows:
+            v = v - _dots(v, q[:, None, :])[..., None] * q[:, None, :]
     return bases, ranks

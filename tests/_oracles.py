@@ -10,7 +10,8 @@ library's stacked clustering replaced, one value at a time, and single
 symmetric eigenproblems, solves, determinants, characteristic polynomials
 and polynomial roots from the one-matrix loops that the stacked passes
 replaced; stacked eigenproblems also from the member-first Jacobi pass that
-the member-last one replaced.  The leaf integrator's reference checks every pass of its RK4 runs
+the member-last one replaced, and orthonormal rows from the routine that
+deflated after its last pivot.  The leaf integrator's reference checks every pass of its RK4 runs
 as soon as it is made, which the integrator defers to one check at the end.
 The tangential-degeneracy reference is the kernel flow that the closed-form
 check replaced: RK4 along the numpy.linalg.eigh kernel field, and principal
@@ -356,6 +357,34 @@ def congruence_reference(cong, u, model, step=1e-4):
             "transversal_consistency": np.abs(comp1[:, n + 1] + comp0[:, n]).max(),
         },
     }
+
+
+def deflating_orthonormal_rows(stack, tol=1e-12):
+    """``linalg.orthonormal_rows`` as it was before its two trims: its scale
+    a reduction over the (r, m) axes, and every row deflated after every
+    pivot, the last included.  The trimmed routine must keep these bits."""
+    def dots(a, b):
+        return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+    v = np.array(stack, dtype=float)
+    count, rows, _ = v.shape
+    scale = np.maximum(np.abs(v).max(axis=(1, 2), initial=0.0), 1e-300)
+    bases, ranks = np.zeros_like(v), np.zeros(count, dtype=int)
+    active, left = np.ones(count, dtype=bool), np.ones((count, rows), dtype=bool)
+    members = np.arange(count)
+    for k in range(rows):
+        norms = np.sqrt(dots(v, v))
+        pivot = np.where(left, norms, -1.0).argmax(axis=1)
+        best = norms[members, pivot]
+        active &= best > tol * scale
+        if not active.any():
+            break
+        q = np.where(active[:, None], v[members, pivot] / np.where(active, best, 1.0)[:, None], 0.0)
+        bases[:, k] = q
+        ranks += active
+        left[members, pivot] = False
+        v = v - dots(v, q[:, None, :])[..., None] * q[:, None, :]
+    return bases, ranks
 
 
 def pivoted_rank(rows, tol=1e-12):

@@ -89,6 +89,11 @@ CONGRUENCE_SCENE = {
 }
 
 
+#: a box of the cone congruence's domain: u1 in [-0.2, 0.2], u2 in [-0.5, 0.5]
+SEED_BOX = {"axes": [{"start": -0.2, "stop": 0.2, "count": 3},
+                     {"start": -0.5, "stop": 0.5, "count": 3}]}
+
+
 class TestInvalidScenes:
     @pytest.mark.parametrize("command,doc", [
         ("classify", dict(BASE_SCENE, grid=[2.7, 3])),
@@ -99,6 +104,7 @@ class TestInvalidScenes:
         ("congruence", dict(CONGRUENCE_SCENE, stratify={"seed": [0.1, math.nan]})),
         ("congruence", dict(CONGRUENCE_SCENE, stratify={"seed": [0.1, 0.4], "step": -0.01})),
         ("congruence", dict(CONGRUENCE_SCENE, stratify={"seed": [0.1, 0.4], "count": 0})),
+        ("congruence", dict(CONGRUENCE_SCENE, grid=SEED_BOX, stratify={"seed": [0.45, 0.9]})),
         ("embed", {"kind": "points", "n": 3, "points": [[math.nan, 0.0, 0.0]]}),
         ("embed", {"kind": "points", "n": 3, "points": [[0.0, 1.0, 0.0], [1e20, 0, 0]]}),
         ("lightlike", dict(WAVEFRONT_SCENE, params={"rho": "x"})),
@@ -124,7 +130,8 @@ class TestInvalidScenes:
         ("classify", dict(BASE_SCENE, tolerances=[])),
         ("classify", dict(BASE_SCENE, output=[])),
     ], ids=["fractional-count", "boolean-count", "text-start", "infinite-stop",
-            "short-seed", "nan-seed", "negative-step", "zero-count", "nan-point", "far-point",
+            "short-seed", "nan-seed", "negative-step", "zero-count", "seed-outside-domain",
+            "nan-point", "far-point",
             "text-param", "null-param", "boolean-param", "infinite-param", "text-rate",
             "text-lightlike", "text-symmetry", "text-integrability", "nan-lightlike",
             "negative-symmetry", "zero-integrability", "boolean-lightlike", "boolean-path",
@@ -190,6 +197,25 @@ class TestInvalidScenes:
         assert capfd.readouterr() == ("", f"scene error ({command}): out of memory (Unable to "
                                           "allocate 2.91 TiB for an array)\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("seed,code", [
+        ([0.45, 0.9], 2), ([0.2 + 2e-9, 0.0], 2), ([-0.2, -0.5 - 2e-9], 2),
+        ([0.2 + 5e-10, 0.0], 0), ([-0.2, -0.5], 0)])
+    def test_seed_outside_the_domain(self, tmp_path, capsys, monkeypatch, seed, code):
+        # named before the grid is evaluated; a seed within the march's
+        # 1e-9 slack of the domain's boundary is inside
+        passes = []
+        engine = cli._congruence_affinors
+        monkeypatch.setattr(cli, "_congruence_affinors",
+                            lambda *args: passes.append(args) or engine(*args))
+        doc = dict(CONGRUENCE_SCENE, grid=SEED_BOX, stratify={"seed": seed, "count": 3})
+        out = tmp_path / "o.csv"
+        assert main(["congruence", "--scene", write_scene(tmp_path, doc), "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert len(passes) == (code == 0) and out.exists() == (code == 0)
+        if code == 2:
+            assert err == (f"scene error (congruence): stratify seed {seed} lies outside the "
+                           "domain [[-0.2, 0.2], [-0.5, 0.5]]\n")
 
     def test_congruence_beyond_the_root_order_limit(self, tmp_path, capsys):
         # rejected before the grid's 2**14 lines are evaluated

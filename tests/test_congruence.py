@@ -1,5 +1,8 @@
 import collections
 import cProfile
+import contextlib
+import io
+import json
 import math
 import pstats
 import re
@@ -10,7 +13,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from pseudoconformal import catalog
+from pseudoconformal import catalog, cli
 from pseudoconformal.congruence import (
     CongruenceAnalysis,
     DEFAULT_STEP,
@@ -22,6 +25,7 @@ from pseudoconformal.congruence import (
     _line_failures,
     _rk4_runs,
     _stack_jets,
+    _stencil_offsets,
     congruence_affinor,
     congruence_singular_points,
     integrability_defect,
@@ -475,7 +479,8 @@ CONGRUENCES = {
 
 def line_jets(cong, us, model):
     """The unchecked line jets of one pass at us, as the grid pass builds them."""
-    return _stack_jets([(us, *_evaluate_lines(cong, us, DEFAULT_STEP))], model, DEFAULT_STEP)
+    offsets = _stencil_offsets(cong.params, DEFAULT_STEP)
+    return _stack_jets([(us, *_evaluate_lines(cong, us, offsets))], model, DEFAULT_STEP)
 
 
 class TestStackedLineJets:
@@ -533,7 +538,8 @@ class TestStackedLineJets:
         # which fails; the judge of the stack gives what the line checks of
         # each pass alone give
         cong = catalog.build("cone_normal_congruence")
-        records = [(us, *_evaluate_lines(cong, us, DEFAULT_STEP)) for us in (
+        offsets = _stencil_offsets(cong.params, DEFAULT_STEP)
+        records = [(us, *_evaluate_lines(cong, us, offsets)) for us in (
             np.array([[0.1, 0.4], [-0.2, 0.3]]), np.array([[0.0, 0.1], [0.3, -0.2], [0.2, 0.5]]),
             np.array([[-0.1, 0.2], [0.25, 0.0]]))]
         for (_, _, lines, _), i, residual in ((records[1], 2, 0.75e-10), (records[2], 1, 3e-10)):
@@ -678,6 +684,80 @@ class TestCongruenceEngine:
         with pytest.raises(GeometryError, match="basis forms are dependent at u=\\[0.5, 0.0\\]"):
             congruence_affinor(fold_congruence(), np.array([0.5, 0.0]))
 
+    def test_a_leaf_scene_makes_one_engine_pass(self, tmp_path, monkeypatch):
+        # the seed is the last member of the grid's pass, and the leaf starts
+        # from that member's analysis, with the bits the seed has alone
+        import pseudoconformal.congruence as module
+
+        passes, seeds, alone = [], [], []
+        engine, leaf, one_point = cli._congruence_affinors, cli.stratify, congruence_affinor
+        monkeypatch.setattr(cli, "_congruence_affinors",
+                            lambda cong, us, model: passes.append(us) or engine(cong, us, model))
+        monkeypatch.setattr(cli, "stratify",
+                            lambda cong, seed, **kw: seeds.append(seed) or leaf(cong, seed, **kw))
+        monkeypatch.setattr(module, "congruence_affinor",
+                            lambda *args, **kw: alone.append(args) or one_point(*args, **kw))
+        code, _ = _congruence_run(tmp_path, {"kind": "congruence", "n": 3, "grid": [4, 3],
+                                             "builtin": "cone_normal_congruence",
+                                             "stratify": {"seed": [0.1, 0.4], "count": 3}})
+        assert code == 0 and len(passes) == len(seeds) == 1 and not alone
+        cone = catalog.build("cone_normal_congruence")
+        grid = parameter_grid(cone, [4, 3])[1]
+        assert passes[0].tobytes() == np.vstack([grid, [0.1, 0.4]]).tobytes()
+        assert _analysis_bits(seeds[0]) == _analysis_bits(one_point(cone, np.array([0.1, 0.4])))
+
+    @pytest.mark.parametrize("builtin,axes,seed", [
+        # the grid's u1 = 1 row fails (its stencil leaves the cone's domain),
+        # and so does the seed, further out
+        ("cone_normal_congruence", [(0.5, 1.5), (-1.0, 1.0)], [1.2, 0.0]),
+        # the grid's u1 = 1 row fails, and the seed is not integrable
+        ("twisted_congruence", [(-1.0, 1.0)] * 3, [0.1, 0.2, -0.3]),
+    ], ids=["failing-seed", "non-integrable-seed"])
+    def test_a_failing_grid_point_wins_over_the_seed(self, tmp_path, monkeypatch, builtin, axes,
+                                                     seed):
+        cong = catalog.build(builtin)
+
+        def line(u):
+            if builtin == "twisted_congruence" and u[0] > 0.99:
+                raise ValueError("math domain error")
+            return cong.line(u)
+
+        monkeypatch.setattr(cli, "_build_object",
+                            lambda scene: replace(cong, line=line, lines=None))
+        doc = {"kind": "congruence", "builtin": builtin, "n": cong.n,
+               "grid": {"axes": [{"start": a, "stop": b, "count": 3} for a, b in axes]}}
+        without = _congruence_run(tmp_path, doc)
+        assert without[0] == 3 and "evaluation failed at u=[1.0" in without[1]
+        assert _congruence_run(tmp_path, dict(doc, stratify={"seed": seed, "count": 3})) == without
+
+    def test_a_passing_grid_with_a_non_integrable_seed(self, tmp_path):
+        # the message is the one the seed's own one-point analysis gave
+        code, err = _congruence_run(tmp_path, {
+            "kind": "congruence", "builtin": "twisted_congruence", "n": 4, "grid": [3, 3, 3],
+            "stratify": {"seed": [0.1, 0.2, -0.3], "count": 3}})
+        assert (code, err) == (3, "numerical failure (congruence): congruence is not integrable "
+                                  "near the seed (symmetry defect 1.770e+00)\n")
+
+    def test_normal_congruences_skip_the_root_iteration(self, model4, monkeypatch):
+        import pseudoconformal.congruence as module
+
+        calls = collections.Counter()
+
+        def counted(name, fn):
+            def wrapped(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapped
+
+        for name in ("_faddeev_leverrier", "_durand_kerner"):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        for builtin in ("cone_normal_congruence", "twisted_congruence"):
+            cong = catalog.build(builtin, n=4)
+            assert not _congruence_affinors(cong, parameter_grid(cong, [2, 2, 2])[1],
+                                            model4).failures
+            assert calls == ({} if builtin.startswith("cone") else
+                             {"_faddeev_leverrier": 1, "_durand_kerner": 1})
+
     def test_stratify_runs_one_full_analysis(self, model3, monkeypatch):
         import pseudoconformal.congruence as module
 
@@ -739,6 +819,17 @@ class TestCongruenceEngine:
         assert all(a.tobytes() == b.tobytes() for la, lb in zip(leaf.lines, alone.lines)
                    for a, b in zip(la, lb))
         assert len(leaf.lines) == len(alone.lines) == 81
+
+
+def _congruence_run(tmp_path, doc):
+    """Exit code and standard error of the congruence command on doc, its
+    output written beside the scene."""
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(["congruence", "--scene", str(scene), "--out", str(tmp_path / "o.csv")])
+    return code, err.getvalue()
 
 
 def run_outcome(runs, *args):

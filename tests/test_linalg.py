@@ -756,6 +756,20 @@ class TestOrthonormalRows:
         with pytest.raises(ValueError, match="stack"):
             orthonormal_rows(np.eye(3))
 
+    @pytest.mark.parametrize("stack", [
+        _mixed_stack(5),
+        _mixed_stack(6, count=30, rows=4, cols=4),
+        np.array([[[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 0.0, 1e-13]], np.zeros((3, 3)),
+                  [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0]]]),
+        np.zeros((0, 3, 4)), np.zeros((2, 0, 3)), np.zeros((2, 3, 0)),
+    ], ids=["random", "square", "rank-deficient", "no-members", "no-rows", "no-columns"])
+    def test_bits_of_the_deflating_routine(self, stack):
+        # one flattened scale reduction and no deflation after the last
+        # pivot keep every bit of the routine that had neither
+        got, want = orthonormal_rows(stack), _oracles.deflating_orthonormal_rows(stack)
+        assert got[0].shape == want[0].shape == stack.shape
+        assert got[0].tobytes() == want[0].tobytes() and np.array_equal(got[1], want[1])
+
 
 @pytest.fixture
 def jacobi_passes(monkeypatch):
