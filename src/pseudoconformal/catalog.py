@@ -40,7 +40,7 @@ _HYPOT = np.frompyfunc(math.hypot, 2, 1)
 def _sqrt(x):
     """Square roots of x: math.sqrt's ValueError for one negative number, NaN
     for the negative members of a stack."""
-    return np.float64(math.sqrt(x)) if np.ndim(x) == 0 else np.sqrt(x)
+    return np.sqrt(x) if getattr(x, "ndim", 0) else np.float64(math.sqrt(x))
 
 
 def _hypot(a, b):
@@ -284,12 +284,12 @@ def _parallel_line(u, n):
 
 
 def _cone_line(u, n):
-    # one light cone per value of the last parameter; base point one unit
-    # out along the ray so the base field stays an immersion
+    # one light cone per value of the last parameter; base point one unit out
+    # along the ray, (0, .., 0, u_last) + l (0.0 + l: a -0.0 of l sums to 0.0)
     l = _cone_direction(u, n)
-    p = np.zeros(u.shape[:-1] + (n,))
-    p[..., n - 1] = u[..., n - 2]
-    return p + l, l
+    p = l + 0.0
+    p[..., n - 1] = u[..., n - 2] + 1.0
+    return p, l
 
 
 def _cone_direction(u, n):

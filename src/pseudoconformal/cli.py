@@ -371,7 +371,7 @@ def run_lightlike(scene: Scene, out_path, fmt) -> int:
     columns = _affinors(imm, np.vstack([grid, center]), model, 1.0, sym_tol)
     focal = _focal_set(columns, len(grid), model)
     an, degeneracy = _analysis(columns, len(grid)), _degeneracy_report(columns, len(grid))
-    torses = torse_directions(an)
+    torses = torse_directions(an) if fmt == "json" else []  # only the JSON centre lists them
 
     header = ([f"u{i}" for i in range(1, imm.params + 1)]
               + ["root_index", "x", "multiplicity", "focal"]

@@ -32,6 +32,9 @@ POINT_TOL = 1e-10
 #: residual threshold for quadric membership checks
 QUADRIC_TOL = 1e-8
 
+#: factors of the last coordinates of a lifted point and tangent
+_HALF = np.array([0.5, 1.0])
+
 POINT = "point"
 SPACELIKE_SPHERE = "spacelike_hypersphere"
 TIMELIKE_SPHERE = "timelike_hypersphere"
@@ -207,17 +210,13 @@ def lift_tangent(p, v, model: AmbientModel) -> np.ndarray:
 def _lift_lines(p, l, model: AmbientModel) -> np.ndarray:
     """The quadric lines (lift_point(p), lift_tangent(p, l)) of points p
     (..., n) and directions l of the same shape or (n,), as (..., 2, n+2)
-    with their bits, in one pass over one product p g."""
-    p = np.asarray(p, dtype=float)
-    l = np.asarray(l, dtype=float)
-    n = model.n
-    pg = p @ model.metric.gram
+    with their bits, in one pass over one product p g and one ``_dots`` call."""
+    p, n = np.asarray(p, dtype=float), model.n
     lines = np.zeros(p.shape[:-1] + (2, n + 2))
     lines[..., 0, 0] = 1.0
-    lines[..., 0, 1 : n + 1] = p
-    lines[..., 0, n + 1] = 0.5 * _dots(pg, p)
-    lines[..., 1, 1 : n + 1] = l
-    lines[..., 1, n + 1] = _dots(pg, l)
+    lines[..., 0, 1 : n + 1], lines[..., 1, 1 : n + 1] = p, l
+    np.multiply(_dots((p @ model.metric.gram)[..., None, :], lines[..., 1 : n + 1]), _HALF,
+                out=lines[..., n + 1])
     return lines
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import product
+from itertools import accumulate, product
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -116,9 +116,9 @@ def _line_checks(us: np.ndarray, a0: np.ndarray, a1: np.ndarray, model: AmbientM
     finite, is zero or has a residual beyond tol."""
     finite = (np.isfinite(a0) & np.isfinite(a1)).all(axis=1)
     a0, a1 = np.where(finite[:, None], a0, 0.0), np.where(finite[:, None], a1, 0.0)
-    g = model.form.gram
+    a0g, a1g = a0 @ model.form.gram, a1 @ model.form.gram
     scale2 = np.maximum(_dots(a0, a0), _dots(a1, a1))
-    pairs = np.stack([_dots(a0 @ g, a0), _dots(a1 @ g, a1), _dots(a0 @ g, a1)], axis=1)
+    pairs = np.stack([_dots(a0g, a0), _dots(a1g, a1), _dots(a0g, a1)], axis=1)
     residuals = np.abs(pairs) / np.where(scale2 > 0.0, scale2, 1.0)[:, None]
     failures = {}
     for i in np.flatnonzero(~finite | (scale2 == 0.0) | (residuals > tol).any(axis=1)).tolist():
@@ -180,24 +180,24 @@ def _stencil_offsets(d: int, step: float) -> np.ndarray:
 
 def _evaluate_lines(cong: IsotropicCongruence, us: np.ndarray, offsets: np.ndarray) -> tuple:
     """The evaluate half of the line jets at the parameter points us (N, d):
-    the stencil points us + offsets (N, 2d+1, d) (``_stencil_offsets``),
-    their lines (N, 2d+1, 2, n+2) from one stacked ``line_at`` call, zero
-    where an evaluation failed, and its failures."""
-    stencil = us[:, None] + offsets
-    lines, raised = cong.line_at(stencil.reshape(-1, cong.params))
-    return stencil, lines.reshape(stencil.shape[:2] + (2, cong.n + 2)), raised
+    the lines (N, 2d+1, 2, n+2) of the stencil points us + offsets
+    (``_stencil_offsets``) from one stacked ``line_at`` call, zero where an
+    evaluation failed, and its failures."""
+    lines, raised = cong.line_at((us[:, None] + offsets).reshape(-1, us.shape[1]))
+    return lines.reshape((len(us), len(offsets), 2, cong.n + 2)), raised
 
 
 def _stack_jets(records: list, model: AmbientModel, step: float) -> _LineJets:
-    """The jets half: evaluated passes ``records`` (us, stencil, lines,
-    raised) as one ``_LineJets`` stack in pass order, raised keys offset by
-    each pass's start times the stencil width, with the central differences
-    of (A_0, A_1) and the transversal forms omega_0^n = -<d_a A_0, A_1>.
-    Nothing is checked: a point whose evaluations failed has zero or
-    non-finite jets until ``_line_failures`` rejects it."""
-    us, stencil, lines = (np.concatenate(x) for x in list(zip(*records))[:3])
-    starts = np.cumsum([0] + [r[1].shape[0] * r[1].shape[1] for r in records]).tolist()
-    raised = {start + f: exc for start, r in zip(starts, records) for f, exc in r[3].items()}
+    """The jets half: evaluated passes ``records`` (us, lines, raised) as one
+    ``_LineJets`` stack in pass order, with the stencil points of us, raised
+    keys offset by each pass's start times the stencil width, the central
+    differences of (A_0, A_1) and the transversal forms omega_0^n =
+    -<d_a A_0, A_1>.  Nothing is checked: a point whose evaluations failed
+    has zero or non-finite jets until ``_line_failures`` rejects it."""
+    us, lines = (np.concatenate(x) for x in list(zip(*records))[:2])
+    stencil = us[:, None] + _stencil_offsets(us.shape[1], step)
+    starts = accumulate([len(r[0]) * lines.shape[1] for r in records], initial=0)
+    raised = {start + f: exc for start, r in zip(starts, records) for f, exc in r[2].items()}
     with np.errstate(all="ignore"):  # failed members only
         diffs = (lines[:, 1::2] - lines[:, 2::2]) / (2.0 * step)
         forms = -(diffs[:, :, 0] @ (model.form.gram @ lines[:, 0, 1, :, None]))[..., 0]
@@ -213,7 +213,8 @@ def _line_failures(jets: _LineJets, model: AmbientModel) -> dict:
     of rank below d+2).  An evaluator's ValueError or ArithmeticError becomes
     a GeometryError naming the point.  One line check and one rank check
     cover the stack; the standard form's Gram matrix has one +-1 entry per
-    row, so each residual has the bits it has in a stack of its own pass."""
+    row, so each residual has the bits it has in a stack of its own pass.  A
+    non-finite stencil line gives a non-finite difference: one test covers both."""
     us, lines, da0, da1 = jets.us, jets.lines, jets.da0, jets.da1
     failures, raised = _line_checks(us, jets.a0, jets.a1, model)[1], {}
     for f, exc in jets.raised.items():
@@ -222,8 +223,7 @@ def _line_failures(jets: _LineJets, model: AmbientModel) -> dict:
     for i, at in raised.items():
         if 0 in at or i not in failures:
             failures[i] = at[min(at)]
-    live = (np.isfinite(lines[:, 1:]).all(axis=(1, 2, 3)) & np.isfinite(da0).all(axis=(1, 2))
-            & np.isfinite(da1).all(axis=(1, 2)))
+    live = np.isfinite(np.concatenate([da0, da1], axis=1)).all(axis=(1, 2))
     live[list(failures)] = False
     for i in np.flatnonzero(~live).tolist():
         failures.setdefault(i, GeometryError(
@@ -386,7 +386,7 @@ def _kernel_projections(forms: np.ndarray, refs: np.ndarray) -> tuple:
     whether each form vanishes."""
     norms = np.sqrt(_dots(forms, forms))
     vanishing = norms < 1e-12
-    e_hat = forms / np.where(vanishing, 1.0, norms)[:, None]
+    e_hat = forms / np.maximum(norms, vanishing)[:, None]  # 1.0 where vanishing
     d = refs - _dots(e_hat, refs)[:, None] * e_hat
     return d, np.sqrt(_dots(d, d)), vanishing
 
@@ -437,8 +437,8 @@ def _rk4_runs(cong: IsotropicCongruence, starts: np.ndarray, refs: np.ndarray,
                     break
                 prev = ks[stage - 1] if stage else ref
                 points = u + weight * step * prev if stage else u
-                stencil, lines, raised = _evaluate_lines(cong, points, offsets)
-                records.append((points, stencil, lines, raised))
+                lines, raised = _evaluate_lines(cong, points, offsets)
+                records.append((points, lines, raised))
                 if raised:  # this pass fails, as the judge will say
                     break
                 if stage == 0:
@@ -450,17 +450,18 @@ def _rk4_runs(cong: IsotropicCongruence, starts: np.ndarray, refs: np.ndarray,
                 forms = -(((lines[:, 1::2, 0] - lines[:, 2::2, 0]) / (2.0 * DEFAULT_STEP))
                           @ (model.form.gram @ lines[:, 0, 1, :, None]))[..., 0]
                 projected, norms, vanishing = _kernel_projections(forms, prev)
-                for bad, why in ((vanishing, "transversal form vanishes at u={}; "
-                                  "distribution undefined"),
-                                 (norms < 1e-10, "transport direction left the "
-                                  "distribution kernel at u={}")):
-                    if bad.any():  # named at the first failing member
-                        raise DegenerateBasisError(why.format(points[bad.argmax()].tolist()))
+                if (vanishing | (norms < 1e-10)).any():  # named at the first failing member
+                    bad, why = ((vanishing, "transversal form vanishes at u={}; distribution "
+                                 "undefined") if vanishing.any() else
+                                (norms < 1e-10, "transport direction left the distribution "
+                                 "kernel at u={}"))
+                    raise DegenerateBasisError(why.format(points[bad.argmax()].tolist()))
                 ks[stage] = projected / norms[:, None]
                 if stage == 3:  # a full step, not the visit of the end points
                     u = u + (step / 6.0) * (ks[0] + 2 * ks[1] + 2 * ks[2] + ks[3])
-                    inside = ~((u < lo) | (u > hi)).any(axis=1)
-                    if not inside.all():
+                    outside = (u < lo) | (u > hi)
+                    if outside.any():
+                        inside = ~outside.any(axis=1)
                         truncated, u, runs, ks[0] = True, u[inside], runs[inside], ks[0][inside]
                     ref = ks[0]
     except Exception as exc:
@@ -509,7 +510,7 @@ def stratify(cong: IsotropicCongruence, seed, model: Optional[AmbientModel] = No
     (back, ahead), truncated = _rk4_runs(cong, np.array([seed, seed]),
                                          np.array([-basis0[0], basis0[0]]), model, step, count)
     spine = back[:0:-1] + back[:1] + ahead[1:]
-    columns = [(spine[0][1], [i for _, _, i in spine])]  # (stack, lattice indices) per march
+    columns = [(spine[0][1], np.array([i for _, _, i in spine]))]  # (stack, lattice indices)
     if len(basis0) > 1:
         # from every spine point a pair of runs (-ref, +ref) along each further
         # kernel direction projected off the point's form, if anything is left
@@ -525,7 +526,7 @@ def stratify(cong: IsotropicCongruence, seed, model: Optional[AmbientModel] = No
             np.stack([-refs, refs], axis=1).reshape(-1, len(seed)), model, step, count)
         truncated |= cross_truncated
         cross = [visit for run in runs for visit in run[1:]]
-        columns += [(cross[0][1], [i for _, _, i in cross])] if cross else []
+        columns += [(cross[0][1], np.array([i for _, _, i in cross]))] if cross else []
 
     # classify the swept point set: the leaf's tangent directions at a point
     # are the kernel of its transversal form, so the swept tangent space is

@@ -14,6 +14,7 @@ anything else is reported as degenerate beyond the lightlike case.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from functools import cached_property, partial
 from typing import Callable, Optional, Sequence
@@ -138,6 +139,7 @@ class Immersion:
         return out[0] if u.ndim == 1 else out
 
 
+@np.errstate(all="ignore")
 def _evaluate_stack(scalar: Callable, stacked: Optional[Callable], us: np.ndarray,
                     shape: tuple) -> tuple:
     """Outputs (N, *shape) of an evaluator at the parameter points us (N, d)
@@ -145,26 +147,24 @@ def _evaluate_stack(scalar: Callable, stacked: Optional[Callable], us: np.ndarra
 
     The broadcasting twin ``stacked``, which may be the one-point evaluator
     itself if that broadcasts, runs once over the stack with floating point
-    warnings off.  The one-point ``scalar`` then evaluates again every member
-    the twin left non-finite, or every member if the twin is None, raised a
-    ValueError, ArithmeticError, TypeError or IndexError (it does not
-    broadcast) or gave another shape, so each such member gets the one-point
-    result and exception (a negative square root is NaN in a stack but raises
-    for one point).  Failed members are zero.
+    warnings off, as does the whole pass.  The one-point ``scalar`` then
+    evaluates again every member the twin left non-finite, or every member if
+    the twin is None, raised a ValueError, ArithmeticError, TypeError or
+    IndexError (it does not broadcast) or gave another shape, so each such
+    member gets the one-point result and exception (a negative square root is
+    NaN in a stack but raises for one point).  Failed members are zero.
     """
-    out = None
+    out, replay, failures = None, [], {}
     if stacked is not None:
         try:
-            with np.errstate(all="ignore"):
-                out = np.array(stacked(us), dtype=float, order="C")
+            out = np.array(stacked(us), dtype=float, order="C")
+            finite = math.isfinite(np.add.reduce(out, axis=None))  # then so is every output
         except (ValueError, ArithmeticError, TypeError, IndexError):
             pass
     if out is None or out.shape != (len(us),) + shape:
         out, replay = np.zeros((len(us),) + shape), range(len(us))
-    else:  # the per-member scan only when the whole stack is not finite
-        replay = [] if np.isfinite(out).all() else np.flatnonzero(
-            ~np.isfinite(out).all(axis=tuple(range(1, out.ndim)))).tolist()
-    failures = {}
+    elif not finite:
+        replay = np.flatnonzero(~np.isfinite(out).all(axis=tuple(range(1, out.ndim)))).tolist()
     for i in replay:
         try:
             out[i] = scalar(us[i])

@@ -498,9 +498,9 @@ def solve_particular(a, b, tol: float = SINGULAR_TOL):
 
 
 def _dots(a, b) -> np.ndarray:
-    """Dot products of the vectors on the last axes of a and b, broadcast
-    over the leading axes; each has the bits of the 1-d ``a @ b``."""
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+    """Dot products of the vectors on the last axes of a and b, broadcast over
+    the leading axes, by ``np.vecdot``: the dot loop of the 1-d ``a @ b``."""
+    return np.vecdot(a, b)
 
 
 def orthonormal_rows(stack, tol: float = 1e-12):
@@ -520,21 +520,21 @@ def orthonormal_rows(stack, tol: float = 1e-12):
         raise ValueError("expected a stack of row matrices (N, r, m)")
     count, rows, width = v.shape
     # explicit sizes: an empty stack cannot infer -1
-    scale = np.maximum(np.abs(v.reshape(count, rows * width)).max(axis=1, initial=0.0), 1e-300)
-    bases = np.zeros_like(v)
-    ranks = np.zeros(count, dtype=int)
+    floor = tol * np.maximum(np.abs(v.reshape(count, rows * width)).max(axis=1, initial=0.0), 1e-300)
+    bases, ranks, members = np.zeros_like(v), np.zeros(count, dtype=int), np.arange(count)
     active = np.ones(count, dtype=bool)
     left = np.ones((count, rows), dtype=bool)  # rows not yet taken as a pivot
-    members = np.arange(count)
     for k in range(rows):
         norms = np.sqrt(_dots(v, v))
-        pivot = np.where(left, norms, -1.0).argmax(axis=1)
+        pivot = (np.where(left, norms, -1.0) if k else norms).argmax(axis=1)  # all left at first
         best = norms[members, pivot]
-        active &= best > tol * scale
-        if not active.any():
+        active &= best > floor
+        live = np.count_nonzero(active)
+        if not live:
             break
-        q = np.where(active[:, None], v[members, pivot] / np.where(active, best, 1.0)[:, None], 0.0)
-        bases[:, k] = q
+        every = live == count  # where(True, x, .) is x: no masking
+        q = v[members, pivot] / (best if every else np.where(active, best, 1.0))[:, None]
+        bases[:, k] = q = q if every else np.where(active[:, None], q, 0.0)
         ranks += active
         left[members, pivot] = False
         if k + 1 < rows:

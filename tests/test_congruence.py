@@ -542,7 +542,7 @@ class TestStackedLineJets:
         records = [(us, *_evaluate_lines(cong, us, offsets)) for us in (
             np.array([[0.1, 0.4], [-0.2, 0.3]]), np.array([[0.0, 0.1], [0.3, -0.2], [0.2, 0.5]]),
             np.array([[-0.1, 0.2], [0.25, 0.0]]))]
-        for (_, _, lines, _), i, residual in ((records[1], 2, 0.75e-10), (records[2], 1, 3e-10)):
+        for (_, lines, _), i, residual in ((records[1], 2, 0.75e-10), (records[2], 1, 3e-10)):
             a0, a1 = lines[i, 0]
             lines[i, 0, 0, -1] += 0.5 * residual * max(a0 @ a0, a1 @ a1)  # <A_0, A_0> = -2 dx
         passes = [_stack_jets([record], model3, DEFAULT_STEP) for record in records]

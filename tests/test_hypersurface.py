@@ -14,6 +14,7 @@ from pseudoconformal.errors import DegenerateBasisError, NotLightlikeError
 from pseudoconformal.hypersurface import (
     _KINDS,
     Immersion,
+    _evaluate_stack,
     _transitions,
     causal_type_of_metric,
     classify_point,
@@ -569,6 +570,21 @@ class TestStackedSurvey:
     """``survey`` evaluates the grid in one stacked call; members the twin
     cannot evaluate fail as they fail alone, and the others keep the bits of
     a scalar-only immersion evaluated member by member."""
+
+    @pytest.mark.parametrize("values, replayed", [
+        ([1e308, 1e308, 1e308], []),  # finite outputs whose sum overflows
+        ([1.0, math.inf, -math.inf], [1, 2]),  # a sum that is NaN
+        ([math.nan, 1.0, 1e308], [0]),
+    ])
+    def test_only_non_finite_members_are_replayed(self, values, replayed):
+        # the stack's sum screens the per-member scan, which alone decides
+        calls = []
+        out, failures = _evaluate_stack(lambda u: calls.append(int(u[0])) or np.ones(2),
+                                        lambda us: np.array(values)[:, None] * np.ones(2),
+                                        np.arange(3.0)[:, None], (2,))
+        assert calls == replayed and not failures
+        assert out[replayed].tolist() == [[1.0, 1.0]] * len(replayed)
+        assert all(out[i].tolist() == [values[i]] * 2 for i in range(3) if i not in replayed)
 
     @pytest.mark.parametrize("name, domain, counts, errors", [
         ("timelike_hypersphere", ((0.25, 1.75), (0.0, 1.0)), (4, 2),

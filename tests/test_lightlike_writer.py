@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pseudoconformal import catalog
+from pseudoconformal import catalog, cli
 from pseudoconformal.cli import _build_object, _resolve_grid, load_scene, main
 from pseudoconformal.conformal import AmbientModel
 from pseudoconformal.errors import GeometryError
@@ -122,6 +122,16 @@ def test_generated_copies(tmp_path, capsys, generated, copy):
     assert generated[copy]
     for scene in generated[copy]:
         assert check_scene(tmp_path, scene.path, scene.slot.fmt) is not None
+
+
+@pytest.mark.parametrize("fmt, calls", [("csv", 0), ("json", 1)])
+def test_torses_only_for_the_json_centre(tmp_path, capsys, monkeypatch, fmt, calls):
+    # the centre's torse directions are written only in the JSON document;
+    # a CSV run does not compute them, and its bytes stay the oracle's
+    seen = []
+    monkeypatch.setattr(cli, "torse_directions", lambda an: seen.append(an) or torse_directions(an))
+    assert check_scene(tmp_path, ROOT / "scenes" / "wavefront4.json", fmt) is not None
+    assert len(seen) == calls
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -18,6 +18,7 @@ from pseudoconformal.linalg import (
     REAL_ROOT_TOL,
     BilinearForm,
     _cluster,
+    _dots,
     _inertia,
     _root_records,
     _roots,
@@ -726,6 +727,48 @@ def _mixed_stack(seed, count=60, rows=5, cols=7):
     return stack
 
 
+def _ranked_stack(seed, rows=4, cols=6):
+    """Members of ranks 0, 1, ..., rows (products of random factors of that
+    rank), so that one member drops out at each pivot."""
+    rng = np.random.default_rng(seed)
+    return np.array([rng.standard_normal((rows, k)) @ rng.standard_normal((k, cols))
+                     for k in range(rows + 1)])
+
+
+class TestDots:
+    @pytest.mark.parametrize("d", [0, 1, 2, 3, 4, 5, 8, 17])
+    def test_each_product_has_the_bits_of_the_1d_product(self, d):
+        # contiguous rows, transposed (strided) rows and a broadcast stack
+        # (N, 4, d) . (N, 1, d): each value is that of the 1-d a @ b on the
+        # same vectors
+        rng = np.random.default_rng(d)
+        a, b = rng.standard_normal((2, 300, d))
+        strided = rng.standard_normal((d, 300)).T
+        for x, y in ((a, b), (strided, b), (a, strided)):
+            want = np.array([u @ v for u, v in zip(x, y)])
+            assert _dots(x, y).view(np.int64).tolist() == want.view(np.int64).tolist()
+        rows, pivots = rng.standard_normal((50, 4, d)), rng.standard_normal((50, 1, d))
+        want = np.array([[u @ p[0] for u in m] for m, p in zip(rows, pivots)])
+        got = _dots(rows, pivots)
+        assert got.shape == (50, 4)
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+    def test_empty_stacks(self):
+        assert _dots(np.zeros((0, 3)), np.zeros((0, 3))).shape == (0,)
+        assert _dots(np.zeros((0, 4, 5)), np.zeros((0, 1, 5))).shape == (0, 4)
+        assert _dots(np.zeros((2, 0)), np.zeros((2, 0))).tolist() == [0.0, 0.0]
+
+    def test_one_pair_gives_a_scalar(self):
+        # catalog._sqrt takes its one-point math.sqrt path for it, which
+        # raises for a negative number where a stack gets NaN
+        v = np.array([0.6, 0.8, 0.5])
+        assert np.ndim(_dots(v, v)) == 0
+        with pytest.raises(ValueError):
+            catalog._sqrt(1.0 - _dots(v, v))
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(catalog._sqrt(1.0 - _dots(v[None], v[None]))).all()
+
+
 class TestOrthonormalRows:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_against_numpy(self, seed):
@@ -762,13 +805,23 @@ class TestOrthonormalRows:
         np.array([[[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 0.0, 1e-13]], np.zeros((3, 3)),
                   [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0]]]),
         np.zeros((0, 3, 4)), np.zeros((2, 0, 3)), np.zeros((2, 3, 0)),
-    ], ids=["random", "square", "rank-deficient", "no-members", "no-rows", "no-columns"])
+        np.random.default_rng(7).standard_normal((40, 4, 6)), _ranked_stack(8),
+    ], ids=["random", "square", "rank-deficient", "no-members", "no-rows", "no-columns",
+            "all-active", "one-drop-per-pivot"])
     def test_bits_of_the_deflating_routine(self, stack):
-        # one flattened scale reduction and no deflation after the last
-        # pivot keep every bit of the routine that had neither
+        # one flattened scale reduction, no deflation after the last pivot
+        # and no masking at a pivot where every member is active keep every
+        # bit of the routine that had none of them
         got, want = orthonormal_rows(stack), _oracles.deflating_orthonormal_rows(stack)
         assert got[0].shape == want[0].shape == stack.shape
         assert got[0].tobytes() == want[0].tobytes() and np.array_equal(got[1], want[1])
+
+    def test_stack_kinds_of_the_mask_skip(self):
+        # the two stacks above: every member active to the last pivot, and
+        # one member leaving at each pivot
+        assert orthonormal_rows(np.random.default_rng(7).standard_normal((40, 4, 6)))[1].tolist() \
+            == [4] * 40
+        assert orthonormal_rows(_ranked_stack(8))[1].tolist() == [0, 1, 2, 3, 4]
 
 
 @pytest.fixture
