@@ -21,8 +21,8 @@ column header (``leaf:`` and the header in a leaf side file), the standard
 error the one field ``stderr``.  Where the text differs too, the fields are
 compared the same way, JSON objects matched by key, and each JSON field
 that only one side writes is named ("only in old" or "only in new").  One
-summary line ends the report, with the line count of each tree's
-``pseudoconformal/*.py`` (old -> new), the worst difference per field over
+summary line ends the report, with the line and AST statement counts of
+each tree's ``pseudoconformal/*.py`` (old -> new), the worst difference per field over
 all runs and the fields only one side writes; the exit code is 0 only if
 every run matched byte for byte.
 
@@ -33,6 +33,7 @@ Without arguments it compares this checkout's ``src`` with itself.
 """
 
 import argparse
+import ast
 import csv
 import io
 import json
@@ -162,6 +163,13 @@ def run_side(src: str, runs: list, out_dir: Path) -> subprocess.Popen:
 def source_lines(src: str) -> int:
     """Lines of the package modules of a source tree, as ``wc -l`` counts them."""
     return sum(p.read_bytes().count(b"\n") for p in Path(src, "pseudoconformal").glob("*.py"))
+
+
+def source_statements(src: str) -> int:
+    """AST statements (``ast.stmt`` nodes, nested ones included) of the
+    package modules of a source tree."""
+    return sum(isinstance(node, ast.stmt) for p in Path(src, "pseudoconformal").glob("*.py")
+               for node in ast.walk(ast.parse(p.read_bytes())))
 
 
 def _read(path: Path):
@@ -322,7 +330,8 @@ def main(argv=None) -> int:
     print(f"compare_outputs: {len(runs)} runs, {same} byte-identical, {masked_only} same "
           f"with numbers masked (max |d|/(1+|v|) {worst:.2e}), {differing} differing in "
           f"text, {code_mismatch} exit-code mismatches, pseudoconformal/*.py "
-          f"{source_lines(args.old_src)} -> {source_lines(args.new_src)} lines"
+          f"{source_lines(args.old_src)} -> {source_lines(args.new_src)} lines, "
+          f"{source_statements(args.old_src)} -> {source_statements(args.new_src)} statements"
           + (f"; worst per field: {per_field}" if per_field else "")
           + (f"; {only}" if only else ""))
     return 0 if same == len(runs) and code_mismatch == 0 else 1

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import accumulate, product
 from typing import Callable, Optional, Sequence
 
@@ -36,12 +35,11 @@ import numpy as np
 from .conformal import AmbientModel, ProjectivePoint, _lift_lines, _singular_coords
 from .errors import ConvergenceError, DegenerateBasisError, GeometryError, NonIntegrableError
 from .frames import _line_screen_candidates, _screen_error, build_screen, null_frame_coordinates
-from .hypersurface import _evaluate_stack, _evaluation_error, _pullback, parameter_grid
+from .hypersurface import (DEFAULT_STEP, _central, _evaluate_stack, _evaluation_error, _pullback,
+                           _stencil_offsets, parameter_grid)
 from .lightlike import SYMMETRY_TOL
 from .linalg import (MAX_ROOT_ORDER, _cluster, _dots, _durand_kerner, _faddeev_leverrier, _inertia,
                      _root_records, _roots, _solve, jacobi_eigh, orthonormal_rows)
-
-DEFAULT_STEP = 1e-4
 
 #: defect below which a congruence counts as normal (integrable)
 INTEGRABILITY_TOL = 1e-6
@@ -165,19 +163,6 @@ def _dependent(u: np.ndarray) -> DegenerateBasisError:
                                 "the family is not a congruence there")
 
 
-@lru_cache(maxsize=None)
-def _stencil_offsets(d: int, step: float) -> np.ndarray:
-    """Offsets (2d+1, d) of the stencil u, u + step e_0, u - step e_0, ...
-    whose sums with u have the bits of u, u + step e_a and u - step e_a: the
-    centre adds -0.0, which keeps every u, and the minus rows add the
-    negation of step e_a."""
-    offsets = np.full((2 * d + 1, d), -0.0)
-    offsets[1::2] = step * np.eye(d)
-    offsets[2::2] = -(step * np.eye(d))
-    offsets.flags.writeable = False
-    return offsets
-
-
 def _evaluate_lines(cong: IsotropicCongruence, us: np.ndarray, offsets: np.ndarray) -> tuple:
     """The evaluate half of the line jets at the parameter points us (N, d):
     the lines (N, 2d+1, 2, n+2) of the stencil points us + offsets
@@ -199,7 +184,7 @@ def _stack_jets(records: list, model: AmbientModel, step: float) -> _LineJets:
     starts = accumulate([len(r[0]) * lines.shape[1] for r in records], initial=0)
     raised = {start + f: exc for start, r in zip(starts, records) for f, exc in r[2].items()}
     with np.errstate(all="ignore"):  # failed members only
-        diffs = (lines[:, 1::2] - lines[:, 2::2]) / (2.0 * step)
+        diffs = _central(lines[:, 1:], step)
         forms = -(diffs[:, :, 0] @ (model.form.gram @ lines[:, 0, 1, :, None]))[..., 0]
     return _LineJets(us, stencil, lines, raised, lines[:, 0, 0], lines[:, 0, 1], diffs[:, :, 0],
                      diffs[:, :, 1], forms)
@@ -288,7 +273,7 @@ def _congruence_affinors(cong: IsotropicCongruence, us: np.ndarray,
     unconverged = general[:0]
     if len(general):  # none in a normal congruence's stack
         eigen[general], residual, converged = _durand_kerner(
-            _faddeev_leverrier(np.swapaxes(solved[general][:, : n - 2], 1, 2))[0].astype(complex))
+            _faddeev_leverrier(np.swapaxes(solved[general][:, : n - 2], 1, 2)).astype(complex))
         unconverged = general[~converged]
         for i, r in zip(live[keep[unconverged]].tolist(), residual[~converged].tolist()):
             failures[i] = ConvergenceError(f"root iteration did not converge at "
@@ -447,6 +432,7 @@ def _rk4_runs(cong: IsotropicCongruence, starts: np.ndarray, refs: np.ndarray,
                 size += len(points)
                 if n_step == count:
                     break
+                # inline: through two helpers this stage cost 2 % of congruence points/s
                 forms = -(((lines[:, 1::2, 0] - lines[:, 2::2, 0]) / (2.0 * DEFAULT_STEP))
                           @ (model.form.gram @ lines[:, 0, 1, :, None]))[..., 0]
                 projected, norms, vanishing = _kernel_projections(forms, prev)

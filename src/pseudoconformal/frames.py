@@ -27,14 +27,11 @@ import numpy as np
 
 from .conformal import AmbientModel
 from .errors import DegenerateBasisError, GeometryError, NotLightlikeError, NotOnQuadricError
-from .hypersurface import LIGHTLIKE_TOL, _pullback
+from .hypersurface import DEFAULT_STEP, LIGHTLIKE_TOL, _central, _pullback, _stencil_offsets
 from .linalg import _dots, _inertia, inverse, jacobi_eigh, orthonormal_rows, solve
 
 #: Gram residual every adapted frame must meet
 ADAPT_TOL = 1e-10
-
-#: default finite-difference step on unit-scaled parameters
-DEFAULT_STEP = 1e-4
 
 
 def lightlike_gram(n: int) -> np.ndarray:
@@ -157,8 +154,10 @@ def _orthonormal_screens(stack, gram, count: int, tol: float) -> tuple:
     counts = np.zeros(size, dtype=int)
     active = np.ones(size, dtype=bool)
     left = np.ones((size, rows), dtype=bool)  # candidates not yet taken as a pivot
-    for k in range(min(count, rows)):
-        norms = np.where(left, _dots(v @ gram, v), -np.inf)
+    last = min(count, rows) - 1
+    for k in range(last + 1):
+        vg = v @ gram
+        norms = np.where(left, _dots(vg, v), -np.inf)
         best = norms.max(axis=1)
         active &= best > floor
         if not active.any():
@@ -169,8 +168,9 @@ def _orthonormal_screens(stack, gram, count: int, tol: float) -> tuple:
         lead = np.take_along_axis(s, np.abs(s).argmax(axis=1)[:, None], axis=1)
         bases[:, k] = np.where(lead >= 0, s, -s)
         counts += active
-        left[members, pivot] = False
-        v = v - _dots(v @ gram, s[:, None, :])[..., None] * s[:, None, :]
+        if k < last:  # deflate the candidates for the next pivot
+            left[members, pivot] = False
+            v = v - _dots(vg, s[:, None, :])[..., None] * s[:, None, :]
     return bases, counts
 
 
@@ -450,15 +450,9 @@ def connection_forms(frame_field, u, model_or_gram, step: float = DEFAULT_STEP):
     relation residual checks.
     """
     u = np.asarray(u, dtype=float)
-    center = _frame_matrix(frame_field(u))
-    dim = center.shape[0]
-    n = dim - 2
-    f_inv = inverse(center)
-    omegas = np.empty((u.shape[0], dim, dim))
-    for a, e in enumerate(step * np.eye(len(u))):
-        fp = _frame_matrix(frame_field(u + e))
-        fm = _frame_matrix(frame_field(u - e))
-        omegas[a] = ((fp - fm) / (2.0 * step)) @ f_inv
+    frames = np.array([_frame_matrix(frame_field(p)) for p in u + _stencil_offsets(len(u), step)])
+    center, n = frames[0], len(frames[0]) - 2
+    omegas = _central(frames[None, 1:], step)[0] @ inverse(center)
     if isinstance(model_or_gram, AmbientModel):
         gram = center @ model_or_gram.form.gram @ center.T
     else:
@@ -477,15 +471,12 @@ def structure_residual(frame_field, u, model_or_gram, step: float = DEFAULT_STEP
     def omega_at(v):
         return connection_forms(frame_field, v, model_or_gram, step=step).omega
 
-    center = omega_at(u)
-    plus = [omega_at(u + e) for e in step * np.eye(d)]
-    minus = [omega_at(u - e) for e in step * np.eye(d)]
+    omegas = np.array([omega_at(p) for p in u + _stencil_offsets(d, step)])
+    center, d_omega = omegas[0], _central(omegas[None, 1:], step)[0]  # d_omega[a, b] = d_a omega_b
     worst = 0.0
     for a in range(d):
         for b in range(a + 1, d):
             # d omega(e_a, e_b) = da omega_b - db omega_a
-            da_ob = (plus[a][b] - minus[a][b]) / (2.0 * step)
-            db_oa = (plus[b][a] - minus[b][a]) / (2.0 * step)
             bracket = center[a] @ center[b] - center[b] @ center[a]
-            worst = max(worst, float(np.abs(da_ob - db_oa - bracket).max()))
+            worst = max(worst, float(np.abs(d_omega[a, b] - d_omega[b, a] - bracket).max()))
     return worst

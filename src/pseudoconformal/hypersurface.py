@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -37,6 +37,28 @@ LIGHTLIKE_TOL = 1e-7
 #: central-difference steps of ``jet1``, and of ``jet2`` over a differenced ``jet1``
 FD_STEP_FIRST = 1e-5
 FD_STEP_SECOND = 1e-4
+
+#: central-difference step of the congruence line jets and the frame connection forms
+DEFAULT_STEP = 1e-4
+
+
+@lru_cache(maxsize=None)
+def _stencil_offsets(d: int, step: float) -> np.ndarray:
+    """Offsets (2d+1, d) of the stencil u, u + step e_0, u - step e_0, ...
+    whose sums with u have the bits of u, u + step e_a and u - step e_a: the
+    centre adds -0.0, which keeps every u, and the minus rows add the
+    negation of step e_a."""
+    offsets = np.full((2 * d + 1, d), -0.0)
+    offsets[1::2] = step * np.eye(d)
+    offsets[2::2] = -(step * np.eye(d))
+    offsets.flags.writeable = False
+    return offsets
+
+
+def _central(values: np.ndarray, step: float) -> np.ndarray:
+    """Central differences (N, d, ...) (f(u + step e_a) - f(u - step e_a)) / 2 step
+    from the values (N, 2d, ...) at the stencil rows past the centre."""
+    return (values[:, 0::2] - values[:, 1::2]) / (2.0 * step)
 
 
 @dataclass(frozen=True)
@@ -84,58 +106,52 @@ class Immersion:
     def point(self, u):
         """The point at u, or for a stack of parameter vectors (N, n-1) the
         points (N, target_dim) and the failures {index: exception}."""
-        u = np.asarray(u, dtype=float)
-        if u.ndim == 2:
-            return _evaluate_stack(self.point, self.values, u, (self.target_dim,))
-        with np.errstate(all="ignore"):
-            return np.asarray(self.value(u), dtype=float)
+        return self._jet(0, u)
 
     def jet1(self, u):
-        """First-order jet: target_dim x (n-1) Jacobian; for a stack of
-        parameter vectors (N, n-1) the Jacobians and the failures, as
-        ``point``.  Without an analytic Jacobian, central differences of
-        ``point`` (``_differences``)."""
-        u = np.asarray(u, dtype=float)
-        shape = (self.target_dim, self.params)
-        differences = partial(self._differences, self.point, step=FD_STEP_FIRST)
-        if u.ndim == 2:
-            return _evaluate_stack(self.jet1, differences if self.jacobian is None
-                                   else self.jacobians, u, shape)
-        with np.errstate(all="ignore"):
-            j = differences(u) if self.jacobian is None else np.asarray(self.jacobian(u), float)
-        if j.shape != shape:
-            raise ValueError(f"jacobian has shape {j.shape}, expected {shape}")
-        return j
+        """First-order jet: target_dim x (n-1) Jacobian, or Jacobians and
+        failures of a stack, as ``point``."""
+        return self._jet(1, u)
 
     def jet2(self, u):
         """Second-order jet: target_dim x (n-1) x (n-1) Hessian, or Hessians and
-        failures of a stack, as ``point``; else central differences of
-        ``jet1``, at FD_STEP_FIRST over an analytic Jacobian."""
-        u = np.asarray(u, dtype=float)
-        shape = (self.target_dim, self.params, self.params)
-        differences = partial(self._differences, self.jet1,
-                              step=FD_STEP_FIRST if self.analytic else FD_STEP_SECOND)
+        failures of a stack, as ``point``."""
+        return self._jet(2, u)
+
+    def _jet(self, order: int, u):
+        """The jet of ``order`` (0 the point) at u, one point or a stack: the
+        evaluator of that order and its twin, else central differences of the
+        jet below (``_differences``), at FD_STEP_FIRST over a point or an
+        analytic Jacobian and FD_STEP_SECOND over a differenced one.  One
+        point's jet must have the shape (target_dim, n-1, ...) of its order."""
+        u, jets = np.asarray(u, dtype=float), (self.point, self.jet1, self.jet2)
+        name = ("value", "jacobian", "hessian")[order]
+        evaluate, twin = getattr(self, name), (self.values, self.jacobians, self.hessian)[order]
+        if evaluate is None:
+            step = FD_STEP_FIRST if order == 1 or self.analytic else FD_STEP_SECOND
+            evaluate = twin = partial(self._differences, jets[order - 1], step=step)
+        shape = (self.target_dim,) + (self.params,) * order
         if u.ndim == 2:
-            return _evaluate_stack(self.jet2, self.hessian or differences, u, shape)
+            return _evaluate_stack(jets[order], twin, u, shape)
         with np.errstate(all="ignore"):
-            h = differences(u) if self.hessian is None else np.asarray(self.hessian(u), float)
-        if h.shape != shape:
-            raise ValueError(f"hessian has shape {h.shape}, expected {shape}")
-        return h
+            jet = np.asarray(evaluate(u), dtype=float)
+        if jet.shape != shape:
+            raise ValueError(f"{name} has shape {jet.shape}, expected {shape}")
+        return jet
 
     def _differences(self, evaluate: Callable, u: np.ndarray, step: float) -> np.ndarray:
-        """Central differences (..., *shape, n-1) of ``point`` or ``jet1`` at u,
-        one point or a stack, from one call at u + step e_0, u - step e_0, ...
-        One point raises its first failed neighbour's error; a stack member
-        with one is NaN, so ``_evaluate_stack`` replays it alone."""
+        """Central differences (..., *shape, n-1) of a jet at u, one point or
+        a stack, from one call at the stencil rows u + step e_0, u - step e_0,
+        ...  One point raises its first failed neighbour's error; a stack
+        member with one is NaN, so ``_evaluate_stack`` replays it alone."""
         us = np.atleast_2d(u)
-        shifts = np.stack([step * np.eye(self.params), -step * np.eye(self.params)], axis=1)
-        values, failed = evaluate((us[:, None, None] + shifts).reshape(-1, self.params))
+        values, failed = evaluate((us[:, None] + _stencil_offsets(self.params, step)[1:])
+                                  .reshape(-1, self.params))
         if failed and u.ndim == 1:
             raise failed[min(failed)]
         values[list(failed)] = np.nan
-        values = values.reshape((len(us), self.params, 2) + values.shape[1:])
-        out = np.moveaxis((values[:, :, 0] - values[:, :, 1]) / (2 * step), 1, -1)
+        values = values.reshape((len(us), 2 * self.params) + values.shape[1:])
+        out = np.moveaxis(_central(values, step), 1, -1)
         return out[0] if u.ndim == 1 else out
 
 

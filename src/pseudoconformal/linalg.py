@@ -205,25 +205,23 @@ def signature(m, tol: float = 1e-10) -> Signature:
 def char_poly(m) -> np.ndarray:
     """Coefficients of det(x I - m) in descending powers, by the
     Faddeev-LeVerrier recursion.  coeffs[0] is always 1."""
-    return _faddeev_leverrier(_as_matrix(m))[0]
+    return _faddeev_leverrier(_as_matrix(m))
 
 
-def _faddeev_leverrier(a: np.ndarray) -> tuple:
-    """Coefficients c (..., k+1) of det(x I - a) in descending powers and the
-    adjugates (..., k, k) of square matrices a (..., k, k), by the
-    Faddeev-LeVerrier recursion N_0 = I, M_j = a N_(j-1), c_j = -tr(M_j) / j,
-    N_j = M_j + c_j I.  Since N_k = 0, a N_(k-1) = -c_k I = (-1)^(k-1) det(a) I,
-    so adj a = (-1)^(k-1) N_(k-1).  A member has the bits of its stack of one."""
+def _faddeev_leverrier(a: np.ndarray) -> np.ndarray:
+    """Coefficients c (..., k+1) of det(x I - a) in descending powers of
+    square matrices a (..., k, k), by the Faddeev-LeVerrier recursion
+    N_0 = I, M_j = a N_(j-1), c_j = -tr(M_j) / j, N_j = M_j + c_j I.  A
+    member has the bits of its stack of one."""
     k = a.shape[-1]
     coeffs = np.empty(a.shape[:-2] + (k + 1,))
     coeffs[..., 0] = 1.0
-    n_m = n_last = eye = np.eye(k)
+    n_m = eye = np.eye(k)
     for j in range(1, k + 1):
-        n_last, m_j = n_m, a @ n_m
-        c = -np.trace(m_j, axis1=-2, axis2=-1) / j
-        coeffs[..., j] = c
+        m_j = a @ n_m
+        coeffs[..., j] = c = -np.trace(m_j, axis1=-2, axis2=-1) / j
         n_m = m_j + c[..., None, None] * eye
-    return coeffs, (-1.0) ** (k - 1) * (n_last if k > 1 else np.broadcast_to(n_last, a.shape))
+    return coeffs
 
 
 def durand_kerner(coeffs):

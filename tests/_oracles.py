@@ -15,7 +15,8 @@ deflated after its last pivot.  The leaf integrator's reference checks every pas
 as soon as it is made, which the integrator defers to one check at the end.
 The tangential-degeneracy reference is the kernel flow that the closed-form
 check replaced: RK4 along the numpy.linalg.eigh kernel field, and principal
-angles from numpy.linalg.svd.
+angles from numpy.linalg.svd.  Curved leaves come from the cone congruence in
+bent parameters, whose leaves keep a closed-form invariant.
 """
 
 import cmath
@@ -24,6 +25,7 @@ from collections import namedtuple
 
 import numpy as np
 
+from pseudoconformal import catalog
 from pseudoconformal.congruence import IsotropicCongruence, _kernel_projections, _line_checks
 from pseudoconformal.conformal import (AtInfinity, ProjectivePoint, darboux_unembed, lift_point,
                                       lift_tangent)
@@ -303,6 +305,32 @@ def translated_congruence(imm, last, model, t_range=(-0.5, 0.5)):
 
     return IsotropicCongruence.from_null_lines(n, tuple(imm.domain[:-1]) + (t_range,), base,
                                                direction, model=model)
+
+
+def bent_cone_congruence(n, bend=1.5):
+    """The cone congruence of C^n_1 (catalog ``cone_normal_congruence``)
+    reparametrized by (s, t) -> (s, t + bend |s|^2), s the first n-2
+    parameters: its line at (s, t) is the cone's at (s, t + bend |s|^2), in
+    ``line`` and its twin ``lines`` alike.  The cone's leaves are
+    u_last = const, so these leaves are the curved level sets of
+    ``bent_leaf_invariant``, curves at n = 3 and surfaces at n = 4."""
+    cone = catalog.build("cone_normal_congruence", n=n)
+
+    def unbend(u):
+        u = np.array(u, dtype=float)
+        u[..., -1] += bend * (u[..., :-1] ** 2).sum(axis=-1)
+        return u
+
+    return IsotropicCongruence(n=n, domain=cone.domain, name=f"bent_cone{n}",
+                               line=lambda u: cone.line(unbend(u)),
+                               lines=lambda us: cone.lines(unbend(us)))
+
+
+def bent_leaf_invariant(us, bend=1.5):
+    """t + bend |s|^2 at parameter points (..., n-1) of ``bent_cone_congruence``:
+    constant on each of its leaves."""
+    us = np.asarray(us, dtype=float)
+    return us[..., -1] + bend * (us[..., :-1] ** 2).sum(axis=-1)
 
 
 def _line_fields_congruence(cong, u, model, step=1e-4):
@@ -725,18 +753,18 @@ def _single_matrix_eliminate(m, rhs, floor):
 
 
 def single_matrix_faddeev_leverrier(a):
-    """Characteristic coefficients and adjugate of one square matrix as
+    """Characteristic coefficients of one square matrix as
     ``linalg._faddeev_leverrier`` took them before it broadcast."""
     k = a.shape[0]
     coeffs = np.empty(k + 1)
     coeffs[0] = 1.0
-    n_m = n_last = np.eye(k)
+    n_m = np.eye(k)
     for j in range(1, k + 1):
-        n_last, m_j = n_m, a @ n_m
+        m_j = a @ n_m
         c = -np.trace(m_j) / j
         coeffs[j] = c
         n_m = m_j + c * np.eye(k)
-    return coeffs, (-1.0) ** (k - 1) * n_last
+    return coeffs
 
 
 def single_polynomial_durand_kerner(coeffs):

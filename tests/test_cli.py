@@ -1,3 +1,4 @@
+import ast
 import csv
 import io
 import json
@@ -709,10 +710,13 @@ class TestScripts:
         assert proc.returncode == 0, proc.stderr
 
 
-def package_lines() -> int:
-    """Lines of this tree's package modules."""
-    return sum(len(p.read_text().splitlines())
-               for p in (ROOT / "src" / "pseudoconformal").glob("*.py"))
+def package_size() -> str:
+    """The summary's size of this tree against itself: the lines and AST
+    statements of its package modules."""
+    texts = [p.read_text() for p in (ROOT / "src" / "pseudoconformal").glob("*.py")]
+    lines = sum(len(text.splitlines()) for text in texts)
+    stmts = sum(isinstance(node, ast.stmt) for text in texts for node in ast.walk(ast.parse(text)))
+    return f"pseudoconformal/*.py {lines} -> {lines} lines, {stmts} -> {stmts} statements"
 
 
 class TestCompareOutputs:
@@ -749,7 +753,6 @@ class TestCompareOutputs:
 
         monkeypatch.setattr(co, "plan_runs", few_runs)
         assert co.main([]) == 0
-        lines = package_lines()
         assert capsys.readouterr().out.splitlines() == [
             "scenes/embed_points3.embed.csv: exit 0/0, identical",
             "scenes/nullplane3.classify.json: exit 0/0, identical",
@@ -762,7 +765,7 @@ class TestCompareOutputs:
             "errors/cone_leaf_past_one.congruence.json: exit 3/3, identical",
             "compare_outputs: 9 runs, 9 byte-identical, 0 same with numbers masked "
             "(max |d|/(1+|v|) 0.00e+00), 0 differing in text, 0 exit-code mismatches, "
-            f"pseudoconformal/*.py {lines} -> {lines} lines",
+            + package_size(),
         ]
 
     def test_the_fields_that_moved_are_named(self, co, monkeypatch, capsys):
@@ -800,8 +803,8 @@ class TestCompareOutputs:
             "  x: max rel 5.00e-07",
             "compare_outputs: 2 runs, 0 byte-identical, 2 same with numbers masked "
             "(max |d|/(1+|v|) 5.00e-07), 0 differing in text, 0 exit-code mismatches, "
-            f"pseudoconformal/*.py {package_lines()} -> {package_lines()} lines; worst per "
-            "field: center.degeneracy.generator_rate 2.00e-16, samples.x 3.33e-11, x 5.00e-07",
+            f"{package_size()}; worst per field: center.degeneracy.generator_rate 2.00e-16, "
+            "samples.x 3.33e-11, x 5.00e-07",
         ]
 
     def test_fields_only_one_side_writes_are_named(self, co, monkeypatch, capsys):
@@ -834,9 +837,9 @@ class TestCompareOutputs:
             "  center.u: max rel 8.00e-11",
             "compare_outputs: 1 runs, 0 byte-identical, 0 same with numbers masked "
             "(max |d|/(1+|v|) 0.00e+00), 1 differing in text, 0 exit-code mismatches, "
-            f"pseudoconformal/*.py {package_lines()} -> {package_lines()} lines; worst per "
-            "field: center.u 8.00e-11; only in old: center.degeneracy.max_angle, "
-            "center.degeneracy.skipped; only in new: center.degeneracy.generator_rate",
+            f"{package_size()}; worst per field: center.u 8.00e-11; only in old: "
+            "center.degeneracy.max_angle, center.degeneracy.skipped; only in new: "
+            "center.degeneracy.generator_rate",
         ]
 
     def test_numbers_that_differ_are_masked_and_measured(self, co, tmp_path):

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from pseudoconformal import catalog, cli
+from pseudoconformal import congruence as congruence_module
 from pseudoconformal.congruence import (
     CongruenceAnalysis,
     DEFAULT_STEP,
@@ -25,7 +26,6 @@ from pseudoconformal.congruence import (
     _line_failures,
     _rk4_runs,
     _stack_jets,
-    _stencil_offsets,
     congruence_affinor,
     congruence_singular_points,
     integrability_defect,
@@ -35,11 +35,13 @@ from pseudoconformal.conformal import AmbientModel, AtInfinity, darboux_unembed
 from pseudoconformal.frames import complete_isotropic_frame
 from pseudoconformal.errors import (ConvergenceError, DegenerateBasisError, GeometryError,
                                    NonIntegrableError)
-from pseudoconformal.hypersurface import LIGHTLIKE, causal_type_of_metric, parameter_grid
+from pseudoconformal.hypersurface import (LIGHTLIKE, _stencil_offsets, causal_type_of_metric,
+                                          parameter_grid)
 from pseudoconformal.lightlike import lightlike_affinor, singular_points
 from pseudoconformal.linalg import REAL_ROOT_TOL, Root
 
-from _oracles import (SingularBasis, congruence_reference, generator_rank_scan, inline_rk4_runs,
+from _oracles import (SingularBasis, bent_cone_congruence, bent_leaf_invariant,
+                      congruence_reference, generator_rank_scan, inline_rk4_runs,
                       translated_congruence)
 
 
@@ -318,6 +320,40 @@ class TestStratify:
         assert max(ts) - min(ts) < 1e-5
         assert leaf.lightlike_fraction >= 0.99
         assert len(leaf.parameters) > 50
+
+
+class TestBentLeaves:
+    """Leaves that bend in parameter space: the cone congruence in the
+    parameters (s, t) -> (s, t + 1.5 |s|^2) (``_oracles.bent_cone_congruence``),
+    whose leaves keep t + 1.5 |s|^2.  The bounds are the drifts measured at
+    the engine's 1e-4 line stencil, with some room."""
+
+    @staticmethod
+    def drift(leaf):
+        return float(np.abs(bent_leaf_invariant(leaf.parameters)
+                            - bent_leaf_invariant(leaf.seed)).max())
+
+    @pytest.mark.parametrize("n, seed, step, count, bound", [
+        (3, (0.1, 0.2), 1e-2, 40, 4e-10),  # measured 3.0e-10
+        (4, (0.1, -0.05, 0.2), 1e-2, 20, 1e-10),  # measured 5.9e-11
+    ])
+    def test_leaf_keeps_its_invariant_and_sweeps_lightlike(self, n, seed, step, count, bound):
+        leaf = stratify(bent_cone_congruence(n), seed, step=step, count=count)
+        ts = [p[-1] for p in leaf.parameters]
+        assert max(ts) - min(ts) > 0.05  # the leaf bends: t is not constant on it
+        assert len(leaf.parameters) == (2 * count + 1) ** (n - 2) and not leaf.truncated
+        assert self.drift(leaf) <= bound
+        assert leaf.lightlike_fraction == 1.0
+
+    def test_drift_converges_once_the_stencil_is_not_the_floor(self, monkeypatch):
+        # at the 1e-4 line stencil its second-order error is the floor, so
+        # halving the step from 1e-2 does not help (3.0e-10 -> 4.8e-10); at
+        # 1e-5 the drift falls by RK4's order: measured 3.0e-9 -> 1.8e-10 -> 6.9e-12
+        monkeypatch.setattr(congruence_module, "DEFAULT_STEP", 1e-5)
+        cong = bent_cone_congruence(3)
+        drifts = [self.drift(stratify(cong, (0.1, 0.2), step=step, count=count))
+                  for step, count in ((2e-2, 20), (1e-2, 40), (5e-3, 80))]
+        assert drifts[0] >= 8.0 * drifts[1] and drifts[1] >= 8.0 * drifts[2]
 
 
 class TestDimensions:

@@ -532,6 +532,33 @@ class TestDifferencedJets:
         assert np.abs(hessians - cone.jet2(us)[0]).max() < 1e-5
 
 
+class TestJetShapes:
+    """Every jet order, the point included, checks one point's shape."""
+
+    @staticmethod
+    def short_past(cut):
+        # the light cone, whose value drops its last coordinate past u0 = cut
+        cone = catalog.build("light_cone")
+        value = lambda u: cone.value(u)[: 2 if u[0] > cut else 3]
+        return Immersion(n=3, domain=cone.domain, value=value, jacobian=cone.jacobian)
+
+    def test_one_point_value_of_the_wrong_shape_raises(self):
+        imm = self.short_past(1.0)
+        assert imm.point(np.array([0.7, 0.4])).shape == (3,)
+        with pytest.raises(ValueError, match=r"^value has shape \(2,\), expected \(3,\)$"):
+            imm.point(np.array([1.2, 0.4]))
+
+    def test_stack_member_with_a_value_of_the_wrong_shape_fails_alone(self):
+        imm = self.short_past(1.0)
+        us = np.array([[0.7, 0.4], [1.2, 0.4], [0.9, -0.3]])
+        points, failed = imm.point(us)
+        assert list(failed) == [1]
+        assert str(failed[1]) == "value has shape (2,), expected (3,)"
+        assert not points[1].any()
+        for i in (0, 2):
+            assert points[i].tobytes() == imm.point(us[i]).tobytes()
+
+
 class TestParameterGrid:
     @pytest.mark.parametrize("name,counts", [
         ("light_cone", (3, 4)),
