@@ -7,7 +7,6 @@ Example:
 import argparse
 
 from pseudoconformal import catalog
-from pseudoconformal.conformal import AmbientModel
 from pseudoconformal.hypersurface import survey
 
 
@@ -19,9 +18,8 @@ def main():
     args = parser.parse_args()
 
     imm = catalog.build(args.builtin, n=args.n)
-    model = AmbientModel.standard(imm.n)
     counts = args.grid or [24] * imm.params
-    report = survey(imm, counts, model=model)
+    report = survey(imm, counts)
 
     total = sum(report.counts.values())
     print(f"{imm.name} (n={imm.n}), {total} grid points")

@@ -11,7 +11,6 @@ import argparse
 import numpy as np
 
 from pseudoconformal import catalog
-from pseudoconformal.conformal import AmbientModel
 from pseudoconformal.congruence import (
     congruence_affinor,
     integrability_defect,
@@ -28,15 +27,14 @@ def main():
     args = parser.parse_args()
 
     cong = catalog.build(args.builtin, n=args.n)
-    model = AmbientModel.standard(cong.n)
     counts = args.grid or [4] * cong.params
 
-    defect = integrability_defect(cong, counts, model=model)
+    defect = integrability_defect(cong, counts)
     print(f"{cong.name} (n={cong.n}): max symmetry defect {defect:.3e} "
           f"over a {'x'.join(map(str, counts))} grid")
 
     center = np.array([0.5 * (lo + hi) for lo, hi in cong.domain])
-    an = congruence_affinor(cong, center, model=model)
+    an = congruence_affinor(cong, center)
     print(f"  shape operator at u={center.round(4).tolist()}:")
     print(f"{np.array_str(an.shape_operator, precision=6)}")
     for r in an.roots:
@@ -44,7 +42,7 @@ def main():
         print(f"  root {r.value:.6f} (mult {r.multiplicity}, {tag})")
 
     try:
-        leaf = stratify(cong, center, model=model)
+        leaf = stratify(cong, center)
         print(f"  leaf through the center: {len(leaf.parameters)} samples, "
               f"lightlike fraction {leaf.lightlike_fraction:.3f}")
     except NonIntegrableError as exc:

@@ -31,7 +31,7 @@ def main():
     model = AmbientModel.standard(imm.n)
     center = np.array([0.5 * (lo + hi) for lo, hi in imm.domain])
 
-    an = lightlike_affinor(imm, center, model=model)
+    an = lightlike_affinor(imm, center)
     print(f"{imm.name} (n={imm.n}) at u={center.round(4).tolist()}")
     print(f"  shape operator:\n{np.array_str(an.shape_operator, precision=6)}")
     print(f"  symmetry defect: {an.symmetry_defect:.2e}, det: {an.determinant:.6g}")
@@ -42,12 +42,12 @@ def main():
         print(f"  torse family at root {fam.root:+.6f}: "
               f"directions {fam.directions.round(6).tolist()}")
 
-    rep = degeneracy_check(imm, an, model=model)
+    rep = degeneracy_check(imm, an)
     print(f"  tangent span turning rate along generator: {rep.generator_rate:.2e} "
           f"(rank {rep.tangent_rank})")
 
     counts = args.grid or [8] * imm.params
-    focal = focal_map(imm, counts, model=model)
+    focal = focal_map(imm, counts)
     print(f"  focal clusters over a {'x'.join(map(str, counts))} grid:")
     for c in focal.clusters:
         where = "ideal" if c.at_infinity else np.round(c.representative, 6).tolist()

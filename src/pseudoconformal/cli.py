@@ -156,12 +156,8 @@ def _build_object(scene: Scene):
 
 def _resolve_grid(scene: Scene, obj):
     """Grid counts plus an optional domain override from the scene."""
-    if scene.grid is None:
-        return obj, [8] * obj.params
-    if isinstance(scene.grid, list):
-        counts = scene.grid
-        domain = None
-    else:
+    counts, domain = [8] * obj.params if scene.grid is None else scene.grid, None
+    if isinstance(scene.grid, dict):
         axes = scene.grid.get("axes", [])
         if len(axes) != obj.params:
             raise SceneError(f"grid needs {obj.params} axes")
@@ -180,6 +176,8 @@ def _resolve_grid(scene: Scene, obj):
         raise SceneError(f"grid needs {obj.params} axis counts")
     if not all(type(c) is int and c >= 2 for c in counts):
         raise SceneError("grid counts must be integers of at least 2 per axis")
+    if math.prod(counts) * len(counts) > sys.maxsize // 8:  # beyond numpy's index range
+        raise SceneError(f"a grid of {len(counts)} axes has too many points to index")
     if domain is not None:
         obj = replace(obj, domain=domain)
     return obj, counts
@@ -432,7 +430,7 @@ def run_congruence(scene: Scene, out_path, fmt) -> int:
         kwargs = {key: scene.stratify[key] for key in ("step", "count") if key in scene.stratify}
         if "integrability" in scene.tolerances:
             kwargs["tol"] = scene.tolerances["integrability"]
-        leaf = stratify(cong, _member_analysis(columns, len(grid)), model=model, **kwargs)
+        leaf = stratify(cong, _member_analysis(columns, len(grid)), **kwargs)
         parameters = np.array(leaf.parameters).reshape(-1, cong.params)
         leaf_info = ({"seed": list(leaf.seed), "size": len(leaf.parameters),
                       "lightlike_fraction": leaf.lightlike_fraction,

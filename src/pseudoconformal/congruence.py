@@ -72,6 +72,9 @@ class IsotropicCongruence:
         (N, n-1) the pairs (N, 2, n+2) and the failures {index: exception}
         of ``hypersurface._evaluate_stack``."""
         u = np.asarray(u, dtype=float)
+        if u.shape[-1:] != (self.params,):
+            raise ValueError(f"u must have params={self.params} entries, got "
+                             f"{u.shape[-1] if u.ndim else 'a scalar'}")
         if u.ndim == 2:
             return _evaluate_stack(self.line_at, self.lines, u, (2, self.n + 2))
         with np.errstate(all="ignore"):
@@ -79,25 +82,22 @@ class IsotropicCongruence:
         return np.asarray(a0, dtype=float), np.asarray(a1, dtype=float)
 
     @classmethod
-    def from_null_lines(cls, n, domain, base_point, direction, name="",
-                        model: Optional[AmbientModel] = None):
+    def from_null_lines(cls, n, domain, base_point, direction, name=""):
         """Build from Lorentzian data: a base point field p(u) and a null
         direction field l(u); the line through p with direction l lifts to
         the quadric line spanned by the images of p and of the direction.
         The congruence has no ``lines`` twin: it is evaluated point by
         point."""
-        if model is None:
-            model = AmbientModel.standard(n)
+        model = AmbientModel.standard(n)
         return cls(n=n, domain=domain, name=name,
                    line=lambda u: tuple(_lift_lines(base_point(u), direction(u), model)))
 
-    def validate(self, u, model: Optional[AmbientModel] = None, tol: float = 1e-10):
+    def validate(self, u, tol: float = 1e-10):
         """The residuals of the line at u by name, or the GeometryError it
         fails with: the one-point case of ``_line_checks``."""
-        if model is None:
-            model = AmbientModel.standard(self.n)
         residuals, failures = _line_checks(np.asarray(u, dtype=float)[None],
-                                           *(x[None] for x in self.line_at(u)), model, tol)
+                                           *(x[None] for x in self.line_at(u)),
+                                           AmbientModel.standard(self.n), tol)
         if failures:
             raise failures[0]
         return {key: float(r) for key, r in zip(_LINE_CHECKS, residuals[0])}
@@ -291,8 +291,7 @@ def _congruence_affinors(cong: IsotropicCongruence, us: np.ndarray,
          "transversal_consistency": np.abs(c1[:, :, n - 1] + forms).max(axis=1)}, failures)
 
 
-def congruence_affinor(cong: IsotropicCongruence, u,
-                       model: Optional[AmbientModel] = None) -> CongruenceAnalysis:
+def congruence_affinor(cong: IsotropicCongruence, u) -> CongruenceAnalysis:
     """Shape operator and transversal shift of the congruence at u.
 
     The screen components <d_a A_0, e_i> and the transversal form
@@ -302,9 +301,8 @@ def congruence_affinor(cong: IsotropicCongruence, u,
     family is not a congruence at u.  This is the one-point case of the grid
     engine of ``integrability_defect`` and the CLI, with the same bits.
     """
-    if model is None:
-        model = AmbientModel.standard(cong.n)
-    return _member_analysis(_congruence_affinors(cong, np.asarray(u, dtype=float)[None], model), 0)
+    return _member_analysis(_congruence_affinors(cong, np.asarray(u, dtype=float)[None],
+                                                 AmbientModel.standard(cong.n)), 0)
 
 
 def _member_analysis(c: _Congruences, i: int) -> CongruenceAnalysis:
@@ -341,13 +339,11 @@ def congruence_singular_points(an: CongruenceAnalysis) -> list:
             for root in an.roots]
 
 
-def integrability_defect(cong: IsotropicCongruence, grid_counts: Sequence[int],
-                         model: Optional[AmbientModel] = None) -> float:
+def integrability_defect(cong: IsotropicCongruence, grid_counts: Sequence[int]) -> float:
     """Largest symmetry defect of the shape operator over a parameter grid;
     near zero the congruence is normal and stratifies."""
-    if model is None:
-        model = AmbientModel.standard(cong.n)
-    c = _congruence_affinors(cong, parameter_grid(cong, grid_counts)[1], model)
+    c = _congruence_affinors(cong, parameter_grid(cong, grid_counts)[1],
+                             AmbientModel.standard(cong.n))
     if c.failures:
         raise c.failures[min(c.failures)]
     return max([0.0] + c.defects.tolist())
@@ -432,8 +428,7 @@ def _rk4_runs(cong: IsotropicCongruence, starts: np.ndarray, refs: np.ndarray,
                 size += len(points)
                 if n_step == count:
                     break
-                # inline: through two helpers this stage cost 2 % of congruence points/s
-                forms = -(((lines[:, 1::2, 0] - lines[:, 2::2, 0]) / (2.0 * DEFAULT_STEP))
+                forms = -(_central(lines[:, 1:, 0], DEFAULT_STEP)
                           @ (model.form.gram @ lines[:, 0, 1, :, None]))[..., 0]
                 projected, norms, vanishing = _kernel_projections(forms, prev)
                 if (vanishing | (norms < 1e-10)).any():  # named at the first failing member
@@ -459,8 +454,8 @@ def _rk4_runs(cong: IsotropicCongruence, starts: np.ndarray, refs: np.ndarray,
     return [[(jets.us[i], jets, i) for i in run] for run in visits], truncated
 
 
-def stratify(cong: IsotropicCongruence, seed, model: Optional[AmbientModel] = None,
-             step: float = 1e-2, count: int = 40, tol: float = INTEGRABILITY_TOL,
+def stratify(cong: IsotropicCongruence, seed, step: float = 1e-2, count: int = 40,
+             tol: float = INTEGRABILITY_TOL,
              line_samples: Sequence[float] = (-0.5, 0.0, 0.5, 1.0)) -> LeafTrace:
     """Integrate the leaf of the transversal distribution through ``seed``,
     a parameter point or the ``CongruenceAnalysis`` at one (the CLI reads it
@@ -481,9 +476,8 @@ def stratify(cong: IsotropicCongruence, seed, model: Optional[AmbientModel] = No
     """
     if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 0:
         raise ValueError(f"stratify count must be a non-negative integer, got {count!r}")
-    if model is None:
-        model = AmbientModel.standard(cong.n)
-    an0 = seed if isinstance(seed, CongruenceAnalysis) else congruence_affinor(cong, seed, model)
+    model = AmbientModel.standard(cong.n)
+    an0 = seed if isinstance(seed, CongruenceAnalysis) else congruence_affinor(cong, seed)
     seed = an0.u
     if an0.symmetry_defect > tol * (1.0 + float(np.abs(an0.shape_operator).max(initial=0.0))):
         raise NonIntegrableError("congruence is not integrable near the seed "

@@ -119,12 +119,15 @@ class Immersion:
         return self._jet(2, u)
 
     def _jet(self, order: int, u):
-        """The jet of ``order`` (0 the point) at u, one point or a stack: the
-        evaluator of that order and its twin, else central differences of the
-        jet below (``_differences``), at FD_STEP_FIRST over a point or an
-        analytic Jacobian and FD_STEP_SECOND over a differenced one.  One
-        point's jet must have the shape (target_dim, n-1, ...) of its order."""
+        """The jet of ``order`` (0 the point) at u, one point (params,) or a stack
+        (N, params): the evaluator of that order and its twin, else central
+        differences of the jet below (``_differences``), at FD_STEP_FIRST over a
+        point or an analytic Jacobian and FD_STEP_SECOND over a differenced one.
+        One point's jet must have the shape (target_dim, n-1, ...) of its order."""
         u, jets = np.asarray(u, dtype=float), (self.point, self.jet1, self.jet2)
+        if u.shape[-1:] != (self.params,):
+            raise ValueError(f"u must have params={self.params} entries, got "
+                             f"{u.shape[-1] if u.ndim else 'a scalar'}")
         name = ("value", "jacobian", "hessian")[order]
         evaluate, twin = getattr(self, name), (self.values, self.jacobians, self.hessian)[order]
         if evaluate is None:
@@ -218,11 +221,10 @@ class CausalType:
         return (self.plus, self.minus, self.zero)
 
 
-def _ambient_gram(imm: Immersion, model: Optional[AmbientModel]) -> np.ndarray:
-    """Gram matrix pulled back by the jets: the quadric's polar form for
-    homogeneous immersions, else the Lorentzian metric."""
-    if model is None:
-        model = AmbientModel.standard(imm.n)
+def _ambient_gram(imm: Immersion) -> np.ndarray:
+    """The standard model's Gram matrix the jets pull back: the quadric's polar
+    form for homogeneous immersions, else the Lorentzian metric."""
+    model = AmbientModel.standard(imm.n)
     return model.form.gram if imm.homogeneous else model.metric.gram
 
 
@@ -232,10 +234,10 @@ def _pullback(j, g) -> np.ndarray:
     return 0.5 * (m + np.swapaxes(m, -1, -2))
 
 
-def induced_metric(imm: Immersion, u, model: Optional[AmbientModel] = None) -> np.ndarray:
+def induced_metric(imm: Immersion, u) -> np.ndarray:
     """Pullback J^T G J of the ambient form; for homogeneous immersions G is
     the quadric's polar form, which induces the same conformal class."""
-    return _pullback(imm.jet1(u), _ambient_gram(imm, model))
+    return _pullback(imm.jet1(u), _ambient_gram(imm))
 
 
 #: causal kinds by their integer codes
@@ -311,15 +313,14 @@ def _stacked_spectra(jets, gram, us, failures, vectors: bool = False) -> tuple:
     return w_all, v_all
 
 
-def classify_point(imm: Immersion, u, tol: Optional[float] = None,
-                   model: Optional[AmbientModel] = None) -> CausalType:
+def classify_point(imm: Immersion, u, tol: Optional[float] = None) -> CausalType:
     """Causal character at a parameter point: the one-point case of ``survey``.
 
     Raises DegenerateBasisError if the Jacobian is non-finite or rank
     deficient there (not an immersion).
     """
     failures = {}
-    w = _stacked_spectra(imm.jet1(u)[None], _ambient_gram(imm, model),
+    w = _stacked_spectra(imm.jet1(u)[None], _ambient_gram(imm),
                          np.asarray(u, dtype=float)[None], failures)[0]
     if failures:
         raise failures[0]
@@ -393,8 +394,8 @@ class ClassificationReport:
         return {k: c / total for k, c in self.counts.items() if total}
 
 
-def survey(imm: Immersion, grid_counts: Sequence[int], tol: Optional[float] = None,
-           model: Optional[AmbientModel] = None) -> ClassificationReport:
+def survey(imm: Immersion, grid_counts: Sequence[int],
+           tol: Optional[float] = None) -> ClassificationReport:
     """Classify every grid point and summarize pure vs mixed character.
 
     The Jacobians of the whole grid are one stacked ``jet1`` call, and the
@@ -409,7 +410,7 @@ def survey(imm: Immersion, grid_counts: Sequence[int], tol: Optional[float] = No
     cells = np.indices(shape).reshape(len(shape), -1).T  # grid indices in grid order
 
     jets, failures = imm.jet1(grid)
-    w = _stacked_spectra(jets, _ambient_gram(imm, model), grid, failures)[0]
+    w = _stacked_spectra(jets, _ambient_gram(imm), grid, failures)[0]
     live = np.delete(np.arange(len(grid)), list(failures))
     plus, minus, zero, ratio = _inertia(w[live], tol)
     codes = np.full(len(grid), -1)

@@ -67,7 +67,7 @@ class _JetStack:
         jets, jet_raised = imm.jet1(us)
         raised = {**jet_raised, **raised}
         self.failures = {i: _evaluation_error(us[i], raised[i]) for i in sorted(raised)}
-        self.w, self.v = _stacked_spectra(jets, _ambient_gram(imm, model), us, self.failures,
+        self.w, self.v = _stacked_spectra(jets, _ambient_gram(imm), us, self.failures,
                                           vectors=True)
         failed = list(self.failures)
         points[failed], jets[failed] = 0.0, 0.0  # masked before the lift: inf * 0 would warn
@@ -99,8 +99,7 @@ def _lines(jets: _JetStack) -> tuple:
     return a0, a1, screens, failures
 
 
-def lightlike_frame_field(imm: Immersion, model: Optional[AmbientModel] = None,
-                          generator_scale: float = 1.0):
+def lightlike_frame_field(imm: Immersion, generator_scale: float = 1.0):
     """Smooth field of null-adapted frames over the immersion's parameters.
 
     The gauge is the deterministic one used throughout: raw chart lift for
@@ -110,8 +109,7 @@ def lightlike_frame_field(imm: Immersion, model: Optional[AmbientModel] = None,
     the connection-form extraction needs.  The first n rows of each frame
     are the ``line`` and ``screen`` of ``lightlike_affinor`` there, bit for bit.
     """
-    if model is None:
-        model = AmbientModel.standard(imm.n)
+    model = AmbientModel.standard(imm.n)
 
     def field(u):
         jets = _JetStack(imm, np.asarray(u, dtype=float)[None], model, generator_scale)
@@ -329,8 +327,7 @@ def _degeneracy_report(c: _Affinors, i: int) -> DegeneracyReport:
     return DegeneracyReport(generator_rate=float(rate[0]), tangent_rank=int(rank[0]))
 
 
-def lightlike_affinor(imm: Immersion, u, model: Optional[AmbientModel] = None,
-                      generator_scale: float = 1.0,
+def lightlike_affinor(imm: Immersion, u, generator_scale: float = 1.0,
                       sym_tol: Optional[float] = None) -> LightlikeAnalysis:
     """Extract the generator shape operator at a lightlike point.
 
@@ -342,10 +339,8 @@ def lightlike_affinor(imm: Immersion, u, model: Optional[AmbientModel] = None,
     grid engine behind ``focal_map``, with the same bits, read through the
     member view ``_analysis``.
     """
-    if model is None:
-        model = AmbientModel.standard(imm.n)
-    return _analysis(_affinors(imm, np.asarray(u, dtype=float)[None], model, generator_scale,
-                               sym_tol), 0)
+    return _analysis(_affinors(imm, np.asarray(u, dtype=float)[None],
+                               AmbientModel.standard(imm.n), generator_scale, sym_tol), 0)
 
 
 @dataclass(frozen=True)
@@ -406,15 +401,12 @@ def torse_directions(an: LightlikeAnalysis) -> list:
     return out
 
 
-def degeneracy_check(imm: Immersion, an: LightlikeAnalysis,
-                     model: Optional[AmbientModel] = None) -> DegeneracyReport:
+def degeneracy_check(imm: Immersion, an: LightlikeAnalysis) -> DegeneracyReport:
     """Tangential degeneracy of the Darboux image at ``an.u``, the one field
     of ``an`` read: the ``_degeneracy_report`` of the one-point grid engine,
     which raises the failure of a point it rejects."""
-    if model is None:
-        model = AmbientModel.standard(imm.n)
-    return _degeneracy_report(_affinors(imm, np.asarray(an.u, dtype=float)[None], model, 1.0,
-                                        None), 0)
+    return _degeneracy_report(_affinors(imm, np.asarray(an.u, dtype=float)[None],
+                                        AmbientModel.standard(imm.n), 1.0, None), 0)
 
 
 #: records of one row of a FocalSet, and of one cluster (its first sample's
@@ -460,14 +452,13 @@ class FocalSet:
                                           self.at_infinity[self.first].tolist(), members))
 
 
-def focal_map(imm: Immersion, grid_counts: Sequence[int], model: Optional[AmbientModel] = None,
+def focal_map(imm: Immersion, grid_counts: Sequence[int],
               sym_tol: Optional[float] = None) -> FocalSet:
     """Singular points of every generator over a parameter grid, merged into
     focal clusters within FOCAL_MERGE_TOL; ideal points keep an at-infinity
     marker: one ``_affinors`` pass over the grid with ``sym_tol``, then
     ``_focal_set``."""
-    if model is None:
-        model = AmbientModel.standard(imm.n)
+    model = AmbientModel.standard(imm.n)
     _, grid = parameter_grid(imm, grid_counts)
     return _focal_set(_affinors(imm, grid, model, 1.0, sym_tol), len(grid), model)
 

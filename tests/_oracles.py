@@ -304,7 +304,7 @@ def translated_congruence(imm, last, model, t_range=(-0.5, 0.5)):
         return g / g[n - 1]
 
     return IsotropicCongruence.from_null_lines(n, tuple(imm.domain[:-1]) + (t_range,), base,
-                                               direction, model=model)
+                                               direction)
 
 
 def bent_cone_congruence(n, bend=1.5):

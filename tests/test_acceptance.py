@@ -92,7 +92,7 @@ def test_criterion_03_connection_and_structure_second_order():
     for name, counts in [("light_cone", (4, 3)), ("tilted_null_family", (4, 3))]:
         imm = catalog.build(name)
         model = AmbientModel.standard(imm.n)
-        field = lightlike_frame_field(imm, model)
+        field = lightlike_frame_field(imm)
         for u in grid_points(imm, counts):
             rel = {}
             struct = {}
@@ -117,14 +117,13 @@ def test_criterion_03_connection_and_structure_second_order():
 
 
 def test_criterion_04_causal_classification():
-    model = AmbientModel.standard(3)
-    rep = survey(catalog.build("spacelike_hypersphere"), (20, 20), model=model)
+    rep = survey(catalog.build("spacelike_hypersphere"), (20, 20))
     assert rep.pure == "spacelike"
-    rep = survey(catalog.build("timelike_hypersphere"), (20, 20), model=model)
+    rep = survey(catalog.build("timelike_hypersphere"), (20, 20))
     assert rep.pure == "timelike"
-    rep = survey(catalog.build("light_cone"), (20, 20), model=model)
+    rep = survey(catalog.build("light_cone"), (20, 20))
     assert rep.pure == "lightlike"
-    sphere = survey(catalog.build("euclidean_sphere"), (100, 100), model=model)
+    sphere = survey(catalog.build("euclidean_sphere"), (100, 100))
     assert sphere.mixed
     assert sphere.counts["spacelike"] > 0 and sphere.counts["timelike"] > 0
     crossings = [t for t in sphere.transitions if t.axis == 0]
@@ -143,10 +142,9 @@ def test_criterion_05_affinor_symmetry_across_catalog():
     cases += [("light_cone", 4), ("light_cone", 5), ("null_hyperplane", 5)]
     for name, n in cases:
         imm = catalog.build(name, n=n)
-        model = AmbientModel.standard(imm.n)
         for frac in (0.25, 0.4, 0.6, 0.8):
             u = np.array([lo + frac * (hi - lo) for lo, hi in imm.domain])
-            an = lightlike_affinor(imm, u, model=model)
+            an = lightlike_affinor(imm, u)
             worst = max(worst, an.symmetry_defect)
     assert worst < 1e-6
     report(5, f"shape-operator symmetry defect {worst:.2e} across lightlike "
@@ -162,18 +160,16 @@ def test_criterion_06_tangential_degeneracy_and_real_roots():
     cases += [(name, n) for name in ("light_cone", "null_hyperplane") for n in (3, 4, 5, 6)]
     for name, n in cases:
         imm = catalog.build(name, n=n)
-        model = AmbientModel.standard(imm.n)
         for u in grid_points(imm, [3] * imm.params):
-            rep = degeneracy_check(imm, lightlike_affinor(imm, u, model=model), model=model)
+            rep = degeneracy_check(imm, lightlike_affinor(imm, u))
             worst_rate, points = max(worst_rate, rep.generator_rate), points + 1
             assert rep.tangent_rank == imm.n - 2
     assert worst_rate <= 1e-13
     for n in (3, 4, 5):
-        model = AmbientModel.standard(n)
         for name in ("light_cone", "null_hyperplane"):
             imm = catalog.build(name, n=n)
             u = np.array([lo + 0.6 * (hi - lo) for lo, hi in imm.domain])
-            an = lightlike_affinor(imm, u, model=model)
+            an = lightlike_affinor(imm, u)
             assert sum(r.multiplicity for r in an.roots) == n - 2
             assert all(r.is_real for r in an.roots)
     report(6, f"tangent spans fixed along generators at {points} points, rank n-2 "
@@ -190,7 +186,7 @@ def test_criterion_07_focal_oracle_and_gauge_independence():
     ]:
         imm = catalog.build(name, n=n)
         model = AmbientModel.standard(n)
-        an = lightlike_affinor(imm, u, model=model)
+        an = lightlike_affinor(imm, u)
         roots = sorted(r.value.real for r in an.roots)
         scan = sorted(generator_rank_scan(imm, u, model, kind="hypersurface"))
         assert len(scan) == len(roots)
@@ -200,7 +196,7 @@ def test_criterion_07_focal_oracle_and_gauge_independence():
 
     model = AmbientModel.standard(3)
     cone = catalog.build("light_cone")
-    focal = focal_map(cone, (6, 6), model=model)
+    focal = focal_map(cone, (6, 6))
     finite = [c for c in focal.clusters if not c.at_infinity]
     assert len(finite) == 1 and not focal.errors
     assert np.abs(finite[0].representative).max() < 1e-6
@@ -210,11 +206,11 @@ def test_criterion_07_focal_oracle_and_gauge_independence():
                     ("tilted_null_family", np.array([1.1, 0.8]))]:
         imm = catalog.build(name)
         p1 = darboux_unembed(
-            singular_points(lightlike_affinor(imm, u, model=model))[0].point, model
+            singular_points(lightlike_affinor(imm, u))[0].point, model
         )
         p2 = darboux_unembed(
             singular_points(
-                lightlike_affinor(imm, u, model=model, generator_scale=2.7)
+                lightlike_affinor(imm, u, generator_scale=2.7)
             )[0].point,
             model,
         )
@@ -226,12 +222,11 @@ def test_criterion_07_focal_oracle_and_gauge_independence():
 
 
 def test_criterion_08_torse_orthogonality():
-    model = AmbientModel.standard(4)
     imm = catalog.build("circle_wavefront")
     worst = 0.0
     for u in (np.array([0.6, 0.7, 0.5]), np.array([0.45, 0.85, 0.35]),
               np.array([0.7, 0.5, 0.65])):
-        an = lightlike_affinor(imm, u, model=model)
+        an = lightlike_affinor(imm, u)
         fams = torse_directions(an)
         assert len(fams) == 2  # distinct roots at generic points
         d1, d2 = fams[0].directions[0], fams[1].directions[0]
@@ -245,10 +240,9 @@ def test_criterion_09_congruence_integrability_dichotomy():
     worst_normal_defect = 0.0
     worst_imag = 0.0
     for n in (3, 4):
-        model = AmbientModel.standard(n)
         cong = catalog.build("cone_normal_congruence", n=n)
         for u in grid_points(cong, (3,) * cong.params):
-            an = congruence_affinor(cong, u, model=model)
+            an = congruence_affinor(cong, u)
             worst_normal_defect = max(worst_normal_defect, an.symmetry_defect)
             assert sum(r.multiplicity for r in an.roots) == n - 2
             worst_imag = max(
@@ -257,12 +251,11 @@ def test_criterion_09_congruence_integrability_dichotomy():
     assert worst_normal_defect < 1e-6
     assert worst_imag < 1e-6
 
-    model = AmbientModel.standard(4)
     twisted = catalog.build("twisted_congruence")
     min_defect = np.inf
     found_pair = False
     for u in grid_points(twisted, (3, 3, 3)):
-        an = congruence_affinor(twisted, u, model=model)
+        an = congruence_affinor(twisted, u)
         min_defect = min(min_defect, an.symmetry_defect)
         assert sum(r.multiplicity for r in an.roots) == 2
         complex_roots = sorted(
@@ -280,12 +273,11 @@ def test_criterion_09_congruence_integrability_dichotomy():
 
 
 def test_criterion_10_stratification():
-    model = AmbientModel.standard(3)
     cong = catalog.build("cone_normal_congruence")
     spreads = []
     fractions = []
     for seed in (np.array([0.1, 0.4]), np.array([-0.2, -0.3])):
-        leaf = stratify(cong, seed, model=model, step=1e-2, count=40)
+        leaf = stratify(cong, seed, step=1e-2, count=40)
         ts = [p[1] for p in leaf.parameters]
         spreads.append(max(ts) - min(ts))
         fractions.append(leaf.lightlike_fraction)

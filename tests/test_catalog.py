@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from pseudoconformal import catalog
-from pseudoconformal.conformal import AmbientModel
 from pseudoconformal.hypersurface import Immersion, classify_point
 
 from _oracles import fd_jacobian
@@ -75,28 +74,25 @@ class TestAnalyticJets:
     @pytest.mark.parametrize("name", sorted(EXPECTED_KIND))
     def test_expected_causal_kind(self, name):
         imm = catalog.build(name)
-        model = AmbientModel.standard(imm.n)
         for frac in (0.25, 0.5, 0.75):
             u = domain_center(imm, frac)
-            assert classify_point(imm, u, model=model).kind == EXPECTED_KIND[name]
+            assert classify_point(imm, u).kind == EXPECTED_KIND[name]
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_dimension_generic_entries(self, n):
         for name in ("spacelike_slice", "light_cone", "null_hyperplane",
                      "spacelike_hypersphere", "timelike_hypersphere"):
             imm = catalog.build(name, n=n)
-            model = AmbientModel.standard(n)
             u = domain_center(imm)
-            assert classify_point(imm, u, model=model).kind == EXPECTED_KIND[name]
+            assert classify_point(imm, u).kind == EXPECTED_KIND[name]
 
     def test_congruence_direction_fields_are_null(self):
         for name, n in [("parallel_null_congruence", 3),
                         ("cone_normal_congruence", 4),
                         ("twisted_congruence", 4)]:
             cong = catalog.build(name, n=n)
-            model = AmbientModel.standard(n)
             u = domain_center(cong, 0.4)
-            cong.validate(u, model=model)
+            cong.validate(u)
 
 
 class TestTiltedFamilyOracle:

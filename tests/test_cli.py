@@ -1,4 +1,5 @@
 import ast
+import copy
 import csv
 import io
 import json
@@ -6,10 +7,13 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from pseudoconformal import catalog, cli
 from pseudoconformal.cli import load_scene, main
@@ -130,6 +134,9 @@ class TestInvalidScenes:
         ("lightlike", dict(BASE_SCENE, builtin=["light_cone"])),
         ("classify", dict(BASE_SCENE, tolerances=[])),
         ("classify", dict(BASE_SCENE, output=[])),
+        ("classify", dict(BASE_SCENE, n=70, grid=None)),
+        ("lightlike", dict(BASE_SCENE, n=3000, grid=None)),
+        ("classify", dict(BASE_SCENE, n=70, grid=[2] * 69)),
     ], ids=["fractional-count", "boolean-count", "text-start", "infinite-stop",
             "short-seed", "nan-seed", "negative-step", "zero-count", "seed-outside-domain",
             "nan-point", "far-point",
@@ -137,10 +144,13 @@ class TestInvalidScenes:
             "text-lightlike", "text-symmetry", "text-integrability", "nan-lightlike",
             "negative-symmetry", "zero-integrability", "boolean-lightlike", "boolean-path",
             "integer-path", "list-path", "empty-path", "null-path", "scalar-axes",
-            "list-builtin", "list-tolerances", "list-output"])
+            "list-builtin", "list-tolerances", "list-output", "default-grid-69-axes",
+            "default-grid-2999-axes", "grid-69-axes"])
     def test_exits_2_without_output(self, tmp_path, capfd, command, doc):
         # with --out and with the scene's own output path: nothing is
-        # written, not even to a file descriptor that a non-string path names
+        # written, not even to a file descriptor that a non-string path names.
+        # A grid beyond numpy's index range (the *-axes ids) is named before
+        # numpy raises a ValueError on it
         path = write_scene(tmp_path, doc)
         out = tmp_path / "o.csv"
         for flags in (["--out", str(out)], []):
@@ -241,6 +251,85 @@ class TestInvalidScenes:
         (tmp_path / "o.csv.leaf.csv").mkdir()
         assert main(["congruence", "--scene", path, "--out", str(out)]) == 2
         assert "cannot write output file" in capsys.readouterr().err
+
+
+#: the commands that read each scene kind
+COMMANDS = {"points": ["embed"], "hypersurface": ["classify", "lightlike"],
+            "congruence": ["congruence"]}
+#: what a mutation scales a number by, and what it puts in place of a value:
+#: ill-typed or non-finite
+FACTORS = [-1, 0, 0.5, 2, 1000]
+ILL_VALUES = [None, True, "x", [], {}, [0.5], math.nan, math.inf, -math.inf, -1, 0, 2.5]
+
+
+def _nodes(doc, path=()):
+    """(path, value) of every node of a JSON document, the root first."""
+    yield path, doc
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _nodes(value, path + (key,))
+
+
+def _set(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+def _capped(doc):
+    """The caps that keep an example within tier-1's time: at most 8 points
+    per grid axis and 8 leaf steps each way, and at most 4 axes on a grid
+    that is absent or null (8 points per axis over n - 1 axes)."""
+    grid, strat = doc.get("grid"), doc.get("stratify")
+    if isinstance(grid, list):
+        doc["grid"] = [min(c, 8) if type(c) in (int, float) else c for c in grid]
+    if isinstance(strat, dict) and type(strat.get("count")) is int:
+        strat["count"] = min(strat["count"], 8)
+    if grid is None and type(doc.get("n")) is int:
+        assume(doc["n"] <= 5)
+    return doc
+
+
+class TestMutatedScenes:
+    """The exit-code contract on shipped scenes with up to 3 mutations: exit
+    0, 2 or 3, nothing raised or warned (warnings are errors here), no data
+    on stdout, one line on stderr, and no file written by a run that fails."""
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_exit_code_contract(self, capfd, data):
+        path = data.draw(st.sampled_from(sorted(SCENES.glob("*.json"))), label="scene")
+        doc = json.loads(path.read_text())
+        command = data.draw(st.sampled_from(COMMANDS[doc["kind"]]), label="command")
+        for _ in range(data.draw(st.integers(0, 3), label="mutations")):
+            how = data.draw(st.sampled_from(["scale", "replace", "add key"]), label="how")
+            if how == "scale":
+                numbers = [(p, v) for p, v in _nodes(doc) if type(v) in (int, float)]
+                if numbers:
+                    where, value = data.draw(st.sampled_from(numbers), label="number")
+                    _set(doc, where, value * data.draw(st.sampled_from(FACTORS), label="by"))
+            elif how == "replace":
+                where = data.draw(st.sampled_from([p for p, _ in _nodes(doc) if p]), label="at")
+                value = data.draw(st.sampled_from(ILL_VALUES), label="value")
+                _set(doc, where, copy.deepcopy(value))
+            else:
+                objects = [p for p, v in _nodes(doc) if isinstance(v, dict)]
+                where = data.draw(st.sampled_from(objects), label="in")
+                _set(doc, where + ("extra",), 1.0)
+        doc = _capped(doc)
+        with tempfile.TemporaryDirectory() as tmp:
+            scene, out = Path(tmp) / "scene.json", Path(tmp) / "o.dat"
+            scene.write_text(json.dumps(doc))
+            capfd.readouterr()
+            code = main([command, "--scene", str(scene), "--out", str(out)])
+            stdout, err = capfd.readouterr()
+            assert code in (0, 2, 3)
+            assert stdout == "" and err.endswith("\n") and err.count("\n") == 1, err
+            if code:
+                assert sorted(p.name for p in Path(tmp).iterdir()) == ["scene.json"]
+            else:
+                assert out.exists()
 
 
 #: an axis whose ends are finite but whose width stop - start overflows
@@ -700,7 +789,8 @@ class TestShippedScenes:
 
 class TestScripts:
     # compare_outputs.py without arguments compares the tree with itself over
-    # every run, which can find nothing; TestCompareOutputs runs it in process
+    # every run, which can find nothing; TestCompareOutputs runs it in process.
+    # The example scripts print their results, ab_bench.py its help
     @pytest.mark.parametrize("script", sorted(p.name for p in (ROOT / "scripts").glob("*.py")
                                               if p.name != "compare_outputs.py"))
     def test_runs(self, script):
@@ -708,6 +798,7 @@ class TestScripts:
         proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script)],
                               capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip()
 
 
 def package_size() -> str:

@@ -46,32 +46,47 @@ from _oracles import (SingularBasis, bent_cone_congruence, bent_leaf_invariant,
 
 
 class TestValidation:
-    def test_catalog_congruences_are_isotropic(self, model3, model4):
-        for name, n, model in [
-            ("parallel_null_congruence", 3, model3),
-            ("cone_normal_congruence", 3, model3),
-            ("twisted_congruence", 4, model4),
+    def test_catalog_congruences_are_isotropic(self):
+        for name, n in [
+            ("parallel_null_congruence", 3),
+            ("cone_normal_congruence", 3),
+            ("twisted_congruence", 4),
         ]:
             cong = catalog.build(name, n=n)
             u = np.array([0.2] * cong.params)
-            checks = cong.validate(u, model=model)
+            checks = cong.validate(u)
             assert max(checks.values()) < 1e-10
 
-    def test_non_null_direction_rejected(self, model3):
+    @pytest.mark.parametrize("u", [0.1, [0.1], [0.1, 0.2, 0.3], [[0.1], [0.2]], [[0.1, 0.2, 0.3]]])
+    def test_line_at_rejects_parameter_points_of_the_wrong_length(self, u):
+        # with its broadcasting twin and without, one point or a stack
+        got = np.shape(u)[-1] if np.ndim(u) else "a scalar"
+        cone = catalog.build("cone_normal_congruence")
+        for cong in (cone, replace(cone, lines=None)):
+            with pytest.raises(ValueError, match=rf"^u must have params=2 entries, got {got}$"):
+                cong.line_at(np.array(u))
+
+    @pytest.mark.parametrize("engine", [congruence_affinor, stratify,
+                                        IsotropicCongruence.validate])
+    def test_engines_reject_a_point_of_the_wrong_length(self, engine):
+        with pytest.raises(ValueError, match=r"^u must have params=2 entries, got 1$"):
+            engine(catalog.build("cone_normal_congruence"), [0.1])
+
+    def test_non_null_direction_rejected(self):
         cong = IsotropicCongruence.from_null_lines(
             3, ((-1, 1), (-1, 1)),
             base_point=lambda u: np.array([u[0], u[1], 0.0]),
             direction=lambda u: np.array([1.0, 0.0, 0.5]),
         )
         with pytest.raises(GeometryError):
-            cong.validate(np.zeros(2), model=model3)
+            cong.validate(np.zeros(2))
 
 
     @pytest.mark.parametrize("nan_from,message", [
         (0.5, "not an isotropic line at u=\\[0.6, 0.1\\]: non-finite coordinates"),
         (0.60005, "non-finite line differentials at u=\\[0.6, 0.1\\]"),
     ])
-    def test_non_finite_line_rejected(self, model3, nan_from, message):
+    def test_non_finite_line_rejected(self, nan_from, message):
         # the base point goes non-finite from u0 = nan_from on: at the point
         # itself, or only at its upper stencil neighbour u0 + 1e-4
         cong = IsotropicCongruence.from_null_lines(
@@ -80,20 +95,20 @@ class TestValidation:
             direction=lambda u: np.array([1.0, 0.0, 1.0]),
         )
         with pytest.raises(GeometryError, match=message):
-            congruence_affinor(cong, np.array([0.6, 0.1]), model=model3)
+            congruence_affinor(cong, np.array([0.6, 0.1]))
 
 
 class TestParallelCongruence:
-    def test_operator_and_shift_vanish(self, model3):
+    def test_operator_and_shift_vanish(self):
         cong = catalog.build("parallel_null_congruence")
-        an = congruence_affinor(cong, np.array([0.3, -0.4]), model=model3)
+        an = congruence_affinor(cong, np.array([0.3, -0.4]))
         assert np.abs(an.shape_operator).max() < 1e-10
         assert np.abs(an.transversal_shift).max() < 1e-10
         assert an.symmetry_defect < 1e-12
 
-    def test_zero_root_full_multiplicity(self, model4):
+    def test_zero_root_full_multiplicity(self):
         cong = catalog.build("parallel_null_congruence", n=4)
-        an = congruence_affinor(cong, np.array([0.1, 0.3, -0.2]), model=model4)
+        an = congruence_affinor(cong, np.array([0.1, 0.3, -0.2]))
         assert len(an.roots) == 1
         assert an.roots[0].multiplicity == 2
         assert abs(an.roots[0].value) < 1e-8
@@ -105,22 +120,22 @@ class TestParallelCongruence:
         positions = generator_rank_scan(cong, u, model3, kind="congruence")
         assert len(positions) == 1
         assert abs(positions[0]) < 1e-6
-        an = congruence_affinor(cong, u, model=model3)
+        an = congruence_affinor(cong, u)
         sp = congruence_singular_points(an)[0]
         assert isinstance(darboux_unembed(sp.point, model3), AtInfinity)
 
 
 class TestConeNormalCongruence:
-    def test_symmetric_and_real(self, model3):
+    def test_symmetric_and_real(self):
         cong = catalog.build("cone_normal_congruence")
-        an = congruence_affinor(cong, np.array([0.2, 0.5]), model=model3)
+        an = congruence_affinor(cong, np.array([0.2, 0.5]))
         assert an.symmetry_defect < 1e-6
         assert all(r.is_real for r in an.roots)
 
-    def test_symmetric_in_higher_dimension(self, model4):
+    def test_symmetric_in_higher_dimension(self):
         cong = catalog.build("cone_normal_congruence", n=4)
         for u in (np.array([0.2, -0.1, 0.5]), np.array([-0.3, 0.4, -0.6])):
-            an = congruence_affinor(cong, u, model=model4)
+            an = congruence_affinor(cong, u)
             assert an.symmetry_defect < 1e-6
             assert all(r.is_real for r in an.roots)
             assert sum(r.multiplicity for r in an.roots) == 2
@@ -128,7 +143,7 @@ class TestConeNormalCongruence:
     def test_singular_points_are_the_vertices(self, model3):
         cong = catalog.build("cone_normal_congruence")
         for theta, t in [(0.1, 0.4), (-0.3, -0.7)]:
-            an = congruence_affinor(cong, np.array([theta, t]), model=model3)
+            an = congruence_affinor(cong, np.array([theta, t]))
             sp = congruence_singular_points(an)
             assert len(sp) == 1 and sp[0].is_real
             vertex = darboux_unembed(sp[0].point, model3)
@@ -147,7 +162,7 @@ class TestConeNormalCongruence:
             3, catalog.build("cone_normal_congruence").domain,
             base_point=base_shifted, direction=lambda u: catalog._cone_direction(u, 3),
         )
-        an = congruence_affinor(cong, np.array([0.2, 0.5]), model=model3)
+        an = congruence_affinor(cong, np.array([0.2, 0.5]))
         sp = congruence_singular_points(an)[0]
         vertex = darboux_unembed(sp.point, model3)
         assert np.abs(vertex - np.array([0.0, 0.0, 0.5])).max() < 1e-6
@@ -155,16 +170,16 @@ class TestConeNormalCongruence:
     def test_roots_match_rank_scan(self, model3):
         cong = catalog.build("cone_normal_congruence")
         u = np.array([0.15, 0.3])
-        an = congruence_affinor(cong, u, model=model3)
+        an = congruence_affinor(cong, u)
         roots = sorted(r.value.real for r in an.roots if r.is_real)
         scan = generator_rank_scan(cong, u, model3, kind="congruence")
         assert len(scan) == len(roots)
         for r, s in zip(roots, sorted(scan)):
             assert abs(r - s) < 1e-4
 
-    def test_defect_small_over_grid(self, model3):
+    def test_defect_small_over_grid(self):
         cong = catalog.build("cone_normal_congruence")
-        assert integrability_defect(cong, (5, 5), model=model3) < 1e-6
+        assert integrability_defect(cong, (5, 5)) < 1e-6
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_the_vertex_is_one_real_root_of_multiplicity_n_minus_2(self, n):
@@ -187,9 +202,9 @@ class TestConeNormalCongruence:
 
 
 class TestTwistedCongruence:
-    def test_large_defect_with_complex_pair(self, model4):
+    def test_large_defect_with_complex_pair(self):
         cong = catalog.build("twisted_congruence")
-        an = congruence_affinor(cong, np.array([0.3, 0.2, 0.1]), model=model4)
+        an = congruence_affinor(cong, np.array([0.3, 0.2, 0.1]))
         assert an.symmetry_defect > 0.1
         assert sum(r.multiplicity for r in an.roots) == 2
         complex_roots = [r for r in an.roots if not r.is_real]
@@ -198,66 +213,66 @@ class TestTwistedCongruence:
         assert a.value == b.value.conjugate()
         assert abs(a.value.imag) > 0.05
 
-    def test_complex_roots_carry_no_point(self, model4):
+    def test_complex_roots_carry_no_point(self):
         cong = catalog.build("twisted_congruence")
-        an = congruence_affinor(cong, np.array([0.3, 0.2, 0.1]), model=model4)
+        an = congruence_affinor(cong, np.array([0.3, 0.2, 0.1]))
         for sp in congruence_singular_points(an):
             assert not sp.is_real
             assert sp.point is None
 
-    def test_defect_large_over_grid(self, model4):
+    def test_defect_large_over_grid(self):
         cong = catalog.build("twisted_congruence")
-        assert integrability_defect(cong, (3, 3, 3), model=model4) > 0.1
+        assert integrability_defect(cong, (3, 3, 3)) > 0.1
 
-    def test_stratify_refuses(self, model4):
+    def test_stratify_refuses(self):
         cong = catalog.build("twisted_congruence")
         with pytest.raises(NonIntegrableError):
-            stratify(cong, np.array([0.3, 0.2, 0.1]), model=model4)
+            stratify(cong, np.array([0.3, 0.2, 0.1]))
 
 
 class TestSymmetryImpliesRealRoots:
-    def test_implication_on_normal_congruences(self, model3, model4):
-        for name, n, model in [
-            ("parallel_null_congruence", 3, model3),
-            ("cone_normal_congruence", 3, model3),
-            ("cone_normal_congruence", 4, model4),
+    def test_implication_on_normal_congruences(self):
+        for name, n in [
+            ("parallel_null_congruence", 3),
+            ("cone_normal_congruence", 3),
+            ("cone_normal_congruence", 4),
         ]:
             cong = catalog.build(name, n=n)
             for u in parameter_grid(cong, [3] * cong.params)[1]:
-                an = congruence_affinor(cong, u, model=model)
+                an = congruence_affinor(cong, u)
                 if an.symmetry_defect < 1e-8:
                     assert all(abs(r.value.imag) < 1e-6 for r in an.roots)
 
 
 class TestStratify:
-    def test_count_is_a_non_negative_integer(self, model3):
+    def test_count_is_a_non_negative_integer(self):
         # a negative count used to die with a bare IndexError at the spine
         cong, seed = catalog.build("cone_normal_congruence"), np.array([0.1, 0.2])
         for count in (-1, -40, 2.5, "3", True, None):
             with pytest.raises(ValueError, match="count"):
-                stratify(cong, seed, model=model3, count=count)
-        leaf = stratify(cong, seed, model=model3, count=0)
+                stratify(cong, seed, count=count)
+        leaf = stratify(cong, seed, count=0)
         assert leaf.parameters == ((0.1, 0.2),) and len(leaf.lines) == 1 and not leaf.truncated
-        assert len(stratify(cong, seed, model=model3, count=np.int64(1)).parameters) == 3
+        assert len(stratify(cong, seed, count=np.int64(1)).parameters) == 3
 
-    def test_cone_leaf_keeps_vertex_parameter(self, model3):
+    def test_cone_leaf_keeps_vertex_parameter(self):
         cong = catalog.build("cone_normal_congruence")
-        leaf = stratify(cong, np.array([0.1, 0.4]), model=model3, step=1e-2,
+        leaf = stratify(cong, np.array([0.1, 0.4]), step=1e-2,
                         count=40)
         ts = [p[1] for p in leaf.parameters]
         assert max(ts) - min(ts) < 1e-5
         assert abs(ts[0] - 0.4) < 1e-5
         assert len(leaf.parameters) > 40
 
-    def test_cone_leaf_sweeps_lightlike(self, model3):
+    def test_cone_leaf_sweeps_lightlike(self):
         cong = catalog.build("cone_normal_congruence")
-        leaf = stratify(cong, np.array([0.0, -0.2]), model=model3, step=1e-2,
+        leaf = stratify(cong, np.array([0.0, -0.2]), step=1e-2,
                         count=30)
         assert leaf.lightlike_fraction >= 0.99
 
     def test_parallel_leaves_are_null_hyperplanes(self, model3):
         cong = catalog.build("parallel_null_congruence")
-        leaf = stratify(cong, np.array([0.2, -0.1]), model=model3, step=1e-2,
+        leaf = stratify(cong, np.array([0.2, -0.1]), step=1e-2,
                         count=30)
         assert leaf.lightlike_fraction >= 0.99
         # swept points fill a hyperplane: collect points on the lines and
@@ -277,12 +292,12 @@ class TestStratify:
         g = model3.metric.gram
         assert abs(normal @ g @ normal) < 1e-8
 
-    def test_leaf_truncates_at_domain_boundary(self, model3):
+    def test_leaf_truncates_at_domain_boundary(self):
         cong = catalog.build("cone_normal_congruence")
-        near_edge = stratify(cong, np.array([0.5, 0.0]), model=model3,
+        near_edge = stratify(cong, np.array([0.5, 0.0]),
                              step=1e-2, count=40)
         assert near_edge.truncated
-        interior = stratify(cong, np.array([0.0, 0.0]), model=model3,
+        interior = stratify(cong, np.array([0.0, 0.0]),
                             step=1e-2, count=20)
         assert not interior.truncated
 
@@ -291,12 +306,12 @@ class TestStratify:
         # metric degenerates beyond lightlike: a third of the samples fail
         cong = catalog.build("cone_normal_congruence")
         samples = (-1.0, 0.0, 0.5)
-        leaf = stratify(cong, np.array([0.0, -0.2]), model=model3, count=10,
+        leaf = stratify(cong, np.array([0.0, -0.2]), count=10,
                         line_samples=samples)
         kinds = []
         for p, (_, a1) in zip(leaf.parameters, leaf.lines):
             p = np.array(p)
-            form = congruence_affinor(cong, p, model=model3).transversal_form
+            form = congruence_affinor(cong, p).transversal_form
             basis = _kernel_bases(form[None])[0][0]
             # central differences along the parameter directions, taken
             # along the kernel basis
@@ -312,9 +327,9 @@ class TestStratify:
         assert leaf.lightlike_fraction == kinds.count(LIGHTLIKE) / len(kinds)
         assert 0.6 < leaf.lightlike_fraction < 0.7
 
-    def test_higher_dimensional_leaf(self, model4):
+    def test_higher_dimensional_leaf(self):
         cong = catalog.build("cone_normal_congruence", n=4)
-        leaf = stratify(cong, np.array([0.05, -0.1, 0.3]), model=model4,
+        leaf = stratify(cong, np.array([0.05, -0.1, 0.3]),
                         step=2e-2, count=8)
         ts = [p[2] for p in leaf.parameters]
         assert max(ts) - min(ts) < 1e-5
@@ -426,17 +441,17 @@ class TestZeroLine:
 
     MESSAGE = "not an isotropic line at u=\\[0.1, 0.2\\]: zero coordinates"
 
-    def test_validate(self, model3):
+    def test_validate(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(GeometryError, match=self.MESSAGE):
-                zero_line_congruence().validate(np.array([0.1, 0.2]), model=model3)
+                zero_line_congruence().validate(np.array([0.1, 0.2]))
 
-    def test_congruence_affinor(self, model3):
+    def test_congruence_affinor(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(GeometryError, match=self.MESSAGE):
-                congruence_affinor(zero_line_congruence(), np.array([0.1, 0.2]), model=model3)
+                congruence_affinor(zero_line_congruence(), np.array([0.1, 0.2]))
 
     def test_other_members_keep_their_bits(self, model3):
         cong, cone = zero_line_congruence(below=0.2), catalog.build("cone_normal_congruence")
@@ -451,12 +466,11 @@ class TestZeroLine:
                 assert isinstance(got, GeometryError)
                 assert str(got) == f"not an isotropic line at u={u.tolist()}: zero coordinates"
             else:
-                assert _analysis_bits(got) == _analysis_bits(congruence_affinor(cone, u,
-                                                                                model=model3))
+                assert _analysis_bits(got) == _analysis_bits(congruence_affinor(cone, u))
 
 
 class TestDegenerateFamily:
-    def test_non_congruence_family_rejected(self, model3):
+    def test_non_congruence_family_rejected(self):
         # all lines through one fixed base point: basis forms collapse
         def base(u):
             return np.zeros(3)
@@ -469,7 +483,7 @@ class TestDegenerateFamily:
             3, ((-0.5, 0.5), (-0.5, 0.5)), base_point=base, direction=direction
         )
         with pytest.raises(GeometryError):
-            congruence_affinor(cong, np.array([0.1, 0.2]), model=model3)
+            congruence_affinor(cong, np.array([0.1, 0.2]))
 
 
 def fold_congruence():
@@ -629,14 +643,14 @@ def _each_alone(line_at):
     return alone
 
 
-def _one_run_at_a_time(cong, seed, model, step, count):
+def _one_run_at_a_time(cong, seed, step, count):
     """Leaf parameters and truncation flag of a per-run RK4 integrator on the
     transversal forms congruence_affinor reads: the spine runs and then the
     cross runs from each spine point, one after another."""
     lo, hi = np.array(cong.domain, dtype=float).T
 
     def direction(u, ref):
-        e = congruence_affinor(cong, u, model=model).transversal_form
+        e = congruence_affinor(cong, u).transversal_form
         e_hat = e / math.sqrt(float(e @ e))
         d = ref - float(e_hat @ ref) * e_hat
         return d / math.sqrt(float(d @ d))
@@ -659,7 +673,7 @@ def _one_run_at_a_time(cong, seed, model, step, count):
             out.append(u)
         return out
 
-    basis = _kernel_bases(congruence_affinor(cong, seed, model=model).transversal_form[None])[0][0]
+    basis = _kernel_bases(congruence_affinor(cong, seed).transversal_form[None])[0][0]
     spine = run(seed, -basis[0])[::-1] + [seed] + run(seed, basis[0])
     cross = []
     for point in spine:
@@ -680,7 +694,7 @@ class TestCongruenceEngine:
         grid = parameter_grid(cong, [3] * cong.params)[1]
         raised = 0
         for u, got in zip(grid, analyses(cong, grid, model)):
-            alone = outcome(congruence_affinor, cong, u, model=model)
+            alone = outcome(congruence_affinor, cong, u)
             if isinstance(alone, tuple):
                 assert isinstance(got, Exception) and (type(got), str(got)) == alone
                 raised += 1
@@ -711,7 +725,7 @@ class TestCongruenceEngine:
         grid = parameter_grid(cong, [3] * cong.params)[1]
         failures = _line_failures(line_jets(cong, grid, model), model)
         for i, u in enumerate(grid):
-            alone = outcome(congruence_affinor, cong, u, model=model)
+            alone = outcome(congruence_affinor, cong, u)
             got = failures.get(i)
             assert (got and (type(got), str(got))) == (alone if isinstance(alone, tuple) else None)
         assert failures
@@ -794,7 +808,7 @@ class TestCongruenceEngine:
             assert calls == ({} if builtin.startswith("cone") else
                              {"_faddeev_leverrier": 1, "_durand_kerner": 1})
 
-    def test_stratify_runs_one_full_analysis(self, model3, monkeypatch):
+    def test_stratify_runs_one_full_analysis(self, monkeypatch):
         import pseudoconformal.congruence as module
 
         seen = []
@@ -806,7 +820,7 @@ class TestCongruenceEngine:
 
         monkeypatch.setattr(module, "congruence_affinor", counted)
         seed = np.array([0.1, 0.4])
-        leaf = stratify(catalog.build("cone_normal_congruence"), seed, model=model3, count=5)
+        leaf = stratify(catalog.build("cone_normal_congruence"), seed, count=5)
         assert len(leaf.parameters) > 5
         assert len(seen) == 1 and np.array_equal(seen[0], seed)
 
@@ -814,13 +828,12 @@ class TestCongruenceEngine:
     def test_lockstep_leaf_equals_one_run_at_a_time(self, n, seed, count):
         # the second leaf leaves the domain
         cong = catalog.build("cone_normal_congruence", n=n)
-        model = AmbientModel.standard(n)
-        leaf = stratify(cong, np.array(seed), model=model, count=count)
-        parameters, truncated = _one_run_at_a_time(cong, np.array(seed), model, 1e-2, count)
+        leaf = stratify(cong, np.array(seed), count=count)
+        parameters, truncated = _one_run_at_a_time(cong, np.array(seed), 1e-2, count)
         assert leaf.parameters == parameters
         assert leaf.truncated == truncated == (n == 3)
 
-    def test_stratify_evaluation_bound(self, model4, monkeypatch):
+    def test_stratify_evaluation_bound(self, monkeypatch):
         # the runs advance in lockstep, one stacked line_at call per RK4
         # stage: the points evaluated, the centres of its stencils, are the
         # 320 a per-point integrator with a cache visits, fewer times than the
@@ -840,7 +853,7 @@ class TestCongruenceEngine:
 
             monkeypatch.setattr(IsotropicCongruence, "line_at", counted)
             leaf = stratify(catalog.build("cone_normal_congruence", n=4),
-                            np.array([0.1, 0.1, 0.3]), model=model4, count=count)
+                            np.array([0.1, 0.1, 0.3]), count=count)
             return leaf, passes
 
         leaf, passes = run(line_at)
@@ -909,15 +922,15 @@ class TestDeferredRankChecks:
     failure of the earliest failing pass, at its lowest failing member."""
 
     @pytest.mark.parametrize("seed", [(0.1, 0.05), (0.2, 0.1), (0.1, 0.02)])
-    def test_a_leaf_that_turns_degenerate_between_lattice_points(self, model3, monkeypatch,
+    def test_a_leaf_that_turns_degenerate_between_lattice_points(self, monkeypatch,
                                                                  seed):
         # the leaf runs along u1 into the fold at u1 = 0, which it reaches
         # at an intermediate stage of a step
         import pseudoconformal.congruence as module
 
-        deferred = outcome(stratify, fold_congruence(), np.array(seed), model=model3, count=10)
+        deferred = outcome(stratify, fold_congruence(), np.array(seed), count=10)
         monkeypatch.setattr(module, "_rk4_runs", inline_rk4_runs)
-        inline = outcome(stratify, fold_congruence(), np.array(seed), model=model3, count=10)
+        inline = outcome(stratify, fold_congruence(), np.array(seed), count=10)
         assert deferred == inline
         assert deferred[0] is DegenerateBasisError
         assert deferred[1].startswith(f"basis forms are dependent at u=[{seed[0]}, ")
@@ -1061,8 +1074,7 @@ class TestStackedRoots:
         results = analyses(spliced, grid, model4)
         kinds = set()
         for u, got in zip(grid, results):
-            assert _analysis_bits(got) == _analysis_bits(congruence_affinor(spliced, u,
-                                                                            model=model4))
+            assert _analysis_bits(got) == _analysis_bits(congruence_affinor(spliced, u))
             kinds.add(tuple(r.is_real for r in got.roots))
         assert kinds == {(True,), (False, False)}
 
@@ -1082,7 +1094,7 @@ class TestCongruenceOracle:
         cong = CONGRUENCES[name]()
         model = AmbientModel.standard(cong.n)
         for u in parameter_grid(cong, [3] * cong.params)[1]:
-            an = congruence_affinor(cong, u, model=model)
+            an = congruence_affinor(cong, u)
             ref = congruence_reference(cong, u, model)
             assert _close(an.shape_operator, ref["shape_operator"])
             assert _close(an.transversal_shift, ref["transversal_shift"])
@@ -1105,7 +1117,7 @@ class TestCongruenceOracle:
         model = AmbientModel.standard(cong.n)
         raised = []
         for u in parameter_grid(cong, [3] * cong.params)[1]:
-            lib = outcome(congruence_affinor, cong, u, model=model)
+            lib = outcome(congruence_affinor, cong, u)
             ref = outcome(congruence_reference, cong, u, model)
             assert isinstance(lib, tuple) == isinstance(ref, tuple)
             if isinstance(lib, tuple):
@@ -1148,10 +1160,10 @@ class TestCrossEngineLaw:
         cong = translated_congruence(imm, last, model)
         checked = 0
         for w in parameter_grid(cong, [3] * cong.params)[1]:
-            an = congruence_affinor(cong, w, model=model)
+            an = congruence_affinor(cong, w)
             assert an.symmetry_defect <= 1e-9
             got = congruence_singular_points(an)
-            want = singular_points(lightlike_affinor(imm, np.append(w[:-1], last), model=model))
+            want = singular_points(lightlike_affinor(imm, np.append(w[:-1], last)))
             assert [sp.multiplicity for sp in got] == [sp.multiplicity for sp in want]
             for g, f in zip(got, want):
                 assert g.is_real
@@ -1169,6 +1181,6 @@ class TestCrossEngineLaw:
         imm, model = catalog.build(name, n=n), AmbientModel.standard(n)
         cong = translated_congruence(imm, last, model)
         seed = np.array([0.5 * (lo + hi) for lo, hi in cong.domain[:-1]] + [0.1])
-        leaf = stratify(cong, seed, model=model, count=5)
+        leaf = stratify(cong, seed, count=5)
         assert len(leaf.parameters) >= 11
         assert max(abs(p[-1] - 0.1) for p in leaf.parameters) <= 1e-5

@@ -88,7 +88,7 @@ def oracle(scene_path, fmt) -> tuple:
             rows.append([float(v) for v in u] + [an.symmetry_defect, k, sp.x.real, sp.x.imag,
                                                  sp.multiplicity, int(sp.is_real)] + focal)
     leaf = scene.stratify and stratify(
-        cong, np.asarray(scene.stratify["seed"], dtype=float), model=model,
+        cong, np.asarray(scene.stratify["seed"], dtype=float),
         step=float(scene.stratify.get("step", 1e-2)), count=int(scene.stratify.get("count", 40)))
     if fmt == "csv":
         return ("".join(",".join(map(str, row)) + "\n" for row in [header] + rows),

@@ -417,7 +417,7 @@ class TestConnectionForms:
 
     def test_adapted_field_relations_second_order(self, model3):
         imm = catalog.build("light_cone")
-        field = lightlike_frame_field(imm, model3)
+        field = lightlike_frame_field(imm)
         u = np.array([1.0, 0.6])
         res = {}
         for h in (2e-3, 1e-3):
@@ -430,7 +430,7 @@ class TestConnectionForms:
 
     def test_adapted_field_structure_second_order(self, model3):
         imm = catalog.build("tilted_null_family")
-        field = lightlike_frame_field(imm, model3)
+        field = lightlike_frame_field(imm)
         u = np.array([1.1, 0.9])
         res_h = structure_residual(field, u, model3, step=2e-3)
         res_h2 = structure_residual(field, u, model3, step=1e-3)

@@ -9,7 +9,7 @@ import pytest
 
 from pseudoconformal import catalog
 from pseudoconformal.cli import _build_object, _resolve_grid, load_scene, main
-from pseudoconformal.conformal import AmbientModel, lift_point
+from pseudoconformal.conformal import lift_point
 from pseudoconformal.errors import DegenerateBasisError, NotLightlikeError
 from pseudoconformal.hypersurface import (
     _KINDS,
@@ -49,43 +49,43 @@ def polar_cone_immersion():
 
 
 class TestInducedMetric:
-    def test_spacelike_slice_is_identity(self, model3):
+    def test_spacelike_slice_is_identity(self):
         imm = catalog.build("spacelike_slice")
-        m = induced_metric(imm, np.array([0.3, -0.4]), model=model3)
+        m = induced_metric(imm, np.array([0.3, -0.4]))
         assert np.abs(m - np.eye(2)).max() < 1e-12
 
-    def test_timelike_hyperplane_is_lorentz(self, model3):
+    def test_timelike_hyperplane_is_lorentz(self):
         imm = catalog.build("timelike_hyperplane")
-        m = induced_metric(imm, np.array([0.1, 0.2]), model=model3)
+        m = induced_metric(imm, np.array([0.1, 0.2]))
         assert np.abs(m - np.diag([1.0, -1.0])).max() < 1e-12
 
-    def test_polar_light_cone_degenerates_along_ray(self, model3):
+    def test_polar_light_cone_degenerates_along_ray(self):
         imm = polar_cone_immersion()
         u = np.array([0.8, 1.1])
-        m = induced_metric(imm, u, model=model3)
+        m = induced_metric(imm, u)
         assert np.abs(m - np.diag([0.0, 0.8**2])).max() < 1e-12
 
-    def test_finite_difference_jets_agree(self, model3):
+    def test_finite_difference_jets_agree(self):
         imm = polar_cone_immersion()
         fd = Immersion(n=3, domain=imm.domain, value=imm.value)
         u = np.array([0.9, 0.7])
         assert np.abs(
-            induced_metric(imm, u, model=model3) - induced_metric(fd, u, model=model3)
+            induced_metric(imm, u) - induced_metric(fd, u)
         ).max() < 1e-8
 
 
 class TestClassifyPoint:
-    def test_slice_is_spacelike(self, model3):
+    def test_slice_is_spacelike(self):
         imm = catalog.build("spacelike_slice")
-        assert classify_point(imm, np.array([0.0, 0.0]), model=model3).kind == "spacelike"
+        assert classify_point(imm, np.array([0.0, 0.0])).kind == "spacelike"
 
-    def test_hyperplane_is_timelike(self, model3):
+    def test_hyperplane_is_timelike(self):
         imm = catalog.build("timelike_hyperplane")
-        assert classify_point(imm, np.array([0.5, -0.5]), model=model3).kind == "timelike"
+        assert classify_point(imm, np.array([0.5, -0.5])).kind == "timelike"
 
-    def test_cone_is_lightlike_away_from_vertex(self, model3):
+    def test_cone_is_lightlike_away_from_vertex(self):
         imm = polar_cone_immersion()
-        assert classify_point(imm, np.array([1.3, 0.4]), model=model3).kind == "lightlike"
+        assert classify_point(imm, np.array([1.3, 0.4])).kind == "lightlike"
 
     def test_causal_type_inertia_mapping(self):
         assert causal_type_of_metric(np.eye(3), 1e-7).kind == "spacelike"
@@ -98,7 +98,7 @@ class TestClassifyPoint:
             "degenerate_beyond_lightlike"
         )
 
-    def test_reparametrization_invariance(self, model3, rng):
+    def test_reparametrization_invariance(self, rng):
         imm = catalog.build("tilted_null_family")
         a = rng.normal(size=(2, 2)) + 2 * np.eye(2)
         b = np.array([1.0, 0.9])
@@ -113,17 +113,17 @@ class TestClassifyPoint:
                             value=value, jacobian=jacobian)
         u = np.array([0.05, -0.1])
         assert (
-            classify_point(reparam, u, model=model3).kind
-            == classify_point(imm, a @ u + b, model=model3).kind
+            classify_point(reparam, u).kind
+            == classify_point(imm, a @ u + b).kind
         )
 
-    def test_rank_deficient_jacobian_raises(self, model3):
+    def test_rank_deficient_jacobian_raises(self):
         def value(u):
             return np.array([u[0], u[0], 0.0])
 
         imm = Immersion(n=3, domain=((-1, 1), (-1, 1)), value=value)
         with pytest.raises(DegenerateBasisError):
-            classify_point(imm, np.array([0.2, 0.3]), model=model3)
+            classify_point(imm, np.array([0.2, 0.3]))
 
     def test_homogeneous_lift_agrees_with_flat_computation(self, model3):
         flat = catalog.build("tilted_null_family")
@@ -134,10 +134,10 @@ class TestClassifyPoint:
         lifted = Immersion(n=3, domain=flat.domain, value=lifted_value,
                            homogeneous=True)
         u = np.array([0.8, 1.0])
-        m_flat = induced_metric(flat, u, model=model3)
-        m_lift = induced_metric(lifted, u, model=model3)
+        m_flat = induced_metric(flat, u)
+        m_lift = induced_metric(lifted, u)
         assert np.abs(m_flat - m_lift).max() < 1e-6
-        assert classify_point(lifted, u, model=model3).kind == "lightlike"
+        assert classify_point(lifted, u).kind == "lightlike"
 
     def test_conformal_rescaling_scales_metric_by_square(self, model3):
         flat = catalog.build("spacelike_slice")
@@ -151,8 +151,8 @@ class TestClassifyPoint:
         lifted = Immersion(n=3, domain=flat.domain, value=lifted_value,
                            homogeneous=True)
         u = np.array([0.3, -0.2])
-        m_flat = induced_metric(flat, u, model=model3)
-        m_lift = induced_metric(lifted, u, model=model3)
+        m_flat = induced_metric(flat, u)
+        m_lift = induced_metric(lifted, u)
         assert np.abs(m_lift - sigma(u) ** 2 * m_flat).max() < 1e-7
 
 
@@ -176,13 +176,12 @@ class TestDegeneracyCheckInputs:
         # chart grown by s spreads the lift (1, p, |p|^2 / 2) over s^2 and
         # lifts the rate's rounding floor to about 1e-16 s (7.1e-14 at 100,
         # 7.6e-12 at 1e4, measured)
-        imm, model = catalog.build("light_cone", n=4), AmbientModel.standard(4)
+        imm = catalog.build("light_cone", n=4)
         scaled = Immersion(n=4, domain=imm.domain, value=lambda u: scale * imm.value(u),
                            jacobian=lambda u: scale * imm.jacobian(u),
                            hessian=lambda u: scale * imm.hessian(u))
         for u in parameter_grid(imm, [3] * imm.params)[1]:
-            report = degeneracy_check(scaled, lightlike_affinor(scaled, u, model=model),
-                                      model=model)
+            report = degeneracy_check(scaled, lightlike_affinor(scaled, u))
             assert report.generator_rate <= 1e-13 and report.tangent_rank == 2
 
     def test_anisotropic_metric_passes_where_the_centre_did(self):
@@ -232,22 +231,22 @@ class TestDegeneracyCheckInputs:
 
 
 class TestSurvey:
-    def test_spacelike_hypersphere_pure(self, model3):
-        report = survey(catalog.build("spacelike_hypersphere"), (12, 12), model=model3)
+    def test_spacelike_hypersphere_pure(self):
+        report = survey(catalog.build("spacelike_hypersphere"), (12, 12))
         assert report.pure == "spacelike"
         assert report.fractions()["spacelike"] == 1.0
 
-    def test_timelike_hypersphere_pure(self, model3):
-        report = survey(catalog.build("timelike_hypersphere"), (12, 12), model=model3)
+    def test_timelike_hypersphere_pure(self):
+        report = survey(catalog.build("timelike_hypersphere"), (12, 12))
         assert report.pure == "timelike"
 
-    def test_light_cone_pure_lightlike(self, model3):
-        report = survey(catalog.build("light_cone"), (10, 10), model=model3)
+    def test_light_cone_pure_lightlike(self):
+        report = survey(catalog.build("light_cone"), (10, 10))
         assert report.pure == "lightlike"
 
-    def test_euclidean_sphere_mixed_with_two_transition_circles(self, model3):
+    def test_euclidean_sphere_mixed_with_two_transition_circles(self):
         imm = catalog.build("euclidean_sphere")
-        report = survey(imm, (60, 12), model=model3)
+        report = survey(imm, (60, 12))
         assert report.mixed
         assert report.counts["spacelike"] > 0 and report.counts["timelike"] > 0
         # tangency latitudes of the round sphere against the cones
@@ -263,35 +262,35 @@ class TestSurvey:
             bracket_second = t.u_low[0] <= 3 * math.pi / 4 <= t.u_high[0]
             assert bracket_first or bracket_second
 
-    def test_errors_recorded_not_fatal(self, model3):
+    def test_errors_recorded_not_fatal(self):
         def value(u):
             return np.array([u[0], u[0], 0.0]) if u[1] > 0 else np.array([u[0], u[1], 0.0])
 
         imm = Immersion(n=3, domain=((-1, 1), (-1, 1)), value=value)
-        report = survey(imm, (3, 4), model=model3)
+        report = survey(imm, (3, 4))
         assert report.errors
         assert report.counts["spacelike"] > 0
 
-    def test_programming_errors_propagate(self, model3):
+    def test_programming_errors_propagate(self):
         def value(u):
             raise RuntimeError("bug in the evaluator")
 
         imm = Immersion(n=3, domain=((-1, 1), (-1, 1)), value=value)
         with pytest.raises(RuntimeError, match="bug in the evaluator"):
-            survey(imm, (3, 3), model=model3)
+            survey(imm, (3, 3))
 
-    def test_non_finite_jacobian_is_an_error(self, model3):
+    def test_non_finite_jacobian_is_an_error(self):
         imm = nan_immersion()
-        report = survey(imm, (5, 3), model=model3)
+        report = survey(imm, (5, 3))
         # finite differences at u0 = 0.5 already reach into the NaN region
         assert [idx for idx, _ in report.errors] == [(i, j) for i in (2, 3, 4) for j in range(3)]
         assert all(msg.startswith("non-finite jacobian at u=") for _, msg in report.errors)
         assert report.counts["spacelike"] == 6
         assert report.counts["degenerate_beyond_lightlike"] == 0
         with pytest.raises(DegenerateBasisError, match="non-finite jacobian"):
-            classify_point(imm, np.array([0.75, 0.5]), model=model3)
+            classify_point(imm, np.array([0.75, 0.5]))
 
-    def test_one_jacobian_evaluation_per_point(self, model3):
+    def test_one_jacobian_evaluation_per_point(self):
         base = catalog.build("euclidean_sphere")
         calls = []
 
@@ -300,9 +299,9 @@ class TestSurvey:
             return base.jacobian(u)
 
         imm = Immersion(n=3, domain=base.domain, value=base.value, jacobian=jacobian)
-        classify_point(imm, np.array([0.3, 0.2]), model=model3)
+        classify_point(imm, np.array([0.3, 0.2]))
         assert len(calls) == 1
-        survey(imm, (4, 5), model=model3)
+        survey(imm, (4, 5))
         assert len(calls) == 1 + 20
 
     def test_csv_rows_shape(self, tmp_path, capsys):
@@ -320,14 +319,14 @@ class TestSurvey:
 class TestReportEquality:
     """Reports hold numpy columns and still compare with == and !=."""
 
-    def test_surveys_of_one_grid_are_equal(self, model3):
+    def test_surveys_of_one_grid_are_equal(self):
         imm = catalog.build("euclidean_sphere")
-        first, second = survey(imm, (6, 4), model=model3), survey(imm, (6, 4), model=model3)
+        first, second = survey(imm, (6, 4)), survey(imm, (6, 4))
         assert first == second
         assert not first != second
 
-    def test_one_inertia_apart_is_unequal(self, model3):
-        report = survey(catalog.build("euclidean_sphere"), (6, 4), model=model3)
+    def test_one_inertia_apart_is_unequal(self):
+        report = survey(catalog.build("euclidean_sphere"), (6, 4))
         plus, zero = report.plus.copy(), report.zero.copy()
         plus[5], zero[5] = plus[5] - 1, zero[5] + 1
         other = replace(report, plus=plus, zero=zero)
@@ -336,12 +335,11 @@ class TestReportEquality:
         assert report.points[5] != other.points[5]
         assert report.points[:5] == other.points[:5]
 
-    def test_other_shapes_and_types_are_unequal(self, model3):
+    def test_other_shapes_and_types_are_unequal(self):
         imm = catalog.build("euclidean_sphere")
-        report = survey(imm, (6, 4), model=model3)
-        assert report != survey(imm, (5, 4), model=model3)
-        assert report != survey(replace(imm, domain=((0.05, 1.0), (0.0, 1.0))), (6, 4),
-                                model=model3)
+        report = survey(imm, (6, 4))
+        assert report != survey(imm, (5, 4))
+        assert report != survey(replace(imm, domain=((0.05, 1.0), (0.0, 1.0))), (6, 4))
         assert report != report.points
         assert report is not None and report != "report"
 
@@ -557,6 +555,24 @@ class TestJetShapes:
         assert not points[1].any()
         for i in (0, 2):
             assert points[i].tobytes() == imm.point(us[i]).tobytes()
+
+    @pytest.mark.parametrize("u", [0.5, [0.5], [0.5, 0.1, 0.2], [[0.5], [0.7]], [[0.5, 0.1, 0.2]]])
+    @pytest.mark.parametrize("jet", ["point", "jet1", "jet2"])
+    def test_parameter_points_of_the_wrong_length_raise(self, jet, u):
+        # analytic and differenced jets alike, one point or a stack; a point
+        # too long would otherwise be read by its first entries
+        got = np.shape(u)[-1] if np.ndim(u) else "a scalar"
+        cone = catalog.build("light_cone")
+        for imm in (cone, Immersion(n=3, domain=cone.domain, value=cone.value)):
+            with pytest.raises(ValueError, match=rf"^u must have params=2 entries, got {got}$"):
+                getattr(imm, jet)(np.array(u))
+
+    @pytest.mark.parametrize("engine,name", [(induced_metric, "spacelike_slice"),
+                                             (classify_point, "euclidean_sphere"),
+                                             (lightlike_affinor, "tilted_null_family")])
+    def test_engines_reject_a_point_of_the_wrong_length(self, engine, name):
+        with pytest.raises(ValueError, match=r"^u must have params=2 entries, got 1$"):
+            engine(catalog.build(name), [0.5])
 
 
 class TestParameterGrid:

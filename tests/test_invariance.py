@@ -75,8 +75,7 @@ def test_normality_is_invariant(case):
     name, n, normal = case
     cong = catalog.build(name, n=n)
     model = AmbientModel.standard(n)
-    defect = integrability_defect(moved(cong, conformal_motion(model)), [3] * cong.params,
-                                  model=model)
+    defect = integrability_defect(moved(cong, conformal_motion(model)), [3] * cong.params)
     if normal:
         assert defect < INTEGRABILITY_TOL
     else:
@@ -91,8 +90,8 @@ def test_roots_and_singular_points_are_invariant(case):
     m = conformal_motion(model)
     image = moved(cong, m)
     for u in parameter_grid(cong, [3] * cong.params)[1]:
-        before = congruence_singular_points(congruence_affinor(cong, u, model=model))
-        after = congruence_singular_points(congruence_affinor(image, u, model=model))
+        before = congruence_singular_points(congruence_affinor(cong, u))
+        after = congruence_singular_points(congruence_affinor(image, u))
         assert [(s.is_real, s.multiplicity) for s in before] == \
             [(s.is_real, s.multiplicity) for s in after]
         for s, t in zip(before, after):
@@ -106,8 +105,8 @@ def test_moved_cone_still_stratifies(n, seed, count):
     model = AmbientModel.standard(n)
     image = moved(cong, conformal_motion(model))
     step = 1e-2 if n == 3 else 2e-2
-    leaf = stratify(cong, np.array(seed), model=model, step=step, count=count)
-    moved_leaf = stratify(image, np.array(seed), model=model, step=step, count=count)
+    leaf = stratify(cong, np.array(seed), step=step, count=count)
+    moved_leaf = stratify(image, np.array(seed), step=step, count=count)
     assert not moved_leaf.truncated
     assert moved_leaf.lightlike_fraction >= 0.99
     assert len(moved_leaf.parameters) == len(leaf.parameters)
@@ -153,8 +152,8 @@ def test_lightlike_focal_set_is_invariant(name):
     grid = parameter_grid(imm, counts)[1]
     assert [classify_point(imm, u).kind for u in grid] == \
         [classify_point(image, u).kind for u in grid]
-    before = focal_map(imm, counts, model=model)
-    after = focal_map(image, counts, model=model)
+    before = focal_map(imm, counts)
+    after = focal_map(image, counts)
     assert [u for u, _ in before.errors] == [u for u, _ in after.errors]
     for u in grid:
         key = tuple(u.tolist())
@@ -183,7 +182,7 @@ def test_degeneracy_is_invariant(name, motion):
     m = np.eye(imm.n + 2) if motion == "lift" else conformal_motion(model)
     exact, differenced = (moved_immersion(imm, m, model, hessian=h) for h in (True, False))
     for u in parameter_grid(imm, [3] * imm.params)[1]:
-        chart, image, fd = (degeneracy_check(x, lightlike_affinor(x, u, model=model), model=model)
+        chart, image, fd = (degeneracy_check(x, lightlike_affinor(x, u))
                             for x in (imm, exact, differenced))
         assert chart.tangent_rank == image.tangent_rank == fd.tangent_rank == imm.n - 2
         assert max(chart.generator_rate, image.generator_rate) <= 1e-13

@@ -38,22 +38,22 @@ from _oracles import degeneracy_flow_reference, focal_reference, generator_rank_
 
 
 class TestNullHyperplane:
-    def test_shape_operator_vanishes(self, model3):
+    def test_shape_operator_vanishes(self):
         imm = catalog.build("null_hyperplane")
-        an = lightlike_affinor(imm, np.array([0.3, -0.2]), model=model3)
+        an = lightlike_affinor(imm, np.array([0.3, -0.2]))
         assert np.abs(an.shape_operator).max() < 1e-10
         assert an.symmetry_defect < 1e-12
 
-    def test_root_zero_with_full_multiplicity(self, model4):
+    def test_root_zero_with_full_multiplicity(self):
         imm = catalog.build("null_hyperplane", n=4)
-        an = lightlike_affinor(imm, np.array([0.1, 0.2, -0.3]), model=model4)
+        an = lightlike_affinor(imm, np.array([0.1, 0.2, -0.3]))
         assert len(an.roots) == 1
         assert an.roots[0].multiplicity == 2
         assert abs(an.roots[0].value) < 1e-8
 
     def test_focal_point_is_ideal(self, model3):
         imm = catalog.build("null_hyperplane")
-        an = lightlike_affinor(imm, np.array([0.0, 0.0]), model=model3)
+        an = lightlike_affinor(imm, np.array([0.0, 0.0]))
         sp = singular_points(an)[0]
         assert isinstance(darboux_unembed(sp.point, model3), AtInfinity)
 
@@ -68,10 +68,10 @@ class TestNullHyperplane:
 
 
 class TestLightCone:
-    def test_shape_operator_is_inverse_gauge_radius(self, model3):
+    def test_shape_operator_is_inverse_gauge_radius(self):
         # at |w| = r the single root sends A_1 + x A_0 to the vertex
         imm = catalog.build("light_cone")
-        an = lightlike_affinor(imm, np.array([1.0, 0.0]), model=model3)
+        an = lightlike_affinor(imm, np.array([1.0, 0.0]))
         assert an.shape_operator.shape == (1, 1)
         assert abs(an.shape_operator[0, 0]) > 0.1
         assert an.symmetry_defect == 0.0
@@ -80,7 +80,7 @@ class TestLightCone:
                                    np.array([0.5, 0.5])])
     def test_singular_point_is_vertex(self, model3, w):
         imm = catalog.build("light_cone")
-        an = lightlike_affinor(imm, w, model=model3)
+        an = lightlike_affinor(imm, w)
         sp = singular_points(an)
         assert len(sp) == 1
         vertex = darboux_unembed(sp[0].point, model3)
@@ -90,8 +90,8 @@ class TestLightCone:
         # rescaling the generator moves the root but not the focal point
         imm = catalog.build("light_cone")
         u = np.array([1.0, 0.6])
-        an1 = lightlike_affinor(imm, u, model=model3, generator_scale=1.0)
-        an2 = lightlike_affinor(imm, u, model=model3, generator_scale=2.7)
+        an1 = lightlike_affinor(imm, u, generator_scale=1.0)
+        an2 = lightlike_affinor(imm, u, generator_scale=2.7)
         x1 = singular_points(an1)[0]
         x2 = singular_points(an2)[0]
         assert abs(x1.x - x2.x) > 1e-3
@@ -103,7 +103,7 @@ class TestLightCone:
     def test_roots_match_rank_scan(self, model3):
         imm = catalog.build("light_cone")
         for u in (np.array([1.0, 0.0]), np.array([0.8, 1.1])):
-            an = lightlike_affinor(imm, u, model=model3)
+            an = lightlike_affinor(imm, u)
             roots = sorted(r.value.real for r in an.roots)
             scan = generator_rank_scan(imm, u, model3, kind="hypersurface")
             assert len(scan) == len(roots)
@@ -112,25 +112,24 @@ class TestLightCone:
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_root_count_with_multiplicity(self, n):
-        model = AmbientModel.standard(n)
         imm = catalog.build("light_cone", n=n)
         u = np.full(n - 1, 0.9)
-        an = lightlike_affinor(imm, u, model=model)
+        an = lightlike_affinor(imm, u)
         assert sum(r.multiplicity for r in an.roots) == n - 2
         assert all(r.is_real for r in an.roots)
 
-    def test_cone_generator_is_umbilic_in_higher_dimension(self, model4):
+    def test_cone_generator_is_umbilic_in_higher_dimension(self):
         # both focal distances coincide: a single root of multiplicity 2
         imm = catalog.build("light_cone", n=4)
-        an = lightlike_affinor(imm, np.array([0.9, 0.8, 1.0]), model=model4)
+        an = lightlike_affinor(imm, np.array([0.9, 0.8, 1.0]))
         assert len(an.roots) == 1
         assert an.roots[0].multiplicity == 2
         fams = torse_directions(an)
         assert fams[0].directions.shape == (2, 2)
 
-    def test_focal_map_merges_to_vertex(self, model3):
+    def test_focal_map_merges_to_vertex(self):
         imm = catalog.build("light_cone")
-        focal = focal_map(imm, (6, 6), model=model3)
+        focal = focal_map(imm, (6, 6))
         assert not focal.errors
         finite = [c for c in focal.clusters if not c.at_infinity]
         assert len(finite) == 1
@@ -143,7 +142,7 @@ class TestTiltedNullFamily:
         imm = catalog.build("tilted_null_family")
         for tau in (0.5, 1.4, 2.2):
             u = np.array([tau, 0.9])
-            an = lightlike_affinor(imm, u, model=model3)
+            an = lightlike_affinor(imm, u)
             sp = singular_points(an)
             assert len(sp) == 1
             got = darboux_unembed(sp[0].point, model3)
@@ -154,7 +153,7 @@ class TestTiltedNullFamily:
         imm = catalog.build("tilted_null_family")
         points = []
         for s in (0.4, 0.9, 1.6):
-            an = lightlike_affinor(imm, np.array([1.0, s]), model=model3)
+            an = lightlike_affinor(imm, np.array([1.0, s]))
             points.append(darboux_unembed(singular_points(an)[0].point, model3))
         assert np.abs(points[0] - points[1]).max() < 1e-6
         assert np.abs(points[0] - points[2]).max() < 1e-6
@@ -162,7 +161,7 @@ class TestTiltedNullFamily:
     def test_roots_match_rank_scan(self, model3):
         imm = catalog.build("tilted_null_family")
         u = np.array([1.3, 0.7])
-        an = lightlike_affinor(imm, u, model=model3)
+        an = lightlike_affinor(imm, u)
         scan = generator_rank_scan(imm, u, model3, kind="hypersurface")
         roots = sorted(r.value.real for r in an.roots)
         assert len(scan) == len(roots)
@@ -171,9 +170,9 @@ class TestTiltedNullFamily:
 
 
 class TestCircleWavefront:
-    def test_two_distinct_real_roots(self, model4):
+    def test_two_distinct_real_roots(self):
         imm = catalog.build("circle_wavefront")
-        an = lightlike_affinor(imm, np.array([0.6, 0.7, 0.5]), model=model4)
+        an = lightlike_affinor(imm, np.array([0.6, 0.7, 0.5]))
         assert sum(r.multiplicity for r in an.roots) == 2
         assert len(an.roots) == 2
         assert all(r.is_real for r in an.roots)
@@ -182,7 +181,7 @@ class TestCircleWavefront:
     def test_focal_points_on_circle_and_axis(self, model4):
         # the caustic of a circular wavefront: the circle itself plus its axis
         imm = catalog.build("circle_wavefront")
-        an = lightlike_affinor(imm, np.array([0.6, 0.7, 0.5]), model=model4)
+        an = lightlike_affinor(imm, np.array([0.6, 0.7, 0.5]))
         on_circle = on_axis = False
         for sp in singular_points(an):
             p = darboux_unembed(sp.point, model4)
@@ -192,10 +191,10 @@ class TestCircleWavefront:
                 on_axis = True
         assert on_circle and on_axis
 
-    def test_torse_directions_orthogonal(self, model4):
+    def test_torse_directions_orthogonal(self):
         imm = catalog.build("circle_wavefront")
         for u in (np.array([0.6, 0.7, 0.5]), np.array([0.45, 0.8, 0.4])):
-            an = lightlike_affinor(imm, u, model=model4)
+            an = lightlike_affinor(imm, u)
             fams = torse_directions(an)
             assert len(fams) == 2
             d1, d2 = fams[0].directions[0], fams[1].directions[0]
@@ -205,7 +204,7 @@ class TestCircleWavefront:
     def test_roots_match_rank_scan(self, model4):
         imm = catalog.build("circle_wavefront")
         u = np.array([0.6, 0.7, 0.5])
-        an = lightlike_affinor(imm, u, model=model4)
+        an = lightlike_affinor(imm, u)
         scan = generator_rank_scan(imm, u, model4, kind="hypersurface")
         roots = sorted(r.value.real for r in an.roots)
         assert len(scan) == len(roots)
@@ -237,7 +236,7 @@ class TestExactTruth:
                                               ("circle_wavefront", 4, 5)])
     def test_focal_points_match_analytic_truth(self, name, n, count):
         imm = catalog.build(name, n=n)
-        focal = focal_map(imm, [count] * imm.params, model=AmbientModel.standard(n))
+        focal = focal_map(imm, [count] * imm.params)
         assert focal.errors == ()
         assert len(focal.samples) == count ** imm.params * (2 if name == "circle_wavefront" else 1)
         for s in focal.samples:
@@ -251,7 +250,7 @@ class TestExactTruth:
     @pytest.mark.parametrize("n", [3, 4])
     def test_null_hyperplane_roots_vanish_at_infinity(self, n):
         imm = catalog.build("null_hyperplane", n=n)
-        focal = focal_map(imm, [4] * imm.params, model=AmbientModel.standard(n))
+        focal = focal_map(imm, [4] * imm.params)
         assert focal.errors == ()
         assert len(focal.samples) == 4 ** imm.params
         for s in focal.samples:
@@ -435,24 +434,24 @@ def _rescaled(imm, s):
 
 
 class TestDegeneracy:
-    def test_null_hyperplane_tangent_plane_constant(self, model3):
+    def test_null_hyperplane_tangent_plane_constant(self):
         imm = catalog.build("null_hyperplane")
-        an = lightlike_affinor(imm, np.array([0.2, -0.3]), model=model3)
-        report = degeneracy_check(imm, an, model=model3)
+        an = lightlike_affinor(imm, np.array([0.2, -0.3]))
+        report = degeneracy_check(imm, an)
         assert report.generator_rate < 1e-6
         assert report.tangent_rank == 1
 
-    def test_light_cone_tangentially_degenerate(self, model3):
+    def test_light_cone_tangentially_degenerate(self):
         imm = catalog.build("light_cone")
-        an = lightlike_affinor(imm, np.array([1.0, 0.7]), model=model3)
-        report = degeneracy_check(imm, an, model=model3)
+        an = lightlike_affinor(imm, np.array([1.0, 0.7]))
+        report = degeneracy_check(imm, an)
         assert report.generator_rate < 1e-6
         assert report.tangent_rank == 1
 
-    def test_higher_dimensional_rank(self, model4):
+    def test_higher_dimensional_rank(self):
         imm = catalog.build("circle_wavefront")
-        an = lightlike_affinor(imm, np.array([0.6, 0.7, 0.5]), model=model4)
-        report = degeneracy_check(imm, an, model=model4)
+        an = lightlike_affinor(imm, np.array([0.6, 0.7, 0.5]))
+        report = degeneracy_check(imm, an)
         assert report.generator_rate < 1e-6
         assert report.tangent_rank == 2
 
@@ -462,9 +461,8 @@ class TestDegeneracy:
         # u -> scale * u slows or speeds every parameter direction alike; the
         # kernel direction's rate must still read as zero next to the others
         imm = _rescaled(catalog.build(name), scale)
-        model = AmbientModel.standard(imm.n)
         u = np.array([lo + 0.55 * (hi - lo) for lo, hi in imm.domain])
-        report = degeneracy_check(imm, lightlike_affinor(imm, u, model=model), model=model)
+        report = degeneracy_check(imm, lightlike_affinor(imm, u))
         assert report.generator_rate <= 1e-13
         assert report.tangent_rank == imm.n - 2
 
@@ -473,9 +471,8 @@ class TestDegeneracy:
         # the Darboux image is tangentially degenerate: the tangent span does
         # not turn along the generator, at every grid point
         imm = catalog.build(name)
-        model = AmbientModel.standard(imm.n)
         for u in parameter_grid(imm, [3] * imm.params)[1]:
-            report = degeneracy_check(imm, lightlike_affinor(imm, u, model=model), model=model)
+            report = degeneracy_check(imm, lightlike_affinor(imm, u))
             assert report.generator_rate <= 1e-13
             assert report.tangent_rank == imm.n - 2
 
@@ -489,7 +486,7 @@ class TestDegeneracy:
         model = AmbientModel.standard(imm.n)
         for u in parameter_grid(imm, [3] * imm.params)[1]:
             flow = degeneracy_flow_reference(imm, u, model)
-            report = degeneracy_check(imm, lightlike_affinor(imm, u, model=model), model=model)
+            report = degeneracy_check(imm, lightlike_affinor(imm, u))
             assert flow.samples
             assert flow.max_angle <= 1e-13 and report.generator_rate <= 1e-13
             assert report.tangent_rank == flow.tangent_rank == imm.n - 2
@@ -503,7 +500,7 @@ class TestDegeneracy:
         imm, model = catalog.build("light_cone", n=3), AmbientModel.standard(3)
         u = np.array(u)
         flow = degeneracy_flow_reference(imm, u, model)
-        report = degeneracy_check(imm, lightlike_affinor(imm, u, model=model), model=model)
+        report = degeneracy_check(imm, lightlike_affinor(imm, u))
         assert (len(flow.samples), len(flow.skipped)) == (samples, skipped)
         assert flow.max_angle <= 1e-13 and report.generator_rate <= 1e-13
         assert flow.tangent_rank == report.tangent_rank == 1
@@ -611,7 +608,7 @@ class TestDegeneracy:
         assert not columns.failures
         rates, ranks = _degeneracy(columns.jets, columns.members, columns.dr, columns.kernels)
         for i, rate, rank in zip(columns.members, rates, ranks):
-            report = degeneracy_check(imm, SimpleNamespace(u=columns.us[i]), model=model)
+            report = degeneracy_check(imm, SimpleNamespace(u=columns.us[i]))
             assert (report.generator_rate.hex(), report.tangent_rank) == (rate.hex(), rank)
 
     @pytest.mark.parametrize("name", catalog.lightlike_entries())
@@ -642,18 +639,17 @@ class TestDegeneracy:
         model = AmbientModel.standard(n)
         u = np.array([lo + 0.4 * (hi - lo) for lo, hi in imm.domain])
         with pytest.raises(NotLightlikeError):
-            degeneracy_check(imm, SimpleNamespace(u=u), model=model)
+            degeneracy_check(imm, SimpleNamespace(u=u))
         jets, (hessians, raised) = _JetStack(imm, u[None], model, 1.0), imm.jet2(u[None])
         assert not jets.failures and not raised
         rates, ranks = _degeneracy(jets, [0], _row_derivatives(jets, [0], hessians),
                                    _pseudo_inverse(jets.w, jets.v)[1])
         assert rates[0] > 0.1 and ranks[0] == n - 1
 
-    def test_spacelike_input_rejected(self, model3):
+    def test_spacelike_input_rejected(self):
         imm = catalog.build("spacelike_hypersphere")
         with pytest.raises(NotLightlikeError):
-            degeneracy_check(imm, lightlike_affinor(imm, np.array([0.1, 0.1]), model=model3),
-                             model=model3)
+            degeneracy_check(imm, lightlike_affinor(imm, np.array([0.1, 0.1])))
 
 
 class TestJetStack:
@@ -728,14 +724,14 @@ class TestJetStack:
                     assert (type(got), str(got)) == (type(alone[i]), str(alone[i])) == errors[i]
                 else:
                     assert bits(got) == bits(alone[i]) == bits(
-                        lightlike_affinor(cone, us[i], model=model3))
+                        lightlike_affinor(cone, us[i]))
 
-    def test_infinite_jacobian_fails_without_warning(self, model3):
+    def test_infinite_jacobian_fails_without_warning(self):
         # the member is masked before the lift, where inf * 0 would warn
         jacobian = lambda u: np.array([[1.0, 0.0], [0.0, 1.0], [math.inf if u[0] > 0.5 else 0.0, 0.0]])
         imm = Immersion(n=3, domain=((0, 1), (0, 1)), jacobian=jacobian,
                         value=lambda u: np.array([u[0], u[1], 0.0]))
-        errors = dict(focal_map(imm, [3, 3], model=model3).errors)
+        errors = dict(focal_map(imm, [3, 3]).errors)
         assert errors[(1.0, 0.5)] == "non-finite jacobian at u=[1.0, 0.5]"
 
 
@@ -766,23 +762,23 @@ class TestAffinorRejections:
     """Each precondition of lightlike_affinor fails with its own exception
     type and message."""
 
-    def test_spacelike_point(self, model3):
+    def test_spacelike_point(self):
         imm = catalog.build("spacelike_slice")
         with pytest.raises(NotLightlikeError) as exc:
-            lightlike_affinor(imm, np.array([0.1, 0.2]), model=model3)
+            lightlike_affinor(imm, np.array([0.1, 0.2]))
         assert str(exc.value) == "hypersurface is spacelike at u=[0.1, 0.2], not lightlike"
 
-    def test_non_finite_jacobian(self, model3):
+    def test_non_finite_jacobian(self):
         imm = _cone_variant(jacobian=lambda u: np.full((3, 2), np.nan))
         with pytest.raises(DegenerateBasisError) as exc:
-            lightlike_affinor(imm, np.array([1.0, 0.5]), model=model3)
+            lightlike_affinor(imm, np.array([1.0, 0.5]))
         assert str(exc.value) == "non-finite jacobian at u=[1.0, 0.5]"
 
-    def test_rank_deficient_jacobian(self, model3):
+    def test_rank_deficient_jacobian(self):
         cone = catalog.build("light_cone")
         imm = _cone_variant(jacobian=lambda u: np.outer(cone.jet1(u)[:, 0], [1.0, 2.0]))
         with pytest.raises(DegenerateBasisError) as exc:
-            lightlike_affinor(imm, np.array([1.0, 0.5]), model=model3)
+            lightlike_affinor(imm, np.array([1.0, 0.5]))
         assert str(exc.value) == "jacobian is rank deficient at u=[1.0, 0.5]"
 
     def test_homogeneous_immersion_off_the_quadric(self, model3):
@@ -798,7 +794,7 @@ class TestAffinorRejections:
         imm = _cone_variant(homogeneous=True, jacobian=jacobian,
                             value=lambda u: lift_point(cone.point(u), model3) + shift)
         with pytest.raises(NotOnQuadricError) as exc:
-            lightlike_affinor(imm, np.array([1.0, 0.5]), model=model3)
+            lightlike_affinor(imm, np.array([1.0, 0.5]))
         assert str(exc.value) == "frame origin is not on the quadric"
 
     def test_base_point_off_its_tangent_rows(self, model3):
@@ -815,7 +811,7 @@ class TestAffinorRejections:
         imm = _cone_variant(homogeneous=True, jacobian=jacobian,
                             value=lambda u: lift_point(cone.point(u) + shift, model3))
         with pytest.raises(DegenerateBasisError) as exc:
-            lightlike_affinor(imm, np.array([1.0, 0.5]), model=model3)
+            lightlike_affinor(imm, np.array([1.0, 0.5]))
         assert str(exc.value).startswith("frame adaptation failed (gram residual ")
 
 
@@ -827,12 +823,12 @@ class TestFiniteDifferenceJets:
         # completing the frame at every point used to fail some FD points
         # ("frame adaptation failed") whose line and screen met ADAPT_TOL
         imm = _fd_variant(catalog.build(name, n=n))
-        focal = focal_map(imm, [count] * imm.params, model=AmbientModel.standard(n))
+        focal = focal_map(imm, [count] * imm.params)
         assert focal.errors == ()
 
     def test_newly_analysed_point_finds_the_vertex(self, model5):
         imm = _fd_variant(catalog.build("light_cone", n=5))
-        an = lightlike_affinor(imm, np.full(4, 0.4), model=model5)
+        an = lightlike_affinor(imm, np.full(4, 0.4))
         points = singular_points(an)
         assert sum(sp.multiplicity for sp in points) == 3
         for sp in points:
@@ -847,7 +843,7 @@ class TestFiniteDifferenceJets:
         fd = Immersion(n=3, domain=analytic.domain, value=analytic.value,
                        name="light_cone_fd")
         u = np.array([1.0, 0.6])
-        an = lightlike_affinor(fd, u, model=model3)
+        an = lightlike_affinor(fd, u)
         assert an.symmetry_defect < 1e-3
         vertex = darboux_unembed(singular_points(an)[0].point, model3)
         assert np.abs(vertex).max() < 1e-3
@@ -858,12 +854,11 @@ class TestSymmetryAcrossCatalog:
     def test_symmetry_defect_small_with_analytic_jets(self, name):
         entry = catalog.CATALOG[name]
         imm = catalog.build(name)
-        model = AmbientModel.standard(imm.n)
         lo = np.array([d[0] for d in imm.domain])
         hi = np.array([d[1] for d in imm.domain])
         for frac in (0.3, 0.55, 0.8):
             u = lo + frac * (hi - lo)
-            an = lightlike_affinor(imm, u, model=model)
+            an = lightlike_affinor(imm, u)
             assert an.symmetry_defect < 1e-6
 
 
@@ -897,7 +892,7 @@ def _point_focal(imm, u, model, sym_tol):
     (root index, x, multiplicity, at infinity, point bytes, projective bytes),
     or the error message."""
     try:
-        an = lightlike_affinor(imm, u, model=model, sym_tol=sym_tol)
+        an = lightlike_affinor(imm, u, sym_tol=sym_tol)
     except (GeometryError, ValueError, ArithmeticError) as exc:
         return str(exc)
     out = []
@@ -961,7 +956,7 @@ class TestLightlikeEngine:
         if jets == "fd":
             imm = _fd_variant(imm)
         model = AmbientModel.standard(imm.n)
-        focal = focal_map(imm, counts, model=model, sym_tol=sym_tol)
+        focal = focal_map(imm, counts, sym_tol=sym_tol)
         samples, errors = [], []
         for u in parameter_grid(imm, counts)[1]:
             got = _point_focal(imm, u, model, sym_tol)
@@ -974,14 +969,14 @@ class TestLightlikeEngine:
                 for s in focal.samples] == samples
         assert list(focal.errors) == errors
 
-    def test_point_off_the_quadric_keeps_its_earlier_samples(self, model4, monkeypatch):
+    def test_point_off_the_quadric_keeps_its_earlier_samples(self, monkeypatch):
         # a point keeps the samples before its first singular point off the
         # quadric, loses the rest and is listed in errors with that one's
         # message, in grid order
         import pseudoconformal.lightlike
 
         imm = catalog.build("circle_wavefront")
-        expected = focal_map(imm, [3, 3, 3], model=model4)
+        expected = focal_map(imm, [3, 3, 3])
         unembed = pseudoconformal.lightlike._unembed
         # two roots per grid point: samples 2k and 2k + 1 are the roots of
         # grid point k
@@ -992,7 +987,7 @@ class TestLightlikeEngine:
             return points, ideal, {**failures, **off}
 
         monkeypatch.setattr(pseudoconformal.lightlike, "_unembed", failing)
-        focal = focal_map(imm, [3, 3, 3], model=model4)
+        focal = focal_map(imm, [3, 3, 3])
         keep = [s for i, s in enumerate(expected.samples) if i not in (4, 5, 6, 7, 9)]
         assert [(s.u, s.root_index, s.x) for s in focal.samples] == [
             (s.u, s.root_index, s.x) for s in keep]
@@ -1015,18 +1010,18 @@ class TestLightlikeEngine:
                            an.line[1].tobytes(), an.screen.tobytes(), an.diagnostics)
         for u, got in zip(grid, results):
             if u[0] < 1.0:
-                assert bits(got) == bits(lightlike_affinor(cone, u, model=model3))
+                assert bits(got) == bits(lightlike_affinor(cone, u))
             else:
                 assert (type(got), str(got)) == (
                     NotLightlikeError, f"hypersurface is spacelike at u={u.tolist()}, not lightlike")
                 with pytest.raises(NotLightlikeError, match=str(got).replace("[", "\\[")):
-                    lightlike_affinor(imm, u, model=model3)
+                    lightlike_affinor(imm, u)
 
-    def test_frame_field_gives_the_affinor_frames(self, model4):
+    def test_frame_field_gives_the_affinor_frames(self):
         imm = catalog.build("circle_wavefront")
-        field = lightlike_frame_field(imm, model4)
+        field = lightlike_frame_field(imm)
         for u in parameter_grid(imm, [3, 3, 3])[1]:
-            an = lightlike_affinor(imm, u, model=model4)
+            an = lightlike_affinor(imm, u)
             frame = field(u)
             assert frame.vectors[:4].tobytes() == np.vstack([*an.line, an.screen]).tobytes()
             assert frame.gram_residual() < 1e-10
@@ -1038,9 +1033,8 @@ class TestLightlikeEngine:
         import pseudoconformal.linalg
 
         imm = catalog.build(name)
-        model = AmbientModel.standard(imm.n)
         counts = [3] * imm.params
-        expected = focal_map(imm, counts, model=model)
+        expected = focal_map(imm, counts)
 
         def refuse(*args, **kwargs):
             raise AssertionError("a frame was completed")
@@ -1056,7 +1050,7 @@ class TestLightlikeEngine:
             monkeypatch.setattr(module, "_null_frame", refuse)
         for module in (pseudoconformal.frames, pseudoconformal.linalg):
             monkeypatch.setattr(module, "solve", counted)
-        focal = focal_map(imm, counts, model=model)
+        focal = focal_map(imm, counts)
         key = lambda s: (s.u, s.root_index, s.x, s.multiplicity, s.at_infinity,
                          s.projective.coords.tobytes())
         assert [key(s) for s in focal.samples] == [key(s) for s in expected.samples]
@@ -1065,7 +1059,7 @@ class TestLightlikeEngine:
         assert not hasattr(pseudoconformal.lightlike, "solve")
         assert solves == []
 
-    def test_jacobi_calls_do_not_grow_with_the_grid(self, model3, monkeypatch):
+    def test_jacobi_calls_do_not_grow_with_the_grid(self, monkeypatch):
         import pseudoconformal.frames
         import pseudoconformal.hypersurface
         import pseudoconformal.lightlike
@@ -1085,7 +1079,7 @@ class TestLightlikeEngine:
         per_grid = []
         for count in (3, 6):
             calls.clear()
-            focal = focal_map(imm, (count, count), model=model3)
+            focal = focal_map(imm, (count, count))
             assert len(focal.samples) == count * count
             per_grid.append(len(calls))
         assert per_grid[0] == per_grid[1] == 2
@@ -1104,7 +1098,7 @@ class TestLightlikeEngine:
                 return original(self, u)
 
             monkeypatch.setattr(Immersion, method, counted)
-        focal = focal_map(imm, counts, model=AmbientModel.standard(imm.n))
+        focal = focal_map(imm, counts)
         assert focal.errors == ()
         grid = (3 ** imm.params, imm.params)
         assert sorted(calls) == [("jet1", grid), ("jet2", grid), ("point", grid)]
@@ -1177,11 +1171,11 @@ class TestLightlikeEngine:
             assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
         assert len(clusters) < len(samples) or kind == "empty"
 
-    def test_records_copy_the_columns(self, model4):
+    def test_records_copy_the_columns(self):
         # each cluster lists its samples' multiplicities in sample order, from
         # its first sample's point; changing a record changes neither the
         # columns nor another record
-        focal = focal_map(catalog.build("circle_wavefront"), [3, 3, 3], model=model4)
+        focal = focal_map(catalog.build("circle_wavefront"), [3, 3, 3])
         assert len(focal.clusters) > 1
         assert [(c.count, c.multiplicities, c.representative.tobytes())
                 for c in focal.clusters] == [
@@ -1232,7 +1226,7 @@ class TestFocalOracle:
                              ids=[c[0] for c in ORACLE_CASES])
     def test_engine_matches_reference(self, label, imm, counts):
         model = AmbientModel.standard(imm.n)
-        focal = focal_map(imm, counts, model=model)
+        focal = focal_map(imm, counts)
         failed = {u for u, _ in focal.errors}
         checked = 0
         for u in parameter_grid(imm, counts)[1]:

@@ -48,13 +48,12 @@ def oracle(scene_path, fmt) -> str:
     the run fails with."""
     scene = load_scene(str(scene_path))
     imm, counts = _resolve_grid(scene, _build_object(scene))
-    model = AmbientModel.standard(imm.n)
     sym_tol = scene.tolerances.get("symmetry")
-    focal = focal_map(imm, counts, model=model, sym_tol=sym_tol)
+    focal = focal_map(imm, counts, sym_tol=sym_tol)
     center = np.array([0.5 * (lo + hi) for lo, hi in imm.domain])
-    an = lightlike_affinor(imm, center, model=model, sym_tol=sym_tol)
+    an = lightlike_affinor(imm, center, sym_tol=sym_tol)
     torses = torse_directions(an)
-    degeneracy = degeneracy_check(imm, an, model=model)
+    degeneracy = degeneracy_check(imm, an)
     if fmt == "csv":
         header = ([f"u{i}" for i in range(1, imm.params + 1)]
                   + ["root_index", "x", "multiplicity", "focal"]
@@ -194,7 +193,7 @@ def test_clustering_matches_the_nested_rule_on_engine_spectra(name, n, count):
     if name != "circle_wavefront":
         assert {tuple(k for _, k in r) for r in expected} == {(n - 2,)}
     roots = [root_bits(nested_cluster_roots([complex(-w) for w in row])) for row in columns.spectra]
-    an = lightlike_affinor(imm, columns.us[columns.members[0]], AmbientModel.standard(n))
+    an = lightlike_affinor(imm, columns.us[columns.members[0]])
     assert root_bits(an.roots) == roots[0]
     focal = focal_map(imm, [count] * imm.params)
     assert ([(x.hex(), k) for x, k in zip(focal.x.tolist(), focal.multiplicity.tolist())]

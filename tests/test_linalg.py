@@ -887,11 +887,11 @@ class TestSpectraWithoutEigenvectors:
         assert spectra[2] and spectra[3] == [27] * (spectra[2] // 2)
         assert all(rotated and not others for _, _, rotated, others in operator_passes)
 
-    def test_congruence_passes(self, jacobi_passes, model3, model4):
+    def test_congruence_passes(self, jacobi_passes, model4):
         cong = catalog.build("cone_normal_congruence", n=4)
         columns = _congruence_affinors(cong, parameter_grid(cong, [3, 3, 3])[1], model4)
         assert not columns.failures
-        stratify(catalog.build("cone_normal_congruence"), np.array([0.1, 0.4]), model=model3,
+        stratify(catalog.build("cone_normal_congruence"), np.array([0.1, 0.4]),
                  count=4)
         assert [(caller, shape) for caller, shape, _, _ in jacobi_passes] == [
             ("_congruence_affinors", (27, 2, 2)), ("_congruence_affinors", (1, 1, 1)),
