@@ -11,6 +11,12 @@ least nine tenths of the pairs, and its median is better than the old one by
 more than that range.  The exit code is 1 if any run reports
 ``correct: false`` or no result, else 0.
 
+End-to-end metrics move with the length of a checkout's absolute path, so a
+fixed layout effect can pass for a code effect: when the two checkouts' paths
+differ in length, one warning line goes to standard error before the first
+run.  Put both checkouts at paths of the same length, say ``../old`` and
+``../new``, to compare code alone.
+
 Example, from the root of a checkout:
     python scripts/ab_bench.py ../old . --workload congruence --pairs 3 --seconds 10 --seed 41
 
@@ -103,6 +109,17 @@ def claim_lines(workload: str, pairs) -> list:
     return lines
 
 
+def path_warning(old_root: str, new_root: str):
+    """The warning line for checkouts whose absolute paths differ in length,
+    or None."""
+    old, new = os.path.abspath(old_root), os.path.abspath(new_root)
+    if len(old) == len(new):
+        return None
+    return (f"ab_bench: warning: the checkout paths differ in length ({len(old)} and "
+            f"{len(new)} characters: {old}, {new}); end-to-end metrics move with the "
+            "path length, so compare checkouts at paths of the same length")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old_root", nargs="?", help="OLD_ROOT, a checkout with perfbench/")
@@ -117,6 +134,9 @@ def main(argv=None) -> int:
         return 0
 
     roots, ok = (args.old_root, args.new_root), True
+    warning = path_warning(*roots)
+    if warning:
+        print(warning, file=sys.stderr, flush=True)
     for workload in args.workload:
         pairs = []
         for k in range(args.pairs):

@@ -225,18 +225,25 @@ def _json_text(fields: dict, blocks: dict, depth: int = 0) -> str:
 
 def _classify_text(report, fmt, header, fields) -> str:
     """Classify output written from the report's columns: the CSV table, or
-    the JSON document of the small ``fields`` and the points.  The bytes are
-    those of the per-cell CSV rule and of ``json.dumps(sort_keys=True,
-    indent=1)`` on per-point records; floats are in ``float.__repr__`` form."""
+    the JSON document of the small ``fields``, the points and the transitions.
+    The bytes are those of the per-cell CSV rule and of ``json.dumps(sort_keys=True,
+    indent=1)`` on per-record dicts; floats are in ``float.__repr__`` form."""
     u = [_reprs(column) for column in report.u.T]
     ratio = _reprs(report.min_eig_ratio)
     inertia = [report.plus.tolist(), report.minus.tolist(), report.zero.tolist()]
     if fmt == "csv":
         row = ",".join(["%s"] * (len(u) + 5)) + "\n"
         return ",".join(header) + "\n" + _rows(row, "", u + [report.kinds] + inertia + [ratio])
+    listed = "[\n" + ",\n".join(["    %s"] * len(u)) + "\n   ]"
     point = ('  {\n   "inertia": [\n    %s,\n    %s,\n    %s\n   ],\n   "min_eig_ratio": %s,\n'
-             '   "type": "%s",\n   "u": [\n' + ",\n".join(["    %s"] * len(u)) + "\n   ]\n  }")
-    return _json_text(fields, {"points": _rows(point, ",\n", inertia + [ratio, report.kinds] + u)})
+             '   "type": "%s",\n   "u": ' + listed + "\n  }")
+    edge = ('  {\n   "axis": %s,\n   "index_low": ' + listed + ',\n   "kinds": [\n    "%s",\n    "%s"\n'
+            '   ],\n   "u_high": ' + listed + ',\n   "u_low": ' + listed + "\n  }")
+    ends = np.array([e.u_high + e.u_low for e in report.transitions]).reshape(-1, 2 * len(u))
+    cells = list(zip(*[(e.axis, *e.index_low, *e.kinds) for e in report.transitions]))
+    return _json_text(fields, {
+        "points": _rows(point, ",\n", inertia + [ratio, report.kinds] + u),
+        "transitions": _rows(edge, ",\n", cells + [_reprs(column) for column in ends.T])})
 
 
 def _lightlike_text(focal, fmt, header, fields) -> str:
@@ -347,9 +354,6 @@ def run_classify(scene: Scene, out_path, fmt) -> int:
     header = ([f"u{i}" for i in range(1, imm.params + 1)]
               + ["type", "plus", "minus", "zero", "min_eig_ratio"])
     fields = {"builtin": imm.name, "n": imm.n, "counts": report.counts, "pure": report.pure,
-              "transitions": [{"axis": t.axis, "index_low": list(t.index_low),
-                               "u_low": list(t.u_low), "u_high": list(t.u_high),
-                               "kinds": list(t.kinds)} for t in report.transitions],
               "errors": [{"index": list(i), "message": m} for i, m in report.errors]}
     _write(out_path, _classify_text(report, fmt, header, fields))
     summary = report.pure if report.pure else "mixed"

@@ -278,10 +278,29 @@ def _evaluation_error(u, exc: Exception) -> GeometryError:
     return GeometryError(f"evaluation failed at u={np.asarray(u).tolist()}: {exc}")
 
 
+def _certified_rank(j: np.ndarray) -> np.ndarray:
+    """Whether each Jacobian of a stack j (N, target, params) is sure to pass the
+    rank test of ``_stacked_spectra``: P = J^T J, built member-last and eliminated
+    in place, has pivots all > 0 whose product det(P / tr P) > 1e-10, so that
+    lambda_min / lambda_max > 1e-10.  Rounding (a few ulps of tr P) and the Jacobi
+    pass's stopping error (1e-12 of its largest entry) stay far inside the margin
+    to the test's 1e-12; 1e-290 < tr P < 1e290 keeps the pass from overflow and
+    the test off its floor.  A non-finite J is not sure."""
+    jt = np.ascontiguousarray(j.transpose(2, 1, 0))
+    p = (jt[:, None] * jt[None]).sum(axis=2)
+    tr = np.trace(p)
+    p /= tr
+    for k in range(len(p) - 1):  # each pivot p[k, k] a Schur complement
+        p[k + 1:, k + 1:] -= p[k + 1:, k, None] / p[k, k] * p[k, k + 1:]
+    pivots = np.diagonal(p).T
+    return (pivots.min(axis=0) > 0) & (pivots.prod(axis=0) > 1e-10) & (tr > 1e-290) & (tr < 1e290)
+
+
 def _stacked_spectra(jets, gram, us, failures, vectors: bool = False) -> tuple:
     """Check a stack of Jacobians jets (N, target, params) at the parameter
-    points us (N, params) and read the spectra of their induced metrics, in
-    one stacked Jacobi pass together with their J^T J.
+    points us (N, params) and read the spectra of their induced metrics in one
+    stacked Jacobi pass, with the J^T J of only the members ``_certified_rank``
+    leaves in doubt: bits and failures are those of a pass with every J^T J.
 
     ``failures`` maps the stack index of each point whose jet could not be
     evaluated to its exception; every other Jacobian that is non-finite or
@@ -294,17 +313,20 @@ def _stacked_spectra(jets, gram, us, failures, vectors: bool = False) -> tuple:
     count, _, d = jets.shape
     live = np.delete(np.arange(count), list(failures))
     j = jets[live]
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite J has a non-finite J^T J
-        stack = np.concatenate([_pullback(j, gram), np.swapaxes(j, 1, 2) @ j])
+    with np.errstate(all="ignore"):  # a non-finite J has a non-finite J^T J
+        doubt = ~_certified_rank(j)
+        stack = np.concatenate([_pullback(j, gram), np.swapaxes(j[doubt], 1, 2) @ j[doubt]])
     if not np.isfinite(stack).all():
-        finite = np.isfinite(stack).all(axis=(1, 2)).reshape(2, -1).all(axis=0)
-        for i in live[~finite].tolist():
+        finite = np.isfinite(stack).all(axis=(1, 2))
+        kept = finite[: len(live)]  # a doubtful member needs its J^T J finite too
+        kept[doubt] &= finite[len(live):]
+        for i in live[~kept].tolist():
             failures[i] = DegenerateBasisError(f"non-finite jacobian at u={us[i].tolist()}")
-        live, stack = live[finite], stack[np.tile(finite, 2)]
+        live, doubt, stack = live[kept], doubt[kept], stack[np.concatenate([kept, kept[doubt]])]
 
     w, v = jacobi_eigh(stack, vectors=len(live) if vectors else 0)
     spectra = w[len(live):]  # of J^T J, singular relative to its largest where J is no immersion
-    for i in live[spectra[:, -1] <= 1e-12 * np.maximum(spectra[:, 0], 1e-300)].tolist():
+    for i in live[doubt][spectra[:, -1] <= 1e-12 * np.maximum(spectra[:, 0], 1e-300)].tolist():
         failures[i] = DegenerateBasisError(f"jacobian is rank deficient at u={us[i].tolist()}")
     w_all, v_all = np.zeros((count, d)), np.zeros((count, d, d)) if vectors else None
     w_all[live] = w[: len(live)]
@@ -398,8 +420,8 @@ def survey(imm: Immersion, grid_counts: Sequence[int],
            tol: Optional[float] = None) -> ClassificationReport:
     """Classify every grid point and summarize pure vs mixed character.
 
-    The Jacobians of the whole grid are one stacked ``jet1`` call, and the
-    induced metrics and J^T J one stacked Jacobi pass.  Every
+    The grid's Jacobians are one stacked ``jet1`` call, and its induced
+    metrics, with the J^T J left in doubt, one stacked Jacobi pass.  Every
     point gets the kind and inertia ``classify_point`` gives it, and a point
     where that would raise is recorded in ``errors`` instead.  Results are in
     grid order, as columns: no per-point record is built.

@@ -49,7 +49,7 @@ class _JetStack:
     one stacked ``jet1`` call, lifted to the quadric in one stacked
     ``lift_point``/``lift_tangent`` pass, with every induced metric
     eigendecomposed (eigenpairs ``w``, ``v``) in one stacked Jacobi pass with
-    the spectra of the J^T J.  ``_lines`` builds the lines (A_0, A_1) and screens of any set of
+    the spectra of the J^T J left in doubt.  ``_lines`` builds the lines (A_0, A_1) and screens of any set of
     members in one stacked pass.
 
     ``failures`` maps the index of each member that is not a regular point to

@@ -10,9 +10,11 @@ library's stacked clustering replaced, one value at a time, and single
 symmetric eigenproblems, solves, determinants, characteristic polynomials
 and polynomial roots from the one-matrix loops that the stacked passes
 replaced; stacked eigenproblems also from the member-first Jacobi pass that
-the member-last one replaced, and orthonormal rows from the routine that
-deflated after its last pivot.  The leaf integrator's reference checks every pass of its RK4 runs
-as soon as it is made, which the integrator defers to one check at the end.
+the member-last one replaced, induced-metric spectra from the stacked pass
+that decomposed every J^T J before the closed-form rank certificate, and
+orthonormal rows from the routine that deflated after its last pivot.  The
+leaf integrator's reference checks every pass of its RK4 runs as soon as it
+is made, which the integrator defers to one check at the end.
 The tangential-degeneracy reference is the kernel flow that the closed-form
 check replaced: RK4 along the numpy.linalg.eigh kernel field, and principal
 angles from numpy.linalg.svd.  Curved leaves come from the cone congruence in
@@ -575,6 +577,36 @@ def generator_rank_scan(obj, u, model, kind="hypersurface", t_range=(-10.0, 10.0
         if not merged or abs(t - merged[-1]) > 1e-6 * (1 + abs(t)):
             merged.append(t)
     return merged
+
+
+def matmul_stacked_spectra(jets, gram, us, failures, vectors=False):
+    """Spectra of the induced metrics of a stack of Jacobians, with the
+    failures of the members that are no immersion: the pass that
+    ``hypersurface._stacked_spectra`` ran before its closed-form rank
+    certificate, with every member's J^T J from one stacked matmul decomposed
+    beside the metrics and judged by its spectrum.  The Jacobi pass is
+    ``member_first_jacobi``, whose bits are ``linalg.jacobi_eigh``'s."""
+    count, _, d = jets.shape
+    live = np.delete(np.arange(count), list(failures))
+    j = jets[live]
+    with np.errstate(over="ignore", invalid="ignore"):
+        metrics = np.swapaxes(j, 1, 2) @ gram @ j
+        stack = np.concatenate([0.5 * (metrics + np.swapaxes(metrics, 1, 2)),
+                                np.swapaxes(j, 1, 2) @ j])
+    if not np.isfinite(stack).all():
+        finite = np.isfinite(stack).all(axis=(1, 2)).reshape(2, -1).all(axis=0)
+        for i in live[~finite].tolist():
+            failures[i] = DegenerateBasisError(f"non-finite jacobian at u={us[i].tolist()}")
+        live, stack = live[finite], stack[np.tile(finite, 2)]
+    w, v = member_first_jacobi(stack, vectors=len(live) if vectors else 0)
+    spectra = w[len(live):]
+    for i in live[spectra[:, -1] <= 1e-12 * np.maximum(spectra[:, 0], 1e-300)].tolist():
+        failures[i] = DegenerateBasisError(f"jacobian is rank deficient at u={us[i].tolist()}")
+    w_all, v_all = np.zeros((count, d)), np.zeros((count, d, d)) if vectors else None
+    w_all[live] = w[: len(live)]
+    if vectors:
+        v_all[live] = v
+    return w_all, v_all
 
 
 def single_matrix_jacobi(m, tol=1e-12, max_sweeps=60):

@@ -1040,6 +1040,30 @@ class TestAbBench:
         close = [pair(1000 + 100 * k, 1060 + 100 * k) for k in range(10)]
         assert ab.claim_lines("congruence", close)[0].endswith("claim rule does not hold")
 
+    @pytest.mark.parametrize("new_root, warned", [("new", False), ("newer", True)])
+    def test_warns_on_paths_of_unequal_length(self, ab, tmp_path, monkeypatch, capsys,
+                                              new_root, warned):
+        # one warning line before the first run; the report and exit code stay
+        runs = []
+
+        def canned(root, workload, seconds, seed):
+            runs.append(root)
+            return ab.parse_result(_result_line(True, 1000.0))
+
+        monkeypatch.setattr(ab, "run_once", canned)
+        old, new = str(tmp_path / "old"), str(tmp_path / new_root)
+        assert ab.main([old, new, "--workload", "classify", "--pairs", "2"]) == 0
+        out, err = capsys.readouterr()
+        assert runs == [old, new, new, old]
+        assert out.splitlines()[0].startswith("classify pair 0: old points_per_s 1000")
+        assert len(out.splitlines()) == 2 + 2 * len(ab.METRICS)
+        if warned:
+            assert err == ab.path_warning(old, new) + "\n"
+            assert err.startswith(f"ab_bench: warning: the checkout paths differ in length "
+                                  f"({len(old)} and {len(new)} characters")
+        else:
+            assert err == "" and ab.path_warning(old, new) is None
+
     def test_incorrect_or_missing_run_fails(self, ab):
         good, bad = (ab.parse_result(_result_line(c, 1000.0)) for c in (True, False))
         lines, ok = ab.summarize("lightlike", [(good, bad)])

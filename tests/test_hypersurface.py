@@ -10,11 +10,14 @@ import pytest
 from pseudoconformal import catalog
 from pseudoconformal.cli import _build_object, _resolve_grid, load_scene, main
 from pseudoconformal.conformal import lift_point
-from pseudoconformal.errors import DegenerateBasisError, NotLightlikeError
+from pseudoconformal.errors import DegenerateBasisError, GeometryError, NotLightlikeError
 from pseudoconformal.hypersurface import (
     _KINDS,
     Immersion,
+    _ambient_gram,
+    _certified_rank,
     _evaluate_stack,
+    _stacked_spectra,
     _transitions,
     causal_type_of_metric,
     classify_point,
@@ -23,6 +26,9 @@ from pseudoconformal.hypersurface import (
     survey,
 )
 from pseudoconformal.lightlike import degeneracy_check, lightlike_affinor
+from pseudoconformal.linalg import jacobi_eigh
+
+from _oracles import matmul_stacked_spectra
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
@@ -124,6 +130,16 @@ class TestClassifyPoint:
         imm = Immersion(n=3, domain=((-1, 1), (-1, 1)), value=value)
         with pytest.raises(DegenerateBasisError):
             classify_point(imm, np.array([0.2, 0.3]))
+
+    def test_finite_jacobian_whose_j_t_j_overflows_raises(self):
+        # J^T G J = diag(0, 1) is finite, the large entries cancelling in the
+        # Lorentzian product, but J^T J = diag(2.42e308, 1) overflows
+        imm = linear_immersion([1.1e154, 0.0, 1.1e154], [0.0, 1.0, 0.0])
+        with pytest.raises(DegenerateBasisError, match=r"non-finite jacobian at u=\[0.0, 0.0\]"):
+            classify_point(imm, np.zeros(2))
+        report = survey(imm, (2, 2))
+        assert len(report.errors) == 4 and not len(report.u)
+        assert all(msg.startswith("non-finite jacobian at u=") for _, msg in report.errors)
 
     def test_homogeneous_lift_agrees_with_flat_computation(self, model3):
         flat = catalog.build("tilted_null_family")
@@ -648,3 +664,68 @@ class TestStackedSurvey:
         assert dict(got.errors) == errors
         assert got == survey(scalar_only(imm), counts)
         assert len(got.points) == np.prod(counts) - len(errors)
+
+
+def assert_matmul_spectra(jets, gram, us, failures=None):
+    """``_stacked_spectra`` gives the eigenvalue and eigenvector bits and
+    the failures, by type and message, of the pass that decomposed every
+    J^T J (``_oracles.matmul_stacked_spectra``), with eigenvectors and
+    without."""
+    for vectors in (False, True):
+        got, expected = dict(failures or {}), dict(failures or {})
+        w, v = _stacked_spectra(jets, gram, us, got, vectors)
+        w_ref, v_ref = matmul_stacked_spectra(jets, gram, us, expected, vectors)
+        assert w.tobytes() == w_ref.tobytes()
+        assert v is v_ref is None or v.tobytes() == v_ref.tobytes()
+        assert [(i, type(e), str(e)) for i, e in got.items()] == [
+            (i, type(e), str(e)) for i, e in expected.items()]
+
+
+class TestRankCertificate:
+    """``_certified_rank`` clears only Jacobians that pass the J^T J
+    spectrum's rank test, and ``_stacked_spectra``, which decomposes J^T J
+    only for the members it does not clear, keeps every bit and failure of
+    the pass that decomposed them all."""
+
+    @pytest.mark.parametrize("d", range(1, 6))
+    def test_certified_members_pass_the_rank_test(self, d):
+        rng = np.random.default_rng(40 + d)
+        cleared = []
+        for t in range(d, d + 3):
+            for scale in (1e-100, 1.0, 1e100):
+                j = rng.normal(size=(2000, t, d))
+                # the last column nearly dependent, to a condition of about 1e9
+                j[:, :, -1] = (j[:, :, :-1] @ rng.normal(size=(2000, d - 1, 1)))[:, :, 0] \
+                    + 10.0 ** rng.uniform(-9, 0, size=(2000, 1)) * j[:, :, -1]
+                j *= scale
+                certified = _certified_rank(j)
+                w = jacobi_eigh(np.swapaxes(j, 1, 2) @ j, vectors=0)[0]
+                passes = w[:, -1] > 1e-12 * np.maximum(w[:, 0], 1e-300)
+                assert not (certified & ~passes).any()
+                cleared.append(certified.mean())
+        # the certificate clears most members it can: it is not vacuous
+        assert min(cleared) > (0.99 if d == 1 else 0.1) and (d == 1 or max(cleared) < 0.9)
+
+    @pytest.mark.parametrize("name, n", [(name, n) for name in HYPERSURFACES
+                                         for n in catalog.CATALOG[name].dims or (3, 4, 5)])
+    def test_catalog_default_grids(self, name, n):
+        imm = catalog.build(name, n=n)
+        grid = parameter_grid(imm, [8] * imm.params)[1]
+        jets, failures = imm.jet1(grid)
+        assert_matmul_spectra(jets, _ambient_gram(imm), grid, failures)
+
+    def test_planted_members(self, rng):
+        gram = np.diag([1.0, 1.0, -1.0])
+        jets, us = rng.normal(size=(12, 3, 2)), rng.normal(size=(12, 2))
+        jets[1] = [[1.1e154, 0.0], [0.0, 1.0], [1.1e154, 0.0]]  # J^T J overflows, J^T G J not
+        jets[2, :, 1] = 2.0 * jets[2, :, 0]  # rank deficient
+        jets[3, 0, 0] = np.nan
+        jets[4] *= 1e160  # both products overflow
+        jets[5] = [[9e153, 9e153], [9e153, -9e153], [0.0, 1.0]]  # J^T J finite, the metric not
+        jets[6] *= 1e-160  # J^T J below the rank test's floor
+        jets[7] = [[1.0, 1.0], [0.0, 1e-7], [0.0, 0.0]]  # spectrum ratio 2.5e-15
+        jets[8] = [[1.0, 1.0], [0.0, 1e-5], [0.0, 0.0]]  # 2.5e-11: in doubt, yet full rank
+        with np.errstate(all="ignore"):  # as in _stacked_spectra
+            assert _certified_rank(jets).tolist() == [True] + [False] * 8 + [True] * 3
+        for failures in ({}, {0: ValueError("evaluation failed"), 9: GeometryError("off")}):
+            assert_matmul_spectra(jets, gram, us, failures)

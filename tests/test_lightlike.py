@@ -550,7 +550,7 @@ class TestDegeneracy:
         assert hessians == [members]
         d = imm.params
         assert [call for call in calls if len(call[0]) == 3] == [
-            ((2 * len(grid) + 2, d, d), "_stacked_spectra"),  # metrics and J^T J
+            ((len(grid) + 1, d, d), "_stacked_spectra"),  # metrics; every J^T J certified
             ((members, d - 1, d - 1), "_affinors"),
             ((1, d, d), "_degeneracy")]
 
