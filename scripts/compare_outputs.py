@@ -21,10 +21,11 @@ column header (``leaf:`` and the header in a leaf side file), the standard
 error the one field ``stderr``.  Where the text differs too, the fields are
 compared the same way, JSON objects matched by key, and each JSON field
 that only one side writes is named ("only in old" or "only in new").  One
-summary line ends the report, with the line and AST statement counts of
-each tree's ``pseudoconformal/*.py`` (old -> new), the worst difference per field over
-all runs and the fields only one side writes; the exit code is 0 only if
-every run matched byte for byte.
+summary line ends the report, with the line, AST statement and settable
+value counts of each tree's ``pseudoconformal/*.py`` (old -> new; settable
+values are function parameters and dataclass fields with a default), the
+worst difference per field over all runs and the fields only one side
+writes; the exit code is 0 only if every run matched byte for byte.
 
 Example:
     python scripts/compare_outputs.py ../old/src src
@@ -170,6 +171,23 @@ def source_statements(src: str) -> int:
     package modules of a source tree."""
     return sum(isinstance(node, ast.stmt) for p in Path(src, "pseudoconformal").glob("*.py")
                for node in ast.walk(ast.parse(p.read_bytes())))
+
+
+def source_settables(src: str) -> int:
+    """Settable values of the package modules of a source tree: function
+    parameters with a default plus fields with a default of the classes
+    decorated with ``dataclass``."""
+    count = 0
+    for p in Path(src, "pseudoconformal").glob("*.py"):
+        for node in ast.walk(ast.parse(p.read_bytes())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                count += len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
+            elif isinstance(node, ast.ClassDef) and any(
+                    getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+                    for d in node.decorator_list):
+                count += sum(isinstance(s, ast.AnnAssign) and s.value is not None
+                             for s in node.body)
+    return count
 
 
 def _read(path: Path):
@@ -331,7 +349,8 @@ def main(argv=None) -> int:
           f"with numbers masked (max |d|/(1+|v|) {worst:.2e}), {differing} differing in "
           f"text, {code_mismatch} exit-code mismatches, pseudoconformal/*.py "
           f"{source_lines(args.old_src)} -> {source_lines(args.new_src)} lines, "
-          f"{source_statements(args.old_src)} -> {source_statements(args.new_src)} statements"
+          f"{source_statements(args.old_src)} -> {source_statements(args.new_src)} statements, "
+          f"{source_settables(args.old_src)} -> {source_settables(args.new_src)} settable values"
           + (f"; worst per field: {per_field}" if per_field else "")
           + (f"; {only}" if only else ""))
     return 0 if same == len(runs) and code_mismatch == 0 else 1

@@ -7,12 +7,11 @@ names are the stable identifiers used by scene files and the command line.
 Each evaluator is written once and broadcasts over leading axes: it maps
 parameter points u (..., d) to values (..., target), Jacobians
 (..., target, d) and Hessians (..., target, d, d) of a hypersurface, or to
-base points and directions (..., n) of a congruence.  The same function is
-the one-point evaluator and its broadcasting twin, so the engines evaluate a
-whole stack in one call and every member has the bits of its point
-evaluated alone.  A negative square root raises math.sqrt's ValueError for
-one point and gives NaN in a stack, whose member
-``hypersurface._evaluate_stack`` then evaluates again alone.
+base points and directions (..., n) of a congruence.  Each entry is marked
+``broadcasts``, so the engines evaluate a whole stack in one call and every
+member has the bits of its point evaluated alone.  A negative square root
+raises math.sqrt's ValueError for one point and gives NaN in a stack, whose
+member ``hypersurface._evaluate_stack`` then evaluates again alone.
 """
 
 from __future__ import annotations
@@ -342,7 +341,7 @@ class CatalogEntry:
 def _entry(kind, name, description, domain, evaluators, dims=(), params=None):
     """Catalog entry of a hypersurface with broadcasting evaluators (value,
     Jacobian[, Hessian]) or of a congruence with one of (base, direction).
-    Each evaluator, bound to n and the parameters, is passed as its own twin;
+    The evaluators, bound to n and the parameters, are marked ``broadcasts``;
     ``domain`` maps n and the parameters to the default domain and rejects
     parameters out of range."""
 
@@ -355,10 +354,10 @@ def _entry(kind, name, description, domain, evaluators, dims=(), params=None):
             def lines(u):
                 return _lift_lines(*pair(u), model)
 
-            return IsotropicCongruence(n=n, domain=dom, line=lines, lines=lines, name=name)
+            return IsotropicCongruence(n=n, domain=dom, line=lines, broadcasts=True, name=name)
         value, jacobian, hessian = bound + [None] * (3 - len(bound))
         return Immersion(n=n, domain=dom, value=value, jacobian=jacobian, hessian=hessian,
-                         values=value, jacobians=jacobian, name=name)
+                         broadcasts=True, name=name)
 
     return CatalogEntry(name=name, kind=kind, description=description, dims=dims,
                         default_n=dims[0] if dims else 3, params=params or {}, factory=factory)

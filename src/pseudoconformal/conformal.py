@@ -230,28 +230,28 @@ def quadric_residual(x, model: AmbientModel) -> float:
     return model.quadratic(coords)
 
 
-def darboux_unembed(x, model: AmbientModel, tol: float = QUADRIC_TOL):
+def darboux_unembed(x, model: AmbientModel):
     """Finite point with x^r / x^0, or an AtInfinity marker when x^0 ~ 0.
 
     The input must lie on the quadric.  This is the one-point case of
     ``_unembed``.
     """
     point = x if isinstance(x, ProjectivePoint) else ProjectivePoint(x)
-    points, ideal, failures = _unembed(point.coords[None], model, tol)
+    points, ideal, failures = _unembed(point.coords[None], model)
     if failures:
         raise failures[0]
     return AtInfinity(point) if ideal[0] else points[0]
 
 
-def _unembed(x: np.ndarray, model: AmbientModel, tol: float = QUADRIC_TOL) -> tuple:
+def _unembed(x: np.ndarray, model: AmbientModel) -> tuple:
     """``darboux_unembed`` of normalized vectors (N, n+2) in one pass: points
     x^r / x^0 (N, n), whether each is at infinity (point NaN) and the
-    NotOnQuadricError of each whose ``quadric_residual`` exceeds tol."""
+    NotOnQuadricError of each whose ``quadric_residual`` exceeds QUADRIC_TOL."""
     residuals = _dots(x @ model.form.gram, x)
     ideal = np.abs(x[:, 0]) < 1e-12
     points = x[:, 1 : model.n + 1] / np.where(ideal, np.nan, x[:, 0])[:, None]
     failures = {i: NotOnQuadricError(f"vector is not on the quadric (residual {residuals[i]:.3e})")
-                for i in np.flatnonzero(np.abs(residuals) > tol).tolist()}
+                for i in np.flatnonzero(np.abs(residuals) > QUADRIC_TOL).tolist()}
     return points, ideal, failures
 
 

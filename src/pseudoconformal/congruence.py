@@ -51,17 +51,17 @@ class IsotropicCongruence:
 
     ``line`` maps a parameter vector to a pair of homogeneous vectors
     spanning the line; both must lie on the quadric and pair to zero.
-    ``lines`` is its optional broadcasting twin: it maps a stack of
-    parameter vectors (N, n-1) to the pairs (N, 2, n+2), each member with
-    the bits of ``line``.  ``line_at`` evaluates one point, as a stack, with
-    floating point warnings off.
+    ``broadcasts`` states that ``line`` also maps a stack of parameter
+    vectors (N, n-1) to the pairs (N, 2, n+2), each member with the bits of
+    its point alone; else a stack is evaluated point by point.  ``line_at``
+    evaluates one point, as a stack, with floating point warnings off.
     """
 
     n: int
     domain: tuple
     line: Callable[[np.ndarray], tuple]
     name: str = ""
-    lines: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    broadcasts: bool = False
 
     @property
     def params(self) -> int:
@@ -76,7 +76,8 @@ class IsotropicCongruence:
             raise ValueError(f"u must have params={self.params} entries, got "
                              f"{u.shape[-1] if u.ndim else 'a scalar'}")
         if u.ndim == 2:
-            return _evaluate_stack(self.line_at, self.lines, u, (2, self.n + 2))
+            return _evaluate_stack(self.line_at, self.line if self.broadcasts else None, u,
+                                   (2, self.n + 2))
         with np.errstate(all="ignore"):
             a0, a1 = self.line(u)
         return np.asarray(a0, dtype=float), np.asarray(a1, dtype=float)
@@ -86,18 +87,17 @@ class IsotropicCongruence:
         """Build from Lorentzian data: a base point field p(u) and a null
         direction field l(u); the line through p with direction l lifts to
         the quadric line spanned by the images of p and of the direction.
-        The congruence has no ``lines`` twin: it is evaluated point by
-        point."""
+        The congruence does not broadcast: it is evaluated point by point."""
         model = AmbientModel.standard(n)
         return cls(n=n, domain=domain, name=name,
                    line=lambda u: tuple(_lift_lines(base_point(u), direction(u), model)))
 
-    def validate(self, u, tol: float = 1e-10):
+    def validate(self, u):
         """The residuals of the line at u by name, or the GeometryError it
         fails with: the one-point case of ``_line_checks``."""
         residuals, failures = _line_checks(np.asarray(u, dtype=float)[None],
                                            *(x[None] for x in self.line_at(u)),
-                                           AmbientModel.standard(self.n), tol)
+                                           AmbientModel.standard(self.n))
         if failures:
             raise failures[0]
         return {key: float(r) for key, r in zip(_LINE_CHECKS, residuals[0])}

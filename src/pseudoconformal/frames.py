@@ -137,11 +137,11 @@ def _generator(rows, w, v, n: int, scale: float) -> np.ndarray:
     return _generator_sign_fix(a1, n) * scale
 
 
-def _orthonormal_screens(stack, gram, count: int, tol: float) -> tuple:
+def _orthonormal_screens(stack, gram, count: int) -> tuple:
     """Up to ``count`` rows orthonormal under ``gram`` from each member of a
     stack of candidates (N, r, m), by pivoted Gram-Schmidt in one pass: the
     rows (N, count, m), zero after a member's count, and the counts (N,).
-    A member stops once every remaining norm is at most (tol times its
+    A member stops once every remaining norm is at most (1e-8 times its
     largest entry) squared.  The banded pivot, the first candidate within
     10% of the largest norm, keeps exact ties (symmetric configurations)
     from flipping it between neighbouring points.  Each row is signed so its
@@ -149,7 +149,7 @@ def _orthonormal_screens(stack, gram, count: int, tol: float) -> tuple:
     v = np.array(stack, dtype=float)
     size, rows, _ = v.shape
     members = np.arange(size)
-    floor = (tol * np.maximum(np.abs(v).max(axis=(1, 2), initial=0.0), 1e-300)) ** 2
+    floor = (1e-8 * np.maximum(np.abs(v).max(axis=(1, 2), initial=0.0), 1e-300)) ** 2
     bases = np.zeros((size, count, v.shape[2]))
     counts = np.zeros(size, dtype=int)
     active = np.ones(size, dtype=bool)
@@ -179,13 +179,13 @@ def _screen_error(count: int, got: int) -> DegenerateBasisError:
                                 f"(got {got})")
 
 
-def build_screen(candidates, model: AmbientModel, count: int, tol: float = 1e-8):
+def build_screen(candidates, model: AmbientModel, count: int):
     """``count`` unit spacelike screen vectors orthonormalized from candidate
     vectors under the ambient form (``_orthonormal_screens``); candidates
     whose residual collapses (null directions of the span's radical) are
     dropped.  A stack (N, r, m) gives the screens (N, count, m) and each
     member's count (N,)."""
-    return _orthonormal_screens(candidates, model.form.gram, count, tol)
+    return _orthonormal_screens(candidates, model.form.gram, count)
 
 
 def null_frame_coordinates(vectors, line, screen, gram) -> np.ndarray:

@@ -70,13 +70,12 @@ class Immersion:
     when ``homogeneous`` is set.  ``jacobian`` and ``hessian`` are optional
     analytic jets; finite differences fill in for whichever is missing.
 
-    ``values`` and ``jacobians`` are optional broadcasting twins of ``value``
-    and ``jacobian``: they map a stack of parameter vectors (N, n-1) to
-    (N, target_dim) and (N, target_dim, n-1), each member with the bits of
-    the one-point callable.  A callable that broadcasts over leading axes,
-    as every catalog evaluator does, may be passed as its own twin; the
-    ``hessian`` always is.  ``point``, ``jet1`` and ``jet2`` take one
-    parameter vector or a stack; a stack is evaluated by ``_evaluate_stack``.
+    ``broadcasts`` states that every given evaluator also maps a stack of
+    parameter vectors (N, n-1) to its stacked jets (N, target_dim, ...), each
+    member with the bits of its point evaluated alone, as every catalog
+    evaluator does; without it a stack is evaluated point by point.
+    ``point``, ``jet1`` and ``jet2`` take one parameter vector or a stack; a
+    stack is evaluated by ``_evaluate_stack``.
     One point is evaluated with floating point warnings off, as a stack is:
     a non-finite result is the engines' to report.
     """
@@ -88,8 +87,7 @@ class Immersion:
     hessian: Optional[Callable[[np.ndarray], np.ndarray]] = None
     homogeneous: bool = False
     name: str = ""
-    values: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    jacobians: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    broadcasts: bool = False
 
     @property
     def params(self) -> int:
@@ -120,22 +118,24 @@ class Immersion:
 
     def _jet(self, order: int, u):
         """The jet of ``order`` (0 the point) at u, one point (params,) or a stack
-        (N, params): the evaluator of that order and its twin, else central
-        differences of the jet below (``_differences``), at FD_STEP_FIRST over a
-        point or an analytic Jacobian and FD_STEP_SECOND over a differenced one.
+        (N, params): the evaluator of that order, called once over a stack if it
+        ``broadcasts``, else central differences of the jet below (``_differences``),
+        at FD_STEP_FIRST over a point or an analytic Jacobian and FD_STEP_SECOND
+        over a differenced one, which always broadcast.
         One point's jet must have the shape (target_dim, n-1, ...) of its order."""
         u, jets = np.asarray(u, dtype=float), (self.point, self.jet1, self.jet2)
         if u.shape[-1:] != (self.params,):
             raise ValueError(f"u must have params={self.params} entries, got "
                              f"{u.shape[-1] if u.ndim else 'a scalar'}")
         name = ("value", "jacobian", "hessian")[order]
-        evaluate, twin = getattr(self, name), (self.values, self.jacobians, self.hessian)[order]
+        evaluate = getattr(self, name)
+        stacked = evaluate if self.broadcasts else None
         if evaluate is None:
             step = FD_STEP_FIRST if order == 1 or self.analytic else FD_STEP_SECOND
-            evaluate = twin = partial(self._differences, jets[order - 1], step=step)
+            evaluate = stacked = partial(self._differences, jets[order - 1], step=step)
         shape = (self.target_dim,) + (self.params,) * order
         if u.ndim == 2:
-            return _evaluate_stack(jets[order], twin, u, shape)
+            return _evaluate_stack(jets[order], stacked, u, shape)
         with np.errstate(all="ignore"):
             jet = np.asarray(evaluate(u), dtype=float)
         if jet.shape != shape:
@@ -164,14 +164,14 @@ def _evaluate_stack(scalar: Callable, stacked: Optional[Callable], us: np.ndarra
     """Outputs (N, *shape) of an evaluator at the parameter points us (N, d)
     and its failures {index: the ValueError or ArithmeticError raised}.
 
-    The broadcasting twin ``stacked``, which may be the one-point evaluator
-    itself if that broadcasts, runs once over the stack with floating point
-    warnings off, as does the whole pass.  The one-point ``scalar`` then
-    evaluates again every member the twin left non-finite, or every member if
-    the twin is None, raised a ValueError, ArithmeticError, TypeError or
-    IndexError (it does not broadcast) or gave another shape, so each such
-    member gets the one-point result and exception (a negative square root is
-    NaN in a stack but raises for one point).  Failed members are zero.
+    ``stacked``, the one-point evaluator itself where that broadcasts, runs
+    once over the stack with floating point warnings off, as does the whole
+    pass.  The one-point ``scalar`` then evaluates again every member it left
+    non-finite, or every member if ``stacked`` is None, raised a ValueError,
+    ArithmeticError, TypeError or IndexError (it does not broadcast) or gave
+    another shape, so each such member gets the one-point result and
+    exception (a negative square root is NaN in a stack but raises for one
+    point).  Failed members are zero.
     """
     out, replay, failures = None, [], {}
     if stacked is not None:

@@ -99,7 +99,7 @@ def _lines(jets: _JetStack) -> tuple:
     return a0, a1, screens, failures
 
 
-def lightlike_frame_field(imm: Immersion, generator_scale: float = 1.0):
+def lightlike_frame_field(imm: Immersion):
     """Smooth field of null-adapted frames over the immersion's parameters.
 
     The gauge is the deterministic one used throughout: raw chart lift for
@@ -112,7 +112,7 @@ def lightlike_frame_field(imm: Immersion, generator_scale: float = 1.0):
     model = AmbientModel.standard(imm.n)
 
     def field(u):
-        jets = _JetStack(imm, np.asarray(u, dtype=float)[None], model, generator_scale)
+        jets = _JetStack(imm, np.asarray(u, dtype=float)[None], model, 1.0)
         a0, a1, screens, failures = _lines(jets)
         if failures:
             raise failures[0]
@@ -394,7 +394,7 @@ def torse_directions(an: LightlikeAnalysis) -> list:
         dirs, start = v[:, start : start + root.multiplicity].T, start + root.multiplicity
         if root.multiplicity > 1:
             rows, count = _orthonormal_screens((dirs.T @ dirs)[None], np.eye(len(w)),
-                                               root.multiplicity, 1e-8)
+                                               root.multiplicity)
             dirs = rows[0, : count[0]]
         out.append(TorseFamily(root=root.real_value, multiplicity=root.multiplicity,
                                directions=dirs))

@@ -99,8 +99,7 @@ def scalar_product(u, v, form: BilinearForm) -> float:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow is reported as such
-def jacobi_eigh(m, tol: float = JACOBI_TOL, max_sweeps: int = 60,
-                vectors: int | None = None):
+def jacobi_eigh(m, max_sweeps: int = 60, vectors: int | None = None):
     """Eigendecomposition of symmetric matrices by cyclic Jacobi rotations.
 
     A stack of shape (N, k, k) is decomposed member by member in one
@@ -119,7 +118,8 @@ def jacobi_eigh(m, tol: float = JACOBI_TOL, max_sweeps: int = 60,
     member that has converged, or whose a_pq is negligible, is rotated by
     c = 1, s = 0 and so left exactly unchanged.  Raises ValueError on
     non-finite or asymmetric input and ConvergenceError when a member
-    overflows or its off-diagonal norm is above ``tol`` after ``max_sweeps``.
+    overflows or its off-diagonal norm is above ``JACOBI_TOL`` times its
+    largest entry after ``max_sweeps``; its residual is the failed members' largest.
     """
     a = np.asarray(m, dtype=float)
     single = a.ndim != 3
@@ -146,15 +146,15 @@ def jacobi_eigh(m, tol: float = JACOBI_TOL, max_sweeps: int = 60,
             raise ConvergenceError(
                 f"Jacobi pass overflowed for {int((~np.isfinite(a).all(axis=(0, 1))).sum())}"
                 f" of {count} matrices", residual=math.inf)
-        active = off > tol * scale
+        active = off > JACOBI_TOL * scale
         if not active.any():
             break
         if sweep == max_sweeps:
             raise ConvergenceError(
                 f"Jacobi sweeps did not converge in {max_sweeps} sweeps for "
                 f"{int(active.sum())} of {count} matrices "
-                f"(largest off-diagonal norm {off.max():.3e})",
-                residual=float(off.max()),
+                f"(largest off-diagonal norm {off[active].max():.3e})",
+                residual=float(off[active].max()),
             )
         for p in range(k - 1):
             for q in range(p + 1, k):
@@ -382,26 +382,26 @@ def char_roots(m):
     return cluster_roots(-durand_kerner(char_poly(a)))
 
 
-def solve(a, b, tol: float = SINGULAR_TOL):
+def solve(a, b):
     """Solve a x = b, b a vector or a matrix of stacked right-hand sides: the
     stack of one of ``_solve``.  Raises ValueError on a non-finite matrix."""
     m, rhs = _finite_matrix(a, "solve"), np.asarray(b, dtype=float)
     if rhs.shape[:1] != m.shape[:1]:
         raise ValueError("right-hand side has incompatible shape")
-    x, regular = _solve(m[None], rhs.reshape(len(rhs), -1)[None], tol)
+    x, regular = _solve(m[None], rhs.reshape(len(rhs), -1)[None])
     if not regular[0]:
         raise DegenerateBasisError("matrix is singular to working precision")
     return x[0, 0] if rhs.ndim == 1 else np.ascontiguousarray(x[0].T)
 
 
-def _solve(a: np.ndarray, b: np.ndarray, tol: float = SINGULAR_TOL) -> tuple:
+def _solve(a: np.ndarray, b: np.ndarray) -> tuple:
     """Solutions (N, r, k) of a x = b, a (N, k, k) and b (N, k, r) finite,
-    zero where a pivot is at most tol times the member's largest entry, and
-    whether each member is regular.  A contiguous row per right-hand side
+    zero where a pivot is at most SINGULAR_TOL of the member's largest entry,
+    and whether each member is regular.  A contiguous row per right-hand side
     keeps its bits independent of the others, and a member's of its stack."""
     count, k = a.shape[:2]
     m = np.concatenate([a, b], axis=2)
-    regular = _eliminate(m, tol * np.maximum(np.abs(a).max(axis=(1, 2)), 1e-300))[1]
+    regular = _eliminate(m, SINGULAR_TOL * np.maximum(np.abs(a).max(axis=(1, 2)), 1e-300))[1]
     m[~regular] = np.eye(k, m.shape[2])
     x = np.zeros((count, b.shape[2], k))
     for row in range(k - 1, -1, -1):
@@ -410,8 +410,8 @@ def _solve(a: np.ndarray, b: np.ndarray, tol: float = SINGULAR_TOL) -> tuple:
     return x, regular
 
 
-def inverse(a, tol: float = SINGULAR_TOL):
-    return solve(a, np.eye(len(a)), tol=tol)
+def inverse(a):
+    return solve(a, np.eye(len(a)))
 
 
 def det(a) -> float:
@@ -444,7 +444,7 @@ def _eliminate(m: np.ndarray, floor: np.ndarray) -> tuple:
     return sign, (np.abs(np.diagonal(m, 0, 1, 2)) > floor[:, None]).all(axis=1)
 
 
-def solve_particular(a, b, tol: float = SINGULAR_TOL):
+def solve_particular(a, b):
     """One particular solution of a (possibly underdetermined) consistent
     system a x = b, with free variables set to zero.
 
@@ -468,7 +468,7 @@ def solve_particular(a, b, tol: float = SINGULAR_TOL):
         mask = np.ones(cols, dtype=bool)
         mask[pivot_cols] = False
         sub = sub[:, mask]
-        if sub.size == 0 or sub.max() <= tol * scale:
+        if sub.size == 0 or sub.max() <= SINGULAR_TOL * scale:
             break
         flat = int(np.argmax(sub))
         prow = r + flat // sub.shape[1]
@@ -501,14 +501,14 @@ def _dots(a, b) -> np.ndarray:
     return np.vecdot(a, b)
 
 
-def orthonormal_rows(stack, tol: float = 1e-12):
+def orthonormal_rows(stack):
     """Euclidean orthonormal bases of the row spans of a stack of finite
     matrices (N, r, m), by modified Gram-Schmidt with pivoting on the
     largest remaining norm, all members in one pass.
 
     Returns the bases (N, r, m) and the ranks (N,).  A member's basis fills
     its leading rows in pivot order, and the rows after its rank are zero;
-    it stops at the first pivot whose norm is at most tol times its largest
+    it stops at the first pivot whose norm is at most 1e-12 times its largest
     entry, one reduction over each member's flattened rows.  A member does
     not depend on the rest of its stack.  No row is deflated after the last
     pivot.
@@ -518,7 +518,7 @@ def orthonormal_rows(stack, tol: float = 1e-12):
         raise ValueError("expected a stack of row matrices (N, r, m)")
     count, rows, width = v.shape
     # explicit sizes: an empty stack cannot infer -1
-    floor = tol * np.maximum(np.abs(v.reshape(count, rows * width)).max(axis=1, initial=0.0), 1e-300)
+    floor = 1e-12 * np.maximum(np.abs(v.reshape(count, rows * width)).max(axis=1, initial=0.0), 1e-300)
     bases, ranks, members = np.zeros_like(v), np.zeros(count, dtype=int), np.arange(count)
     active = np.ones(count, dtype=bool)
     left = np.ones((count, rows), dtype=bool)  # rows not yet taken as a pivot

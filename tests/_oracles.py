@@ -312,8 +312,8 @@ def translated_congruence(imm, last, model, t_range=(-0.5, 0.5)):
 def bent_cone_congruence(n, bend=1.5):
     """The cone congruence of C^n_1 (catalog ``cone_normal_congruence``)
     reparametrized by (s, t) -> (s, t + bend |s|^2), s the first n-2
-    parameters: its line at (s, t) is the cone's at (s, t + bend |s|^2), in
-    ``line`` and its twin ``lines`` alike.  The cone's leaves are
+    parameters: its line at (s, t) is the cone's at (s, t + bend |s|^2), and
+    it broadcasts as the cone's does.  The cone's leaves are
     u_last = const, so these leaves are the curved level sets of
     ``bent_leaf_invariant``, curves at n = 3 and surfaces at n = 4."""
     cone = catalog.build("cone_normal_congruence", n=n)
@@ -324,8 +324,7 @@ def bent_cone_congruence(n, bend=1.5):
         return u
 
     return IsotropicCongruence(n=n, domain=cone.domain, name=f"bent_cone{n}",
-                               line=lambda u: cone.line(unbend(u)),
-                               lines=lambda us: cone.lines(unbend(us)))
+                               line=lambda u: cone.line(unbend(u)), broadcasts=True)
 
 
 def bent_leaf_invariant(us, bend=1.5):
@@ -701,8 +700,8 @@ def member_first_jacobi(m, tol=1e-12, max_sweeps=60, vectors=None):
             raise ConvergenceError(
                 f"Jacobi sweeps did not converge in {max_sweeps} sweeps for "
                 f"{int(active.sum())} of {count} matrices "
-                f"(largest off-diagonal norm {off.max():.3e})",
-                residual=float(off.max()),
+                f"(largest off-diagonal norm {off[active].max():.3e})",
+                residual=float(off[active].max()),
             )
         for p in range(k - 1):
             for q in range(p + 1, k):

@@ -158,9 +158,10 @@ class TestBroadcastingTwins:
         if edges:
             us = np.concatenate([us, np.array(edges, dtype=float)])
         if isinstance(obj, Immersion):
-            pairs = [(obj.point, obj.values), (obj.jet1, obj.jacobians)]
+            pairs = [(obj.point, obj.value), (obj.jet1, obj.jacobian)]
         else:
-            pairs = [(obj.line_at, obj.lines)]
+            pairs = [(obj.line_at, obj.line)]
+        assert obj.broadcasts
         for scalar, twin in pairs:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")

@@ -137,6 +137,12 @@ class TestInvalidScenes:
         ("classify", dict(BASE_SCENE, n=70, grid=None)),
         ("lightlike", dict(BASE_SCENE, n=3000, grid=None)),
         ("classify", dict(BASE_SCENE, n=70, grid=[2] * 69)),
+        ("congruence", {"kind": "congruence", "builtin": "light_cone"}),
+        ("embed", {"kind": "points", "points": [[0.0, 1.0, 0.0]]}),
+        ("classify", dict(BASE_SCENE, params=[1])),
+        ("classify", dict(BASE_SCENE, output={"format": "xml"})),
+        ("classify", dict(BASE_SCENE, grid={"axes": [{"count": 3}]})),
+        ("classify", dict(BASE_SCENE, grid=[3])),
     ], ids=["fractional-count", "boolean-count", "text-start", "infinite-stop",
             "short-seed", "nan-seed", "negative-step", "zero-count", "seed-outside-domain",
             "nan-point", "far-point",
@@ -145,7 +151,9 @@ class TestInvalidScenes:
             "negative-symmetry", "zero-integrability", "boolean-lightlike", "boolean-path",
             "integer-path", "list-path", "empty-path", "null-path", "scalar-axes",
             "list-builtin", "list-tolerances", "list-output", "default-grid-69-axes",
-            "default-grid-2999-axes", "grid-69-axes"])
+            "default-grid-2999-axes", "grid-69-axes", "builtin-of-another-kind",
+            "points-without-n", "list-params", "xml-format", "one-axis-object",
+            "one-axis-count"])
     def test_exits_2_without_output(self, tmp_path, capfd, command, doc):
         # with --out and with the scene's own output path: nothing is
         # written, not even to a file descriptor that a non-string path names.
@@ -158,6 +166,22 @@ class TestInvalidScenes:
             stdout, err = capfd.readouterr()
             assert stdout == "" and "scene error" in err and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command,doc,message", [
+        ("congruence", {"kind": "congruence", "builtin": "light_cone"},
+         "builtin 'light_cone' is not a congruence"),
+        ("embed", {"kind": "points", "points": [[0.0, 1.0, 0.0]]},
+         "a points scene must set n explicitly"),
+        ("classify", dict(BASE_SCENE, params=[1]), "params must be an object"),
+        ("classify", dict(BASE_SCENE, output={"format": "xml"}),
+         "output format must be 'csv' or 'json'"),
+        ("classify", dict(BASE_SCENE, grid={"axes": [{"count": 3}]}), "grid needs 2 axes"),
+        ("classify", dict(BASE_SCENE, grid=[3]), "grid needs 2 axis counts"),
+    ], ids=["builtin-of-another-kind", "points-without-n", "list-params", "xml-format",
+            "one-axis-object", "one-axis-count"])
+    def test_exit_2_names_the_fault(self, tmp_path, capfd, command, doc, message):
+        assert main([command, "--scene", write_scene(tmp_path, doc)]) == 2
+        assert capfd.readouterr() == ("", f"scene error ({command}): {message}\n")
 
     @pytest.mark.parametrize("raw", [b'{"kind": "\xff"}', b"[" * 10**5 + b"]" * 10**5],
                              ids=["not-utf8", "deep-nesting"])
@@ -567,6 +591,24 @@ class TestSymmetryTolerance:
         assert json.loads(out.read_text())["errors"] == failing
 
 
+class TestIntegrabilityTolerance:
+    def test_scene_tolerance_reaches_stratify(self, tmp_path, capsys):
+        # the twisted congruence is not integrable near this seed at the
+        # default tolerance; a tolerance of 1e3 lets the leaf through
+        doc = dict(json.loads((SCENES / "twisted4.json").read_text()),
+                   stratify={"seed": [0.1, 0.1, 0.1], "count": 4})
+        out = tmp_path / "twisted.json"
+        assert main(["congruence", "--scene", write_scene(tmp_path, doc), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "numerical failure (congruence): congruence is not integrable near the seed "
+            "(symmetry defect 1.961e+00)\n")
+        assert not out.exists()
+        doc["tolerances"] = {"integrability": 1e3}
+        assert main(["congruence", "--scene", write_scene(tmp_path, doc), "--out", str(out)]) == 0
+        leaf = json.loads(out.read_text())["leaf"]
+        assert len(leaf["parameters"]) == 81 and [0.1, 0.1, 0.1] in leaf["parameters"]
+
+
 class TestPointErrors:
     def test_vertex_grid_point_is_a_point_error(self, tmp_path, capsys):
         # the grid point (0, 0) is the cone vertex, where the jacobian is not
@@ -802,12 +844,20 @@ class TestScripts:
 
 
 def package_size() -> str:
-    """The summary's size of this tree against itself: the lines and AST
-    statements of its package modules."""
+    """The summary's size of this tree against itself: the lines, AST
+    statements and settable values (parameters and dataclass fields with a
+    default) of its package modules."""
     texts = [p.read_text() for p in (ROOT / "src" / "pseudoconformal").glob("*.py")]
     lines = sum(len(text.splitlines()) for text in texts)
-    stmts = sum(isinstance(node, ast.stmt) for text in texts for node in ast.walk(ast.parse(text)))
-    return f"pseudoconformal/*.py {lines} -> {lines} lines, {stmts} -> {stmts} statements"
+    nodes = [node for text in texts for node in ast.walk(ast.parse(text))]
+    stmts = sum(isinstance(node, ast.stmt) for node in nodes)
+    settable = sum(len(node.defaults) + len([d for d in node.kw_defaults if d])
+                   for node in nodes if isinstance(node, ast.arguments))
+    settable += sum(len([s for s in node.body if isinstance(s, ast.AnnAssign) and s.value])
+                    for node in nodes if isinstance(node, ast.ClassDef)
+                    and any(ast.unparse(d).startswith("dataclass") for d in node.decorator_list))
+    return (f"pseudoconformal/*.py {lines} -> {lines} lines, {stmts} -> {stmts} statements, "
+            f"{settable} -> {settable} settable values")
 
 
 class TestCompareOutputs:

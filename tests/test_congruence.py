@@ -59,10 +59,10 @@ class TestValidation:
 
     @pytest.mark.parametrize("u", [0.1, [0.1], [0.1, 0.2, 0.3], [[0.1], [0.2]], [[0.1, 0.2, 0.3]]])
     def test_line_at_rejects_parameter_points_of_the_wrong_length(self, u):
-        # with its broadcasting twin and without, one point or a stack
+        # broadcasting and not, one point or a stack
         got = np.shape(u)[-1] if np.ndim(u) else "a scalar"
         cone = catalog.build("cone_normal_congruence")
-        for cong in (cone, replace(cone, lines=None)):
+        for cong in (cone, replace(cone, broadcasts=False)):
             with pytest.raises(ValueError, match=rf"^u must have params=2 entries, got {got}$"):
                 cong.line_at(np.array(u))
 
@@ -300,6 +300,16 @@ class TestStratify:
         interior = stratify(cong, np.array([0.0, 0.0]),
                             step=1e-2, count=20)
         assert not interior.truncated
+
+    def test_leaf_march_ends_when_every_run_has_left_the_domain(self):
+        # both spine runs leave u1 in (-0.55, 0.55) at the same step, long
+        # before count: the march stops with no run left
+        cong = catalog.build("cone_normal_congruence")
+        leaf = stratify(cong, np.array([0.0, 0.2]), step=0.1, count=40)
+        assert len(leaf.parameters) == 11 and leaf.truncated
+        (s0, t0), (s1, t1) = leaf.parameters[0], leaf.parameters[-1]
+        assert abs(s0 + 0.5) < 1e-12 and abs(s1 - 0.5) < 1e-12
+        assert abs(t0 - 0.2) < 1e-8 and abs(t1 - 0.2) < 1e-8
 
     def test_leaf_classification_matches_per_metric_loop(self, model3):
         # s = -1 puts X(s) = A_0 + s A_1 on the cone vertex, where the swept
@@ -773,7 +783,7 @@ class TestCongruenceEngine:
             return cong.line(u)
 
         monkeypatch.setattr(cli, "_build_object",
-                            lambda scene: replace(cong, line=line, lines=None))
+                            lambda scene: replace(cong, line=line, broadcasts=False))
         doc = {"kind": "congruence", "builtin": builtin, "n": cong.n,
                "grid": {"axes": [{"start": a, "stop": b, "count": 3} for a, b in axes]}}
         without = _congruence_run(tmp_path, doc)

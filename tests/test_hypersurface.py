@@ -493,8 +493,8 @@ class TestDifferencedJets:
         value = lambda u: cone.value(u) * np.asarray(cut(u))[..., None]
         jacobian = lambda u: cone.jacobian(u) * np.asarray(cut(u))[..., None, None]
         return {"analytic": Immersion(n=3, domain=cone.domain, value=value, jacobian=jacobian,
-                                      values=value, jacobians=jacobian),
-                "fd": Immersion(n=3, domain=cone.domain, value=value, values=value),
+                                      broadcasts=True),
+                "fd": Immersion(n=3, domain=cone.domain, value=value, broadcasts=True),
                 "fd_scalar": Immersion(n=3, domain=cone.domain, value=value)}
 
     @pytest.mark.parametrize("variant", ["analytic", "fd", "fd_scalar"])
@@ -539,11 +539,34 @@ class TestDifferencedJets:
     def test_scalar_and_stacked_differences_agree_with_the_hessian(self):
         cone = catalog.build("light_cone", n=5)
         imm = Immersion(n=5, domain=cone.domain, value=cone.value, jacobian=cone.jacobian,
-                        values=cone.value, jacobians=cone.jacobian)
+                        broadcasts=True)
         us = parameter_grid(imm, [3] * 4)[1]
         hessians, failed = imm.jet2(us)
         assert failed == {}
         assert np.abs(hessians - cone.jet2(us)[0]).max() < 1e-5
+
+
+class TestBroadcasts:
+    def test_every_jet_follows_the_flag(self):
+        # with ``broadcasts`` each evaluator, the Hessian included, runs once
+        # over a stack; without it each runs point by point, with the same bits
+        cone = catalog.build("light_cone")
+        us = parameter_grid(cone, [3, 3])[1]
+        calls = []
+
+        def counted(evaluate):
+            return lambda u: calls.append(np.shape(u)) or evaluate(u)
+
+        for broadcasts, shapes in ((True, [us.shape]), (False, [(2,)] * len(us))):
+            imm = Immersion(n=3, domain=cone.domain, value=counted(cone.value),
+                            jacobian=counted(cone.jacobian), hessian=counted(cone.hessian),
+                            broadcasts=broadcasts)
+            for jet, want in ((imm.point, cone.point), (imm.jet1, cone.jet1),
+                              (imm.jet2, cone.jet2)):
+                calls.clear()
+                got, failed = jet(us)
+                assert calls == shapes and failed == {}
+                assert got.tobytes() == want(us)[0].tobytes()
 
 
 class TestJetShapes:

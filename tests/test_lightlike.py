@@ -706,7 +706,7 @@ class TestJetStack:
             return cone.hessian(u) * np.asarray(ok)[..., None, None, None]
 
         variants = [Immersion(n=3, domain=cone.domain, value=cone.value, jacobian=cone.jacobian,
-                              hessian=h, values=cone.value, jacobians=cone.jacobian)
+                              hessian=h, broadcasts=True)
                     for h in (hessian, lambda u: hessian(np.array([float(u[0]), float(u[1])])),
                               lambda u: hessian(np.array([u[0], u[1]])))]
         us = np.array([[0.7, 0.4], [1.55, 0.4], [1.1, 0.5], [1.2, 0.9]])

@@ -147,6 +147,21 @@ class TestJacobi:
         for member, wm in zip(stack[:2], w):
             assert np.abs(wm - single_matrix_jacobi(member, max_sweeps=1)[0]).max() <= 1e-15
 
+    def test_residual_names_only_the_failing_members(self):
+        # the second member converges at once (1e150 is below 1e-12 of its
+        # scale) but has the larger off-diagonal norm: the error and its
+        # residual name the first member's, as when it fails alone
+        a = np.random.default_rng(0).standard_normal((3, 3))
+        converged = np.diag([1e163, 2e163, 3e163])
+        converged[0, 1] = converged[1, 0] = 1e150
+        stack = np.array([a + a.T, converged])
+        alone = _raised(lambda: jacobi_eigh(a + a.T, max_sweeps=1))
+        raised = _raised(lambda: jacobi_eigh(stack, max_sweeps=1))
+        assert raised[0] is ConvergenceError and raised[1].endswith(
+            "for 1 of 2 matrices (largest off-diagonal norm 1.047e+00)")
+        assert raised[1:] == (alone[1].replace("1 of 1", "1 of 2"), alone[2])
+        assert raised == _raised(lambda: member_first_jacobi(stack, max_sweeps=1))
+
     def test_overflow_is_a_convergence_error(self):
         # finite and symmetric, but its symmetrization already overflows; the
         # true inertia is 1+/1-, and inf/-inf eigenvalues would read 0+/0-/2
